@@ -29,6 +29,7 @@ the fast engine's throughput is unaffected (see docs/observability.md).
 from .critpath import (
     SEGMENT_KINDS,
     CriticalPath,
+    PathTable,
     Segment,
     aggregate_profiles,
     check_conservation,
@@ -126,6 +127,7 @@ __all__ = [
     "WALL_PID",
     "WhatIfPrediction",
     "active",
+    "PathTable",
     "aggregate_profiles",
     "attempt_id",
     "attribute_miss",

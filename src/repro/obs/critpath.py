@@ -11,11 +11,16 @@ layers consume.
 
 Two extractors share one segment taxonomy (:data:`SEGMENT_KINDS`):
 
-* **single box** (:func:`_extract_single`) — walks the lifecycle event
-  stream of :mod:`repro.serving.server` / ``fastserve`` chronologically:
-  ``arrive→dispatch`` is queueing, ``dispatch→complete`` is service with
-  the fault/straggler/degradation multiplier carved out as ``penalty``,
-  ``timeout_retry→retry_arrive`` is backoff.
+* **single box** (:func:`extract_lifecycles`) — walks the lifecycle event
+  streams of :mod:`repro.serving.server` / ``fastserve`` chronologically,
+  for every request at once, as numpy column operations over a
+  :class:`Lifecycles` table: ``arrive→dispatch`` is queueing,
+  ``dispatch→complete`` is service with the fault/straggler/degradation
+  multiplier carved out as ``penalty``, ``timeout_retry→retry_arrive`` is
+  backoff.  A :class:`~repro.obs.requests.RunLog` hands over its columns
+  directly; record dicts (e.g. reloaded JSONL) are parsed into the same
+  table first.  The result is a :class:`PathTable`, which builds a
+  :class:`CriticalPath` only when one is read.
 * **cluster** (:func:`_extract_cluster`) — reconstructs the blocking
   chain backward from the slowest gather slot: the winning attempt's
   interval decomposes into ``network`` (two hops), on-node ``queue``,
@@ -45,18 +50,25 @@ across hosts and ``--jobs``, no simulation, no randomness, no wall time.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 __all__ = [
     "CRITPATH_SCHEMA_VERSION",
+    "LIFECYCLE_KINDS",
     "SEGMENT_KINDS",
     "CriticalPath",
+    "Lifecycles",
+    "PathTable",
     "Segment",
     "aggregate_profiles",
     "bottleneck",
     "check_conservation",
     "extract_critical_path",
+    "extract_lifecycles",
     "extract_paths",
     "profile_records",
 ]
@@ -147,66 +159,370 @@ def _seal(path: CriticalPath) -> CriticalPath:
 
 # -- single box ---------------------------------------------------------------
 
+#: Lifecycle event kinds the single-box extractor reads, by code.  Any
+#: other kind (code -1) is instantaneous: it moves neither the cursor nor
+#: the service multiplier.
+LIFECYCLE_KINDS = (
+    "arrive", "retry_arrive", "dispatch", "complete",
+    "timeout_retry", "shed", "expired", "timeout",
+)
+LIFECYCLE_CODES = {kind: code for code, kind in enumerate(LIFECYCLE_KINDS)}
+(
+    _ARRIVE, _RETRY_ARRIVE, _DISPATCH, _COMPLETE,
+    _TIMEOUT_RETRY, _SHED, _EXPIRED, _TIMEOUT,
+) = range(len(LIFECYCLE_KINDS))
 
-def _multiplier(event: Dict[str, object]) -> float:
+#: Causes a single-box segment can carry, by code (-1: none).
+_SINGLE_CAUSES = ("slowdown", "shed", "expired", "timeout")
+
+_KIND_CODES = {kind: code for code, kind in enumerate(SEGMENT_KINDS)}
+_QUEUE, _SERVICE, _PENALTY, _BACKOFF, _OTHER = (
+    _KIND_CODES[k] for k in ("queue", "service", "penalty", "backoff", "other")
+)
+
+#: The segment an event closes, and its cause, indexed by lifecycle code
+#: + 1 (other kinds, then :data:`LIFECYCLE_KINDS` in order); -1: none.
+_A_KIND = np.array(
+    [-1, -1, _BACKOFF, _QUEUE, _SERVICE, _QUEUE, _QUEUE, _QUEUE, _QUEUE],
+    dtype=np.int8,
+)
+_A_CAUSE = np.array([-1, -1, -1, -1, -1, -1, 1, 2, 3], dtype=np.int8)
+
+
+def _dispatch_multiplier(attrs: Dict[str, object]) -> float:
     """Service inflation recorded at dispatch (absent attrs count as 1)."""
     mult = 1.0
     for key in ("fault_mult", "straggler_mult", "scale"):
-        value = event.get(key)
+        value = attrs.get(key)
         if value is not None:
             mult *= float(value)
     return mult
 
 
-def _extract_single(record: Dict[str, object]) -> CriticalPath:
-    """Chronological event walk of a single-box request lifecycle."""
-    arrival = float(record["arrival_ms"])
-    path = CriticalPath(
-        req=int(record["req"]),
-        id=str(record["id"]),
-        outcome=str(record["outcome"]),
-        arrival_ms=arrival,
-        end_ms=float(record["end_ms"]),
-    )
-    core = record.get("core")
-    node = int(core) if core is not None else None
-    cursor = arrival
-    mult = 1.0
+@dataclass
+class Lifecycles:
+    """Single-box request lifecycles as columns: the extractor's input.
 
-    def close(kind: str, t: float, cause: Optional[str] = None) -> None:
-        nonlocal cursor
-        if t > cursor:
-            path.segments.append(Segment(kind, t - cursor, node=node, cause=cause))
-        cursor = t
+    Request ``i`` (index ``req[i]`` in its run, exemplar id ``ids(i)``)
+    arrived at ``arrival[i]``, ended at ``end[i]`` with outcome
+    ``outcome_names[outcome[i]]``, and ran on core ``node[i]`` (-1: it
+    never ran).  Its events are rows ``ev_ptr[i]:ev_ptr[i + 1]`` of the
+    event columns, in the order they happened: a kind code into
+    :data:`LIFECYCLE_KINDS` (-1 for any other kind), a time, and on
+    ``dispatch`` rows the :func:`_dispatch_multiplier` (1.0 elsewhere).
+    """
 
-    for event in record.get("events", []):
-        kind = str(event.get("kind"))
-        t = float(event.get("t_ms", cursor))
-        if kind in ("arrive",):
-            cursor = max(cursor, t)
-        elif kind == "retry_arrive":
-            close("backoff", t)
-        elif kind == "dispatch":
-            close("queue", t)
-            mult = _multiplier(event)
-        elif kind == "complete":
-            span = t - cursor
-            base = span / mult if mult > 0 else span
-            if base > 0.0:
-                path.segments.append(Segment("service", base, node=node))
-            if span - base != 0.0:
-                path.segments.append(
-                    Segment("penalty", span - base, node=node, cause="slowdown")
+    req: np.ndarray
+    ids: Callable[[int], str]
+    outcome: np.ndarray
+    outcome_names: Sequence[str]
+    arrival: np.ndarray
+    end: np.ndarray
+    node: np.ndarray
+    ev_ptr: np.ndarray
+    ev_kind: np.ndarray
+    ev_t: np.ndarray
+    ev_mult: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: Sequence[Dict[str, object]]) -> "Lifecycles":
+        """Parse single-box request-log records (e.g. reloaded JSONL)."""
+        names: Dict[str, int] = {}
+        outcome: List[int] = []
+        node: List[int] = []
+        counts: List[int] = []
+        ev_kind: List[int] = []
+        ev_t: List[float] = []
+        ev_mult: List[float] = []
+        for rec in records:
+            outcome.append(names.setdefault(str(rec["outcome"]), len(names)))
+            core = rec.get("core")
+            node.append(int(core) if core is not None else -1)
+            events = rec.get("events", [])
+            counts.append(len(events))
+            for event in events:
+                code = LIFECYCLE_CODES.get(str(event.get("kind")), -1)
+                ev_kind.append(code)
+                ev_t.append(float(event["t_ms"]))
+                ev_mult.append(
+                    _dispatch_multiplier(event) if code == _DISPATCH else 1.0
                 )
-            cursor = t
-        elif kind in ("timeout_retry", "shed", "expired", "timeout"):
-            # Time since the last phase change was spent waiting in (or
-            # for) the queue; terminal kinds end the walk naturally.
-            close("queue", t, cause=kind if kind != "timeout_retry" else None)
-        # other kinds (degradation transitions etc.) are instantaneous
-    if path.end_ms > cursor:
-        path.segments.append(Segment("other", path.end_ms - cursor, node=node))
-    return _seal(path)
+        ids = [str(rec["id"]) for rec in records]
+        return cls(
+            req=np.array([int(rec["req"]) for rec in records], dtype=np.int64),
+            ids=ids.__getitem__,
+            outcome=np.array(outcome, dtype=np.int64),
+            outcome_names=list(names),
+            arrival=np.array(
+                [float(rec["arrival_ms"]) for rec in records], dtype=np.float64
+            ),
+            end=np.array([float(rec["end_ms"]) for rec in records], dtype=np.float64),
+            node=np.array(node, dtype=np.int64),
+            ev_ptr=np.concatenate(([0], np.cumsum(counts, dtype=np.int64))),
+            ev_kind=np.array(ev_kind, dtype=np.int64),
+            ev_t=np.array(ev_t, dtype=np.float64),
+            ev_mult=np.array(ev_mult, dtype=np.float64),
+        )
+
+
+def extract_lifecycles(lc: Lifecycles) -> "PathTable":
+    """The blocking chain of every request in ``lc``, as numpy columns.
+
+    The same walk a scalar cursor would make through each request's
+    events, for all requests at once.  Every known event moves the cursor
+    to its time (``arrive`` to the later of the two) and closes the
+    interval since the cursor as a segment: ``backoff`` before a
+    ``retry_arrive``; ``queue`` before a ``dispatch``, ``timeout_retry``,
+    ``shed``, ``expired`` or ``timeout`` (the last three name themselves
+    as its cause); before a ``complete``, ``service`` = span / the
+    multiplier of the latest dispatch, and ``penalty`` = span - service
+    (cause ``slowdown``).  Empty intervals make no segment.  Time after
+    the last event is ``other``, and :func:`_seal`'s remainder rule sets
+    each path's last segment.  Every float operation is the scalar
+    walk's, in the same order, so durations are bit-identical to it.
+    """
+    ptr = lc.ev_ptr
+    kind, t = lc.ev_kind, lc.ev_t
+    rows = np.arange(t.size)
+    counts = np.diff(ptr)
+    first = np.repeat(ptr[:-1], counts)  # row of each event's first sibling
+
+    # Cursor before each event: the time the previous known event of the
+    # same request set, else the arrival.
+    known = kind >= 0
+    setter = rows if known.all() else np.maximum.accumulate(np.where(known, rows, -1))
+    prev = np.concatenate(([-1], setter[:-1]))[: t.size]
+    fresh = np.flatnonzero(prev < first)
+    fresh_arrival = np.repeat(lc.arrival, counts)[fresh]
+    after = t.copy()
+
+    def cursor_before() -> np.ndarray:
+        before = after[np.maximum(prev, 0)]
+        before[fresh] = fresh_arrival
+        return before
+
+    before = cursor_before()
+    arrive = np.flatnonzero(kind == _ARRIVE)
+    moved = arrive[before[arrive] > t[arrive]]
+    if moved.size:
+        # An arrive moves the cursor to the later time.  It only opens a
+        # lifecycle, so one refresh makes every later cursor exact.
+        after[moved] = before[moved]
+        before = cursor_before()
+
+    # Up to two segments per event: "a" (backoff, queue or service), then
+    # "b" (the penalty after a service).
+    a_kind = _A_KIND[kind + 1]
+    a_dur = t - before
+    a_on = (a_kind >= 0) & (t > before)
+    complete = np.flatnonzero(kind == _COMPLETE)
+    dispatch = np.maximum.accumulate(np.where(kind == _DISPATCH, rows, -1))[complete]
+    mult = np.where(
+        dispatch >= first[complete], lc.ev_mult[np.maximum(dispatch, 0)], 1.0
+    )
+    span = a_dur[complete]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        base = np.where(mult > 0, span / mult, span)
+    penalty = span - base
+    a_dur[complete] = base
+    a_on[complete] = base > 0.0
+    b_on = np.zeros(t.size, dtype=bool)
+    b_on[complete] = penalty != 0.0
+
+    cum = np.concatenate(([0], np.cumsum(a_on + b_on.view(np.int8))))
+    ev_segs = cum[ptr[1:]] - cum[ptr[:-1]]
+
+    # Cursor after each request's last event.
+    cursor_end = lc.arrival.copy()
+    ran = np.flatnonzero(counts > 0)
+    last_setter = setter[ptr[1:][ran] - 1]
+    ok = last_setter >= ptr[:-1][ran]
+    cursor_end[ran[ok]] = after[last_setter[ok]]
+
+    total = lc.end - lc.arrival
+    late = lc.end > cursor_end
+    tail_on = late | ((ev_segs == 0) & (total != 0.0))
+    seg_counts = ev_segs + tail_on
+    seg_ptr = np.concatenate(([0], np.cumsum(seg_counts)))
+    n_seg = int(seg_ptr[-1])
+    seg_kind = np.empty(n_seg, dtype=np.int8)
+    seg_dur = np.empty(n_seg, dtype=np.float64)
+    seg_cause = np.empty(n_seg, dtype=np.int8)
+    seg_node = np.repeat(lc.node, seg_counts)
+
+    # Segment slot of each event's "a": its request's first slot plus the
+    # segments earlier events of the request made.
+    pos_a = np.repeat(seg_ptr[:-1] - cum[ptr[:-1]], counts) + cum[:-1]
+    on = np.flatnonzero(a_on)
+    at = pos_a[on]
+    seg_kind[at] = a_kind[on]
+    seg_dur[at] = a_dur[on]
+    seg_cause[at] = _A_CAUSE[kind[on] + 1]
+    on = np.flatnonzero(b_on)
+    at = pos_a[on] + a_on[on]  # after its service, if that is on
+    seg_kind[at] = _PENALTY
+    seg_dur[at] = penalty[b_on[complete]]
+    seg_cause[at] = 0
+    tail = seg_ptr[1:][tail_on] - 1
+    seg_kind[tail] = _OTHER
+    seg_dur[tail] = 0.0  # set by the seal below: it is the last segment
+    seg_cause[tail] = -1
+    # An empty path with a non-zero total gets a bare "other" (no node).
+    seg_node[seg_ptr[1:][tail_on & ~late] - 1] = -1
+    _seal_columns(seg_ptr, seg_dur, total)
+
+    return PathTable(
+        req=lc.req, ids=lc.ids, outcome=lc.outcome,
+        outcome_names=lc.outcome_names, arrival=lc.arrival, end=lc.end,
+        seg_ptr=seg_ptr, seg_kind=seg_kind, seg_dur=seg_dur,
+        seg_node=seg_node, seg_shard=np.full(n_seg, -1, dtype=np.int64),
+        seg_cause=seg_cause, cause_names=_SINGLE_CAUSES,
+    )
+
+
+def _seal_columns(seg_ptr: np.ndarray, seg_dur: np.ndarray, total: np.ndarray) -> None:
+    """:func:`_seal` over columns: each non-empty path's last segment
+    becomes its total minus the segments before it, left to right."""
+    counts = np.diff(seg_ptr)
+    remainder = total.copy()
+    live = np.flatnonzero(counts > 1)
+    j = 0
+    while live.size:
+        remainder[live] -= seg_dur[seg_ptr[live] + j]
+        j += 1
+        live = live[counts[live] > j + 1]
+    filled = counts > 0
+    seg_dur[seg_ptr[1:][filled] - 1] = remainder[filled]
+
+
+class PathTable(Sequence[CriticalPath]):
+    """Critical paths held as columns; ``table[i]`` builds one
+    :class:`CriticalPath`.
+
+    Path ``i`` is request ``req[i]`` (id ``ids(i)``, outcome
+    ``outcome_names[outcome[i]]``) from ``arrival[i]`` to ``end[i]``.  Its
+    segments are rows ``seg_ptr[i]:seg_ptr[i + 1]``: kind codes into
+    :data:`SEGMENT_KINDS`, durations, node and shard (-1: none), and cause
+    codes into ``cause_names`` (-1: none).  :func:`aggregate_profiles`
+    reads the columns without building paths.
+    """
+
+    def __init__(
+        self,
+        *,
+        req: np.ndarray,
+        ids: Callable[[int], str],
+        outcome: np.ndarray,
+        outcome_names: Sequence[str],
+        arrival: np.ndarray,
+        end: np.ndarray,
+        seg_ptr: np.ndarray,
+        seg_kind: np.ndarray,
+        seg_dur: np.ndarray,
+        seg_node: np.ndarray,
+        seg_shard: np.ndarray,
+        seg_cause: np.ndarray,
+        cause_names: Sequence[str],
+    ) -> None:
+        self.req = req
+        self.ids = ids
+        self.outcome = outcome
+        self.outcome_names = outcome_names
+        self.arrival = arrival
+        self.end = end
+        self.seg_ptr = seg_ptr
+        self.seg_kind = seg_kind
+        self.seg_dur = seg_dur
+        self.seg_node = seg_node
+        self.seg_shard = seg_shard
+        self.seg_cause = seg_cause
+        self.cause_names = cause_names
+
+    @classmethod
+    def from_paths(cls, paths: Sequence[CriticalPath]) -> "PathTable":
+        """The columns of already-built paths."""
+        outcomes: Dict[str, int] = {}
+        causes: Dict[str, int] = {}
+        counts, kinds, durs, nodes, shards, cause_codes = [], [], [], [], [], []
+        for path in paths:
+            counts.append(len(path.segments))
+            for seg in path.segments:
+                kinds.append(_KIND_CODES[seg.kind])
+                durs.append(seg.dur_ms)
+                nodes.append(-1 if seg.node is None else seg.node)
+                shards.append(-1 if seg.shard is None else seg.shard)
+                cause_codes.append(
+                    -1 if seg.cause is None
+                    else causes.setdefault(seg.cause, len(causes))
+                )
+        ids = [path.id for path in paths]
+        return cls(
+            req=np.array([path.req for path in paths], dtype=np.int64),
+            ids=ids.__getitem__,
+            outcome=np.array(
+                [outcomes.setdefault(path.outcome, len(outcomes)) for path in paths],
+                dtype=np.int64,
+            ),
+            outcome_names=list(outcomes),
+            arrival=np.array([path.arrival_ms for path in paths], dtype=np.float64),
+            end=np.array([path.end_ms for path in paths], dtype=np.float64),
+            seg_ptr=np.concatenate(([0], np.cumsum(counts, dtype=np.int64))),
+            seg_kind=np.array(kinds, dtype=np.int8),
+            seg_dur=np.array(durs, dtype=np.float64),
+            seg_node=np.array(nodes, dtype=np.int64),
+            seg_shard=np.array(shards, dtype=np.int64),
+            seg_cause=np.array(cause_codes, dtype=np.int64),
+            cause_names=list(causes),
+        )
+
+    @property
+    def total_ms(self) -> np.ndarray:
+        """End-to-end time of every path."""
+        return self.end - self.arrival
+
+    def __len__(self) -> int:
+        return int(self.arrival.size)
+
+    def __getitem__(self, index):  # type: ignore[override]
+        if isinstance(index, slice):
+            return [self._path(i) for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("path index out of range")
+        return self._path(i)
+
+    def __iter__(self) -> Iterator[CriticalPath]:
+        for i in range(len(self)):
+            yield self._path(i)
+
+    def _path(self, i: int) -> CriticalPath:
+        lo, hi = int(self.seg_ptr[i]), int(self.seg_ptr[i + 1])
+        segments = [
+            Segment(
+                SEGMENT_KINDS[kind],
+                dur,
+                node if node >= 0 else None,
+                shard if shard >= 0 else None,
+                self.cause_names[cause] if cause >= 0 else None,
+            )
+            for kind, dur, node, shard, cause in zip(
+                self.seg_kind[lo:hi].tolist(),
+                self.seg_dur[lo:hi].tolist(),
+                self.seg_node[lo:hi].tolist(),
+                self.seg_shard[lo:hi].tolist(),
+                self.seg_cause[lo:hi].tolist(),
+            )
+        ]
+        return CriticalPath(
+            req=int(self.req[i]),
+            id=self.ids(i),
+            outcome=self.outcome_names[int(self.outcome[i])],
+            arrival_ms=float(self.arrival[i]),
+            end_ms=float(self.end[i]),
+            segments=segments,
+        )
 
 
 # -- cluster ------------------------------------------------------------------
@@ -406,36 +722,71 @@ def extract_critical_path(record: Dict[str, object]) -> CriticalPath:
     """
     if record.get("shards") is not None:
         return _extract_cluster(record)
-    return _extract_single(record)
+    return extract_lifecycles(Lifecycles.from_records([record]))[0]
 
 
-def extract_paths(records: Sequence[Dict[str, object]]) -> List[CriticalPath]:
-    """Extract every record's critical path, in record order."""
-    return [extract_critical_path(rec) for rec in records]
+def extract_paths(records: Sequence[Dict[str, object]]) -> Sequence[CriticalPath]:
+    """Extract every record's critical path, in record order.
+
+    A run's lazy records (:attr:`repro.obs.requests.RunLog.records`) hand
+    their columns straight to :func:`extract_lifecycles`; single-box
+    record dicts are parsed into one :class:`Lifecycles` table first.
+    Either way the result is a :class:`PathTable`.  Cluster records go
+    through the cluster extractor one by one, and a list that holds any
+    returns a plain list of paths.
+    """
+    lifecycles = getattr(records, "lifecycles", None)
+    columns = lifecycles() if lifecycles is not None else None
+    if columns is not None:
+        return extract_lifecycles(columns)
+    cluster = [rec.get("shards") is not None for rec in records]
+    single = [rec for rec, is_cluster in zip(records, cluster) if not is_cluster]
+    table = extract_lifecycles(Lifecycles.from_records(single))
+    if len(single) == len(cluster):
+        return table
+    paths = iter(table)
+    return [
+        _extract_cluster(rec) if is_cluster else next(paths)
+        for rec, is_cluster in zip(records, cluster)
+    ]
 
 
 # -- aggregation --------------------------------------------------------------
 
 
-def _percentile(values: List[float], q: float) -> float:
+def _nearest_rank(values: np.ndarray, q: float) -> float:
     """Nearest-rank percentile (deterministic, no interpolation)."""
-    if not values:
+    if values.size == 0:
         return 0.0
-    ordered = sorted(values)
+    ordered = np.sort(values)
     rank = max(0, min(len(ordered) - 1, int(round(q / 100.0 * len(ordered))) - 1))
-    return ordered[rank]
+    return float(ordered[rank])
 
 
-def _accumulate(
-    paths: Sequence[CriticalPath],
-) -> Tuple[Dict[str, float], float]:
-    segments: Dict[str, float] = {}
-    total = 0.0
-    for path in paths:
-        total += path.total_ms
-        for seg in path.segments:
-            segments[seg.kind] = segments.get(seg.kind, 0.0) + seg.dur_ms
-    return segments, total
+def _sequential_sum(values: np.ndarray) -> float:
+    """``0.0 + v0 + v1 + ...`` added left to right, as a scalar loop does
+    (cumsum is sequential; ``+ 0.0`` turns a leading -0.0 into the loop's
+    0.0 start)."""
+    return float(np.cumsum(values)[-1]) + 0.0 if values.size else 0.0
+
+
+def _group_sums(
+    keys: np.ndarray, values: np.ndarray
+) -> Tuple[List[int], List[float], List[int]]:
+    """Per distinct key, ascending: the :func:`_sequential_sum` of its
+    values in input order, and the input index of its first value."""
+    if keys.size == 0:
+        return [], [], []
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    stops = np.append(starts[1:], ranked.size)
+    grouped = values[order]
+    sums = [
+        _sequential_sum(grouped[lo:hi])
+        for lo, hi in zip(starts.tolist(), stops.tolist())
+    ]
+    return ranked[starts].tolist(), sums, order[starts].tolist()
 
 
 def bottleneck(segments: Dict[str, float]) -> Optional[str]:
@@ -463,79 +814,63 @@ def aggregate_profiles(
     above that percentile of end-to-end time), and one per node and per
     shard that appears on any critical path.  Each record carries the
     summed per-kind segment milliseconds and the resulting bottleneck.
+    A :class:`PathTable` is read column-wise; other paths are tabulated
+    first.  Every sum adds in path and segment order.
     """
+    table = paths if isinstance(paths, PathTable) else PathTable.from_paths(paths)
+    totals = table.total_ms
+    owner = np.repeat(np.arange(len(table)), np.diff(table.seg_ptr))
     profiles: List[Dict[str, object]] = []
 
-    def profile(scope: str, subset: Sequence[CriticalPath]) -> None:
-        segments, total = _accumulate(subset)
+    def emit(
+        scope: str, requests: int, total: float, segments: Dict[str, float]
+    ) -> None:
         profiles.append(
             {
                 "kind": "critpath_profile",
                 "schema_version": CRITPATH_SCHEMA_VERSION,
                 "scenario": scenario,
                 "scope": scope,
-                "requests": len(subset),
+                "requests": requests,
                 "total_ms": total,
                 "segments": {k: segments[k] for k in sorted(segments)},
                 "bottleneck": bottleneck(segments),
             }
         )
 
-    profile("overall", paths)
-    totals = [p.total_ms for p in paths]
-    cut = _percentile(totals, tail_quantile)
-    profile(
-        f"tail_p{tail_quantile:g}",
-        [p for p in paths if p.total_ms >= cut and p.total_ms > 0],
-    )
-    by_node: Dict[int, Dict[str, float]] = {}
-    by_shard: Dict[int, Dict[str, float]] = {}
-    node_reqs: Dict[int, int] = {}
-    shard_reqs: Dict[int, int] = {}
-    for path in paths:
-        nodes_seen = set()
-        shards_seen = set()
-        for seg in path.segments:
-            if seg.node is not None:
-                agg = by_node.setdefault(seg.node, {})
-                agg[seg.kind] = agg.get(seg.kind, 0.0) + seg.dur_ms
-                nodes_seen.add(seg.node)
-            if seg.shard is not None:
-                agg = by_shard.setdefault(seg.shard, {})
-                agg[seg.kind] = agg.get(seg.kind, 0.0) + seg.dur_ms
-                shards_seen.add(seg.shard)
-        for n in nodes_seen:
-            node_reqs[n] = node_reqs.get(n, 0) + 1
-        for s in shards_seen:
-            shard_reqs[s] = shard_reqs.get(s, 0) + 1
-    for node in sorted(by_node):
-        segments = by_node[node]
-        profiles.append(
-            {
-                "kind": "critpath_profile",
-                "schema_version": CRITPATH_SCHEMA_VERSION,
-                "scenario": scenario,
-                "scope": f"node:{node}",
-                "requests": node_reqs[node],
-                "total_ms": sum(segments.values()),
-                "segments": {k: segments[k] for k in sorted(segments)},
-                "bottleneck": bottleneck(segments),
-            }
+    def profile(scope: str, chosen: np.ndarray) -> None:
+        on_path = chosen[owner]
+        kinds, sums, _ = _group_sums(table.seg_kind[on_path], table.seg_dur[on_path])
+        emit(
+            scope,
+            int(np.count_nonzero(chosen)),
+            _sequential_sum(totals[chosen]),
+            {SEGMENT_KINDS[k]: s for k, s in zip(kinds, sums)},
         )
-    for shard in sorted(by_shard):
-        segments = by_shard[shard]
-        profiles.append(
-            {
-                "kind": "critpath_profile",
-                "schema_version": CRITPATH_SCHEMA_VERSION,
-                "scenario": scenario,
-                "scope": f"shard:{shard}",
-                "requests": shard_reqs[shard],
-                "total_ms": sum(segments.values()),
-                "segments": {k: segments[k] for k in sorted(segments)},
-                "bottleneck": bottleneck(segments),
-            }
+
+    profile("overall", np.ones(len(table), dtype=bool))
+    cut = _nearest_rank(totals, tail_quantile)
+    profile(f"tail_p{tail_quantile:g}", (totals >= cut) & (totals > 0))
+    n_kinds = len(SEGMENT_KINDS)
+    width = max(len(table), 1)
+    for column, prefix in ((table.seg_node, "node"), (table.seg_shard, "shard")):
+        has = column >= 0
+        keys = column[has].astype(np.int64)
+        groups, sums, firsts = _group_sums(
+            keys * n_kinds + table.seg_kind[has], table.seg_dur[has]
         )
+        by_key: Dict[int, List[Tuple[int, str, float]]] = {}
+        for group, total, first in zip(groups, sums, firsts):
+            by_key.setdefault(group // n_kinds, []).append(
+                (first, SEGMENT_KINDS[group % n_kinds], total)
+            )
+        # A path counts once per node (shard) any of its segments names.
+        pairs = np.unique(keys * width + owner[has])
+        scope_keys, requests = np.unique(pairs // width, return_counts=True)
+        for key, count in zip(scope_keys.tolist(), requests.tolist()):
+            # Kinds in first-seen order, as the profile's dict filled.
+            segments = {kind: total for _, kind, total in sorted(by_key[key])}
+            emit(f"{prefix}:{key}", count, sum(segments.values()), segments)
     return profiles
 
 

@@ -44,7 +44,9 @@ class Observation:
     the session records per-request lifecycles (the runner's
     ``--request-log`` flag does this).  It defaults to ``None`` — request
     logging is a further opt-in on top of tracing/metrics because it
-    records one object per request rather than per run.
+    records data per request rather than per run (a single box keeps
+    columns and builds record dicts only on export; a cluster keeps one
+    dict per request).
     """
 
     def __init__(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -151,15 +151,21 @@ class Histogram:
         if value > self.max:
             self.max = value
 
+    @staticmethod
+    def _bucket_indices(values: np.ndarray) -> np.ndarray:
+        """:meth:`bucket_index` of every value, vectorized."""
+        clipped = np.clip(values, 2.0**LOG2_MIN, None)
+        _, exp = np.frexp(clipped)
+        idx = np.minimum(exp, LOG2_MAX) - LOG2_MIN
+        idx[values < 2.0**LOG2_MIN] = 0
+        return idx
+
     def observe_many(self, values: np.ndarray) -> None:
         """Record a batch of observations (vectorized bucket assignment)."""
         values = np.asarray(values, dtype=np.float64).ravel()
         if values.size == 0:
             return
-        clipped = np.clip(values, 2.0**LOG2_MIN, None)
-        _, exp = np.frexp(clipped)
-        idx = np.minimum(exp, LOG2_MAX) - LOG2_MIN
-        idx[values < 2.0**LOG2_MIN] = 0
+        idx = self._bucket_indices(values)
         # bincount, not np.add.at: identical counts, but add.at's buffered
         # fancy indexing is ~25x slower on multi-million-element batches.
         self.buckets += np.bincount(idx, minlength=self.NUM_BUCKETS)
@@ -182,6 +188,42 @@ class Histogram:
         ids = self.exemplars.setdefault(self.bucket_index(value), [])
         if len(ids) < self.MAX_EXEMPLARS_PER_BUCKET:
             ids.append(str(exemplar_id))
+
+    def observe_exemplars(
+        self,
+        values: np.ndarray,
+        exemplar_of: Callable[[int], str],
+        count: int,
+    ) -> None:
+        """Record a batch whose first ``count`` values carry exemplar ids.
+
+        The same state as :meth:`observe_exemplar` ``(values[k],
+        exemplar_of(k))`` for ``k < count`` and :meth:`observe` for the
+        rest, in order: ``sum`` adds left to right (a cumulative sum, not
+        numpy's pairwise one), and ``exemplar_of`` is called only for the
+        values kept as a bucket's first exemplars.
+        """
+        values = np.asarray(values, dtype=np.float64).ravel()
+        if values.size == 0:
+            return
+        idx = self._bucket_indices(values)
+        self.buckets += np.bincount(idx, minlength=self.NUM_BUCKETS)
+        self.count += values.size
+        self.sum = float(np.cumsum(np.concatenate(([self.sum], values)))[-1])
+        self.min = min(self.min, float(values.min()))
+        self.max = max(self.max, float(values.max()))
+        tagged = idx[:count]
+        order = np.argsort(tagged, kind="stable")
+        ranked = tagged[order]
+        starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+        sizes = np.diff(np.append(starts, ranked.size))
+        rank = np.arange(ranked.size) - np.repeat(starts, sizes)
+        # Walk the candidates in observation order, so buckets fill (and
+        # are created) exactly as the one-by-one loop would.
+        for k in np.sort(order[rank < self.MAX_EXEMPLARS_PER_BUCKET]).tolist():
+            ids = self.exemplars.setdefault(int(tagged[k]), [])
+            if len(ids) < self.MAX_EXEMPLARS_PER_BUCKET:
+                ids.append(str(exemplar_of(k)))
 
     @property
     def mean(self) -> float:

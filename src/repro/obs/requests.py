@@ -10,6 +10,13 @@ its lifetime, and its terminal outcome with a cause — and links each
 request to a Chrome-trace span through a stable *exemplar id* so a
 histogram bucket can be traced back to the concrete offending requests.
 
+A single-box run is stored as columns: the loop's per-request arrays, a
+flat event table and a dispatch table (:class:`RunLog`).  Its
+:attr:`RunLog.records` build each record dict only when read, and the
+critical-path extractor reads the columns directly, so a log nobody
+exports costs little beyond the arrays.  Cluster runs add finished record
+dicts one by one (:meth:`RunLog.add_record`).
+
 Everything recorded is **simulated time only** — no wall clocks — so the
 export is byte-identical for a given seed and fault plan regardless of
 host, run count, or ``--jobs`` parallelism (request-logged CLI runs
@@ -26,14 +33,20 @@ request timelines and the SLA-miss attribution table;
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+import operator
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from .critpath import LIFECYCLE_CODES, Lifecycles
 from .ids import request_id
 
 __all__ = [
     "MISS_CAUSES",
     "RequestLog",
     "RunLog",
+    "RunRecords",
     "attribute_miss",
     "load_request_log",
     "miss_attribution",
@@ -43,6 +56,11 @@ __all__ = [
 #: shape changes (validated against ``$defs.request_event`` in
 #: ``tools/trace_schema.json``).
 SCHEMA_VERSION = 1
+
+#: Outcome codes of the single-box loops, mirrored from
+#: :mod:`repro.serving.server` (which imports this package).
+OUTCOME_NAMES = ("completed", "shed", "timed_out")
+OUTCOME_COMPLETED = 0
 
 #: Attribution buckets for requests that missed their SLA, most specific
 #: first (see :func:`attribute_miss`).  The cluster layer adds four
@@ -67,13 +85,75 @@ MISS_CAUSES = (
 )
 
 
+@dataclass
+class _Columns:
+    """The per-request arrays of one single-box run (see :class:`RunLog`).
+
+    ``outcome`` is ``None`` on the fast path, where every request
+    completes; ``end`` is filled on first use on the resilient path.
+    """
+
+    arrival: np.ndarray
+    start: np.ndarray
+    service: np.ndarray
+    core: np.ndarray
+    end: Optional[np.ndarray] = None
+    outcome: Optional[np.ndarray] = None
+    retries: Optional[np.ndarray] = None
+    injected: Optional[np.ndarray] = None
+    windows: List[Tuple[str, float, float, Dict[str, object]]] = field(
+        default_factory=list
+    )
+
+
+class RunRecords(Sequence[Dict[str, object]]):
+    """The read-only, lazy record sequence of one run (:attr:`RunLog.records`).
+
+    ``len``, indexing, slicing and iteration work as on a list.  Element
+    ``i`` is the record dict of request ``i``, built each time it is read,
+    so a run nobody reads builds no dicts.
+    :func:`repro.obs.critpath.extract_paths` takes the run's columns
+    through :meth:`lifecycles` instead.
+    """
+
+    __slots__ = ("_run",)
+
+    def __init__(self, run: "RunLog") -> None:
+        self._run = run
+
+    def __len__(self) -> int:
+        return self._run._num_records()
+
+    def __getitem__(self, index):  # type: ignore[override]
+        if isinstance(index, slice):
+            return [self._run._record_at(i) for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("record index out of range")
+        return self._run._record_at(i)
+
+    def __iter__(self) -> Iterator[Dict[str, object]]:
+        for i in range(len(self)):
+            yield self._run._record_at(i)
+
+    def lifecycles(self) -> Optional[Lifecycles]:
+        """The run's lifecycle columns; None when its records were added
+        one by one (:meth:`RunLog.add_record`)."""
+        return self._run._lifecycles()
+
+
 class RunLog:
     """Per-request lifecycle records of **one** serving simulation.
 
-    Created by :meth:`RequestLog.start_run`; the serving loop feeds it
-    incremental :meth:`event` calls and one :meth:`finish` /
-    :meth:`finish_fast` call with the final per-request arrays.  All
-    timestamps are simulated milliseconds.
+    Created by :meth:`RequestLog.start_run`.  The serving loop feeds it
+    incremental :meth:`event` calls, appended to one flat ``(req, kind,
+    t_ms, attrs)`` event table, and one :meth:`finish` /
+    :meth:`finish_fast` call that keeps the loop's per-request arrays as
+    columns.  :attr:`records` builds a request's record dict from those
+    columns only when it is read.  All timestamps are simulated
+    milliseconds.
     """
 
     def __init__(
@@ -91,10 +171,20 @@ class RunLog:
         self.num_cores = num_cores
         self.num_requests = num_requests
         self.deadline_ms = deadline_ms
-        self.records: List[Dict[str, object]] = []
-        self._events: List[List[Dict[str, object]]] = [
-            [] for _ in range(num_requests)
-        ]
+        self.records = RunRecords(self)
+        # The event table and the dispatch table, as parallel columns
+        # (no per-row tuple: the garbage collector never scans rows).
+        self._ev_req: List[int] = []
+        self._ev_kind: List[str] = []
+        self._ev_t: List[float] = []
+        self._ev_attrs: List[Dict[str, object]] = []
+        self._kept = 0
+        self._cols: Optional[_Columns] = None
+        self._grouping: Optional[Tuple[np.ndarray, ...]] = None
+        self._dispatches: Tuple[List[object], ...] = ([], [], [], [], [], [])
+        self._dispatch_row: Optional[np.ndarray] = None
+        self._added: Optional[List[Dict[str, object]]] = None
+        self._event_lists: Dict[int, List[Dict[str, object]]] = {}
 
     def exemplar_id(self, req: int) -> str:
         """The stable id linking request ``req`` across log, spans, and
@@ -103,44 +193,45 @@ class RunLog:
 
     def event(self, req: int, kind: str, t_ms: float, **attrs: object) -> None:
         """Record one lifecycle event of request ``req``."""
-        entry: Dict[str, object] = {"kind": kind, "t_ms": float(t_ms)}
-        if attrs:
-            entry.update(attrs)
-        self._events[req].append(entry)
+        self._ev_req.append(req)
+        self._ev_kind.append(kind)
+        self._ev_t.append(t_ms)
+        self._ev_attrs.append(attrs)
+
+    def dispatched(
+        self,
+        req: int,
+        level: Optional[int],
+        scheme: Optional[str],
+        fault_mult: float,
+        straggler_mult: float,
+        scale: float,
+    ) -> None:
+        """Record what request ``req`` was dispatched under: the
+        degradation level and scheme in force (None without a controller)
+        and its fault, straggler and degradation service multipliers.
+
+        The resilient loop calls this instead of logging ``dispatch`` and
+        ``complete`` events: their times and core are ``starts``,
+        ``starts + services`` and ``core_of`` in :meth:`finish`.
+        """
+        reqs, levels, schemes, faults, stragglers, scales = self._dispatches
+        reqs.append(req)
+        levels.append(level)
+        schemes.append(scheme)
+        faults.append(fault_mult)
+        stragglers.append(straggler_mult)
+        scales.append(scale)
 
     # -- finalization --------------------------------------------------------
 
     def finish_fast(self, arrivals, starts, services, core_ids, tracer=None) -> None:
-        """Build records for a fast-path run (every request completes)."""
-        n = int(arrivals.size)
-        for i in range(n):
-            arrival = float(arrivals[i])
-            start = float(starts[i])
-            service = float(services[i])
-            self._events[i] = [
-                {"kind": "arrive", "t_ms": arrival},
-                {"kind": "dispatch", "t_ms": start, "core": int(core_ids[i])},
-                {"kind": "complete", "t_ms": start + service},
-            ]
-            self.records.append(
-                self._record(
-                    req=i,
-                    injected=False,
-                    arrival_ms=arrival,
-                    outcome="completed",
-                    cause=None,
-                    retries=0,
-                    backoff_ms=0.0,
-                    wait_ms=start - arrival,
-                    service_ms=service,
-                    end_ms=start + service,
-                    core=int(core_ids[i]),
-                    level=None,
-                    scheme=None,
-                    fault_windows=[],
-                )
-            )
-        self._seal(tracer)
+        """Keep the columns of a fast-path run (every request completes)."""
+        self._cols = _Columns(
+            arrival=arrivals, start=starts, service=services, core=core_ids,
+            end=starts + services,
+        )
+        self._seal(int(arrivals.size), tracer)
 
     def finish(
         self,
@@ -155,66 +246,215 @@ class RunLog:
         plan=None,
         tracer=None,
     ) -> None:
-        """Build records for a resilient-path run from the loop's arrays.
+        """Keep the columns of a resilient-path run.
 
         ``outcomes`` uses the codes of :mod:`repro.serving.server`
         (0 completed / 1 shed / 2 timed out); causes and retry timelines
-        come from the incremental :meth:`event` stream.
+        come from the :meth:`event` table, dispatch conditions from
+        :meth:`dispatched`.
         """
-        from ..serving.server import OUTCOME_NAMES
+        self._cols = _Columns(
+            arrival=arrivals, start=starts, service=services, core=core_of,
+            outcome=outcomes, retries=retry_counts, injected=injected,
+            windows=plan.windows() if plan is not None and not plan.is_empty else [],
+        )
+        self._seal(int(arrivals.size), tracer)
 
-        windows = plan.windows() if plan is not None and not plan.is_empty else []
-        n = int(arrivals.size)
-        for i in range(n):
-            events = self._events[i]
-            arrival = float(arrivals[i])
-            outcome = OUTCOME_NAMES[int(outcomes[i])]
-            retries = int(retry_counts[i])
-            backoff = sum(
-                float(e.get("backoff_ms", 0.0))
-                for e in events
-                if e["kind"] == "timeout_retry"
-            )
-            cause = None
-            for e in events:
-                if e["kind"] == "shed":
-                    cause = "queue_full"
-                elif e["kind"] == "expired":
-                    cause = "deadline_expired"
-                elif e["kind"] == "timeout":
-                    cause = "queue_timeout"
-            dispatch = next(
-                (e for e in events if e["kind"] == "dispatch"), None
-            )
-            if outcome == "completed":
-                start = float(starts[i])
-                service = float(services[i])
-                wait: Optional[float] = start - arrival
-                end = start + service
-                core: Optional[int] = int(core_of[i])
-                cause = None
-            else:
-                wait, service, core = None, None, None
-                end = float(events[-1]["t_ms"]) if events else arrival
-            self.records.append(
-                self._record(
-                    req=i,
-                    injected=bool(injected[i]) if injected is not None else False,
-                    arrival_ms=arrival,
-                    outcome=outcome,
-                    cause=cause,
-                    retries=retries,
-                    backoff_ms=backoff,
-                    wait_ms=wait,
-                    service_ms=service,
-                    end_ms=end,
-                    core=core,
-                    level=dispatch.get("level") if dispatch else None,
-                    scheme=dispatch.get("scheme") if dispatch else None,
-                    fault_windows=self._overlapping(windows, arrival, end, core),
+    def _grouped(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The event-table rows of kept requests grouped by request, in
+        recording order within each: ``(rows, ptr, kind codes, times)``;
+        request ``i`` owns ``rows[ptr[i]:ptr[i + 1]]``."""
+        if self._grouping is None:
+            req = np.array(self._ev_req, dtype=np.int64)
+            rows = np.argsort(req, kind="stable")
+            counts = np.bincount(req, minlength=self._kept)[: self._kept]
+            ptr = np.concatenate(([0], np.cumsum(counts)))
+            rows = rows[: ptr[-1]]
+            code = np.array(
+                [LIFECYCLE_CODES.get(kind, -1) for kind in self._ev_kind],
+                dtype=np.int64,
+            )[rows]
+            t = np.array(self._ev_t, dtype=np.float64)[rows]
+            self._grouping = (rows, ptr, code, t)
+        return self._grouping
+
+    def _dispatch_rows(self) -> np.ndarray:
+        """Per kept request, its row in the :meth:`dispatched` table
+        (-1: never dispatched)."""
+        if self._dispatch_row is None:
+            reqs = np.array(self._dispatches[0], dtype=np.int64)
+            row = np.full(self._kept, -1, dtype=np.int64)
+            kept = reqs < self._kept
+            row[reqs[kept]] = np.flatnonzero(kept)
+            self._dispatch_row = row
+        return self._dispatch_row
+
+    def _end(self) -> np.ndarray:
+        """End time per kept request: completion, else its last event."""
+        cols = self._cols
+        if cols.end is None:
+            k = self._kept
+            end = cols.start[:k] + cols.service[:k]
+            _, ptr, _, t = self._grouped()
+            unfinished = cols.outcome[:k] != OUTCOME_COMPLETED
+            end[unfinished] = cols.arrival[:k][unfinished]
+            last = unfinished & (np.diff(ptr) > 0)
+            end[last] = t[ptr[1:][last] - 1]
+            cols.end = end
+        return cols.end[: self._kept]
+
+    def _lifecycles(self) -> Optional[Lifecycles]:
+        cols = self._cols
+        if cols is None:
+            return None
+        k = self._kept
+        code_of = LIFECYCLE_CODES
+        if cols.outcome is None:
+            # Fast path: each request only dispatches, unscaled.  Its
+            # arrive event is left out: at the arrival time, it moves no
+            # cursor.
+            outcome = np.zeros(k, dtype=np.int64)
+            node = cols.core[:k]
+            t_ptr = np.zeros(k + 1, dtype=np.int64)
+            t_code = np.empty(0, dtype=np.int64)
+            t_time = np.empty(0)
+            mult = np.ones(k)
+        else:
+            outcome = cols.outcome[:k]
+            node = np.where(outcome == OUTCOME_COMPLETED, cols.core[:k], -1)
+            _, t_ptr, t_code, t_time = self._grouped()
+            mult = np.ones(k)
+            row = self._dispatch_rows()
+            ran = np.flatnonzero(row >= 0)
+            if ran.size:
+                _, _, _, fault, straggler, scale = self._dispatches
+                # fault x straggler x scale, the order a parsed dispatch
+                # event multiplies them in.
+                mult[ran] = (
+                    np.array(fault, dtype=np.float64)[row[ran]]
+                    * np.array(straggler, dtype=np.float64)[row[ran]]
+                    * np.array(scale, dtype=np.float64)[row[ran]]
                 )
+        # Every completed request ends with dispatch, complete after its
+        # table events.
+        done = np.flatnonzero(outcome == OUTCOME_COMPLETED)
+        t_counts = np.diff(t_ptr)
+        counts = t_counts.copy()
+        counts[done] += 2
+        ptr = np.concatenate(([0], np.cumsum(counts)))
+        kind = np.empty(ptr[-1], dtype=np.int64)
+        t = np.empty(ptr[-1], dtype=np.float64)
+        ev_mult = np.ones(ptr[-1])
+        table = np.repeat(ptr[:-1] - t_ptr[:-1], t_counts) + np.arange(t_ptr[-1])
+        kind[table] = t_code
+        t[table] = t_time
+        at = ptr[done + 1] - 2
+        kind[at] = code_of["dispatch"]
+        t[at] = cols.start[done]
+        ev_mult[at] = mult[done]
+        kind[at + 1] = code_of["complete"]
+        t[at + 1] = cols.start[done] + cols.service[done]
+        return Lifecycles(
+            req=np.arange(k), ids=self.exemplar_id,
+            outcome=outcome, outcome_names=OUTCOME_NAMES,
+            arrival=cols.arrival[:k], end=self._end(), node=node,
+            ev_ptr=ptr, ev_kind=kind, ev_t=t, ev_mult=ev_mult,
+        )
+
+    # -- records ---------------------------------------------------------------
+
+    def _num_records(self) -> int:
+        return len(self._added) if self._added is not None else self._kept
+
+    def _record_at(self, i: int) -> Dict[str, object]:
+        """Build request ``i``'s record dict from the columns."""
+        if self._added is not None:
+            return self._added[i]
+        cols = self._cols
+        arrival = float(cols.arrival[i])
+        if cols.outcome is None:
+            start = float(cols.start[i])
+            service = float(cols.service[i])
+            core = int(cols.core[i])
+            return self._record(
+                req=i,
+                injected=False,
+                arrival_ms=arrival,
+                outcome="completed",
+                cause=None,
+                retries=0,
+                backoff_ms=0.0,
+                wait_ms=start - arrival,
+                service_ms=service,
+                end_ms=start + service,
+                core=core,
+                level=None,
+                scheme=None,
+                fault_windows=[],
+                events=[
+                    {"kind": "arrive", "t_ms": arrival},
+                    {"kind": "dispatch", "t_ms": start, "core": core},
+                    {"kind": "complete", "t_ms": start + service},
+                ],
             )
-        self._seal(tracer)
+        rows, ptr, _, _ = self._grouped()
+        events = []
+        for row in rows[ptr[i] : ptr[i + 1]].tolist():
+            events.append(
+                _event_entry(self._ev_kind[row], self._ev_t[row], self._ev_attrs[row])
+            )
+        outcome = OUTCOME_NAMES[int(cols.outcome[i])]
+        backoff = sum(
+            float(e.get("backoff_ms", 0.0))
+            for e in events
+            if e["kind"] == "timeout_retry"
+        )
+        cause = None
+        for e in events:
+            if e["kind"] == "shed":
+                cause = "queue_full"
+            elif e["kind"] == "expired":
+                cause = "deadline_expired"
+            elif e["kind"] == "timeout":
+                cause = "queue_timeout"
+        level = scheme = None
+        if outcome == "completed":
+            start = float(cols.start[i])
+            service: Optional[float] = float(cols.service[i])
+            wait: Optional[float] = start - arrival
+            end = start + service
+            core: Optional[int] = int(cols.core[i])
+            cause = None
+            row = int(self._dispatch_rows()[i])
+            _, level, scheme, fault, straggler, scale = (
+                column[row] for column in self._dispatches
+            )
+            events.append({
+                "kind": "dispatch", "t_ms": start, "core": core,
+                "level": level, "scheme": scheme, "fault_mult": float(fault),
+                "straggler_mult": float(straggler), "scale": float(scale),
+            })
+            events.append({"kind": "complete", "t_ms": end, "core": core})
+        else:
+            wait, service, core = None, None, None
+            end = float(events[-1]["t_ms"]) if events else arrival
+        return self._record(
+            req=i,
+            injected=bool(cols.injected[i]) if cols.injected is not None else False,
+            arrival_ms=arrival,
+            outcome=outcome,
+            cause=cause,
+            retries=int(cols.retries[i]),
+            backoff_ms=backoff,
+            wait_ms=wait,
+            service_ms=service,
+            end_ms=end,
+            core=core,
+            level=level,
+            scheme=scheme,
+            fault_windows=self._overlapping(cols.windows, arrival, end, core),
+            events=events,
+        )
 
     @staticmethod
     def _overlapping(
@@ -254,6 +494,7 @@ class RunLog:
         level: Optional[int],
         scheme: Optional[str],
         fault_windows: List[str],
+        events: List[Dict[str, object]],
     ) -> Dict[str, object]:
         deadline_met: Optional[bool] = None
         if self.deadline_ms is not None:
@@ -284,7 +525,7 @@ class RunLog:
             "scheme": scheme,
             "fault_windows": fault_windows,
             "deadline_met": deadline_met,
-            "events": self._events[req],
+            "events": events,
         }
 
     def add_record(
@@ -314,9 +555,17 @@ class RunLog:
         single-box arrays.  ``extra`` keys are merged into the record
         verbatim (e.g. ``node``, ``shards``, ``failovers``, ``hedges``,
         ``hedges_wasted``); the schema allows additional fields.  Records
-        must be added in request order; call :meth:`finish_custom` once
-        at the end.
+        must be added in request order, after the run's last
+        :meth:`event`; call :meth:`finish_custom` once at the end.
         """
+        if self._added is None:
+            self._added = []
+            for req_, kind, t_ms, attrs in zip(
+                self._ev_req, self._ev_kind, self._ev_t, self._ev_attrs
+            ):
+                self._event_lists.setdefault(req_, []).append(
+                    _event_entry(kind, t_ms, attrs)
+                )
         record = self._record(
             req=req,
             injected=injected,
@@ -332,49 +581,72 @@ class RunLog:
             level=level,
             scheme=scheme,
             fault_windows=list(fault_windows) if fault_windows else [],
+            events=self._event_lists.get(req, []),
         )
         if outcome == "degraded":
             # A partial result still has an end-to-end latency.
             record["latency_ms"] = end_ms - arrival_ms
         record.update(extra)
-        self.records.append(record)
+        self._added.append(record)
         return record
 
     def finish_custom(self, tracer=None) -> None:
         """Seal a run whose records came through :meth:`add_record`."""
-        self._seal(tracer)
+        if self._added is None:
+            self._added = []
+        self._seal(len(self._added), tracer)
 
-    def completed_ids(self) -> List[str]:
-        """Exemplar ids of completed requests, in arrival order (aligned
-        with ``ServerResult.latencies_ms``)."""
-        return [
-            str(r["id"]) for r in self.records if r["outcome"] == "completed"
-        ]
+    def completed_reqs(self) -> np.ndarray:
+        """Request indices of the kept completed requests, in arrival
+        order (aligned with ``ServerResult.latencies_ms``)."""
+        if self._added is not None:
+            return np.array(
+                [r["req"] for r in self._added if r["outcome"] == "completed"],
+                dtype=np.int64,
+            )
+        if self._cols is None:
+            return np.empty(0, dtype=np.int64)
+        if self._cols.outcome is None:
+            return np.arange(self._kept)
+        return np.flatnonzero(self._cols.outcome[: self._kept] == OUTCOME_COMPLETED)
 
-    def _seal(self, tracer) -> None:
-        """Apply the log-wide bound and emit one linked span per request."""
-        kept = self.log._admit(len(self.records))
-        if kept < len(self.records):
-            del self.records[kept:]
-            del self._events[kept:]
-        if tracer is None or not self.records:
+    def _seal(self, count: int, tracer) -> None:
+        """Apply the log-wide bound and emit one linked span per request,
+        as one columnar batch."""
+        kept = self.log._admit(count)
+        self._kept = kept
+        if self._added is not None:
+            del self._added[kept:]
+        if tracer is None or kept == 0:
             return
         tid = tracer.new_sim_track(f"serving.requests:{self.label} (ms)")
-        for record in self.records:
-            tracer.add_sim_span(
-                f"req[{record['req']}]",
-                "serving.request",
-                float(record["arrival_ms"]),
-                float(record["end_ms"]) - float(record["arrival_ms"]),
-                tid=tid,
-                args={
-                    "id": record["id"],
-                    "outcome": record["outcome"],
-                    "cause": record["cause"],
-                    "core": record["core"],
-                    "retries": record["retries"],
-                },
-            )
+        if self._cols is not None:
+            arrival, end = self._cols.arrival[:kept], self._end()
+        else:
+            arrival = np.array([float(r["arrival_ms"]) for r in self._added])
+            end = np.array([float(r["end_ms"]) for r in self._added])
+        tracer.add_sim_batch(
+            "serving.request", arrival, end - arrival, self._span, tid=tid
+        )
+
+    def _span(self, i: int) -> Tuple[str, Dict[str, object]]:
+        """Name and args of request ``i``'s trace span."""
+        record = self.records[i]
+        return f"req[{record['req']}]", {
+            "id": record["id"],
+            "outcome": record["outcome"],
+            "cause": record["cause"],
+            "core": record["core"],
+            "retries": record["retries"],
+        }
+
+
+def _event_entry(kind: str, t_ms: float, attrs: Dict[str, object]) -> Dict[str, object]:
+    """One event of a record's ``events`` list."""
+    entry: Dict[str, object] = {"kind": kind, "t_ms": float(t_ms)}
+    if attrs:
+        entry.update(attrs)
+    return entry
 
 
 class RequestLog:
@@ -447,8 +719,9 @@ class RequestLog:
         order."""
         with open(path, "w") as fh:
             fh.write(json.dumps(self.meta()) + "\n")
-            for record in self.records():
-                fh.write(json.dumps(record) + "\n")
+            for run in self.runs:
+                for record in run.records:
+                    fh.write(json.dumps(record) + "\n")
         return self.num_requests
 
 

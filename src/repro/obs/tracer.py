@@ -7,7 +7,11 @@ The tracer is the repro's VTune timeline.  It records two kinds of spans:
   timed with ``time.perf_counter_ns``;
 * **sim spans** — intervals measured in *simulated core cycles* (a batch,
   an inference stage, an SMT overlap region), recorded after the fact with
-  :meth:`Tracer.add_sim_span` since simulated time is known exactly.
+  :meth:`Tracer.add_sim_span` since simulated time is known exactly.  A
+  run that emits one span per request hands them over as one columnar
+  batch (:meth:`Tracer.add_sim_batch`); the batch becomes
+  :class:`SpanEvent` objects, in place and in order, only when
+  :attr:`Tracer.events` is read or the trace is exported.
 
 Exports:
 
@@ -27,9 +31,11 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
-__all__ = ["SpanEvent", "Tracer", "WALL_PID", "SIM_PID"]
+import numpy as np
+
+__all__ = ["SimSpanBatch", "SpanEvent", "Tracer", "WALL_PID", "SIM_PID"]
 
 #: Chrome-trace process ids for the two time domains.
 WALL_PID = 1
@@ -64,6 +70,30 @@ class SpanEvent:
         return event
 
 
+@dataclass
+class SimSpanBatch:
+    """Sim spans of one track held as columns: span ``i`` starts at
+    ``starts[i]``, lasts ``durs[i]``, and ``describe(i)`` gives its
+    ``(name, args)``."""
+
+    category: str
+    tid: int
+    starts: np.ndarray
+    durs: np.ndarray
+    describe: Callable[[int], Tuple[str, Dict[str, object]]]
+
+    def expand(self) -> List[SpanEvent]:
+        """The spans as :class:`SpanEvent` objects, in column order."""
+        out = []
+        for i, (ts, dur) in enumerate(zip(self.starts.tolist(), self.durs.tolist())):
+            name, args = self.describe(i)
+            out.append(
+                SpanEvent(name, self.category, ts, dur, SIM_PID, self.tid,
+                          dict(args) if args else {})
+            )
+        return out
+
+
 class Tracer:
     """Collects spans; bounded so a runaway run cannot exhaust memory.
 
@@ -73,12 +103,28 @@ class Tracer:
     """
 
     def __init__(self, max_events: int = 1_000_000) -> None:
-        self.events: List[SpanEvent] = []
+        self._events: List[Union[SpanEvent, SimSpanBatch]] = []
+        self._batched = False
+        self._count = 0
         self.max_events = max_events
         self.dropped = 0
         self._wall_stack: List[str] = []
         self._next_sim_tid = 0
         self._epoch_ns = time.perf_counter_ns()
+
+    @property
+    def events(self) -> List[SpanEvent]:
+        """Every stored span in recording order (batches expanded)."""
+        if self._batched:
+            expanded: List[SpanEvent] = []
+            for item in self._events:
+                if isinstance(item, SimSpanBatch):
+                    expanded.extend(item.expand())
+                else:
+                    expanded.append(item)
+            self._events = expanded
+            self._batched = False
+        return self._events  # type: ignore[return-value]
 
     # -- recording ----------------------------------------------------------
 
@@ -86,10 +132,11 @@ class Tracer:
         return (time.perf_counter_ns() - self._epoch_ns) / 1000.0
 
     def _add(self, event: SpanEvent) -> None:
-        if len(self.events) >= self.max_events:
+        if self._count >= self.max_events:
             self.dropped += 1
             return
-        self.events.append(event)
+        self._events.append(event)
+        self._count += 1
 
     @contextmanager
     def span(self, name: str, category: str = "wall", **args: object) -> Iterator[None]:
@@ -154,8 +201,34 @@ class Tracer:
             )
         )
 
+    def add_sim_batch(
+        self,
+        category: str,
+        starts: np.ndarray,
+        durs: np.ndarray,
+        describe: Callable[[int], Tuple[str, Dict[str, object]]],
+        tid: int = 0,
+    ) -> None:
+        """Record ``len(starts)`` sim spans as one columnar batch.
+
+        Equivalent to ``add_sim_span(*describe(i), ...)`` for every span
+        in order — the same spans are stored and the same number dropped
+        at ``max_events`` — but nothing per span is built until the spans
+        are read.
+        """
+        n = int(starts.size)
+        kept = max(0, min(n, self.max_events - self._count))
+        self.dropped += n - kept
+        if kept == 0:
+            return
+        self._events.append(
+            SimSpanBatch(category, tid, starts[:kept], durs[:kept], describe)
+        )
+        self._count += kept
+        self._batched = True
+
     def __len__(self) -> int:
-        return len(self.events)
+        return self._count
 
     def find(self, name: str) -> List[SpanEvent]:
         """Every recorded span with the given name."""

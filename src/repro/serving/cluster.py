@@ -1206,12 +1206,11 @@ class ClusterSim:
         if run is not None:
             # Same three-way join as the single box: histogram bucket ->
             # exemplar id -> request-log line and trace span.
-            ids = run.completed_ids()
-            for k, value in enumerate(result.latencies_ms):
-                if k < len(ids):
-                    lat_hist.observe_exemplar(float(value), ids[k])
-                else:  # run log truncated by its bound
-                    lat_hist.observe(float(value))
+            reqs = run.completed_reqs()
+            lat_hist.observe_exemplars(
+                result.latencies_ms, lambda k: run.exemplar_id(int(reqs[k])),
+                reqs.size,
+            )
         else:
             lat_hist.observe_many(result.latencies_ms)
         for stats in result.node_stats:

@@ -231,8 +231,6 @@ def resilient_events(
             finished = running.pop(core, None)
             if finished is not None:
                 outcome[finished] = _OUTCOME_COMPLETED
-                if logging:
-                    run.event(finished, "complete", now, core=core)
                 if ctrl is not None:
                     ctrl.observe(now, now - arr_l[finished])
             if plan_active and core_down(core, now):
@@ -270,20 +268,11 @@ def resilient_events(
                     core_of[i] = icore
                     running[icore] = i
                     if logging:
-                        run.event(
-                            i,
-                            "dispatch",
-                            now,
-                            core=icore,
-                            level=ctrl.level if ctrl is not None else None,
-                            scheme=(
-                                ctrl.ladder[ctrl.level].name
-                                if ctrl is not None
-                                else None
-                            ),
-                            fault_mult=float(fault_mult),
-                            straggler_mult=float(strag_l[i]),
-                            scale=float(scale),
+                        level = ctrl.level if ctrl is not None else None
+                        run.dispatched(
+                            i, level,
+                            ctrl.ladder[level].name if ctrl is not None else None,
+                            fault_mult, strag_l[i], scale,
                         )
                     heap_push(events, (now + svc, _EV_FREE, seq, icore))
                     seq += 1
@@ -345,20 +334,11 @@ def resilient_events(
                         core_of[j] = icore
                         running[icore] = j
                         if logging:
-                            run.event(
-                                j,
-                                "dispatch",
-                                now,
-                                core=icore,
-                                level=ctrl.level if ctrl is not None else None,
-                                scheme=(
-                                    ctrl.ladder[ctrl.level].name
-                                    if ctrl is not None
-                                    else None
-                                ),
-                                fault_mult=float(fault_mult),
-                                straggler_mult=float(strag_l[j]),
-                                scale=float(scale),
+                            level = ctrl.level if ctrl is not None else None
+                            run.dispatched(
+                                j, level,
+                                ctrl.ladder[level].name if ctrl is not None else None,
+                                fault_mult, strag_l[j], scale,
                             )
                         heap_push(events, (now + svc, _EV_FREE, seq, icore))
                         seq += 1

@@ -565,20 +565,17 @@ def _simulate_resilient(
                 core_of[i] = core
                 running[core] = i
                 if run is not None:
-                    run.event(
+                    run.dispatched(
                         i,
-                        "dispatch",
-                        now,
-                        core=core,
-                        level=controller.level if controller is not None else None,
-                        scheme=(
+                        controller.level if controller is not None else None,
+                        (
                             controller.ladder[controller.level].name
                             if controller is not None
                             else None
                         ),
-                        fault_mult=float(fault_mult),
-                        straggler_mult=float(strag[i]),
-                        scale=float(scale),
+                        fault_mult,
+                        strag[i],
+                        scale,
                     )
                 push(now + svc, _EV_FREE, core)
 
@@ -589,8 +586,6 @@ def _simulate_resilient(
                 finished = running.pop(core, None)
                 if finished is not None:
                     outcome[finished] = OUTCOME_COMPLETED
-                    if run is not None:
-                        run.event(finished, "complete", now, core=core)
                     if controller is not None:
                         # Level changes are recorded in controller.events.
                         controller.observe(now, now - float(arrivals[finished]))
@@ -709,13 +704,12 @@ def _finalize(
     lat_hist = obs.metrics.histogram("serving.latency_ms")
     if run is not None:
         # Link histogram buckets back to concrete requests: same exemplar
-        # id as the request-log line and the per-request trace span.
-        ids = run.completed_ids()
-        for k, value in enumerate(result.latencies_ms):
-            if k < len(ids):
-                lat_hist.observe_exemplar(float(value), ids[k])
-            else:  # run log truncated by its bound; keep the observation
-                lat_hist.observe(float(value))
+        # id as the request-log line and the per-request trace span.  A
+        # log truncated by its bound tags only the requests it kept.
+        reqs = run.completed_reqs()
+        lat_hist.observe_exemplars(
+            result.latencies_ms, lambda k: run.exemplar_id(int(reqs[k])), reqs.size
+        )
     else:
         lat_hist.observe_many(result.latencies_ms)
     obs.metrics.histogram("serving.wait_ms").observe_many(result.waits_ms)

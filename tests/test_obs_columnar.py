@@ -1,0 +1,396 @@
+"""Columnar request log: vectorized extraction vs a scalar oracle, and
+byte-identical exports.
+
+The oracle below walks one single-box request at a time, one event at a
+time, over its record dict.  It shares no code with
+``repro.obs.critpath``'s vectorized extractor, which must match it bit
+for bit: segment kinds, durations, nodes and causes.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+from typing import Dict, List, Optional
+
+import numpy as np
+import pytest
+
+from repro.obs.critpath import (
+    CriticalPath,
+    PathTable,
+    Segment,
+    aggregate_profiles,
+    extract_critical_path,
+    extract_paths,
+    profile_records,
+)
+from repro.obs.hooks import Observation, session
+from repro.obs.metrics import Histogram
+from repro.obs.requests import RequestLog, load_request_log
+from repro.obs.tracer import Tracer
+from repro.serving.degradation import DegradationController, scheme_ladder
+from repro.serving.faults import (
+    ArrivalBurst,
+    BandwidthDegradation,
+    FaultPlan,
+    Stragglers,
+)
+from repro.serving.server import OUTCOME_NAMES, ServingPolicy, simulate_server
+from repro.serving.workload import poisson_arrivals
+
+ENGINES = ("fast", "reference")
+
+
+# -- the scalar oracle ----------------------------------------------------------
+
+
+def _oracle_seal(path: CriticalPath) -> CriticalPath:
+    if not path.segments:
+        if path.total_ms != 0.0:
+            path.segments.append(Segment("other", 0.0))
+        else:
+            return path
+    remainder = path.total_ms
+    for seg in path.segments[:-1]:
+        remainder -= seg.dur_ms
+    path.segments[-1].dur_ms = remainder
+    return path
+
+
+def _oracle_multiplier(event: Dict[str, object]) -> float:
+    mult = 1.0
+    for key in ("fault_mult", "straggler_mult", "scale"):
+        value = event.get(key)
+        if value is not None:
+            mult *= float(value)
+    return mult
+
+
+def oracle_extract_single(record: Dict[str, object]) -> CriticalPath:
+    """Chronological event walk of one single-box request lifecycle."""
+    arrival = float(record["arrival_ms"])
+    path = CriticalPath(
+        req=int(record["req"]),
+        id=str(record["id"]),
+        outcome=str(record["outcome"]),
+        arrival_ms=arrival,
+        end_ms=float(record["end_ms"]),
+    )
+    core = record.get("core")
+    node = int(core) if core is not None else None
+    cursor = arrival
+    mult = 1.0
+
+    def close(kind: str, t: float, cause: Optional[str] = None) -> None:
+        nonlocal cursor
+        if t > cursor:
+            path.segments.append(Segment(kind, t - cursor, node=node, cause=cause))
+        cursor = t
+
+    for event in record.get("events", []):
+        kind = str(event.get("kind"))
+        t = float(event.get("t_ms", cursor))
+        if kind == "arrive":
+            cursor = max(cursor, t)
+        elif kind == "retry_arrive":
+            close("backoff", t)
+        elif kind == "dispatch":
+            close("queue", t)
+            mult = _oracle_multiplier(event)
+        elif kind == "complete":
+            span = t - cursor
+            base = span / mult if mult > 0 else span
+            if base > 0.0:
+                path.segments.append(Segment("service", base, node=node))
+            if span - base != 0.0:
+                path.segments.append(
+                    Segment("penalty", span - base, node=node, cause="slowdown")
+                )
+            cursor = t
+        elif kind in ("timeout_retry", "shed", "expired", "timeout"):
+            close("queue", t, cause=kind if kind != "timeout_retry" else None)
+    if path.end_ms > cursor:
+        path.segments.append(Segment("other", path.end_ms - cursor, node=node))
+    return _oracle_seal(path)
+
+
+def _fingerprint(path: CriticalPath):
+    return (
+        path.req, path.id, path.outcome, path.arrival_ms, path.end_ms,
+        [(s.kind, s.dur_ms.hex(), s.node, s.shard, s.cause) for s in path.segments],
+    )
+
+
+def _assert_matches_oracle(records, paths) -> None:
+    assert len(paths) == len(records)
+    for record, path in zip(records, paths):
+        assert _fingerprint(path) == _fingerprint(oracle_extract_single(record))
+
+
+# -- pinned runs ----------------------------------------------------------------
+
+
+def _arrivals(n=150, interarrival=1.5, seed=5):
+    return poisson_arrivals(interarrival, n, np.random.default_rng(seed))
+
+
+def _plain_runs(engine: str) -> None:
+    """Two plain boxes: the 2-core heap loop and a loaded 16-core box."""
+    simulate_server(
+        _arrivals(), 4.0, 2, np.random.default_rng(1), label="plain2",
+        engine=engine,
+    )
+    simulate_server(
+        _arrivals(n=400, interarrival=0.35, seed=9), 5.0, 16,
+        np.random.default_rng(2), label="plain16", engine=engine,
+    )
+
+
+def _resilient_runs(engine: str) -> None:
+    """Faults, stragglers, retries, shedding, expiry and a degradation
+    controller on one box; a deadline-only fault run and a run whose
+    queue timeouts are terminal on two more."""
+    arrivals = _arrivals()
+    horizon = float(arrivals[-1])
+    plan = FaultPlan(
+        [
+            BandwidthDegradation(0.2 * horizon, 0.7 * horizon, 3.0),
+            ArrivalBurst(0.4 * horizon, 50, 0.2),
+            Stragglers(0.1, 4.0, tail_alpha=1.5),
+        ],
+        seed=3,
+    )
+    policy = ServingPolicy(
+        deadline_ms=8.0, timeout_ms=6.0, max_retries=1,
+        retry_backoff_ms=2.0, max_queue_depth=6,
+    )
+    controller = DegradationController(
+        scheme_ladder({"baseline": 1.0, "sw_pf": 0.8}), sla_ms=8.0,
+        window=16, min_samples=4, escalate_margin=0.5, recover_margin=0.2,
+        cooldown=8,
+    )
+    simulate_server(
+        arrivals, 4.0, 2, np.random.default_rng(2), fault_plan=plan,
+        policy=policy, controller=controller, label="stressed", engine=engine,
+    )
+    simulate_server(
+        arrivals, 4.0, 2, np.random.default_rng(3),
+        fault_plan=FaultPlan([BandwidthDegradation(20.0, 80.0, 3.0)], seed=1),
+        policy=ServingPolicy(deadline_ms=8.0), label="deadline", engine=engine,
+    )
+    simulate_server(
+        arrivals, 4.0, 2, np.random.default_rng(4),
+        fault_plan=FaultPlan([Stragglers(0.2, 3.0)], seed=2),
+        policy=ServingPolicy(deadline_ms=30.0, timeout_ms=5.0),
+        label="timeouts", engine=engine,
+    )
+
+
+RUNS = {"plain": _plain_runs, "resilient": _resilient_runs}
+
+
+def _logged(name: str, engine: str, log: Optional[RequestLog] = None) -> Observation:
+    obs = Observation(requests=log if log is not None else RequestLog())
+    with session(obs):
+        RUNS[name](engine)
+    return obs
+
+
+def _export_hashes(name: str, engine: str, prefix) -> Dict[str, str]:
+    """sha256 of the request log, Chrome trace, metrics and critical-path
+    profiles of one pinned observed session."""
+    obs = _logged(name, engine)
+    paths = {
+        "requests": f"{prefix}_{name}_req.jsonl",
+        "trace": f"{prefix}_{name}_trace.json",
+        "metrics": f"{prefix}_{name}_metrics.jsonl",
+    }
+    obs.requests.to_jsonl(paths["requests"])
+    obs.tracer.to_chrome(paths["trace"])
+    obs.metrics.to_jsonl(paths["metrics"])
+    out = {
+        key: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        for key, path in paths.items()
+    }
+    profiles = [
+        profile_records(run.records, scenario=run.label) for run in obs.requests.runs
+    ]
+    out["profiles"] = hashlib.sha256(json.dumps(profiles).encode()).hexdigest()
+    return out
+
+
+#: sha256 of the pinned exports as the one-dict-per-request log wrote
+#: them; the columnar log must reproduce every byte.
+PINNED_HASHES = {
+    "plain": {
+        "requests": "589a83a231bd2048b5dcdaddb410ad3a411cb75c177405c9b1d9c39a6189795e",
+        "trace": "47b386bea268bbd39f9e204ef451655e1d261f6b96879b59a04179edea962bac",
+        "metrics": "54ed1029b0fa50d223af4b3b0faafc19ae5e1db53a6724638eef701adc7b0048",
+        "profiles": "fa270a6ad7423f9494c9b143190eb7774c7e5d49bad17daf0a1fd289c8ca5fe7",
+    },
+    "resilient": {
+        "requests": "2b70a53e3b4d0b7e16003d0c5e6f49351ae5bb7989fa654d4b3fd40eb2dc7a2d",
+        "trace": "dcb47478029ab3d5d70820790f0b11af09bf190ab12da736e65e04d6d0f2d82c",
+        "metrics": "ff07587ab4faca155f6ab477732fdeb7df55b97a74090c3200d0797ee82b1e3e",
+        "profiles": "ad012b6d9038d842a47fe6d070ae8daf049eaf139bc8debbd4aee48d5191eb25",
+    },
+}
+
+
+# -- differential: columns vs the scalar oracle ------------------------------------
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_columnar_extraction_matches_oracle(name, engine):
+    obs = _logged(name, engine)
+    for run in obs.requests.runs:
+        records = list(run.records)
+        paths = extract_paths(run.records)
+        assert isinstance(paths, PathTable)
+        _assert_matches_oracle(records, paths)
+
+
+def test_resilient_runs_cover_every_lifecycle_branch():
+    obs = _logged("resilient", "fast")
+    records = obs.requests.records()
+    outcomes = {r["outcome"] for r in records}
+    causes = {r["cause"] for r in records}
+    kinds = {e["kind"] for r in records for e in r["events"]}
+    assert outcomes == {"completed", "shed", "timed_out"}
+    assert {"queue_full", "deadline_expired", "queue_timeout"} <= causes
+    assert {"timeout_retry", "retry_arrive", "shed", "expired", "timeout"} <= kinds
+    assert any(r["scheme"] == "sw_pf" for r in records)
+    segs = {s.kind for p in extract_paths(records) for s in p.segments}
+    assert {"queue", "service", "penalty", "backoff"} <= segs
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_truncated_log_matches_oracle(name):
+    """A max_requests bound that cuts the second run partway."""
+    first_run = len(_logged(name, "fast").requests.runs[0].records)
+    log = RequestLog(max_requests=first_run + 37)
+    _logged(name, "fast", log)
+    kept = [len(run.records) for run in log.runs]
+    assert kept[:2] == [first_run, 37] and not any(kept[2:])
+    assert log.dropped > 0
+    for run in log.runs:
+        paths = extract_paths(run.records)
+        assert len(paths) == len(run.records)
+        _assert_matches_oracle(list(run.records), paths)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_reloaded_records_match_oracle(name, tmp_path):
+    obs = _logged(name, "fast")
+    path = tmp_path / "req.jsonl"
+    obs.requests.to_jsonl(path)
+    _, records = load_request_log(path)
+    paths = extract_paths(records)
+    assert isinstance(paths, PathTable)
+    _assert_matches_oracle(records, paths)
+    for record in records[:20]:
+        assert _fingerprint(extract_critical_path(record)) == _fingerprint(
+            oracle_extract_single(record)
+        )
+    # The same paths whether extracted from columns or from dicts.
+    live = [
+        _fingerprint(p)
+        for run in obs.requests.runs
+        for p in extract_paths(run.records)
+    ]
+    assert [_fingerprint(p) for p in paths] == live
+
+
+def test_profiles_same_from_table_and_from_paths():
+    obs = _logged("resilient", "fast")
+    table = extract_paths(obs.requests.runs[0].records)
+    assert aggregate_profiles(table, scenario="s") == aggregate_profiles(
+        list(table), scenario="s"
+    )
+
+
+# -- records -----------------------------------------------------------------------
+
+
+def test_records_are_a_read_only_lazy_sequence():
+    obs = _logged("plain", "fast")
+    records = obs.requests.runs[0].records
+    assert len(records) == 150
+    assert records[-1] == records[149] == list(records)[149]
+    assert records[10:13] == [records[10], records[11], records[12]]
+    assert records[3] is not records[3]  # built on each read
+    with pytest.raises(IndexError):
+        records[150]
+    assert not hasattr(records, "append")
+
+
+def test_outcome_names_mirror_the_server():
+    from repro.obs import requests
+
+    assert requests.OUTCOME_NAMES == OUTCOME_NAMES
+
+
+# -- export byte identity ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_exports_byte_identical_to_pinned(name, engine, tmp_path):
+    assert _export_hashes(name, engine, tmp_path / "x") == PINNED_HASHES[name]
+
+
+# -- tracer batches -----------------------------------------------------------------
+
+
+def _spans(n: int):
+    starts = np.arange(n, dtype=np.float64) * 1.5
+    durs = np.full(n, 0.25)
+    return starts, durs, lambda i: (f"s{i}", {"i": i})
+
+
+@pytest.mark.parametrize("before", [0, 3, 7, 10, 12])
+def test_span_batch_straddling_max_events_matches_single_adds(before, tmp_path):
+    batched, single = Tracer(max_events=10), Tracer(max_events=10)
+    for tracer in (batched, single):
+        for k in range(before):
+            tracer.add_sim_span(f"pre{k}", "c", float(k), 1.0)
+    starts, durs, describe = _spans(6)
+    batched.add_sim_batch("c", starts, durs, describe, tid=3)
+    for i in range(6):
+        name, args = describe(i)
+        single.add_sim_span(name, "c", starts[i], durs[i], tid=3, args=args)
+    batched.add_sim_span("post", "c", 0.0, 1.0)
+    single.add_sim_span("post", "c", 0.0, 1.0)
+    assert len(batched) == len(single)
+    assert batched.dropped == single.dropped
+    assert batched.events == single.events
+    assert batched.chrome_dict() == single.chrome_dict()
+    stats = batched.chrome_dict()["traceEvents"][2]["args"]
+    assert stats["recorded_events"] == len(single)
+    batched.to_jsonl(tmp_path / "a.jsonl")
+    single.to_jsonl(tmp_path / "b.jsonl")
+    assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+
+
+# -- histogram exemplars ---------------------------------------------------------------
+
+
+def test_observe_exemplars_matches_per_value_loop():
+    rng = np.random.default_rng(4)
+    batched, looped = Histogram("h"), Histogram("h")
+    for batch in range(3):
+        values = rng.lognormal(1.0, 2.0, size=500)
+        count = 400 if batch != 1 else 500
+        ids: List[str] = [f"{batch}:{k}" for k in range(count)]
+        batched.observe_exemplars(values, ids.__getitem__, count)
+        for k, value in enumerate(values):
+            if k < count:
+                looped.observe_exemplar(float(value), ids[k])
+            else:
+                looped.observe(float(value))
+    assert batched.count == looped.count
+    assert batched.sum.hex() == looped.sum.hex()
+    assert (batched.min, batched.max) == (looped.min, looped.max)
+    assert np.array_equal(batched.buckets, looped.buckets)
+    assert list(batched.exemplars.items()) == list(looped.exemplars.items())

@@ -28,9 +28,13 @@ The suite:
   tracing layer may cost, plus detection recall/MTTD on the pinned
   node-kill run (kind ``sim``, exact).
 * **critical path** (``obs.critpath.*``) — extraction throughput over a
-  pinned cluster log (kind ``wall``), plus the conservation rate and the
-  worst gated what-if prediction error of the ``critpath_observatory``
-  scenarios (kind ``sim``, exact).
+  pinned cluster log and a single-box log (kind ``wall``), plus the
+  conservation rate and the worst gated what-if prediction error of the
+  ``critpath_observatory`` scenarios (kind ``sim``, exact).
+* **request log** (``obs.requests.overhead_x.*``) — wall time of a plain
+  and a resilient single-box run with the request log on and its
+  critical paths extracted, over the same run unobserved (kind
+  ``wall``).
 
 Records validate against ``$defs.bench_record`` in
 ``tools/trace_schema.json``; ``tools/bench_gate.py`` compares the two
@@ -61,6 +65,7 @@ from repro.core.schemes import evaluate_all_schemes  # noqa: E402
 from repro.cpu.platform import get_platform  # noqa: E402
 from repro.experiments.noisy_neighbor import run as noisy_run  # noqa: E402
 from repro.experiments.workloads import build_workload  # noqa: E402
+from repro.obs.critpath import extract_paths  # noqa: E402
 from repro.obs.regress import (  # noqa: E402
     Benchmark,
     append_record,
@@ -176,33 +181,22 @@ def _scheme_benchmarks(mode: str) -> List[Benchmark]:
     ]
 
 
-def _serving_benchmarks(mode: str) -> List[Benchmark]:
-    """Tail latency + goodput of one pinned resilience scenario (exact)."""
-    num_requests = 400 if mode == "smoke" else 2000
+def _resilient_scenario(num_requests: int):
+    """The pinned resilience scenario on a 4-core box: bandwidth
+    degradation + arrival burst + stragglers against a retry/shed policy
+    and a degradation controller.
+
+    Returns ``(arrivals, make)``: ``make()`` gives fresh ``fault_plan`` /
+    ``policy`` / ``controller`` keyword arguments for one run (plans and
+    controllers carry run state).
+    """
     mean_service_ms = 5.0
     num_cores = 4
     interarrival_ms = mean_service_ms / (num_cores * 0.6)
-    config = SimConfig(seed=99)
     arrivals = poisson_arrivals(
-        interarrival_ms, num_requests, config.rng("bench:arrivals")
+        interarrival_ms, num_requests, SimConfig(seed=99).rng("bench:arrivals")
     )
     horizon_ms = num_requests * interarrival_ms
-
-    fast = simulate_server(
-        arrivals, mean_service_ms, num_cores, config.rng("bench:fast"),
-        label="bench:fast",
-    )
-
-    plan = FaultPlan(
-        [
-            BandwidthDegradation(0.25 * horizon_ms, 0.6 * horizon_ms, 2.5),
-            ArrivalBurst(
-                0.4 * horizon_ms, num_requests // 4, interarrival_ms / 5.0
-            ),
-            Stragglers(0.05, 5.0, tail_alpha=1.5),
-        ],
-        seed=99,
-    )
     policy = ServingPolicy(
         deadline_ms=5.0 * mean_service_ms,
         timeout_ms=5.0 * mean_service_ms,
@@ -210,22 +204,50 @@ def _serving_benchmarks(mode: str) -> List[Benchmark]:
         retry_backoff_ms=mean_service_ms,
         max_queue_depth=20 * num_cores,
     )
-    ladder = scheme_ladder(
-        {"baseline": 1.0, "sw_pf": 0.8, "integrated": 0.65}, batch_scale=0.6
-    )
-    controller = DegradationController(
-        ladder,
-        sla_ms=policy.deadline_ms,
-        window=48,
-        min_samples=12,
-        escalate_margin=0.75,
-        recover_margin=0.4,
-        cooldown=256,
+
+    def make() -> Dict[str, object]:
+        plan = FaultPlan(
+            [
+                BandwidthDegradation(0.25 * horizon_ms, 0.6 * horizon_ms, 2.5),
+                ArrivalBurst(
+                    0.4 * horizon_ms, num_requests // 4, interarrival_ms / 5.0
+                ),
+                Stragglers(0.05, 5.0, tail_alpha=1.5),
+            ],
+            seed=99,
+        )
+        ladder = scheme_ladder(
+            {"baseline": 1.0, "sw_pf": 0.8, "integrated": 0.65}, batch_scale=0.6
+        )
+        controller = DegradationController(
+            ladder,
+            sla_ms=policy.deadline_ms,
+            window=48,
+            min_samples=12,
+            escalate_margin=0.75,
+            recover_margin=0.4,
+            cooldown=256,
+        )
+        return {"fault_plan": plan, "policy": policy, "controller": controller}
+
+    return arrivals, make
+
+
+def _serving_benchmarks(mode: str) -> List[Benchmark]:
+    """Tail latency + goodput of one pinned resilience scenario (exact)."""
+    num_requests = 400 if mode == "smoke" else 2000
+    mean_service_ms = 5.0
+    num_cores = 4
+    config = SimConfig(seed=99)
+    arrivals, make = _resilient_scenario(num_requests)
+
+    fast = simulate_server(
+        arrivals, mean_service_ms, num_cores, config.rng("bench:fast"),
+        label="bench:fast",
     )
     resilient = simulate_server(
         arrivals, mean_service_ms, num_cores, config.rng("bench:resilient"),
-        fault_plan=plan, policy=policy, controller=controller,
-        label="bench:resilient",
+        label="bench:resilient", **make(),
     )
     return [
         Benchmark("serving.fast.p95_ms", fast.p95_ms, "ms", direction="lower"),
@@ -441,8 +463,9 @@ def _fleet_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
 def _critpath_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
     """Critical-path extraction cost and what-if accuracy, pinned.
 
-    One wall clock bounds what per-request attribution costs (requests
-    extracted per second over a pinned node-kill cluster log), and two
+    One wall clock bounds what cluster attribution costs (requests
+    extracted per second over a pinned node-kill cluster log; the
+    single-box rate is in :func:`_request_log_benchmarks`), and two
     exact sim outputs pin the observatory's analytic quality: the
     fraction of requests whose segments conserve exactly, and the worst
     relative error any *gated* what-if prediction made against its
@@ -453,8 +476,6 @@ def _critpath_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
         _scenarios,
         run as critpath_run,
     )
-    from repro.obs.critpath import extract_paths
-
     num_requests = 1500 if mode == "smoke" else 6000
     config = SimConfig(seed=7)
     report = critpath_run(config=config, num_requests=num_requests)
@@ -496,6 +517,80 @@ def _critpath_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
         extract_paths(records)
         elapsed = time.perf_counter() - start
         rates.append(len(records) / elapsed)
+    value = median(rates)
+    out.append(
+        Benchmark(
+            name="obs.critpath.extract_cluster.requests_per_sec",
+            value=value,
+            unit="req/s",
+            direction="higher",
+            noise_floor=WALL_NOISE_FRAC * value,
+            kind="wall",
+        )
+    )
+    return out
+
+
+def _request_log_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
+    """What leaving the request log on costs a single box (kind ``wall``).
+
+    ``obs.requests.overhead_x.{plain,resilient}``: wall time of a run with
+    the request log on plus critical-path extraction over its log, over
+    the wall time of the same run with observation off (median of
+    ``repeats`` alternating pairs), for the plain fast path and the
+    pinned resilience scenario.  ``obs.critpath.extract.requests_per_sec``:
+    single-box extraction throughput over the resilient run's log.
+    """
+    num_requests = 100_000 if mode == "smoke" else 1_000_000
+    plain_arrivals = poisson_arrivals(
+        5.0 / (64 * 0.9), num_requests, SimConfig(seed=98).rng("bench:arrivals")
+    )
+    resilient_arrivals, make = _resilient_scenario(num_requests // 5)
+    cases = {
+        "plain": (plain_arrivals, 64, lambda: {}),
+        "resilient": (resilient_arrivals, 4, make),
+    }
+
+    def timed(case: str, logged: bool):
+        arrivals, cores, kwargs = cases[case]
+        rng = SimConfig(seed=98).rng(f"bench:service:{case}")
+        start = time.perf_counter()
+        if not logged:
+            simulate_server(arrivals, 5.0, cores, rng, engine="fast", **kwargs())
+            return time.perf_counter() - start, None
+        log = RequestLog()
+        with session(Observation(requests=log)):
+            simulate_server(arrivals, 5.0, cores, rng, engine="fast", **kwargs())
+        extract_paths(log.runs[-1].records)
+        return time.perf_counter() - start, log.runs[-1].records
+
+    out: List[Benchmark] = []
+    records = None
+    for case in cases:
+        ratios = []
+        for k in range(repeats):
+            order = (False, True) if k % 2 == 0 else (True, False)
+            walls = {}
+            for logged in order:
+                walls[logged], kept = timed(case, logged)
+                records = kept if kept is not None else records
+            ratios.append(walls[True] / walls[False])
+        value = median(ratios)
+        out.append(
+            Benchmark(
+                name=f"obs.requests.overhead_x.{case}",
+                value=value,
+                unit="x",
+                direction="lower",
+                noise_floor=WALL_NOISE_FRAC * value,
+                kind="wall",
+            )
+        )
+    rates = []  # over the last logged run: the resilient one
+    for _ in range(repeats):
+        start = time.perf_counter()
+        extract_paths(records)
+        rates.append(len(records) / (time.perf_counter() - start))
     value = median(rates)
     out.append(
         Benchmark(
@@ -562,6 +657,7 @@ def run_suite(mode: str, repeats: int) -> Dict[str, object]:
     benchmarks.extend(_cluster_benchmarks(mode))
     benchmarks.extend(_fleet_benchmarks(mode, repeats))
     benchmarks.extend(_critpath_benchmarks(mode, repeats))
+    benchmarks.extend(_request_log_benchmarks(mode, repeats))
     benchmarks.extend(_tenant_benchmarks(mode))
     for bench in benchmarks:
         print(

@@ -43,7 +43,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
+from itertools import chain, count
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -64,7 +65,7 @@ from .server import (
     ServingPolicy,
     lognormal_services,
 )
-from .stats import safe_mean, safe_percentile, safe_ratio
+from .stats import check_arrivals, safe_mean, safe_percentile, safe_ratio
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .degradation import DegradationController
@@ -96,12 +97,20 @@ _STREAM_NODE_SERVICE = 102
 #: Event kinds, ordered so that at equal timestamps a crash kills
 #: in-flight calls before their responses deliver, deliveries beat the
 #: hedge timer (no hedging a call that just landed), and probes run last.
+#: Arrivals never enter the event heap: they merge in through a pointer
+#: into the sorted arrival list, ranked ``(t, _EV_ARRIVE)`` like the rest.
 _EV_CRASH = 0
 _EV_DELIVER = 1
 _EV_ARRIVE = 2
 _EV_HEDGE = 3
 _EV_TIMEOUT = 4
 _EV_PROBE = 5
+
+#: Ranks after every event: the arrival pointer once arrivals run out.
+_NO_ARRIVAL = (float("inf"), _EV_PROBE + 1)
+
+#: The replicas a slot's first attempt has tried: none.
+_NONE_TRIED: Tuple[int, ...] = ()
 
 #: Node service draws are replenished in chunks (vectorized, still
 #: consumed strictly in submission order so the stream is stable).
@@ -246,6 +255,8 @@ class ShardMap:
         self.hotness = weights / weights.sum()
         self.cache_scores = config.node_cache_scores()
         self.replicas: List[List[int]] = self._place()
+        #: ``call_multipliers[shard][node]``, see :meth:`call_multiplier`.
+        self.call_multipliers: List[List[float]] = self._multipliers()
 
     def _place(self) -> List[List[int]]:
         cfg = self.config
@@ -282,10 +293,19 @@ class ShardMap:
         * (1 - cache_score)`` (relative hotness normalized so the hottest
         shard has weight 1).
         """
-        rel = float(self.hotness[shard] / self.hotness.max())
-        return 1.0 + self.config.miss_penalty * rel * (
-            1.0 - float(self.cache_scores[node])
-        )
+        return self.call_multipliers[shard][node]
+
+    def _multipliers(self) -> List[List[float]]:
+        top = self.hotness.max()
+        penalty = self.config.miss_penalty
+        table = []
+        for shard in range(self.config.num_shards):
+            rel = float(self.hotness[shard] / top)
+            table.append(
+                [1.0 + penalty * rel * (1.0 - float(score))
+                 for score in self.cache_scores]
+            )
+        return table
 
     def gather_shards(self, num_requests: int) -> np.ndarray:
         """Per-request gather sets: ``(n, gather_width)`` distinct shards.
@@ -321,98 +341,22 @@ class NodeStats:
     final_degradation_level: int
 
 
-class _NodeWorld:
-    """One node's incremental FIFO M/G/c world inside the cluster loop.
+def _service_draws(config: ClusterConfig, node: int) -> Iterator[float]:
+    """Node ``node``'s service times, in submission order.
 
-    The same core model as ``ServerSim``'s plain path, driven one call
-    at a time: submissions arrive in non-decreasing time order (the
-    global event loop guarantees it), each call is assigned to the
-    earliest-free core, and its completion is known at submission.  The
-    per-node degradation controller is fed lazily: completions are
-    drained up to each new call's start time before its scale is
-    sampled, so control decisions only ever see the past.
+    Drawn from ``(seed, service-stream, node)`` in vectorized chunks and
+    consumed one at a time, so the stream does not depend on chunking.
     """
+    rng = np.random.default_rng(
+        np.random.SeedSequence([config.seed, _STREAM_NODE_SERVICE, node])
+    )
 
-    def __init__(self, node: int, config: ClusterConfig) -> None:
-        self.node = node
-        self.config = config
-        self.cores: List[Tuple[float, int]] = [
-            (0.0, c) for c in range(config.cores_per_node)
-        ]
-        heapq.heapify(self.cores)
-        self._rng = np.random.default_rng(
-            np.random.SeedSequence([config.seed, _STREAM_NODE_SERVICE, node])
-        )
-        self._pool = np.empty(0)
-        self._pool_i = 0
-        self.controller = (
-            config.controller_factory(node)
-            if config.controller_factory is not None
-            else None
-        )
-        self._pending: List[Tuple[float, float]] = []  # (completion, latency)
-        self.calls = 0
-        self.lost_calls = 0
-        self.busy_ms = 0.0
+    def chunk() -> List[float]:
+        return lognormal_services(
+            config.mean_service_ms, _DRAW_CHUNK, rng, cv=config.service_cv
+        ).tolist()
 
-    def _draw(self) -> float:
-        if self._pool_i >= self._pool.size:
-            self._pool = lognormal_services(
-                self.config.mean_service_ms,
-                _DRAW_CHUNK,
-                self._rng,
-                cv=self.config.service_cv,
-            )
-            self._pool_i = 0
-        value = float(self._pool[self._pool_i])
-        self._pool_i += 1
-        return value
-
-    def backlog(self, now_ms: float) -> float:
-        """Earliest-core-free estimate for least-loaded routing."""
-        return max(0.0, self.cores[0][0] - now_ms)
-
-    def submit(
-        self, t_work: float, multiplier: float, plan: Optional[ClusterFaultPlan]
-    ) -> Tuple[int, float, float, float]:
-        """Run one shard call; returns ``(core, start, completion, slow)``.
-
-        ``slow`` is the fault-plan slowdown factor in effect at the call's
-        start — the observability layer uses it to carve the contention
-        penalty out of the service segment.
-        """
-        if self.controller is not None:
-            while self._pending and self._pending[0][0] <= t_work:
-                done, latency = heapq.heappop(self._pending)
-                self.controller.observe(done, latency)
-        scale = self.controller.scale() if self.controller is not None else 1.0
-        free_at, core = heapq.heappop(self.cores)
-        start = max(t_work, free_at)
-        slow = plan.slow_factor(self.node, start) if plan is not None else 1.0
-        service = self._draw() * multiplier * slow * scale
-        completion = start + service
-        heapq.heappush(self.cores, (completion, core))
-        self.calls += 1
-        self.busy_ms += service
-        if self.controller is not None:
-            heapq.heappush(self._pending, (completion, completion - t_work))
-        return core, start, completion, slow
-
-    def crash(self, until_ms: float) -> None:
-        """Hard kill: drop queued work, restart cold at ``until_ms``."""
-        self.cores = [
-            (until_ms, c) for c in range(self.config.cores_per_node)
-        ]
-        heapq.heapify(self.cores)
-        self._pending = []
-        if self.config.controller_factory is not None:
-            # The restarted process starts at the base level; the old
-            # controller's history dies with the node.
-            self.controller = self.config.controller_factory(self.node)
-
-    @property
-    def final_level(self) -> int:
-        return self.controller.level if self.controller is not None else 0
+    return chain.from_iterable(iter(chunk, None))
 
 
 @dataclass
@@ -644,10 +588,7 @@ class ClusterSim:
         1-node cluster matches ``simulate_server`` byte for byte); the
         multi-node loop draws everything from the config seed's streams.
         """
-        if arrivals_ms.ndim != 1 or arrivals_ms.size == 0:
-            raise ConfigError("need a non-empty 1-D arrival array")
-        if np.any(np.diff(arrivals_ms) < 0):
-            raise ConfigError("arrival times must be non-decreasing")
+        check_arrivals(arrivals_ms)
         cfg = self.config
         if cfg.is_single_box:
             if rng is None:
@@ -664,25 +605,77 @@ class ClusterSim:
         return self._run_cluster(arrivals_ms)
 
     def _run_cluster(self, arrivals_ms: np.ndarray) -> ClusterResult:
+        """The multi-node event loop, on flat state.
+
+        Slot ``i * gather_width + k`` is request *i*'s *k*-th shard lookup
+        and attempt *a* is the *a*-th shard call submitted; their state
+        lives in parallel lists indexed by those ids, and node core heaps,
+        service streams and controllers are stepped inline.  Arrivals
+        merge with the event heap through a pointer, ranked as if they
+        had been pushed: crashes hold sequence numbers ``0..C-1``,
+        arrivals ``C..C+n-1``, and events pushed while running count on
+        from ``C+n``, so every tie breaks the same way.
+        """
         cfg = self.config
         plan = cfg.faults if cfg.faults is not None else ClusterFaultPlan()
         n = int(arrivals_ms.size)
+        num_nodes = cfg.num_nodes
+        width = cfg.gather_width
+        hop = cfg.hop_ms
+        call_timeout = cfg.call_timeout_ms
+        probe_every = cfg.health.probe_interval_ms
+        max_outstanding = cfg.max_outstanding
+        hedge = cfg.hedge
+        arrivals: List[float] = np.asarray(arrivals_ms, dtype=float).tolist()
         shards_of = self.shard_map.gather_shards(n)
+        slot_shard: List[int] = shards_of.ravel().tolist()
         replicas = self.shard_map.replicas
-        nodes = [_NodeWorld(i, cfg) for i in range(cfg.num_nodes)]
-        health = HealthTracker(cfg.num_nodes, cfg.health)
+        multipliers = self.shard_map.call_multipliers
+
+        # -- nodes ----------------------------------------------------------
+        cores = [
+            [(0.0, c) for c in range(cfg.cores_per_node)]
+            for _ in range(num_nodes)
+        ]
+        draws = [_service_draws(cfg, node) for node in range(num_nodes)]
+        factory = cfg.controller_factory
+        controllers = [
+            factory(node) if factory is not None else None
+            for node in range(num_nodes)
+        ]
+        # Per node, (completion, latency) of the calls its controller has
+        # not seen yet: drained up to each new call's start, so control
+        # decisions only ever see the past.
+        pending: List[List[Tuple[float, float]]] = [[] for _ in range(num_nodes)]
+        node_calls = [0] * num_nodes
+        lost_calls = [0] * num_nodes
+        busy_ms = [0.0] * num_nodes
+        # Fault flags: the plan is asked about a node only for the kinds of
+        # fault window that node has.
+        crash_windows = [plan.crashes_for(node) for node in range(num_nodes)]
+        may_crash = [bool(windows) for windows in crash_windows]
+        partitioned_nodes = {part.node for part in plan.partitions}
+        may_partition = [node in partitioned_nodes for node in range(num_nodes)]
+        slowed_nodes = {slow.node for slow in plan.slowdowns}
+        may_slow = [node in slowed_nodes for node in range(num_nodes)]
+        node_down = plan.node_down
+        partitioned = plan.partitioned
+        slow_factor = plan.slow_factor
+        # Per crashable node, attempt id -> completion of the calls in
+        # flight on it, in submission order: what a crash kills.
+        on_node: List[Dict[int, float]] = [{} for _ in range(num_nodes)]
+
+        health = HealthTracker(num_nodes, cfg.health)
         # Least-loaded routing sees only what a real front end sees: the
         # number of calls it has sent each node and not yet heard back
         # about (least-outstanding-requests), never node internals.
-        inflight = [0] * cfg.num_nodes
-        router = Router(
-            cfg.routing,
-            health,
-            load_of=lambda node, now: float(inflight[node]),
-        )
-        window = (
-            LatencyWindow(cfg.hedge.window) if cfg.hedge is not None else None
-        )
+        inflight = [0] * num_nodes
+        router = Router(cfg.routing, health, loads=inflight)
+        window = LatencyWindow(hedge.window) if hedge is not None else None
+        max_hedges = hedge.max_hedges if hedge is not None else 0
+        # max(min_ms, window quantile), refreshed whenever the window
+        # changes; None while there is nothing to hedge against.
+        hedge_delay: Optional[float] = None
 
         obs = obs_hooks.active()
         log = obs.requests if obs is not None else None
@@ -698,8 +691,8 @@ class ClusterSim:
         )
         # Distributed tracing: one span tree per request, root id equal
         # to the request-log exemplar id.  Held as None with hooks off so
-        # the loop's only overhead is the same is-None branches the run
-        # log already takes.
+        # the loop's only overhead is is-None branches (a run log implies
+        # a trace, so the log's branches nest inside the trace's).
         trace = (
             FleetTrace(
                 cfg.label if cfg.label else "cluster",
@@ -715,434 +708,446 @@ class ClusterSim:
                     load_ms=load,
                 )
             )
+        choose = router.choose
 
-        # -- mutable run state -------------------------------------------
-        outcomes = np.full(n, -1, dtype=np.int64)
-        end_ms = np.zeros(n)
-        req_remaining = np.zeros(n, dtype=np.int64)
-        req_missing = np.zeros(n, dtype=np.int64)
-        req_failovers = np.zeros(n, dtype=np.int64)
-        req_hedges = np.zeros(n, dtype=np.int64)
-        req_hedges_wasted = np.zeros(n, dtype=np.int64)
-        req_partition = np.zeros(n, dtype=bool)
-        req_node_fault = np.zeros(n, dtype=bool)
-        req_nodes: List[Set[int]] = [set() for _ in range(n)] if run else []
-
-        slots: Dict[int, "_Slot"] = {}
-        attempts: Dict[int, "_Attempt"] = {}
-        outstanding_on: List[Dict[int, float]] = [
-            {} for _ in range(cfg.num_nodes)
-        ]
-        counters = {
-            "failovers": 0,
-            "hedges_issued": 0,
-            "hedges_won": 0,
-            "hedges_wasted": 0,
-            "hedges_failed": 0,
-            "calls_failed": 0,
-            "partition_failures": 0,
-        }
+        # -- requests -------------------------------------------------------
+        outcomes = [-1] * n
+        end_ms = [0.0] * n
+        req_remaining = [0] * n
+        req_missing = [0] * n
+        req_failovers = [0] * n
+        req_hedges = [0] * n
+        req_hedges_wasted = [0] * n
+        req_partition = [False] * n
+        req_node_fault = [False] * n
+        req_nodes: List[Set[int]] = (
+            [set() for _ in range(n)] if run is not None else []
+        )
         outstanding_requests = 0
 
+        # -- slots: slot i * width + k is request i's k-th shard lookup -----
+        num_slots = n * width
+        slot_settled = [False] * num_slots
+        slot_outstanding = [0] * num_slots
+        slot_hedges = [0] * num_slots
+        # Replicas tried so far; dropped once the slot is settled.
+        slot_tried: List[Optional[List[int]]] = [None] * num_slots
+        slot_span: List[Optional[str]] = (
+            [None] * num_slots if trace is not None else []
+        )
+
+        # -- attempts: attempt a is the a-th shard call submitted -----------
+        att_slot: List[int] = []
+        att_node: List[int] = []
+        att_submit: List[float] = []
+        att_hedge: List[bool] = []
+        att_live: List[bool] = []
+        # The failure an attempt is doomed to, known at submission.
+        att_cause: List[Optional[str]] = []
+        att_span: List[str] = []
+        # (start, completion, slowdown) of the calls that reached a node,
+        # kept for the request log and the fleet trace only.
+        att_timing: Dict[int, Tuple[float, float, float]] = {}
+
+        failovers = hedges_issued = hedges_won = hedges_wasted = 0
+        hedges_failed = calls_failed = partition_failures = 0
+
         events: List[tuple] = []
-        seq = 0
-        next_slot_id = 0
-        next_attempt_id = 0
+        for node in range(num_nodes):
+            for start, end in crash_windows[node]:
+                events.append((start, _EV_CRASH, len(events), (node, end)))
+        heapq.heapify(events)
+        seq = count(len(events) + n)
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
 
-        def push(t: float, kind: int, payload: object) -> None:
-            nonlocal seq
-            heapq.heappush(events, (t, kind, seq, payload))
-            seq += 1
-
-        for node, windows in (
-            (i, plan.crashes_for(i)) for i in range(cfg.num_nodes)
-        ):
-            for start, end in windows:
-                push(start, _EV_CRASH, (node, end))
-        for i in range(n):
-            push(float(arrivals_ms[i]), _EV_ARRIVE, i)
-
-        def hedge_delay() -> Optional[float]:
-            if cfg.hedge is None or window is None:
-                return None
-            q = window.quantile(cfg.hedge.quantile)
-            if q is None:  # no observations yet: nothing to hedge against
-                return None
-            return max(cfg.hedge.min_ms, q)
-
-        def submit_attempt(slot: "_Slot", node: int, now: float, hedge: bool) -> None:
-            nonlocal next_attempt_id
-            aid = next_attempt_id
-            next_attempt_id += 1
-            att = _Attempt(aid, slot, node, now, hedge)
-            attempts[aid] = att
-            slot.tried.add(node)
-            slot.outstanding += 1
+        def submit(sid: int, node: int, now: float, is_hedge: bool) -> None:
+            """Send one shard call of slot ``sid`` to ``node`` at ``now``."""
+            aid = len(att_node)
+            att_slot.append(sid)
+            att_node.append(node)
+            att_submit.append(now)
+            att_hedge.append(is_hedge)
+            att_live.append(True)
+            att_cause.append(None)
+            tried = slot_tried[sid]
+            if tried is None:
+                slot_tried[sid] = [node]
+            else:
+                tried.append(node)
+            slot_outstanding[sid] += 1
             inflight[node] += 1
             if trace is not None:
-                att.trace_id = trace.begin_attempt(
-                    slot.trace_id, node, now, hedge
+                att_span.append(
+                    trace.begin_attempt(slot_span[sid], node, now, is_hedge)
                 )
-            if run is not None:
-                run.event(
-                    slot.request,
-                    "shard_call",
-                    now,
-                    node=node,
-                    shard=slot.shard,
-                    hedge=hedge,
-                )
-                req_nodes[slot.request].add(node)
-            if plan.node_down(node, now):
+                if run is not None:
+                    req = sid // width
+                    run.event(
+                        req, "shard_call", now,
+                        node=node, shard=slot_shard[sid], hedge=is_hedge,
+                    )
+                    req_nodes[req].add(node)
+            if may_crash[node] and node_down(node, now):
                 # Connection refused: the router learns at one hop.
-                att.fail_cause = "node_fault"
-                push(now + cfg.hop_ms, _EV_DELIVER, aid)
+                att_cause[aid] = "node_fault"
+                heappush(events, (now + hop, _EV_DELIVER, next(seq), aid))
                 return
-            if plan.partitioned(node, now):
+            if may_partition[node] and partitioned(node, now):
                 # Swallowed by the partition: only the timeout resolves it.
-                att.fail_cause = "partition"
-                push(now + cfg.call_timeout_ms, _EV_TIMEOUT, aid)
-                return
-            core, start, completion, slow = nodes[node].submit(
-                now + cfg.hop_ms, self.shard_map.call_multiplier(slot.shard, node),
-                plan,
-            )
-            att.core = core
-            att.start = start
-            att.slow = slow
-            att.completion = completion
-            outstanding_on[node][aid] = completion
-            deliver = completion + cfg.hop_ms
-            if plan.partitioned(node, deliver):
-                # The response would land inside a partition window: lost.
-                att.fail_cause = "partition"
-                push(now + cfg.call_timeout_ms, _EV_TIMEOUT, aid)
-                return
-            att.deliver = deliver
-            push(deliver, _EV_DELIVER, aid)
-            if deliver > now + cfg.call_timeout_ms:
-                att.fail_cause = "timeout"
-                push(now + cfg.call_timeout_ms, _EV_TIMEOUT, aid)
-            if not hedge and cfg.hedge is not None:
-                delay = hedge_delay()
-                if delay is not None:
-                    push(now + delay, _EV_HEDGE, slot.slot_id)
-
-        def fail_attempt(att: "_Attempt", now: float, cause: str) -> None:
-            """One attempt is dead; maybe fail over, maybe orphan the slot."""
-            if att.resolved:
-                return
-            att.resolved = True
-            attempts.pop(att.aid, None)
-            outstanding_on[att.node].pop(att.aid, None)
-            inflight[att.node] -= 1
-            counters["calls_failed"] += 1
-            if cause == "partition":
-                counters["partition_failures"] += 1
-            slot = att.slot
-            slot.outstanding -= 1
-            slot.fail_causes.add(cause)
-            if trace is not None:
-                trace.end_attempt(att.trace_id, now, "failed", cause=cause)
-            if run is not None:
-                run.event(
-                    slot.request,
-                    "call_failed",
-                    now,
-                    node=att.node,
-                    shard=slot.shard,
-                    cause=cause,
-                    hedge=att.is_hedge,
+                att_cause[aid] = "partition"
+                heappush(
+                    events, (now + call_timeout, _EV_TIMEOUT, next(seq), aid)
                 )
+                return
+            # On the node: FIFO onto the earliest-free core.
+            t_work = now + hop
+            ctl = controllers[node]
+            if ctl is not None:
+                done_heap = pending[node]
+                while done_heap and done_heap[0][0] <= t_work:
+                    done, latency = heappop(done_heap)
+                    ctl.observe(done, latency)
+                scale = ctl.scale()
+            node_cores = cores[node]
+            free_at, core = node_cores[0]
+            start = free_at if free_at > t_work else t_work
+            # draw * multiplier * slowdown * scale, left to right; a factor
+            # this node cannot have is exactly 1.0 and is skipped.
+            service = next(draws[node]) * multipliers[slot_shard[sid]][node]
+            slow = 1.0
+            if may_slow[node]:
+                slow = slow_factor(node, start)
+                service *= slow
+            if ctl is not None:
+                service *= scale
+            completion = start + service
+            heapreplace(node_cores, (completion, core))
+            node_calls[node] += 1
+            busy_ms[node] += service
+            if ctl is not None:
+                heappush(done_heap, (completion, completion - t_work))
+            if may_crash[node]:
+                on_node[node][aid] = completion
+            if trace is not None:
+                att_timing[aid] = (start, completion, slow)
+            deliver = completion + hop
+            if may_partition[node] and partitioned(node, deliver):
+                # The response would land inside a partition window: lost.
+                att_cause[aid] = "partition"
+                heappush(
+                    events, (now + call_timeout, _EV_TIMEOUT, next(seq), aid)
+                )
+                return
+            heappush(events, (deliver, _EV_DELIVER, next(seq), aid))
+            late = deliver > now + call_timeout
+            if late:
+                att_cause[aid] = "timeout"
+                heappush(
+                    events, (now + call_timeout, _EV_TIMEOUT, next(seq), aid)
+                )
+            if not is_hedge and hedge_delay is not None:
+                fire = now + hedge_delay
+                # A timer due at or after a delivery nothing can fail would
+                # find its slot settled, so it is never pushed.
+                if late or may_crash[node] or fire < deliver:
+                    heappush(events, (fire, _EV_HEDGE, next(seq), sid))
+
+        def fail(aid: int, now: float, cause: str) -> None:
+            """Live attempt ``aid`` is dead: fail over, or lose its shard."""
+            nonlocal calls_failed, partition_failures, hedges_failed, failovers
+            att_live[aid] = False
+            node = att_node[aid]
+            if may_crash[node]:
+                on_node[node].pop(aid, None)
+            inflight[node] -= 1
+            calls_failed += 1
+            sid = att_slot[aid]
+            req = sid // width
+            shard = slot_shard[sid]
+            slot_outstanding[sid] -= 1
+            is_hedge = att_hedge[aid]
+            if trace is not None:
+                trace.end_attempt(att_span[aid], now, "failed", cause=cause)
+                if run is not None:
+                    run.event(
+                        req, "call_failed", now,
+                        node=node, shard=shard, cause=cause, hedge=is_hedge,
+                    )
             if cause == "partition":
-                req_partition[slot.request] = True
+                partition_failures += 1
+                req_partition[req] = True
             elif cause == "node_fault":
-                req_node_fault[slot.request] = True
-            if health.record_failure(att.node):
-                push(now + cfg.health.probe_interval_ms, _EV_PROBE, att.node)
-            if slot.resolved:
-                if att.is_hedge:
-                    counters["hedges_failed"] += 1
-                maybe_free_slot(slot)
-                return
-            if slot.outstanding > 0:
-                # A sibling attempt (primary or hedge) is still racing.
-                if att.is_hedge:
-                    counters["hedges_failed"] += 1
-                return
-            target = router.choose(
-                slot.shard, replicas[slot.shard], slot.tried, now,
-                ctx=(slot.trace_id, "failover"),
+                req_node_fault[req] = True
+            if health.record_failure(node):
+                heappush(
+                    events, (now + probe_every, _EV_PROBE, next(seq), node)
+                )
+            if is_hedge:
+                hedges_failed += 1  # however its slot ends up
+            if slot_settled[sid] or slot_outstanding[sid] > 0:
+                return  # settled already, or a sibling attempt still races
+            target = choose(
+                shard, replicas[shard], slot_tried[sid], now,
+                (slot_span[sid], "failover") if trace is not None else None,
             )
             if target is not None:
-                counters["failovers"] += 1
-                req_failovers[slot.request] += 1
+                failovers += 1
+                req_failovers[req] += 1
                 if run is not None:
-                    run.event(
-                        slot.request,
-                        "failover",
-                        now,
-                        node=target,
-                        shard=slot.shard,
-                    )
-                if att.is_hedge:
-                    counters["hedges_failed"] += 1
-                submit_attempt(slot, target, now, hedge=False)
+                    run.event(req, "failover", now, node=target, shard=shard)
+                submit(sid, target, now, False)
                 return
-            if att.is_hedge:
-                counters["hedges_failed"] += 1
             # No replica left: the shard is unreachable for this request.
-            slot.missing = True
-            slot.resolved = True
+            slot_settled[sid] = True
+            slot_tried[sid] = None
             if trace is not None:
-                trace.end_slot(slot.trace_id, now, "missing")
-            maybe_free_slot(slot)
-            req_missing[slot.request] += 1
-            finish_slot(slot.request, now)
-
-        def maybe_free_slot(slot: "_Slot") -> None:
-            # Bound memory on multi-million-request runs: a slot with no
-            # attempts in flight and a settled outcome can never be
-            # touched again (a stale hedge timer finds it absent).
-            if slot.resolved and slot.outstanding == 0:
-                slots.pop(slot.slot_id, None)
-
-        def finish_slot(req: int, now: float) -> None:
+                trace.end_slot(slot_span[sid], now, "missing")
+            req_missing[req] += 1
             req_remaining[req] -= 1
-            if req_remaining[req] > 0:
-                return
-            finalize_request(req, now)
+            if not req_remaining[req]:
+                close_request(req, now)
 
-        def finalize_request(req: int, now: float) -> None:
+        def close_request(req: int, now: float) -> None:
+            """Every slot of ``req`` is settled: record its outcome."""
             nonlocal outstanding_requests
-            missing = int(req_missing[req])
-            width = int(shards_of.shape[1])
+            missing = req_missing[req]
             if missing == 0:
-                outcomes[req] = CL_COMPLETED
-                kind = "complete"
+                code, kind = CL_COMPLETED, "complete"
             elif missing < width and cfg.partial_results:
-                outcomes[req] = CL_DEGRADED
-                kind = "degraded"
+                code, kind = CL_DEGRADED, "degraded"
             else:
-                outcomes[req] = CL_FAILED
-                kind = "failed"
+                code, kind = CL_FAILED, "failed"
+            outcomes[req] = code
             end_ms[req] = now
             outstanding_requests -= 1
-            if run is not None:
-                run.event(req, kind, now, missing_shards=missing)
             if trace is not None:
                 trace.end_request(
-                    req,
-                    now,
-                    CLUSTER_OUTCOME_NAMES[int(outcomes[req])],
+                    req, now, CLUSTER_OUTCOME_NAMES[code],
                     missing_shards=missing,
                 )
+                if run is not None:
+                    run.event(req, kind, now, missing_shards=missing)
 
         # -- main loop -----------------------------------------------------
-        while events:
-            now, kind, _, payload = heapq.heappop(events)
-            if kind == _EV_CRASH:
-                node, until = payload
-                killed = list(outstanding_on[node].items())
-                nodes[node].lost_calls += sum(
-                    1 for _, completion in killed if completion > now
+        next_req = 0
+        next_arrival = (arrivals[0], _EV_ARRIVE)
+        while True:
+            if events and events[0] < next_arrival:
+                now, kind, _, payload = heappop(events)
+            elif next_req < n:
+                i = next_req
+                now = arrivals[i]
+                next_req += 1
+                next_arrival = (
+                    (arrivals[next_req], _EV_ARRIVE)
+                    if next_req < n else _NO_ARRIVAL
                 )
-                for aid, completion in killed:
-                    att = attempts.get(aid)
-                    outstanding_on[node].pop(aid, None)
-                    if att is None or completion <= now:
-                        continue  # response already left the node
-                    fail_attempt(att, now, "node_fault")
-                nodes[node].crash(until)
-            elif kind == _EV_DELIVER:
-                att = attempts.get(payload)
-                if att is None or att.resolved:
-                    continue
-                slot = att.slot
-                if att.fail_cause == "node_fault" and att.completion is None:
-                    # Fail-fast bounce off a down node.
-                    fail_attempt(att, now, "node_fault")
-                    continue
-                att.resolved = True
-                attempts.pop(att.aid, None)
-                outstanding_on[att.node].pop(att.aid, None)
-                slot.outstanding -= 1
-                inflight[att.node] -= 1
-                health.record_success(att.node)
-                if window is not None:
-                    window.observe(now - att.submit_ms)
-                if run is not None:
-                    # The attempt's internal decomposition: on-node queue
-                    # wait, service time, and the fault-plan slowdown in
-                    # effect — the critical-path extractor's raw material.
-                    run.event(
-                        slot.request,
-                        "call_ok",
-                        now,
-                        node=att.node,
-                        shard=slot.shard,
-                        latency_ms=now - att.submit_ms,
-                        hedge=att.is_hedge,
-                        queue_ms=att.start - (att.submit_ms + cfg.hop_ms),
-                        service_ms=att.completion - att.start,
-                        slow=att.slow,
-                    )
-                if slot.resolved:
-                    if att.is_hedge:
-                        counters["hedges_wasted"] += 1
-                        req_hedges_wasted[slot.request] += 1
-                    if trace is not None:
-                        trace.end_attempt(
-                            att.trace_id, now, "ok",
-                            latency_ms=now - att.submit_ms, winner=False,
-                            queue_ms=att.start - (att.submit_ms + cfg.hop_ms),
-                            service_ms=att.completion - att.start,
-                            slow=att.slow,
-                        )
-                    maybe_free_slot(slot)
-                    continue
-                slot.resolved = True
-                if att.is_hedge:
-                    counters["hedges_won"] += 1
-                if trace is not None:
-                    trace.end_attempt(
-                        att.trace_id, now, "ok",
-                        latency_ms=now - att.submit_ms, winner=True,
-                        queue_ms=att.start - (att.submit_ms + cfg.hop_ms),
-                        service_ms=att.completion - att.start,
-                        slow=att.slow,
-                    )
-                    trace.end_slot(slot.trace_id, now, "ok")
-                maybe_free_slot(slot)
-                finish_slot(slot.request, now)
-            elif kind == _EV_ARRIVE:
-                i = payload
-                if run is not None:
-                    run.event(i, "arrive", now)
                 if trace is not None:
                     trace.begin_request(i, now)
+                    if run is not None:
+                        run.event(i, "arrive", now)
                 if (
-                    cfg.max_outstanding is not None
-                    and outstanding_requests >= cfg.max_outstanding
+                    max_outstanding is not None
+                    and outstanding_requests >= max_outstanding
                 ):
                     outcomes[i] = CL_SHED
                     end_ms[i] = now
-                    if run is not None:
-                        run.event(i, "shed", now, depth=outstanding_requests)
                     if trace is not None:
                         trace.end_request(i, now, "shed")
+                        if run is not None:
+                            run.event(
+                                i, "shed", now, depth=outstanding_requests
+                            )
                     continue
                 outstanding_requests += 1
-                width = int(shards_of.shape[1])
                 req_remaining[i] = width
-                for k in range(width):
-                    shard = int(shards_of[i, k])
-                    slot = _Slot(next_slot_id, i, shard)
-                    next_slot_id += 1
-                    slots[slot.slot_id] = slot
+                first = i * width
+                for sid in range(first, first + width):
+                    shard = slot_shard[sid]
+                    ctx = None
                     if trace is not None:
-                        slot.trace_id = trace.begin_slot(i, k, shard, now)
-                    target = router.choose(
-                        shard, replicas[shard], slot.tried, now,
-                        ctx=(slot.trace_id, "primary"),
-                    )
-                    if target is None:
-                        slot.missing = True
-                        slot.resolved = True
-                        slot.fail_causes.add("node_fault")
-                        if trace is not None:
-                            trace.end_slot(slot.trace_id, now, "missing")
-                        req_node_fault[i] = True
-                        req_missing[i] += 1
-                        finish_slot(i, now)
+                        slot_span[sid] = trace.begin_slot(
+                            i, sid - first, shard, now
+                        )
+                        ctx = (slot_span[sid], "primary")
+                    target = choose(shard, replicas[shard], _NONE_TRIED, now, ctx)
+                    if target is not None:
+                        submit(sid, target, now, False)
                         continue
-                    submit_attempt(slot, target, now, hedge=False)
+                    slot_settled[sid] = True
+                    if trace is not None:
+                        trace.end_slot(slot_span[sid], now, "missing")
+                    req_node_fault[i] = True
+                    req_missing[i] += 1
+                    req_remaining[i] -= 1
+                    if not req_remaining[i]:
+                        close_request(i, now)
+                continue
+            else:
+                break
+
+            if kind == _EV_DELIVER:
+                aid = payload
+                if not att_live[aid]:
+                    continue
+                if att_cause[aid] == "node_fault":
+                    # Fail-fast bounce off a down node.
+                    fail(aid, now, "node_fault")
+                    continue
+                att_live[aid] = False
+                node = att_node[aid]
+                if may_crash[node]:
+                    on_node[node].pop(aid, None)
+                sid = att_slot[aid]
+                slot_outstanding[sid] -= 1
+                inflight[node] -= 1
+                health.record_success(node)
+                latency = now - att_submit[aid]
+                if window is not None:
+                    window.observe(latency)
+                    q = window.quantile(hedge.quantile)
+                    hedge_delay = q if q > hedge.min_ms else hedge.min_ms
+                req = sid // width
+                is_hedge = att_hedge[aid]
+                settled = slot_settled[sid]
+                if trace is not None:
+                    # The attempt's internal decomposition: on-node queue
+                    # wait, service time, and the fault-plan slowdown in
+                    # effect — the critical-path extractor's raw material.
+                    start, completion, slow = att_timing[aid]
+                    queue_ms = start - (att_submit[aid] + hop)
+                    if run is not None:
+                        run.event(
+                            req, "call_ok", now,
+                            node=node, shard=slot_shard[sid],
+                            latency_ms=latency, hedge=is_hedge,
+                            queue_ms=queue_ms, service_ms=completion - start,
+                            slow=slow,
+                        )
+                    trace.end_attempt(
+                        att_span[aid], now, "ok",
+                        latency_ms=latency, winner=not settled,
+                        queue_ms=queue_ms, service_ms=completion - start,
+                        slow=slow,
+                    )
+                if settled:
+                    if is_hedge:
+                        hedges_wasted += 1
+                        req_hedges_wasted[req] += 1
+                    continue
+                slot_settled[sid] = True
+                slot_tried[sid] = None
+                if is_hedge:
+                    hedges_won += 1
+                if trace is not None:
+                    trace.end_slot(slot_span[sid], now, "ok")
+                req_remaining[req] -= 1
+                if not req_remaining[req]:
+                    close_request(req, now)
             elif kind == _EV_HEDGE:
-                slot = slots.get(payload)
-                if slot is None or slot.resolved:
+                sid = payload
+                if slot_settled[sid] or slot_hedges[sid] >= max_hedges:
                     continue
-                if cfg.hedge is None or slot.hedges >= cfg.hedge.max_hedges:
-                    continue
-                target = router.choose(
-                    slot.shard, replicas[slot.shard], slot.tried, now,
-                    ctx=(slot.trace_id, "hedge"),
+                shard = slot_shard[sid]
+                target = choose(
+                    shard, replicas[shard], slot_tried[sid], now,
+                    (slot_span[sid], "hedge") if trace is not None else None,
                 )
                 if target is None:
                     continue
-                slot.hedges += 1
-                counters["hedges_issued"] += 1
-                req_hedges[slot.request] += 1
+                slot_hedges[sid] += 1
+                hedges_issued += 1
+                req = sid // width
+                req_hedges[req] += 1
                 if run is not None:
                     # q_ms: the latency-window quantile the hedge delay was
                     # racing (the fire-time estimate of the arming-time
                     # value) — lets the what-if engine re-time hedges under
                     # a different floor.
                     run.event(
-                        slot.request, "hedge", now, node=target,
-                        shard=slot.shard,
-                        q_ms=window.quantile(cfg.hedge.quantile)
-                        if window is not None else None,
+                        req, "hedge", now, node=target, shard=shard,
+                        q_ms=window.quantile(hedge.quantile),
                     )
-                submit_attempt(slot, target, now, hedge=True)
-                if slot.hedges < cfg.hedge.max_hedges:
-                    delay = hedge_delay()
-                    if delay is not None:
-                        push(now + delay, _EV_HEDGE, slot.slot_id)
+                submit(sid, target, now, True)
+                if slot_hedges[sid] < max_hedges:
+                    heappush(
+                        events, (now + hedge_delay, _EV_HEDGE, next(seq), sid)
+                    )
             elif kind == _EV_TIMEOUT:
-                att = attempts.get(payload)
-                if att is None or att.resolved:
-                    continue
-                fail_attempt(att, now, att.fail_cause or "timeout")
+                if att_live[payload]:
+                    fail(payload, now, att_cause[payload] or "timeout")
+            elif kind == _EV_CRASH:
+                node, until = payload
+                killed = list(on_node[node].items())
+                on_node[node].clear()
+                lost_calls[node] += sum(1 for _, done in killed if done > now)
+                for aid, done in killed:
+                    if done > now:  # else the response already left the node
+                        fail(aid, now, "node_fault")
+                cores[node] = [(until, c) for c in range(cfg.cores_per_node)]
+                pending[node] = []
+                if factory is not None:
+                    # The restarted process starts at the base level; the
+                    # old controller's history dies with the node.
+                    controllers[node] = factory(node)
             else:  # _EV_PROBE
                 node = payload
                 if not health.is_ejected(node):
                     continue
                 reachable = not plan.unreachable(node, now)
                 if not health.record_probe(node, reachable):
-                    push(now + cfg.health.probe_interval_ms, _EV_PROBE, node)
+                    heappush(
+                        events, (now + probe_every, _EV_PROBE, next(seq), node)
+                    )
 
         # -- aggregate ------------------------------------------------------
-        completed = outcomes == CL_COMPLETED
-        degraded = outcomes == CL_DEGRADED
-        latencies = (end_ms - arrivals_ms)[completed]
-        degraded_lat = (end_ms - arrivals_ms)[degraded]
+        outcome_codes = np.array(outcomes, dtype=np.int64)
+        ends = np.array(end_ms)
+        completed = outcome_codes == CL_COMPLETED
+        degraded = outcome_codes == CL_DEGRADED
+        latencies = (ends - arrivals_ms)[completed]
+        degraded_lat = (ends - arrivals_ms)[degraded]
         request_latency = np.full(n, np.inf)
         request_latency[completed] = latencies
         request_latency[degraded] = degraded_lat
-        duration = float(
-            max(end_ms.max(), arrivals_ms[-1]) - arrivals_ms[0]
-        )
+        duration = float(max(ends.max(), arrivals_ms[-1]) - arrivals_ms[0])
         node_stats = [
             NodeStats(
-                node=w.node,
-                calls=w.calls,
-                lost_calls=w.lost_calls,
-                busy_ms=w.busy_ms,
+                node=node,
+                calls=node_calls[node],
+                lost_calls=lost_calls[node],
+                busy_ms=busy_ms[node],
                 utilization=safe_ratio(
-                    w.busy_ms, cfg.cores_per_node * duration
+                    busy_ms[node], cfg.cores_per_node * duration
                 ),
-                final_degradation_level=w.final_level,
+                final_degradation_level=(
+                    controllers[node].level
+                    if controllers[node] is not None
+                    else 0
+                ),
             )
-            for w in nodes
+            for node in range(num_nodes)
         ]
         result = ClusterResult(
-            outcomes=outcomes,
+            outcomes=outcome_codes,
             latencies_ms=latencies,
             degraded_latencies_ms=degraded_lat,
             request_latency_ms=request_latency,
-            num_nodes=cfg.num_nodes,
+            num_nodes=num_nodes,
             duration_ms=duration,
             deadline_ms=cfg.deadline_ms,
             node_stats=node_stats,
-            failovers=counters["failovers"],
-            hedges_issued=counters["hedges_issued"],
-            hedges_won=counters["hedges_won"],
-            hedges_wasted=counters["hedges_wasted"],
-            hedges_failed=counters["hedges_failed"],
+            failovers=failovers,
+            hedges_issued=hedges_issued,
+            hedges_won=hedges_won,
+            hedges_wasted=hedges_wasted,
+            hedges_failed=hedges_failed,
             ejections=health.ejections,
             probes=health.probes,
-            calls_failed=counters["calls_failed"],
-            partition_failures=counters["partition_failures"],
+            calls_failed=calls_failed,
+            partition_failures=partition_failures,
         )
         hist = Histogram()
         hist.observe_many(latencies)
@@ -1150,7 +1155,7 @@ class ClusterSim:
         if run is not None:
             fault_windows = plan.windows()
             for i in range(n):
-                name = CLUSTER_OUTCOME_NAMES[int(outcomes[i])]
+                name = CLUSTER_OUTCOME_NAMES[outcomes[i]]
                 cause = None
                 if name in ("degraded", "failed"):
                     cause = "partition" if req_partition[i] else "node_fault"
@@ -1165,24 +1170,22 @@ class ClusterSim:
                     for wname, w_start, w_end, attrs in fault_windows
                     if attrs.get("node") in touched
                     and w_start <= end_ms[i]
-                    and arrivals_ms[i] <= w_end
+                    and arrivals[i] <= w_end
                 ]
                 run.add_record(
                     req=i,
-                    arrival_ms=float(arrivals_ms[i]),
+                    arrival_ms=arrivals[i],
                     outcome=name,
-                    end_ms=float(end_ms[i]),
+                    end_ms=end_ms[i],
                     cause=cause,
                     fault_windows=overlapping,
-                    shards=[int(s) for s in shards_of[i]],
+                    shards=slot_shard[i * width:(i + 1) * width],
                     nodes=sorted(touched),
-                    failovers=int(req_failovers[i]),
-                    hedges=int(req_hedges[i]),
-                    hedges_wasted=int(req_hedges_wasted[i]),
+                    failovers=req_failovers[i],
+                    hedges=req_hedges[i],
+                    hedges_wasted=req_hedges_wasted[i],
                 )
-            run.finish_custom(
-                tracer=obs.tracer if obs is not None else None
-            )
+            run.finish_custom(tracer=obs.tracer)
         if trace is not None:
             trace.finalize()
             trace.emit(obs.tracer)
@@ -1224,69 +1227,3 @@ class ClusterSim:
                     name, "cluster.fault", start, end - start, tid=tid,
                     args=attrs,
                 )
-
-
-class _Slot:
-    """One shard lookup of one request (primary + failovers + hedges)."""
-
-    __slots__ = (
-        "slot_id",
-        "request",
-        "shard",
-        "resolved",
-        "missing",
-        "tried",
-        "outstanding",
-        "hedges",
-        "fail_causes",
-        "trace_id",
-    )
-
-    def __init__(self, slot_id: int, request: int, shard: int) -> None:
-        self.slot_id = slot_id
-        self.request = request
-        self.shard = shard
-        self.resolved = False
-        self.missing = False
-        self.tried: Set[int] = set()
-        self.outstanding = 0
-        self.hedges = 0
-        self.fail_causes: Set[str] = set()
-        self.trace_id: Optional[str] = None
-
-
-class _Attempt:
-    """One shard-call attempt in flight to one node."""
-
-    __slots__ = (
-        "aid",
-        "slot",
-        "node",
-        "submit_ms",
-        "is_hedge",
-        "resolved",
-        "core",
-        "start",
-        "slow",
-        "completion",
-        "deliver",
-        "fail_cause",
-        "trace_id",
-    )
-
-    def __init__(
-        self, aid: int, slot: _Slot, node: int, submit_ms: float, is_hedge: bool
-    ) -> None:
-        self.aid = aid
-        self.slot = slot
-        self.node = node
-        self.submit_ms = submit_ms
-        self.is_hedge = is_hedge
-        self.resolved = False
-        self.core: Optional[int] = None
-        self.start: Optional[float] = None
-        self.slow: float = 1.0
-        self.completion: Optional[float] = None
-        self.deliver: Optional[float] = None
-        self.fail_cause: Optional[str] = None
-        self.trace_id: Optional[str] = None

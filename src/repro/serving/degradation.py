@@ -25,11 +25,11 @@ no randomness — so identical latency streams produce identical ladders.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
+from .stats import SortedWindow
 
 __all__ = [
     "DegradationController",
@@ -163,7 +163,7 @@ class DegradationController:
         self.cooldown = int(cooldown)
         self.level = 0
         self.events: List[LevelChange] = []
-        self._latencies: Deque[float] = deque(maxlen=self.window)
+        self._latencies = SortedWindow(self.window)
         self._since_change = 0
 
     @property
@@ -179,15 +179,14 @@ class DegradationController:
         """p95 of the sliding latency window (0.0 while empty).
 
         Computed in pure python, bit-equal to numpy's default linear
-        percentile (same virtual index, same two-branch lerp): the window
-        holds at most a few dozen floats and this runs once per completed
-        request, where ``np.percentile``'s per-call setup dominated the
-        whole resilient serving loop.
+        percentile (same virtual index, same two-branch lerp), from the
+        window's bisect-maintained sorted copy: this runs once per
+        completed request, where ``np.percentile``'s per-call setup and
+        then a per-call sort dominated the resilient serving loop.
         """
-        lat = self._latencies
-        if not lat:
+        xs = self._latencies.sorted
+        if not xs:
             return 0.0
-        xs = sorted(lat)
         n = len(xs)
         virtual = 0.95 * (n - 1)
         prev = int(virtual)

@@ -5,8 +5,8 @@ The router is the piece of the fleet that turns N independent node worlds
 :mod:`repro.serving.cluster`) into one service.  It owns three policies:
 
 * **Replica selection** — ``round_robin`` rotates a per-shard pointer
-  over a shard's replicas; ``least_loaded`` picks the replica whose
-  earliest core frees soonest (ties break to the lower node id, keeping
+  over a shard's replicas; ``least_loaded`` picks the replica with the
+  smallest load estimate (ties break to the lower node id, keeping
   selection deterministic).
 * **Health** — a node that fails :attr:`HealthPolicy.eject_after`
   consecutive shard calls is *ejected* (no longer routable) and probed
@@ -27,9 +27,10 @@ windows evolve purely from the (deterministic) event stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Container, Dict, Optional, Sequence, Set
 
 from ..errors import ConfigError
+from .stats import SortedWindow
 
 __all__ = [
     "HealthPolicy",
@@ -89,35 +90,26 @@ class HedgePolicy:
             raise ConfigError("hedge budget must be positive")
 
 
-class LatencyWindow:
+class LatencyWindow(SortedWindow):
     """Rolling window of observed shard-call latencies (simulated ms).
 
     Pure python and order-deterministic: the threshold depends only on
     the sequence of observed latencies, which the deterministic event
     loop fixes.  Uses the same linear-interpolation percentile definition
-    as numpy's default so thresholds match offline analysis.
+    as numpy's default so thresholds match offline analysis.  The window
+    keeps itself sorted as it changes, so a quantile costs no sort.
     """
 
-    def __init__(self, size: int) -> None:
-        if size <= 0:
-            raise ConfigError("latency window size must be positive")
-        self._size = size
-        self._buf: List[float] = []
-        self._next = 0
+    __slots__ = ()
 
-    def observe(self, latency_ms: float) -> None:
-        """Record one completed call's latency."""
-        if len(self._buf) < self._size:
-            self._buf.append(latency_ms)
-        else:  # ring overwrite, oldest first
-            self._buf[self._next] = latency_ms
-            self._next = (self._next + 1) % self._size
+    #: Record one completed call's latency; the oldest falls out once full.
+    observe = SortedWindow.append
 
     def quantile(self, q: float) -> Optional[float]:
         """The q-th percentile of the window, or None while empty."""
-        if not self._buf:
+        data = self.sorted
+        if not data:
             return None
-        data = sorted(self._buf)
         rank = (len(data) - 1) * (q / 100.0)
         lo = int(rank)
         hi = min(lo + 1, len(data) - 1)
@@ -170,9 +162,10 @@ class HealthTracker:
 class Router:
     """Replica selection over a shard map, health- and policy-aware.
 
-    ``load_of(node, now_ms)`` estimates a node's backlog for the
-    ``least_loaded`` policy (the cluster passes its earliest-core-free
-    estimate); it is unused under ``round_robin``.
+    ``loads[node]`` is a node's load estimate, read at every decision: the
+    cluster passes its list of router-visible in-flight call counts and
+    updates it in place.  ``least_loaded`` needs it; ``round_robin`` only
+    reports it.
 
     ``on_decision`` is the tracing seam: when set (the cluster wires it
     up for observed runs), every :meth:`choose` reports its verdict as
@@ -180,27 +173,27 @@ class Router:
     where ``ctx`` is whatever trace context the caller threaded through —
     the router is the only place that knows how many replicas were
     actually eligible after health filtering — and ``load_ms`` is the
-    backlog estimate of the chosen node at decision time (None under
-    ``round_robin`` or when nothing was chosen).  Unset, the cost is one
-    ``is None`` branch per decision.
+    chosen node's load at decision time (None when no loads were given
+    or nothing was chosen).  Unset, the cost is one ``is None`` branch
+    per decision.
     """
 
     def __init__(
         self,
         policy: str,
         health: HealthTracker,
-        load_of: Optional[Callable[[int, float], float]] = None,
+        loads: Optional[Sequence[float]] = None,
         on_decision: Optional[Callable] = None,
     ) -> None:
         if policy not in ROUTING_POLICIES:
             raise ConfigError(
                 f"unknown routing policy {policy!r}; known: {ROUTING_POLICIES}"
             )
-        if policy == "least_loaded" and load_of is None:
+        if policy == "least_loaded" and loads is None:
             raise ConfigError("least_loaded routing needs a load estimator")
         self.policy = policy
         self.health = health
-        self._load_of = load_of
+        self._loads = loads
         self.on_decision = on_decision
         self._rr: Dict[int, int] = {}
 
@@ -208,7 +201,7 @@ class Router:
         self,
         shard: int,
         replicas: Sequence[int],
-        tried: Set[int],
+        tried: Container[int],
         now_ms: float,
         ctx: Optional[object] = None,
     ) -> Optional[int]:
@@ -220,13 +213,12 @@ class Router:
         routable replica remains.  ``ctx`` is passed through verbatim to
         ``on_decision`` so callers can attribute the decision to a span.
         """
-        eligible = [
-            n for n in replicas
-            if n not in tried and not self.health.is_ejected(n)
-        ]
+        ejected = self.health._ejected
         chosen: Optional[int] = None
-        if eligible:
-            if self.policy == "round_robin":
+        if self.policy == "round_robin":
+            eligible = [n for n in replicas if n not in tried and n not in ejected]
+            num_eligible = len(eligible)
+            if eligible:
                 start = self._rr.get(shard, 0) % len(replicas)
                 for k in range(len(replicas)):
                     node = replicas[(start + k) % len(replicas)]
@@ -234,17 +226,23 @@ class Router:
                         self._rr[shard] = (start + k + 1) % len(replicas)
                         chosen = node
                         break
-            else:
-                # least_loaded: smallest backlog estimate, id breaks ties.
-                assert self._load_of is not None
-                chosen = min(
-                    eligible, key=lambda n: (self._load_of(n, now_ms), n)
-                )
+        else:
+            # least_loaded: smallest load, the lower node id breaks ties.
+            loads = self._loads
+            num_eligible = 0
+            best = 0.0
+            for node in replicas:
+                if node in tried or node in ejected:
+                    continue
+                num_eligible += 1
+                load = loads[node]
+                if chosen is None or load < best or (load == best and node < chosen):
+                    chosen, best = node, load
         if self.on_decision is not None:
-            load = (
-                self._load_of(chosen, now_ms)
-                if chosen is not None and self._load_of is not None
+            load_ms = (
+                float(self._loads[chosen])
+                if chosen is not None and self._loads is not None
                 else None
             )
-            self.on_decision(ctx, shard, chosen, len(eligible), now_ms, load)
+            self.on_decision(ctx, shard, chosen, num_eligible, now_ms, load_ms)
         return chosen

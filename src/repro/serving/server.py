@@ -41,7 +41,7 @@ from ..obs import hooks as obs_hooks
 from ..obs.metrics import Histogram
 from . import fastserve
 from .faults import FaultPlan
-from .stats import safe_mean, safe_percentile, safe_ratio
+from .stats import check_arrivals, safe_mean, safe_percentile, safe_ratio
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .degradation import DegradationController, LevelChange
@@ -340,10 +340,7 @@ class ServerSim:
         self, arrivals_ms: np.ndarray, rng: np.random.Generator
     ) -> ServerResult:
         """Simulate this server against one arrival process."""
-        if arrivals_ms.ndim != 1 or arrivals_ms.size == 0:
-            raise ConfigError("need a non-empty 1-D arrival array")
-        if np.any(np.diff(arrivals_ms) < 0):
-            raise ConfigError("arrival times must be non-decreasing")
+        check_arrivals(arrivals_ms)
         engine = self.engine if self.engine is not None else get_default_engine()
         if engine not in ("fast", "reference"):
             raise ConfigError(

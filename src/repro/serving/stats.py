@@ -15,9 +15,80 @@ cannot re-introduce a division by zero in any one field.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from collections import deque
+from typing import Deque, Iterator, List
+
 import numpy as np
 
-__all__ = ["safe_mean", "safe_percentile", "safe_ratio"]
+from ..errors import ConfigError
+
+__all__ = [
+    "SortedWindow",
+    "check_arrivals",
+    "safe_mean",
+    "safe_percentile",
+    "safe_ratio",
+]
+
+
+def check_arrivals(arrivals_ms: np.ndarray) -> None:
+    """Reject arrival arrays a serving loop cannot order.
+
+    Needs a non-empty 1-D array of finite, non-decreasing times: a NaN
+    passes ``diff < 0`` yet breaks every ordered comparison an event loop
+    makes, and an infinite arrival never happens.
+    """
+    if arrivals_ms.ndim != 1 or arrivals_ms.size == 0:
+        raise ConfigError("need a non-empty 1-D arrival array")
+    if not np.all(np.isfinite(arrivals_ms)):
+        raise ConfigError("arrival times must be finite")
+    if np.any(np.diff(arrivals_ms) < 0):
+        raise ConfigError("arrival times must be non-decreasing")
+
+
+class SortedWindow:
+    """The last ``size`` values in arrival order, plus the same values sorted.
+
+    ``append`` evicts the oldest value once the window is full (a ring).
+    :attr:`sorted` is kept up to date with ``bisect`` and always equals
+    ``sorted(window)`` element for element, so a rolling percentile reads
+    it instead of sorting on every query.  Values must be comparable
+    (no NaN).
+    """
+
+    __slots__ = ("size", "sorted", "_ring")
+
+    def __init__(self, size: int) -> None:
+        if size <= 0:
+            raise ConfigError("window size must be positive")
+        self.size = size
+        self.sorted: List[float] = []
+        self._ring: Deque[float] = deque()
+
+    def append(self, value: float) -> None:
+        """Add one value, evicting the oldest when the window is full."""
+        ring = self._ring
+        if len(ring) == self.size:
+            ordered = self.sorted
+            del ordered[bisect_left(ordered, ring.popleft())]
+        ring.append(value)
+        insort(self.sorted, value)
+
+    def clear(self) -> None:
+        """Empty the window."""
+        self._ring.clear()
+        self.sorted.clear()
+
+    def __len__(self) -> int:
+        return len(self._ring)
+
+    def __iter__(self) -> Iterator[float]:
+        return iter(self._ring)
+
+    def __getitem__(self, index: int) -> float:
+        """The ``index``-th value in arrival order, oldest first."""
+        return self._ring[index]
 
 
 def safe_percentile(values: np.ndarray, q: float) -> float:

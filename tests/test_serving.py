@@ -105,6 +105,9 @@ class TestServer:
             simulate_server(np.array([1.0]), 5.0, 0, rng)
         with pytest.raises(ConfigError):
             simulate_server(np.array([2.0, 1.0]), 5.0, 1, rng)
+        for bad in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf]):
+            with pytest.raises(ConfigError):
+                simulate_server(np.array(bad), 5.0, 1, rng)
         with pytest.raises(ConfigError):
             lognormal_services(0.0, 5, rng)
 

@@ -317,3 +317,6 @@ class TestClusterConfigValidation:
             sim.run(np.empty(0))
         with pytest.raises(ConfigError):
             sim.run(np.array([3.0, 1.0]))
+        for bad in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf]):
+            with pytest.raises(ConfigError):
+                sim.run(np.array(bad))

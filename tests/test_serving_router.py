@@ -96,12 +96,12 @@ class TestRouter:
 
     def test_least_loaded_picks_minimum_with_id_tiebreak(self):
         health = HealthTracker(3, HealthPolicy())
-        loads = {0: 5.0, 1: 2.0, 2: 2.0}
-        router = Router(
-            "least_loaded", health, load_of=lambda n, now: loads[n]
-        )
+        loads = [5.0, 2.0, 2.0]
+        router = Router("least_loaded", health, loads=loads)
         assert router.choose(0, [0, 1, 2], set(), 0.0) == 1  # tie -> lower id
         assert router.choose(0, [0, 1, 2], {1}, 0.0) == 2
+        loads[1] = 9.0  # read live at every decision
+        assert router.choose(0, [0, 1, 2], set(), 0.0) == 2
 
     def test_validation(self):
         health = HealthTracker(2, HealthPolicy())

@@ -23,6 +23,9 @@ The suite:
 * **cluster sim outputs** (kind ``sim``) — goodput and quality/latency
   tails of a pinned replicated+hedged 4-node cluster riding out a node
   kill (the ``cluster_resilience`` headline, pinned); also exact.
+* **cluster loop** (``serving.cluster16.requests_per_min``, kind
+  ``wall``) — simulated requests per minute through the 16-node,
+  node-kill, hedged cluster loop.
 * **fleet observability** (``obs.fleet.*``) — span-forest merge and
   drift-detector update throughputs (kind ``wall``) bounding what the
   tracing layer may cost, plus detection recall/MTTD on the pinned
@@ -317,6 +320,61 @@ def _cluster_benchmarks(mode: str) -> List[Benchmark]:
         Benchmark(
             "cluster.resilient.p99_ms", result.p99_ms, "ms", direction="lower"
         ),
+    ]
+
+
+def _cluster16_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
+    """16-node cluster loop throughput (kind ``wall``).
+
+    ``serving.cluster16.requests_per_min``: simulated requests per
+    wall-clock minute through the multi-node loop, median of ``repeats``
+    runs, in the shape of the ``cluster16_nodekill`` benchmark workload
+    (16 nodes x 4 cores, 32 shards, replication 2, hotness placement,
+    least-loaded routing, hedging, node 1 down over 25-60% of the
+    horizon, 35% offered load) at fewer requests.
+    """
+    num_requests = 5_000 if mode == "smoke" else 30_000
+    nodes, cores, call_ms, gather = 16, 4, 2.0, 2
+    interarrival_ms = gather * call_ms / (nodes * cores * 0.35)
+    horizon_ms = num_requests * interarrival_ms
+    arrivals = poisson_arrivals(
+        interarrival_ms, num_requests, SimConfig(seed=16).rng("bench:cluster16")
+    )
+    cluster = ClusterSim(
+        ClusterConfig(
+            num_nodes=nodes,
+            cores_per_node=cores,
+            mean_service_ms=call_ms,
+            num_shards=32,
+            replication=2,
+            gather_width=gather,
+            hop_ms=0.1,
+            call_timeout_ms=25.0,
+            deadline_ms=100.0,
+            placement="hotness",
+            routing="least_loaded",
+            hedge=HedgePolicy(quantile=95.0, min_ms=6.0, window=128),
+            faults=ClusterFaultPlan(
+                [NodeCrash(1, 0.25 * horizon_ms, 0.6 * horizon_ms)], seed=16
+            ),
+            seed=16,
+        )
+    )
+    rates = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        cluster.run(arrivals)
+        rates.append(num_requests * 60.0 / (time.perf_counter() - start))
+    value = median(rates)
+    return [
+        Benchmark(
+            name="serving.cluster16.requests_per_min",
+            value=value,
+            unit="req/min",
+            direction="higher",
+            noise_floor=WALL_NOISE_FRAC * value,
+            kind="wall",
+        )
     ]
 
 
@@ -655,6 +713,7 @@ def run_suite(mode: str, repeats: int) -> Dict[str, object]:
     benchmarks.extend(_scheme_benchmarks(mode))
     benchmarks.extend(_serving_benchmarks(mode))
     benchmarks.extend(_cluster_benchmarks(mode))
+    benchmarks.extend(_cluster16_benchmarks(mode, repeats))
     benchmarks.extend(_fleet_benchmarks(mode, repeats))
     benchmarks.extend(_critpath_benchmarks(mode, repeats))
     benchmarks.extend(_request_log_benchmarks(mode, repeats))

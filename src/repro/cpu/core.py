@@ -16,6 +16,10 @@ The model is an interval-style approximation (Karkhanis & Smith lineage):
 cache hits are pipelined and cost only issue bandwidth, misses are tracked
 as in-flight intervals that overlap until a window or MSHR limit forces the
 issue cursor to wait.
+
+The fused embedding kernel (:func:`repro.engine.embedding_exec._fused_walk`)
+inlines the issue, retire and stall methods; a change to them must be made
+there too (``tests/test_engine_fastpath.py`` diffs the two).
 """
 
 from __future__ import annotations
@@ -343,27 +347,6 @@ class CoreModel:
             self._min_prefetch = completion
         return stall
 
-    def hw_prefetch_slot_free(self) -> bool:
-        """Whether a fill buffer is free for a hardware prefetch.
-
-        Real hardware prefetchers *drop* requests when no fill buffer is
-        available rather than stalling the pipeline — callers must check
-        this before fetching, and skip the prefetch entirely on False.
-        """
-        self._retire_completed()
-        return (
-            self._mshr_demand + len(self._inflight_prefetch) < self.spec.l1_mshrs
-        )
-
-    def add_hw_prefetch(self, latency: float) -> None:
-        """Account an issued hardware prefetch (no issue slot consumed)."""
-        if latency <= self.HIT_PIPELINE_THRESHOLD:
-            return
-        completion = self.now + latency
-        self._inflight_prefetch.append(completion)
-        if completion < self._min_prefetch:
-            self._min_prefetch = completion
-
     def _enforce_mshr_capacity(self) -> float:
         """Wait until a fill buffer is free; return the stall."""
         stall = 0.0
@@ -382,16 +365,6 @@ class CoreModel:
             self.mshr_stall_cycles += wait
             self._retire_completed()
         return stall
-
-    def wait_until(self, time: float) -> float:
-        """Advance the cursor to ``time`` (models an explicit dependency).
-
-        Returns the stall incurred.  Used by the software-prefetch engine
-        when a demand load's data is still in flight from a late prefetch.
-        """
-        wait = max(0.0, time - self.now)
-        self.now += wait
-        return wait
 
     def _retire_completed(self) -> None:
         # Completion times are not FIFO-ordered (latencies vary per access),

@@ -24,12 +24,14 @@ import numpy as np
 
 from ..cpu.core import CoreModel, CoreSpec
 from ..errors import ConfigError
+from ..mem.dram import ROW_BUFFER_BYTES
 from ..mem.hierarchy import MemoryHierarchy
 from ..mem.tlb import TLBModel
 from ..obs import hooks as obs_hooks
 from ..obs.cpi import embedding_cpi_stack, publish_cpi_stack
 from ..trace.dataset import EmbeddingTrace
 from ..trace.stream import AddressMap
+from ..units import CACHE_LINE_BYTES
 from .kernels import KernelCostModel
 
 __all__ = ["PrefetchPlan", "EmbeddingRunResult", "run_embedding_trace"]
@@ -260,6 +262,7 @@ def run_embedding_trace(
     # throughput.  Hierarchy stats are published as end-minus-start deltas
     # because multicore runs reuse hierarchies across many calls.
     obs = obs_hooks.active()
+    obs_tid = obs_hist = None
     if obs is not None:
         obs_tid = obs.tracer.new_sim_track("embedding")
         obs_hist = obs.metrics.histogram("mem.load_latency_cycles")
@@ -286,6 +289,14 @@ def run_embedding_trace(
         and hierarchy.batch_capable
         and core_spec.issue_width & (core_spec.issue_width - 1) == 0
     )
+    # Every other run on an all-FastCache hierarchy without TLB or stores
+    # (hardware and/or software prefetching on) replays the scalar loop
+    # below through the fused kernel, bit for bit.  The scalar loop itself
+    # serves the reference engine, non-LRU policies, TLB and stores, and is
+    # the kernel's oracle.
+    use_fused = (
+        not use_bulk and tlb is None and not model_stores and hierarchy.batch_capable
+    )
 
     # Local bindings for the scalar loop: these calls run once per cache
     # line (millions per figure), where attribute-lookup overhead is real.
@@ -303,125 +314,137 @@ def run_embedding_trace(
     uops_per_sample = cost.uops_per_sample_base
 
     which_batches = batch_indices if batch_indices is not None else range(trace.num_batches)
-    for b in which_batches:
-        batch_start = core.now
-        stream_lines, sample_flags, out_bases = _build_lookup_stream(
-            trace, amap, b, loop_order, output_base_line, model_stores
+    if use_fused:
+        streams = (
+            (b, *_build_lookup_stream(
+                trace, amap, b, loop_order, output_base_line, False
+            )[:2])
+            for b in which_batches
         )
-        n_lookups = stream_lines.size
-        if use_bulk:
-            if n_lookups:
-                lines_all = (
-                    stream_lines[:, None] + np.arange(row_lines, dtype=np.int64)
-                ).ravel()
-                pre_uops = np.full(
-                    lines_all.size, cost.uops_per_line, dtype=np.int64
-                )
-                pre_uops[::row_lines] += cost.uops_per_lookup_base
-                flag_idx = np.nonzero(sample_flags)[0]
-                pre_uops[flag_idx * row_lines] += cost.uops_per_sample_base
-                latencies = hierarchy.access_lines(lines_all)
-                core.issue_demand_chunk(latencies, pre_uops)
-                demand_loads += lines_all.size
+        effective_latency_sum, demand_loads = _fused_walk(
+            streams, row_lines, core, hierarchy, plan, cost, batch_cycles,
+            obs, obs_tid, obs_hist,
+        )
+    else:
+        for b in which_batches:
+            batch_start = core.now
+            stream_lines, sample_flags, out_bases = _build_lookup_stream(
+                trace, amap, b, loop_order, output_base_line, model_stores
+            )
+            n_lookups = stream_lines.size
+            if use_bulk:
+                if n_lookups:
+                    lines_all = (
+                        stream_lines[:, None] + np.arange(row_lines, dtype=np.int64)
+                    ).ravel()
+                    pre_uops = np.full(
+                        lines_all.size, cost.uops_per_line, dtype=np.int64
+                    )
+                    pre_uops[::row_lines] += cost.uops_per_lookup_base
+                    flag_idx = np.nonzero(sample_flags)[0]
+                    pre_uops[flag_idx * row_lines] += cost.uops_per_sample_base
+                    latencies = hierarchy.access_lines(lines_all)
+                    core.issue_demand_chunk(latencies, pre_uops)
+                    demand_loads += lines_all.size
+                    if obs is not None:
+                        obs_hist.observe_many(latencies)
+                    # Left-to-right accumulation matches the scalar loop's
+                    # float rounding exactly (np.sum's pairwise order would
+                    # not).
+                    acc = effective_latency_sum
+                    for latency in latencies.tolist():
+                        acc += latency
+                    effective_latency_sum = acc
+                core.drain()
+                batch_cycles.append(core.now - batch_start)
                 if obs is not None:
-                    obs_hist.observe_many(latencies)
-                # Left-to-right accumulation matches the scalar loop's
-                # float rounding exactly (np.sum's pairwise order would
-                # not).
-                acc = effective_latency_sum
-                for latency in latencies.tolist():
-                    acc += latency
-                effective_latency_sum = acc
+                    obs.tracer.add_sim_span(
+                        f"batch[{b}]", "sim.embedding", batch_start,
+                        core.now - batch_start, tid=obs_tid,
+                        args={"loads": int(n_lookups) * row_lines},
+                    )
+                continue
+            stream_list = stream_lines.tolist()
+            flags_list = sample_flags.tolist()
+            for pos in range(n_lookups):
+                if flags_list[pos]:
+                    issue_compute(uops_per_sample)
+                    if model_stores and out_bases[pos] >= 0:
+                        # Write-allocate the sample's output row (zeroing
+                        # kernel + final vec.st of the accumulators).
+                        out_first = int(out_bases[pos])
+                        for cb in range(row_lines):
+                            store_latency = load_timing(out_first + cb)[0]
+                            issue_compute(1)
+                            issue_load(
+                                store_latency,
+                                is_miss=store_latency > hit_threshold,
+                            )
+                issue_compute(uops_per_lookup)
+                if tlb is not None:
+                    tlb_penalty = tlb.translate_line(stream_list[pos])
+                else:
+                    tlb_penalty = 0.0
+                if plan is not None:
+                    j = pos + plan.distance
+                    if j < n_lookups:
+                        pf_first = stream_list[j]
+                        for cb in range(plan.amount_lines):
+                            line = pf_first + cb
+                            pending = pf_get(line, 0.0)
+                            if pending > core.now:
+                                # Already in flight; the intrinsic is a no-op
+                                # but still occupies an issue slot.
+                                issue_compute(1)
+                                continue
+                            pf_latency = prefetch_timing(line, plan.target_level)[0]
+                            issue_prefetch(pf_latency)
+                            if pf_latency > hit_threshold:
+                                pf_completion[line] = core.now + pf_latency
+                base_line = stream_list[pos]
+                for cb in range(row_lines):
+                    line = base_line + cb
+                    issue_compute(uops_per_line)
+                    latency, level = load_timing(line)
+                    if cb == 0 and tlb_penalty > 0.0:
+                        # Translation delays the row's first access.
+                        latency = latency + tlb_penalty
+                    pending = pf_pop(line, None)
+                    if pending is not None and pending > core.now:
+                        # The prefetch of this line is still in flight: the
+                        # demand load merges into its MSHR entry and waits
+                        # only for the residual (late prefetch), consuming
+                        # no extra fill buffer.
+                        effective_latency_sum += pending - core.now
+                        demand_loads += 1
+                        if obs is not None:
+                            obs_hist.observe(pending - core.now)
+                        issue_merged_load(pending)
+                    else:
+                        effective_latency_sum += latency
+                        demand_loads += 1
+                        if obs is not None:
+                            obs_hist.observe(latency)
+                        issue_load(latency, is_miss=latency > hit_threshold)
+                    # Hardware prefetches ride the L2-side superqueue, not
+                    # the core's L1 fill buffers, so they never throttle
+                    # demand concurrency — but their *arrival time* still
+                    # gates later demand loads (merged waits), which is why
+                    # they cannot rescue the irregular row accesses.
+                    for cand, target in hw_candidates(line, level == "l1"):
+                        if pf_get(cand, 0.0) > core.now:
+                            continue
+                        pf_latency = prefetch_timing(cand, target)[0]
+                        if pf_latency > hit_threshold:
+                            pf_completion[cand] = core.now + pf_latency
             core.drain()
             batch_cycles.append(core.now - batch_start)
+            pf_completion.clear()
             if obs is not None:
                 obs.tracer.add_sim_span(
                     f"batch[{b}]", "sim.embedding", batch_start,
                     core.now - batch_start, tid=obs_tid,
-                    args={"loads": int(n_lookups) * row_lines},
                 )
-            continue
-        stream_list = stream_lines.tolist()
-        flags_list = sample_flags.tolist()
-        for pos in range(n_lookups):
-            if flags_list[pos]:
-                issue_compute(uops_per_sample)
-                if model_stores and out_bases[pos] >= 0:
-                    # Write-allocate the sample's output row (zeroing
-                    # kernel + final vec.st of the accumulators).
-                    out_first = int(out_bases[pos])
-                    for cb in range(row_lines):
-                        store_latency = load_timing(out_first + cb)[0]
-                        issue_compute(1)
-                        issue_load(
-                            store_latency,
-                            is_miss=store_latency > hit_threshold,
-                        )
-            issue_compute(uops_per_lookup)
-            if tlb is not None:
-                tlb_penalty = tlb.translate_line(stream_list[pos])
-            else:
-                tlb_penalty = 0.0
-            if plan is not None:
-                j = pos + plan.distance
-                if j < n_lookups:
-                    pf_first = stream_list[j]
-                    for cb in range(plan.amount_lines):
-                        line = pf_first + cb
-                        pending = pf_get(line, 0.0)
-                        if pending > core.now:
-                            # Already in flight; the intrinsic is a no-op
-                            # but still occupies an issue slot.
-                            issue_compute(1)
-                            continue
-                        pf_latency = prefetch_timing(line, plan.target_level)[0]
-                        issue_prefetch(pf_latency)
-                        if pf_latency > hit_threshold:
-                            pf_completion[line] = core.now + pf_latency
-            base_line = stream_list[pos]
-            for cb in range(row_lines):
-                line = base_line + cb
-                issue_compute(uops_per_line)
-                latency, level = load_timing(line)
-                if cb == 0 and tlb_penalty > 0.0:
-                    # Translation delays the row's first access.
-                    latency = latency + tlb_penalty
-                pending = pf_pop(line, None)
-                if pending is not None and pending > core.now:
-                    # The prefetch of this line is still in flight: the
-                    # demand load merges into its MSHR entry and waits
-                    # only for the residual (late prefetch), consuming
-                    # no extra fill buffer.
-                    effective_latency_sum += pending - core.now
-                    demand_loads += 1
-                    if obs is not None:
-                        obs_hist.observe(pending - core.now)
-                    issue_merged_load(pending)
-                else:
-                    effective_latency_sum += latency
-                    demand_loads += 1
-                    if obs is not None:
-                        obs_hist.observe(latency)
-                    issue_load(latency, is_miss=latency > hit_threshold)
-                # Hardware prefetches ride the L2-side superqueue, not
-                # the core's L1 fill buffers, so they never throttle
-                # demand concurrency — but their *arrival time* still
-                # gates later demand loads (merged waits), which is why
-                # they cannot rescue the irregular row accesses.
-                for cand, target in hw_candidates(line, level == "l1"):
-                    if pf_get(cand, 0.0) > core.now:
-                        continue
-                    pf_latency = prefetch_timing(cand, target)[0]
-                    if pf_latency > hit_threshold:
-                        pf_completion[cand] = core.now + pf_latency
-        core.drain()
-        batch_cycles.append(core.now - batch_start)
-        pf_completion.clear()
-        if obs is not None:
-            obs.tracer.add_sim_span(
-                f"batch[{b}]", "sim.embedding", batch_start,
-                core.now - batch_start, tid=obs_tid,
-            )
 
     total = core.now
     hstats = hierarchy.stats
@@ -478,3 +501,563 @@ def run_embedding_trace(
         },
         issue_cycles=core.instr_count / core_spec.issue_width,
     )
+
+
+def _fused_walk(
+    batches,
+    row_lines: int,
+    core: CoreModel,
+    hierarchy: MemoryHierarchy,
+    plan: Optional[PrefetchPlan],
+    cost: KernelCostModel,
+    batch_cycles: List[float],
+    obs,
+    obs_tid: Optional[int],
+    obs_hist,
+) -> "tuple[float, int]":
+    """The generic per-line loop, fused for an all-``FastCache`` hierarchy.
+
+    ``batches`` yields ``(b, stream_lines, sample_flags)``.  Replays exactly
+    the events of :func:`run_embedding_trace`'s generic loop without TLB
+    or stores — the same cache, prefetcher, DRAM and core transitions in
+    the same order, with the same float operations — but with the bodies
+    of ``MemoryHierarchy.load_timing`` / ``prefetch_timing`` /
+    ``hw_prefetch_candidates``, the ``FastCache`` scalar ``access`` /
+    ``fill``, the prefetchers' ``observe``, ``DRAMModel.access`` and the
+    ``CoreModel`` issue methods inlined, so no call is made per line.
+
+    The caches' scalar state (``_where`` membership, ``_rows`` LRU-first
+    tag lists, ``_pend_lines``) and the DRAM open rows are mutated in
+    place; everything else — counters, prefetcher and core state — lives
+    in locals and is written back once at the end.  ``queueing_factor()``
+    is read once: utilization only changes between calls.  ``core`` must
+    have no load in flight (the caller's is fresh).  Appends to
+    ``batch_cycles``; returns ``(effective_latency_sum, demand_loads)``.
+    """
+    inf_ = float("inf")
+    spec = core.spec
+    width = spec.issue_width
+    rob = spec.rob_entries
+    queue_cap = spec.demand_concurrency
+    mshr_cap = spec.l1_mshrs
+    thr = CoreModel.HIT_PIPELINE_THRESHOLD
+    # ``issue_compute(n)`` adds ``n / width``; the same quotients, hoisted.
+    slot = 1 / width
+    uops_line = cost.uops_per_line
+    uops_lookup = cost.uops_per_lookup_base
+    uops_sample = cost.uops_per_sample_base
+    line_step = uops_line / width
+    uops_load = uops_line + 1  # the line's uops plus the load itself
+    lookup_step = uops_lookup / width
+    sample_step = uops_sample / width
+
+    cfg = hierarchy.config
+    lat1, lat2, lat3 = cfg.l1_latency, cfg.l2_latency, cfg.l3_latency
+    c1, c2, c3 = hierarchy.l1, hierarchy.l2, hierarchy.l3
+    ns1, ways1, where1, rows1, pend1, row1 = (
+        c1.num_sets, c1.ways, c1._where, c1._rows, c1._pend_lines, c1._row
+    )
+    ns2, ways2, where2, rows2, pend2, row2 = (
+        c2.num_sets, c2.ways, c2._where, c2._rows, c2._pend_lines, c2._row
+    )
+    ns3, ways3, where3, rows3, pend3, row3 = (
+        c3.num_sets, c3.ways, c3._where, c3._rows, c3._pend_lines, c3._row
+    )
+    # Per level: demand hits/misses, prefetch hits/fills/useful, evictions,
+    # evictions of never-used prefetched lines.
+    dh1 = dm1 = ph1 = pf1 = pu1 = ev1 = eu1 = 0
+    dh2 = dm2 = ph2 = pf2 = pu2 = ev2 = eu2 = 0
+    dh3 = dm3 = ph3 = pf3 = pu3 = ev3 = eu3 = 0
+
+    hstats = hierarchy.stats
+    tot_lat = hstats.total_latency_cycles
+    # The order in which levels first served a demand load in this call
+    # (level_hits keeps first-insertion order).
+    first_seen: List[str] = []
+    pf_requests = 0
+
+    dram = hierarchy.dram
+    qf = dram.queueing_factor()
+    dcfg = dram.config
+    dram_row_hit = lat3 + dcfg.row_hit_latency_cycles * qf
+    dram_row_miss = lat3 + dcfg.base_latency_cycles * qf
+    banks = dcfg.banks
+    lines_per_row = ROW_BUFFER_BYTES // CACHE_LINE_BYTES
+    open_rows = dram._open_rows
+    dram_acc = dram_row_hits = 0
+
+    hw = hierarchy.hw_prefetch_enabled
+    if hw:
+        nextline = hierarchy.l1_prefetcher
+        streamer, strider = hierarchy.l2_prefetcher.prefetchers
+        nl_degree = nextline.degree
+        st_range = range(1, streamer.degree + 1)
+        sd_range = range(1, strider.degree + 1)
+        sd_thr = strider.confidence_threshold
+        lines_per_page = streamer.LINES_PER_PAGE
+        table_entries = streamer.TABLE_ENTRIES
+        last_in_page = streamer._last_in_page
+        sd_state = strider._streams.get(0)
+        sd_last, sd_stride, sd_conf = sd_state if sd_state else (None, 0, 0)
+    nl_issued = st_issued = sd_issued = 0
+
+    if plan is not None:
+        sw_distance = plan.distance
+        sw_amount = plan.amount_lines
+        sw_target = ("l1", "l2", "l3").index(plan.target_level) + 1
+
+    # Core state: in-flight demand loads ``(issue index, completion,
+    # owns_mshr)`` oldest first, their earliest completion, the fill
+    # buffers they own, and the in-flight software-prefetch completions.
+    now = core.now
+    icount = core.instr_count
+    inflight: list = []
+    min_inf = inf_
+    mshr_dem = 0
+    pf_inflight: List[float] = []
+    min_pf = inf_
+    window_stall = core.window_stall_cycles
+    queue_stall = core.mshr_stall_cycles
+    loads = misses = merged = sw_issued = 0
+    eff_sum = 0.0
+    pfc: Dict[int, float] = {}
+    pfc_get = pfc.get
+    pfc_pop = pfc.pop
+
+    def retire() -> None:
+        """CoreModel._retire_completed."""
+        nonlocal inflight, min_inf, mshr_dem, pf_inflight, min_pf
+        if min_inf <= now:
+            inflight = [e for e in inflight if e[1] > now]
+            mshr_dem = sum([e[2] for e in inflight])
+            min_inf = min([e[1] for e in inflight]) if inflight else inf_
+        if min_pf <= now:
+            pf_inflight = [t for t in pf_inflight if t > now]
+            min_pf = min(pf_inflight) if pf_inflight else inf_
+
+    def stall_window() -> None:
+        """CoreModel._enforce_window."""
+        nonlocal now, window_stall, mshr_dem, min_inf
+        while inflight and icount - inflight[0][0] >= rob:
+            _, comp, owns = inflight.pop(0)
+            if comp > now:
+                wait = comp - now
+                now += wait
+                window_stall += wait
+            if owns:
+                mshr_dem -= 1
+            if comp <= min_inf:
+                min_inf = min([e[1] for e in inflight]) if inflight else inf_
+            if min_inf <= now or min_pf <= now:
+                retire()
+
+    def stall_queue() -> None:
+        """CoreModel._enforce_load_queue."""
+        nonlocal now, queue_stall
+        while len(inflight) >= queue_cap:
+            if min_inf > now:
+                queue_stall += min_inf - now
+                now = min_inf
+            retire()
+
+    def stall_mshr() -> None:
+        """CoreModel._enforce_mshr_capacity."""
+        nonlocal now, queue_stall
+        while mshr_dem + len(pf_inflight) >= mshr_cap:
+            if mshr_dem:
+                earliest = min([e[1] for e in inflight if e[2]])
+                if pf_inflight and min_pf < earliest:
+                    earliest = min_pf
+            else:
+                earliest = min_pf
+            if earliest > now:
+                queue_stall += earliest - now
+                now = earliest
+            if min_inf <= now or min_pf <= now:
+                retire()
+
+    def fetch(line: int, target: int) -> float:
+        """MemoryHierarchy.prefetch_timing; ``target`` 1/2/3 = L1/L2/L3."""
+        nonlocal pf_requests, ph1, ph2, ph3, pf1, pf2, pf3
+        nonlocal ev1, ev2, ev3, eu1, eu2, eu3, dram_acc, dram_row_hits
+        pf_requests += 1
+        if line in where1:
+            s = line % ns1
+            order = rows1.get(s)
+            if order is None:
+                order = row1(s)
+            t = line // ns1
+            order.remove(t)
+            order.append(t)
+            ph1 += 1
+            return lat1
+        in_l2 = line in where2
+        if in_l2:
+            s = line % ns2
+            order = rows2.get(s)
+            if order is None:
+                order = row2(s)
+            t = line // ns2
+            order.remove(t)
+            order.append(t)
+            ph2 += 1
+            latency = lat2
+        elif line in where3:
+            s = line % ns3
+            order = rows3.get(s)
+            if order is None:
+                order = row3(s)
+            t = line // ns3
+            order.remove(t)
+            order.append(t)
+            ph3 += 1
+            latency = lat3
+        else:
+            dram_acc += 1
+            r = line // lines_per_row
+            bank = r % banks
+            if open_rows[bank] == r:
+                dram_row_hits += 1
+                latency = dram_row_hit
+            else:
+                open_rows[bank] = r
+                latency = dram_row_miss
+            s = line % ns3
+            order = rows3.get(s)
+            if order is None:
+                order = row3(s)
+            if len(order) >= ways3:
+                victim = order.pop(0) * ns3 + s
+                del where3[victim]
+                ev3 += 1
+                if pend3.pop(victim, None):
+                    eu3 += 1
+            order.append(line // ns3)
+            where3[line] = -1
+            pf3 += 1
+            pend3[line] = True
+        if target != 3:
+            # A line that hit in L2 was just moved to its MRU end, so the
+            # refill only marks it prefetched.
+            if not in_l2:
+                s = line % ns2
+                order = rows2.get(s)
+                if order is None:
+                    order = row2(s)
+                if len(order) >= ways2:
+                    victim = order.pop(0) * ns2 + s
+                    del where2[victim]
+                    ev2 += 1
+                    if pend2.pop(victim, None):
+                        eu2 += 1
+                order.append(line // ns2)
+                where2[line] = -1
+            pf2 += 1
+            pend2[line] = True
+            if target == 1:
+                s = line % ns1
+                order = rows1.get(s)
+                if order is None:
+                    order = row1(s)
+                if len(order) >= ways1:
+                    victim = order.pop(0) * ns1 + s
+                    del where1[victim]
+                    ev1 += 1
+                    if pend1.pop(victim, None):
+                        eu1 += 1
+                order.append(line // ns1)
+                where1[line] = -1
+                pf1 += 1
+                pend1[line] = True
+        return latency
+
+    for b, stream_lines, sample_flags in batches:
+        batch_start = now
+        stream_list = stream_lines.tolist()
+        flags_list = sample_flags.tolist()
+        n_lookups = len(stream_list)
+        for pos in range(n_lookups):
+            if flags_list[pos]:
+                icount += uops_sample
+                now += sample_step
+            icount += uops_lookup
+            now += lookup_step
+            if plan is not None and pos + sw_distance < n_lookups:
+                pf_first = stream_list[pos + sw_distance]
+                for line in range(pf_first, pf_first + sw_amount):
+                    if pfc_get(line, 0.0) > now:
+                        icount += 1
+                        now += slot
+                        continue
+                    pf_latency = fetch(line, sw_target)
+                    icount += 1
+                    now += slot
+                    sw_issued += 1
+                    if min_inf <= now or min_pf <= now:
+                        retire()
+                    if pf_latency > thr:
+                        if mshr_dem + len(pf_inflight) >= mshr_cap:
+                            stall_mshr()
+                        comp = now + pf_latency
+                        pf_inflight.append(comp)
+                        if comp < min_pf:
+                            min_pf = comp
+                        pfc[line] = comp
+            base_line = stream_list[pos]
+            for line in range(base_line, base_line + row_lines):
+                now += line_step
+                # -- demand walk (load_timing) --
+                if line in where1:
+                    s = line % ns1
+                    order = rows1.get(s)
+                    if order is None:
+                        order = row1(s)
+                    t = line // ns1
+                    order.remove(t)
+                    order.append(t)
+                    if not dh1:
+                        first_seen.append("l1")
+                    dh1 += 1
+                    if pend1.pop(line, None):
+                        pu1 += 1
+                    latency = lat1
+                    l1_hit = True
+                else:
+                    l1_hit = False
+                    dm1 += 1
+                    if line in where2:
+                        s = line % ns2
+                        order = rows2.get(s)
+                        if order is None:
+                            order = row2(s)
+                        t = line // ns2
+                        order.remove(t)
+                        order.append(t)
+                        if not dh2:
+                            first_seen.append("l2")
+                        dh2 += 1
+                        if pend2.pop(line, None):
+                            pu2 += 1
+                        latency = lat2
+                    else:
+                        dm2 += 1
+                        if line in where3:
+                            s = line % ns3
+                            order = rows3.get(s)
+                            if order is None:
+                                order = row3(s)
+                            t = line // ns3
+                            order.remove(t)
+                            order.append(t)
+                            if not dh3:
+                                first_seen.append("l3")
+                            dh3 += 1
+                            if pend3.pop(line, None):
+                                pu3 += 1
+                            latency = lat3
+                        else:
+                            if not dm3:
+                                first_seen.append("dram")
+                            dm3 += 1
+                            dram_acc += 1
+                            r = line // lines_per_row
+                            bank = r % banks
+                            if open_rows[bank] == r:
+                                dram_row_hits += 1
+                                latency = dram_row_hit
+                            else:
+                                open_rows[bank] = r
+                                latency = dram_row_miss
+                            s = line % ns3
+                            order = rows3.get(s)
+                            if order is None:
+                                order = row3(s)
+                            if len(order) >= ways3:
+                                victim = order.pop(0) * ns3 + s
+                                del where3[victim]
+                                ev3 += 1
+                                if pend3.pop(victim, None):
+                                    eu3 += 1
+                            order.append(line // ns3)
+                            where3[line] = -1
+                        s = line % ns2
+                        order = rows2.get(s)
+                        if order is None:
+                            order = row2(s)
+                        if len(order) >= ways2:
+                            victim = order.pop(0) * ns2 + s
+                            del where2[victim]
+                            ev2 += 1
+                            if pend2.pop(victim, None):
+                                eu2 += 1
+                        order.append(line // ns2)
+                        where2[line] = -1
+                    s = line % ns1
+                    order = rows1.get(s)
+                    if order is None:
+                        order = row1(s)
+                    if len(order) >= ways1:
+                        victim = order.pop(0) * ns1 + s
+                        del where1[victim]
+                        ev1 += 1
+                        if pend1.pop(victim, None):
+                            eu1 += 1
+                    order.append(line // ns1)
+                    where1[line] = -1
+                tot_lat += latency
+                # -- core issue (issue_merged_load / issue_load) --
+                icount += uops_load
+                loads += 1
+                pending = pfc_pop(line, None)
+                if pending is not None and pending > now:
+                    # Late prefetch: the load merges into its MSHR entry.
+                    eff_sum += pending - now
+                    if obs_hist is not None:
+                        obs_hist.observe(pending - now)
+                    now += slot
+                    merged += 1
+                    if min_inf <= now or min_pf <= now:
+                        retire()
+                    if pending > now:
+                        if inflight and icount - inflight[0][0] >= rob:
+                            stall_window()
+                        if len(inflight) >= queue_cap:
+                            stall_queue()
+                        inflight.append((icount, pending, False))
+                        if pending < min_inf:
+                            min_inf = pending
+                else:
+                    eff_sum += latency
+                    if obs_hist is not None:
+                        obs_hist.observe(latency)
+                    now += slot
+                    if min_inf <= now or min_pf <= now:
+                        retire()
+                    if latency > thr:
+                        misses += 1
+                        if inflight and icount - inflight[0][0] >= rob:
+                            stall_window()
+                        if len(inflight) >= queue_cap:
+                            stall_queue()
+                        if mshr_dem + len(pf_inflight) >= mshr_cap:
+                            stall_mshr()
+                        comp = now + latency
+                        inflight.append((icount, comp, True))
+                        if comp < min_inf:
+                            min_inf = comp
+                        mshr_dem += 1
+                if not hw or l1_hit:
+                    continue
+                # -- hardware prefetch (hw_prefetch_candidates) --
+                # Both candidate lists are filtered against residency
+                # before any candidate is fetched.
+                nl_issued += nl_degree
+                cand1 = [
+                    c for c in range(line + 1, line + nl_degree + 1)
+                    if c >= 0 and c not in where1
+                ]
+                found: List[int] = []
+                page = line // lines_per_page
+                last = last_in_page.get(page)
+                last_in_page[page] = line
+                if last is not None and last != line:
+                    step = 1 if line > last else -1
+                    page_first = page * lines_per_page
+                    page_last = page_first + lines_per_page - 1
+                    for d in st_range:
+                        c = line + step * d
+                        if page_first <= c <= page_last:
+                            found.append(c)
+                    st_issued += len(found)
+                    if len(last_in_page) > table_entries:
+                        last_in_page.clear()
+                        last_in_page[page] = line
+                if sd_last is None:
+                    sd_last = line
+                new_stride = line - sd_last
+                if new_stride == sd_stride and new_stride != 0:
+                    sd_conf = sd_conf + 1 if sd_conf < sd_thr else sd_thr
+                else:
+                    sd_stride = new_stride
+                    sd_conf = 1 if new_stride != 0 else 0
+                sd_last = line
+                if sd_conf >= sd_thr and sd_stride != 0:
+                    sd_issued += len(sd_range)
+                    for d in sd_range:
+                        c = line + sd_stride * d
+                        if c not in found:
+                            found.append(c)
+                cand2 = [c for c in found if c >= 0 and c not in where2]
+                for c in cand1:
+                    if pfc_get(c, 0.0) > now:
+                        continue
+                    pf_latency = fetch(c, 1)
+                    if pf_latency > thr:
+                        pfc[c] = now + pf_latency
+                for c in cand2:
+                    if pfc_get(c, 0.0) > now:
+                        continue
+                    pf_latency = fetch(c, 2)
+                    if pf_latency > thr:
+                        pfc[c] = now + pf_latency
+        # -- drain --
+        if inflight:
+            last_comp = max([e[1] for e in inflight])
+            if last_comp > now:
+                now = last_comp
+            inflight = []
+            mshr_dem = 0
+        pf_inflight = []
+        min_inf = min_pf = inf_
+        batch_cycles.append(now - batch_start)
+        pfc.clear()
+        if obs is not None:
+            obs.tracer.add_sim_span(
+                f"batch[{b}]", "sim.embedding", batch_start,
+                now - batch_start, tid=obs_tid,
+            )
+
+    # -- write back --
+    for cache, counts in (
+        (c1, (dh1, dm1, ph1, pf1, pu1, ev1, eu1)),
+        (c2, (dh2, dm2, ph2, pf2, pu2, ev2, eu2)),
+        (c3, (dh3, dm3, ph3, pf3, pu3, ev3, eu3)),
+    ):
+        cs = cache.stats
+        cs.demand_hits += counts[0]
+        cs.demand_misses += counts[1]
+        cs.prefetch_hits += counts[2]
+        cs.prefetch_fills += counts[3]
+        cs.prefetch_useful += counts[4]
+        cs.evictions += counts[5]
+        cs.prefetch_evicted_unused += counts[6]
+        if counts[3]:
+            cache._has_pending = True
+    # Demand hits at each level, and L3 demand misses, are exactly the
+    # loads each level served.
+    served = {"l1": dh1, "l2": dh2, "l3": dh3, "dram": dm3}
+    level_hits = hstats.level_hits
+    for level in first_seen:
+        level_hits[level] = level_hits.get(level, 0) + served[level]
+    hstats.total_latency_cycles = tot_lat
+    hstats.demand_accesses += loads
+    hstats.prefetch_requests += pf_requests
+    hstats.dram_bytes += CACHE_LINE_BYTES * dram_acc
+    dram.accesses += dram_acc
+    dram.bytes_transferred += CACHE_LINE_BYTES * dram_acc
+    dram.row_hits += dram_row_hits
+    if hw:
+        nextline.issued += nl_issued
+        streamer.issued += st_issued
+        strider.issued += sd_issued
+        if sd_last is not None:
+            strider._streams[0] = (sd_last, sd_stride, sd_conf)
+    core.now = now
+    core.instr_count = icount
+    core.loads += loads
+    core.misses += misses
+    core.merged_loads += merged
+    core.prefetches += sw_issued
+    core.window_stall_cycles = window_stall
+    core.mshr_stall_cycles = queue_stall
+    return eff_sum, loads

@@ -13,6 +13,10 @@ Two effects matter for the paper's results:
 An optional open-page row-buffer model gives consecutive same-row accesses
 (the 8 lines of one embedding vector) a cheaper latency, mirroring real
 DDR4/DDR5 behaviour.
+
+The fused embedding kernel (:func:`repro.engine.embedding_exec._fused_walk`)
+inlines :meth:`DRAMModel.access` on ``_open_rows``; a change to it must be
+made there too (``tests/test_engine_fastpath.py`` diffs the two).
 """
 
 from __future__ import annotations

@@ -33,6 +33,11 @@ splits streams into conflict-free runs before calling them.
 Only ``policy="lru"`` is supported; construction with any other policy
 raises, and :func:`repro.mem.hierarchy.make_cache` falls back to the
 reference implementation for those.
+
+The fused embedding kernel (:func:`repro.engine.embedding_exec._fused_walk`)
+inlines the scalar ``access``/``fill`` and works on ``_where``, ``_rows``
+and ``_pend_lines`` directly; a change to the scalar path must be made
+there too (``tests/test_engine_fastpath.py`` diffs the two).
 """
 
 from __future__ import annotations

@@ -11,6 +11,11 @@ The L3 :class:`~repro.mem.cache.Cache` and :class:`~repro.mem.dram.DRAMModel`
 instances may be shared between per-core hierarchies, which is how the
 multi-core engine models constructive/destructive LLC sharing (Section 3.1
 inter-core reuse class) and bandwidth contention.
+
+The fused embedding kernel (:func:`repro.engine.embedding_exec._fused_walk`)
+inlines ``load_timing``, ``prefetch_timing`` and ``hw_prefetch_candidates``
+for all-``FastCache`` hierarchies; a change to them must be made there too
+(``tests/test_engine_fastpath.py`` diffs the two).
 """
 
 from __future__ import annotations
@@ -205,6 +210,8 @@ class MemoryHierarchy:
         # Batched walks need every level to expose the vectorized cache API;
         # each level partitions its own stream into conflict-free waves by
         # its own set count, so no cross-level geometry condition is needed.
+        # True exactly when every level is a FastCache, which is also what
+        # the embedding engine's fused scalar kernel requires.
         self.batch_capable = all(
             hasattr(c, "demand_wave") for c in (l1, l2, l3)
         )
@@ -341,7 +348,11 @@ class MemoryHierarchy:
         ):
             if count:
                 hits[level] = hits.get(level, 0) + count
-        stats.total_latency_cycles += float(lat.sum())
+        # Left to right from the running total, as the scalar walk adds
+        # (np.sum's pairwise order would round differently).
+        stats.total_latency_cycles = float(
+            np.cumsum(np.concatenate(([stats.total_latency_cycles], lat)))[-1]
+        )
         stats.demand_accesses += n
         return lat
 
@@ -362,9 +373,9 @@ class MemoryHierarchy:
         Same fetch, fills, and stats — returns ``(latency, level)``; the
         engines' prefetch loops only consume the completion latency.
         """
-        self.stats.prefetch_requests += 1
         if target_level not in ("l1", "l2", "l3"):
             raise ConfigError(f"unknown prefetch target level {target_level!r}")
+        self.stats.prefetch_requests += 1
         cfg = self.config
         if self.l1.access(line, is_prefetch=True):
             return cfg.l1_latency, "l1"

@@ -13,6 +13,11 @@ The interface is deliberately narrow::
     candidates = prefetcher.observe(line, hit)
 
 returning the lines to prefetch (possibly empty).
+
+The fused embedding kernel (:func:`repro.engine.embedding_exec._fused_walk`)
+inlines the next-line, streamer and stride ``observe`` for the hierarchy's
+fixed complement; a change to them must be made there too
+(``tests/test_engine_fastpath.py`` diffs the two).
 """
 
 from __future__ import annotations
@@ -119,6 +124,8 @@ class StreamerPrefetcher:
     """
 
     LINES_PER_PAGE = 64  # 4096 / 64
+    #: Pages tracked before the stream table is reset.
+    TABLE_ENTRIES = 4096
 
     def __init__(self, degree: int = 4) -> None:
         if degree <= 0:
@@ -144,7 +151,7 @@ class StreamerPrefetcher:
             if page_first <= target <= page_last:
                 candidates.append(target)
         self.issued += len(candidates)
-        if len(self._last_in_page) > 4096:
+        if len(self._last_in_page) > self.TABLE_ENTRIES:
             # Bound tracker memory like a real finite stream table.
             self._last_in_page.clear()
             self._last_in_page[page] = line

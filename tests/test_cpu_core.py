@@ -139,21 +139,6 @@ def test_merged_loads_do_not_hold_mshrs(spec):
     assert stall == 0.0
 
 
-def test_hw_prefetch_slot_free_and_drop(spec):
-    core = CoreModel(spec)
-    for _ in range(spec.l1_mshrs):
-        assert core.hw_prefetch_slot_free()
-        core.add_hw_prefetch(300.0)
-    assert not core.hw_prefetch_slot_free()
-
-
-def test_wait_until_advances_cursor(spec):
-    core = CoreModel(spec)
-    waited = core.wait_until(50.0)
-    assert waited == 50.0
-    assert core.wait_until(10.0) == 0.0
-
-
 def test_stall_fraction_and_ipc(spec):
     core = CoreModel(spec)
     for _ in range(50):

@@ -1,27 +1,42 @@
 """Cross-engine equivalence: the fast engine must be bit-exact.
 
-Three levels of checking, from unit to end-to-end:
+Four levels of checking, from unit to end-to-end:
 
 1. wave partitioning invariants (the algorithm the vectorized walk rests on),
 2. ``MemoryHierarchy.access_lines`` vs a sequential ``load()`` loop,
-3. full experiment reports under ``engine="fast"`` vs ``engine="reference"``.
+3. ``run_embedding_trace`` under both engines, which diffs the fast
+   engine's bulk walk and fused scalar kernel against the generic loop,
+4. full experiment reports under ``engine="fast"`` vs ``engine="reference"``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import json
 
 import numpy as np
 import pytest
 
 from repro.config import SimConfig
+from repro.cpu.core import CoreSpec
 from repro.cpu.platform import get_platform
-from repro.engine.embedding_exec import run_embedding_trace
+from repro.engine.embedding_exec import PrefetchPlan, run_embedding_trace
+from repro.engine.multicore import run_embedding_multicore
 from repro.errors import ConfigError
 from repro.experiments.base import report_to_dict
 from repro.experiments.registry import run_experiment
 from repro.experiments.workloads import build_workload
-from repro.mem.hierarchy import _wave_partition, build_hierarchy
+from repro.mem.hierarchy import (
+    HierarchyConfig,
+    _wave_partition,
+    build_hierarchy,
+    get_default_engine,
+    set_default_engine,
+)
+from repro.obs.hooks import session
+from repro.trace.dataset import EmbeddingTrace, TableBatch
+from repro.trace.stream import AddressMap
 
 
 def _streams():
@@ -92,23 +107,281 @@ def test_fast_engine_matches_reference_walk(name):
     assert fast.stats.level_hits == ref.stats.level_hits
 
 
-# -- 3. end to end ----------------------------------------------------------
+# -- 3. embedding engine ---------------------------------------------------
+#
+# ``run_embedding_trace`` has three paths.  Runs with no prefetching of any
+# kind take the vectorized bulk walk; every other run on an all-``FastCache``
+# hierarchy without TLB or stores takes the fused scalar kernel; everything
+# else, including every reference-engine run, takes the generic loop.  So
+# running the same inputs under both engines diffs the kernel against its
+# oracle.  Each comparison covers every ``EmbeddingRunResult`` field, every
+# per-level ``CacheStats``, ``HierarchyStats`` (including the insertion
+# order of ``level_hits``), the DRAM counters and open rows, the hardware
+# prefetchers' issue counts and stream state, and which level holds every
+# line the run could have touched.
 
 
-def _embedding_result(engine: str):
-    config = SimConfig(seed=99, engine=engine)
-    wl = build_workload(
-        "rm2_1", "low", scale=0.01, batch_size=8, num_batches=2, config=config
+ENGINES = ("fast", "reference")
+
+PLANS = {
+    "none": None,
+    "l1": PrefetchPlan(4, 8, "l1"),
+    "l2": PrefetchPlan(2, 3, "l2"),
+    "l3": PrefetchPlan(6, 5, "l3"),
+    # More lines than a row has: the engine clips the plan to the row.
+    "l1clip": PrefetchPlan(3, 64, "l1"),
+}
+
+#: Two small geometries whose caches thrash on the test traces, so
+#: evictions (of used and never-used prefetched lines) happen at every level.
+SMALL_HIERARCHIES = (
+    HierarchyConfig(
+        l1_size=1024, l1_ways=2, l2_size=8192, l2_ways=4,
+        l3_size=65536, l3_ways=4,
+    ),
+    HierarchyConfig(
+        l1_size=4096, l1_ways=4, l2_size=32768, l2_ways=8,
+        l3_size=196608, l3_ways=12,
+    ),
+)
+
+
+@pytest.fixture
+def default_engine():
+    """Set the process default engine; restore it afterwards."""
+    saved = get_default_engine()
+    yield set_default_engine
+    set_default_engine(saved)
+
+
+@functools.lru_cache(maxsize=None)
+def _workload(dataset: str, num_batches: int = 2):
+    return build_workload(
+        "rm2_1", dataset, scale=0.01, batch_size=8, num_batches=num_batches,
+        config=SimConfig(seed=99),
     )
+
+
+def _touched_lines(trace, amap):
+    """The lines of every looked-up row and four more on each side: every
+    demand, software-prefetch, next-line and streamer line a run touches
+    (far stride candidates show up in the occupancy counts)."""
+    row_lines = amap.row_lines
+    lines = set()
+    for _, t, tb in trace.iter_table_batches():
+        for first in amap.batch_first_lines(t, tb).tolist():
+            lines.update(range(max(0, first - 4), first + row_lines + 4))
+    return sorted(lines)
+
+
+def _state(hierarchy, lines, result):
+    """Everything observable about a hierarchy after a run."""
+    h = hierarchy
+    state = {
+        "hierarchy": dataclasses.asdict(h.stats),
+        "dram": (
+            h.dram.accesses, h.dram.row_hits, h.dram.bytes_transferred,
+            list(h.dram._open_rows),
+        ),
+        "resident": [h.resident_level(line) for line in lines],
+        "occupancy": [c.occupancy() for c in (h.l1, h.l2, h.l3)],
+    }
+    for cache in (h.l1, h.l2, h.l3):
+        state[cache.name] = dataclasses.asdict(cache.stats)
+    if h.hw_prefetch_enabled:
+        streamer, strider = h.l2_prefetcher.prefetchers
+        state["prefetchers"] = (
+            h.l1_prefetcher.issued, streamer.issued, strider.issued,
+            dict(streamer._last_in_page), dict(strider._streams),
+        )
+    state["result"] = dataclasses.asdict(result)
+    return state
+
+
+def _assert_same(fast, ref):
+    assert fast.keys() == ref.keys()
+    for key in fast:
+        assert fast[key] == ref[key], key
+
+
+@pytest.mark.parametrize(
+    "loop_order", ["table_major", "sample_major"], ids=["table", "sample"]
+)
+@pytest.mark.parametrize("plan", sorted(PLANS))
+@pytest.mark.parametrize("hw", [True, False], ids=["hw", "nohw"])
+@pytest.mark.parametrize("dataset", ["low", "high"])
+def test_embedding_trace_identical_across_engines(dataset, hw, plan, loop_order):
+    wl = _workload(dataset)
     spec = get_platform("csl")
-    hierarchy = build_hierarchy(spec.hierarchy, hw_prefetch=False, engine=engine)
-    return run_embedding_trace(wl.trace, wl.amap, spec.core, hierarchy)
+    lines = _touched_lines(wl.trace, wl.amap)
+    states = {}
+    for engine in ENGINES:
+        hierarchy = build_hierarchy(spec.hierarchy, hw_prefetch=hw, engine=engine)
+        result = run_embedding_trace(
+            wl.trace, wl.amap, spec.core, hierarchy, plan=PLANS[plan],
+            loop_order=loop_order,
+        )
+        states[engine] = _state(hierarchy, lines, result)
+        states[engine]["level_order"] = list(hierarchy.stats.level_hits)
+    if not hw and PLANS[plan] is None:
+        # The bulk walk counts levels in walk order, not first-use order.
+        for state in states.values():
+            del state["level_order"]
+    _assert_same(states["fast"], states["reference"])
 
 
-def test_embedding_trace_identical_across_engines():
-    fast = _embedding_result("fast")
-    ref = _embedding_result("reference")
-    assert dataclasses.asdict(fast) == dataclasses.asdict(ref)
+@pytest.mark.parametrize("plan", ["none", "l1"])
+@pytest.mark.parametrize("hw", [True, False], ids=["hw", "nohw"])
+@pytest.mark.parametrize("cores", [1, 24])
+def test_multicore_identical_across_engines(default_engine, cores, hw, plan):
+    """Shared L3 and DRAM across detailed cores, bandwidth fixed point."""
+    wl = _workload("low", num_batches=4)
+    platform = get_platform("csl")
+    results = {}
+    for engine in ENGINES:
+        default_engine(engine)
+        results[engine] = dataclasses.asdict(
+            run_embedding_multicore(
+                wl.trace, wl.amap, platform, cores, plan=PLANS[plan],
+                hw_prefetch=hw,
+            )
+        )
+    assert results["fast"] == results["reference"]
+
+
+@pytest.mark.parametrize("plan", ["none", "l2"])
+def test_hooks_on_exports_identical(plan):
+    """An observed fused run exports the generic loop's bytes, and its
+    results match the unobserved run."""
+    wl = _workload("low")
+    spec = get_platform("csl")
+    exports = {}
+    for engine in ENGINES:
+        hierarchy = build_hierarchy(spec.hierarchy, engine=engine)
+        with session() as obs:
+            observed = run_embedding_trace(
+                wl.trace, wl.amap, spec.core, hierarchy, plan=PLANS[plan]
+            )
+        exports[engine] = (
+            json.dumps(obs.tracer.chrome_dict(), sort_keys=True),
+            json.dumps(obs.metrics.snapshot(), sort_keys=True),
+        )
+        quiet = run_embedding_trace(
+            wl.trace, wl.amap, spec.core,
+            build_hierarchy(spec.hierarchy, engine=engine), plan=PLANS[plan],
+        )
+        assert dataclasses.asdict(observed) == dataclasses.asdict(quiet)
+    assert exports["fast"] == exports["reference"]
+
+
+def test_streamer_table_reset_identical():
+    """Enough distinct pages miss L1 to overflow the streamer's table."""
+    rng = np.random.default_rng(5)
+    rows = [40_000, 40_000]
+    batch = [
+        TableBatch(np.array([0, 4000], dtype=np.int64),
+                   rng.integers(0, r, 4000).astype(np.int64))
+        for r in rows
+    ]
+    trace = EmbeddingTrace(rows, [batch])
+    amap = AddressMap(rows, 128)
+    spec = get_platform("csl")
+    lines = _touched_lines(trace, amap)
+    states = {}
+    for engine in ENGINES:
+        hierarchy = build_hierarchy(spec.hierarchy, engine=engine)
+        result = run_embedding_trace(trace, amap, spec.core, hierarchy)
+        states[engine] = _state(hierarchy, lines, result)
+        streamer = hierarchy.l2_prefetcher.prefetchers[0]
+        pages = {line // streamer.LINES_PER_PAGE for line in lines}
+        assert len(pages) > streamer.TABLE_ENTRIES
+        assert len(streamer._last_in_page) <= streamer.TABLE_ENTRIES
+    _assert_same(states["fast"], states["reference"])
+
+
+def _random_trace(rng):
+    num_tables = int(rng.integers(1, 4))
+    rows = [int(rng.integers(4, 400)) for _ in range(num_tables)]
+    batch_size = int(rng.integers(1, 6))
+    batches = []
+    for _ in range(int(rng.integers(1, 4))):
+        batch = []
+        for r in rows:
+            pooling = rng.integers(0, 10, size=batch_size)
+            offsets = np.concatenate(([0], np.cumsum(pooling))).astype(np.int64)
+            n = int(offsets[-1])
+            if rng.random() < 0.5:
+                indices = (rng.zipf(1.4, n) - 1) % r
+            else:
+                indices = rng.integers(0, r, n)
+            batch.append(TableBatch(offsets, indices.astype(np.int64)))
+        batches.append(batch)
+    # 24-float rows straddle cache lines; base 0 lets stride candidates
+    # go negative.
+    dim = int(rng.choice([8, 16, 24, 64, 128]))
+    base = 0 if rng.random() < 0.5 else 4096 * int(rng.integers(1, 64))
+    return EmbeddingTrace(rows, batches), AddressMap(rows, dim, base_address=base)
+
+
+def _random_plan(rng):
+    if rng.random() < 0.3:
+        return None
+    return PrefetchPlan(
+        int(rng.integers(1, 7)), int(rng.integers(1, 12)),
+        str(rng.choice(["l1", "l2", "l3"])),
+    )
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_fused_kernel_fuzz(seed):
+    """Random small traces, core resources, plans and geometries; two
+    consecutive calls per hierarchy, so cache, prefetcher and DRAM state
+    carries from one call into the next.  Half the seeds put a batched
+    demand walk between the calls: the fast caches then hand state that
+    includes prefetched lines from their scalar form to their array form
+    and back."""
+    rng = np.random.default_rng([seed, 14])
+    trace, amap = _random_trace(rng)
+    mshrs = int(rng.integers(1, 13))
+    core = CoreSpec(
+        rob_entries=int(rng.choice([8, 32, 224])),
+        issue_width=int(rng.choice([1, 3, 4])),
+        l1_mshrs=mshrs,
+        demand_concurrency=int(rng.integers(1, mshrs + 1)),
+    )
+    config = SMALL_HIERARCHIES[int(rng.integers(len(SMALL_HIERARCHIES)))]
+    hw = bool(rng.random() < 0.7)
+    utilization = float(rng.uniform(0.0, 0.9))
+    calls = [
+        (_random_plan(rng), str(rng.choice(["table_major", "sample_major"])),
+         None if first else sorted(rng.choice(
+             trace.num_batches, int(rng.integers(1, trace.num_batches + 1)),
+             replace=False,
+         ).tolist()))
+        for first in (True, False)
+    ]
+    lines = _touched_lines(trace, amap)
+    walk = np.array(lines, dtype=np.int64)[
+        rng.integers(0, len(lines), 600 if rng.random() < 0.5 else 0)
+    ]
+    states = {}
+    for engine in ENGINES:
+        hierarchy = build_hierarchy(config, hw_prefetch=hw, engine=engine)
+        hierarchy.dram.set_utilization(utilization)
+        states[engine] = []
+        for k, (plan, loop_order, batches) in enumerate(calls):
+            if k:
+                hierarchy.access_lines(walk)
+            result = run_embedding_trace(
+                trace, amap, core, hierarchy, plan=plan,
+                batch_indices=batches, loop_order=loop_order,
+            )
+            states[engine].append(_state(hierarchy, lines, result))
+    for fast, ref in zip(states["fast"], states["reference"]):
+        _assert_same(fast, ref)
+
+
+# -- 4. experiment reports -------------------------------------------------
 
 
 @pytest.mark.parametrize(

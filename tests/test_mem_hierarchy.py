@@ -1,5 +1,7 @@
 """Memory-hierarchy walk tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigError
@@ -74,8 +76,16 @@ def test_prefetch_to_l3_only(small_hierarchy):
 
 
 def test_prefetch_rejects_bad_level(small_hierarchy):
+    h = small_hierarchy
+    h.load(1)
+
+    def stats():
+        return [dataclasses.asdict(x.stats) for x in (h, h.l1, h.l2, h.l3)]
+
+    before = stats()
     with pytest.raises(ConfigError):
-        small_hierarchy.prefetch(1, target_level="dram")
+        h.prefetch(1, target_level="dram")
+    assert stats() == before  # a rejected call changes no statistics
 
 
 def test_stats_track_dram_bytes(small_hierarchy):

@@ -51,6 +51,17 @@ def test_quick_bench_fast_engine_wins(tmp_path):
     assert benches["serving"]["fast"]["requests_per_min"] >= 10_000_000
 
 
+def test_embedding_hwpf_fast_engine_wins():
+    """Hardware prefetch on: the fused scalar kernel vs the generic loop."""
+    bench = _load_bench_module()
+    fast = bench.bench_embedding("fast", 0.01, 8, 1, repeats=1, hw_prefetch=True)
+    ref = bench.bench_embedding(
+        "reference", 0.01, 8, 1, repeats=1, hw_prefetch=True
+    )
+    assert fast["lines"] == ref["lines"]
+    assert fast["lines_per_sec"] > ref["lines_per_sec"]
+
+
 def test_quick_fig12_pipeline_fast_wins():
     bench = _load_bench_module()
     fast = bench.bench_fig12("fast", quick=True)

@@ -10,7 +10,8 @@ depends on and appends one schema-versioned record per invocation to
 The suite:
 
 * **engine wall clocks** (kind ``wall``) — demand-walk, embedding
-  hot-path, and serving-loop throughput of the fast and reference
+  hot-path (hardware prefetch off: the bulk walk; on: the fused scalar
+  kernel), and serving-loop throughput of the fast and reference
   engines, median of ``--repeats`` trials; host-dependent, so the gate
   skips them unless ``bench_gate.py --include-wall``.
 * **scheme sim outputs** (kind ``sim``) — MP-HT / DP-HT / Integrated
@@ -131,6 +132,14 @@ def _wall_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
             (
                 "embedding",
                 lambda: bench_sim.bench_embedding(engine, *emb_args, repeats=1),
+                "lines_per_sec",
+                "lines/s",
+            ),
+            (
+                "embedding_hwpf",
+                lambda: bench_sim.bench_embedding(
+                    engine, *emb_args, repeats=1, hw_prefetch=True
+                ),
                 "lines_per_sec",
                 "lines/s",
             ),

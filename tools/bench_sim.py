@@ -75,9 +75,19 @@ def bench_hierarchy(engine: str, num_lines: int, repeats: int = 3) -> Dict[str, 
 
 
 def bench_embedding(
-    engine: str, scale: float, batch_size: int, num_batches: int, repeats: int = 3
+    engine: str,
+    scale: float,
+    batch_size: int,
+    num_batches: int,
+    repeats: int = 3,
+    hw_prefetch: bool = False,
 ) -> Dict[str, float]:
-    """End-to-end embedding hot path (the paper's Algorithm 1 loop)."""
+    """End-to-end embedding hot path (the paper's Algorithm 1 loop).
+
+    ``hw_prefetch=False`` measures the fast engine's vectorized bulk walk;
+    ``True`` (every Fig 12/13 design point but "w/o HW-PF") its fused
+    scalar kernel.
+    """
     from repro.experiments.workloads import build_workload
 
     config = SimConfig(seed=1234, engine=engine)
@@ -89,7 +99,9 @@ def bench_embedding(
     best = float("inf")
     loads = 0
     for _ in range(repeats):
-        hierarchy = build_hierarchy(spec.hierarchy, hw_prefetch=False, engine=engine)
+        hierarchy = build_hierarchy(
+            spec.hierarchy, hw_prefetch=hw_prefetch, engine=engine
+        )
         start = time.perf_counter()
         result = run_embedding_trace(wl.trace, wl.amap, spec.core, hierarchy)
         best = min(best, time.perf_counter() - start)

@@ -148,8 +148,9 @@ class RunLog:
     """Per-request lifecycle records of **one** serving simulation.
 
     Created by :meth:`RequestLog.start_run`.  The serving loop feeds it
-    incremental :meth:`event` calls, appended to one flat ``(req, kind,
-    t_ms, attrs)`` event table, and one :meth:`finish` /
+    incremental :meth:`event` calls (or whole columns through
+    :meth:`extend_events`), appended to one flat ``(req, kind, t_ms,
+    attrs)`` event table, and one :meth:`finish` /
     :meth:`finish_fast` call that keeps the loop's per-request arrays as
     columns.  :attr:`records` builds a request's record dict from those
     columns only when it is read.  All timestamps are simulated
@@ -198,6 +199,23 @@ class RunLog:
         self._ev_t.append(t_ms)
         self._ev_attrs.append(attrs)
 
+    def extend_events(
+        self,
+        reqs: Sequence[int],
+        kinds: Sequence[str],
+        times: Sequence[float],
+        attrs: Sequence[Dict[str, object]],
+    ) -> None:
+        """Record many lifecycle events at once, as parallel columns: row
+        ``j`` is one :meth:`event` call (the ``attrs`` dicts are kept, not
+        copied).  The table is read grouped by request, so only the order
+        of each request's own events matters; rows of different requests
+        may interleave in any order."""
+        self._ev_req.extend(reqs)
+        self._ev_kind.extend(kinds)
+        self._ev_t.extend(times)
+        self._ev_attrs.extend(attrs)
+
     def dispatched(
         self,
         req: int,
@@ -211,9 +229,10 @@ class RunLog:
         degradation level and scheme in force (None without a controller)
         and its fault, straggler and degradation service multipliers.
 
-        The resilient loop calls this instead of logging ``dispatch`` and
-        ``complete`` events: their times and core are ``starts``,
-        ``starts + services`` and ``core_of`` in :meth:`finish`.
+        The resilient loops record this instead of ``dispatch`` and
+        ``complete`` events (the reference loop per dispatch, the fast one
+        through :meth:`extend_dispatches`): their times and core are
+        ``starts``, ``starts + services`` and ``core_of`` in :meth:`finish`.
         """
         reqs, levels, schemes, faults, stragglers, scales = self._dispatches
         reqs.append(req)
@@ -222,6 +241,23 @@ class RunLog:
         faults.append(fault_mult)
         stragglers.append(straggler_mult)
         scales.append(scale)
+
+    def extend_dispatches(
+        self,
+        reqs: Sequence[int],
+        levels: Sequence[Optional[int]],
+        schemes: Sequence[Optional[str]],
+        fault_mults: Sequence[float],
+        straggler_mults: Sequence[float],
+        scales: Sequence[float],
+    ) -> None:
+        """Record many dispatches at once, as parallel columns: row ``j``
+        is one :meth:`dispatched` call."""
+        for column, values in zip(
+            self._dispatches,
+            (reqs, levels, schemes, fault_mults, straggler_mults, scales),
+        ):
+            column.extend(values)
 
     # -- finalization --------------------------------------------------------
 

@@ -25,6 +25,8 @@ no randomness — so identical latency streams produce identical ladders.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Tuple
 
@@ -47,8 +49,8 @@ class DegradationLevel:
     service_scale: float
 
     def __post_init__(self) -> None:
-        if self.service_scale <= 0:
-            raise ConfigError("service scale must be positive")
+        if not math.isfinite(self.service_scale) or self.service_scale <= 0:
+            raise ConfigError("service scale must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,22 @@ def scheme_ladder(
     return tuple(levels)
 
 
+def _p95_terms(n: int) -> Tuple[int, int, float, bool]:
+    """numpy's default linear 95th percentile of ``n`` sorted values, as
+    ``(lo, hi, weight, from_hi)``: the result is
+    ``xs[hi] - (xs[hi] - xs[lo]) * weight`` when ``from_hi``, else
+    ``xs[lo] + (xs[hi] - xs[lo]) * weight`` — numpy's virtual index and its
+    two-branch lerp (it switches formula at ``t >= 0.5`` to stay
+    monotone), so the result is bit-equal to ``np.percentile``."""
+    virtual = 0.95 * (n - 1)
+    lo = int(virtual)
+    gamma = virtual - lo
+    hi = lo + 1 if lo + 1 < n else lo
+    if gamma >= 0.5:
+        return lo, hi, 1.0 - gamma, True
+    return lo, hi, gamma, False
+
+
 class DegradationController:
     """Hysteretic p95-vs-SLA feedback controller over a degradation ladder.
 
@@ -126,6 +144,11 @@ class DegradationController:
     cooldown:
         Extra observations required after a change before stepping back
         toward normal (recovery is deliberately slower than escalation).
+
+    The protocol a serving loop relies on: :attr:`level` (and with it
+    :meth:`scale`) changes only inside :meth:`observe`, which returns the
+    :class:`LevelChange` it made or None.
+    :class:`repro.tenants.qos.QoSController` implements the same protocol.
     """
 
     def __init__(
@@ -146,8 +169,8 @@ class DegradationController:
                     f"ladder level {cur.name!r} is slower than {prev.name!r}; "
                     "degradation must not increase service time"
                 )
-        if sla_ms <= 0:
-            raise ConfigError("SLA must be positive")
+        if not math.isfinite(sla_ms) or sla_ms <= 0:
+            raise ConfigError("SLA must be finite and positive")
         if window <= 0 or min_samples <= 0 or min_samples > window:
             raise ConfigError("need 0 < min_samples <= window")
         if not 0.0 < recover_margin <= escalate_margin:
@@ -165,6 +188,19 @@ class DegradationController:
         self.events: List[LevelChange] = []
         self._latencies = SortedWindow(self.window)
         self._since_change = 0
+        # What observe() reads on every call: the window's ring and sorted
+        # copy (cleared in place, so these stay the window's), the p95
+        # terms per window length (None below min_samples), the two
+        # thresholds and the top rung.
+        self._ring = self._latencies._ring
+        self._sorted = self._latencies.sorted
+        self._p95_at = [
+            _p95_terms(n) if n >= self.min_samples else None
+            for n in range(self.window + 1)
+        ]
+        self._escalate_above = self.sla_ms * self.escalate_margin
+        self._recover_below = self.sla_ms * self.recover_margin
+        self._top = len(self.ladder) - 1
 
     @property
     def level_name(self) -> str:
@@ -180,43 +216,58 @@ class DegradationController:
 
         Computed in pure python, bit-equal to numpy's default linear
         percentile (same virtual index, same two-branch lerp), from the
-        window's bisect-maintained sorted copy: this runs once per
-        completed request, where ``np.percentile``'s per-call setup and
-        then a per-call sort dominated the resilient serving loop.
+        window's bisect-maintained sorted copy; :meth:`observe` inlines
+        the same arithmetic.
         """
         xs = self._latencies.sorted
         if not xs:
             return 0.0
-        n = len(xs)
-        virtual = 0.95 * (n - 1)
-        prev = int(virtual)
-        gamma = virtual - prev
-        a = xs[prev]
-        b = xs[prev + 1] if prev + 1 < n else a
-        # numpy's _lerp switches formula at t >= 0.5 to keep the result
-        # monotone; replicate both branches for bitwise equality.
-        if gamma >= 0.5:
-            return b - (b - a) * (1.0 - gamma)
-        return a + (b - a) * gamma
+        lo, hi, weight, from_hi = _p95_terms(len(xs))
+        a = xs[lo]
+        b = xs[hi]
+        if from_hi:
+            return b - (b - a) * weight
+        return a + (b - a) * weight
 
     def observe(self, now_ms: float, latency_ms: float) -> Optional[LevelChange]:
-        """Feed one completed-request latency; maybe change level."""
-        self._latencies.append(float(latency_ms))
+        """Feed one completed-request latency; maybe change level.
+
+        Returns the :class:`LevelChange` made, or None when the level
+        stayed: a serving loop re-reads :attr:`level` and :meth:`scale`
+        only after a change.  The window update
+        (:meth:`SortedWindow.append`) and :meth:`window_p95` are inlined
+        here, bit-equal: this runs once per completed request.
+        """
+        value = float(latency_ms)
+        ring = self._ring
+        xs = self._sorted
+        n = len(ring)
+        if n == self.window:
+            del xs[bisect_left(xs, ring.popleft())]
+        else:
+            n += 1
+        ring.append(value)
+        insort(xs, value)
         self._since_change += 1
-        if len(self._latencies) < self.min_samples:
+        terms = self._p95_at[n]
+        if terms is None:
             return None
-        p95 = self.window_p95()
+        lo, hi, weight, from_hi = terms
+        a = xs[lo]
+        b = xs[hi]
+        if from_hi:
+            p95 = b - (b - a) * weight
+        else:
+            p95 = a + (b - a) * weight
+        level = self.level
+        if p95 > self._escalate_above and level < self._top:
+            return self._change(now_ms, level + 1, p95)
         if (
-            p95 > self.sla_ms * self.escalate_margin
-            and self.level < len(self.ladder) - 1
-        ):
-            return self._change(now_ms, self.level + 1, p95)
-        if (
-            p95 < self.sla_ms * self.recover_margin
-            and self.level > 0
+            p95 < self._recover_below
+            and level > 0
             and self._since_change >= self.cooldown
         ):
-            return self._change(now_ms, self.level - 1, p95)
+            return self._change(now_ms, level - 1, p95)
         return None
 
     def _change(self, now_ms: float, to_level: int, p95: float) -> LevelChange:

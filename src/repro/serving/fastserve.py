@@ -21,14 +21,14 @@ results (enforced by the differential tests in
   dispatcher falls back to a python-float heap loop (still well ahead of
   numpy scalar indexing).
 
-* :func:`resilient_events` — the resilient event loop with the O(n)
-  static arrival schedule *merged* instead of heaped: arrivals enter the
-  event stream through a sorted-array pointer while only dynamic events
-  (core releases, timeouts, retries) live in the heap, which stays
-  O(cores + queued timeouts).  Event sequence numbers replicate the
-  reference numbering (cores ``0..c-1``, static arrivals ``c..c+n-1``,
-  runtime events counting up from ``c+n``) so every tie breaks the same
-  way.
+* :func:`resilient_events` — the resilient event loop over three merged
+  streams instead of one heap: the static arrivals through a pointer
+  into the sorted array, the queue timeouts as a FIFO (they fall due in
+  push order), and a heap of only core releases and retry arrivals,
+  which stays O(cores + pending retries).  Heap sequence numbers
+  replicate the reference numbering (cores ``0..c-1``, static arrivals
+  ``c..c+n-1``, runtime events counting up from ``c+n``) so every tie
+  breaks the same way.
 
 Float discipline: every arithmetic operation (``max``, add, multiply)
 is performed on IEEE-754 doubles in the same order as the reference
@@ -39,7 +39,7 @@ share the representation.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -135,6 +135,7 @@ def dispatch_plain(
 
 
 #: Event kinds, mirrored from the server module (import cycle avoidance).
+#: Timeouts never enter the heap; the kind only orders them last at a tie.
 _EV_FREE = 0
 _EV_ARRIVE = 1
 _EV_TIMEOUT = 2
@@ -142,6 +143,12 @@ _EV_TIMEOUT = 2
 _OUTCOME_COMPLETED = 0
 _OUTCOME_SHED = 1
 _OUTCOME_TIMED_OUT = 2
+
+_INF = float("inf")
+#: Attrs of the logged events that carry none (shared, never mutated).
+_NO_ATTRS: dict = {}
+#: Dispatched-past queue slots kept before the queue is compacted.
+_QUEUE_COMPACT = 4096
 
 
 def resilient_events(
@@ -155,31 +162,59 @@ def resilient_events(
     jitter_rng: np.random.Generator,
     run,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Resilient event loop over python floats and a dynamic-only heap.
+    """Resilient event loop over three merged event streams.
 
     Returns ``(outcome, retry_count, starts, services, core_of)`` as numpy
-    arrays, byte-identical to the reference ``_simulate_resilient`` loop.
-    The static arrival schedule is consumed through a pointer into the
-    (already sorted) arrival array; only dynamic events are heaped.
+    arrays, byte-identical to the reference ``_simulate_resilient`` loop,
+    whose ``(time, kind, seq)`` heap order it reproduces from:
+
+    * the static arrivals, a pointer into the sorted arrival array;
+    * the queue timeouts, a FIFO: every one is ``now + timeout_ms`` with
+      ``now`` non-decreasing, so they come due in push order.  The FIFO is
+      the queue itself (slot ``k`` times out at ``qtime[k]``) read through
+      its own head pointer; a timeout fires only strictly before the other
+      streams' next event, because timeouts sort last at a tie;
+    * a heap of core releases and retry arrivals, numbered like the
+      reference (cores ``0..c-1``, static arrivals ``c..c+n-1``, runtime
+      pushes from ``c+n``), so a static arrival precedes a retry arrival
+      at the same time.
+
+    The queue is cancelled lazily exactly as in the reference: a timeout
+    clears ``in_queue`` and leaves the slot, and a retry that re-arrives
+    before the dispatcher passes its old slot takes that slot back.
+
+    There is one copy of the dispatch code.  A core that frees while no
+    other core idles is handed the first live queue entry directly (a
+    push onto the empty idle heap and a pop would pick it).  Core
+    availability is queried only when the plan has failures; the service
+    multiplier once per dispatch, since a tenant plan's moves mid-run.
+    The degradation controller follows its protocol: ``observe`` returns
+    the :class:`~repro.serving.degradation.LevelChange` it made or None,
+    and the loop re-reads the level, scale and scheme only on a change.
+    Request-log events and dispatches go to local columns handed to the
+    :class:`~repro.obs.requests.RunLog` in one call each at the end.
     """
     n = arrivals.size
     arr_l = arrivals.tolist()
+    arr_l.append(_INF)  # the static stream's end
     svc_l = base_services.tolist()
-    strag_l = strag.tolist()
-    deadline_l = (
+    expire_l = (
         (arrivals + policy.deadline_ms).tolist()
-        if policy.deadline_ms is not None
+        if policy.shed_expired and policy.deadline_ms is not None
         else None
     )
     timeout_ms = policy.timeout_ms
     max_retries = policy.max_retries
-    max_depth = policy.max_queue_depth
-    shed_expired = policy.shed_expired
+    # At most n requests are ever queued at once.
+    depth_cap = (
+        policy.max_queue_depth if policy.max_queue_depth is not None else n + 1
+    )
     retry_backoff = policy.retry_backoff_ms
     retry_jitter = policy.retry_jitter
     jitter_draw = jitter_rng.random
 
     plan_active = not plan.is_empty
+    can_fail = bool(plan.failures)
     core_down = plan.core_down
     next_available = plan.next_available
     service_multiplier = plan.service_multiplier
@@ -187,13 +222,11 @@ def resilient_events(
     outcome = [-1] * n
     retry_count = [0] * n
     in_queue = [False] * n
-    started = [False] * n
     starts = [0.0] * n
     services = [0.0] * n
     core_of = [-1] * n
+    running = [-1] * num_cores  # core -> request on it
 
-    # Reference seq numbering: FREE(core) get 0..c-1, static arrivals
-    # c..c+n-1, runtime pushes count up from c+n.
     events: List[tuple] = [
         (next_available(core, 0.0), _EV_FREE, core, core)
         for core in range(num_cores)
@@ -203,45 +236,168 @@ def resilient_events(
     heap_pop = heapq.heappop
     seq = num_cores + n
     sp = 0  # static arrival pointer
-    next_static: Optional[tuple] = (
-        (arr_l[0], _EV_ARRIVE, num_cores, 0) if n else None
-    )
-
-    running = {}  # core -> request currently on it
-    idle: List[tuple] = []  # heap of (idle-since, core)
-    queue = []  # FIFO via head index (amortized O(1) popleft)
+    a = arr_l[0]  # its time
+    queue: List[int] = []  # FIFO slots, read from qhead (dispatch) ...
+    qtime: List[float] = []  # ... and from th (timeout of each slot)
+    qlen = 0
     qhead = 0
-    depth = 0
-    ctrl = controller
-    logging = run is not None
+    th = 0
+    tt = _INF  # time of the next timeout
+    depth = 0  # live queue entries
+    idle: List[tuple] = []  # heap of (idle-since, core)
+    hand = -1  # a freed core handed the queue head directly
+    req = -1  # an arrival served without queueing when a core idles
 
-    while events or next_static is not None:
-        if next_static is not None and (
-            not events or next_static < events[0]
-        ):
-            now, kind, _, payload = next_static
-            sp += 1
-            next_static = (
-                (arr_l[sp], _EV_ARRIVE, num_cores + sp, sp) if sp < n else None
-            )
+    ctrl = controller
+    if ctrl is not None:
+        observe = ctrl.observe
+        scale = ctrl.scale()
+        level = ctrl.level
+        scheme = ctrl.ladder[level].name
+    else:
+        scale, level, scheme = 1.0, None, None
+
+    logging = run is not None
+    # Request-log columns.  First arrivals are not logged here: each is
+    # its request's first event, so they are handed over at the end.
+    ev_req: List[int] = []
+    ev_kind: List[str] = []
+    ev_t: List[float] = []
+    ev_attrs: List[dict] = []
+    ev_req_add, ev_kind_add = ev_req.append, ev_kind.append
+    ev_t_add, ev_attrs_add = ev_t.append, ev_attrs.append
+    d_reqs: List[int] = []
+    d_faults: List[float] = []
+    d_ctls: List[tuple] = []  # (level, scheme, scale) of each dispatch
+    d_req, d_fault, d_ctl = d_reqs.append, d_faults.append, d_ctls.append
+    ctl_state = (level, scheme, scale)
+
+    while True:
+        if events:
+            top = events[0]
+            ht = top[0]
         else:
-            now, kind, _, payload = heap_pop(events)
+            ht = _INF
+        # At a tie a heap release goes before a static arrival (kind), a
+        # static arrival before a heap retry arrival (seq), and a timeout
+        # after both (kind): it fires only when strictly first.
+        if a < ht or (a == ht and sp < n and top[1]):
+            if tt < a:
+                kind = _EV_TIMEOUT
+            else:
+                now = a
+                kind = _EV_ARRIVE
+                i = sp
+                sp += 1
+                a = arr_l[sp]
+        elif tt < ht:
+            kind = _EV_TIMEOUT
+        elif events:
+            now, kind, _, i = heap_pop(events)
+        else:
+            # No release pending means every core idles, so nothing is
+            # queued: any timeout left (due at +inf) is dead.
+            break
+
         if kind == _EV_FREE:
-            core = payload
-            finished = running.pop(core, None)
-            if finished is not None:
+            core = i
+            finished = running[core]
+            if finished >= 0:
+                running[core] = -1
                 outcome[finished] = _OUTCOME_COMPLETED
-                if ctrl is not None:
-                    ctrl.observe(now, now - arr_l[finished])
-            if plan_active and core_down(core, now):
+                if (
+                    ctrl is not None
+                    and observe(now, now - arr_l[finished]) is not None
+                ):
+                    scale = ctrl.scale()
+                    level = ctrl.level
+                    scheme = ctrl.ladder[level].name
+                    ctl_state = (level, scheme, scale)
+            if can_fail and core_down(core, now):
                 heap_push(events, (next_available(core, now), _EV_FREE, seq, core))
                 seq += 1
-            else:
+                continue
+            if idle:
+                # Cores only idle while no live request is queued.
                 heap_push(idle, (now, core))
-                # -- dispatch (inlined: the loop's single hot call) ------
-                while qhead < len(queue) and idle:
-                    _, icore = idle[0]
-                    if plan_active and core_down(icore, now):
+                continue
+            # Pushing onto the empty idle heap and popping it again would
+            # pick this core: hand it over directly.
+            hand = core
+        elif kind == _EV_ARRIVE:
+            k = retry_count[i]
+            if logging and k:
+                ev_req_add(i)
+                ev_kind_add("retry_arrive")
+                ev_t_add(now)
+                ev_attrs_add({"attempt": k})
+            if expire_l is not None and now >= expire_l[i]:
+                outcome[i] = _OUTCOME_TIMED_OUT
+                if logging:
+                    ev_req_add(i)
+                    ev_kind_add("expired")
+                    ev_t_add(now)
+                    ev_attrs_add(_NO_ATTRS)
+                continue
+            if depth >= depth_cap:
+                outcome[i] = _OUTCOME_SHED
+                if logging:
+                    ev_req_add(i)
+                    ev_kind_add("shed")
+                    ev_t_add(now)
+                    ev_attrs_add({"depth": depth})
+                continue
+            req = i
+        else:  # _EV_TIMEOUT
+            now = tt
+            i = queue[th]
+            th += 1
+            # A timeout pending for a request no longer queued is dead for
+            # good: the request was dispatched (one that timed out has no
+            # other pending timeout), so skip such slots now.
+            while th < qlen and not in_queue[queue[th]]:
+                th += 1
+            tt = qtime[th] if th < qlen else _INF
+            if not in_queue[i]:
+                continue
+            in_queue[i] = False  # lazy removal: the slot stays
+            depth -= 1
+            k = retry_count[i]
+            if k < max_retries:
+                k += 1
+                retry_count[i] = k
+                backoff = retry_backoff * 2.0 ** (k - 1)
+                backoff *= 1.0 + retry_jitter * float(jitter_draw())
+                if logging:
+                    ev_req_add(i)
+                    ev_kind_add("timeout_retry")
+                    ev_t_add(now)
+                    ev_attrs_add({"attempt": k, "backoff_ms": float(backoff)})
+                heap_push(events, (now + backoff, _EV_ARRIVE, seq, i))
+                seq += 1
+            else:
+                outcome[i] = _OUTCOME_TIMED_OUT
+                if logging:
+                    ev_req_add(i)
+                    ev_kind_add("timeout")
+                    ev_t_add(now)
+                    ev_attrs_add(_NO_ATTRS)
+            continue
+
+        # -- dispatch: the loop's only copy -----------------------------------
+        # Starts the arrival `req`, else queued requests, on the freed core
+        # `hand`, else idle cores.  An arrival that finds a core idle finds
+        # nothing live queued, so it is served without taking a queue slot
+        # (its timeout would be dead on arrival).  The checks keep the
+        # reference's order: queue non-empty, an idle core, core down.
+        while req >= 0 or qhead < qlen:
+            if hand < 0:
+                if not idle:
+                    break
+                if can_fail:
+                    icore = idle[0][1]
+                    if core_down(icore, now):
+                        # Failed while idle: back at the end of its window.
                         heap_pop(idle)
                         heap_push(
                             events,
@@ -249,127 +405,66 @@ def resilient_events(
                         )
                         seq += 1
                         continue
-                    i = queue[qhead]
-                    if not in_queue[i]:  # lazily cancelled by a timeout
-                        qhead += 1
-                        continue
-                    heap_pop(idle)
-                    qhead += 1
-                    in_queue[i] = False
-                    depth -= 1
-                    started[i] = True
-                    scale = ctrl.scale() if ctrl is not None else 1.0
-                    fault_mult = (
-                        service_multiplier(icore, now) if plan_active else 1.0
-                    )
-                    svc = svc_l[i] * scale * fault_mult
-                    starts[i] = now
-                    services[i] = svc
-                    core_of[i] = icore
-                    running[icore] = i
-                    if logging:
-                        level = ctrl.level if ctrl is not None else None
-                        run.dispatched(
-                            i, level,
-                            ctrl.ladder[level].name if ctrl is not None else None,
-                            fault_mult, strag_l[i], scale,
-                        )
-                    heap_push(events, (now + svc, _EV_FREE, seq, icore))
-                    seq += 1
-        elif kind == _EV_ARRIVE:
-            i = payload
+            if req >= 0:
+                i = req
+                req = -1
+            else:
+                i = queue[qhead]
+                qhead += 1
+                if not in_queue[i]:  # lazily cancelled by a timeout
+                    continue
+                in_queue[i] = False
+                depth -= 1
+            if hand < 0:
+                icore = heap_pop(idle)[1]
+            else:
+                icore = hand
+                hand = -1
+            fault_mult = service_multiplier(icore, now) if plan_active else 1.0
+            svc = svc_l[i] * scale * fault_mult
+            starts[i] = now
+            services[i] = svc
+            core_of[i] = icore
+            running[icore] = i
             if logging:
-                if retry_count[i] > 0:
-                    run.event(i, "retry_arrive", now, attempt=int(retry_count[i]))
-                else:
-                    run.event(i, "arrive", now)
-            if shed_expired and deadline_l is not None and now >= deadline_l[i]:
-                outcome[i] = _OUTCOME_TIMED_OUT
-                if logging:
-                    run.event(i, "expired", now)
-            elif max_depth is not None and depth >= max_depth:
-                outcome[i] = _OUTCOME_SHED
-                if logging:
-                    run.event(i, "shed", now, depth=depth)
-            else:
-                in_queue[i] = True
-                queue.append(i)
-                depth += 1
-                if timeout_ms is not None:
-                    heap_push(events, (now + timeout_ms, _EV_TIMEOUT, seq, i))
-                    seq += 1
-                if idle:
-                    # -- dispatch (same inlined loop) --------------------
-                    while qhead < len(queue) and idle:
-                        _, icore = idle[0]
-                        if plan_active and core_down(icore, now):
-                            heap_pop(idle)
-                            heap_push(
-                                events,
-                                (
-                                    next_available(icore, now),
-                                    _EV_FREE,
-                                    seq,
-                                    icore,
-                                ),
-                            )
-                            seq += 1
-                            continue
-                        j = queue[qhead]
-                        if not in_queue[j]:
-                            qhead += 1
-                            continue
-                        heap_pop(idle)
-                        qhead += 1
-                        in_queue[j] = False
-                        depth -= 1
-                        started[j] = True
-                        scale = ctrl.scale() if ctrl is not None else 1.0
-                        fault_mult = (
-                            service_multiplier(icore, now) if plan_active else 1.0
-                        )
-                        svc = svc_l[j] * scale * fault_mult
-                        starts[j] = now
-                        services[j] = svc
-                        core_of[j] = icore
-                        running[icore] = j
-                        if logging:
-                            level = ctrl.level if ctrl is not None else None
-                            run.dispatched(
-                                j, level,
-                                ctrl.ladder[level].name if ctrl is not None else None,
-                                fault_mult, strag_l[j], scale,
-                            )
-                        heap_push(events, (now + svc, _EV_FREE, seq, icore))
-                        seq += 1
-        else:  # _EV_TIMEOUT
-            i = payload
-            if started[i] or outcome[i] >= 0 or not in_queue[i]:
-                continue
-            in_queue[i] = False
-            depth -= 1
-            if retry_count[i] < max_retries:
-                retry_count[i] += 1
-                backoff = retry_backoff * 2.0 ** (retry_count[i] - 1)
-                backoff *= 1.0 + retry_jitter * float(jitter_draw())
-                if logging:
-                    run.event(
-                        i,
-                        "timeout_retry",
-                        now,
-                        attempt=int(retry_count[i]),
-                        backoff_ms=float(backoff),
-                    )
-                heap_push(events, (now + backoff, _EV_ARRIVE, seq, i))
-                seq += 1
-            else:
-                outcome[i] = _OUTCOME_TIMED_OUT
-                if logging:
-                    run.event(i, "timeout", now)
-        if qhead > 4096 and qhead * 2 > len(queue):
-            del queue[:qhead]
-            qhead = 0
+                d_req(i)
+                d_fault(fault_mult)
+                d_ctl(ctl_state)
+            heap_push(events, (now + svc, _EV_FREE, seq, icore))
+            seq += 1
+        if hand >= 0:  # no live request was queued
+            heap_push(idle, (now, hand))
+            hand = -1
+        if req >= 0:  # no core took the arrival: queue it
+            if qhead > _QUEUE_COMPACT:
+                lo = qhead if timeout_ms is None or qhead < th else th
+                if lo > _QUEUE_COMPACT and lo * 2 > qlen:
+                    del queue[:lo]
+                    qlen -= lo
+                    qhead -= lo
+                    if timeout_ms is not None:
+                        del qtime[:lo]
+                        th -= lo
+            in_queue[req] = True
+            queue.append(req)
+            qlen += 1
+            depth += 1
+            if timeout_ms is not None:
+                t = now + timeout_ms
+                qtime.append(t)
+                if tt == _INF:  # no earlier timeout pending
+                    tt = t
+            req = -1
 
+    if logging:
+        run.extend_events(range(n), ["arrive"] * n, arr_l[:n], [_NO_ATTRS] * n)
+        run.extend_events(ev_req, ev_kind, ev_t, ev_attrs)
+        strag_l = strag.tolist()
+        levels, schemes, scales = zip(*d_ctls) if d_ctls else ((), (), ())
+        run.extend_dispatches(
+            d_reqs, levels, schemes, d_faults, [strag_l[i] for i in d_reqs],
+            scales,
+        )
     return (
         np.array(outcome, dtype=np.int64),
         np.array(retry_count, dtype=np.int64),

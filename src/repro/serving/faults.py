@@ -44,6 +44,7 @@ byte-identical fast path; the same holds for ``ClusterFaultPlan()``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -83,8 +84,7 @@ class CoreSlowdown:
         if self.core < 0:
             raise ConfigError("core index must be non-negative")
         _check_window(self.start_ms, self.end_ms)
-        if self.factor < 1.0:
-            raise ConfigError("slowdown factor must be >= 1")
+        _check_factor(self.factor, "slowdown factor")
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,7 @@ class BandwidthDegradation:
 
     def __post_init__(self) -> None:
         _check_window(self.start_ms, self.end_ms)
-        if self.factor < 1.0:
-            raise ConfigError("bandwidth degradation factor must be >= 1")
+        _check_factor(self.factor, "bandwidth degradation factor")
 
 
 @dataclass(frozen=True)
@@ -133,12 +132,12 @@ class ArrivalBurst:
     interarrival_ms: float
 
     def __post_init__(self) -> None:
-        if self.start_ms < 0:
-            raise ConfigError("burst start must be non-negative")
+        if not math.isfinite(self.start_ms) or self.start_ms < 0:
+            raise ConfigError("burst start must be finite and non-negative")
         if self.num_requests <= 0:
             raise ConfigError("burst request count must be positive")
-        if self.interarrival_ms <= 0:
-            raise ConfigError("burst inter-arrival time must be positive")
+        if not math.isfinite(self.interarrival_ms) or self.interarrival_ms <= 0:
+            raise ConfigError("burst inter-arrival time must be finite and positive")
 
     def arrivals(self) -> np.ndarray:
         """The burst's arrival timestamps."""
@@ -163,10 +162,9 @@ class Stragglers:
     def __post_init__(self) -> None:
         if not 0.0 <= self.fraction <= 1.0:
             raise ConfigError("straggler fraction must be in [0, 1]")
-        if self.multiplier < 1.0:
-            raise ConfigError("straggler multiplier must be >= 1")
-        if self.tail_alpha < 0.0:
-            raise ConfigError("tail alpha must be non-negative")
+        _check_factor(self.multiplier, "straggler multiplier")
+        if not math.isfinite(self.tail_alpha) or self.tail_alpha < 0.0:
+            raise ConfigError("tail alpha must be finite and non-negative")
 
 
 class FaultPlan:
@@ -340,10 +338,19 @@ class FaultPlan:
 
 
 def _check_window(start_ms: float, end_ms: float) -> None:
-    if start_ms < 0:
-        raise ConfigError("fault window start must be non-negative")
-    if end_ms <= start_ms:
+    """A window ``[start_ms, end_ms)``: a finite start, an end after it
+    (``+inf``: the fault is permanent).  A NaN would pass every ordered
+    check here yet break every comparison an event loop makes."""
+    if not math.isfinite(start_ms) or start_ms < 0:
+        raise ConfigError("fault window start must be finite and non-negative")
+    if math.isnan(end_ms) or end_ms <= start_ms:
         raise ConfigError("fault window must end after it starts")
+
+
+def _check_factor(factor: float, what: str) -> None:
+    """A service-time multiplier: finite and at least 1."""
+    if not math.isfinite(factor) or factor < 1.0:
+        raise ConfigError(f"{what} must be finite and >= 1")
 
 
 # -- node-scoped faults (cluster layer) --------------------------------------
@@ -407,8 +414,7 @@ class NodeSlow:
         if self.node < 0:
             raise ConfigError("node index must be non-negative")
         _check_window(self.start_ms, self.end_ms)
-        if self.factor < 1.0:
-            raise ConfigError("node slowdown factor must be >= 1")
+        _check_factor(self.factor, "node slowdown factor")
 
 
 @dataclass(frozen=True)
@@ -435,8 +441,7 @@ class NodeTenant:
         if self.node < 0:
             raise ConfigError("node index must be non-negative")
         _check_window(self.start_ms, self.end_ms)
-        if self.factor < 1.0:
-            raise ConfigError("tenant slowdown factor must be >= 1")
+        _check_factor(self.factor, "tenant slowdown factor")
         if not self.tenant:
             raise ConfigError("tenant name must be non-empty")
 

@@ -29,6 +29,7 @@ completed within their deadline.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING
@@ -93,7 +94,10 @@ class ServingPolicy:
         -out request retries (below) or ends ``timed_out``.
     max_retries:
         Retry budget per request after a queue timeout.  Each retry
-        re-enqueues the request after an exponential backoff.
+        re-enqueues the request after an exponential backoff.  The queue
+        is cancelled lazily: a retry that re-arrives before the
+        dispatcher has passed its old queue slot is served from that
+        slot (see ``docs/serving.md``, "Retry semantics").
     retry_backoff_ms / retry_jitter:
         Backoff of retry *k* is ``retry_backoff_ms * 2**(k-1)`` scaled by
         ``1 + retry_jitter * u`` with ``u ~ U[0,1)`` drawn from the fault
@@ -115,6 +119,12 @@ class ServingPolicy:
     shed_expired: bool = True
 
     def __post_init__(self) -> None:
+        # A NaN passes every ordered check below and breaks every
+        # comparison the event loops make.
+        for name in ("deadline_ms", "timeout_ms", "retry_backoff_ms", "retry_jitter"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ConfigError("deadline must be positive")
         if self.timeout_ms is not None and self.timeout_ms <= 0:

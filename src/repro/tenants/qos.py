@@ -22,6 +22,10 @@ streak.
 (``scale``/``observe``/``level``/``ladder``/``events``) by delegating to
 an optional inner controller, so the serving loops compose overload
 degradation and contention defense without knowing the difference.
+Like the inner controller's, its ``observe`` returns the level change it
+caused (the inner one's) or None; defense steps are not level changes —
+they move the fault plan's multiplier, which the loops query per
+dispatch.
 
 Probe observations are seeded — ``SeedSequence([seed, stream, window])``
 — with small multiplicative noise, mirroring counter-sampling jitter
@@ -37,7 +41,11 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..obs.detect import CompositionDriftDetector, DetectionEvent, MeanShiftDetector
-from ..serving.degradation import DegradationController, DegradationLevel
+from ..serving.degradation import (
+    DegradationController,
+    DegradationLevel,
+    LevelChange,
+)
 from .plan import TenantWorld
 
 __all__ = ["QoSAction", "QoSController"]
@@ -130,15 +138,21 @@ class QoSController:
     def events(self):
         return self.inner.events if self.inner is not None else []
 
-    def observe(self, now_ms: float, latency_ms: float) -> None:
+    def observe(
+        self, now_ms: float, latency_ms: float
+    ) -> Optional[LevelChange]:
         """Feed one completion; advances any QoS windows that have closed.
 
-        Windows stop at the world's horizon: the tenant schedule is
-        defined on ``[0, horizon)``, and probing the post-arrival drain
-        would read the empty world as a signal shift.
+        Returns the inner controller's level change, or None.  Windows
+        stop at the world's horizon: the tenant schedule is defined on
+        ``[0, horizon)``, and probing the post-arrival drain would read
+        the empty world as a signal shift.
         """
-        if self.inner is not None:
+        change = (
             self.inner.observe(now_ms, latency_ms)
+            if self.inner is not None
+            else None
+        )
         while (
             now_ms >= self._next_end
             and self._next_end <= self.world.horizon_ms
@@ -146,6 +160,7 @@ class QoSController:
             self._step_window(self._next_end)
             self._window_index += 1
             self._next_end += self.window_ms
+        return change
 
     # -- detection + defense ------------------------------------------------
 

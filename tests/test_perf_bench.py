@@ -75,3 +75,17 @@ def test_quick_fig12_pipeline_fast_wins():
         )
     assert ref["seconds"] > fast["seconds"]
     assert fast["serving_requests_per_min"] >= 10_000_000
+
+
+def test_resilient_loop_fast_engine_wins():
+    """Faults, retries, shedding and a degradation controller: the fast
+    resilient loop vs the reference one on the pinned ledger scenario."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_all", REPO_ROOT / "tools" / "bench_all.py"
+    )
+    bench_all = importlib.util.module_from_spec(spec)
+    sys.modules["bench_all"] = bench_all
+    spec.loader.exec_module(bench_all)
+    fast = bench_all.resilient_loop_rate("fast", 20_000, repeats=3)
+    ref = bench_all.resilient_loop_rate("reference", 20_000, repeats=3)
+    assert fast > ref

@@ -64,6 +64,13 @@ class TestController:
         kwargs.update(overrides)
         return DegradationController(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, value):
+        with pytest.raises(ConfigError):
+            DegradationLevel("b", value)
+        with pytest.raises(ConfigError):
+            self.make(sla_ms=value)
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             DegradationController(ladder=(), sla_ms=100.0)

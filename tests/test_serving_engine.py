@@ -167,6 +167,31 @@ class TestResilientPath:
         assert_identical(fast, ref)
 
 
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_retry_reclaims_its_stale_queue_slot(engine):
+    """A retry that re-arrives before the dispatcher has passed its old
+    queue slot takes that slot back (the queue is cancelled lazily).
+
+    One core, service exactly 10 ms, queue timeout 5 ms, one retry after
+    1 ms.  Request 0 runs over [0, 10).  Request 1 (arrives at 1) times out
+    at 6 and re-arrives at 7, after request 2 (arrives at 6.5) joined the
+    queue.  When the core frees at 10 the dispatcher meets request 1's old
+    slot first and serves it; request 2 then waits out its own timeout and
+    retry.  A strictly FIFO re-enqueue would serve request 2 at 10 and
+    time request 1 out instead.
+    """
+    policy = ServingPolicy(
+        timeout_ms=5.0, max_retries=1, retry_backoff_ms=1.0, retry_jitter=0.0
+    )
+    result = simulate_server(
+        np.array([0.0, 1.0, 6.5]), 10.0, 1, np.random.default_rng(0),
+        service_cv=0.0, policy=policy, engine=engine,
+    )
+    assert result.outcomes.tolist() == [0, 0, 2]
+    assert result.retry_counts.tolist() == [0, 1, 1]
+    assert result.waits_ms.tolist() == [0.0, 9.0]
+
+
 class TestEngineSelection:
     def test_default_engine_resolution(self):
         from repro.mem.hierarchy import set_default_engine

@@ -66,6 +66,40 @@ class TestFaultModels:
         with pytest.raises(ConfigError):
             Stragglers(0.1, 2.0, tail_alpha=-1.0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: BandwidthDegradation(0.0, 10.0, v),
+            lambda v: BandwidthDegradation(v, 10.0, 2.0),
+            lambda v: CoreSlowdown(0, 0.0, 10.0, v),
+            lambda v: CoreSlowdown(0, v, 10.0, 2.0),
+            lambda v: CoreFailure(0, v, 10.0),
+            lambda v: ArrivalBurst(v, 5, 1.0),
+            lambda v: ArrivalBurst(0.0, 5, v),
+            lambda v: Stragglers(0.1, v),
+            lambda v: Stragglers(0.1, 2.0, tail_alpha=v),
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, make, value):
+        # A NaN passes every ordered check, then breaks every comparison
+        # the event loops make.
+        with pytest.raises(ConfigError):
+            make(value)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda end: BandwidthDegradation(0.0, end, 2.0),
+            lambda end: CoreSlowdown(0, 0.0, end, 2.0),
+            lambda end: CoreFailure(0, 0.0, end),
+        ],
+    )
+    def test_window_end_may_be_inf_but_not_nan(self, make):
+        with pytest.raises(ConfigError):
+            make(float("nan"))
+        assert make(float("inf")).end_ms == float("inf")  # permanent
+
     def test_unknown_fault_rejected(self):
         with pytest.raises(ConfigError):
             FaultPlan([object()])
@@ -262,6 +296,14 @@ class TestPolicy:
         with pytest.raises(ConfigError):
             # Retries without a timeout can never trigger.
             ServingPolicy(max_retries=2)
+
+    @pytest.mark.parametrize(
+        "field", ["deadline_ms", "timeout_ms", "retry_backoff_ms", "retry_jitter"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ServingPolicy(**{field: value})
 
     def test_for_sla(self):
         from repro.serving.sla import SLA_TARGETS

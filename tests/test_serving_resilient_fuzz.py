@@ -1,0 +1,315 @@
+"""Differential fuzzer: the fast resilient loop against the reference one.
+
+``repro.serving.fastserve.resilient_events`` reorders the reference
+loop's single ``(time, kind, seq)`` heap into three merged streams
+(static arrivals, a timeout FIFO, a heap of core releases and retry
+arrivals), hands freed cores the queue head directly, and re-reads the
+degradation controller only when ``observe`` reports a change.  Every one
+of those shortcuts is exact only if ties break as the reference breaks
+them, so this sweep snaps arrivals, fault windows, timeouts and backoffs
+to a 0.25 ms grid (exact in binary floating point) and often draws
+constant service times: many events then land on the same instant.
+
+Each case compares the float bits of every ``ServerResult`` array, the
+outcome and retry columns, the controller's level changes, and the
+sha256 of the exported request log.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.analysis.cache_model import analyze_trace_reuse
+from repro.config import SimConfig
+from repro.cpu.platform import get_platform
+from repro.experiments.workloads import build_workload
+from repro.obs.hooks import Observation, session
+from repro.obs.requests import RequestLog
+from repro.serving.degradation import DegradationController, DegradationLevel
+from repro.serving.faults import (
+    ArrivalBurst,
+    BandwidthDegradation,
+    CoreFailure,
+    CoreSlowdown,
+    FaultPlan,
+    Stragglers,
+)
+from repro.serving import fastserve
+from repro.serving.server import ServingPolicy, simulate_server
+from repro.tenants import (
+    ContentionModel,
+    QoSController,
+    TenantFaultPlan,
+    TenantMix,
+    TenantWorld,
+    locker_tenant,
+)
+
+NUM_CASES = 240
+CORE_COUNTS = (1, 2, 4, 16, 24)
+GRID_MS = 0.25
+MEAN_SERVICE_MS = 5.0
+
+#: Dyadic rungs keep degraded service times on the grid too.
+LADDER = (
+    DegradationLevel("baseline", 1.0),
+    DegradationLevel("sw_pf", 0.75),
+    DegradationLevel("integrated", 0.5),
+    DegradationLevel("integrated_small_batch", 0.25),
+)
+
+
+def _snap(values):
+    return np.round(np.asarray(values, dtype=float) / GRID_MS) * GRID_MS
+
+
+def _window(rng, horizon_ms, max_len_ms=None, permanent_p=0.0):
+    start = float(_snap(rng.uniform(0.0, 0.8 * horizon_ms)))
+    if rng.random() < permanent_p:
+        return start, float("inf")
+    if max_len_ms is None:
+        max_len_ms = 0.5 * horizon_ms
+    return start, start + float(_snap(rng.uniform(GRID_MS, max_len_ms)))
+
+
+def _case(seed):
+    """One seeded scenario: ``(arrivals, cores, cv, plan, policy, make_ctrl)``."""
+    rng = np.random.default_rng([seed, 15])
+    cores = CORE_COUNTS[seed % len(CORE_COUNTS)]
+    n = int(rng.integers(40, 120)) + 6 * cores
+    util = rng.uniform(0.2, 1.6)
+    arrivals = _snap(
+        np.cumsum(rng.exponential(MEAN_SERVICE_MS / (cores * util), n))
+    )
+    horizon = float(arrivals[-1]) + GRID_MS
+    cv = float(rng.choice([0.0, 0.0, 0.1, 1.0]))
+
+    faults = []
+    if rng.random() < 0.5:
+        # Often many short outages, so cores fail while idle and repair
+        # while others idle too.
+        outages = int(rng.integers(1, 3)) if rng.random() < 0.5 else 4 * cores
+        for _ in range(outages):
+            start, end = _window(
+                rng, horizon, horizon / outages, permanent_p=0.15 / outages
+            )
+            faults.append(CoreFailure(int(rng.integers(cores)), start, end))
+    if rng.random() < 0.5:
+        start, end = _window(rng, horizon)
+        faults.append(
+            CoreSlowdown(
+                int(rng.integers(cores)), start, end,
+                float(rng.choice([1.5, 2.0, 3.0])),
+            )
+        )
+    if rng.random() < 0.5:
+        start, end = _window(rng, horizon)
+        faults.append(
+            BandwidthDegradation(start, end, float(rng.choice([1.25, 2.0])))
+        )
+    if rng.random() < 0.5:
+        faults.append(
+            ArrivalBurst(
+                float(_snap(rng.uniform(0.0, horizon))),
+                int(rng.integers(5, 30)),
+                float(rng.choice([GRID_MS, 2 * GRID_MS])),
+            )
+        )
+    if rng.random() < 0.5:
+        faults.append(
+            Stragglers(
+                float(rng.uniform(0.1, 0.3)),
+                float(rng.choice([2.0, 4.0])),
+                tail_alpha=float(rng.choice([0.0, 1.5])),
+            )
+        )
+    plan = FaultPlan(faults, seed=seed)
+
+    timeout = (
+        None if rng.random() < 0.3 else float(rng.choice([2.5, 5.0, 10.0, 20.0]))
+    )
+    policy = ServingPolicy(
+        deadline_ms=(
+            None if rng.random() < 0.3 else float(rng.choice([10.0, 25.0]))
+        ),
+        timeout_ms=timeout,
+        max_retries=int(rng.integers(0, 3)) if timeout is not None else 0,
+        retry_backoff_ms=float(rng.choice([0.5, 1.0, 2.5])),
+        retry_jitter=float(rng.choice([0.0, 0.5])),
+        max_queue_depth=(
+            None if rng.random() < 0.5 else int(rng.choice([1, 4, 16]))
+        ),
+        shed_expired=bool(rng.random() < 0.5),
+    )
+
+    make_ctrl = lambda: None  # noqa: E731
+    if rng.random() < 0.5:
+        window = int(rng.choice([4, 8, 32]))
+        params = dict(
+            sla_ms=float(rng.choice([7.5, 10.0, 20.0])),
+            window=window,
+            min_samples=min(window, int(rng.choice([2, 4]))),
+            escalate_margin=float(rng.choice([0.75, 1.0])),
+            recover_margin=0.5,
+            cooldown=int(rng.choice([0, 8, 32])),
+        )
+        make_ctrl = lambda: DegradationController(LADDER, **params)  # noqa: E731
+    if plan.is_empty and policy.is_null and make_ctrl() is None:
+        # Keep every case on the resilient path.
+        policy = ServingPolicy(deadline_ms=25.0)
+    return arrivals, cores, cv, plan, policy, make_ctrl
+
+
+def _run(engine, seed, case, log_path):
+    arrivals, cores, cv, plan, policy, make_ctrl = case
+    controller = make_ctrl()
+    log = RequestLog()
+    with session(Observation(requests=log)):
+        result = simulate_server(
+            arrivals, MEAN_SERVICE_MS, cores, np.random.default_rng(seed),
+            service_cv=cv, fault_plan=plan, policy=policy,
+            controller=controller, engine=engine,
+        )
+    log.to_jsonl(log_path)
+    return result, hashlib.sha256(log_path.read_bytes()).hexdigest()
+
+
+def assert_bit_identical(fast, ref):
+    for attr in ("latencies_ms", "waits_ms", "services_ms", "core_ids"):
+        a, b = getattr(fast, attr), getattr(ref, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+    for attr in ("outcomes", "retry_counts", "injected"):
+        assert np.array_equal(getattr(fast, attr), getattr(ref, attr)), attr
+    assert fast.degradation_events == ref.degradation_events
+    assert fast.final_degradation_level == ref.final_degradation_level
+    assert fast.offered_interarrival_ms == ref.offered_interarrival_ms
+
+
+@pytest.mark.parametrize("seed", range(NUM_CASES))
+def test_fast_matches_reference(seed, tmp_path):
+    case = _case(seed)
+    fast, fast_sha = _run("fast", seed, case, tmp_path / "fast.jsonl")
+    ref, ref_sha = _run("reference", seed, case, tmp_path / "ref.jsonl")
+    assert_bit_identical(fast, ref)
+    assert fast_sha == ref_sha
+
+
+def test_sweep_covers_the_configuration_space():
+    cases = [_case(seed) for seed in range(NUM_CASES)]
+    assert {case[1] for case in cases} == set(CORE_COUNTS)
+    plans = [case[3] for case in cases]
+    for kind in ("failures", "slowdowns", "bandwidth", "bursts", "stragglers"):
+        assert any(getattr(p, kind) for p in plans), kind
+        assert not all(getattr(p, kind) for p in plans), kind
+    assert any(f.end_ms == float("inf") for p in plans for f in p.failures)
+    policies = [case[4] for case in cases]
+    assert {p.timeout_ms is None for p in policies} == {True, False}
+    assert {p.max_retries for p in policies} == {0, 1, 2}
+    assert {p.max_queue_depth is None for p in policies} == {True, False}
+    assert {p.shed_expired for p in policies} == {True, False}
+    assert {case[5]() is None for case in cases} == {True, False}
+
+
+def test_sweep_exercises_every_outcome_and_ties():
+    """The cases must reach what the shortcuts are exact about: retries,
+    shedding, final timeouts, level changes, and same-instant events."""
+    seen = {"retried": 0, "shed": 0, "timed_out": 0, "level_changes": 0,
+            "start_on_arrival_tie": 0}
+    for seed in range(0, NUM_CASES, 4):
+        arrivals, cores, cv, plan, policy, make_ctrl = _case(seed)
+        result = simulate_server(
+            arrivals, MEAN_SERVICE_MS, cores, np.random.default_rng(seed),
+            service_cv=cv, fault_plan=plan, policy=policy,
+            controller=make_ctrl(), engine="fast",
+        )
+        seen["retried"] += result.retries_total
+        seen["shed"] += result.outcome_count("shed")
+        seen["timed_out"] += result.outcome_count("timed_out")
+        seen["level_changes"] += len(result.degradation_events)
+        # A queued request started at the very instant another arrived:
+        # a core release tied with an arrival.
+        merged = plan.inject_arrivals(arrivals)[0]
+        arrived = set(merged.tolist())
+        waits = result.waits_ms
+        starts = merged[result.outcomes == 0] + waits
+        seen["start_on_arrival_tie"] += int(
+            sum(1 for s, w in zip(starts.tolist(), waits.tolist())
+                if w > 0 and s in arrived)
+        )
+    assert all(count > 0 for count in seen.values()), seen
+
+
+# -- noisy neighbour: QoS controller wrapping a degradation controller ---------
+
+
+@pytest.fixture(scope="module")
+def contention():
+    cfg = SimConfig(seed=11)
+    spec = get_platform("csl")
+    wl = build_workload(
+        "rm1", "low", scale=0.01, batch_size=8, num_batches=1, config=cfg
+    )
+    reuse = analyze_trace_reuse(
+        wl.trace, spec.hierarchy, wl.model.embedding_dim, dataset="low"
+    )
+    return ContentionModel(wl.model, reuse.reuse, spec, 8)
+
+
+def test_qos_wrapped_controller_level_changes_reach_the_fast_loop(
+    contention, tmp_path
+):
+    """``QoSController.observe`` must pass its inner controller's level
+    changes on: the fast loop re-reads the service scale only then, so a
+    swallowed change dispatches at a stale scale and diverges here."""
+    num_cores, n = 4, 1500
+    interarrival = MEAN_SERVICE_MS / (num_cores * 0.9)
+    arrivals = _snap(
+        np.cumsum(np.random.default_rng(5).exponential(interarrival, n))
+    )
+    horizon = float(arrivals[-1])
+    policy = ServingPolicy(
+        deadline_ms=25.0, timeout_ms=25.0, max_retries=1, retry_backoff_ms=5.0,
+        max_queue_depth=80,
+    )
+
+    def run(engine):
+        world = TenantWorld(
+            TenantMix((locker_tenant(),), seed=3), contention, horizon
+        )
+        inner = DegradationController(
+            LADDER, sla_ms=12.0, window=32, min_samples=8,
+            escalate_margin=0.75, recover_margin=0.4, cooldown=64,
+        )
+        qos = QoSController(world, horizon / 40.0, inner=inner, seed=3)
+        log = RequestLog()
+        with session(Observation(requests=log)):
+            result = simulate_server(
+                arrivals, MEAN_SERVICE_MS, num_cores,
+                np.random.default_rng(17),
+                fault_plan=TenantFaultPlan(world, seed=3), policy=policy,
+                controller=qos, engine=engine,
+            )
+        path = tmp_path / f"{engine}.jsonl"
+        log.to_jsonl(path)
+        return result, hashlib.sha256(path.read_bytes()).hexdigest(), world
+
+    fast, fast_sha, fast_world = run("fast")
+    ref, ref_sha, ref_world = run("reference")
+    assert len(ref.degradation_events) >= 1
+    assert ref_world.changes  # the defense moved the multiplier mid-run
+    assert fast_world.changes == ref_world.changes
+    assert_bit_identical(fast, ref)
+    assert fast_sha == ref_sha
+
+
+@pytest.mark.parametrize("seed", range(0, NUM_CASES, 6))
+def test_queue_compaction_is_invisible(seed, tmp_path, monkeypatch):
+    """The fast loop drops passed queue slots once enough pile up; at a
+    tiny threshold the sweep's cases compact constantly."""
+    monkeypatch.setattr(fastserve, "_QUEUE_COMPACT", 2)
+    case = _case(seed)
+    fast, fast_sha = _run("fast", seed, case, tmp_path / "fast.jsonl")
+    ref, ref_sha = _run("reference", seed, case, tmp_path / "ref.jsonl")
+    assert_bit_identical(fast, ref)
+    assert fast_sha == ref_sha

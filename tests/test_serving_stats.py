@@ -64,7 +64,12 @@ def test_controller_p95_bit_equal_to_numpy_across_level_changes():
         mean = 12.0 if phase % 2 == 0 else 1.0
         for value in np.round(rng.exponential(mean, size=150), 1).tolist():
             reference.append(value)
-            if controller.observe(0.0, value) is not None:
+            change = controller.observe(0.0, value)
+            if change is not None:
+                # observe() inlines the same p95: it decided on this value.
+                assert change.window_p95_ms == float(
+                    np.percentile(list(reference), 95.0)
+                )
                 reference.clear()
                 changes += 1
             want = (

@@ -24,6 +24,9 @@ The suite:
 * **cluster sim outputs** (kind ``sim``) — goodput and quality/latency
   tails of a pinned replicated+hedged 4-node cluster riding out a node
   kill (the ``cluster_resilience`` headline, pinned); also exact.
+* **resilient loop** (``serving.resilient.requests_per_min``, kind
+  ``wall``) — simulated requests per minute through the fast engine's
+  resilient loop on the pinned resilience scenario, observation off.
 * **cluster loop** (``serving.cluster16.requests_per_min``, kind
   ``wall``) — simulated requests per minute through the 16-node,
   node-kill, hedged cluster loop.
@@ -103,7 +106,7 @@ from repro.serving.router import HedgePolicy  # noqa: E402
 from repro.serving.server import ServingPolicy, simulate_server  # noqa: E402
 from repro.serving.workload import poisson_arrivals  # noqa: E402
 
-__all__ = ["main", "run_suite"]
+__all__ = ["main", "resilient_loop_rate", "run_suite"]
 
 SCHEMA_PATH = REPO_ROOT / "tools" / "trace_schema.json"
 DEFAULT_HISTORY = REPO_ROOT / "BENCH_history.jsonl"
@@ -276,6 +279,43 @@ def _serving_benchmarks(mode: str) -> List[Benchmark]:
             "serving.resilient.goodput", resilient.goodput, "frac",
             direction="higher",
         ),
+    ]
+
+
+def resilient_loop_rate(engine: str, num_requests: int, repeats: int) -> float:
+    """Simulated requests per wall-clock minute through one engine's
+    resilient loop on the pinned resilience scenario (burst requests
+    included), observation off; median of ``repeats`` runs."""
+    arrivals, make = _resilient_scenario(num_requests)
+    config = SimConfig(seed=99)
+    rates = []
+    for _ in range(repeats):
+        kwargs = make()
+        start = time.perf_counter()
+        result = simulate_server(
+            arrivals, 5.0, 4, config.rng("bench:resilient"), engine=engine,
+            **kwargs,
+        )
+        rates.append(
+            result.offered_requests * 60.0 / (time.perf_counter() - start)
+        )
+    return median(rates)
+
+
+def _resilient_loop_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
+    """Resilient-loop throughput of the fast engine (kind ``wall``)."""
+    value = resilient_loop_rate(
+        "fast", 20_000 if mode == "smoke" else 200_000, repeats
+    )
+    return [
+        Benchmark(
+            name="serving.resilient.requests_per_min",
+            value=value,
+            unit="req/min",
+            direction="higher",
+            noise_floor=WALL_NOISE_FRAC * value,
+            kind="wall",
+        )
     ]
 
 
@@ -721,6 +761,7 @@ def run_suite(mode: str, repeats: int) -> Dict[str, object]:
     benchmarks.extend(_wall_benchmarks(mode, repeats))
     benchmarks.extend(_scheme_benchmarks(mode))
     benchmarks.extend(_serving_benchmarks(mode))
+    benchmarks.extend(_resilient_loop_benchmarks(mode, repeats))
     benchmarks.extend(_cluster_benchmarks(mode))
     benchmarks.extend(_cluster16_benchmarks(mode, repeats))
     benchmarks.extend(_fleet_benchmarks(mode, repeats))

@@ -18,7 +18,7 @@ platform, core-count) combination and returns a :class:`SchemeResult`;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Optional, Tuple
 
 from ..cpu.platform import CPUSpec
@@ -94,7 +94,7 @@ class SchemeResult:
         return baseline.embedding_cycles / self.embedding_cycles
 
 
-@dataclass
+@dataclass(frozen=True)
 class _EmbStage:
     """Embedding-stage metrics in the shape the inference composer wants."""
 
@@ -143,40 +143,51 @@ def _run_embedding(
     return stage, mc.l1_hit_rate, mc.avg_load_latency
 
 
-def evaluate_scheme(
+def _walk_args(
     scheme: str,
-    model: ModelConfig,
-    trace: EmbeddingTrace,
-    amap: AddressMap,
     platform: CPUSpec,
-    num_cores: int = 1,
-    swpf: SWPrefetchConfig = PAPER_SWPF,
-    smt: Optional[SMTModel] = None,
-    detailed_cores: int = 2,
-) -> SchemeResult:
-    """Evaluate one design point.
-
-    ``trace`` and ``amap`` must describe the same (scaled) ``model`` —
-    sharing them across schemes keeps the comparison paired.
-    """
+    num_cores: int,
+    swpf: SWPrefetchConfig,
+    detailed_cores: int,
+) -> tuple:
+    """The arguments of ``scheme``'s embedding walk after (model, trace,
+    amap): everything the walk depends on, so equal tuples mean equal
+    walks.  The HT schemes differ from their base schemes only in the
+    analytic overlap applied after the walk."""
     if scheme not in SCHEME_NAMES:
         raise UnknownSchemeError(
             f"unknown scheme {scheme!r}; expected one of {SCHEME_NAMES}"
         )
-    smt = smt or SMTModel()
-    batch_size = trace.batch_size
-    hw_prefetch = scheme != "hw_pf_off"
-    plan = swpf.plan() if scheme in ("sw_pf", "integrated") else None
-    halved = scheme == "dp_ht"
-
-    stage, l1_hit, load_latency = _run_embedding(
-        model, trace, amap, platform, num_cores, hw_prefetch, plan, halved,
+    return (
+        platform,
+        num_cores,
+        scheme != "hw_pf_off",
+        swpf.plan() if scheme in ("sw_pf", "integrated") else None,
+        scheme == "dp_ht",
         detailed_cores,
     )
+
+
+def _compose(
+    scheme: str,
+    model: ModelConfig,
+    batch_size: int,
+    platform: CPUSpec,
+    num_cores: int,
+    smt: Optional[SMTModel],
+    walk: "tuple[_EmbStage, float, float]",
+) -> SchemeResult:
+    """Turn one embedding walk into ``scheme``'s end-to-end result."""
+    smt = smt or SMTModel()
+    walk_stage, l1_hit, load_latency = walk
     # Project embedding cycles from the simulated (scaled) lookup count to
     # paper scale so stage ratios — and every scheme that depends on them
     # (MP-HT overlap, Fig 1 shares, Table 4 ms) — match the paper's shape.
-    stage.mean_batch_cycles *= model.paper_scale_ratio()
+    # A copy, because schemes may share one walk.
+    stage = replace(
+        walk_stage,
+        mean_batch_cycles=walk_stage.mean_batch_cycles * model.paper_scale_ratio(),
+    )
     timing = time_inference_sequential(model, stage, platform.core, batch_size)
 
     if scheme == "hw_pf_off":
@@ -215,6 +226,28 @@ def evaluate_scheme(
     )
 
 
+def evaluate_scheme(
+    scheme: str,
+    model: ModelConfig,
+    trace: EmbeddingTrace,
+    amap: AddressMap,
+    platform: CPUSpec,
+    num_cores: int = 1,
+    swpf: SWPrefetchConfig = PAPER_SWPF,
+    smt: Optional[SMTModel] = None,
+    detailed_cores: int = 2,
+) -> SchemeResult:
+    """Evaluate one design point.
+
+    ``trace`` and ``amap`` must describe the same (scaled) ``model`` —
+    sharing them across schemes keeps the comparison paired.
+    """
+    return evaluate_all_schemes(
+        model, trace, amap, platform, num_cores=num_cores, schemes=(scheme,),
+        swpf=swpf, smt=smt, detailed_cores=detailed_cores,
+    )[scheme]
+
+
 def evaluate_all_schemes(
     model: ModelConfig,
     trace: EmbeddingTrace,
@@ -226,18 +259,20 @@ def evaluate_all_schemes(
     smt: Optional[SMTModel] = None,
     detailed_cores: int = 2,
 ) -> Dict[str, SchemeResult]:
-    """Evaluate several design points on one shared workload."""
-    return {
-        scheme: evaluate_scheme(
-            scheme,
-            model,
-            trace,
-            amap,
-            platform,
-            num_cores=num_cores,
-            swpf=swpf,
-            smt=smt,
-            detailed_cores=detailed_cores,
+    """Evaluate several design points on one shared workload.
+
+    Each distinct embedding walk runs once: MP-HT reuses Baseline's walk
+    and Integrated reuses SW-PF's, so the results equal per-scheme
+    :func:`evaluate_scheme` calls field for field.
+    """
+    walks: Dict[tuple, "tuple[_EmbStage, float, float]"] = {}
+    results: Dict[str, SchemeResult] = {}
+    for scheme in schemes:
+        args = _walk_args(scheme, platform, num_cores, swpf, detailed_cores)
+        if args not in walks:
+            walks[args] = _run_embedding(model, trace, amap, *args)
+        results[scheme] = _compose(
+            scheme, model, trace.batch_size, platform, num_cores, smt,
+            walks[args],
         )
-        for scheme in schemes
-    }
+    return results

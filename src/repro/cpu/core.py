@@ -18,8 +18,9 @@ as in-flight intervals that overlap until a window or MSHR limit forces the
 issue cursor to wait.
 
 The fused embedding kernel (:func:`repro.engine.embedding_exec._fused_walk`)
-inlines the issue, retire and stall methods; a change to them must be made
-there too (``tests/test_engine_fastpath.py`` diffs the two).
+inlines the issue and stall methods on lazily retired state; a change to
+them must be made there too (``tests/test_engine_fastpath.py`` diffs the
+two).
 """
 
 from __future__ import annotations
@@ -201,8 +202,9 @@ class CoreModel:
         mshr_cap = spec.l1_mshrs
         now = self.now
         icount = self.instr_count
-        window_stall = 0.0
-        queue_stall = 0.0
+        # The stall totals accumulate in place, in the scalar calls' order.
+        window_stall = self.window_stall_cycles
+        queue_stall = self.mshr_stall_cycles
         # Every in-flight entry owns its MSHR here (checked above), so the
         # deque flattens to parallel issue-index / completion-time lists.
         idxs = [e[0] for e in self._inflight]
@@ -259,8 +261,8 @@ class CoreModel:
         self.instr_count = icount
         self.loads += n
         self.misses += len(miss_idx)
-        self.window_stall_cycles += window_stall
-        self.mshr_stall_cycles += queue_stall
+        self.window_stall_cycles = window_stall
+        self.mshr_stall_cycles = queue_stall
         self._inflight = deque((i, c, True) for i, c in zip(idxs, comps))
         self._queued_count = len(comps)
         self._mshr_demand = len(comps)

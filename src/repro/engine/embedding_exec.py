@@ -18,6 +18,7 @@ prefetch); a prefetched line evicted before use simply misses again
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -519,12 +520,14 @@ def _fused_walk(
 
     ``batches`` yields ``(b, stream_lines, sample_flags)``.  Replays exactly
     the events of :func:`run_embedding_trace`'s generic loop without TLB
-    or stores — the same cache, prefetcher, DRAM and core transitions in
-    the same order, with the same float operations — but with the bodies
-    of ``MemoryHierarchy.load_timing`` / ``prefetch_timing`` /
-    ``hw_prefetch_candidates``, the ``FastCache`` scalar ``access`` /
-    ``fill``, the prefetchers' ``observe``, ``DRAMModel.access`` and the
-    ``CoreModel`` issue methods inlined, so no call is made per line.
+    or stores — the same cache, prefetcher and DRAM transitions in the
+    same order, and the same core stalls from the same float operations —
+    but with the bodies of ``MemoryHierarchy.load_timing`` /
+    ``prefetch_timing`` / ``hw_prefetch_candidates``, the ``FastCache``
+    scalar ``access`` / ``fill``, the prefetchers' ``observe``,
+    ``DRAMModel.access`` and the ``CoreModel`` issue and stall methods
+    inlined, so no call is made per line.  The core state is retired
+    lazily (see the comment on it below).
 
     The caches' scalar state (``_where`` membership, ``_rows`` LRU-first
     tag lists, ``_pend_lines``) and the DRAM open rows are mutated in
@@ -534,7 +537,6 @@ def _fused_walk(
     have no load in flight (the caller's is fresh).  Appends to
     ``batch_cycles``; returns ``(effective_latency_sum, demand_loads)``.
     """
-    inf_ = float("inf")
     spec = core.spec
     width = spec.issue_width
     rob = spec.rob_entries
@@ -606,16 +608,27 @@ def _fused_walk(
         sw_amount = plan.amount_lines
         sw_target = ("l1", "l2", "l3").index(plan.target_level) + 1
 
-    # Core state: in-flight demand loads ``(issue index, completion,
-    # owns_mshr)`` oldest first, their earliest completion, the fill
-    # buffers they own, and the in-flight software-prefetch completions.
+    # Core state.  The load queue holds every in-flight demand load, merged
+    # loads included, in issue order, as parallel issue-index / completion /
+    # owns-a-fill-buffer lists; the window and load-queue limiters read it.
+    # The MSHR pool is a heap of the completions of demand misses and of
+    # software prefetches that hold a fill buffer; the MSHR limiter reads
+    # it.  Retirement is lazy, as in ``CoreModel.issue_demand_chunk``: a
+    # completed entry stays until a limiter pops it (the window its oldest
+    # entry, the queue and MSHR limiters their earliest), and a pop charges
+    # a stall only when ``comp > now``.  Every append follows its limiter,
+    # so a structure never holds more than its capacity and one pop frees
+    # a slot.  A limiter that drops an entry leaves ``now >= comp``, so a
+    # demand miss's copy in the other structure is popped later at zero
+    # cost.  docs/modeling.md §8 argues that every stall matches the eager
+    # ``CoreModel`` bit for bit, and gives the one rounding case where the
+    # window must free the copy itself.
     now = core.now
     icount = core.instr_count
-    inflight: list = []
-    min_inf = inf_
-    mshr_dem = 0
-    pf_inflight: List[float] = []
-    min_pf = inf_
+    lq_idx: List[int] = []
+    lq_comp: List[float] = []
+    lq_owner: List[bool] = []
+    mshrs: List[float] = []
     window_stall = core.window_stall_cycles
     queue_stall = core.mshr_stall_cycles
     loads = misses = merged = sw_issued = 0
@@ -623,153 +636,6 @@ def _fused_walk(
     pfc: Dict[int, float] = {}
     pfc_get = pfc.get
     pfc_pop = pfc.pop
-
-    def retire() -> None:
-        """CoreModel._retire_completed."""
-        nonlocal inflight, min_inf, mshr_dem, pf_inflight, min_pf
-        if min_inf <= now:
-            inflight = [e for e in inflight if e[1] > now]
-            mshr_dem = sum([e[2] for e in inflight])
-            min_inf = min([e[1] for e in inflight]) if inflight else inf_
-        if min_pf <= now:
-            pf_inflight = [t for t in pf_inflight if t > now]
-            min_pf = min(pf_inflight) if pf_inflight else inf_
-
-    def stall_window() -> None:
-        """CoreModel._enforce_window."""
-        nonlocal now, window_stall, mshr_dem, min_inf
-        while inflight and icount - inflight[0][0] >= rob:
-            _, comp, owns = inflight.pop(0)
-            if comp > now:
-                wait = comp - now
-                now += wait
-                window_stall += wait
-            if owns:
-                mshr_dem -= 1
-            if comp <= min_inf:
-                min_inf = min([e[1] for e in inflight]) if inflight else inf_
-            if min_inf <= now or min_pf <= now:
-                retire()
-
-    def stall_queue() -> None:
-        """CoreModel._enforce_load_queue."""
-        nonlocal now, queue_stall
-        while len(inflight) >= queue_cap:
-            if min_inf > now:
-                queue_stall += min_inf - now
-                now = min_inf
-            retire()
-
-    def stall_mshr() -> None:
-        """CoreModel._enforce_mshr_capacity."""
-        nonlocal now, queue_stall
-        while mshr_dem + len(pf_inflight) >= mshr_cap:
-            if mshr_dem:
-                earliest = min([e[1] for e in inflight if e[2]])
-                if pf_inflight and min_pf < earliest:
-                    earliest = min_pf
-            else:
-                earliest = min_pf
-            if earliest > now:
-                queue_stall += earliest - now
-                now = earliest
-            if min_inf <= now or min_pf <= now:
-                retire()
-
-    def fetch(line: int, target: int) -> float:
-        """MemoryHierarchy.prefetch_timing; ``target`` 1/2/3 = L1/L2/L3."""
-        nonlocal pf_requests, ph1, ph2, ph3, pf1, pf2, pf3
-        nonlocal ev1, ev2, ev3, eu1, eu2, eu3, dram_acc, dram_row_hits
-        pf_requests += 1
-        if line in where1:
-            s = line % ns1
-            order = rows1.get(s)
-            if order is None:
-                order = row1(s)
-            t = line // ns1
-            order.remove(t)
-            order.append(t)
-            ph1 += 1
-            return lat1
-        in_l2 = line in where2
-        if in_l2:
-            s = line % ns2
-            order = rows2.get(s)
-            if order is None:
-                order = row2(s)
-            t = line // ns2
-            order.remove(t)
-            order.append(t)
-            ph2 += 1
-            latency = lat2
-        elif line in where3:
-            s = line % ns3
-            order = rows3.get(s)
-            if order is None:
-                order = row3(s)
-            t = line // ns3
-            order.remove(t)
-            order.append(t)
-            ph3 += 1
-            latency = lat3
-        else:
-            dram_acc += 1
-            r = line // lines_per_row
-            bank = r % banks
-            if open_rows[bank] == r:
-                dram_row_hits += 1
-                latency = dram_row_hit
-            else:
-                open_rows[bank] = r
-                latency = dram_row_miss
-            s = line % ns3
-            order = rows3.get(s)
-            if order is None:
-                order = row3(s)
-            if len(order) >= ways3:
-                victim = order.pop(0) * ns3 + s
-                del where3[victim]
-                ev3 += 1
-                if pend3.pop(victim, None):
-                    eu3 += 1
-            order.append(line // ns3)
-            where3[line] = -1
-            pf3 += 1
-            pend3[line] = True
-        if target != 3:
-            # A line that hit in L2 was just moved to its MRU end, so the
-            # refill only marks it prefetched.
-            if not in_l2:
-                s = line % ns2
-                order = rows2.get(s)
-                if order is None:
-                    order = row2(s)
-                if len(order) >= ways2:
-                    victim = order.pop(0) * ns2 + s
-                    del where2[victim]
-                    ev2 += 1
-                    if pend2.pop(victim, None):
-                        eu2 += 1
-                order.append(line // ns2)
-                where2[line] = -1
-            pf2 += 1
-            pend2[line] = True
-            if target == 1:
-                s = line % ns1
-                order = rows1.get(s)
-                if order is None:
-                    order = row1(s)
-                if len(order) >= ways1:
-                    victim = order.pop(0) * ns1 + s
-                    del where1[victim]
-                    ev1 += 1
-                    if pend1.pop(victim, None):
-                        eu1 += 1
-                order.append(line // ns1)
-                where1[line] = -1
-                pf1 += 1
-                pend1[line] = True
-        return latency
 
     for b, stream_lines, sample_flags in batches:
         batch_start = now
@@ -786,22 +652,113 @@ def _fused_walk(
                 pf_first = stream_list[pos + sw_distance]
                 for line in range(pf_first, pf_first + sw_amount):
                     if pfc_get(line, 0.0) > now:
+                        # Already in flight: a no-op that takes an issue slot.
                         icount += 1
                         now += slot
                         continue
-                    pf_latency = fetch(line, sw_target)
+                    # -- software prefetch (prefetch_timing) --
+                    pf_requests += 1
+                    if line in where1:
+                        s = line % ns1
+                        order = rows1.get(s)
+                        if order is None:
+                            order = row1(s)
+                        t = line // ns1
+                        order.remove(t)
+                        order.append(t)
+                        ph1 += 1
+                        pf_latency = lat1
+                    else:
+                        in_l2 = line in where2
+                        if in_l2:
+                            s = line % ns2
+                            order = rows2.get(s)
+                            if order is None:
+                                order = row2(s)
+                            t = line // ns2
+                            order.remove(t)
+                            order.append(t)
+                            ph2 += 1
+                            pf_latency = lat2
+                        elif line in where3:
+                            s = line % ns3
+                            order = rows3.get(s)
+                            if order is None:
+                                order = row3(s)
+                            t = line // ns3
+                            order.remove(t)
+                            order.append(t)
+                            ph3 += 1
+                            pf_latency = lat3
+                        else:
+                            dram_acc += 1
+                            r = line // lines_per_row
+                            bank = r % banks
+                            if open_rows[bank] == r:
+                                dram_row_hits += 1
+                                pf_latency = dram_row_hit
+                            else:
+                                open_rows[bank] = r
+                                pf_latency = dram_row_miss
+                            s = line % ns3
+                            order = rows3.get(s)
+                            if order is None:
+                                order = row3(s)
+                            if len(order) >= ways3:
+                                victim = order.pop(0) * ns3 + s
+                                del where3[victim]
+                                ev3 += 1
+                                if pend3.pop(victim, None):
+                                    eu3 += 1
+                            order.append(line // ns3)
+                            where3[line] = -1
+                            pf3 += 1
+                            pend3[line] = True
+                        if sw_target != 3:
+                            # A line that hit in L2 was just moved to its MRU
+                            # end, so the refill only marks it prefetched.
+                            if not in_l2:
+                                s = line % ns2
+                                order = rows2.get(s)
+                                if order is None:
+                                    order = row2(s)
+                                if len(order) >= ways2:
+                                    victim = order.pop(0) * ns2 + s
+                                    del where2[victim]
+                                    ev2 += 1
+                                    if pend2.pop(victim, None):
+                                        eu2 += 1
+                                order.append(line // ns2)
+                                where2[line] = -1
+                            pf2 += 1
+                            pend2[line] = True
+                            if sw_target == 1:
+                                s = line % ns1
+                                order = rows1.get(s)
+                                if order is None:
+                                    order = row1(s)
+                                if len(order) >= ways1:
+                                    victim = order.pop(0) * ns1 + s
+                                    del where1[victim]
+                                    ev1 += 1
+                                    if pend1.pop(victim, None):
+                                        eu1 += 1
+                                order.append(line // ns1)
+                                where1[line] = -1
+                                pf1 += 1
+                                pend1[line] = True
+                    # -- core issue (issue_prefetch) --
                     icount += 1
                     now += slot
                     sw_issued += 1
-                    if min_inf <= now or min_pf <= now:
-                        retire()
                     if pf_latency > thr:
-                        if mshr_dem + len(pf_inflight) >= mshr_cap:
-                            stall_mshr()
+                        if len(mshrs) >= mshr_cap:
+                            earliest = heappop(mshrs)
+                            if earliest > now:
+                                queue_stall += earliest - now
+                                now = earliest
                         comp = now + pf_latency
-                        pf_inflight.append(comp)
-                        if comp < min_pf:
-                            min_pf = comp
+                        heappush(mshrs, comp)
                         pfc[line] = comp
             base_line = stream_list[pos]
             for line in range(base_line, base_line + row_lines):
@@ -910,42 +867,54 @@ def _fused_walk(
                 loads += 1
                 pending = pfc_pop(line, None)
                 if pending is not None and pending > now:
-                    # Late prefetch: the load merges into its MSHR entry.
+                    # Late prefetch: the load merges into its MSHR entry and
+                    # waits in the load queue, holding no fill buffer.
                     eff_sum += pending - now
                     if obs_hist is not None:
                         obs_hist.observe(pending - now)
                     now += slot
                     merged += 1
-                    if min_inf <= now or min_pf <= now:
-                        retire()
-                    if pending > now:
-                        if inflight and icount - inflight[0][0] >= rob:
-                            stall_window()
-                        if len(inflight) >= queue_cap:
-                            stall_queue()
-                        inflight.append((icount, pending, False))
-                        if pending < min_inf:
-                            min_inf = pending
+                    owner = False
+                    queued = pending > now
                 else:
                     eff_sum += latency
                     if obs_hist is not None:
                         obs_hist.observe(latency)
                     now += slot
-                    if min_inf <= now or min_pf <= now:
-                        retire()
-                    if latency > thr:
+                    owner = queued = latency > thr
+                if queued:
+                    while lq_idx and icount - lq_idx[0] >= rob:
+                        comp = lq_comp[0]
+                        if comp > now:
+                            wait = comp - now
+                            now += wait
+                            window_stall += wait
+                            if now < comp and lq_owner[0]:
+                                # ``now + (comp - now)`` rounded below comp,
+                                # so the miss's fill buffer would still look
+                                # busy; the eager model frees it here.
+                                mshrs.remove(comp)
+                                heapify(mshrs)
+                        del lq_idx[0], lq_comp[0], lq_owner[0]
+                    if len(lq_comp) >= queue_cap:
+                        earliest = min(lq_comp)
+                        if earliest > now:
+                            queue_stall += earliest - now
+                            now = earliest
+                        k = lq_comp.index(earliest)
+                        del lq_idx[k], lq_comp[k], lq_owner[k]
+                    if owner:
                         misses += 1
-                        if inflight and icount - inflight[0][0] >= rob:
-                            stall_window()
-                        if len(inflight) >= queue_cap:
-                            stall_queue()
-                        if mshr_dem + len(pf_inflight) >= mshr_cap:
-                            stall_mshr()
-                        comp = now + latency
-                        inflight.append((icount, comp, True))
-                        if comp < min_inf:
-                            min_inf = comp
-                        mshr_dem += 1
+                        if len(mshrs) >= mshr_cap:
+                            earliest = heappop(mshrs)
+                            if earliest > now:
+                                queue_stall += earliest - now
+                                now = earliest
+                        pending = now + latency  # the miss's own completion
+                        heappush(mshrs, pending)
+                    lq_idx.append(icount)
+                    lq_comp.append(pending)
+                    lq_owner.append(owner)
                 if not hw or l1_hit:
                     continue
                 # -- hardware prefetch (hw_prefetch_candidates) --
@@ -988,27 +957,113 @@ def _fused_walk(
                         if c not in found:
                             found.append(c)
                 cand2 = [c for c in found if c >= 0 and c not in where2]
-                for c in cand1:
-                    if pfc_get(c, 0.0) > now:
-                        continue
-                    pf_latency = fetch(c, 1)
-                    if pf_latency > thr:
-                        pfc[c] = now + pf_latency
-                for c in cand2:
-                    if pfc_get(c, 0.0) > now:
-                        continue
-                    pf_latency = fetch(c, 2)
-                    if pf_latency > thr:
-                        pfc[c] = now + pf_latency
-        # -- drain --
-        if inflight:
-            last_comp = max([e[1] for e in inflight])
+                # Next-line candidates fill L1 and L2, the L2 prefetchers'
+                # only L2.
+                to_l1 = True
+                for cands in (cand1, cand2):
+                    for c in cands:
+                        if pfc_get(c, 0.0) > now:
+                            continue
+                        # -- hardware prefetch (prefetch_timing) --
+                        pf_requests += 1
+                        if c in where1:
+                            s = c % ns1
+                            order = rows1.get(s)
+                            if order is None:
+                                order = row1(s)
+                            t = c // ns1
+                            order.remove(t)
+                            order.append(t)
+                            ph1 += 1
+                            pf_latency = lat1
+                        else:
+                            in_l2 = c in where2
+                            if in_l2:
+                                s = c % ns2
+                                order = rows2.get(s)
+                                if order is None:
+                                    order = row2(s)
+                                t = c // ns2
+                                order.remove(t)
+                                order.append(t)
+                                ph2 += 1
+                                pf_latency = lat2
+                            elif c in where3:
+                                s = c % ns3
+                                order = rows3.get(s)
+                                if order is None:
+                                    order = row3(s)
+                                t = c // ns3
+                                order.remove(t)
+                                order.append(t)
+                                ph3 += 1
+                                pf_latency = lat3
+                            else:
+                                dram_acc += 1
+                                r = c // lines_per_row
+                                bank = r % banks
+                                if open_rows[bank] == r:
+                                    dram_row_hits += 1
+                                    pf_latency = dram_row_hit
+                                else:
+                                    open_rows[bank] = r
+                                    pf_latency = dram_row_miss
+                                s = c % ns3
+                                order = rows3.get(s)
+                                if order is None:
+                                    order = row3(s)
+                                if len(order) >= ways3:
+                                    victim = order.pop(0) * ns3 + s
+                                    del where3[victim]
+                                    ev3 += 1
+                                    if pend3.pop(victim, None):
+                                        eu3 += 1
+                                order.append(c // ns3)
+                                where3[c] = -1
+                                pf3 += 1
+                                pend3[c] = True
+                            if not in_l2:
+                                s = c % ns2
+                                order = rows2.get(s)
+                                if order is None:
+                                    order = row2(s)
+                                if len(order) >= ways2:
+                                    victim = order.pop(0) * ns2 + s
+                                    del where2[victim]
+                                    ev2 += 1
+                                    if pend2.pop(victim, None):
+                                        eu2 += 1
+                                order.append(c // ns2)
+                                where2[c] = -1
+                            pf2 += 1
+                            pend2[c] = True
+                            if to_l1:
+                                s = c % ns1
+                                order = rows1.get(s)
+                                if order is None:
+                                    order = row1(s)
+                                if len(order) >= ways1:
+                                    victim = order.pop(0) * ns1 + s
+                                    del where1[victim]
+                                    ev1 += 1
+                                    if pend1.pop(victim, None):
+                                        eu1 += 1
+                                order.append(c // ns1)
+                                where1[c] = -1
+                                pf1 += 1
+                                pend1[c] = True
+                        if pf_latency > thr:
+                            pfc[c] = now + pf_latency
+                    to_l1 = False
+        # -- drain: wait for every demand load; prefetches need not land --
+        if lq_comp:
+            last_comp = max(lq_comp)
             if last_comp > now:
                 now = last_comp
-            inflight = []
-            mshr_dem = 0
-        pf_inflight = []
-        min_inf = min_pf = inf_
+            lq_idx.clear()
+            lq_comp.clear()
+            lq_owner.clear()
+        mshrs.clear()
         batch_cycles.append(now - batch_start)
         pfc.clear()
         if obs is not None:

@@ -7,8 +7,8 @@ from repro.errors import UnknownSchemeError
 
 
 @pytest.fixture(scope="module")
-def panel(request):
-    """All six schemes on one small Low-hot rm2_1 workload, single core."""
+def workload():
+    """One small Low-hot rm2_1 workload on ``csl``."""
     from repro.config import SimConfig
     from repro.cpu.platform import get_platform
     from repro.model.configs import get_model
@@ -22,8 +22,13 @@ def panel(request):
         model.lookups_per_sample, config=config,
     )
     amap = AddressMap([model.rows] * model.num_tables, model.embedding_dim)
-    csl = get_platform("csl")
-    return evaluate_all_schemes(model, trace, amap, csl, num_cores=1)
+    return model, trace, amap, get_platform("csl")
+
+
+@pytest.fixture(scope="module")
+def panel(workload):
+    """All six schemes on the workload, single core."""
+    return evaluate_all_schemes(*workload, num_cores=1)
 
 
 def test_all_schemes_evaluated(panel):
@@ -95,3 +100,29 @@ def test_scheme_result_metadata(panel):
     assert result.model.startswith("rm2_1")
     assert result.num_cores == 1
     assert result.scheme == "baseline"
+
+
+@pytest.mark.parametrize("num_cores", [1, 4])
+def test_all_schemes_run_each_walk_once(workload, monkeypatch, num_cores):
+    """MP-HT reuses Baseline's walk and Integrated reuses SW-PF's; every
+    result still equals its own :func:`evaluate_scheme` call."""
+    from dataclasses import asdict
+
+    from repro.core import schemes
+
+    walks = []
+    real = schemes._run_embedding
+
+    def counted(*args, **kwargs):
+        walks.append(args[3:])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(schemes, "_run_embedding", counted)
+    shared = evaluate_all_schemes(*workload, num_cores=num_cores)
+    assert len(walks) == 4
+    assert len(set(walks)) == 4
+    walks.clear()
+    for scheme in SCHEME_NAMES:
+        single = evaluate_scheme(scheme, *workload, num_cores=num_cores)
+        assert asdict(shared[scheme]) == asdict(single), scheme
+    assert len(walks) == len(SCHEME_NAMES)

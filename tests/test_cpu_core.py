@@ -157,3 +157,33 @@ def test_reset_restores_initial_state(spec):
     assert core.now == 0.0
     assert core.instr_count == 0
     assert core.drain() == 0.0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_demand_chunks_match_scalar_issue(seed):
+    """Bulk replay of several drained chunks vs the scalar calls: every
+    counter, including stall totals accumulated across chunks, is
+    bit-identical.  Latencies with long mantissas make float addition
+    order-sensitive."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    spec = CoreSpec(
+        rob_entries=int(rng.choice([4, 8, 16])), issue_width=4,
+        l1_mshrs=6, demand_concurrency=int(rng.integers(1, 7)),
+    )
+    bulk, scalar = CoreModel(spec), CoreModel(spec)
+    for _ in range(4):
+        latencies = np.where(
+            rng.random(200) < 0.4, 5.0, 200.0 + 300.0 * rng.random(200)
+        )
+        pre_uops = rng.integers(0, 6, 200)
+        bulk.issue_demand_chunk(latencies, pre_uops)
+        for uops, latency in zip(pre_uops.tolist(), latencies.tolist()):
+            scalar.issue_compute(uops)
+            scalar.issue_load(latency, is_miss=latency > 16.0)
+        bulk.drain()
+        scalar.drain()
+    for name in ("now", "instr_count", "loads", "misses",
+                 "window_stall_cycles", "mshr_stall_cycles"):
+        assert getattr(bulk, name) == getattr(scalar, name), name

@@ -332,26 +332,24 @@ def _random_plan(rng):
     )
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_fused_kernel_fuzz(seed):
-    """Random small traces, core resources, plans and geometries; two
-    consecutive calls per hierarchy, so cache, prefetcher and DRAM state
-    carries from one call into the next.  Half the seeds put a batched
-    demand walk between the calls: the fast caches then hand state that
-    includes prefetched lines from their scalar form to their array form
-    and back."""
-    rng = np.random.default_rng([seed, 14])
+def _fuzz_case(
+    rng, robs, widths, max_mshrs, utilizations, geometries=SMALL_HIERARCHIES
+):
+    """One random case: a small trace, core resources drawn from ``robs``,
+    ``widths`` and ``max_mshrs``, one of ``geometries``, a DRAM utilization
+    drawn uniformly from the ``utilizations`` interval, and two consecutive
+    calls per hierarchy under each engine."""
     trace, amap = _random_trace(rng)
-    mshrs = int(rng.integers(1, 13))
+    mshrs = int(rng.integers(1, max_mshrs + 1))
     core = CoreSpec(
-        rob_entries=int(rng.choice([8, 32, 224])),
-        issue_width=int(rng.choice([1, 3, 4])),
+        rob_entries=int(rng.choice(robs)),
+        issue_width=int(rng.choice(widths)),
         l1_mshrs=mshrs,
         demand_concurrency=int(rng.integers(1, mshrs + 1)),
     )
-    config = SMALL_HIERARCHIES[int(rng.integers(len(SMALL_HIERARCHIES)))]
+    config = geometries[int(rng.integers(len(geometries)))]
     hw = bool(rng.random() < 0.7)
-    utilization = float(rng.uniform(0.0, 0.9))
+    utilization = float(rng.uniform(*utilizations))
     calls = [
         (_random_plan(rng), str(rng.choice(["table_major", "sample_major"])),
          None if first else sorted(rng.choice(
@@ -379,6 +377,54 @@ def test_fused_kernel_fuzz(seed):
             states[engine].append(_state(hierarchy, lines, result))
     for fast, ref in zip(states["fast"], states["reference"]):
         _assert_same(fast, ref)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_fused_kernel_fuzz(seed):
+    """Random small traces, core resources, plans and geometries; two
+    consecutive calls per hierarchy, so cache, prefetcher and DRAM state
+    carries from one call into the next.  Half the seeds put a batched
+    demand walk between the calls: the fast caches then hand state that
+    includes prefetched lines from their scalar form to their array form
+    and back."""
+    _fuzz_case(
+        np.random.default_rng([seed, 14]), robs=[8, 32, 224],
+        widths=[1, 3, 4], max_mshrs=12, utilizations=(0.0, 0.9),
+    )
+
+
+@pytest.mark.parametrize("rob", [4, 8])
+@pytest.mark.parametrize("seed", range(12))
+def test_fused_kernel_fuzz_ties(seed, rob):
+    """Integer latencies (DRAM idle) and one issue slot per cycle: merged
+    loads, demand misses and software prefetches share completion times,
+    and a tiny window leaves completed entries at its head."""
+    _fuzz_case(
+        np.random.default_rng([seed, rob, 16]), robs=[rob], widths=[1],
+        max_mshrs=12, utilizations=(0.0, 0.0),
+    )
+
+
+#: Tiny L1/L2 over a 1 MiB L3: a second call's L3 hits are short misses
+#: that move the clock forward before a long DRAM miss issues.
+WARM_L3_HIERARCHY = HierarchyConfig(
+    l1_size=1024, l1_ways=2, l2_size=2048, l2_ways=2,
+    l3_size=1 << 20, l3_ways=16,
+)
+
+
+@pytest.mark.parametrize("seed", range(256))
+def test_fused_kernel_fuzz_rounding(seed):
+    """One fill buffer, tiny windows, issue widths 5 and 6 and a loaded
+    DRAM, so latencies are long and carry many mantissa bits.  A
+    full-window stall's ``now + (comp - now)`` then sometimes rounds just
+    below ``comp`` (seeds 103 and 204 do), and the next miss must still
+    find the fill buffer free."""
+    _fuzz_case(
+        np.random.default_rng([seed, 17]), robs=range(1, 9), widths=[5, 6],
+        max_mshrs=1, utilizations=(0.5, 0.97),
+        geometries=(WARM_L3_HIERARCHY,),
+    )
 
 
 # -- 4. experiment reports -------------------------------------------------

@@ -77,15 +77,30 @@ def test_quick_fig12_pipeline_fast_wins():
     assert fast["serving_requests_per_min"] >= 10_000_000
 
 
-def test_resilient_loop_fast_engine_wins():
-    """Faults, retries, shedding and a degradation controller: the fast
-    resilient loop vs the reference one on the pinned ledger scenario."""
+def _load_bench_all():
     spec = importlib.util.spec_from_file_location(
         "bench_all", REPO_ROOT / "tools" / "bench_all.py"
     )
     bench_all = importlib.util.module_from_spec(spec)
     sys.modules["bench_all"] = bench_all
     spec.loader.exec_module(bench_all)
+    return bench_all
+
+
+def test_resilient_loop_fast_engine_wins():
+    """Faults, retries, shedding and a degradation controller: the fast
+    resilient loop vs the reference one on the pinned ledger scenario."""
+    bench_all = _load_bench_all()
     fast = bench_all.resilient_loop_rate("fast", 20_000, repeats=3)
     ref = bench_all.resilient_loop_rate("reference", 20_000, repeats=3)
     assert fast > ref
+
+
+def test_embedding_swpf_fast_engine_wins():
+    """The paper's software-prefetch plan with hardware prefetching on:
+    the fused kernel vs the generic loop on the ledger's smoke inputs."""
+    bench_all = _load_bench_all()
+    fast = bench_all.bench_embedding_swpf("fast", 0.01, 8, 1)
+    ref = bench_all.bench_embedding_swpf("reference", 0.01, 8, 1)
+    assert fast["lines"] == ref["lines"]
+    assert fast["lines_per_sec"] > ref["lines_per_sec"]

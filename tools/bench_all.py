@@ -11,7 +11,8 @@ The suite:
 
 * **engine wall clocks** (kind ``wall``) — demand-walk, embedding
   hot-path (hardware prefetch off: the bulk walk; on: the fused scalar
-  kernel), and serving-loop throughput of the fast and reference
+  kernel; on with the paper's software-prefetch plan: the Integrated
+  walk), and serving-loop throughput of the fast and reference
   engines, median of ``--repeats`` trials; host-dependent, so the gate
   skips them unless ``bench_gate.py --include-wall``.
 * **scheme sim outputs** (kind ``sim``) — MP-HT / DP-HT / Integrated
@@ -69,9 +70,12 @@ import bench_sim  # noqa: E402
 
 from repro.config import SimConfig  # noqa: E402
 from repro.core.schemes import evaluate_all_schemes  # noqa: E402
+from repro.core.swpf import PAPER_SWPF  # noqa: E402
 from repro.cpu.platform import get_platform  # noqa: E402
+from repro.engine.embedding_exec import run_embedding_trace  # noqa: E402
 from repro.experiments.noisy_neighbor import run as noisy_run  # noqa: E402
 from repro.experiments.workloads import build_workload  # noqa: E402
+from repro.mem.hierarchy import build_hierarchy  # noqa: E402
 from repro.obs.critpath import extract_paths  # noqa: E402
 from repro.obs.regress import (  # noqa: E402
     Benchmark,
@@ -106,7 +110,7 @@ from repro.serving.router import HedgePolicy  # noqa: E402
 from repro.serving.server import ServingPolicy, simulate_server  # noqa: E402
 from repro.serving.workload import poisson_arrivals  # noqa: E402
 
-__all__ = ["main", "resilient_loop_rate", "run_suite"]
+__all__ = ["bench_embedding_swpf", "main", "resilient_loop_rate", "run_suite"]
 
 SCHEMA_PATH = REPO_ROOT / "tools" / "trace_schema.json"
 DEFAULT_HISTORY = REPO_ROOT / "BENCH_history.jsonl"
@@ -147,6 +151,12 @@ def _wall_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
                 "lines/s",
             ),
             (
+                "embedding_swpf",
+                lambda: bench_embedding_swpf(engine, *emb_args),
+                "lines_per_sec",
+                "lines/s",
+            ),
+            (
                 "serving",
                 lambda: bench_sim.bench_serving(
                     engine, serving_requests, repeats=1
@@ -167,6 +177,27 @@ def _wall_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
                 )
             )
     return out
+
+
+def bench_embedding_swpf(
+    engine: str, scale: float, batch_size: int, num_batches: int
+) -> Dict[str, float]:
+    """One engine's embedding walk with the paper's software-prefetch plan
+    and hardware prefetching on (the Integrated design point's walk), on a
+    fresh hierarchy and a Low-hot ``rm2_1`` trace."""
+    wl = build_workload(
+        "rm2_1", "low", scale=scale, batch_size=batch_size,
+        num_batches=num_batches, config=SimConfig(seed=1234),
+    )
+    spec = get_platform("csl")
+    hierarchy = build_hierarchy(spec.hierarchy, engine=engine)
+    start = time.perf_counter()
+    result = run_embedding_trace(
+        wl.trace, wl.amap, spec.core, hierarchy, plan=PAPER_SWPF.plan()
+    )
+    seconds = time.perf_counter() - start
+    return {"lines": float(result.loads), "seconds": seconds,
+            "lines_per_sec": result.loads / seconds}
 
 
 def _scheme_benchmarks(mode: str) -> List[Benchmark]:

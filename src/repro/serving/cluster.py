@@ -42,6 +42,7 @@ which is what locks the ``ServerSim`` refactor against regressions.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from itertools import chain, count
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, TYPE_CHECKING
@@ -49,7 +50,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, TYPE_CH
 import numpy as np
 
 from ..errors import ConfigError
-from ..mem.hierarchy import get_default_engine
 from ..obs import hooks as obs_hooks
 from ..obs.fleet import FleetTrace
 from ..obs.metrics import Histogram
@@ -596,12 +596,6 @@ class ClusterSim:
                     np.random.SeedSequence([cfg.seed, _STREAM_NODE_SERVICE, 0])
                 )
             return self._run_local(arrivals_ms, rng)
-        engine = cfg.engine if cfg.engine is not None else get_default_engine()
-        if engine not in ("fast", "reference"):
-            raise ConfigError(
-                f"unknown serving engine {engine!r}; "
-                "expected 'fast' or 'reference'"
-            )
         return self._run_cluster(arrivals_ms)
 
     def _run_cluster(self, arrivals_ms: np.ndarray) -> ClusterResult:
@@ -671,11 +665,16 @@ class ClusterSim:
         # about (least-outstanding-requests), never node internals.
         inflight = [0] * num_nodes
         router = Router(cfg.routing, health, loads=inflight)
+        fails = health.fails
         window = LatencyWindow(hedge.window) if hedge is not None else None
         max_hedges = hedge.max_hedges if hedge is not None else 0
-        # max(min_ms, window quantile), refreshed whenever the window
-        # changes; None while there is nothing to hedge against.
-        hedge_delay: Optional[float] = None
+        hedge_min = hedge.min_ms if hedge is not None else 0.0
+        window_size = hedge.window if hedge is not None else 0
+        # The window's ring and sorted copy, updated inline on delivery; the
+        # hedge delay max(min_ms, quantile) is computed only where it is
+        # read, and there is nothing to hedge against while ``xs`` is empty.
+        ring = window._ring if window is not None else None
+        xs: List[float] = window.sorted if window is not None else []
 
         obs = obs_hooks.active()
         log = obs.requests if obs is not None else None
@@ -728,22 +727,22 @@ class ClusterSim:
         # -- slots: slot i * width + k is request i's k-th shard lookup -----
         num_slots = n * width
         slot_settled = [False] * num_slots
-        slot_outstanding = [0] * num_slots
-        slot_hedges = [0] * num_slots
         # Replicas tried so far; dropped once the slot is settled.
         slot_tried: List[Optional[List[int]]] = [None] * num_slots
+        # Written only on the rare paths: hedges issued, and failed
+        # attempts of an unsettled slot.
+        slot_hedges: Dict[int, int] = {}
+        slot_dead: Dict[int, int] = {}
         slot_span: List[Optional[str]] = (
             [None] * num_slots if trace is not None else []
         )
 
         # -- attempts: attempt a is the a-th shard call submitted -----------
-        att_slot: List[int] = []
-        att_node: List[int] = []
-        att_submit: List[float] = []
-        att_hedge: List[bool] = []
-        att_live: List[bool] = []
-        # The failure an attempt is doomed to, known at submission.
-        att_cause: List[Optional[str]] = []
+        # (slot, node, submit time, is hedge) per attempt, and its state:
+        # None while live, the failure it is doomed to (known at
+        # submission) while live but doomed, False once dead.
+        att: List[Tuple[int, int, float, bool]] = []
+        att_state: List[object] = []
         att_span: List[str] = []
         # (start, completion, slowdown) of the calls that reached a node,
         # kept for the request log and the fleet trace only.
@@ -762,21 +761,15 @@ class ClusterSim:
         heappop = heapq.heappop
         heapreplace = heapq.heapreplace
 
-        def submit(sid: int, node: int, now: float, is_hedge: bool) -> None:
-            """Send one shard call of slot ``sid`` to ``node`` at ``now``."""
-            aid = len(att_node)
-            att_slot.append(sid)
-            att_node.append(node)
-            att_submit.append(now)
-            att_hedge.append(is_hedge)
-            att_live.append(True)
-            att_cause.append(None)
+        def submit(sid: int, shard: int, node: int, now: float, is_hedge: bool) -> None:
+            """Send slot ``sid``'s call for ``shard`` to ``node`` at ``now``."""
+            aid = len(att)
+            att.append((sid, node, now, is_hedge))
             tried = slot_tried[sid]
             if tried is None:
                 slot_tried[sid] = [node]
             else:
                 tried.append(node)
-            slot_outstanding[sid] += 1
             inflight[node] += 1
             if trace is not None:
                 att_span.append(
@@ -786,17 +779,17 @@ class ClusterSim:
                     req = sid // width
                     run.event(
                         req, "shard_call", now,
-                        node=node, shard=slot_shard[sid], hedge=is_hedge,
+                        node=node, shard=shard, hedge=is_hedge,
                     )
                     req_nodes[req].add(node)
             if may_crash[node] and node_down(node, now):
                 # Connection refused: the router learns at one hop.
-                att_cause[aid] = "node_fault"
+                att_state.append("node_fault")
                 heappush(events, (now + hop, _EV_DELIVER, next(seq), aid))
                 return
             if may_partition[node] and partitioned(node, now):
                 # Swallowed by the partition: only the timeout resolves it.
-                att_cause[aid] = "partition"
+                att_state.append("partition")
                 heappush(
                     events, (now + call_timeout, _EV_TIMEOUT, next(seq), aid)
                 )
@@ -815,7 +808,7 @@ class ClusterSim:
             start = free_at if free_at > t_work else t_work
             # draw * multiplier * slowdown * scale, left to right; a factor
             # this node cannot have is exactly 1.0 and is skipped.
-            service = next(draws[node]) * multipliers[slot_shard[sid]][node]
+            service = next(draws[node]) * multipliers[shard][node]
             slow = 1.0
             if may_slow[node]:
                 slow = slow_factor(node, start)
@@ -835,39 +828,40 @@ class ClusterSim:
             deliver = completion + hop
             if may_partition[node] and partitioned(node, deliver):
                 # The response would land inside a partition window: lost.
-                att_cause[aid] = "partition"
+                att_state.append("partition")
                 heappush(
                     events, (now + call_timeout, _EV_TIMEOUT, next(seq), aid)
                 )
                 return
             heappush(events, (deliver, _EV_DELIVER, next(seq), aid))
             late = deliver > now + call_timeout
+            att_state.append("timeout" if late else None)
             if late:
-                att_cause[aid] = "timeout"
                 heappush(
                     events, (now + call_timeout, _EV_TIMEOUT, next(seq), aid)
                 )
-            if not is_hedge and hedge_delay is not None:
-                fire = now + hedge_delay
-                # A timer due at or after a delivery nothing can fail would
-                # find its slot settled, so it is never pushed.
+            # A timer due at or after a delivery nothing can fail would find
+            # its slot settled, so it is never pushed; the delay is at least
+            # min_ms, so now + min_ms >= deliver rules it out unread.
+            if xs and not is_hedge and (
+                late or may_crash[node] or now + hedge_min < deliver
+            ):
+                q = window.quantile(hedge.quantile)
+                fire = now + (q if q > hedge_min else hedge_min)
                 if late or may_crash[node] or fire < deliver:
                     heappush(events, (fire, _EV_HEDGE, next(seq), sid))
 
         def fail(aid: int, now: float, cause: str) -> None:
             """Live attempt ``aid`` is dead: fail over, or lose its shard."""
             nonlocal calls_failed, partition_failures, hedges_failed, failovers
-            att_live[aid] = False
-            node = att_node[aid]
+            att_state[aid] = False
+            sid, node, _, is_hedge = att[aid]
             if may_crash[node]:
                 on_node[node].pop(aid, None)
             inflight[node] -= 1
             calls_failed += 1
-            sid = att_slot[aid]
             req = sid // width
             shard = slot_shard[sid]
-            slot_outstanding[sid] -= 1
-            is_hedge = att_hedge[aid]
             if trace is not None:
                 trace.end_attempt(att_span[aid], now, "failed", cause=cause)
                 if run is not None:
@@ -886,8 +880,13 @@ class ClusterSim:
                 )
             if is_hedge:
                 hedges_failed += 1  # however its slot ends up
-            if slot_settled[sid] or slot_outstanding[sid] > 0:
-                return  # settled already, or a sibling attempt still races
+            if slot_settled[sid]:
+                return
+            # An unsettled slot's attempts went to distinct nodes in ``tried``
+            # and none has delivered, so those not dead still race.
+            dead = slot_dead[sid] = slot_dead.get(sid, 0) + 1
+            if len(slot_tried[sid]) > dead:
+                return
             target = choose(
                 shard, replicas[shard], slot_tried[sid], now,
                 (slot_span[sid], "failover") if trace is not None else None,
@@ -897,7 +896,7 @@ class ClusterSim:
                 req_failovers[req] += 1
                 if run is not None:
                     run.event(req, "failover", now, node=target, shard=shard)
-                submit(sid, target, now, False)
+                submit(sid, shard, target, now, False)
                 return
             # No replica left: the shard is unreachable for this request.
             slot_settled[sid] = True
@@ -974,7 +973,7 @@ class ClusterSim:
                         ctx = (slot_span[sid], "primary")
                     target = choose(shard, replicas[shard], _NONE_TRIED, now, ctx)
                     if target is not None:
-                        submit(sid, target, now, False)
+                        submit(sid, shard, target, now, False)
                         continue
                     slot_settled[sid] = True
                     if trace is not None:
@@ -990,34 +989,33 @@ class ClusterSim:
 
             if kind == _EV_DELIVER:
                 aid = payload
-                if not att_live[aid]:
+                state = att_state[aid]
+                if state is not None:
+                    # Dead, or "node_fault": a late call times out first.
+                    if state:
+                        fail(aid, now, state)
                     continue
-                if att_cause[aid] == "node_fault":
-                    # Fail-fast bounce off a down node.
-                    fail(aid, now, "node_fault")
-                    continue
-                att_live[aid] = False
-                node = att_node[aid]
+                att_state[aid] = False
+                sid, node, submitted, is_hedge = att[aid]
                 if may_crash[node]:
                     on_node[node].pop(aid, None)
-                sid = att_slot[aid]
-                slot_outstanding[sid] -= 1
                 inflight[node] -= 1
-                health.record_success(node)
-                latency = now - att_submit[aid]
-                if window is not None:
-                    window.observe(latency)
-                    q = window.quantile(hedge.quantile)
-                    hedge_delay = q if q > hedge.min_ms else hedge.min_ms
+                if fails[node]:  # else healthy: nothing to reset
+                    health.record_success(node)
+                latency = now - submitted
+                if ring is not None:
+                    if len(ring) == window_size:
+                        del xs[bisect_left(xs, ring.popleft())]
+                    ring.append(latency)
+                    insort(xs, latency)
                 req = sid // width
-                is_hedge = att_hedge[aid]
                 settled = slot_settled[sid]
                 if trace is not None:
                     # The attempt's internal decomposition: on-node queue
                     # wait, service time, and the fault-plan slowdown in
                     # effect — the critical-path extractor's raw material.
                     start, completion, slow = att_timing[aid]
-                    queue_ms = start - (att_submit[aid] + hop)
+                    queue_ms = start - (submitted + hop)
                     if run is not None:
                         run.event(
                             req, "call_ok", now,
@@ -1048,7 +1046,8 @@ class ClusterSim:
                     close_request(req, now)
             elif kind == _EV_HEDGE:
                 sid = payload
-                if slot_settled[sid] or slot_hedges[sid] >= max_hedges:
+                hedges = slot_hedges.get(sid, 0) + 1
+                if slot_settled[sid] or hedges > max_hedges:
                     continue
                 shard = slot_shard[sid]
                 target = choose(
@@ -1057,7 +1056,7 @@ class ClusterSim:
                 )
                 if target is None:
                     continue
-                slot_hedges[sid] += 1
+                slot_hedges[sid] = hedges
                 hedges_issued += 1
                 req = sid // width
                 req_hedges[req] += 1
@@ -1070,14 +1069,15 @@ class ClusterSim:
                         req, "hedge", now, node=target, shard=shard,
                         q_ms=window.quantile(hedge.quantile),
                     )
-                submit(sid, target, now, True)
-                if slot_hedges[sid] < max_hedges:
-                    heappush(
-                        events, (now + hedge_delay, _EV_HEDGE, next(seq), sid)
-                    )
+                submit(sid, shard, target, now, True)
+                if hedges < max_hedges:
+                    q = window.quantile(hedge.quantile)
+                    fire = now + (q if q > hedge_min else hedge_min)
+                    heappush(events, (fire, _EV_HEDGE, next(seq), sid))
             elif kind == _EV_TIMEOUT:
-                if att_live[payload]:
-                    fail(payload, now, att_cause[payload] or "timeout")
+                state = att_state[payload]  # only doomed calls time out
+                if state is not False:
+                    fail(payload, now, state)
             elif kind == _EV_CRASH:
                 node, until = payload
                 killed = list(on_node[node].items())

@@ -124,7 +124,11 @@ class HealthTracker:
         if num_nodes <= 0:
             raise ConfigError("need at least one node")
         self.policy = policy
-        self._fails = [0] * num_nodes
+        #: Per-node consecutive-failure counts; read-only outside this
+        #: class.  Non-zero for every ejected node: ejection needs
+        #: ``eject_after >= 1`` failures, and whatever resets a count also
+        #: re-admits the node.
+        self.fails = [0] * num_nodes
         self._ejected: Set[int] = set()
         self.ejections = 0
         self.probes = 0
@@ -137,8 +141,8 @@ class HealthTracker:
         """Count one failed call; returns True if this ejects the node."""
         if node in self._ejected:
             return False
-        self._fails[node] += 1
-        if self._fails[node] >= self.policy.eject_after:
+        self.fails[node] += 1
+        if self.fails[node] >= self.policy.eject_after:
             self._ejected.add(node)
             self.ejections += 1
             return True
@@ -146,14 +150,14 @@ class HealthTracker:
 
     def record_success(self, node: int) -> None:
         """A call succeeded: clean slate (also re-admits, belt-and-braces)."""
-        self._fails[node] = 0
+        self.fails[node] = 0
         self._ejected.discard(node)
 
     def record_probe(self, node: int, reachable: bool) -> bool:
         """Account one probe of an ejected node; True if re-admitted."""
         self.probes += 1
         if reachable:
-            self._fails[node] = 0
+            self.fails[node] = 0
             self._ejected.discard(node)
             return True
         return False

@@ -293,3 +293,76 @@ def test_fuzz_matches_oracle(seed, tmp_path):
     config, arrivals = _fuzz_case(seed)
     # Every fifth case also compares the request log and the fleet trace.
     _check(config, arrivals, tmp_path if seed % 5 == 0 else None)
+
+
+def _slice_case(seed):
+    """Hedged calls meeting crashes and slow nodes, hedge floors above the
+    call timeout, replication >= 3 and 2-3 hedges per call.
+
+    A failing attempt here often has a sibling still racing, and a hedge
+    timer is armed only for a late call or one on a node that may crash:
+    the floor puts every other call's delivery before its timer.
+    """
+    rng = np.random.default_rng([37, seed])
+    num_nodes = int(rng.integers(3, 6))
+    cores = int(rng.integers(1, 3))
+    num_shards = int(rng.integers(3, 9))
+    width = int(rng.integers(1, 4))
+    service = float(rng.uniform(0.8, 2.0))
+    # Offered load 0.3-0.7 of the fleet before faults and hedges.
+    mean_gap = width * service / (num_nodes * cores * rng.uniform(0.3, 0.7))
+    n = int(rng.integers(150, 260))
+    arrivals = np.cumsum(rng.exponential(float(mean_gap), n))
+    horizon = float(arrivals[-1])
+    call_timeout = float(rng.uniform(2.0, 5.0))
+    faults = []
+    for k in range(int(rng.integers(2, 5))):
+        node = int(rng.integers(num_nodes))
+        start = float(rng.uniform(0.0, horizon))
+        end = start + horizon * float(rng.uniform(0.05, 0.3))
+        if k % 2 == 0:
+            faults.append(NodeCrash(node, start, end))
+        else:
+            faults.append(
+                NodeSlow(node, start, end, factor=float(rng.uniform(2.0, 6.0)))
+            )
+    config = ClusterConfig(
+        num_nodes=num_nodes,
+        cores_per_node=cores,
+        mean_service_ms=service,
+        num_shards=num_shards,
+        replication=int(rng.integers(3, num_nodes + 1)),
+        gather_width=width,
+        hop_ms=float(rng.uniform(0.0, 0.2)),
+        call_timeout_ms=call_timeout,
+        deadline_ms=20.0,
+        routing=ROUTING_POLICIES[seed % len(ROUTING_POLICIES)],
+        hedge=HedgePolicy(
+            quantile=float(rng.uniform(50.0, 99.0)),
+            min_ms=call_timeout * float(rng.uniform(1.05, 2.0)),
+            window=int(rng.integers(4, 65)),
+            max_hedges=int(rng.integers(2, 4)),
+        ),
+        health=HealthPolicy(
+            eject_after=int(rng.integers(2, 5)),
+            probe_interval_ms=float(rng.uniform(2.0, 20.0)),
+        ),
+        faults=ClusterFaultPlan(faults, seed=seed),
+        seed=seed,
+    )
+    return config, arrivals
+
+
+SLICE_SEEDS = range(12)
+
+
+@pytest.mark.parametrize("seed", SLICE_SEEDS)
+def test_slice_matches_oracle(seed, tmp_path):
+    config, arrivals = _slice_case(seed)
+    _check(config, arrivals, tmp_path if seed % 4 == 0 else None)
+
+
+def test_slice_fails_hedges_and_fails_over():
+    results = [_flat(ClusterSim(c), a) for c, a in map(_slice_case, SLICE_SEEDS)]
+    assert sum(r.hedges_failed for r in results) > 0
+    assert sum(r.failovers for r in results) > 0

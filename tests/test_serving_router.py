@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import SimConfig
 from repro.errors import ConfigError
@@ -77,6 +79,32 @@ class TestHealthTracker:
         assert health.record_probe(0, reachable=True)
         assert not health.is_ejected(0)
         assert health.probes == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.lists(
+            st.tuples(
+                st.sampled_from(("failure", "success", "probe")),
+                st.integers(0, 2),
+                st.booleans(),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_ejected_node_has_failures(self, eject_after, ops):
+        # The cluster loop skips record_success on a node whose count is
+        # zero; that is exact only if no such node is ever ejected.
+        health = HealthTracker(3, HealthPolicy(eject_after=eject_after))
+        for op, node, reachable in ops:
+            if op == "failure":
+                health.record_failure(node)
+            elif op == "success":
+                health.record_success(node)
+            else:
+                health.record_probe(node, reachable)
+            for n in range(3):
+                assert not health.is_ejected(n) or health.fails[n] > 0
 
 
 class TestRouter:

@@ -41,10 +41,11 @@ class SimConfig:
         range.  Analytic paths (reuse-distance model, breakdown) always run
         at paper scale regardless.
     engine:
-        Simulation engine: ``"fast"`` (array-backed caches + vectorized
-        hierarchy walk, the default) or ``"reference"`` (per-set Python
-        objects, the correctness oracle).  Both produce identical results;
-        see ``docs/modeling.md``.
+        Memory-hierarchy and embedding implementation: ``"fast"``
+        (array-backed caches + vectorized hierarchy walk, the default) or
+        ``"reference"`` (per-set Python objects, the correctness oracle).
+        Both produce identical results; see ``docs/modeling.md``.  The
+        serving loops do not depend on it.
     mode:
         Hit-rate modeling mode for the analytic paths: ``"sim"`` (default)
         replays a synthesized index stream through the exact stack-distance

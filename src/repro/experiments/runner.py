@@ -94,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine", choices=("fast", "reference"), default=None,
-        help="simulation engine (default: SimConfig default, 'fast')",
+        help="memory-hierarchy and embedding implementation (default: "
+        "SimConfig default, 'fast'); serving always runs its one loop",
     )
     parser.add_argument(
         "--mode", dest="model_mode", choices=("sim", "analytic"), default=None,

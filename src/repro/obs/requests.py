@@ -216,32 +216,6 @@ class RunLog:
         self._ev_t.extend(times)
         self._ev_attrs.extend(attrs)
 
-    def dispatched(
-        self,
-        req: int,
-        level: Optional[int],
-        scheme: Optional[str],
-        fault_mult: float,
-        straggler_mult: float,
-        scale: float,
-    ) -> None:
-        """Record what request ``req`` was dispatched under: the
-        degradation level and scheme in force (None without a controller)
-        and its fault, straggler and degradation service multipliers.
-
-        The resilient loops record this instead of ``dispatch`` and
-        ``complete`` events (the reference loop per dispatch, the fast one
-        through :meth:`extend_dispatches`): their times and core are
-        ``starts``, ``starts + services`` and ``core_of`` in :meth:`finish`.
-        """
-        reqs, levels, schemes, faults, stragglers, scales = self._dispatches
-        reqs.append(req)
-        levels.append(level)
-        schemes.append(scheme)
-        faults.append(fault_mult)
-        stragglers.append(straggler_mult)
-        scales.append(scale)
-
     def extend_dispatches(
         self,
         reqs: Sequence[int],
@@ -251,8 +225,15 @@ class RunLog:
         straggler_mults: Sequence[float],
         scales: Sequence[float],
     ) -> None:
-        """Record many dispatches at once, as parallel columns: row ``j``
-        is one :meth:`dispatched` call."""
+        """Record what each request in ``reqs`` was dispatched under, as
+        parallel columns: the degradation level and scheme in force (None
+        without a controller) and its fault, straggler and degradation
+        service multipliers.
+
+        The resilient loop records this instead of ``dispatch`` and
+        ``complete`` events: their times and core are ``starts``,
+        ``starts + services`` and ``core_of`` in :meth:`finish`.
+        """
         for column, values in zip(
             self._dispatches,
             (reqs, levels, schemes, fault_mults, straggler_mults, scales),
@@ -287,7 +268,7 @@ class RunLog:
         ``outcomes`` uses the codes of :mod:`repro.serving.server`
         (0 completed / 1 shed / 2 timed out); causes and retry timelines
         come from the :meth:`event` table, dispatch conditions from
-        :meth:`dispatched`.
+        :meth:`extend_dispatches`.
         """
         self._cols = _Columns(
             arrival=arrivals, start=starts, service=services, core=core_of,
@@ -315,7 +296,7 @@ class RunLog:
         return self._grouping
 
     def _dispatch_rows(self) -> np.ndarray:
-        """Per kept request, its row in the :meth:`dispatched` table
+        """Per kept request, its row in the dispatch table
         (-1: never dispatched)."""
         if self._dispatch_row is None:
             reqs = np.array(self._dispatches[0], dtype=np.int64)

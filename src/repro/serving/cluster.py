@@ -42,6 +42,7 @@ which is what locks the ``ServerSim`` refactor against regressions.
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from itertools import chain, count
@@ -65,7 +66,13 @@ from .server import (
     ServingPolicy,
     lognormal_services,
 )
-from .stats import check_arrivals, safe_mean, safe_percentile, safe_ratio
+from .stats import (
+    check_arrivals,
+    check_service,
+    safe_mean,
+    safe_percentile,
+    safe_ratio,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .degradation import DegradationController
@@ -173,7 +180,6 @@ class ClusterConfig:
     cache_scores: Optional[Tuple[float, ...]] = None
     partial_results: bool = True
     seed: int = 0
-    engine: Optional[str] = None
     label: Optional[str] = None
     local_fault_plan: Optional[FaultPlan] = None
     local_policy: Optional[ServingPolicy] = None
@@ -184,8 +190,16 @@ class ClusterConfig:
             raise ConfigError("need at least one node")
         if self.cores_per_node <= 0:
             raise ConfigError("need at least one core per node")
-        if self.mean_service_ms <= 0:
-            raise ConfigError("mean service time must be positive")
+        # A NaN passes every ordered check below, and then every request
+        # ends unresolved.
+        for name in (
+            "hop_ms", "call_timeout_ms", "deadline_ms", "hotness_alpha",
+            "miss_penalty",
+        ):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        check_service(self.mean_service_ms, self.service_cv)
         if self.num_shards <= 0:
             raise ConfigError("need at least one shard")
         if not 1 <= self.replication <= self.num_nodes:
@@ -220,11 +234,6 @@ class ClusterConfig:
                 raise ConfigError("need one cache score per node")
             if any(not 0.0 <= s <= 1.0 for s in self.cache_scores):
                 raise ConfigError("cache scores must be in [0, 1]")
-        if self.engine is not None and self.engine not in ("fast", "reference"):
-            raise ConfigError(
-                f"unknown serving engine {self.engine!r}; "
-                "expected 'fast' or 'reference'"
-            )
 
     @property
     def is_single_box(self) -> bool:
@@ -526,7 +535,6 @@ class ClusterSim:
                 else None
             ),
             label=cfg.label,
-            engine=cfg.engine,
         )
         local = sim.run(arrivals_ms, rng)
         n = local.offered_requests

@@ -1,38 +1,36 @@
-"""Batched serving engine — the "fast" counterpart of the event loops.
+"""The serving loops behind :class:`repro.serving.server.ServerSim`.
 
-The reference serving paths in :mod:`repro.serving.server` spend their
-time in per-request Python work: heap operations against an O(n)
-event heap and numpy scalar indexing (each ``arr[i]`` materializes a new
-scalar object).  This module vectorizes the same computations the way
-:class:`repro.mem.fastcache.FastCache` batched the memory hierarchy —
-waves of numpy work where request order provably cannot change, plain
-C-speed float loops where it can — while producing **byte-identical**
-results (enforced by the differential tests in
-``tests/test_serving_engine.py``):
+Both avoid per-request numpy scalar indexing (each ``arr[i]``
+materializes a new scalar object) and, where they can, per-event heap
+work: waves of numpy work where request order provably cannot change,
+plain C-speed float loops where it can.
 
 * :func:`dispatch_plain` — FIFO M/G/c dispatch for the happy path.
   Single-core chains are an exact python-float recurrence; multi-core
   dispatch runs *speculative waves*: the next ``c`` requests are assigned
   to the ``c`` cores in heap order (``lexsort`` over ``(free, core)`` is
-  exactly the heap's total order), and the wave is committed only up to
-  the first position where a freshly computed completion could overtake a
-  later core's free time — the only way the real heap could disagree.
-  Under load the full wave commits; when speculation stops paying the
-  dispatcher falls back to a python-float heap loop (still well ahead of
-  numpy scalar indexing).
+  exactly a ``(free time, core id)`` min-heap's total order), and the
+  wave is committed only up to the first position where a freshly
+  computed completion could overtake a later core's free time — the only
+  way a heap could disagree.  Under load the full wave commits; when
+  speculation stops paying the dispatcher falls back to a python-float
+  heap loop.
 
 * :func:`resilient_events` — the resilient event loop over three merged
-  streams instead of one heap: the static arrivals through a pointer
-  into the sorted array, the queue timeouts as a FIFO (they fall due in
-  push order), and a heap of only core releases and retry arrivals,
-  which stays O(cores + pending retries).  Heap sequence numbers
-  replicate the reference numbering (cores ``0..c-1``, static arrivals
-  ``c..c+n-1``, runtime events counting up from ``c+n``) so every tie
-  breaks the same way.
+  streams instead of one ``(time, kind, seq)`` heap: the static arrivals
+  through a pointer into the sorted array, the queue timeouts as a FIFO
+  (they fall due in push order), and a heap of only core releases and
+  retry arrivals, which stays O(cores + pending retries).  Heap sequence
+  numbers follow the single-heap numbering (cores ``0..c-1``, static
+  arrivals ``c..c+n-1``, runtime events counting up from ``c+n``), so
+  every tie breaks as a single heap breaks it.
 
-Float discipline: every arithmetic operation (``max``, add, multiply)
-is performed on IEEE-754 doubles in the same order as the reference
-loop, so results are bit-equal — python ``float`` and ``np.float64``
+``tests/serving_oracle.py`` keeps the per-event heap loops these replace
+as a frozen oracle; the differential tests (``tests/test_serving_engine.py``,
+``tests/test_serving_resilient_fuzz.py``) hold both functions **byte
+identical** to it.  Float discipline: every arithmetic operation
+(``max``, add, multiply) is performed on IEEE-754 doubles in the oracle's
+order, so results are bit-equal — python ``float`` and ``np.float64``
 share the representation.
 """
 
@@ -57,10 +55,11 @@ _WAVE_MIN_CORES = 16
 def dispatch_plain(
     arrivals_ms: np.ndarray, services: np.ndarray, num_cores: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """FIFO M/G/c dispatch; byte-identical to the reference heap loop.
+    """FIFO M/G/c dispatch: each request takes the earliest-free core,
+    ties to the lowest core id.
 
-    Returns ``(starts, core_ids)`` exactly as the loop in
-    ``_simulate_fast`` would have produced them.
+    Returns ``(starts, core_ids)``, byte-identical to a ``(free time,
+    core id)`` min-heap loop.
     """
     n = arrivals_ms.size
     starts = np.empty(n)
@@ -134,8 +133,11 @@ def dispatch_plain(
     return starts, core_ids
 
 
-#: Event kinds, mirrored from the server module (import cycle avoidance).
-#: Timeouts never enter the heap; the kind only orders them last at a tie.
+#: Event kinds, ordered so that at equal timestamps core releases precede
+#: arrivals (a core freeing exactly at an arrival serves it, as in
+#: :func:`dispatch_plain`) and timeouts fire last (a request that could
+#: start now is not expired).  Timeouts never enter the heap; the kind
+#: only orders them last at a tie.
 _EV_FREE = 0
 _EV_ARRIVE = 1
 _EV_TIMEOUT = 2
@@ -165,8 +167,8 @@ def resilient_events(
     """Resilient event loop over three merged event streams.
 
     Returns ``(outcome, retry_count, starts, services, core_of)`` as numpy
-    arrays, byte-identical to the reference ``_simulate_resilient`` loop,
-    whose ``(time, kind, seq)`` heap order it reproduces from:
+    arrays, byte-identical to a single-heap loop (the oracle's) whose
+    ``(time, kind, seq)`` event order it reproduces from:
 
     * the static arrivals, a pointer into the sorted arrival array;
     * the queue timeouts, a FIFO: every one is ``now + timeout_ms`` with
@@ -175,13 +177,14 @@ def resilient_events(
       its own head pointer; a timeout fires only strictly before the other
       streams' next event, because timeouts sort last at a tie;
     * a heap of core releases and retry arrivals, numbered like the
-      reference (cores ``0..c-1``, static arrivals ``c..c+n-1``, runtime
+      single heap (cores ``0..c-1``, static arrivals ``c..c+n-1``, runtime
       pushes from ``c+n``), so a static arrival precedes a retry arrival
       at the same time.
 
-    The queue is cancelled lazily exactly as in the reference: a timeout
-    clears ``in_queue`` and leaves the slot, and a retry that re-arrives
-    before the dispatcher passes its old slot takes that slot back.
+    The queue is cancelled lazily (``docs/serving.md``, "Retry
+    semantics"): a timeout clears ``in_queue`` and leaves the slot, and a
+    retry that re-arrives before the dispatcher passes its old slot takes
+    that slot back.
 
     There is one copy of the dispatch code.  A core that frees while no
     other core idles is handed the first live queue entry directly (a
@@ -389,7 +392,7 @@ def resilient_events(
         # `hand`, else idle cores.  An arrival that finds a core idle finds
         # nothing live queued, so it is served without taking a queue slot
         # (its timeout would be dead on arrival).  The checks keep the
-        # reference's order: queue non-empty, an idle core, core down.
+        # oracle's order: queue non-empty, an idle core, core down.
         while req >= 0 or qhead < qlen:
             if hand < 0:
                 if not idle:

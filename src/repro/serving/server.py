@@ -6,17 +6,17 @@ queue; service time is drawn from a lognormal around the scheme's mean
 batch latency (real inference latency has a mild right tail from cache
 state and OS noise).
 
-Two execution paths share that model:
+Two paths share that model, both run by :mod:`repro.serving.fastserve`:
 
-* the **fast path** — the original vectorized-draw + heap loop, taken when
-  no fault plan, policy, or degradation controller is given; its results
-  are byte-identical to the pre-resilience simulator;
+* the **plain path** — vectorized service draws and FIFO dispatch, taken
+  when no fault plan, policy, or degradation controller is given; its
+  results are byte-identical to the pre-resilience simulator;
 * the **resilient path** — an event-driven loop (arrivals, core releases,
-  timeouts as heap events) that additionally supports per-request
-  deadlines from the Table 1 SLAs, queue-timeout + retry with exponential
-  backoff and seeded jitter, queue-depth / expired-deadline load shedding,
-  fault injection (:mod:`repro.serving.faults`), and closed-loop graceful
-  degradation (:mod:`repro.serving.degradation`).
+  timeouts) that additionally supports per-request deadlines from the
+  Table 1 SLAs, queue-timeout + retry with exponential backoff and seeded
+  jitter, queue-depth / expired-deadline load shedding, fault injection
+  (:mod:`repro.serving.faults`), and closed-loop graceful degradation
+  (:mod:`repro.serving.degradation`).
 
 On the resilient path every *logical* request ends in exactly one outcome
 — ``completed``, ``shed``, or ``timed_out`` — and the latency arrays cover
@@ -28,21 +28,24 @@ completed within their deadline.
 
 from __future__ import annotations
 
-import heapq
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..mem.hierarchy import get_default_engine
 from ..obs import hooks as obs_hooks
 from ..obs.metrics import Histogram
 from . import fastserve
 from .faults import FaultPlan
-from .stats import check_arrivals, safe_mean, safe_percentile, safe_ratio
+from .stats import (
+    check_arrivals,
+    check_service,
+    safe_mean,
+    safe_percentile,
+    safe_ratio,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .degradation import DegradationController, LevelChange
@@ -68,15 +71,6 @@ OUTCOME_COMPLETED = 0
 OUTCOME_SHED = 1
 OUTCOME_TIMED_OUT = 2
 OUTCOME_NAMES = ("completed", "shed", "timed_out")
-
-#: Event kinds of the resilient loop, ordered so that at equal timestamps
-#: core releases precede arrivals (a core freeing exactly at an arrival
-#: serves it, matching the fast path's ``free_at <= arrival`` semantics)
-#: and timeouts fire last (a request that could start now is not expired).
-_EV_FREE = 0
-_EV_ARRIVE = 1
-_EV_TIMEOUT = 2
-
 
 @dataclass(frozen=True)
 class ServingPolicy:
@@ -152,7 +146,7 @@ class ServingPolicy:
 
     @property
     def is_null(self) -> bool:
-        """Whether this policy changes nothing about the fast path."""
+        """Whether this policy changes nothing about the plain path."""
         return (
             self.deadline_ms is None
             and self.timeout_ms is None
@@ -165,7 +159,7 @@ class ServerResult:
     """Per-request latencies and outcomes of one serving simulation.
 
     The latency/wait/service arrays cover **completed** requests in
-    arrival order (on the fast path every request completes, so they cover
+    arrival order (on the plain path every request completes, so they cover
     everything).  ``outcomes`` — when the resilient path ran — has one
     code per *logical* request (including burst-injected ones) in arrival
     order; ``retry_counts`` counts queue-timeout retries per request.
@@ -240,7 +234,7 @@ class ServerResult:
                 f"unknown outcome {name!r}; known: {OUTCOME_NAMES}"
             ) from None
         if self.outcomes is None:
-            # Fast path: every request completed.
+            # Plain path: every request completed.
             return self.latencies_ms.size if code == OUTCOME_COMPLETED else 0
         return int(np.count_nonzero(self.outcomes == code))
 
@@ -281,10 +275,7 @@ def lognormal_services(
     mean_ms: float, count: int, rng: np.random.Generator, cv: float = DEFAULT_SERVICE_CV
 ) -> np.ndarray:
     """Service times with the given mean and coefficient of variation."""
-    if mean_ms <= 0:
-        raise ConfigError("mean service time must be positive")
-    if cv < 0:
-        raise ConfigError("coefficient of variation must be non-negative")
+    check_service(mean_ms, cv)
     if cv == 0:
         return np.full(count, mean_ms)
     sigma2 = np.log(1.0 + cv * cv)
@@ -306,17 +297,12 @@ class ServerSim:
     *except* its workload: service-time distribution, core count, fault
     plan, admission policy, and degradation controller.  Calling
     :meth:`run` with an arrival array and a generator executes the FIFO
-    M/G/c simulation exactly as :func:`simulate_server` always has — the
-    function is now a thin wrapper over this class, byte-identical to the
-    pre-refactor behaviour on every path and both engines.
+    M/G/c simulation; :func:`simulate_server` is a thin wrapper over it.
 
     The point of the extraction is composition: a cluster
     (:mod:`repro.serving.cluster`) is N independent ``ServerSim`` worlds,
     each with its own seeded service stream, its own faults, and its own
     controller, glued together by a router rather than by shared state.
-
-    ``engine`` may be ``None`` (resolve the process default at each
-    :meth:`run`), ``"reference"``, or ``"fast"``.
     """
 
     mean_service_ms: float
@@ -326,16 +312,11 @@ class ServerSim:
     policy: Optional[ServingPolicy] = None
     controller: Optional["DegradationController"] = None
     label: Optional[str] = None
-    engine: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.num_cores <= 0:
             raise ConfigError("need at least one core")
-        if self.engine is not None and self.engine not in ("fast", "reference"):
-            raise ConfigError(
-                f"unknown serving engine {self.engine!r}; "
-                "expected 'fast' or 'reference'"
-            )
+        check_service(self.mean_service_ms, self.service_cv)
 
     @property
     def is_plain(self) -> bool:
@@ -351,16 +332,10 @@ class ServerSim:
     ) -> ServerResult:
         """Simulate this server against one arrival process."""
         check_arrivals(arrivals_ms)
-        engine = self.engine if self.engine is not None else get_default_engine()
-        if engine not in ("fast", "reference"):
-            raise ConfigError(
-                f"unknown serving engine {engine!r}; "
-                "expected 'fast' or 'reference'"
-            )
         if self.is_plain:
-            return _simulate_fast(
+            return _simulate_plain(
                 arrivals_ms, self.mean_service_ms, self.num_cores, rng,
-                self.service_cv, self.label, engine,
+                self.service_cv, self.label,
             )
         return _simulate_resilient(
             arrivals_ms,
@@ -372,7 +347,6 @@ class ServerSim:
             self.policy if self.policy is not None else ServingPolicy(),
             self.controller,
             self.label,
-            engine,
         )
 
 
@@ -386,7 +360,6 @@ def simulate_server(
     policy: Optional[ServingPolicy] = None,
     controller: Optional["DegradationController"] = None,
     label: Optional[str] = None,
-    engine: Optional[str] = None,
 ) -> ServerResult:
     """Run the FIFO M/G/c simulation and collect per-request latencies.
 
@@ -394,12 +367,6 @@ def simulate_server(
     null policy and an empty plan) this takes the plain happy path and
     returns byte-identical arrays to the pre-resilience simulator; any
     configured resilience feature switches to the event-driven loop.
-
-    ``engine`` selects the execution engine: ``"reference"`` runs the
-    per-request event loops, ``"fast"`` the batched engine from
-    :mod:`repro.serving.fastserve` (byte-identical results on both
-    paths), and ``None`` uses the process default shared with the memory
-    hierarchy (:func:`repro.mem.hierarchy.get_default_engine`).
 
     ``label`` names this simulation in request-scoped telemetry (the
     :class:`repro.obs.requests.RequestLog` run label and its trace track);
@@ -417,47 +384,24 @@ def simulate_server(
         policy=policy,
         controller=controller,
         label=label,
-        engine=engine,
     ).run(arrivals_ms, rng)
 
 
-def _simulate_fast(
+def _simulate_plain(
     arrivals_ms: np.ndarray,
     mean_service_ms: float,
     num_cores: int,
     rng: np.random.Generator,
     service_cv: float,
     label: Optional[str] = None,
-    engine: str = "reference",
 ) -> ServerResult:
-    """The happy-path M/G/c simulation (byte-identical on both engines)."""
+    """The happy-path M/G/c simulation: vectorized draws, FIFO dispatch."""
     n = arrivals_ms.size
     services = lognormal_services(mean_service_ms, n, rng, cv=service_cv)
-    if engine == "fast":
-        starts, core_ids = fastserve.dispatch_plain(
-            arrivals_ms, services, num_cores
-        )
-    else:
-        # Min-heap of (core-free time, core id); FIFO dispatch = assign
-        # each request to the earliest-free core.  The core id only breaks
-        # ties between equally free cores, so start times (and thus every
-        # latency) match the id-less original exactly.
-        cores = [(0.0, c) for c in range(num_cores)]
-        heapq.heapify(cores)
-        starts = np.empty(n)
-        core_ids = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            free_at, core = heapq.heappop(cores)
-            start = max(arrivals_ms[i], free_at)
-            starts[i] = start
-            core_ids[i] = core
-            heapq.heappush(cores, (start + services[i], core))
-    completions = starts + services
-    latencies = completions - arrivals_ms
-    waits = starts - arrivals_ms
+    starts, core_ids = fastserve.dispatch_plain(arrivals_ms, services, num_cores)
     result = ServerResult(
-        latencies_ms=latencies,
-        waits_ms=waits,
+        latencies_ms=starts + services - arrivals_ms,
+        waits_ms=starts - arrivals_ms,
         services_ms=services,
         num_cores=num_cores,
         offered_interarrival_ms=_offered_interarrival(arrivals_ms),
@@ -486,7 +430,6 @@ def _simulate_resilient(
     policy: ServingPolicy,
     controller: Optional["DegradationController"],
     label: Optional[str] = None,
-    engine: str = "reference",
 ) -> ServerResult:
     """Event-driven loop with faults, deadlines, retries, and shedding."""
     arrivals, injected = plan.inject_arrivals(arrivals_ms)
@@ -507,152 +450,10 @@ def _simulate_resilient(
         if log is not None
         else None
     )
-
-    if engine == "fast":
-        outcome, retry_count, starts, services, core_of = (
-            fastserve.resilient_events(
-                arrivals, base_services, strag, num_cores,
-                plan, policy, controller, jitter_rng, run,
-            )
-        )
-    else:
-        deadline = (
-            arrivals + policy.deadline_ms if policy.deadline_ms is not None else None
-        )
-        outcome = np.full(n, -1, dtype=np.int64)
-        retry_count = np.zeros(n, dtype=np.int64)
-        in_queue = np.zeros(n, dtype=bool)
-        started = np.zeros(n, dtype=bool)
-        starts = np.zeros(n)
-        services = np.zeros(n)
-        core_of = np.full(n, -1, dtype=np.int64)
-
-        events: List[tuple] = []  # (time, kind, seq, payload)
-        seq = 0
-
-        def push(t: float, kind: int, payload: int) -> None:
-            nonlocal seq
-            heapq.heappush(events, (t, kind, seq, payload))
-            seq += 1
-
-        running: Dict[int, int] = {}  # core -> request currently on it
-        idle: List[tuple] = []  # heap of (idle-since, core)
-        queue: deque = deque()
-        depth = 0  # live queue entries (lazily cancelled ones excluded)
-
-        for core in range(num_cores):
-            push(plan.next_available(core, 0.0), _EV_FREE, core)
-        for i in range(n):
-            push(float(arrivals[i]), _EV_ARRIVE, i)
-
-        def dispatch(now: float) -> None:
-            nonlocal depth
-            while queue and idle:
-                _, core = idle[0]
-                if plan.core_down(core, now):
-                    # The core failed while idle; it re-enters service at the
-                    # end of its repair window.
-                    heapq.heappop(idle)
-                    push(plan.next_available(core, now), _EV_FREE, core)
-                    continue
-                i = queue[0]
-                if not in_queue[i]:  # lazily cancelled by a timeout
-                    queue.popleft()
-                    continue
-                heapq.heappop(idle)
-                queue.popleft()
-                in_queue[i] = False
-                depth -= 1
-                started[i] = True
-                scale = controller.scale() if controller is not None else 1.0
-                fault_mult = plan.service_multiplier(core, now)
-                svc = base_services[i] * scale * fault_mult
-                starts[i] = now
-                services[i] = svc
-                core_of[i] = core
-                running[core] = i
-                if run is not None:
-                    run.dispatched(
-                        i,
-                        controller.level if controller is not None else None,
-                        (
-                            controller.ladder[controller.level].name
-                            if controller is not None
-                            else None
-                        ),
-                        fault_mult,
-                        strag[i],
-                        scale,
-                    )
-                push(now + svc, _EV_FREE, core)
-
-        while events:
-            now, kind, _, payload = heapq.heappop(events)
-            if kind == _EV_FREE:
-                core = payload
-                finished = running.pop(core, None)
-                if finished is not None:
-                    outcome[finished] = OUTCOME_COMPLETED
-                    if controller is not None:
-                        # Level changes are recorded in controller.events.
-                        controller.observe(now, now - float(arrivals[finished]))
-                if plan.core_down(core, now):
-                    push(plan.next_available(core, now), _EV_FREE, core)
-                else:
-                    heapq.heappush(idle, (now, core))
-                    dispatch(now)
-            elif kind == _EV_ARRIVE:
-                i = payload
-                if run is not None:
-                    if retry_count[i] > 0:
-                        run.event(i, "retry_arrive", now, attempt=int(retry_count[i]))
-                    else:
-                        run.event(i, "arrive", now)
-                if (
-                    policy.shed_expired
-                    and deadline is not None
-                    and now >= deadline[i]
-                ):
-                    outcome[i] = OUTCOME_TIMED_OUT
-                    if run is not None:
-                        run.event(i, "expired", now)
-                elif (
-                    policy.max_queue_depth is not None
-                    and depth >= policy.max_queue_depth
-                ):
-                    outcome[i] = OUTCOME_SHED
-                    if run is not None:
-                        run.event(i, "shed", now, depth=depth)
-                else:
-                    in_queue[i] = True
-                    queue.append(i)
-                    depth += 1
-                    if policy.timeout_ms is not None:
-                        push(now + policy.timeout_ms, _EV_TIMEOUT, i)
-                    dispatch(now)
-            else:  # _EV_TIMEOUT
-                i = payload
-                if started[i] or outcome[i] >= 0 or not in_queue[i]:
-                    continue  # already dispatched or resolved
-                in_queue[i] = False  # lazy removal from the FIFO deque
-                depth -= 1
-                if retry_count[i] < policy.max_retries:
-                    retry_count[i] += 1
-                    backoff = policy.retry_backoff_ms * 2.0 ** (retry_count[i] - 1)
-                    backoff *= 1.0 + policy.retry_jitter * float(jitter_rng.random())
-                    if run is not None:
-                        run.event(
-                            i,
-                            "timeout_retry",
-                            now,
-                            attempt=int(retry_count[i]),
-                            backoff_ms=float(backoff),
-                        )
-                    push(now + backoff, _EV_ARRIVE, i)
-                else:
-                    outcome[i] = OUTCOME_TIMED_OUT
-                    if run is not None:
-                        run.event(i, "timeout", now)
+    outcome, retry_count, starts, services, core_of = fastserve.resilient_events(
+        arrivals, base_services, strag, num_cores,
+        plan, policy, controller, jitter_rng, run,
+    )
 
     completed = outcome == OUTCOME_COMPLETED
     completions = starts + services

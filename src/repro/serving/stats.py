@@ -15,6 +15,7 @@ cannot re-introduce a division by zero in any one field.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from collections import deque
 from typing import Deque, Iterator, List
@@ -26,6 +27,7 @@ from ..errors import ConfigError
 __all__ = [
     "SortedWindow",
     "check_arrivals",
+    "check_service",
     "safe_mean",
     "safe_percentile",
     "safe_ratio",
@@ -45,6 +47,22 @@ def check_arrivals(arrivals_ms: np.ndarray) -> None:
         raise ConfigError("arrival times must be finite")
     if np.any(np.diff(arrivals_ms) < 0):
         raise ConfigError("arrival times must be non-decreasing")
+
+
+def check_service(mean_ms: float, cv: float) -> None:
+    """Reject a service-time distribution no draw can come from.
+
+    Needs a finite, positive mean and a finite, non-negative coefficient
+    of variation: a NaN passes both ordered checks yet turns every
+    latency into NaN.
+    """
+    for name, value in (("mean service time", mean_ms), ("service CV", cv)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+    if mean_ms <= 0:
+        raise ConfigError("mean service time must be positive")
+    if cv < 0:
+        raise ConfigError("coefficient of variation must be non-negative")
 
 
 class SortedWindow:

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional
 import numpy as np
 import pytest
 
+import serving_oracle
 from repro.obs.critpath import (
     CriticalPath,
     PathTable,
@@ -35,10 +36,13 @@ from repro.serving.faults import (
     FaultPlan,
     Stragglers,
 )
-from repro.serving.server import OUTCOME_NAMES, ServingPolicy, simulate_server
+from repro.serving.server import OUTCOME_NAMES, ServingPolicy
 from repro.serving.workload import poisson_arrivals
 
-ENGINES = ("fast", "reference")
+#: The package (``"fast"``) and the heap-loop oracle (``"reference"``):
+#: both must write the pinned exports.
+SIMULATORS = serving_oracle.SIMULATORS
+ENGINES = tuple(SIMULATORS)
 
 
 # -- the scalar oracle ----------------------------------------------------------
@@ -136,13 +140,11 @@ def _arrivals(n=150, interarrival=1.5, seed=5):
 
 def _plain_runs(engine: str) -> None:
     """Two plain boxes: the 2-core heap loop and a loaded 16-core box."""
-    simulate_server(
-        _arrivals(), 4.0, 2, np.random.default_rng(1), label="plain2",
-        engine=engine,
-    )
-    simulate_server(
+    simulate = SIMULATORS[engine]
+    simulate(_arrivals(), 4.0, 2, np.random.default_rng(1), label="plain2")
+    simulate(
         _arrivals(n=400, interarrival=0.35, seed=9), 5.0, 16,
-        np.random.default_rng(2), label="plain16", engine=engine,
+        np.random.default_rng(2), label="plain16",
     )
 
 
@@ -169,20 +171,21 @@ def _resilient_runs(engine: str) -> None:
         window=16, min_samples=4, escalate_margin=0.5, recover_margin=0.2,
         cooldown=8,
     )
-    simulate_server(
+    simulate = SIMULATORS[engine]
+    simulate(
         arrivals, 4.0, 2, np.random.default_rng(2), fault_plan=plan,
-        policy=policy, controller=controller, label="stressed", engine=engine,
+        policy=policy, controller=controller, label="stressed",
     )
-    simulate_server(
+    simulate(
         arrivals, 4.0, 2, np.random.default_rng(3),
         fault_plan=FaultPlan([BandwidthDegradation(20.0, 80.0, 3.0)], seed=1),
-        policy=ServingPolicy(deadline_ms=8.0), label="deadline", engine=engine,
+        policy=ServingPolicy(deadline_ms=8.0), label="deadline",
     )
-    simulate_server(
+    simulate(
         arrivals, 4.0, 2, np.random.default_rng(4),
         fault_plan=FaultPlan([Stragglers(0.2, 3.0)], seed=2),
         policy=ServingPolicy(deadline_ms=30.0, timeout_ms=5.0),
-        label="timeouts", engine=engine,
+        label="timeouts",
     )
 
 

@@ -1,11 +1,30 @@
-"""Property-based tests on the serving stack (batcher, server, pipeline)."""
+"""Property-based tests on the serving stack (batcher, server, cluster)."""
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.serving.batcher import chunk_queries
-from repro.serving.server import simulate_server
+from repro.serving.cluster import (
+    CL_COMPLETED,
+    CL_DEGRADED,
+    CLUSTER_OUTCOME_NAMES,
+    ClusterConfig,
+    ClusterSim,
+)
+from repro.serving.degradation import DegradationController, scheme_ladder
+from repro.serving.faults import (
+    ArrivalBurst,
+    ClusterFaultPlan,
+    CoreFailure,
+    FaultPlan,
+    NodeCrash,
+    NodePartition,
+    NodeSlow,
+    Stragglers,
+)
+from repro.serving.router import HedgePolicy
+from repro.serving.server import OUTCOME_NAMES, ServingPolicy, simulate_server
 from repro.serving.workload import poisson_arrivals
 
 SETTINGS = settings(
@@ -77,3 +96,113 @@ def test_more_cores_never_hurt(seed):
     many = simulate_server(arrivals, 12.0, 8, np.random.default_rng(seed + 1))
     # With identical service draws, adding cores cannot raise the mean wait.
     assert many.waits_ms.mean() <= few.waits_ms.mean() + 1e-9
+
+
+# -- outcome conservation ----------------------------------------------------
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    cores=st.integers(1, 8),
+    utilization=st.floats(0.3, 2.0),
+    timeout=st.one_of(st.none(), st.floats(1.0, 30.0)),
+    retries=st.integers(0, 3),
+    depth=st.one_of(st.none(), st.integers(1, 32)),
+    deadline=st.one_of(st.none(), st.floats(5.0, 60.0)),
+    shed_expired=st.booleans(),
+    core_failure=st.booleans(),
+    controlled=st.booleans(),
+)
+def test_resilient_outcomes_are_conserved(
+    seed, cores, utilization, timeout, retries, depth, deadline,
+    shed_expired, core_failure, controlled,
+):
+    """Every offered request, burst-injected ones included, ends in exactly
+    one terminal outcome, and the result's accounting agrees with itself."""
+    arrivals = poisson_arrivals(
+        5.0 / (cores * utilization), 150, np.random.default_rng(seed)
+    )
+    horizon = float(arrivals[-1])
+    # Stragglers keep every example on the resilient path.
+    faults = [Stragglers(0.1, 3.0), ArrivalBurst(0.5 * horizon, 20, 0.1)]
+    if core_failure:
+        faults.append(CoreFailure(0, 0.2 * horizon, 0.6 * horizon))
+    policy = ServingPolicy(
+        deadline_ms=deadline,
+        timeout_ms=timeout,
+        max_retries=retries if timeout is not None else 0,
+        max_queue_depth=depth,
+        shed_expired=shed_expired,
+    )
+    controller = None
+    if controlled:
+        controller = DegradationController(
+            scheme_ladder({"baseline": 1.0, "sw_pf": 0.8, "integrated": 0.6}),
+            sla_ms=10.0, window=16, min_samples=4, cooldown=8,
+        )
+    result = simulate_server(
+        arrivals, 5.0, cores, np.random.default_rng(seed + 1),
+        fault_plan=FaultPlan(faults, seed=seed), policy=policy,
+        controller=controller,
+    )
+    offered = arrivals.size + 20
+    assert result.offered_requests == offered
+    assert result.outcomes.shape == (offered,)
+    assert set(result.outcomes.tolist()) <= set(range(len(OUTCOME_NAMES)))
+    assert sum(result.outcome_counts.values()) == offered
+    assert result.outcome_count("completed") == result.latencies_ms.size
+    assert result.retry_counts.shape == (offered,)
+    assert np.all(result.retry_counts >= 0)
+    assert np.all(result.retry_counts <= policy.max_retries)
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    num_nodes=st.integers(2, 6),
+    replication=st.integers(1, 3),
+    gather_width=st.integers(1, 4),
+    utilization=st.floats(0.3, 1.5),
+    deadline=st.one_of(st.none(), st.floats(2.0, 40.0)),
+    max_outstanding=st.one_of(st.none(), st.integers(1, 64)),
+    hedged=st.booleans(),
+    partial_results=st.booleans(),
+    fault=st.sampled_from(("none", "crash", "partition", "slow")),
+)
+def test_cluster_outcomes_are_conserved(
+    seed, num_nodes, replication, gather_width, utilization, deadline,
+    max_outstanding, hedged, partial_results, fault,
+):
+    """Every offered request ends in exactly one cluster outcome, and the
+    latency arrays cover exactly the requests served at that quality."""
+    arrivals = poisson_arrivals(
+        1.0 / (num_nodes * 2 * utilization), 300, np.random.default_rng(seed)
+    )
+    horizon = float(arrivals[-1])
+    window = (0, 0.2 * horizon, 0.7 * horizon)
+    faults = {
+        "none": [],
+        "crash": [NodeCrash(*window)],
+        "partition": [NodePartition(*window)],
+        "slow": [NodeSlow(*window, 4.0)],
+    }[fault]
+    result = ClusterSim(
+        ClusterConfig(
+            num_nodes=num_nodes, cores_per_node=2, mean_service_ms=1.0,
+            num_shards=8, replication=min(replication, num_nodes),
+            gather_width=gather_width, hop_ms=0.05, call_timeout_ms=8.0,
+            deadline_ms=deadline, max_outstanding=max_outstanding,
+            hedge=HedgePolicy(min_ms=0.5) if hedged else None,
+            partial_results=partial_results,
+            faults=ClusterFaultPlan(faults, seed=seed), seed=seed,
+        )
+    ).run(arrivals)
+    offered = arrivals.size
+    assert result.offered_requests == offered
+    assert set(result.outcomes.tolist()) <= set(range(len(CLUSTER_OUTCOME_NAMES)))
+    assert sum(result.outcome_counts.values()) == offered
+    assert result.outcome_count("completed") == result.latencies_ms.size
+    assert result.outcome_count("degraded") == result.degraded_latencies_ms.size
+    served = (result.outcomes == CL_COMPLETED) | (result.outcomes == CL_DEGRADED)
+    assert np.array_equal(np.isfinite(result.request_latency_ms), served)

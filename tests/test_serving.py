@@ -11,7 +11,7 @@ from repro.serving.latency import (
     sla_compliant_region,
     sweep_arrival_times,
 )
-from repro.serving.server import lognormal_services, simulate_server
+from repro.serving.server import ServerSim, lognormal_services, simulate_server
 from repro.serving.sla import SLA_TARGETS, sla_for_model
 from repro.serving.workload import poisson_arrivals
 
@@ -110,6 +110,21 @@ class TestServer:
                 simulate_server(np.array(bad), 5.0, 1, rng)
         with pytest.raises(ConfigError):
             lognormal_services(0.0, 5, rng)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["mean_service_ms", "service_cv"])
+    def test_non_finite_service_rejected_at_construction(self, name, value):
+        # A NaN mean or CV would run and return NaN latencies.
+        kwargs = {"mean_service_ms": 5.0, "num_cores": 2, name: value}
+        with pytest.raises(ConfigError, match="must be finite"):
+            ServerSim(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"mean_service_ms": 0.0}, {"service_cv": -0.1}]
+    )
+    def test_bad_service_rejected_at_construction(self, kwargs):
+        with pytest.raises(ConfigError):
+            ServerSim(**{"mean_service_ms": 5.0, "num_cores": 2, **kwargs})
 
 
 class TestLatencyAnalysis:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import serving_oracle
 from repro.config import SimConfig
 from repro.errors import ConfigError
 from repro.serving.cluster import (
@@ -23,7 +24,7 @@ from repro.serving.faults import (
     NodeSlow,
 )
 from repro.serving.router import HedgePolicy
-from repro.serving.server import ServingPolicy, simulate_server
+from repro.serving.server import ServingPolicy
 from repro.serving.workload import poisson_arrivals
 
 
@@ -41,19 +42,24 @@ def _cluster(arrivals, **kwargs):
     return ClusterSim(ClusterConfig(**defaults)).run(arrivals)
 
 
+#: The bare server the 1-node cluster must equal: the package
+#: (``"fast"``) and the heap-loop oracle (``"reference"``).
+SIMULATORS = serving_oracle.SIMULATORS
+
+
 class TestSingleBoxDelegation:
     """A 1-node replication-1 cluster IS the bare server, byte for byte."""
 
-    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    @pytest.mark.parametrize("engine", sorted(SIMULATORS))
     def test_plain_path_byte_identical(self, engine):
         arrivals = _arrivals(400)
-        direct = simulate_server(
-            arrivals, 2.0, 3, SimConfig(seed=5).rng("t:svc"), engine=engine
+        direct = SIMULATORS[engine](
+            arrivals, 2.0, 3, SimConfig(seed=5).rng("t:svc")
         )
         res = ClusterSim(
             ClusterConfig(
                 num_nodes=1, cores_per_node=3, mean_service_ms=2.0,
-                replication=1, gather_width=1, num_shards=1, engine=engine,
+                replication=1, gather_width=1, num_shards=1,
             )
         ).run(arrivals, SimConfig(seed=5).rng("t:svc"))
         assert res.local is not None
@@ -62,7 +68,7 @@ class TestSingleBoxDelegation:
         assert np.array_equal(res.latencies_ms, direct.latencies_ms)
         assert np.all(res.outcomes == CL_COMPLETED)
 
-    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    @pytest.mark.parametrize("engine", sorted(SIMULATORS))
     def test_fault_path_byte_identical(self, engine):
         arrivals = _arrivals(400)
         plan = FaultPlan([CoreSlowdown(0, 20.0, 120.0, 3.0)], seed=5)
@@ -81,15 +87,14 @@ class TestSingleBoxDelegation:
                 escalate_margin=0.75, recover_margin=0.4, cooldown=256,
             )
 
-        direct = simulate_server(
+        direct = SIMULATORS[engine](
             arrivals, 2.0, 3, SimConfig(seed=5).rng("t:svc"),
             fault_plan=plan, policy=policy, controller=controller(),
-            engine=engine,
         )
         res = ClusterSim(
             ClusterConfig(
                 num_nodes=1, cores_per_node=3, mean_service_ms=2.0,
-                replication=1, gather_width=1, num_shards=1, engine=engine,
+                replication=1, gather_width=1, num_shards=1,
                 local_fault_plan=plan, local_policy=policy,
                 controller_factory=lambda node: controller(),
             )
@@ -320,3 +325,23 @@ class TestClusterConfigValidation:
         for bad in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf]):
             with pytest.raises(ConfigError):
                 sim.run(np.array(bad))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "mean_service_ms", "service_cv", "hop_ms", "call_timeout_ms",
+            "deadline_ms", "hotness_alpha", "miss_penalty",
+        ],
+    )
+    def test_non_finite_values_rejected(self, name, value):
+        # A NaN passes every ordered check and leaves every request of a
+        # multi-node run unresolved.
+        with pytest.raises(ConfigError, match="must be finite"):
+            ClusterConfig(num_nodes=4, **{name: value})
+
+    def test_bad_service_distribution_rejected(self):
+        with pytest.raises(ConfigError):
+            ClusterConfig(mean_service_ms=0.0)
+        with pytest.raises(ConfigError):
+            ClusterConfig(service_cv=-0.1)

@@ -1,17 +1,20 @@
-"""Differential tests: fast serving engine vs the reference event loop.
+"""Differential tests: the package's serving loops vs the frozen oracle.
 
-The batched engine (:mod:`repro.serving.fastserve`) must be **byte
-identical** to the per-request reference loop on every path — plain
+The shipped loops (:mod:`repro.serving.fastserve`, run by
+``simulate_server``) must be **byte identical** to the per-event heap
+loops kept in ``tests/serving_oracle.py`` on every path — plain
 dispatch, fault injection, retries/backoff, load shedding, and the
 degradation controller — across core counts on both sides of the wave
--speculation gate.  These tests run every scenario under both engines and
+-speculation gate.  These tests run every scenario through both and
 compare raw float bits, outcome codes, retry counts, core assignments,
-and controller event streams.
+and controller event streams.  Below, ``"fast"`` names the package and
+``"reference"`` the oracle.
 """
 
 import numpy as np
 import pytest
 
+import serving_oracle
 from repro.config import SimConfig
 from repro.serving.degradation import DegradationController, scheme_ladder
 from repro.serving.faults import (
@@ -22,9 +25,10 @@ from repro.serving.faults import (
     FaultPlan,
     Stragglers,
 )
-from repro.serving.server import ServingPolicy, simulate_server
+from repro.serving.server import ServingPolicy
 from repro.serving.workload import poisson_arrivals
 
+SIMULATORS = serving_oracle.SIMULATORS
 CORE_COUNTS = (1, 4, 24)
 
 
@@ -36,10 +40,9 @@ def _arrivals(config, num_requests, num_cores, utilization=0.85):
 
 
 def _run(engine, arrivals, num_cores, config, **kwargs):
-    # Fresh rng per engine: both draws must be identical streams.
-    return simulate_server(
-        arrivals, 5.0, num_cores, config.rng("diff:service"),
-        engine=engine, **kwargs
+    # Fresh rng per run: both draws must be identical streams.
+    return SIMULATORS[engine](
+        arrivals, 5.0, num_cores, config.rng("diff:service"), **kwargs
     )
 
 
@@ -167,7 +170,7 @@ class TestResilientPath:
         assert_identical(fast, ref)
 
 
-@pytest.mark.parametrize("engine", ["fast", "reference"])
+@pytest.mark.parametrize("engine", sorted(SIMULATORS))
 def test_retry_reclaims_its_stale_queue_slot(engine):
     """A retry that re-arrives before the dispatcher has passed its old
     queue slot takes that slot back (the queue is cancelled lazily).
@@ -183,51 +186,13 @@ def test_retry_reclaims_its_stale_queue_slot(engine):
     policy = ServingPolicy(
         timeout_ms=5.0, max_retries=1, retry_backoff_ms=1.0, retry_jitter=0.0
     )
-    result = simulate_server(
+    result = SIMULATORS[engine](
         np.array([0.0, 1.0, 6.5]), 10.0, 1, np.random.default_rng(0),
-        service_cv=0.0, policy=policy, engine=engine,
+        service_cv=0.0, policy=policy,
     )
     assert result.outcomes.tolist() == [0, 0, 2]
     assert result.retry_counts.tolist() == [0, 1, 1]
     assert result.waits_ms.tolist() == [0.0, 9.0]
-
-
-class TestEngineSelection:
-    def test_default_engine_resolution(self):
-        from repro.mem.hierarchy import set_default_engine
-
-        config = SimConfig(seed=31)
-        arrivals = _arrivals(config, 100, 4)
-        previous = None
-        try:
-            from repro.mem.hierarchy import get_default_engine
-
-            previous = get_default_engine()
-            set_default_engine("reference")
-            implicit = simulate_server(
-                arrivals, 5.0, 4, config.rng("diff:service")
-            )
-            explicit = simulate_server(
-                arrivals, 5.0, 4, config.rng("diff:service"),
-                engine="reference",
-            )
-            assert (
-                implicit.latencies_ms.tobytes()
-                == explicit.latencies_ms.tobytes()
-            )
-        finally:
-            if previous is not None:
-                set_default_engine(previous)
-
-    def test_unknown_engine_rejected(self):
-        from repro.errors import ConfigError
-
-        config = SimConfig(seed=32)
-        arrivals = _arrivals(config, 10, 2)
-        with pytest.raises(ConfigError):
-            simulate_server(
-                arrivals, 5.0, 2, config.rng("diff:service"), engine="turbo"
-            )
 
 
 class TestWindowP95:

@@ -1,10 +1,9 @@
 """Fault-injection tests: plan construction, determinism, serving behavior."""
 
-import heapq
-
 import numpy as np
 import pytest
 
+import serving_oracle
 from repro.errors import ConfigError
 from repro.serving.faults import (
     ArrivalBurst,
@@ -17,26 +16,9 @@ from repro.serving.faults import (
 from repro.serving.server import (
     OUTCOME_COMPLETED,
     ServingPolicy,
-    lognormal_services,
     simulate_server,
 )
 from repro.serving.workload import poisson_arrivals
-
-
-def legacy_simulate(arrivals_ms, mean_service_ms, num_cores, rng, service_cv=0.10):
-    """The pre-resilience serving loop, replicated verbatim as the oracle."""
-    n = arrivals_ms.size
-    services = lognormal_services(mean_service_ms, n, rng, cv=service_cv)
-    cores = [0.0] * num_cores
-    heapq.heapify(cores)
-    starts = np.empty(n)
-    for i in range(n):
-        free_at = heapq.heappop(cores)
-        start = max(arrivals_ms[i], free_at)
-        starts[i] = start
-        heapq.heappush(cores, start + services[i])
-    completions = starts + services
-    return completions - arrivals_ms, starts - arrivals_ms, services
 
 
 class TestFaultModels:
@@ -169,18 +151,19 @@ class TestFaultPlan:
 
 
 class TestNoFaultByteIdentity:
-    """Acceptance: fault_plan=None reproduces the pre-PR result exactly."""
+    """Acceptance: fault_plan=None reproduces the pre-resilience result
+    exactly: the oracle's plain heap loop (``tests/serving_oracle.py``)."""
 
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_differential_against_legacy(self, seed):
         arrivals = poisson_arrivals(3.0, 800, np.random.default_rng(seed))
-        lat, wait, svc = legacy_simulate(
+        legacy = serving_oracle.simulate(
             arrivals, 10.0, 4, np.random.default_rng(seed + 1)
         )
         result = simulate_server(arrivals, 10.0, 4, np.random.default_rng(seed + 1))
-        assert np.array_equal(result.latencies_ms, lat)
-        assert np.array_equal(result.waits_ms, wait)
-        assert np.array_equal(result.services_ms, svc)
+        assert np.array_equal(result.latencies_ms, legacy.latencies_ms)
+        assert np.array_equal(result.waits_ms, legacy.waits_ms)
+        assert np.array_equal(result.services_ms, legacy.services_ms)
 
     def test_empty_plan_and_null_policy_stay_on_fast_path(self, rng):
         arrivals = poisson_arrivals(3.0, 300, np.random.default_rng(0))

@@ -1,18 +1,19 @@
-"""Differential fuzzer: the fast resilient loop against the reference one.
+"""Differential fuzzer: the package's resilient loop against the oracle.
 
-``repro.serving.fastserve.resilient_events`` reorders the reference
-loop's single ``(time, kind, seq)`` heap into three merged streams
-(static arrivals, a timeout FIFO, a heap of core releases and retry
-arrivals), hands freed cores the queue head directly, and re-reads the
-degradation controller only when ``observe`` reports a change.  Every one
-of those shortcuts is exact only if ties break as the reference breaks
-them, so this sweep snaps arrivals, fault windows, timeouts and backoffs
+``repro.serving.fastserve.resilient_events`` reorders the oracle's
+(``tests/serving_oracle.py``) single ``(time, kind, seq)`` heap into
+three merged streams (static arrivals, a timeout FIFO, a heap of core
+releases and retry arrivals), hands freed cores the queue head directly,
+and re-reads the degradation controller only when ``observe`` reports a
+change.  Every one of those shortcuts is exact only if ties break as the
+oracle breaks them, so this sweep snaps arrivals, fault windows, timeouts and backoffs
 to a 0.25 ms grid (exact in binary floating point) and often draws
 constant service times: many events then land on the same instant.
 
 Each case compares the float bits of every ``ServerResult`` array, the
 outcome and retry columns, the controller's level changes, and the
-sha256 of the exported request log.
+sha256 of the exported request log.  ``"fast"`` names the package and
+``"reference"`` the oracle.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import serving_oracle
 from repro.analysis.cache_model import analyze_trace_reuse
 from repro.config import SimConfig
 from repro.cpu.platform import get_platform
@@ -45,6 +47,8 @@ from repro.tenants import (
     TenantWorld,
     locker_tenant,
 )
+
+SIMULATORS = serving_oracle.SIMULATORS
 
 NUM_CASES = 240
 CORE_COUNTS = (1, 2, 4, 16, 24)
@@ -166,10 +170,10 @@ def _run(engine, seed, case, log_path):
     controller = make_ctrl()
     log = RequestLog()
     with session(Observation(requests=log)):
-        result = simulate_server(
+        result = SIMULATORS[engine](
             arrivals, MEAN_SERVICE_MS, cores, np.random.default_rng(seed),
             service_cv=cv, fault_plan=plan, policy=policy,
-            controller=controller, engine=engine,
+            controller=controller,
         )
     log.to_jsonl(log_path)
     return result, hashlib.sha256(log_path.read_bytes()).hexdigest()
@@ -221,7 +225,7 @@ def test_sweep_exercises_every_outcome_and_ties():
         result = simulate_server(
             arrivals, MEAN_SERVICE_MS, cores, np.random.default_rng(seed),
             service_cv=cv, fault_plan=plan, policy=policy,
-            controller=make_ctrl(), engine="fast",
+            controller=make_ctrl(),
         )
         seen["retried"] += result.retries_total
         seen["shed"] += result.outcome_count("shed")
@@ -260,7 +264,7 @@ def test_qos_wrapped_controller_level_changes_reach_the_fast_loop(
     contention, tmp_path
 ):
     """``QoSController.observe`` must pass its inner controller's level
-    changes on: the fast loop re-reads the service scale only then, so a
+    changes on: the package's loop re-reads the service scale only then, so a
     swallowed change dispatches at a stale scale and diverges here."""
     num_cores, n = 4, 1500
     interarrival = MEAN_SERVICE_MS / (num_cores * 0.9)
@@ -284,11 +288,11 @@ def test_qos_wrapped_controller_level_changes_reach_the_fast_loop(
         qos = QoSController(world, horizon / 40.0, inner=inner, seed=3)
         log = RequestLog()
         with session(Observation(requests=log)):
-            result = simulate_server(
+            result = SIMULATORS[engine](
                 arrivals, MEAN_SERVICE_MS, num_cores,
                 np.random.default_rng(17),
                 fault_plan=TenantFaultPlan(world, seed=3), policy=policy,
-                controller=qos, engine=engine,
+                controller=qos,
             )
         path = tmp_path / f"{engine}.jsonl"
         log.to_jsonl(path)
@@ -305,7 +309,7 @@ def test_qos_wrapped_controller_level_changes_reach_the_fast_loop(
 
 @pytest.mark.parametrize("seed", range(0, NUM_CASES, 6))
 def test_queue_compaction_is_invisible(seed, tmp_path, monkeypatch):
-    """The fast loop drops passed queue slots once enough pile up; at a
+    """The package's loop drops passed queue slots once enough pile up; at a
     tiny threshold the sweep's cases compact constantly."""
     monkeypatch.setattr(fastserve, "_QUEUE_COMPACT", 2)
     case = _case(seed)

@@ -12,9 +12,10 @@ The suite:
 * **engine wall clocks** (kind ``wall``) — demand-walk, embedding
   hot-path (hardware prefetch off: the bulk walk; on: the fused scalar
   kernel; on with the paper's software-prefetch plan: the Integrated
-  walk), and serving-loop throughput of the fast and reference
-  engines, median of ``--repeats`` trials; host-dependent, so the gate
-  skips them unless ``bench_gate.py --include-wall``.
+  walk) under the fast and reference engines, and the throughput of the
+  one serving loop (``engine.serving.fast.requests_per_min``), median of
+  ``--repeats`` trials; host-dependent, so the gate skips them unless
+  ``bench_gate.py --include-wall``.
 * **scheme sim outputs** (kind ``sim``) — MP-HT / DP-HT / Integrated
   end-to-end speedups over baseline from :func:`evaluate_all_schemes`;
   exact simulator outputs, identical on every host, gated strictly.
@@ -26,8 +27,8 @@ The suite:
   tails of a pinned replicated+hedged 4-node cluster riding out a node
   kill (the ``cluster_resilience`` headline, pinned); also exact.
 * **resilient loop** (``serving.resilient.requests_per_min``, kind
-  ``wall``) — simulated requests per minute through the fast engine's
-  resilient loop on the pinned resilience scenario, observation off.
+  ``wall``) — simulated requests per minute through the resilient loop
+  on the pinned resilience scenario, observation off.
 * **cluster loop** (``serving.cluster16.requests_per_min``, kind
   ``wall``) — simulated requests per minute through the 16-node,
   node-kill, hedged cluster loop.
@@ -58,7 +59,7 @@ import platform as platform_mod
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -129,7 +130,7 @@ def _wall_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
     serving_requests = 100_000 if mode == "smoke" else 2_000_000
     out: List[Benchmark] = []
     for engine in ("fast", "reference"):
-        for bench, runner, rate_key, unit in (
+        cases = [
             (
                 "hierarchy",
                 lambda: bench_sim.bench_hierarchy(engine, num_lines, repeats=1),
@@ -156,15 +157,19 @@ def _wall_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
                 "lines_per_sec",
                 "lines/s",
             ),
-            (
-                "serving",
-                lambda: bench_sim.bench_serving(
-                    engine, serving_requests, repeats=1
-                ),
-                "requests_per_min",
-                "req/min",
-            ),
-        ):
+        ]
+        if engine == "fast":
+            # One serving loop whatever the engine: timed once, under the
+            # row name it had when there were two.
+            cases.append(
+                (
+                    "serving",
+                    lambda: bench_sim.bench_serving(serving_requests),
+                    "requests_per_min",
+                    "req/min",
+                )
+            )
+        for bench, runner, rate_key, unit in cases:
             value = median([runner()[rate_key] for _ in range(repeats)])
             out.append(
                 Benchmark(
@@ -313,19 +318,21 @@ def _serving_benchmarks(mode: str) -> List[Benchmark]:
     ]
 
 
-def resilient_loop_rate(engine: str, num_requests: int, repeats: int) -> float:
-    """Simulated requests per wall-clock minute through one engine's
-    resilient loop on the pinned resilience scenario (burst requests
-    included), observation off; median of ``repeats`` runs."""
+def resilient_loop_rate(
+    num_requests: int, repeats: int, simulate: Callable = simulate_server
+) -> float:
+    """Simulated requests per wall-clock minute through the resilient loop
+    on the pinned resilience scenario (burst requests included),
+    observation off; median of ``repeats`` runs.  ``simulate`` is the
+    simulator timed, called like :func:`simulate_server`."""
     arrivals, make = _resilient_scenario(num_requests)
     config = SimConfig(seed=99)
     rates = []
     for _ in range(repeats):
         kwargs = make()
         start = time.perf_counter()
-        result = simulate_server(
-            arrivals, 5.0, 4, config.rng("bench:resilient"), engine=engine,
-            **kwargs,
+        result = simulate(
+            arrivals, 5.0, 4, config.rng("bench:resilient"), **kwargs
         )
         rates.append(
             result.offered_requests * 60.0 / (time.perf_counter() - start)
@@ -334,10 +341,8 @@ def resilient_loop_rate(engine: str, num_requests: int, repeats: int) -> float:
 
 
 def _resilient_loop_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
-    """Resilient-loop throughput of the fast engine (kind ``wall``)."""
-    value = resilient_loop_rate(
-        "fast", 20_000 if mode == "smoke" else 200_000, repeats
-    )
+    """Resilient-loop throughput (kind ``wall``)."""
+    value = resilient_loop_rate(20_000 if mode == "smoke" else 200_000, repeats)
     return [
         Benchmark(
             name="serving.resilient.requests_per_min",
@@ -694,11 +699,11 @@ def _request_log_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
         rng = SimConfig(seed=98).rng(f"bench:service:{case}")
         start = time.perf_counter()
         if not logged:
-            simulate_server(arrivals, 5.0, cores, rng, engine="fast", **kwargs())
+            simulate_server(arrivals, 5.0, cores, rng, **kwargs())
             return time.perf_counter() - start, None
         log = RequestLog()
         with session(Observation(requests=log)):
-            simulate_server(arrivals, 5.0, cores, rng, engine="fast", **kwargs())
+            simulate_server(arrivals, 5.0, cores, rng, **kwargs())
         extract_paths(log.runs[-1].records)
         return time.perf_counter() - start, log.runs[-1].records
 

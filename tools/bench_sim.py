@@ -1,6 +1,6 @@
 """Micro-benchmark harness: reference vs fast simulation engines.
 
-Measures four levels of the stack:
+Measures four levels of the stack (all but serving under both engines):
 
 1. **hierarchy** — raw demand-walk throughput (simulated lines/sec) of
    :meth:`MemoryHierarchy.access_lines` on a Zipf-distributed row stream.
@@ -8,7 +8,8 @@ Measures four levels of the stack:
    (:func:`run_embedding_trace`, hardware prefetch off) that every figure
    funnels through.
 3. **serving** — simulated-requests-per-minute throughput of the M/G/c
-   serving loop (:func:`simulate_server`) under heavy load.
+   serving loop (:func:`simulate_server`) under heavy load; there is one
+   serving loop, so this row has no engine split.
 4. **fig12** — wall time of the end-to-end fig12 pipeline under each
    engine, with a per-stage breakdown: ``embedding`` (the trace-driven
    fig12 experiment), ``dense`` (MLP/interaction rooflines), ``dram``
@@ -22,8 +23,9 @@ perf trajectory to regress against::
     PYTHONPATH=src python tools/bench_sim.py --quick    # CI-sized
 
 The fast and reference engines produce bit-identical simulation results
-(enforced by tests/test_engine_fastpath.py and
-tests/test_serving_engine.py); this harness only measures speed.
+(enforced by tests/test_engine_fastpath.py), and the serving loop matches
+the heap-loop oracle of tests/serving_oracle.py bit for bit
+(tests/test_serving_engine.py); this harness only measures speed.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import platform as platform_mod
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -46,6 +48,7 @@ from repro.config import SimConfig  # noqa: E402
 from repro.cpu.platform import get_platform  # noqa: E402
 from repro.engine.embedding_exec import run_embedding_trace  # noqa: E402
 from repro.mem.hierarchy import build_hierarchy  # noqa: E402
+from repro.serving.server import simulate_server  # noqa: E402
 
 __all__ = ["main", "run_benchmarks"]
 
@@ -111,22 +114,21 @@ def bench_embedding(
 
 
 def bench_serving(
-    engine: str,
     num_requests: int,
     num_cores: int = 64,
     utilization: float = 0.9,
     repeats: int = 1,
+    simulate: Callable = simulate_server,
 ) -> Dict[str, float]:
     """Serving-loop throughput (simulated requests/min of wall time).
 
     Heavy load near saturation on a many-core box — the regime where the
-    event loop, not the arrival process, is the bottleneck.  Both engines
-    produce byte-identical latencies; only wall time differs.
+    event loop, not the arrival process, is the bottleneck.  ``simulate``
+    is the simulator timed, called like :func:`simulate_server`.
     """
-    from repro.serving.server import simulate_server
     from repro.serving.workload import poisson_arrivals
 
-    config = SimConfig(seed=7, engine=engine)
+    config = SimConfig(seed=7)
     mean_service_ms = 5.0
     interarrival_ms = mean_service_ms / (num_cores * utilization)
     arrivals = poisson_arrivals(
@@ -136,9 +138,7 @@ def bench_serving(
     for _ in range(repeats):
         service_rng = config.rng("bench:service")
         start = time.perf_counter()
-        simulate_server(
-            arrivals, mean_service_ms, num_cores, service_rng, engine=engine
-        )
+        simulate(arrivals, mean_service_ms, num_cores, service_rng)
         best = min(best, time.perf_counter() - start)
     return {"requests": float(num_requests), "seconds": best,
             "requests_per_min": num_requests / best * 60.0}
@@ -185,9 +185,9 @@ def bench_fig12(engine: str, quick: bool, repeats: int = 1) -> Dict[str, object]
     * ``dense_s`` — MLP/interaction rooflines of the fig12 models,
     * ``dram_s`` — raw demand-walk on a Zipf line stream,
     * ``event_loop_s`` — at-scale serving replay, the paper's end-to-end
-      deployment context and the stage the batched serving engine exists
-      for: tens of millions of requests (~35 simulated minutes of a
-      64-core box near saturation) through the M/G/c loop.
+      deployment context: tens of millions of requests (~35 simulated
+      minutes of a 64-core box near saturation) through the M/G/c loop,
+      the same loop under either engine.
 
     ``seconds`` is the stage sum, so every stage's contribution to the
     headline fast-over-reference speedup is visible in the record.
@@ -211,7 +211,7 @@ def bench_fig12(engine: str, quick: bool, repeats: int = 1) -> Dict[str, object]
         embedding_s = min(embedding_s, time.perf_counter() - start)
     dense_s = bench_dense(repeats=repeats)["seconds"]
     dram_s = bench_hierarchy(engine, dram_lines, repeats=repeats)["seconds"]
-    serving = bench_serving(engine, serving_requests, repeats=repeats)
+    serving = bench_serving(serving_requests, repeats=repeats)
     stages = {
         "embedding_s": embedding_s,
         "dense_s": dense_s,
@@ -226,7 +226,8 @@ def bench_fig12(engine: str, quick: bool, repeats: int = 1) -> Dict[str, object]
 
 
 def run_benchmarks(quick: bool, skip_fig12: bool = False) -> Dict[str, object]:
-    """Run every benchmark under both engines; return the record."""
+    """Run every benchmark (under both engines where they differ); return
+    the record."""
     num_lines = 200_000 if quick else 800_000
     emb_args = (0.01, 8, 1) if quick else (0.05, 16, 4)
     serving_requests = 100_000 if quick else 2_000_000
@@ -241,7 +242,7 @@ def run_benchmarks(quick: bool, skip_fig12: bool = False) -> Dict[str, object]:
         "numpy": np.__version__,
         "benchmarks": {},
     }
-    benches: Dict[str, Dict[str, Dict[str, float]]] = {}
+    benches: Dict[str, Dict[str, object]] = {}
     for name, fn, rate_key, rate_unit in (
         ("hierarchy",
          lambda eng: bench_hierarchy(eng, num_lines, repeats),
@@ -249,9 +250,6 @@ def run_benchmarks(quick: bool, skip_fig12: bool = False) -> Dict[str, object]:
         ("embedding",
          lambda eng: bench_embedding(eng, *emb_args, repeats),
          "lines_per_sec", "l/s"),
-        ("serving",
-         lambda eng: bench_serving(eng, serving_requests, repeats=repeats),
-         "requests_per_min", "req/min"),
     ):
         benches[name] = {eng: fn(eng) for eng in ENGINES}
         ref, fast = benches[name]["reference"], benches[name]["fast"]
@@ -263,6 +261,11 @@ def run_benchmarks(quick: bool, skip_fig12: bool = False) -> Dict[str, object]:
             f"fast {fast[rate_key]:>14,.0f} {rate_unit:<8s} "
             f"speedup {ref['seconds'] / fast['seconds']:.2f}x"
         )
+    benches["serving"] = bench_serving(serving_requests, repeats=repeats)
+    print(
+        f"{'serving':10s} {benches['serving']['requests_per_min']:>24,.0f} "
+        "req/min"
+    )
     if not skip_fig12:
         fig12_reps = 1 if quick else 2
         benches["fig12"] = {

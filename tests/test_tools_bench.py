@@ -1,5 +1,6 @@
 """The observatory CLIs: bench_all, bench_gate, obs_dashboard, trace_report."""
 
+import hashlib
 import importlib.util
 import json
 import sys
@@ -45,6 +46,31 @@ def _record(p95, tput=100.0, timestamp="2026-01-01T00:00:00"):
         ],
         timestamp=timestamp,
     )
+
+
+def _write_jsonl(path, lines):
+    path.write_text("".join(json.dumps(l) + "\n" for l in lines))
+    return path
+
+
+#: A one-request log: the request was shed at admission.
+_SHED_LOG_LINES = [
+    {"kind": "request_log_meta", "schema_version": 1, "runs": 1,
+     "requests": 1, "dropped": 0},
+    {"kind": "request", "outcome": "shed", "cause": "queue_full",
+     "deadline_met": None, "fault_windows": [], "retries": 0},
+]
+
+#: One stage's cycles and CPI bucket plus one latency histogram.
+_METRIC_LINES = [
+    {"name": "core.cycles", "type": "counter", "value": 1000.0,
+     "labels": {"stage": "embedding"}},
+    {"name": "core.cpi.dram_bound", "type": "counter", "value": 600.0,
+     "labels": {"stage": "embedding"}},
+    {"name": "serving.latency_ms", "type": "histogram", "labels": {},
+     "count": 4, "sum": 10.0, "min": 1.0, "max": 4.0, "p50": 2.5,
+     "p95": 3.9, "p99": 4.0},
+]
 
 
 # -- bench_gate --------------------------------------------------------------
@@ -95,40 +121,8 @@ def test_dashboard_renders_all_sections(obs_dashboard, tmp_path, capsys):
     hist = tmp_path / "hist.jsonl"
     append_record(hist, _record(30.0, timestamp="2026-01-01T00:00:00"))
     append_record(hist, _record(33.0, timestamp="2026-01-02T00:00:00"))
-    metrics = tmp_path / "metrics.jsonl"
-    metrics.write_text(
-        json.dumps(
-            {
-                "name": "core.cycles", "type": "counter", "value": 1000.0,
-                "labels": {"stage": "embedding"},
-            }
-        )
-        + "\n"
-        + json.dumps(
-            {
-                "name": "core.cpi.dram_bound", "type": "counter",
-                "value": 600.0, "labels": {"stage": "embedding"},
-            }
-        )
-        + "\n"
-    )
-    reqlog = tmp_path / "req.jsonl"
-    reqlog.write_text(
-        json.dumps(
-            {
-                "kind": "request_log_meta", "schema_version": 1,
-                "runs": 1, "requests": 1, "dropped": 0,
-            }
-        )
-        + "\n"
-        + json.dumps(
-            {
-                "kind": "request", "outcome": "shed", "cause": "queue_full",
-                "deadline_met": None, "fault_windows": [], "retries": 0,
-            }
-        )
-        + "\n"
-    )
+    metrics = _write_jsonl(tmp_path / "metrics.jsonl", _METRIC_LINES)
+    reqlog = _write_jsonl(tmp_path / "req.jsonl", _SHED_LOG_LINES)
     out = tmp_path / "dash.html"
     assert obs_dashboard.main(
         [
@@ -223,6 +217,37 @@ def test_trace_report_requires_some_input(capsys):
         trace_report.main([])
 
 
+
+def test_trace_report_metrics_without_trace(tmp_path, capsys):
+    """--metrics renders with any mix of inputs, not only with a trace."""
+    trace_report = _load_tool("trace_report")
+    req = _write_jsonl(tmp_path / "req.jsonl", _SHED_LOG_LINES)
+    metrics = _write_jsonl(tmp_path / "m.jsonl", _METRIC_LINES)
+    assert trace_report.main(
+        ["--requests", str(req), "--metrics", str(metrics)]
+    ) == 0
+    out = capsys.readouterr().out
+    assert "== CPI stacks ==" in out
+    assert "== latency histograms ==" in out
+    assert "SLA-miss attribution" in out
+
+
+def test_trace_report_fleet_needs_trace(tmp_path, capsys):
+    trace_report = _load_tool("trace_report")
+    req = _write_jsonl(tmp_path / "req.jsonl", _SHED_LOG_LINES)
+    with pytest.raises(SystemExit):
+        trace_report.main(["--fleet", "--requests", str(req)])
+    assert "--fleet needs a trace file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_trace_report_rejects_nonpositive_top(tmp_path, capsys, top):
+    trace_report = _load_tool("trace_report")
+    req = _write_jsonl(tmp_path / "req.jsonl", _SHED_LOG_LINES)
+    with pytest.raises(SystemExit):
+        trace_report.main(["--requests", str(req), "--top", top])
+    assert "--top" in capsys.readouterr().err
+
 # -- fleet view + SLO log (PR 8) ---------------------------------------------
 
 
@@ -258,6 +283,34 @@ def _cluster_artifacts(tmp_path):
     return trace_path, req_path
 
 
+#: A two-line SLO log: one window of one SLO and one fired detector alert.
+_SLO_LINES = [
+    {"kind": "slo_log_meta", "schema_version": 1, "window_ms": 10.0,
+     "scenarios": ["none"], "lines": 2},
+    {"kind": "slo_state", "schema_version": 1, "slo": "avail",
+     "slo_kind": "availability", "objective": 0.99, "t_ms": 10.0,
+     "window_ms": 10.0, "good": 5, "total": 5, "compliance": 1.0,
+     "burn_rate": 0.0, "budget_remaining": 1.0, "scenario": "none"},
+    {"kind": "alert", "schema_version": 1, "source": "detector",
+     "name": "node0.error_rate", "state": "firing", "t_ms": 20.0,
+     "node": 0, "score": 9.0, "scenario": "none"},
+]
+
+#: A two-line critpath log: one overall profile and one what-if record.
+_CRITPATH_LINES = [
+    {"kind": "critpath_log_meta", "schema_version": 1,
+     "scenarios": ["noisy"], "lines": 2},
+    {"kind": "critpath_profile", "schema_version": 1,
+     "scenario": "noisy", "scope": "overall", "requests": 10,
+     "total_ms": 40.0, "segments": {"queue": 25.0, "service": 15.0},
+     "bottleneck": "queue"},
+    {"kind": "whatif", "schema_version": 1, "scenario": "noisy",
+     "knob": "hedge_min_ms", "value": 6.0, "metric": "p99_ms",
+     "baseline": 15.0, "predicted": 12.0, "actual": 12.5,
+     "within_bounds": True, "requests": 10, "estimated": False},
+]
+
+
 def test_trace_report_fleet_view_and_node_column(tmp_path, capsys):
     trace_report = _load_tool("trace_report")
     trace_path, req_path = _cluster_artifacts(tmp_path)
@@ -276,19 +329,7 @@ def test_trace_report_fleet_view_and_node_column(tmp_path, capsys):
 
 def test_trace_report_slo_mode(tmp_path, capsys):
     trace_report = _load_tool("trace_report")
-    path = tmp_path / "slo.jsonl"
-    lines = [
-        {"kind": "slo_log_meta", "schema_version": 1, "window_ms": 10.0,
-         "scenarios": ["none"], "lines": 2},
-        {"kind": "slo_state", "schema_version": 1, "slo": "avail",
-         "slo_kind": "availability", "objective": 0.99, "t_ms": 10.0,
-         "window_ms": 10.0, "good": 5, "total": 5, "compliance": 1.0,
-         "burn_rate": 0.0, "budget_remaining": 1.0, "scenario": "none"},
-        {"kind": "alert", "schema_version": 1, "source": "detector",
-         "name": "node0.error_rate", "state": "firing", "t_ms": 20.0,
-         "node": 0, "score": 9.0, "scenario": "none"},
-    ]
-    path.write_text("".join(json.dumps(l) + "\n" for l in lines))
+    path = _write_jsonl(tmp_path / "slo.jsonl", _SLO_LINES)
     assert trace_report.main(["--slo", str(path), "--validate"]) == 0
     out = capsys.readouterr().out
     assert "schema OK" in out
@@ -320,20 +361,7 @@ def test_trace_report_critpath_needs_requests(capsys):
 
 def test_trace_report_critpath_log_mode(tmp_path, capsys):
     trace_report = _load_tool("trace_report")
-    path = tmp_path / "critpath.jsonl"
-    lines = [
-        {"kind": "critpath_log_meta", "schema_version": 1,
-         "scenarios": ["noisy"], "lines": 2},
-        {"kind": "critpath_profile", "schema_version": 1,
-         "scenario": "noisy", "scope": "overall", "requests": 10,
-         "total_ms": 40.0, "segments": {"queue": 25.0, "service": 15.0},
-         "bottleneck": "queue"},
-        {"kind": "whatif", "schema_version": 1, "scenario": "noisy",
-         "knob": "hedge_min_ms", "value": 6.0, "metric": "p99_ms",
-         "baseline": 15.0, "predicted": 12.0, "actual": 12.5,
-         "within_bounds": True, "requests": 10, "estimated": False},
-    ]
-    path.write_text("".join(json.dumps(l) + "\n" for l in lines))
+    path = _write_jsonl(tmp_path / "critpath.jsonl", _CRITPATH_LINES)
     assert trace_report.main(["--critpath-log", str(path), "--validate"]) == 0
     out = capsys.readouterr().out
     assert "schema OK" in out
@@ -452,3 +480,140 @@ def test_dashboard_zero_completed_requests_blank_not_nan(
     page = out.read_text()
     assert "no completed requests" in page
     assert "nan" not in page.lower()
+
+
+# -- golden output: every view, pinned ---------------------------------------
+
+
+#: Fields the view documents gained after the digests below were pinned,
+#: mirrored by document path ("*" matches every key of a mapping; a list
+#: applies its spec to every element).  They are dropped before hashing,
+#: so each pinned JSON digest still proves every older field kept its
+#: name and value.
+_ADDED_JSON_FIELDS = {
+    "trace": {"wall": {"depth": None}},
+    "fleet": {"spans": None, "per_node": {"*": {"max_ms": None}}},
+    "requests": {
+        "records": None, "missed": None, "totals": None,
+        "slowest": {
+            field: None
+            for field in ("label", "wait_ms", "service_ms", "core", "nodes",
+                          "failovers", "hedges", "hedges_wasted",
+                          "fault_windows", "events")
+        },
+    },
+    "slo": {"alert_records": None,
+            "budgets": {"alerts": None, "budget_series": None}},
+    "critpath": {"headline": None},
+    "critpath_log": {"headline": None},
+}
+
+#: sha256 prefixes of every report on the golden inputs.
+_GOLDEN = {
+    "box": "58e25c10bd922a90",
+    "box.json": "e82283e53165c4a7",
+    "cluster": "c34722c42d0b585e",
+    "cluster.json": "f7903da84618b06e",
+    "critpath_log": "9eb4d108c8525475",
+    "critpath_log.json": "9de0668bea3b6198",
+    "dashboard_box": "7075346468374c69",
+    "dashboard_fleet": "3a0f0496893267c5",
+    "slo": "99361857e7008ae6",
+    "slo.json": "627dc88da07391fa",
+}
+
+
+def _drop_fields(node, spec):
+    if isinstance(node, list):
+        return [_drop_fields(item, spec) for item in node]
+    if not isinstance(node, dict):
+        return node
+    out = {}
+    for key, value in node.items():
+        sub = spec.get(key, spec.get("*", {}))
+        if sub is not None:
+            out[key] = _drop_fields(value, sub) if sub else value
+    return out
+
+
+def _pin_wall_spans(trace_path):
+    """Replace the host-time durations of pid-1 wall spans by fixed ones."""
+    trace = json.loads(trace_path.read_text())
+    wall = [e for e in trace["traceEvents"]
+            if e.get("ph") == "X" and e.get("pid") == 1]
+    for i, event in enumerate(wall):
+        event["ts"], event["dur"] = 0.0, 1000.0 * (len(wall) - i)
+    trace_path.write_text(json.dumps(trace))
+
+
+def _golden_inputs(tmp_path):
+    """The deterministic artifacts every golden report is computed from."""
+    from repro.experiments.runner import main as runner_main
+
+    box = {name: tmp_path / f"box_{name}" for name in
+           ("t.json", "m.jsonl", "req.jsonl")}
+    assert runner_main(
+        ["--experiment", "resilience", "--scale", "0.01",
+         "--batch-size", "8", "--num-batches", "2", "--num-cores", "4",
+         "--num-requests", "300", "--trace", str(box["t.json"]),
+         "--metrics", str(box["m.jsonl"]),
+         "--request-log", str(box["req.jsonl"])]
+    ) == 0
+    cluster_dir = tmp_path / "cluster"
+    cluster_dir.mkdir()
+    cluster_trace, cluster_req = _cluster_artifacts(cluster_dir)
+    for trace_path in (box["t.json"], cluster_trace):
+        _pin_wall_spans(trace_path)
+    hist = tmp_path / "hist.jsonl"
+    append_record(hist, _record(30.0, timestamp="2026-01-01T00:00:00"))
+    append_record(hist, _record(33.0, timestamp="2026-01-02T00:00:00"))
+    return {
+        "box_trace": box["t.json"], "box_metrics": box["m.jsonl"],
+        "box_req": box["req.jsonl"], "cluster_trace": cluster_trace,
+        "cluster_req": cluster_req, "history": hist,
+        "slo": _write_jsonl(tmp_path / "slo.jsonl", _SLO_LINES),
+        "critpath": _write_jsonl(tmp_path / "critpath.jsonl", _CRITPATH_LINES),
+    }
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_reports_match_golden_digests(obs_dashboard, tmp_path, capsys):
+    """Every text view, JSON document and dashboard page on fixed inputs."""
+    trace_report = _load_tool("trace_report")
+    f = {k: str(v) for k, v in _golden_inputs(tmp_path).items()}
+    capsys.readouterr()
+    reports = {
+        "box": [f["box_trace"], "--metrics", f["box_metrics"],
+                "--requests", f["box_req"], "--critpath", "--top", "5"],
+        "cluster": [f["cluster_trace"], "--fleet", "--requests",
+                    f["cluster_req"], "--critpath", "--top", "3"],
+        "slo": ["--slo", f["slo"]],
+        "critpath_log": ["--critpath-log", f["critpath"]],
+    }
+    digests = {}
+    for name, argv in reports.items():
+        assert trace_report.main(argv) == 0
+        digests[name] = _sha(capsys.readouterr().out)
+        assert trace_report.main(argv + ["--format", "json"]) == 0
+        document = _drop_fields(
+            json.loads(capsys.readouterr().out), _ADDED_JSON_FIELDS
+        )
+        digests[name + ".json"] = _sha(json.dumps(document, sort_keys=True))
+    pages = {
+        "dashboard_box": ["--metrics", f["box_metrics"],
+                          "--request-log", f["box_req"]],
+        "dashboard_fleet": ["--request-log", f["cluster_req"],
+                            "--slo-log", f["slo"],
+                            "--critpath-log", f["critpath"]],
+    }
+    for name, argv in pages.items():
+        out = tmp_path / f"{name}.html"
+        assert obs_dashboard.main(
+            ["--history", f["history"], "--out", str(out)] + argv
+        ) == 0
+        digests[name] = _sha(out.read_text())
+    capsys.readouterr()
+    assert digests == _GOLDEN

@@ -23,23 +23,31 @@ Sections (each present only when its input is given):
 * **critical path** (``--critpath-log``) — per-scope latency attribution
   bars ("where does p99 go") and the counterfactual what-if prediction
   table with its validation verdicts.
+
+The CPI, SLA-miss, error-budget and critical-path sections format the
+view documents ``tools/trace_report.py`` computes (``metrics_data``,
+``requests_data``, ``slo_data``, ``critpath_data``) — the same data its
+text tables and ``--format json`` print — and only add the HTML.  The
+fleet view runs the windowed drift detectors (``FleetMonitor``) over the
+request records, which no ``trace_report`` view computes.
 """
 
 from __future__ import annotations
 
 import argparse
 import html
-import json
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "tools"))
 
+import trace_report  # noqa: E402
 from repro.obs.cpi import CPI_BUCKETS  # noqa: E402
 from repro.obs.regress import load_history  # noqa: E402
-from repro.obs.requests import load_request_log, miss_attribution  # noqa: E402
+from repro.obs.requests import load_request_log  # noqa: E402
 from repro.obs.slo import FleetMonitor, node_window_stats  # noqa: E402
 
 __all__ = ["main", "render"]
@@ -122,40 +130,23 @@ def _bench_section(history: List[Dict[str, object]]) -> str:
     )
 
 
-def _cpi_section(metrics_path: Path) -> str:
-    """Per-stage CPI stacks parsed from a metrics JSONL export."""
-    cycles: Dict[str, float] = {}
-    buckets: Dict[str, Dict[str, float]] = {}
-    with open(metrics_path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            stage = rec.get("labels", {}).get("stage")
-            if stage is None:
-                continue
-            name = rec.get("name", "")
-            if name == "core.cycles":
-                cycles[stage] = float(rec.get("value", 0.0))
-            elif name.startswith("core.cpi."):
-                buckets.setdefault(stage, {})[name[len("core.cpi."):]] = float(
-                    rec.get("value", 0.0)
-                )
-    if not cycles:
+def _cpi_section(doc: dict) -> str:
+    """Per-stage CPI stacks of a ``trace_report.metrics_data`` document."""
+    stacks = doc["cpi_stacks"]
+    if not stacks:
         return "<h2>CPI stacks</h2><p class='note'>no core cycles recorded</p>"
     header = "".join(f"<th>{html.escape(b)}</th>" for b in CPI_BUCKETS)
     rows = []
-    for stage, total in sorted(cycles.items(), key=lambda kv: -kv[1]):
-        cells = []
-        for bucket in CPI_BUCKETS:
-            frac = buckets.get(stage, {}).get(bucket, 0.0) / total if total else 0.0
-            cells.append(
-                f"<td><span class='bar' style='width:{60 * frac:.0f}px'></span>"
-                f" {frac:.0%}</td>"
-            )
+    for stack in stacks:
+        fractions = stack.fractions()
+        cells = [
+            f"<td><span class='bar' style='width:{60 * fractions[b]:.0f}px'></span>"
+            f" {fractions[b]:.0%}</td>"
+            for b in CPI_BUCKETS
+        ]
         rows.append(
-            f"<tr><td>{html.escape(stage)}</td><td>{total:,.0f}</td>"
+            f"<tr><td>{html.escape(stack.stage)}</td>"
+            f"<td>{stack.total_cycles:,.0f}</td>"
             + "".join(cells)
             + "</tr>"
         )
@@ -167,35 +158,28 @@ def _cpi_section(metrics_path: Path) -> str:
     )
 
 
-def _requests_section(request_log_path: Path) -> str:
-    """SLA-miss attribution table from a request-log export."""
-    meta, records = load_request_log(request_log_path)
-    attribution = miss_attribution(records)
+def _requests_section(doc: dict) -> str:
+    """SLA-miss attribution of a ``trace_report.requests_data`` document."""
+    meta = doc["meta"]
     head = (
         f"<h2>SLA-miss attribution</h2>"
         f"<p class='note'>{meta.get('runs', '?')} run(s), "
-        f"{meta.get('requests', len(records))} request(s), "
+        f"{meta.get('requests', doc['records'])} request(s), "
         f"{meta.get('dropped', 0)} dropped</p>"
     )
-    failovers = sum(int(r.get("failovers", 0) or 0) for r in records)
-    hedges = sum(int(r.get("hedges", 0) or 0) for r in records)
-    wasted = sum(int(r.get("hedges_wasted", 0) or 0) for r in records)
-    degraded = sum(1 for r in records if r.get("outcome") == "degraded")
-    if failovers or hedges or degraded:
+    totals = doc["totals"]
+    if totals["failovers"] or totals["hedges"] or totals["degraded"]:
         head += (
-            f"<p class='note'>fleet: {failovers} failover(s), "
-            f"{hedges} hedge(s) ({wasted} wasted), "
-            f"{degraded} degraded (partial) result(s)</p>"
+            f"<p class='note'>fleet: {totals['failovers']} failover(s), "
+            f"{totals['hedges']} hedge(s) ({totals['hedges_wasted']} wasted), "
+            f"{totals['degraded']} degraded (partial) result(s)</p>"
         )
+    attribution = doc["miss_attribution"]
     if not attribution:
         return head + "<p class='note'>every request met its deadline</p>"
-    total = sum(attribution.values())
+    total = doc["missed"]
     rows = []
-    # Stable render order (matches trace_report): biggest cause first,
-    # name breaks ties.
-    for cause, count in sorted(
-        attribution.items(), key=lambda kv: (-kv[1], kv[0])
-    ):
+    for cause, count in attribution.items():
         frac = count / total
         rows.append(
             f"<tr><td>{html.escape(cause)}</td><td>{count}</td>"
@@ -329,52 +313,31 @@ def _fleet_section(records: List[Dict[str, object]]) -> str:
     return "".join(out)
 
 
-def _slo_section(slo_log_path: Path) -> str:
-    """Error-budget trajectories and alerts from an --slo-log export."""
-    states: Dict[tuple, List[Dict[str, object]]] = {}
-    alerts: List[Dict[str, object]] = []
-    with open(slo_log_path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if rec.get("kind") == "slo_state":
-                key = (str(rec.get("scenario", "")), str(rec.get("slo", "")))
-                states.setdefault(key, []).append(rec)
-            elif rec.get("kind") == "alert":
-                alerts.append(rec)
-    if not states and not alerts:
+def _slo_section(doc: dict) -> str:
+    """Error-budget trajectories and alerts of a ``trace_report.slo_data`` document."""
+    budgets, firing = doc["budgets"], doc["alerts"]
+    if not budgets and not doc["alert_records"]:
         return "<h2>error budget</h2><p class='note'>empty SLO log</p>"
     out = ["<h2>error budget</h2>"]
-    rows = []
-    for (scenario, slo), series in sorted(states.items()):
-        budget = [float(s.get("budget_remaining", 1.0)) for s in series]
-        burn_peak = max(float(s.get("burn_rate", 0.0)) for s in series)
-        fired = sum(
-            1
-            for a in alerts
-            if a.get("state") == "firing"
-            and str(a.get("scenario", "")) == scenario
-            and str(a.get("name", "")).startswith(f"{slo}:")
-        )
-        final = budget[-1] if budget else 1.0
-        cls = "worse" if final < 0 else ("better" if final >= 0.99 else "flat")
-        rows.append(
-            "<tr>"
-            f"<td>{html.escape(scenario)}</td><td>{html.escape(slo)}</td>"
-            f"<td>{_sparkline(budget)}</td>"
-            f"<td class='{cls}'>{final:+.3f}</td>"
-            f"<td>{burn_peak:,.1f}</td><td>{fired}</td>"
-            "</tr>"
-        )
-    if rows:
+    if budgets:
+        rows = []
+        for b in budgets:
+            final = b["budget_final"]
+            cls = "worse" if final < 0 else ("better" if final >= 0.99 else "flat")
+            rows.append(
+                "<tr>"
+                f"<td>{html.escape(str(b['scenario']))}</td>"
+                f"<td>{html.escape(str(b['slo']))}</td>"
+                f"<td>{_sparkline(b['budget_series'])}</td>"
+                f"<td class='{cls}'>{final:+.3f}</td>"
+                f"<td>{b['peak_burn']:,.1f}</td><td>{b['alerts']}</td>"
+                "</tr>"
+            )
         out.append(
             "<table><tr><th>scenario</th><th>SLO</th>"
             "<th>budget remaining</th><th>final</th><th>peak burn</th>"
             "<th>alerts</th></tr>" + "".join(rows) + "</table>"
         )
-    firing = [a for a in alerts if a.get("state") == "firing"]
     if firing:
         alert_rows = "".join(
             "<tr>"
@@ -409,49 +372,33 @@ _SEGMENT_COLORS = {
 }
 
 
-def _critpath_section(critpath_log_path: Path) -> str:
-    """Attribution bars + what-if table from a --critpath-log export."""
-    profiles: List[Dict[str, object]] = []
-    whatifs: List[Dict[str, object]] = []
-    with open(critpath_log_path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if rec.get("kind") == "critpath_profile":
-                profiles.append(rec)
-            elif rec.get("kind") == "whatif":
-                whatifs.append(rec)
-    if not profiles and not whatifs:
+def _critpath_section(doc: dict) -> str:
+    """Attribution bars + what-if table of a ``trace_report.critpath_data`` document."""
+    if not doc["profiles"] and not doc["whatif"]:
         return "<h2>critical path</h2><p class='note'>empty critpath log</p>"
     out = ["<h2>critical path</h2>"]
-    if profiles:
+    if doc["profiles"]:
         legend = " ".join(
             f"<span style='color:{color}'>&#9632;</span>&nbsp;{kind}"
             for kind, color in _SEGMENT_COLORS.items()
         )
         rows = []
-        for prof in profiles:
-            scope = str(prof.get("scope", "?"))
-            # Node/shard scopes stay in the log; the page shows the
-            # fleet-wide and tail breakdowns.
-            if not (scope == "overall" or scope.startswith("tail_")):
-                continue
-            segments: Dict[str, float] = prof.get("segments", {})  # type: ignore[assignment]
+        # Node/shard scopes stay in the log; the page shows the headline
+        # (fleet-wide and tail) breakdowns.
+        for prof in doc["headline"]:
             total = float(prof.get("total_ms", 0.0))
             cells = "".join(
                 f"<span class='bar' style='background:"
                 f"{_SEGMENT_COLORS.get(kind, '#2a3038')};"
                 f"width:{240.0 * dur / total:.0f}px' title='{html.escape(kind)}"
                 f" {dur:,.1f} ms'></span>"
-                for kind, dur in sorted(segments.items(), key=lambda kv: -kv[1])
+                for kind, dur in prof["segments"].items()
                 if total > 0 and dur > 0
             )
             rows.append(
                 "<tr>"
                 f"<td>{html.escape(str(prof.get('scenario', '')))}/"
-                f"{html.escape(scope)}</td>"
+                f"{html.escape(str(prof.get('scope', '?')))}</td>"
                 f"<td>{int(prof.get('requests', 0))}</td>"
                 f"<td>{total:,.1f}</td>"
                 f"<td>{html.escape(str(prof.get('bottleneck') or '-'))}</td>"
@@ -465,9 +412,9 @@ def _critpath_section(critpath_log_path: Path) -> str:
             + "".join(rows)
             + "</table>"
         )
-    if whatifs:
+    if doc["whatif"]:
         rows = []
-        for rec in whatifs:
+        for rec in doc["whatif"]:
             actual = rec.get("actual")
             predicted = float(rec.get("predicted", 0.0))
             bounds = rec.get("within_bounds")
@@ -502,21 +449,28 @@ def render(
     critpath_log_path: Optional[Path] = None,
 ) -> str:
     """The full dashboard HTML document."""
+    def given(path: Optional[Path]) -> bool:
+        return path is not None and path.exists()
+
     sections: List[str] = []
-    if history_path is not None and history_path.exists():
+    if given(history_path):
         sections.append(_bench_section(load_history(history_path)))
-    if metrics_path is not None and metrics_path.exists():
-        sections.append(_cpi_section(metrics_path))
-    if request_log_path is not None and request_log_path.exists():
-        sections.append(_requests_section(request_log_path))
-        _, records = load_request_log(request_log_path)
+    if given(metrics_path):
+        records = trace_report.load_jsonl(metrics_path)
+        sections.append(_cpi_section(trace_report.metrics_data(records)))
+    if given(request_log_path):
+        # One read feeds both the miss-attribution and the fleet section.
+        meta, records = load_request_log(request_log_path)
+        sections.append(_requests_section(trace_report.requests_data(meta, records)))
         fleet = _fleet_section(records)
         if fleet:
             sections.append(fleet)
-    if slo_log_path is not None and slo_log_path.exists():
-        sections.append(_slo_section(slo_log_path))
-    if critpath_log_path is not None and critpath_log_path.exists():
-        sections.append(_critpath_section(critpath_log_path))
+    if given(slo_log_path):
+        lines = trace_report.load_jsonl(slo_log_path)
+        sections.append(_slo_section(trace_report.slo_data(lines)))
+    if given(critpath_log_path):
+        lines = trace_report.load_jsonl(critpath_log_path)
+        sections.append(_critpath_section(trace_report.critpath_data(lines)))
     if not sections:
         sections.append("<p class='note'>no artifacts given</p>")
     return (

@@ -20,10 +20,10 @@ Views:
 * with ``--requests``: the slowest-N request timelines (every lifecycle
   event, simulated ms) and the SLA-miss attribution table — queueing vs
   slow service vs faults vs retries vs admission control;
-* with ``--fleet``: the fleet view of a cluster trace — request
-  outcomes, per-node attempt/hedge accounting, router decision counts,
-  and the slowest request span envelopes (from the ``fleet.*`` spans a
-  traced cluster run emits);
+* with ``--fleet`` (needs a trace): the fleet view of a cluster trace —
+  request outcomes, per-node attempt/hedge accounting, router decision
+  counts, and the slowest request span envelopes (from the ``fleet.*``
+  spans a traced cluster run emits);
 * with ``--critpath``: critical-path attribution computed from the
   ``--requests`` log — per-scope "where does the time go" profiles
   (overall, p99 tail, per node/shard) and the conservation check;
@@ -36,6 +36,13 @@ Views:
 * ``--validate`` checks the trace against ``tools/trace_schema.json``
   and each request-log line against its ``$defs.request_event`` (exit 1
   on violations) — CI runs this on fresh smoke artifacts.
+
+Each view is computed once, by its ``*_data`` function, into a plain view
+document: every count, sort, filter and top-N cut happens there.
+``--format json`` prints those documents (``--metrics`` prints its raw
+records); each ``summarize_*`` only formats one document's cells into a
+text table, and ``tools/obs_dashboard.py`` renders its HTML sections from
+the same documents.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ import json
 import sys
 from collections import defaultdict
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -65,12 +72,20 @@ from repro.obs.schema import validate, validate_def  # noqa: E402
 
 __all__ = [
     "main",
+    "critpath_data",
+    "fleet_data",
+    "load_jsonl",
     "load_trace",
+    "metrics_data",
+    "requests_data",
+    "slo_data",
     "summarize",
     "summarize_critpath",
     "summarize_fleet",
+    "summarize_metrics",
     "summarize_requests",
     "summarize_slo",
+    "trace_data",
 ]
 
 SCHEMA_PATH = REPO_ROOT / "tools" / "trace_schema.json"
@@ -82,20 +97,27 @@ def load_trace(path: Path) -> dict:
         return json.load(fh)
 
 
-def _sim_spans(trace: dict) -> List[dict]:
-    """Simulated-time spans: pid 2 complete events, excluding track metadata."""
+def load_jsonl(path: Path) -> List[dict]:
+    """Read a JSONL export (metrics, SLO or critpath log), one record a line."""
+    with open(path) as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def _complete_spans(trace: dict, keep: Callable[[dict], bool]) -> List[dict]:
+    """Complete (``ph == "X"``) events of a trace that ``keep`` accepts."""
     return [
-        e
-        for e in trace.get("traceEvents", [])
-        if e.get("ph") == "X" and e.get("pid") == 2 and e.get("cat") != "sim.meta"
+        e for e in trace.get("traceEvents", []) if e.get("ph") == "X" and keep(e)
     ]
 
 
-def _wall_spans(trace: dict) -> List[dict]:
-    """Wall-clock spans: pid 1 complete events."""
-    return [
-        e for e in trace.get("traceEvents", []) if e.get("ph") == "X" and e.get("pid") == 1
-    ]
+def _longest(events: List[dict], top: int) -> List[dict]:
+    """The ``top`` events with the longest ``dur``, longest first."""
+    return sorted(events, key=lambda e: float(e.get("dur", 0.0)), reverse=True)[:top]
+
+
+def _cell(value: object, absent: str = "") -> str:
+    """One table cell; ``absent`` stands in for a missing value."""
+    return absent if value is None else str(value)
 
 
 def _table(header: List[str], rows: List[List[str]]) -> str:
@@ -116,128 +138,375 @@ def _table(header: List[str], rows: List[List[str]]) -> str:
     return "\n".join(out)
 
 
-def summarize(trace: dict, top: int = 10) -> str:
-    """The text report for one trace dict."""
-    sections: List[str] = []
-    sim = _sim_spans(trace)
-    wall = _wall_spans(trace)
-    dropped = trace.get("otherData", {}).get("dropped_events", 0)
+# -- view documents (also the --format json output) ---------------------------
 
-    sections.append(
-        f"trace: {len(sim)} sim spans, {len(wall)} wall spans, "
-        f"{dropped} dropped"
+
+def trace_data(trace: dict, top: int = 10) -> dict:
+    """The trace view: span counts, top sim spans, cycles by name, wall spans."""
+    sim = _complete_spans(
+        trace, lambda e: e.get("pid") == 2 and e.get("cat") != "sim.meta"
     )
-
-    if sim:
-        by_dur = sorted(sim, key=lambda e: e.get("dur", 0.0), reverse=True)[:top]
-        rows = [
-            [
-                str(e.get("name", "?")),
-                str(e.get("cat", "")),
-                str(e.get("tid", 0)),
-                f"{e.get('ts', 0.0):,.0f}",
-                f"{e.get('dur', 0.0):,.0f}",
-            ]
-            for e in by_dur
-        ]
-        sections.append(
-            f"== top {len(rows)} sim spans by cycles ==\n"
-            + _table(["name", "category", "tid", "start_cycles", "cycles"], rows)
-        )
-
-        agg: Dict[str, List[float]] = defaultdict(lambda: [0.0, 0])
-        for e in sim:
-            entry = agg[str(e.get("name", "?"))]
-            entry[0] += float(e.get("dur", 0.0))
-            entry[1] += 1
-        agg_rows = [
-            [name, f"{total:,.0f}", str(int(count))]
+    wall = _complete_spans(trace, lambda e: e.get("pid") == 1)
+    agg: Dict[str, List[float]] = defaultdict(lambda: [0.0, 0])
+    for e in sim:
+        entry = agg[str(e.get("name", "?"))]
+        entry[0] += float(e.get("dur", 0.0))
+        entry[1] += 1
+    return {
+        "sim_spans": len(sim),
+        "wall_spans": len(wall),
+        "dropped": trace.get("otherData", {}).get("dropped_events", 0),
+        "top_sim_spans": [
+            {
+                "name": e.get("name"),
+                "category": e.get("cat"),
+                "tid": e.get("tid"),
+                "start": e.get("ts", 0.0),
+                "cycles": e.get("dur", 0.0),
+            }
+            for e in _longest(sim, top)
+        ],
+        "by_name": [
+            {"name": name, "total_cycles": total, "spans": int(count)}
             for name, (total, count) in sorted(
                 agg.items(), key=lambda kv: kv[1][0], reverse=True
             )[:top]
-        ]
-        sections.append(
-            "== sim cycles by span name ==\n"
-            + _table(["name", "total_cycles", "spans"], agg_rows)
-        )
-
-    if wall:
-        wall_rows = [
-            [
-                str(e.get("name", "?")),
-                f"{e.get('dur', 0.0) / 1000.0:,.1f}",
-                str(e.get("args", {}).get("depth", "")),
-            ]
-            for e in sorted(wall, key=lambda e: e.get("dur", 0.0), reverse=True)[:top]
-        ]
-        sections.append(
-            "== wall spans (ms) ==\n" + _table(["name", "ms", "depth"], wall_rows)
-        )
-
-    return "\n\n".join(sections)
+        ],
+        "wall": [
+            {
+                "name": e.get("name"),
+                "ms": float(e.get("dur", 0.0)) / 1000.0,
+                "depth": e.get("args", {}).get("depth"),
+            }
+            for e in _longest(wall, top)
+        ],
+    }
 
 
-def load_metrics(path: Path) -> List[dict]:
-    """Read a metrics JSONL file (one metric record per line)."""
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+def metrics_data(records: List[dict]) -> dict:
+    """The metrics view: CPI stacks, populated histograms, record types.
 
-
-def summarize_metrics(records: List[dict]) -> str:
-    """CPI stacks and histogram summaries from exported metric records."""
-    sections: List[str] = []
-
+    This is the one CPI-stack parse of metric records: per-stage
+    ``core.cycles`` plus its ``core.cpi.*`` buckets, largest stage first.
+    ``--format json`` prints the raw records rather than this document.
+    """
     cycles: Dict[str, float] = {}
     buckets: Dict[str, Dict[str, float]] = defaultdict(dict)
     for rec in records:
-        name, labels = rec.get("name", ""), rec.get("labels", {})
-        stage = labels.get("stage")
+        name, stage = rec.get("name", ""), rec.get("labels", {}).get("stage")
         if stage is None:
             continue
         if name == "core.cycles":
             cycles[stage] = float(rec.get("value", 0.0))
         elif name.startswith("core.cpi."):
             buckets[stage][name[len("core.cpi."):]] = float(rec.get("value", 0.0))
-    if cycles:
-        stacks = [
-            CpiStack(stage, total, {b: buckets[stage].get(b, 0.0) for b in CPI_BUCKETS})
-            for stage, total in cycles.items()
-        ]
-        stacks.sort(key=lambda s: s.total_cycles, reverse=True)
-        sections.append("== CPI stacks ==\n" + format_cpi_table(stacks))
+    stacks = [
+        CpiStack(stage, total, {b: buckets[stage].get(b, 0.0) for b in CPI_BUCKETS})
+        for stage, total in cycles.items()
+    ]
+    stacks.sort(key=lambda s: s.total_cycles, reverse=True)
+    types = [r.get("type") for r in records]
+    return {
+        "cpi_stacks": stacks,
+        "histograms": [
+            r for r in records if r.get("type") == "histogram" and r.get("count")
+        ],
+        "counts": {t: types.count(t) for t in ("counter", "gauge", "histogram")},
+    }
 
-    hist_rows = []
-    for rec in records:
-        if rec.get("type") != "histogram" or not rec.get("count"):
-            continue
-        label_str = ",".join(f"{k}={v}" for k, v in sorted(rec.get("labels", {}).items()))
-        display = rec["name"] + (f"{{{label_str}}}" if label_str else "")
-        mean = rec["sum"] / rec["count"]
-        hist_rows.append(
+
+def _in_system_ms(rec: dict) -> float:
+    """Latency of a completed request, else its time in the system."""
+    if rec.get("latency_ms") is not None:
+        return float(rec["latency_ms"])
+    return float(rec.get("end_ms", 0.0)) - float(rec.get("arrival_ms", 0.0))
+
+
+def _nodes(rec: dict) -> List[object]:
+    """The serving node(s) of one request record; empty for a single box.
+
+    Cluster records carry the sorted node set every shard call of the
+    request touched; single-box records have no node identity.
+    """
+    if rec.get("nodes"):
+        return list(rec["nodes"])
+    return [] if rec.get("node") is None else [rec["node"]]
+
+
+def requests_data(meta: dict, records: List[dict], top: int = 10) -> dict:
+    """The request-log view: miss attribution, fleet totals, slowest-N.
+
+    Causes run biggest first, name breaking ties — independent of record
+    order, so diffs across runs are clean.  The slowest requests are the
+    completed ones by latency, then every non-completed one by its time
+    in the system.
+    """
+    attribution = miss_attribution(records)
+    totals = {
+        field: sum(int(r.get(field, 0) or 0) for r in records)
+        for field in ("failovers", "hedges", "hedges_wasted")
+    }
+    totals["degraded"] = sum(1 for r in records if r.get("outcome") == "degraded")
+    return {
+        "meta": meta,
+        "records": len(records),
+        "miss_attribution": dict(
+            sorted(attribution.items(), key=lambda kv: (-kv[1], kv[0]))
+        ),
+        "missed": sum(attribution.values()),
+        "totals": totals,
+        "slowest": [
+            {
+                "id": rec.get("id"),
+                "label": rec.get("label"),
+                "outcome": rec.get("outcome"),
+                "in_system_ms": _in_system_ms(rec),
+                "wait_ms": rec.get("wait_ms"),
+                "service_ms": rec.get("service_ms"),
+                "core": rec.get("core"),
+                "nodes": _nodes(rec),
+                "retries": rec.get("retries", 0),
+                "failovers": rec.get("failovers", 0),
+                "hedges": rec.get("hedges", 0),
+                "hedges_wasted": rec.get("hedges_wasted", 0),
+                "miss_cause": attribute_miss(rec),
+                "fault_windows": rec.get("fault_windows", []),
+                "events": rec.get("events", []),
+            }
+            for rec in sorted(records, key=_in_system_ms, reverse=True)[:top]
+        ],
+    }
+
+
+def fleet_data(trace: dict, top: int = 10) -> dict:
+    """The fleet view of a cluster trace: outcomes, per-node, router, slowest.
+
+    Everything comes from the merged span forest the cluster emitted
+    (``fleet.request`` / ``fleet.gather`` / ``fleet.route`` /
+    ``fleet.attempt`` categories), so the tables are exactly the span
+    tree a distributed tracer would show — outcomes per node, hedge
+    win/waste accounting, and why the router was consulted.
+    """
+    spans = _complete_spans(
+        trace, lambda e: str(e.get("cat", "")).startswith("fleet.")
+    )
+    requests = [e for e in spans if e.get("cat") == "fleet.request"]
+    attempts = [e for e in spans if e.get("cat") == "fleet.attempt"]
+    routes = [e for e in spans if e.get("cat") == "fleet.route"]
+    outcomes: Dict[str, int] = defaultdict(int)
+    for e in requests:
+        outcomes[str(e.get("args", {}).get("outcome", "?"))] += 1
+    per_node: Dict[int, Dict[str, float]] = defaultdict(
+        lambda: {"attempts": 0, "ok": 0, "failed": 0, "hedges": 0,
+                 "wasted": 0, "ms": 0.0, "max_ms": 0.0}
+    )
+    for e in attempts:
+        args = e.get("args", {})
+        stats = per_node[int(args.get("node", -1))]
+        stats["attempts"] += 1
+        if args.get("outcome") == "ok":
+            stats["ok"] += 1
+            if args.get("winner") is False:
+                stats["wasted"] += 1
+        else:
+            stats["failed"] += 1
+        if args.get("hedge"):
+            stats["hedges"] += 1
+        dur = float(e.get("dur", 0.0))
+        stats["ms"] += dur
+        stats["max_ms"] = max(stats["max_ms"], dur)
+    reasons: Dict[str, List[int]] = defaultdict(lambda: [0, 0])
+    for e in routes:
+        args = e.get("args", {})
+        entry = reasons[str(args.get("reason", "?"))]
+        entry[0] += 1
+        if args.get("chosen") is None:
+            entry[1] += 1
+    return {
+        "spans": len(spans),
+        "requests": len(requests),
+        "attempts": len(attempts),
+        "routes": len(routes),
+        "outcomes": dict(sorted(outcomes.items(), key=lambda kv: (-kv[1], kv[0]))),
+        "per_node": {
+            str(node): stats for node, stats in sorted(per_node.items())
+        },
+        "router": {
+            reason: {"decisions": total, "no_replica": missed}
+            for reason, (total, missed) in sorted(reasons.items())
+        },
+        "slowest": [
+            {
+                "span_id": e.get("args", {}).get("span_id"),
+                "outcome": e.get("args", {}).get("outcome"),
+                "start_ms": float(e.get("ts", 0.0)),
+                "ms": float(e.get("dur", 0.0)),
+            }
+            for e in _longest(requests, top)
+        ],
+    }
+
+
+def slo_data(lines: List[dict]) -> dict:
+    """The SLO-log view: one budget per (scenario, SLO) and the fired alerts."""
+    states: Dict[tuple, List[dict]] = defaultdict(list)
+    alerts: List[dict] = []
+    for rec in lines:
+        if rec.get("kind") == "slo_state":
+            states[
+                (str(rec.get("scenario", "")), str(rec.get("slo", "")))
+            ].append(rec)
+        elif rec.get("kind") == "alert":
+            alerts.append(rec)
+    firing = [a for a in alerts if a.get("state") == "firing"]
+    return {
+        "budgets": [
+            {
+                "scenario": scenario,
+                "slo": slo,
+                "windows": len(series),
+                "min_compliance": min(
+                    float(s.get("compliance", 1.0)) for s in series
+                ),
+                "peak_burn": max(
+                    float(s.get("burn_rate", 0.0)) for s in series
+                ),
+                "budget_final": float(series[-1].get("budget_remaining", 1.0)),
+                "budget_series": [
+                    float(s.get("budget_remaining", 1.0)) for s in series
+                ],
+                "alerts": sum(
+                    1
+                    for a in firing
+                    if str(a.get("scenario", "")) == scenario
+                    and str(a.get("name", "")).startswith(f"{slo}:")
+                ),
+            }
+            for (scenario, slo), series in sorted(states.items())
+        ],
+        "alerts": firing,
+        "alert_records": len(alerts),
+    }
+
+
+def critpath_from_requests(records: List[dict]) -> List[dict]:
+    """Profile records (plus a conservation line) computed from a request log."""
+    paths = extract_paths(records)
+    violations = sum(1 for p in paths if check_conservation(p) != 0.0)
+    return [
+        {
+            "kind": "critpath_conservation",
+            "requests": len(paths),
+            "violations": violations,
+        }
+    ] + aggregate_profiles(paths)
+
+
+def critpath_data(lines: List[dict]) -> dict:
+    """The critpath view: conservation lines, profiles, what-if records.
+
+    Each profile's segments run longest first.  ``headline`` holds the
+    fleet-wide and tail profiles (node/shard scopes left out), the ones
+    the dashboard draws.
+    """
+    profiles = [
+        dict(
+            r,
+            segments=dict(
+                sorted(r.get("segments", {}).items(), key=lambda kv: -kv[1])
+            ),
+        )
+        for r in lines
+        if r.get("kind") == "critpath_profile"
+    ]
+    return {
+        "conservation": [
+            r for r in lines if r.get("kind") == "critpath_conservation"
+        ],
+        "profiles": profiles,
+        "whatif": [r for r in lines if r.get("kind") == "whatif"],
+        "headline": [
+            p
+            for p in profiles
+            if str(p.get("scope", "?")) == "overall"
+            or str(p.get("scope", "?")).startswith("tail_")
+        ],
+    }
+
+
+# -- text views: each formats one view document -------------------------------
+
+
+def summarize(doc: dict) -> str:
+    """The text report of one trace view document."""
+    sections = [
+        f"trace: {doc['sim_spans']} sim spans, {doc['wall_spans']} wall spans, "
+        f"{doc['dropped']} dropped"
+    ]
+    if doc["top_sim_spans"]:
+        rows = [
             [
-                display,
+                _cell(s["name"], "?"),
+                _cell(s["category"]),
+                _cell(s["tid"], "0"),
+                f"{s['start']:,.0f}",
+                f"{s['cycles']:,.0f}",
+            ]
+            for s in doc["top_sim_spans"]
+        ]
+        sections.append(
+            f"== top {len(rows)} sim spans by cycles ==\n"
+            + _table(["name", "category", "tid", "start_cycles", "cycles"], rows)
+        )
+        sections.append(
+            "== sim cycles by span name ==\n"
+            + _table(
+                ["name", "total_cycles", "spans"],
+                [
+                    [a["name"], f"{a['total_cycles']:,.0f}", str(a["spans"])]
+                    for a in doc["by_name"]
+                ],
+            )
+        )
+    if doc["wall"]:
+        rows = [
+            [_cell(w["name"], "?"), f"{w['ms']:,.1f}", _cell(w["depth"])]
+            for w in doc["wall"]
+        ]
+        sections.append(
+            "== wall spans (ms) ==\n" + _table(["name", "ms", "depth"], rows)
+        )
+    return "\n\n".join(sections)
+
+
+def summarize_metrics(doc: dict) -> str:
+    """CPI stacks and histogram summaries of one metrics view document."""
+    sections: List[str] = []
+    if doc["cpi_stacks"]:
+        sections.append("== CPI stacks ==\n" + format_cpi_table(doc["cpi_stacks"]))
+    rows = []
+    for rec in doc["histograms"]:
+        label_str = ",".join(f"{k}={v}" for k, v in sorted(rec.get("labels", {}).items()))
+        rows.append(
+            [
+                rec["name"] + (f"{{{label_str}}}" if label_str else ""),
                 f"{rec['count']:,}",
-                f"{mean:,.1f}",
+                f"{rec['sum'] / rec['count']:,.1f}",
                 f"{rec.get('p50', 0.0):,.1f}",
                 f"{rec.get('p95', 0.0):,.1f}",
                 f"{rec.get('p99', 0.0):,.1f}",
             ]
         )
-    if hist_rows:
+    if rows:
         sections.append(
             "== latency histograms ==\n"
-            + _table(["histogram", "count", "mean", "p50", "p95", "p99"], hist_rows)
+            + _table(["histogram", "count", "mean", "p50", "p95", "p99"], rows)
         )
-
-    counters = sum(1 for r in records if r.get("type") == "counter")
-    gauges = sum(1 for r in records if r.get("type") == "gauge")
-    hists = sum(1 for r in records if r.get("type") == "histogram")
-    sections.append(f"metrics: {counters} counters, {gauges} gauges, {hists} histograms")
+    counts = doc["counts"]
+    sections.append(
+        f"metrics: {counts['counter']} counters, {counts['gauge']} gauges, "
+        f"{counts['histogram']} histograms"
+    )
     return "\n\n".join(sections)
 
 
@@ -248,43 +517,24 @@ def _fmt_ms(value: object) -> str:
     return f"{float(value):,.2f}"
 
 
-def _fmt_nodes(rec: dict) -> str:
-    """The serving node(s) of one request record; '-' for a single box.
-
-    Cluster records carry the sorted node set every shard call of the
-    request touched; single-box records have no node identity.
-    """
-    nodes = rec.get("nodes")
-    if nodes:
-        return ",".join(str(n) for n in nodes)
-    if rec.get("node") is not None:
-        return str(rec["node"])
-    return "-"
-
-
-def summarize_requests(meta: dict, records: List[dict], top: int = 10) -> str:
+def summarize_requests(doc: dict) -> str:
     """Slowest-N request timelines and the SLA-miss attribution table."""
-    sections: List[str] = []
-    sections.append(
+    meta = doc["meta"]
+    sections = [
         f"request log: {meta.get('runs', '?')} run(s), "
-        f"{meta.get('requests', len(records))} request(s), "
+        f"{meta.get('requests', doc['records'])} request(s), "
         f"{meta.get('dropped', 0)} dropped"
-    )
-    if not records:
+    ]
+    if not doc["records"]:
         return sections[0]
 
-    attribution = miss_attribution(records)
-    total_missed = sum(attribution.values())
-    if attribution:
-        # Stable render order: biggest cause first, name breaks ties —
-        # independent of record order, so diffs across runs are clean.
+    missed = doc["missed"]
+    if doc["miss_attribution"]:
         rows = [
-            [cause, str(count), f"{100.0 * count / total_missed:.1f}%"]
-            for cause, count in sorted(
-                attribution.items(), key=lambda kv: (-kv[1], kv[0])
-            )
+            [cause, str(count), f"{100.0 * count / missed:.1f}%"]
+            for cause, count in doc["miss_attribution"].items()
         ]
-        rows.append(["total", str(total_missed), "100.0%"])
+        rows.append(["total", str(missed), "100.0%"])
         sections.append(
             "== SLA-miss attribution ==\n"
             + _table(["cause", "requests", "share"], rows)
@@ -292,40 +542,28 @@ def summarize_requests(meta: dict, records: List[dict], top: int = 10) -> str:
     else:
         sections.append("SLA-miss attribution: every request met its deadline")
 
-    # Slowest timelines: completed requests by latency, then every
-    # non-completed request (whose "latency" is its time in the system).
-    def span_ms(rec: dict) -> float:
-        if rec.get("latency_ms") is not None:
-            return float(rec["latency_ms"])
-        return float(rec.get("end_ms", 0.0)) - float(rec.get("arrival_ms", 0.0))
-
-    slowest = sorted(records, key=span_ms, reverse=True)[:top]
-    lines: List[str] = [f"== slowest {len(slowest)} requests =="]
-    for rank, rec in enumerate(slowest, 1):
-        cause = attribute_miss(rec)
+    lines = [f"== slowest {len(doc['slowest'])} requests =="]
+    for rank, rec in enumerate(doc["slowest"], 1):
         head = (
-            f"#{rank} id={rec.get('id')} label={rec.get('label')} "
-            f"outcome={rec.get('outcome')} "
-            f"in_system={span_ms(rec):,.2f}ms "
-            f"wait={_fmt_ms(rec.get('wait_ms'))}ms "
-            f"service={_fmt_ms(rec.get('service_ms'))}ms "
-            f"core={rec.get('core') if rec.get('core') is not None else '-'} "
-            f"node={_fmt_nodes(rec)} "
-            f"retries={rec.get('retries', 0)}"
+            f"#{rank} id={rec['id']} label={rec['label']} "
+            f"outcome={rec['outcome']} "
+            f"in_system={rec['in_system_ms']:,.2f}ms "
+            f"wait={_fmt_ms(rec['wait_ms'])}ms "
+            f"service={_fmt_ms(rec['service_ms'])}ms "
+            f"core={_cell(rec['core'], '-')} "
+            f"node={','.join(str(n) for n in rec['nodes']) or '-'} "
+            f"retries={rec['retries']}"
         )
-        if rec.get("failovers"):
+        if rec["failovers"]:
             head += f" failovers={rec['failovers']}"
-        if rec.get("hedges"):
-            head += (
-                f" hedges={rec['hedges']}"
-                f" hedges_wasted={rec.get('hedges_wasted', 0)}"
-            )
-        if cause is not None:
-            head += f" miss_cause={cause}"
-        if rec.get("fault_windows"):
+        if rec["hedges"]:
+            head += f" hedges={rec['hedges']} hedges_wasted={rec['hedges_wasted']}"
+        if rec["miss_cause"] is not None:
+            head += f" miss_cause={rec['miss_cause']}"
+        if rec["fault_windows"]:
             head += f" faults={','.join(rec['fault_windows'])}"
         lines.append(head)
-        for event in rec.get("events", []):
+        for event in rec["events"]:
             attrs = ", ".join(
                 f"{k}={v}"
                 for k, v in event.items()
@@ -340,165 +578,79 @@ def summarize_requests(meta: dict, records: List[dict], top: int = 10) -> str:
     return "\n\n".join(sections)
 
 
-def _fleet_spans(trace: dict) -> List[dict]:
-    """Fleet-trace spans (categories ``fleet.*``) from a Chrome trace."""
-    return [
-        e
-        for e in trace.get("traceEvents", [])
-        if e.get("ph") == "X" and str(e.get("cat", "")).startswith("fleet.")
-    ]
-
-
-def summarize_fleet(trace: dict, top: int = 10) -> str:
-    """Fleet view of a cluster trace: per-node attempts + router behaviour.
-
-    Everything comes from the merged span forest the cluster emitted
-    (``fleet.request`` / ``fleet.gather`` / ``fleet.route`` /
-    ``fleet.attempt`` categories), so the table is exactly the span tree
-    a distributed tracer would show — outcomes per node, hedge win/waste
-    accounting, and why the router was consulted.
-    """
-    spans = _fleet_spans(trace)
-    if not spans:
+def summarize_fleet(doc: dict) -> str:
+    """Per-node attempts and router behaviour of one fleet view document."""
+    if not doc["spans"]:
         return (
             "fleet: no fleet spans in this trace "
             "(run a cluster experiment with --trace)"
         )
-    requests = [e for e in spans if e.get("cat") == "fleet.request"]
-    attempts = [e for e in spans if e.get("cat") == "fleet.attempt"]
-    routes = [e for e in spans if e.get("cat") == "fleet.route"]
-    sections: List[str] = [
-        f"fleet: {len(requests)} request(s), {len(attempts)} attempt(s), "
-        f"{len(routes)} route decision(s)"
-    ]
-
-    outcomes: Dict[str, int] = defaultdict(int)
-    for e in requests:
-        outcomes[str(e.get("args", {}).get("outcome", "?"))] += 1
-    sections.append(
-        "== request outcomes ==\n"
-        + _table(
-            ["outcome", "requests"],
-            [
-                [name, str(count)]
-                for name, count in sorted(
-                    outcomes.items(), key=lambda kv: (-kv[1], kv[0])
-                )
-            ],
-        )
-    )
-
-    per_node: Dict[int, Dict[str, float]] = defaultdict(
-        lambda: {"attempts": 0, "ok": 0, "failed": 0, "hedges": 0,
-                 "wasted": 0, "ms": 0.0, "max_ms": 0.0}
-    )
-    for e in attempts:
-        args = e.get("args", {})
-        node = int(args.get("node", -1))
-        stats = per_node[node]
-        stats["attempts"] += 1
-        if args.get("outcome") == "ok":
-            stats["ok"] += 1
-            if args.get("winner") is False:
-                stats["wasted"] += 1
-        else:
-            stats["failed"] += 1
-        if args.get("hedge"):
-            stats["hedges"] += 1
-        dur = float(e.get("dur", 0.0))
-        stats["ms"] += dur
-        stats["max_ms"] = max(stats["max_ms"], dur)
     node_rows = [
         [
             f"node{node}",
-            str(int(s["attempts"])),
-            str(int(s["ok"])),
-            str(int(s["failed"])),
-            str(int(s["hedges"])),
-            str(int(s["wasted"])),
+            str(s["attempts"]),
+            str(s["ok"]),
+            str(s["failed"]),
+            str(s["hedges"]),
+            str(s["wasted"]),
             f"{s['ms'] / s['attempts']:,.2f}" if s["attempts"] else "-",
             f"{s['max_ms']:,.2f}",
         ]
-        for node, s in sorted(per_node.items())
+        for node, s in doc["per_node"].items()
     ]
-    sections.append(
-        "== per-node attempts ==\n"
-        + _table(
-            ["node", "attempts", "ok", "failed", "hedged", "wasted",
-             "mean_ms", "max_ms"],
-            node_rows,
-        )
-    )
-
-    reasons: Dict[str, List[int]] = defaultdict(lambda: [0, 0])
-    for e in routes:
-        args = e.get("args", {})
-        entry = reasons[str(args.get("reason", "?"))]
-        entry[0] += 1
-        if args.get("chosen") is None:
-            entry[1] += 1
-    sections.append(
-        "== router decisions ==\n"
-        + _table(
-            ["reason", "decisions", "no_replica"],
-            [
-                [reason, str(total), str(missed)]
-                for reason, (total, missed) in sorted(reasons.items())
-            ],
-        )
-    )
-
-    slowest = sorted(
-        requests, key=lambda e: float(e.get("dur", 0.0)), reverse=True
-    )[:top]
     slow_rows = [
         [
-            str(e.get("args", {}).get("span_id", "?")),
-            str(e.get("args", {}).get("outcome", "?")),
-            f"{float(e.get('ts', 0.0)):,.2f}",
-            f"{float(e.get('dur', 0.0)):,.2f}",
+            _cell(s["span_id"], "?"),
+            _cell(s["outcome"], "?"),
+            f"{s['start_ms']:,.2f}",
+            f"{s['ms']:,.2f}",
         ]
-        for e in slowest
+        for s in doc["slowest"]
     ]
-    sections.append(
-        f"== slowest {len(slow_rows)} requests (span envelope, ms) ==\n"
-        + _table(["span_id", "outcome", "start_ms", "ms"], slow_rows)
-    )
-    return "\n\n".join(sections)
-
-
-def summarize_slo(lines: List[dict]) -> str:
-    """Per-(scenario, SLO) budget summary + alert list from an SLO log."""
-    states: Dict[tuple, List[dict]] = defaultdict(list)
-    alerts: List[dict] = []
-    for rec in lines:
-        if rec.get("kind") == "slo_state":
-            states[
-                (str(rec.get("scenario", "")), str(rec.get("slo", "")))
-            ].append(rec)
-        elif rec.get("kind") == "alert":
-            alerts.append(rec)
-    sections: List[str] = []
-    if states:
-        rows = []
-        for (scenario, slo), series in sorted(states.items()):
-            fired = sum(
-                1
-                for a in alerts
-                if a.get("state") == "firing"
-                and str(a.get("scenario", "")) == scenario
-                and str(a.get("name", "")).startswith(f"{slo}:")
-            )
-            rows.append(
+    return "\n\n".join(
+        [
+            f"fleet: {doc['requests']} request(s), {doc['attempts']} "
+            f"attempt(s), {doc['routes']} route decision(s)",
+            "== request outcomes ==\n"
+            + _table(
+                ["outcome", "requests"],
+                [[name, str(count)] for name, count in doc["outcomes"].items()],
+            ),
+            "== per-node attempts ==\n"
+            + _table(
+                ["node", "attempts", "ok", "failed", "hedged", "wasted",
+                 "mean_ms", "max_ms"],
+                node_rows,
+            ),
+            "== router decisions ==\n"
+            + _table(
+                ["reason", "decisions", "no_replica"],
                 [
-                    f"{scenario}/{slo}",
-                    str(len(series)),
-                    f"{min(float(s.get('compliance', 1.0)) for s in series):.3f}",
-                    f"{max(float(s.get('burn_rate', 0.0)) for s in series):,.1f}",
-                    f"{float(series[-1].get('budget_remaining', 1.0)):+.3f}",
-                    str(fired),
-                ]
-            )
+                    [reason, str(r["decisions"]), str(r["no_replica"])]
+                    for reason, r in doc["router"].items()
+                ],
+            ),
+            f"== slowest {len(slow_rows)} requests (span envelope, ms) ==\n"
+            + _table(["span_id", "outcome", "start_ms", "ms"], slow_rows),
+        ]
+    )
+
+
+def summarize_slo(doc: dict) -> str:
+    """Per-(scenario, SLO) budget table and alert list of one SLO document."""
+    sections: List[str] = []
+    if doc["budgets"]:
+        rows = [
+            [
+                f"{b['scenario']}/{b['slo']}",
+                str(b["windows"]),
+                f"{b['min_compliance']:.3f}",
+                f"{b['peak_burn']:,.1f}",
+                f"{b['budget_final']:+.3f}",
+                str(b["alerts"]),
+            ]
+            for b in doc["budgets"]
+        ]
         sections.append(
             "== SLO error budgets ==\n"
             + _table(
@@ -507,7 +659,7 @@ def summarize_slo(lines: List[dict]) -> str:
                 rows,
             )
         )
-    firing = [a for a in alerts if a.get("state") == "firing"]
+    firing = doc["alerts"]
     if firing:
         rows = [
             [
@@ -515,7 +667,7 @@ def summarize_slo(lines: List[dict]) -> str:
                 str(a.get("name", "")),
                 str(a.get("source", "")),
                 f"{float(a.get('t_ms', 0.0)):,.1f}",
-                "-" if a.get("node") is None else str(a["node"]),
+                _cell(a.get("node"), "-"),
             ]
             for a in firing
         ]
@@ -528,43 +680,21 @@ def summarize_slo(lines: List[dict]) -> str:
     return "\n\n".join(sections)
 
 
-def critpath_from_requests(records: List[dict], top: int = 10) -> List[dict]:
-    """Profile records (plus a conservation line) computed from a request log."""
-    paths = extract_paths(records)
-    violations = sum(1 for p in paths if check_conservation(p) != 0.0)
-    profiles = aggregate_profiles(paths)
-    return [
-        {
-            "kind": "critpath_conservation",
-            "requests": len(paths),
-            "violations": violations,
-        }
-    ] + profiles
-
-
-def summarize_critpath(lines: List[dict], top: int = 10) -> str:
-    """Profile + what-if tables from critpath records (log or computed)."""
-    profiles = [r for r in lines if r.get("kind") == "critpath_profile"]
-    whatifs = [r for r in lines if r.get("kind") == "whatif"]
-    conservation = [
-        r for r in lines if r.get("kind") == "critpath_conservation"
+def summarize_critpath(doc: dict) -> str:
+    """Profile + what-if tables of one critpath document (log or computed)."""
+    sections = [
+        f"conservation: {rec.get('requests', 0)} request(s), "
+        f"{rec.get('violations', 0)} violation(s)"
+        for rec in doc["conservation"]
     ]
-    sections: List[str] = []
-    for rec in conservation:
-        sections.append(
-            f"conservation: {rec.get('requests', 0)} request(s), "
-            f"{rec.get('violations', 0)} violation(s)"
-        )
-    if profiles:
+    if doc["profiles"]:
         rows = []
-        for prof in profiles:
-            segments: Dict[str, float] = prof.get("segments", {})
+        for prof in doc["profiles"]:
             total = float(prof.get("total_ms", 0.0)) or 1.0
+            # The column shows the three longest segments.
             breakdown = " ".join(
                 f"{kind}={dur:,.1f}({100.0 * dur / total:.0f}%)"
-                for kind, dur in sorted(
-                    segments.items(), key=lambda kv: -kv[1]
-                )[:3]
+                for kind, dur in list(prof["segments"].items())[:3]
             )
             rows.append(
                 [
@@ -583,9 +713,9 @@ def summarize_critpath(lines: List[dict], top: int = 10) -> str:
                 rows,
             )
         )
-    if whatifs:
+    if doc["whatif"]:
         rows = []
-        for rec in whatifs:
+        for rec in doc["whatif"]:
             actual = rec.get("actual")
             predicted = float(rec.get("predicted", 0.0))
             delta = (
@@ -619,172 +749,41 @@ def summarize_critpath(lines: List[dict], top: int = 10) -> str:
     return "\n\n".join(sections)
 
 
-# -- machine-readable (--format json) ----------------------------------------
+# -- CLI ----------------------------------------------------------------------
 
 
-def trace_data(trace: dict, top: int = 10) -> dict:
-    """The trace view as plain data (what ``summarize`` prints)."""
-    sim = _sim_spans(trace)
-    wall = _wall_spans(trace)
-    agg: Dict[str, List[float]] = defaultdict(lambda: [0.0, 0])
-    for e in sim:
-        entry = agg[str(e.get("name", "?"))]
-        entry[0] += float(e.get("dur", 0.0))
-        entry[1] += 1
-    return {
-        "sim_spans": len(sim),
-        "wall_spans": len(wall),
-        "dropped": trace.get("otherData", {}).get("dropped_events", 0),
-        "top_sim_spans": [
-            {
-                "name": e.get("name"),
-                "category": e.get("cat"),
-                "tid": e.get("tid"),
-                "start": e.get("ts", 0.0),
-                "cycles": e.get("dur", 0.0),
-            }
-            for e in sorted(
-                sim, key=lambda e: e.get("dur", 0.0), reverse=True
-            )[:top]
-        ],
-        "by_name": [
-            {"name": name, "total_cycles": total, "spans": int(count)}
-            for name, (total, count) in sorted(
-                agg.items(), key=lambda kv: kv[1][0], reverse=True
-            )[:top]
-        ],
-        "wall": [
-            {"name": e.get("name"), "ms": float(e.get("dur", 0.0)) / 1000.0}
-            for e in sorted(
-                wall, key=lambda e: e.get("dur", 0.0), reverse=True
-            )[:top]
-        ],
-    }
+def _line_errors(
+    records: List[dict], schema: dict, defs: Dict[str, str], first_line: int = 1
+) -> List[str]:
+    """Schema violations of JSONL records, each prefixed by its line number.
+
+    ``defs`` maps a record ``kind`` to its ``$defs`` name (``"*"``: every
+    kind); records of any other kind are out of contract.
+    """
+    errors = []
+    for i, rec in enumerate(records):
+        def_name = defs.get(str(rec.get("kind")), defs.get("*"))
+        if def_name is not None:
+            errors.extend(
+                f"line {i + first_line}: {err}"
+                for err in validate_def(rec, schema, def_name)
+            )
+    return errors
 
 
-def fleet_data(trace: dict, top: int = 10) -> dict:
-    """The fleet view as plain data (what ``summarize_fleet`` prints)."""
-    spans = _fleet_spans(trace)
-    requests = [e for e in spans if e.get("cat") == "fleet.request"]
-    attempts = [e for e in spans if e.get("cat") == "fleet.attempt"]
-    routes = [e for e in spans if e.get("cat") == "fleet.route"]
-    outcomes: Dict[str, int] = defaultdict(int)
-    for e in requests:
-        outcomes[str(e.get("args", {}).get("outcome", "?"))] += 1
-    per_node: Dict[int, Dict[str, float]] = defaultdict(
-        lambda: {"attempts": 0, "ok": 0, "failed": 0, "hedges": 0,
-                 "wasted": 0, "ms": 0.0}
-    )
-    for e in attempts:
-        args = e.get("args", {})
-        stats = per_node[int(args.get("node", -1))]
-        stats["attempts"] += 1
-        if args.get("outcome") == "ok":
-            stats["ok"] += 1
-            if args.get("winner") is False:
-                stats["wasted"] += 1
-        else:
-            stats["failed"] += 1
-        if args.get("hedge"):
-            stats["hedges"] += 1
-        stats["ms"] += float(e.get("dur", 0.0))
-    reasons: Dict[str, List[int]] = defaultdict(lambda: [0, 0])
-    for e in routes:
-        args = e.get("args", {})
-        entry = reasons[str(args.get("reason", "?"))]
-        entry[0] += 1
-        if args.get("chosen") is None:
-            entry[1] += 1
-    return {
-        "requests": len(requests),
-        "attempts": len(attempts),
-        "routes": len(routes),
-        "outcomes": dict(outcomes),
-        "per_node": {
-            str(node): stats for node, stats in sorted(per_node.items())
-        },
-        "router": {
-            reason: {"decisions": total, "no_replica": missed}
-            for reason, (total, missed) in sorted(reasons.items())
-        },
-        "slowest": [
-            {
-                "span_id": e.get("args", {}).get("span_id"),
-                "outcome": e.get("args", {}).get("outcome"),
-                "start_ms": float(e.get("ts", 0.0)),
-                "ms": float(e.get("dur", 0.0)),
-            }
-            for e in sorted(
-                requests, key=lambda e: float(e.get("dur", 0.0)), reverse=True
-            )[:top]
-        ],
-    }
+def _schema_verdict(path: Path, errors: List[str], as_json: bool) -> bool:
+    """Print one file's schema verdict; False when it has violations.
 
-
-def requests_data(meta: dict, records: List[dict], top: int = 10) -> dict:
-    """The request-log view as plain data."""
-
-    def span_ms(rec: dict) -> float:
-        if rec.get("latency_ms") is not None:
-            return float(rec["latency_ms"])
-        return float(rec.get("end_ms", 0.0)) - float(rec.get("arrival_ms", 0.0))
-
-    return {
-        "meta": meta,
-        "miss_attribution": miss_attribution(records),
-        "slowest": [
-            {
-                "id": rec.get("id"),
-                "outcome": rec.get("outcome"),
-                "in_system_ms": span_ms(rec),
-                "retries": rec.get("retries", 0),
-                "miss_cause": attribute_miss(rec),
-            }
-            for rec in sorted(records, key=span_ms, reverse=True)[:top]
-        ],
-    }
-
-
-def slo_data(lines: List[dict]) -> dict:
-    """The SLO-log view as plain data."""
-    states: Dict[tuple, List[dict]] = defaultdict(list)
-    alerts: List[dict] = []
-    for rec in lines:
-        if rec.get("kind") == "slo_state":
-            states[
-                (str(rec.get("scenario", "")), str(rec.get("slo", "")))
-            ].append(rec)
-        elif rec.get("kind") == "alert":
-            alerts.append(rec)
-    return {
-        "budgets": [
-            {
-                "scenario": scenario,
-                "slo": slo,
-                "windows": len(series),
-                "min_compliance": min(
-                    float(s.get("compliance", 1.0)) for s in series
-                ),
-                "peak_burn": max(
-                    float(s.get("burn_rate", 0.0)) for s in series
-                ),
-                "budget_final": float(series[-1].get("budget_remaining", 1.0)),
-            }
-            for (scenario, slo), series in sorted(states.items())
-        ],
-        "alerts": [a for a in alerts if a.get("state") == "firing"],
-    }
-
-
-def critpath_data(lines: List[dict]) -> dict:
-    """The critpath view as plain data (profiles + what-if records)."""
-    return {
-        "conservation": [
-            r for r in lines if r.get("kind") == "critpath_conservation"
-        ],
-        "profiles": [r for r in lines if r.get("kind") == "critpath_profile"],
-        "whatif": [r for r in lines if r.get("kind") == "whatif"],
-    }
+    In json mode "schema OK" goes to stderr so stdout stays one parseable
+    document.
+    """
+    if errors:
+        print(f"{path}: {len(errors)} schema violation(s):", file=sys.stderr)
+        for err in errors[:20]:
+            print(f"  {err}", file=sys.stderr)
+        return False
+    print(f"{path}: schema OK", file=sys.stderr if as_json else sys.stdout)
+    return True
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -795,7 +794,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "trace", type=Path, nargs="?", default=None,
-        help="Chrome-trace JSON from --trace (optional with --requests)",
+        help="Chrome-trace JSON from --trace (optional with any other input)",
     )
     parser.add_argument(
         "--metrics", type=Path, default=None, help="metrics JSONL from --metrics"
@@ -843,160 +842,85 @@ def main(argv: Optional[List[str]] = None) -> int:
         help=f"validate artifacts against {SCHEMA_PATH.name}; exit 1 on violations",
     )
     args = parser.parse_args(argv)
-    if (
-        args.trace is None
-        and args.requests is None
-        and args.slo is None
-        and args.critpath_log is None
-    ):
+    inputs = (args.trace, args.metrics, args.requests, args.slo, args.critpath_log)
+    if all(path is None for path in inputs):
         parser.error(
-            "give a trace file, --requests FILE, --slo FILE, "
+            "give a trace file, --metrics FILE, --requests FILE, --slo FILE, "
             "--critpath-log FILE, or any mix"
         )
     if args.critpath and args.requests is None:
         parser.error("--critpath needs --requests FILE")
+    if args.fleet and args.trace is None:
+        parser.error("--fleet needs a trace file")
+    if args.top < 1:
+        parser.error(f"--top must be at least 1, got {args.top}")
 
     schema = json.loads(SCHEMA_PATH.read_text()) if args.validate else None
     as_json = args.format == "json"
-    outputs: List[str] = []
-    document: Dict[str, object] = {}
+    # (document key, view document, text formatter), in report order.
+    views: List[tuple] = []
 
     if args.trace is not None:
         trace = load_trace(args.trace)
-        if schema is not None:
-            errors = validate(trace, schema)
-            if errors:
-                print(
-                    f"{args.trace}: {len(errors)} schema violation(s):",
-                    file=sys.stderr,
-                )
-                for err in errors[:20]:
-                    print(f"  {err}", file=sys.stderr)
-                return 1
-            # In json mode diagnostics go to stderr so stdout stays one
-            # parseable document.
-            print(
-                f"{args.trace}: schema OK",
-                file=sys.stderr if as_json else sys.stdout,
+        if schema is not None and not _schema_verdict(
+            args.trace, validate(trace, schema), as_json
+        ):
+            return 1
+        views.append(("trace", trace_data(trace, args.top), summarize))
+        if args.fleet:
+            views.append(("fleet", fleet_data(trace, args.top), summarize_fleet))
+
+    if args.metrics is not None:
+        views.append(
+            (
+                "metrics",
+                load_jsonl(args.metrics),
+                lambda records: summarize_metrics(metrics_data(records)),
             )
-        if as_json:
-            document["trace"] = trace_data(trace, top=args.top)
-            if args.fleet:
-                document["fleet"] = fleet_data(trace, top=args.top)
-        else:
-            outputs.append(summarize(trace, top=args.top))
-            if args.fleet:
-                outputs.append(summarize_fleet(trace, top=args.top))
-        if args.metrics is not None:
-            metrics = load_metrics(args.metrics)
-            if as_json:
-                document["metrics"] = metrics
-            else:
-                outputs.append(summarize_metrics(metrics))
+        )
 
     if args.requests is not None:
         meta, records = load_request_log(args.requests)
-        if schema is not None:
-            errors = []
-            for i, rec in enumerate(records):
-                for err in validate_def(rec, schema, "request_event"):
-                    errors.append(f"line {i + 2}: {err}")
-            if errors:
-                print(
-                    f"{args.requests}: {len(errors)} schema violation(s):",
-                    file=sys.stderr,
-                )
-                for err in errors[:20]:
-                    print(f"  {err}", file=sys.stderr)
-                return 1
-            print(
-                f"{args.requests}: schema OK",
-                file=sys.stderr if as_json else sys.stdout,
-            )
-        if as_json:
-            document["requests"] = requests_data(meta, records, top=args.top)
-        else:
-            outputs.append(summarize_requests(meta, records, top=args.top))
+        # Line 1 is the meta line.
+        if schema is not None and not _schema_verdict(
+            args.requests,
+            _line_errors(records, schema, {"*": "request_event"}, first_line=2),
+            as_json,
+        ):
+            return 1
+        views.append(
+            ("requests", requests_data(meta, records, args.top), summarize_requests)
+        )
         if args.critpath:
-            critpath_lines = critpath_from_requests(records, top=args.top)
-            if as_json:
-                document["critpath"] = critpath_data(critpath_lines)
-            else:
-                outputs.append(summarize_critpath(critpath_lines, top=args.top))
-
-    if args.slo is not None:
-        lines = []
-        with open(args.slo) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    lines.append(json.loads(line))
-        if schema is not None:
-            errors = []
-            defs = {"slo_state": "slo_state", "alert": "alert_event"}
-            for i, rec in enumerate(lines):
-                def_name = defs.get(str(rec.get("kind")))
-                if def_name is None:
-                    continue  # meta/unknown lines are out of contract
-                for err in validate_def(rec, schema, def_name):
-                    errors.append(f"line {i + 1}: {err}")
-            if errors:
-                print(
-                    f"{args.slo}: {len(errors)} schema violation(s):",
-                    file=sys.stderr,
+            views.append(
+                (
+                    "critpath",
+                    critpath_data(critpath_from_requests(records)),
+                    summarize_critpath,
                 )
-                for err in errors[:20]:
-                    print(f"  {err}", file=sys.stderr)
-                return 1
-            print(
-                f"{args.slo}: schema OK",
-                file=sys.stderr if as_json else sys.stdout,
             )
-        if as_json:
-            document["slo"] = slo_data(lines)
-        else:
-            outputs.append(summarize_slo(lines))
 
-    if args.critpath_log is not None:
-        lines = []
-        with open(args.critpath_log) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    lines.append(json.loads(line))
-        if schema is not None:
-            errors = []
-            defs = {
-                "critpath_profile": "critpath_record",
-                "whatif": "whatif_record",
-            }
-            for i, rec in enumerate(lines):
-                def_name = defs.get(str(rec.get("kind")))
-                if def_name is None:
-                    continue  # meta/unknown lines are out of contract
-                for err in validate_def(rec, schema, def_name):
-                    errors.append(f"line {i + 1}: {err}")
-            if errors:
-                print(
-                    f"{args.critpath_log}: {len(errors)} schema violation(s):",
-                    file=sys.stderr,
-                )
-                for err in errors[:20]:
-                    print(f"  {err}", file=sys.stderr)
-                return 1
-            print(
-                f"{args.critpath_log}: schema OK",
-                file=sys.stderr if as_json else sys.stdout,
-            )
-        if as_json:
-            document["critpath_log"] = critpath_data(lines)
-        else:
-            outputs.append(summarize_critpath(lines, top=args.top))
+    for key, path, defs, view_data, render in (
+        ("slo", args.slo, {"slo_state": "slo_state", "alert": "alert_event"},
+         slo_data, summarize_slo),
+        ("critpath_log", args.critpath_log,
+         {"critpath_profile": "critpath_record", "whatif": "whatif_record"},
+         critpath_data, summarize_critpath),
+    ):
+        if path is None:
+            continue
+        lines = load_jsonl(path)
+        if schema is not None and not _schema_verdict(
+            path, _line_errors(lines, schema, defs), as_json
+        ):
+            return 1
+        views.append((key, view_data(lines), render))
 
     if as_json:
+        document = {key: doc for key, doc, _ in views}
         print(json.dumps(document, indent=2, sort_keys=True))
     else:
-        print("\n\n".join(outputs))
+        print("\n\n".join(render(doc) for _, doc, render in views))
     return 0
 
 

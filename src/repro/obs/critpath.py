@@ -19,7 +19,11 @@ Two extractors share one segment taxonomy (:data:`SEGMENT_KINDS`):
   multiplier carved out as ``penalty``, ``timeout_retry→retry_arrive`` is
   backoff.  A :class:`~repro.obs.requests.RunLog` hands over its columns
   directly; record dicts (e.g. reloaded JSONL) are parsed into the same
-  table first.  The result is a :class:`PathTable`, which builds a
+  table first.  A fast-path run skips the walk: every request there
+  arrives, dispatches once unscaled and completes, so
+  :func:`extract_fast` writes its queue and service segments in closed
+  form from the arrival, start and end columns, bit-identical to the
+  walk.  The result is a :class:`PathTable`, which builds a
   :class:`CriticalPath` only when one is read.
 * **cluster** (:func:`_extract_cluster`) — reconstructs the blocking
   chain backward from the slowest gather slot: the winning attempt's
@@ -61,6 +65,7 @@ __all__ = [
     "LIFECYCLE_KINDS",
     "SEGMENT_KINDS",
     "CriticalPath",
+    "FastLifecycles",
     "Lifecycles",
     "PathTable",
     "Segment",
@@ -68,6 +73,7 @@ __all__ = [
     "bottleneck",
     "check_conservation",
     "extract_critical_path",
+    "extract_fast",
     "extract_lifecycles",
     "extract_paths",
     "profile_records",
@@ -377,6 +383,71 @@ def extract_lifecycles(lc: Lifecycles) -> "PathTable":
         seg_ptr=seg_ptr, seg_kind=seg_kind, seg_dur=seg_dur,
         seg_node=seg_node, seg_shard=np.full(n_seg, -1, dtype=np.int64),
         seg_cause=seg_cause, cause_names=_SINGLE_CAUSES,
+    )
+
+
+@dataclass
+class FastLifecycles:
+    """Fast-path request lifecycles as columns: the closed form's input.
+
+    Request ``i`` (index ``req[i]``, exemplar id ``ids(i)``, outcome
+    ``outcome_names[outcome[i]]``) arrived at ``arrival[i]``, was
+    dispatched unscaled on core ``node[i]`` at ``start[i]`` and completed
+    at ``end[i]``.  As a :class:`Lifecycles` table each request would hold
+    exactly one ``dispatch`` (multiplier 1) and one ``complete`` event.
+    """
+
+    req: np.ndarray
+    ids: Callable[[int], str]
+    outcome: np.ndarray
+    outcome_names: Sequence[str]
+    arrival: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    node: np.ndarray
+
+
+def extract_fast(fl: FastLifecycles) -> "PathTable":
+    """The blocking chain of every fast-path request, in closed form.
+
+    For finite times this is :func:`extract_lifecycles` over the
+    equivalent dispatch/complete table, bit for bit, without the event
+    walk: a ``queue`` segment when ``start > arrival``, then a ``service``
+    segment when ``end - start > 0``, both on the request's core; a bare
+    ``other`` (no node) when neither is on and the total is not zero.
+    :func:`_seal`'s remainder rule sets each path's last segment, which
+    is the service whenever it is on, so only a queue ahead of a service
+    keeps its own duration.
+    """
+    arrival, start, end = fl.arrival, fl.start, fl.end
+    total = end - arrival
+    queue_on = start > arrival
+    service_on = end - start > 0.0
+    bare = ~(queue_on | service_on) & (total != 0.0)
+    seg_counts = queue_on.astype(np.int64) + service_on + bare
+    seg_ptr = np.concatenate(([0], np.cumsum(seg_counts)))
+    n_seg = int(seg_ptr[-1])
+    first = seg_ptr[:-1]
+    seg_kind = np.empty(n_seg, dtype=np.int8)
+    seg_kind[first[queue_on]] = _QUEUE
+    seg_kind[(first + queue_on)[service_on]] = _SERVICE
+    seg_kind[first[bare]] = _OTHER
+    seg_node = np.repeat(fl.node, seg_counts)
+    seg_node[first[bare]] = -1
+    seg_dur = np.empty(n_seg, dtype=np.float64)
+    both = queue_on & service_on
+    lead = first[both]
+    seg_dur[lead] = start[both] - arrival[both]
+    remainder = total.copy()
+    remainder[both] -= seg_dur[lead]
+    filled = seg_counts > 0
+    seg_dur[seg_ptr[1:][filled] - 1] = remainder[filled]
+    return PathTable(
+        req=fl.req, ids=fl.ids, outcome=fl.outcome,
+        outcome_names=fl.outcome_names, arrival=arrival, end=end,
+        seg_ptr=seg_ptr, seg_kind=seg_kind, seg_dur=seg_dur,
+        seg_node=seg_node, seg_shard=np.full(n_seg, -1, dtype=np.int64),
+        seg_cause=np.full(n_seg, -1, dtype=np.int8), cause_names=_SINGLE_CAUSES,
     )
 
 
@@ -729,14 +800,17 @@ def extract_paths(records: Sequence[Dict[str, object]]) -> Sequence[CriticalPath
     """Extract every record's critical path, in record order.
 
     A run's lazy records (:attr:`repro.obs.requests.RunLog.records`) hand
-    their columns straight to :func:`extract_lifecycles`; single-box
-    record dicts are parsed into one :class:`Lifecycles` table first.
-    Either way the result is a :class:`PathTable`.  Cluster records go
-    through the cluster extractor one by one, and a list that holds any
-    returns a plain list of paths.
+    over their columns: a fast-path run's go to the closed form
+    :func:`extract_fast`, a resilient run's to :func:`extract_lifecycles`.
+    Single-box record dicts are parsed into one :class:`Lifecycles` table
+    first.  Either way the result is a :class:`PathTable`.  Cluster
+    records go through the cluster extractor one by one, and a list that
+    holds any returns a plain list of paths.
     """
     lifecycles = getattr(records, "lifecycles", None)
     columns = lifecycles() if lifecycles is not None else None
+    if isinstance(columns, FastLifecycles):
+        return extract_fast(columns)
     if columns is not None:
         return extract_lifecycles(columns)
     cluster = [rec.get("shards") is not None for rec in records]

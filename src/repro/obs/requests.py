@@ -35,11 +35,11 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .critpath import LIFECYCLE_CODES, Lifecycles
+from .critpath import LIFECYCLE_CODES, FastLifecycles, Lifecycles
 from .ids import request_id
 
 __all__ = [
@@ -138,9 +138,10 @@ class RunRecords(Sequence[Dict[str, object]]):
         for i in range(len(self)):
             yield self._run._record_at(i)
 
-    def lifecycles(self) -> Optional[Lifecycles]:
-        """The run's lifecycle columns; None when its records were added
-        one by one (:meth:`RunLog.add_record`)."""
+    def lifecycles(self) -> Union[Lifecycles, FastLifecycles, None]:
+        """The run's lifecycle columns: a :class:`FastLifecycles` for a
+        fast-path run, a :class:`Lifecycles` for a resilient one, None
+        when its records were added one by one (:meth:`RunLog.add_record`)."""
         return self._run._lifecycles()
 
 
@@ -320,38 +321,34 @@ class RunLog:
             cols.end = end
         return cols.end[: self._kept]
 
-    def _lifecycles(self) -> Optional[Lifecycles]:
+    def _lifecycles(self) -> Union[Lifecycles, FastLifecycles, None]:
         cols = self._cols
         if cols is None:
             return None
         k = self._kept
-        code_of = LIFECYCLE_CODES
         if cols.outcome is None:
-            # Fast path: each request only dispatches, unscaled.  Its
-            # arrive event is left out: at the arrival time, it moves no
-            # cursor.
-            outcome = np.zeros(k, dtype=np.int64)
-            node = cols.core[:k]
-            t_ptr = np.zeros(k + 1, dtype=np.int64)
-            t_code = np.empty(0, dtype=np.int64)
-            t_time = np.empty(0)
-            mult = np.ones(k)
-        else:
-            outcome = cols.outcome[:k]
-            node = np.where(outcome == OUTCOME_COMPLETED, cols.core[:k], -1)
-            _, t_ptr, t_code, t_time = self._grouped()
-            mult = np.ones(k)
-            row = self._dispatch_rows()
-            ran = np.flatnonzero(row >= 0)
-            if ran.size:
-                _, _, _, fault, straggler, scale = self._dispatches
-                # fault x straggler x scale, the order a parsed dispatch
-                # event multiplies them in.
-                mult[ran] = (
-                    np.array(fault, dtype=np.float64)[row[ran]]
-                    * np.array(straggler, dtype=np.float64)[row[ran]]
-                    * np.array(scale, dtype=np.float64)[row[ran]]
-                )
+            return FastLifecycles(
+                req=np.arange(k), ids=self.exemplar_id,
+                outcome=np.zeros(k, dtype=np.int64), outcome_names=OUTCOME_NAMES,
+                arrival=cols.arrival[:k], start=cols.start[:k], end=self._end(),
+                node=cols.core[:k],
+            )
+        code_of = LIFECYCLE_CODES
+        outcome = cols.outcome[:k]
+        node = np.where(outcome == OUTCOME_COMPLETED, cols.core[:k], -1)
+        _, t_ptr, t_code, t_time = self._grouped()
+        mult = np.ones(k)
+        row = self._dispatch_rows()
+        ran = np.flatnonzero(row >= 0)
+        if ran.size:
+            _, _, _, fault, straggler, scale = self._dispatches
+            # fault x straggler x scale, the order a parsed dispatch
+            # event multiplies them in.
+            mult[ran] = (
+                np.array(fault, dtype=np.float64)[row[ran]]
+                * np.array(straggler, dtype=np.float64)[row[ran]]
+                * np.array(scale, dtype=np.float64)[row[ran]]
+            )
         # Every completed request ends with dispatch, complete after its
         # table events.
         done = np.flatnonzero(outcome == OUTCOME_COMPLETED)

@@ -8,13 +8,13 @@ plain C-speed float loops where it can.
 * :func:`dispatch_plain` — FIFO M/G/c dispatch for the happy path.
   Single-core chains are an exact python-float recurrence; multi-core
   dispatch runs *speculative waves*: the next ``c`` requests are assigned
-  to the ``c`` cores in heap order (``lexsort`` over ``(free, core)`` is
-  exactly a ``(free time, core id)`` min-heap's total order), and the
-  wave is committed only up to the first position where a freshly
-  computed completion could overtake a later core's free time — the only
-  way a heap could disagree.  Under load the full wave commits; when
-  speculation stops paying the dispatcher falls back to a python-float
-  heap loop.
+  to the ``c`` cores in heap order (a stable sort of the free times,
+  whose ties keep core-id order, is exactly a ``(free time, core id)``
+  min-heap's total order), and the wave is committed only up to the
+  first position where a freshly computed completion could overtake a
+  later core's free time — the only way a heap could disagree.  Under
+  load the full wave commits; when speculation stops paying the
+  dispatcher falls back to a python-float heap loop.
 
 * :func:`resilient_events` — the resilient event loop over three merged
   streams instead of one ``(time, kind, seq)`` heap: the static arrivals
@@ -81,13 +81,13 @@ def dispatch_plain(
         return starts, core_ids
 
     free_t = np.zeros(num_cores)
-    free_c = np.arange(num_cores, dtype=np.int64)
     i = 0
     waves = 0
     committed = 0
     while i < n and num_cores >= _WAVE_MIN_CORES:
-        # Heap pop order over c cores == ascending (free time, core id).
-        order = np.lexsort((free_c, free_t))
+        # Heap pop order over c cores == ascending (free time, core id):
+        # a stable sort breaks free-time ties by index, the core id.
+        order = free_t.argsort(kind="stable")
         m = min(num_cores, n - i)
         ft = free_t[order[:m]]
         st = np.maximum(arrivals_ms[i : i + m], ft)
@@ -99,7 +99,7 @@ def dispatch_plain(
             # an equal time would tie-break on core id, so it commits
             # only the unambiguous prefix).
             ok = np.minimum.accumulate(comp[: m - 1]) > ft[1:]
-            k = m if ok.all() else int(np.argmin(ok)) + 1
+            k = m if ok.all() else int(ok.argmin()) + 1
         else:
             k = 1
         sel = order[:k]
@@ -114,7 +114,7 @@ def dispatch_plain(
     if i < n:
         # Speculation is not paying (light/bursty load): finish with a
         # python-float heap seeded from the current core state.
-        heap = list(zip(free_t.tolist(), free_c.tolist()))
+        heap = list(zip(free_t.tolist(), range(num_cores)))
         heapq.heapify(heap)
         pop, push = heapq.heappop, heapq.heappush
         st_l: List[float] = []

@@ -17,11 +17,17 @@ import pytest
 
 import serving_oracle
 from repro.obs.critpath import (
+    LIFECYCLE_CODES,
     CriticalPath,
+    FastLifecycles,
+    Lifecycles,
     PathTable,
     Segment,
     aggregate_profiles,
+    check_conservation,
     extract_critical_path,
+    extract_fast,
+    extract_lifecycles,
     extract_paths,
     profile_records,
 )
@@ -311,6 +317,106 @@ def test_profiles_same_from_table_and_from_paths():
     assert aggregate_profiles(table, scenario="s") == aggregate_profiles(
         list(table), scenario="s"
     )
+
+
+# -- fast path: closed form vs the event walk -----------------------------------
+
+#: The columns the closed form must reproduce byte for byte.
+_TABLE_COLUMNS = (
+    "req", "outcome", "arrival", "end", "seg_ptr", "seg_kind", "seg_dur",
+    "seg_node", "seg_shard", "seg_cause",
+)
+
+
+def _assert_same_table(got: PathTable, want: PathTable) -> None:
+    for name in _TABLE_COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert [got.outcome_names[o] for o in got.outcome.tolist()] == [
+        want.outcome_names[o] for o in want.outcome.tolist()
+    ]
+    assert list(got.cause_names) == list(want.cause_names)
+    assert [got.ids(i) for i in range(len(got))] == [
+        want.ids(i) for i in range(len(want))
+    ]
+
+
+def _assert_fast_run_matches_walk(run) -> None:
+    assert isinstance(run.records.lifecycles(), FastLifecycles)
+    want = extract_lifecycles(Lifecycles.from_records(list(run.records)))
+    _assert_same_table(extract_paths(run.records), want)
+
+
+def _fast_runs(cores, rho, log, decimals=None, runs=1, n=600):
+    """``runs`` fast-path boxes of ``cores`` cores at load ``rho``;
+    ``decimals`` rounds the arrivals so that many of them tie."""
+    with session(Observation(requests=log)):
+        for k in range(runs):
+            arrivals = _arrivals(n=n, interarrival=4.0 / (cores * rho), seed=10 + k)
+            if decimals is not None:
+                arrivals = np.round(arrivals, decimals)
+            SIMULATORS["fast"](
+                arrivals, 4.0, cores, np.random.default_rng(20 + k),
+                label=f"fast{k}",
+            )
+    return log
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.9, 1.3])
+@pytest.mark.parametrize("cores", [1, 2, 16, 64])
+def test_fast_path_closed_form_matches_walk(cores, rho):
+    for run in _fast_runs(cores, rho, RequestLog(), n=40 * cores + 200).runs:
+        _assert_fast_run_matches_walk(run)
+
+
+@pytest.mark.parametrize("cores", [1, 16, 64])
+def test_fast_path_closed_form_matches_walk_on_tied_arrivals(cores):
+    log = _fast_runs(cores, 0.9, RequestLog(), decimals=0)
+    records = list(log.runs[0].records)
+    assert any(r["wait_ms"] == 0.0 for r in records)
+    assert any(r["wait_ms"] > 0.0 for r in records)
+    _assert_fast_run_matches_walk(log.runs[0])
+
+
+def test_fast_path_closed_form_matches_walk_on_truncated_log():
+    """A max_requests bound that cuts the second run partway and keeps
+    nothing of the third."""
+    log = _fast_runs(16, 0.9, RequestLog(max_requests=600 + 37), runs=3)
+    assert [len(run.records) for run in log.runs] == [600, 37, 0]
+    assert log.dropped == 600 - 37 + 600
+    for run in log.runs:
+        _assert_fast_run_matches_walk(run)
+
+
+def test_fast_path_closed_form_corner_cases_match_walk():
+    """Lifecycles no serving run makes: a dispatch before the arrival,
+    zero-length queue and service, a path with no segment but a non-zero
+    total, and float dust the seal folds into the last segment."""
+    arrival = np.array([0.0, 1.0, 2.0, 3.0, 5.0, 0.1, 7.0, 2.0])
+    start = np.array([0.0, 1.5, 2.0, 2.5, 4.0, 0.3, 6.0, 2.0])
+    end = np.array([0.0, 1.5, 2.7, 2.5, 4.5, 0.7, 5.5, 2.0])
+    k = arrival.size
+    ids = [f"r{i}" for i in range(k)]
+    common = dict(
+        req=np.arange(k), ids=ids.__getitem__, outcome=np.zeros(k, dtype=np.int64),
+        outcome_names=OUTCOME_NAMES, arrival=arrival, end=end,
+        node=np.arange(k, dtype=np.int64) % 3,
+    )
+    walked = Lifecycles(
+        ev_ptr=np.arange(0, 2 * k + 1, 2),
+        ev_kind=np.tile(
+            [LIFECYCLE_CODES["dispatch"], LIFECYCLE_CODES["complete"]], k
+        ).astype(np.int64),
+        ev_t=np.column_stack((start, end)).ravel(),
+        ev_mult=np.ones(2 * k),
+        **common,
+    )
+    table = extract_fast(FastLifecycles(start=start, **common))
+    _assert_same_table(table, extract_lifecycles(walked))
+    kinds = {s.kind for path in table for s in path.segments}
+    assert kinds == {"queue", "service", "other"}
+    assert all(check_conservation(path) == 0.0 for path in table)
 
 
 # -- records -----------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Opt-in performance benchmark (``REPRO_BENCH=1 pytest -m perf``).
 
 Runs the quick mode of ``tools/bench_sim.py`` and asserts the fast engine
-actually beats the reference on the hot paths, and the shipped serving
+actually beats the reference on the hot paths, the shipped serving
 loops beat the heap-loop oracle of ``tests/serving_oracle.py`` they
-replaced.  Skipped by default: wall time depends on the machine and CI
+replaced, and the fast-path critical-path closed form beats the event
+walk it skips.  Skipped by default: wall time depends on the machine and CI
 boxes are noisy, so this only runs when explicitly requested via
 ``REPRO_BENCH=1``.
 """
@@ -13,11 +14,22 @@ from __future__ import annotations
 import importlib.util
 import os
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import serving_oracle
+from repro.obs.critpath import (
+    LIFECYCLE_CODES,
+    Lifecycles,
+    extract_fast,
+    extract_lifecycles,
+)
+from repro.obs.hooks import Observation, session
+from repro.obs.requests import RequestLog
+from repro.serving.workload import poisson_arrivals
 
 pytestmark = pytest.mark.perf
 
@@ -114,3 +126,42 @@ def test_embedding_swpf_fast_engine_wins():
     ref = bench_all.bench_embedding_swpf("reference", 0.01, 8, 1)
     assert fast["lines"] == ref["lines"]
     assert fast["lines_per_sec"] > ref["lines_per_sec"]
+
+
+def _best_of(fn, repeats=7) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def test_fast_path_closed_form_beats_event_walk():
+    """A 50k-request, 64-core fast-path log: the closed form against the
+    event walk over the same lifecycles as dispatch/complete events,
+    both timed in this process."""
+    log = RequestLog()
+    with session(Observation(requests=log)):
+        serving_oracle.SIMULATORS["fast"](
+            poisson_arrivals(5.0 / (64 * 0.9), 50_000, np.random.default_rng(1)),
+            5.0, 64, np.random.default_rng(2),
+        )
+    fast = log.runs[0].records.lifecycles()
+    k = fast.arrival.size
+    walk = Lifecycles(
+        req=fast.req, ids=fast.ids, outcome=fast.outcome,
+        outcome_names=fast.outcome_names, arrival=fast.arrival, end=fast.end,
+        node=fast.node, ev_ptr=np.arange(0, 2 * k + 1, 2),
+        ev_kind=np.tile(
+            [LIFECYCLE_CODES["dispatch"], LIFECYCLE_CODES["complete"]], k
+        ).astype(np.int64),
+        ev_t=np.column_stack((fast.start, fast.end)).ravel(),
+        ev_mult=np.ones(2 * k),
+    )
+    assert extract_fast(fast).seg_dur.tobytes() == (
+        extract_lifecycles(walk).seg_dur.tobytes()
+    )
+    closed_s = _best_of(lambda: extract_fast(fast))
+    walk_s = _best_of(lambda: extract_lifecycles(walk))
+    assert walk_s >= 3.0 * closed_s, (walk_s, closed_s)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -529,12 +529,14 @@ def _fused_walk(
     inlined, so no call is made per line.  The core state is retired
     lazily (see the comment on it below).
 
-    The caches' scalar state (``_where`` membership, ``_rows`` LRU-first
-    tag lists, ``_pend_lines``) and the DRAM open rows are mutated in
-    place; everything else — counters, prefetcher and core state — lives
-    in locals and is written back once at the end.  ``queueing_factor()``
-    is read once: utilization only changes between calls.  ``core`` must
-    have no load in flight (the caller's is fresh).  Appends to
+    The caches' scalar state (``_where`` membership, the row table of
+    LRU-first line lists, ``_pend_lines``) and the DRAM open rows are
+    mutated in place; everything else — counters, prefetcher and core
+    state — lives in locals and is written back once at the end.
+    ``queueing_factor()`` is read once: utilization only changes between
+    calls.  ``core`` must have no load in flight (the caller's is fresh).
+    Lines are non-negative (``AddressMap`` rejects a negative base), so
+    only stride candidates can fall below line 0.  Appends to
     ``batch_cycles``; returns ``(effective_latency_sum, demand_loads)``.
     """
     spec = core.spec
@@ -556,19 +558,16 @@ def _fused_walk(
     cfg = hierarchy.config
     lat1, lat2, lat3 = cfg.l1_latency, cfg.l2_latency, cfg.l3_latency
     c1, c2, c3 = hierarchy.l1, hierarchy.l2, hierarchy.l3
-    ns1, ways1, where1, rows1, pend1, row1 = (
-        c1.num_sets, c1.ways, c1._where, c1._rows, c1._pend_lines, c1._row
-    )
-    ns2, ways2, where2, rows2, pend2, row2 = (
-        c2.num_sets, c2.ways, c2._where, c2._rows, c2._pend_lines, c2._row
-    )
-    ns3, ways3, where3, rows3, pend3, row3 = (
-        c3.num_sets, c3.ways, c3._where, c3._rows, c3._pend_lines, c3._row
-    )
-    # Per level: demand hits/misses, prefetch hits/fills/useful, evictions,
-    # evictions of never-used prefetched lines.
-    dh1 = dm1 = ph1 = pf1 = pu1 = ev1 = eu1 = 0
-    dh2 = dm2 = ph2 = pf2 = pu2 = ev2 = eu2 = 0
+    ns1, ways1, where1, pend1 = c1.num_sets, c1.ways, c1._where, c1._pend_lines
+    ns2, ways2, where2, pend2 = c2.num_sets, c2.ways, c2._where, c2._pend_lines
+    ns3, ways3, where3, pend3 = c3.num_sets, c3.ways, c3._where, c3._pend_lines
+    rows1, rows2, rows3 = c1._row_table(), c2._row_table(), c3._row_table()
+    # Per level: demand hits, prefetch hits/fills/useful, evictions,
+    # evictions of never-used prefetched lines.  A load that misses a level
+    # goes on to the next, so demand misses follow from the hits and the
+    # load count; L3's are counted, as DRAM demand fetches.
+    dh1 = ph1 = pf1 = pu1 = ev1 = eu1 = 0
+    dh2 = ph2 = pf2 = pu2 = ev2 = eu2 = 0
     dh3 = dm3 = ph3 = pf3 = pu3 = ev3 = eu3 = 0
 
     hstats = hierarchy.stats
@@ -576,7 +575,8 @@ def _fused_walk(
     # The order in which levels first served a demand load in this call
     # (level_hits keeps first-insertion order).
     first_seen: List[str] = []
-    pf_requests = 0
+    # Hardware prefetch requests; each issued software prefetch is one too.
+    hw_requests = 0
 
     dram = hierarchy.dram
     qf = dram.queueing_factor()
@@ -586,31 +586,38 @@ def _fused_walk(
     banks = dcfg.banks
     lines_per_row = ROW_BUFFER_BYTES // CACHE_LINE_BYTES
     open_rows = dram._open_rows
-    dram_acc = dram_row_hits = 0
+    dram_row_hits = 0
 
     hw = hierarchy.hw_prefetch_enabled
     if hw:
         nextline = hierarchy.l1_prefetcher
         streamer, strider = hierarchy.l2_prefetcher.prefetchers
-        nl_degree = nextline.degree
-        st_range = range(1, streamer.degree + 1)
-        sd_range = range(1, strider.degree + 1)
+        nl_offsets = tuple(range(1, nextline.degree + 1))
+        st_degree = streamer.degree
+        sd_degree = strider.degree
+        sd_range = range(1, sd_degree + 1)
         sd_thr = strider.confidence_threshold
         lines_per_page = streamer.LINES_PER_PAGE
         table_entries = streamer.TABLE_ENTRIES
         last_in_page = streamer._last_in_page
         sd_state = strider._streams.get(0)
         sd_last, sd_stride, sd_conf = sd_state if sd_state else (None, 0, 0)
-    nl_issued = st_issued = sd_issued = 0
+    st_issued = sd_issued = 0
 
     if plan is not None:
         sw_distance = plan.distance
         sw_amount = plan.amount_lines
-        sw_target = ("l1", "l2", "l3").index(plan.target_level) + 1
+        # Software prefetches fill L3 and, unless they target it, L2 and,
+        # for an L1 target, L1.
+        sw_fill_l2 = plan.target_level != "l3"
+        sw_fill_l1 = plan.target_level == "l1"
 
     # Core state.  The load queue holds every in-flight demand load, merged
-    # loads included, in issue order, as parallel issue-index / completion /
-    # owns-a-fill-buffer lists; the window and load-queue limiters read it.
+    # loads included, in issue order, as parallel issue-index / completion
+    # lists; the window and load-queue limiters read it.  The issue indices
+    # of the demand misses among them, which own a fill buffer, are kept in
+    # a set (merged loads own none).  Issue indices never repeat, so the
+    # indices of popped loads can stay in the set until the batch ends.
     # The MSHR pool is a heap of the completions of demand misses and of
     # software prefetches that hold a fill buffer; the MSHR limiter reads
     # it.  Retirement is lazy, as in ``CoreModel.issue_demand_chunk``: a
@@ -627,14 +634,15 @@ def _fused_walk(
     icount = core.instr_count
     lq_idx: List[int] = []
     lq_comp: List[float] = []
-    lq_owner: List[bool] = []
+    lq_owners: Set[int] = set()
     mshrs: List[float] = []
     window_stall = core.window_stall_cycles
     queue_stall = core.mshr_stall_cycles
     loads = misses = merged = sw_issued = 0
     eff_sum = 0.0
+    # line -> completion of its in-flight prefetch.  ``now`` never goes
+    # below 0, so a demand load's default of 0.0 reads as "not in flight".
     pfc: Dict[int, float] = {}
-    pfc_get = pfc.get
     pfc_pop = pfc.pop
 
     for b, stream_lines, sample_flags in batches:
@@ -642,56 +650,45 @@ def _fused_walk(
         stream_list = stream_lines.tolist()
         flags_list = sample_flags.tolist()
         n_lookups = len(stream_list)
+        loads += n_lookups * row_lines
+        # Lookups before this position prefetch the row ``sw_distance`` on.
+        sw_stop = n_lookups - sw_distance if plan is not None else 0
         for pos in range(n_lookups):
             if flags_list[pos]:
                 icount += uops_sample
                 now += sample_step
             icount += uops_lookup
             now += lookup_step
-            if plan is not None and pos + sw_distance < n_lookups:
+            if pos < sw_stop:
                 pf_first = stream_list[pos + sw_distance]
                 for line in range(pf_first, pf_first + sw_amount):
-                    if pfc_get(line, 0.0) > now:
+                    if line in pfc and pfc[line] > now:
                         # Already in flight: a no-op that takes an issue slot.
                         icount += 1
                         now += slot
                         continue
                     # -- software prefetch (prefetch_timing) --
-                    pf_requests += 1
                     if line in where1:
-                        s = line % ns1
-                        order = rows1.get(s)
-                        if order is None:
-                            order = row1(s)
-                        t = line // ns1
-                        order.remove(t)
-                        order.append(t)
+                        order = rows1[line % ns1]
+                        order.remove(line)
+                        order.append(line)
                         ph1 += 1
                         pf_latency = lat1
                     else:
                         in_l2 = line in where2
                         if in_l2:
-                            s = line % ns2
-                            order = rows2.get(s)
-                            if order is None:
-                                order = row2(s)
-                            t = line // ns2
-                            order.remove(t)
-                            order.append(t)
+                            order = rows2[line % ns2]
+                            order.remove(line)
+                            order.append(line)
                             ph2 += 1
                             pf_latency = lat2
                         elif line in where3:
-                            s = line % ns3
-                            order = rows3.get(s)
-                            if order is None:
-                                order = row3(s)
-                            t = line // ns3
-                            order.remove(t)
-                            order.append(t)
+                            order = rows3[line % ns3]
+                            order.remove(line)
+                            order.append(line)
                             ph3 += 1
                             pf_latency = lat3
                         else:
-                            dram_acc += 1
                             r = line // lines_per_row
                             bank = r % banks
                             if open_rows[bank] == r:
@@ -700,50 +697,50 @@ def _fused_walk(
                             else:
                                 open_rows[bank] = r
                                 pf_latency = dram_row_miss
-                            s = line % ns3
-                            order = rows3.get(s)
-                            if order is None:
-                                order = row3(s)
+                            order = rows3[line % ns3]
                             if len(order) >= ways3:
-                                victim = order.pop(0) * ns3 + s
+                                victim = order.pop(0)
                                 del where3[victim]
                                 ev3 += 1
-                                if pend3.pop(victim, None):
+                                if victim in pend3:
+                                    del pend3[victim]
                                     eu3 += 1
-                            order.append(line // ns3)
+                            elif not order:
+                                order = rows3[line % ns3] = []
+                            order.append(line)
                             where3[line] = -1
                             pf3 += 1
                             pend3[line] = True
-                        if sw_target != 3:
+                        if sw_fill_l2:
                             # A line that hit in L2 was just moved to its MRU
                             # end, so the refill only marks it prefetched.
                             if not in_l2:
-                                s = line % ns2
-                                order = rows2.get(s)
-                                if order is None:
-                                    order = row2(s)
+                                order = rows2[line % ns2]
                                 if len(order) >= ways2:
-                                    victim = order.pop(0) * ns2 + s
+                                    victim = order.pop(0)
                                     del where2[victim]
                                     ev2 += 1
-                                    if pend2.pop(victim, None):
+                                    if victim in pend2:
+                                        del pend2[victim]
                                         eu2 += 1
-                                order.append(line // ns2)
+                                elif not order:
+                                    order = rows2[line % ns2] = []
+                                order.append(line)
                                 where2[line] = -1
                             pf2 += 1
                             pend2[line] = True
-                            if sw_target == 1:
-                                s = line % ns1
-                                order = rows1.get(s)
-                                if order is None:
-                                    order = row1(s)
+                            if sw_fill_l1:
+                                order = rows1[line % ns1]
                                 if len(order) >= ways1:
-                                    victim = order.pop(0) * ns1 + s
+                                    victim = order.pop(0)
                                     del where1[victim]
                                     ev1 += 1
-                                    if pend1.pop(victim, None):
+                                    if victim in pend1:
+                                        del pend1[victim]
                                         eu1 += 1
-                                order.append(line // ns1)
+                                elif not order:
+                                    order = rows1[line % ns1] = []
+                                order.append(line)
                                 where1[line] = -1
                                 pf1 += 1
                                 pend1[line] = True
@@ -765,58 +762,47 @@ def _fused_walk(
                 now += line_step
                 # -- demand walk (load_timing) --
                 if line in where1:
-                    s = line % ns1
-                    order = rows1.get(s)
-                    if order is None:
-                        order = row1(s)
-                    t = line // ns1
-                    order.remove(t)
-                    order.append(t)
+                    order = rows1[line % ns1]
+                    order.remove(line)
+                    order.append(line)
                     if not dh1:
                         first_seen.append("l1")
                     dh1 += 1
-                    if pend1.pop(line, None):
+                    if line in pend1:
+                        del pend1[line]
                         pu1 += 1
                     latency = lat1
-                    l1_hit = True
+                    observe = False
                 else:
-                    l1_hit = False
-                    dm1 += 1
+                    # An L1 demand miss is what the prefetchers observe.
+                    observe = hw
                     if line in where2:
-                        s = line % ns2
-                        order = rows2.get(s)
-                        if order is None:
-                            order = row2(s)
-                        t = line // ns2
-                        order.remove(t)
-                        order.append(t)
+                        order = rows2[line % ns2]
+                        order.remove(line)
+                        order.append(line)
                         if not dh2:
                             first_seen.append("l2")
                         dh2 += 1
-                        if pend2.pop(line, None):
+                        if line in pend2:
+                            del pend2[line]
                             pu2 += 1
                         latency = lat2
                     else:
-                        dm2 += 1
                         if line in where3:
-                            s = line % ns3
-                            order = rows3.get(s)
-                            if order is None:
-                                order = row3(s)
-                            t = line // ns3
-                            order.remove(t)
-                            order.append(t)
+                            order = rows3[line % ns3]
+                            order.remove(line)
+                            order.append(line)
                             if not dh3:
                                 first_seen.append("l3")
                             dh3 += 1
-                            if pend3.pop(line, None):
+                            if line in pend3:
+                                del pend3[line]
                                 pu3 += 1
                             latency = lat3
                         else:
                             if not dm3:
                                 first_seen.append("dram")
                             dm3 += 1
-                            dram_acc += 1
                             r = line // lines_per_row
                             bank = r % banks
                             if open_rows[bank] == r:
@@ -825,48 +811,47 @@ def _fused_walk(
                             else:
                                 open_rows[bank] = r
                                 latency = dram_row_miss
-                            s = line % ns3
-                            order = rows3.get(s)
-                            if order is None:
-                                order = row3(s)
+                            order = rows3[line % ns3]
                             if len(order) >= ways3:
-                                victim = order.pop(0) * ns3 + s
+                                victim = order.pop(0)
                                 del where3[victim]
                                 ev3 += 1
-                                if pend3.pop(victim, None):
+                                if victim in pend3:
+                                    del pend3[victim]
                                     eu3 += 1
-                            order.append(line // ns3)
+                            elif not order:
+                                order = rows3[line % ns3] = []
+                            order.append(line)
                             where3[line] = -1
-                        s = line % ns2
-                        order = rows2.get(s)
-                        if order is None:
-                            order = row2(s)
+                        order = rows2[line % ns2]
                         if len(order) >= ways2:
-                            victim = order.pop(0) * ns2 + s
+                            victim = order.pop(0)
                             del where2[victim]
                             ev2 += 1
-                            if pend2.pop(victim, None):
+                            if victim in pend2:
+                                del pend2[victim]
                                 eu2 += 1
-                        order.append(line // ns2)
+                        elif not order:
+                            order = rows2[line % ns2] = []
+                        order.append(line)
                         where2[line] = -1
-                    s = line % ns1
-                    order = rows1.get(s)
-                    if order is None:
-                        order = row1(s)
+                    order = rows1[line % ns1]
                     if len(order) >= ways1:
-                        victim = order.pop(0) * ns1 + s
+                        victim = order.pop(0)
                         del where1[victim]
                         ev1 += 1
-                        if pend1.pop(victim, None):
+                        if victim in pend1:
+                            del pend1[victim]
                             eu1 += 1
-                    order.append(line // ns1)
+                    elif not order:
+                        order = rows1[line % ns1] = []
+                    order.append(line)
                     where1[line] = -1
                 tot_lat += latency
                 # -- core issue (issue_merged_load / issue_load) --
                 icount += uops_load
-                loads += 1
-                pending = pfc_pop(line, None)
-                if pending is not None and pending > now:
+                pending = pfc_pop(line, 0.0)
+                if pending > now:
                     # Late prefetch: the load merges into its MSHR entry and
                     # waits in the load queue, holding no fill buffer.
                     eff_sum += pending - now
@@ -889,20 +874,20 @@ def _fused_walk(
                             wait = comp - now
                             now += wait
                             window_stall += wait
-                            if now < comp and lq_owner[0]:
+                            if now < comp and lq_idx[0] in lq_owners:
                                 # ``now + (comp - now)`` rounded below comp,
                                 # so the miss's fill buffer would still look
                                 # busy; the eager model frees it here.
                                 mshrs.remove(comp)
                                 heapify(mshrs)
-                        del lq_idx[0], lq_comp[0], lq_owner[0]
+                        del lq_idx[0], lq_comp[0]
                     if len(lq_comp) >= queue_cap:
                         earliest = min(lq_comp)
                         if earliest > now:
                             queue_stall += earliest - now
                             now = earliest
                         k = lq_comp.index(earliest)
-                        del lq_idx[k], lq_comp[k], lq_owner[k]
+                        del lq_idx[k], lq_comp[k]
                     if owner:
                         misses += 1
                         if len(mshrs) >= mshr_cap:
@@ -912,35 +897,46 @@ def _fused_walk(
                                 now = earliest
                         pending = now + latency  # the miss's own completion
                         heappush(mshrs, pending)
+                        lq_owners.add(icount)
                     lq_idx.append(icount)
                     lq_comp.append(pending)
-                    lq_owner.append(owner)
-                if not hw or l1_hit:
+                if not observe:
                     continue
                 # -- hardware prefetch (hw_prefetch_candidates) --
-                # Both candidate lists are filtered against residency
-                # before any candidate is fetched.
-                nl_issued += nl_degree
-                cand1 = [
-                    c for c in range(line + 1, line + nl_degree + 1)
-                    if c >= 0 and c not in where1
-                ]
-                found: List[int] = []
+                # The next-line candidates come first and fill L1 and L2;
+                # the L2 prefetchers' fill only L2.  Each candidate is
+                # filtered against its level as it is listed, before any
+                # candidate is fetched.
+                cands = []
+                for d in nl_offsets:
+                    c = line + d
+                    if c not in where1:
+                        cands.append(c)
+                n_l1 = len(cands)
                 page = line // lines_per_page
                 last = last_in_page.get(page)
                 last_in_page[page] = line
                 if last is not None and last != line:
-                    step = 1 if line > last else -1
-                    page_first = page * lines_per_page
-                    page_last = page_first + lines_per_page - 1
-                    for d in st_range:
-                        c = line + step * d
-                        if page_first <= c <= page_last:
-                            found.append(c)
-                    st_issued += len(found)
+                    # The streamer's run: up to its degree lines on in the
+                    # direction of travel, stopping at the page boundary.
+                    if line > last:
+                        st_run = range(
+                            line + 1,
+                            min(line + st_degree, (page + 1) * lines_per_page - 1) + 1,
+                        )
+                    else:
+                        st_run = range(
+                            line - 1, max(line - st_degree, page * lines_per_page) - 1, -1
+                        )
+                    st_issued += len(st_run)
+                    for c in st_run:
+                        if c not in where2:
+                            cands.append(c)
                     if len(last_in_page) > table_entries:
                         last_in_page.clear()
                         last_in_page[page] = line
+                else:
+                    st_run = ()
                 if sd_last is None:
                     sd_last = line
                 new_stride = line - sd_last
@@ -951,110 +947,99 @@ def _fused_walk(
                     sd_conf = 1 if new_stride != 0 else 0
                 sd_last = line
                 if sd_conf >= sd_thr and sd_stride != 0:
-                    sd_issued += len(sd_range)
+                    sd_issued += sd_degree
                     for d in sd_range:
                         c = line + sd_stride * d
-                        if c not in found:
-                            found.append(c)
-                cand2 = [c for c in found if c >= 0 and c not in where2]
-                # Next-line candidates fill L1 and L2, the L2 prefetchers'
-                # only L2.
-                to_l1 = True
-                for cands in (cand1, cand2):
-                    for c in cands:
-                        if pfc_get(c, 0.0) > now:
-                            continue
-                        # -- hardware prefetch (prefetch_timing) --
-                        pf_requests += 1
-                        if c in where1:
-                            s = c % ns1
-                            order = rows1.get(s)
-                            if order is None:
-                                order = row1(s)
-                            t = c // ns1
-                            order.remove(t)
-                            order.append(t)
-                            ph1 += 1
-                            pf_latency = lat1
+                        # A repeat of a streamer candidate is dropped, as
+                        # the composite prefetcher drops it.
+                        if c >= 0 and c not in st_run and c not in where2:
+                            cands.append(c)
+                for c in cands:
+                    # The first ``n_l1`` candidates are the next-line ones.
+                    if n_l1:
+                        n_l1 -= 1
+                        to_l1 = True
+                    else:
+                        to_l1 = False
+                    if c in pfc and pfc[c] > now:
+                        continue
+                    # -- hardware prefetch (prefetch_timing) --
+                    hw_requests += 1
+                    if c in where1:
+                        order = rows1[c % ns1]
+                        order.remove(c)
+                        order.append(c)
+                        ph1 += 1
+                        pf_latency = lat1
+                    else:
+                        in_l2 = c in where2
+                        if in_l2:
+                            order = rows2[c % ns2]
+                            order.remove(c)
+                            order.append(c)
+                            ph2 += 1
+                            pf_latency = lat2
+                        elif c in where3:
+                            order = rows3[c % ns3]
+                            order.remove(c)
+                            order.append(c)
+                            ph3 += 1
+                            pf_latency = lat3
                         else:
-                            in_l2 = c in where2
-                            if in_l2:
-                                s = c % ns2
-                                order = rows2.get(s)
-                                if order is None:
-                                    order = row2(s)
-                                t = c // ns2
-                                order.remove(t)
-                                order.append(t)
-                                ph2 += 1
-                                pf_latency = lat2
-                            elif c in where3:
-                                s = c % ns3
-                                order = rows3.get(s)
-                                if order is None:
-                                    order = row3(s)
-                                t = c // ns3
-                                order.remove(t)
-                                order.append(t)
-                                ph3 += 1
-                                pf_latency = lat3
+                            r = c // lines_per_row
+                            bank = r % banks
+                            if open_rows[bank] == r:
+                                dram_row_hits += 1
+                                pf_latency = dram_row_hit
                             else:
-                                dram_acc += 1
-                                r = c // lines_per_row
-                                bank = r % banks
-                                if open_rows[bank] == r:
-                                    dram_row_hits += 1
-                                    pf_latency = dram_row_hit
-                                else:
-                                    open_rows[bank] = r
-                                    pf_latency = dram_row_miss
-                                s = c % ns3
-                                order = rows3.get(s)
-                                if order is None:
-                                    order = row3(s)
-                                if len(order) >= ways3:
-                                    victim = order.pop(0) * ns3 + s
-                                    del where3[victim]
-                                    ev3 += 1
-                                    if pend3.pop(victim, None):
-                                        eu3 += 1
-                                order.append(c // ns3)
-                                where3[c] = -1
-                                pf3 += 1
-                                pend3[c] = True
-                            if not in_l2:
-                                s = c % ns2
-                                order = rows2.get(s)
-                                if order is None:
-                                    order = row2(s)
-                                if len(order) >= ways2:
-                                    victim = order.pop(0) * ns2 + s
-                                    del where2[victim]
-                                    ev2 += 1
-                                    if pend2.pop(victim, None):
-                                        eu2 += 1
-                                order.append(c // ns2)
-                                where2[c] = -1
-                            pf2 += 1
-                            pend2[c] = True
-                            if to_l1:
-                                s = c % ns1
-                                order = rows1.get(s)
-                                if order is None:
-                                    order = row1(s)
-                                if len(order) >= ways1:
-                                    victim = order.pop(0) * ns1 + s
-                                    del where1[victim]
-                                    ev1 += 1
-                                    if pend1.pop(victim, None):
-                                        eu1 += 1
-                                order.append(c // ns1)
-                                where1[c] = -1
-                                pf1 += 1
-                                pend1[c] = True
-                        if pf_latency > thr:
-                            pfc[c] = now + pf_latency
-                    to_l1 = False
+                                open_rows[bank] = r
+                                pf_latency = dram_row_miss
+                            order = rows3[c % ns3]
+                            if len(order) >= ways3:
+                                victim = order.pop(0)
+                                del where3[victim]
+                                ev3 += 1
+                                if victim in pend3:
+                                    del pend3[victim]
+                                    eu3 += 1
+                            elif not order:
+                                order = rows3[c % ns3] = []
+                            order.append(c)
+                            where3[c] = -1
+                            pf3 += 1
+                            pend3[c] = True
+                        if not in_l2:
+                            order = rows2[c % ns2]
+                            if len(order) >= ways2:
+                                victim = order.pop(0)
+                                del where2[victim]
+                                ev2 += 1
+                                if victim in pend2:
+                                    del pend2[victim]
+                                    eu2 += 1
+                            elif not order:
+                                order = rows2[c % ns2] = []
+                            order.append(c)
+                            where2[c] = -1
+                        pf2 += 1
+                        pend2[c] = True
+                        if to_l1:
+                            order = rows1[c % ns1]
+                            if len(order) >= ways1:
+                                victim = order.pop(0)
+                                del where1[victim]
+                                ev1 += 1
+                                if victim in pend1:
+                                    del pend1[victim]
+                                    eu1 += 1
+                            elif not order:
+                                order = rows1[c % ns1] = []
+                            order.append(c)
+                            where1[c] = -1
+                            pf1 += 1
+                            pend1[c] = True
+                    if pf_latency > thr:
+                        pfc[c] = now + pf_latency
         # -- drain: wait for every demand load; prefetches need not land --
         if lq_comp:
             last_comp = max(lq_comp)
@@ -1062,7 +1047,7 @@ def _fused_walk(
                 now = last_comp
             lq_idx.clear()
             lq_comp.clear()
-            lq_owner.clear()
+        lq_owners.clear()
         mshrs.clear()
         batch_cycles.append(now - batch_start)
         pfc.clear()
@@ -1073,6 +1058,8 @@ def _fused_walk(
             )
 
     # -- write back --
+    dm1 = loads - dh1
+    dm2 = dm1 - dh2
     for cache, counts in (
         (c1, (dh1, dm1, ph1, pf1, pu1, ev1, eu1)),
         (c2, (dh2, dm2, ph2, pf2, pu2, ev2, eu2)),
@@ -1096,13 +1083,16 @@ def _fused_walk(
         level_hits[level] = level_hits.get(level, 0) + served[level]
     hstats.total_latency_cycles = tot_lat
     hstats.demand_accesses += loads
-    hstats.prefetch_requests += pf_requests
+    hstats.prefetch_requests += hw_requests + sw_issued
+    # DRAM serves the L3 demand misses and every L3 prefetch fill.
+    dram_acc = dm3 + pf3
     hstats.dram_bytes += CACHE_LINE_BYTES * dram_acc
     dram.accesses += dram_acc
     dram.bytes_transferred += CACHE_LINE_BYTES * dram_acc
     dram.row_hits += dram_row_hits
     if hw:
-        nextline.issued += nl_issued
+        # The next-line prefetcher fires on every L1 demand miss.
+        nextline.issued += nextline.degree * dm1
         streamer.issued += st_issued
         strider.issued += sd_issued
         if sd_last is not None:

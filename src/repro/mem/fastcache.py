@@ -21,7 +21,7 @@ per set:
 ``_where``
     A ``line -> way`` dict sidecar.  Batch calls keep the way values
     exact; scalar calls use it purely as an O(1) membership probe (way
-    values are reassigned when the scalar row cache is flushed back).
+    values are reassigned when the scalar row table is written back).
 
 Scalar calls are stat-for-stat and eviction-for-eviction equivalent to
 ``Cache(policy="lru")`` (enforced by the differential tests in
@@ -34,15 +34,23 @@ Only ``policy="lru"`` is supported; construction with any other policy
 raises, and :func:`repro.mem.hierarchy.make_cache` falls back to the
 reference implementation for those.
 
+Scalar calls work on a second, list-based form of the same state instead
+of the planes: ``_rows``, a per-set table of LRU-first lists of resident
+*line numbers* (not tags), with the empty tuple standing for a set never
+filled, plus ``_pend_lines``, the reference's ``line -> True`` pending
+dict.  Lines convert to tags and ways only at the array boundary
+(:meth:`_row_table` and :meth:`_flush_rows`).
+
 The fused embedding kernel (:func:`repro.engine.embedding_exec._fused_walk`)
-inlines the scalar ``access``/``fill`` and works on ``_where``, ``_rows``
-and ``_pend_lines`` directly; a change to the scalar path must be made
-there too (``tests/test_engine_fastpath.py`` diffs the two).
+inlines the scalar ``access``/``fill`` and works on ``_where``, the row
+table and ``_pend_lines`` directly; a change to the scalar path must be
+made there too (``tests/test_engine_fastpath.py`` diffs the two).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from itertools import chain
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -96,21 +104,24 @@ class FastCache:
         # batch paths skip all pending-plane reads (demand-only runs never
         # pay for prefetch bookkeeping).
         self._has_pending = False
-        # Scalar-path row cache: set index -> LRU-first tag list, exactly
-        # the reference :class:`~repro.mem.policies.LRUPolicy` layout.
-        # Scalar access/fill touch one set at a time, and per-element numpy
-        # indexing costs ~10x a C list op, so scalar calls operate on
-        # lazily materialized order lists (plus ``_pend_lines``, the
-        # reference-style ``line -> True`` pending dict for those sets);
-        # the numpy planes for materialized sets are stale until a batch
-        # entry point (or flush) reconciles them via :meth:`_flush_rows`.
+        # Scalar-path row table: set index -> LRU-first list of resident
+        # line numbers, the reference LRUPolicy's layout keyed by line
+        # instead of tag, so scalar recency updates are the same C list
+        # operations (``remove``/``append``) the reference pays and a fill
+        # or eviction needs no tag arithmetic.  A set never filled holds
+        # the shared empty tuple until its first fill gives it a list.
+        # None while the numpy planes hold the state; the first scalar
+        # call builds the whole table (:meth:`_row_table`), and the next
+        # batch call writes it back and drops it (:meth:`_flush_rows`).
         # A hierarchy instance in practice runs either all-scalar or
-        # all-batch, so the write-back happens at most once per run.
-        self._rows: Dict[int, List[int]] = {}
+        # all-batch, so each conversion happens at most once per run.
+        self._rows: Optional[List[Sequence[int]]] = None
+        # Pending prefetched lines of the scalar form (the reference's
+        # ``line -> True`` dict); empty while the planes hold the state.
         self._pend_lines: Dict[int, bool] = {}
-        # True while no batch call has ever written the planes: every set
-        # not in _rows is known-empty, so scalar materialization skips the
-        # numpy row reads.  Scalar-only runs never pay for the planes.
+        # True while no batch call has ever written the planes: the row
+        # table then starts empty without reading them.  Scalar-only runs
+        # never pay for the planes.
         self._planes_empty = True
 
     # -- geometry ---------------------------------------------------------
@@ -130,68 +141,68 @@ class FastCache:
 
     # -- scalar accesses (reference-equivalent) ---------------------------
 
-    def _row(self, s: int) -> List[int]:
-        """LRU-first tag list of set ``s``, materialized on first touch.
+    def _row_table(self) -> List[Sequence[int]]:
+        """The scalar row table, built from the planes on first use.
 
-        Exactly the reference policy's layout, so scalar recency updates
-        are the same C list operations (``remove``/``append``) the
-        reference pays.  Pending bits for the set move into the line-keyed
-        ``_pend_lines`` dict (the reference's representation).
+        Each set's resident lines in LRU-first order (ways sorted by
+        last-touch stamp; empty ways, stamp 0, sort first and are cut), and
+        the pending bits move into the line-keyed ``_pend_lines`` dict.
         """
+        rows = self._rows
+        if rows is not None:
+            return rows
+        ns = self.num_sets
         if self._planes_empty:
-            order: List[int] = []
-            self._rows[s] = order
-            return order
-        tags_l = self._tags[s].tolist()
-        order = [
-            t
-            for _, t in sorted(
-                (st, t)
-                for st, t in zip(self._stamp[s].tolist(), tags_l)
-                if t != -1
-            )
-        ]
-        self._rows[s] = order
-        if self._has_pending:
-            pend_row = self._pending[s]
-            if pend_row.any():
-                ns = self.num_sets
-                for w in np.nonzero(pend_row)[0].tolist():
-                    self._pend_lines[tags_l[w] * ns + s] = True
-        return order
+            rows = [()] * ns
+        else:
+            ways = self.ways
+            by_age = np.argsort(self._stamp, axis=1)
+            lines = np.take_along_axis(self._tags, by_age, axis=1) * ns
+            lines += np.arange(ns, dtype=np.int64)[:, None]
+            cut = (ways - np.count_nonzero(self._tags != -1, axis=1)).tolist()
+            rows = [row[k:] for row, k in zip(lines.tolist(), cut)]
+            if self._has_pending:
+                ps, pw = np.nonzero(self._pending)
+                self._pend_lines.update(
+                    dict.fromkeys((self._tags[ps, pw] * ns + ps).tolist(), True)
+                )
+        self._rows = rows
+        return rows
 
     def _flush_rows(self) -> None:
-        """Reconcile materialized order lists back into the numpy planes.
+        """Write the scalar row table back into the numpy planes.
 
         Way positions within a set are internal state: batch behavior
         depends only on membership, per-set recency order, and per-line
-        pending flags.  Residents are therefore laid back at their
-        order-list position with stamps ``1..k``; the tick counter is
-        bumped to at least ``ways`` so every future stamp stays newer.
+        pending flags.  Residents are therefore laid back at their row
+        position with stamps ``1..k``; the tick counter is bumped to at
+        least ``ways`` so every future stamp stays newer.
         """
-        if not self._rows:
+        rows = self._rows
+        if rows is None:
             return
         ns = self.num_sets
-        ways = self.ways
-        tags, stamp, pending = self._tags, self._stamp, self._pending
-        where = self._where
-        pend_lines = self._pend_lines
-        has_pend = self._has_pending
-        for s, order in self._rows.items():
-            k = len(order)
-            tags[s] = order + [-1] * (ways - k)
-            stamp[s] = list(range(1, k + 1)) + [0] * (ways - k)
-            if has_pend:
-                pending[s] = [
-                    w < k and (order[w] * ns + s) in pend_lines
-                    for w in range(ways)
-                ]
-            for w, t in enumerate(order):
-                where[t * ns + s] = w
-        if self._tick < ways:
-            self._tick = ways
-        self._rows.clear()
-        pend_lines.clear()
+        counts = np.fromiter(map(len, rows), np.int64, ns)
+        n = int(counts.sum())
+        flat = np.fromiter(chain.from_iterable(rows), np.int64, n)
+        sets = np.repeat(np.arange(ns, dtype=np.int64), counts)
+        starts = np.cumsum(counts) - counts
+        pos = np.arange(n, dtype=np.int64) - np.repeat(starts, counts)
+        self._tags.fill(-1)
+        self._tags[sets, pos] = flat // ns
+        self._stamp.fill(0)
+        self._stamp[sets, pos] = pos + 1
+        if self._has_pending:
+            self._pending.fill(False)
+            pend_lines = self._pend_lines
+            if pend_lines:
+                pend = np.isin(flat, list(pend_lines))
+                self._pending[sets[pend], pos[pend]] = True
+        self._where.update(zip(flat.tolist(), pos.tolist()))
+        if self._tick < self.ways:
+            self._tick = self.ways
+        self._rows = None
+        self._pend_lines.clear()
 
     def access(self, line: int, is_prefetch: bool = False) -> bool:
         """Look up ``line``; return True on hit.  Mirrors ``Cache.access``."""
@@ -200,12 +211,12 @@ class FastCache:
             if not is_prefetch:
                 stats.demand_misses += 1
             return False
-        order = self._rows.get(s := line % self.num_sets)
-        if order is None:
-            order = self._row(s)
-        tag = line // self.num_sets
-        order.remove(tag)
-        order.append(tag)
+        rows = self._rows
+        if rows is None:
+            rows = self._row_table()
+        order = rows[line % self.num_sets]
+        order.remove(line)
+        order.append(line)
         if is_prefetch:
             stats.prefetch_hits += 1
         else:
@@ -220,24 +231,25 @@ class FastCache:
 
     def fill(self, line: int, from_prefetch: bool = False) -> Optional[int]:
         """Install ``line``; return the evicted line number, if any."""
-        ns = self.num_sets
-        order = self._rows.get(s := line % ns)
-        if order is None:
-            order = self._row(s)
-        tag = line // ns
+        rows = self._rows
+        if rows is None:
+            rows = self._row_table()
+        order = rows[s := line % self.num_sets]
         where = self._where
         evicted_line: Optional[int] = None
         if line in where:
-            order.remove(tag)
-            order.append(tag)
+            order.remove(line)
+            order.append(line)
         else:
             if len(order) >= self.ways:
-                evicted_line = order.pop(0) * ns + s
+                evicted_line = order.pop(0)
                 del where[evicted_line]
                 self.stats.evictions += 1
                 if self._has_pending and self._pend_lines.pop(evicted_line, None):
                     self.stats.prefetch_evicted_unused += 1
-            order.append(tag)
+            elif not order:
+                order = rows[s] = []
+            order.append(line)
             # Way assignment is deferred to _flush_rows; scalar calls only
             # ever use _where as a membership test.
             where[line] = -1
@@ -251,11 +263,11 @@ class FastCache:
         """Drop ``line`` if resident; return whether it was resident."""
         if line not in self._where:
             return False
-        order = self._rows.get(s := line % self.num_sets)
-        if order is None:
-            order = self._row(s)
+        rows = self._rows
+        if rows is None:
+            rows = self._row_table()
         del self._where[line]
-        order.remove(line // self.num_sets)
+        rows[line % self.num_sets].remove(line)
         if self._has_pending:
             self._pend_lines.pop(line, None)
         return True
@@ -418,7 +430,7 @@ class FastCache:
 
     def flush(self) -> None:
         """Empty the cache, keeping statistics."""
-        self._rows.clear()
+        self._rows = None
         self._pend_lines.clear()
         self._tags.fill(-1)
         self._stamp.fill(0)

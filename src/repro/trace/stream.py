@@ -51,6 +51,8 @@ class AddressMap:
             raise ConfigError(f"dtype_bytes must be positive, got {dtype_bytes}")
         if not rows_per_table:
             raise ConfigError("need at least one table")
+        if base_address < 0:
+            raise ConfigError(f"base_address must be non-negative, got {base_address}")
         self.embedding_dim = embedding_dim
         self.dtype_bytes = dtype_bytes
         self.row_bytes = embedding_dim * dtype_bytes

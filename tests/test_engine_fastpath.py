@@ -299,6 +299,90 @@ def test_streamer_table_reset_identical():
     _assert_same(states["fast"], states["reference"])
 
 
+def test_stride_repeating_streamer_identical():
+    """Stride candidates that repeat streamer candidates, some of them
+    already in L2.  One-line rows walked two lines apart, down and up a
+    page, give the streamer ``line ± 1, line ± 2`` and the confident
+    stride detector ``line ± 2, line ± 4``.  Every other page's lines are
+    warmed into L2 and pushed out of L1 first, so the repeated line is
+    sometimes filtered by residency and sometimes fetched.  The lines the
+    first two pages repeat first are left in L1 but not L2, so a repeat
+    fetched twice would hit L1 twice."""
+    rows = [8192]
+    indices = []
+    for p in range(24):
+        block = list(range(64 * p + 1, 64 * p + 63, 2))
+        indices += block if p % 3 else block[::-1]
+    indices = np.array(indices, dtype=np.int64)
+    trace = EmbeddingTrace(
+        rows, [[TableBatch(np.array([0, indices.size], dtype=np.int64), indices)]]
+    )
+    amap = AddressMap(rows, 16)
+    first = amap.table_bases[0] // 64
+    warm = first + indices[(indices // 64) % 2 == 0]
+    # Twice L1's capacity of far lines, each L1 set a multiple of its ways.
+    flush_l1 = first + 16384 + np.arange(1024, dtype=np.int64)
+    # Page 0 runs down from row 61, so its stride detector first fires at
+    # row 57 and repeats row 55; page 1 runs up from row 65 and repeats
+    # row 71.  Each such line is touched between 16 fills of its L2 set:
+    # L1 hits keep it there, while L2 evicts it.
+    l1_only = []
+    for row in (55, 71):
+        for k in range(17, 33):
+            l1_only += [first + row, first + row + 1024 * k]
+        l1_only.append(first + row)
+    l1_only = np.array(l1_only, dtype=np.int64)
+    spec = get_platform("csl")
+    lines = _touched_lines(trace, amap)
+    states = {}
+    repeats = {}
+    for engine in ENGINES:
+        hierarchy = build_hierarchy(spec.hierarchy, engine=engine)
+        for warm_lines in (warm, flush_l1, l1_only):
+            hierarchy.access_lines(warm_lines)
+        if engine == "reference":
+            repeats = _record_repeats(hierarchy)
+        result = run_embedding_trace(trace, amap, spec.core, hierarchy)
+        states[engine] = _state(hierarchy, lines, result)
+    assert repeats["in_l2"] and repeats["l1_only"] and repeats["absent"]
+    _assert_same(states["fast"], states["reference"])
+
+
+def _record_repeats(hierarchy):
+    """Count, on a reference hierarchy, the stride candidates that repeat a
+    streamer candidate, by where the line was when the candidates were
+    filtered: in L2, in L1 only, or in neither."""
+    streamer, strider = hierarchy.l2_prefetcher.prefetchers
+    seen = {"in_l2": 0, "l1_only": 0, "absent": 0}
+    proposed = {}
+
+    def wrap(prefetcher, key):
+        observe = prefetcher.observe
+
+        def recording(line, hit):
+            proposed[key] = observe(line, hit)
+            return proposed[key]
+
+        prefetcher.observe = recording
+
+    wrap(streamer, "streamer")
+    wrap(strider, "stride")
+    candidates = hierarchy.hw_prefetch_candidates
+
+    def recording_candidates(line, l1_hit):
+        proposed.clear()
+        out = candidates(line, l1_hit)
+        for c in set(proposed.get("streamer", ())) & set(proposed.get("stride", ())):
+            if hierarchy.l2.contains(c):
+                seen["in_l2"] += 1
+            else:
+                seen["l1_only" if hierarchy.l1.contains(c) else "absent"] += 1
+        return out
+
+    hierarchy.hw_prefetch_candidates = recording_candidates
+    return seen
+
+
 def _random_trace(rng):
     num_tables = int(rng.integers(1, 4))
     rows = [int(rng.integers(4, 400)) for _ in range(num_tables)]

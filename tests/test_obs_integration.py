@@ -17,7 +17,11 @@ from repro.engine.embedding_exec import run_embedding_trace
 from repro.experiments import run_experiment
 from repro.experiments.base import report_to_dict
 from repro.experiments.runner import main
-from repro.mem.hierarchy import build_hierarchy, set_default_engine
+from repro.mem.hierarchy import (
+    build_hierarchy,
+    get_default_engine,
+    set_default_engine,
+)
 from repro.obs.hooks import session
 from repro.obs.schema import validate
 from repro.serving.server import simulate_server
@@ -50,6 +54,7 @@ def test_fast_engine_report_identical_with_tracing(sim_config):
 def test_embedding_run_results_identical_under_observation(
     tiny_trace, tiny_amap, csl
 ):
+    saved = get_default_engine()
     set_default_engine("fast")
     try:
         plain = run_embedding_trace(
@@ -60,7 +65,7 @@ def test_embedding_run_results_identical_under_observation(
                 tiny_trace, tiny_amap, csl.core, build_hierarchy(csl.hierarchy)
             )
     finally:
-        set_default_engine("fast")
+        set_default_engine(saved)
     assert plain.total_cycles == observed.total_cycles
     assert plain.batch_cycles == observed.batch_cycles
     assert plain.level_fractions == observed.level_fractions

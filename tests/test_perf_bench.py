@@ -167,6 +167,31 @@ def test_fast_path_closed_form_beats_event_walk():
     assert walk_s >= 3.0 * closed_s, (walk_s, closed_s)
 
 
+def _count_opcodes(run):
+    """``run()``'s result and the bytecodes it executed in ``repro``."""
+    import repro
+
+    package = os.path.dirname(repro.__file__) + os.sep
+    executed = 0
+
+    def tracer(frame, event, arg):
+        nonlocal executed
+        if event == "opcode":
+            executed += 1
+        elif event == "call":
+            if not frame.f_code.co_filename.startswith(package):
+                return None  # no local tracing: the frame is not counted
+            frame.f_trace_opcodes = True
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        result = run()
+    finally:
+        sys.settrace(None)
+    return result, executed
+
+
 #: Bytecodes executed in the package's own code per request of the logged
 #: resilient episode below, on Python 3.11 (the perf-smoke job's): 439.9 at
 #: the time of writing.  Library frames (numpy's Python wrappers, heapq's
@@ -185,7 +210,6 @@ def test_resilient_loop_opcodes_per_request():
     bandwidth window, stragglers, retries, shedding and a degradation
     controller), the bytecodes it executes in frames of ``repro`` counted
     with ``sys.settrace``."""
-    import repro
     from repro.config import SimConfig
     from repro.serving.degradation import DegradationController, scheme_ladder
     from repro.serving.faults import (
@@ -226,26 +250,51 @@ def test_resilient_loop_opcodes_per_request():
     )
     arrivals = poisson_arrivals(interarrival, n, config.rng("bench:arrivals:0"))
     rng = config.rng("bench:service:0")
-    package = os.path.dirname(repro.__file__) + os.sep
-    executed = 0
-
-    def tracer(frame, event, arg):
-        nonlocal executed
-        if event == "opcode":
-            executed += 1
-        elif event == "call":
-            if not frame.f_code.co_filename.startswith(package):
-                return None  # no local tracing: the frame is not counted
-            frame.f_trace_opcodes = True
-        return tracer
-
     log = RequestLog()
     with session(Observation(requests=log)):
-        sys.settrace(tracer)
-        try:
-            result = sim.run(arrivals, rng)
-        finally:
-            sys.settrace(None)
+        result, executed = _count_opcodes(lambda: sim.run(arrivals, rng))
     per_request = executed / result.offered_requests
     assert result.offered_requests == 1_050
     assert per_request <= RESILIENT_OPCODES_PER_REQUEST, per_request
+
+
+#: Bytecodes executed in the package's own code per demand load of the
+#: two 1-core walks below on the smoke-size Low-hot workload, on Python
+#: 3.11, with about 1% of headroom over the counts at the time of writing.
+#: The baseline walk (hardware prefetching on) exercises the demand walk,
+#: the load queue and the hardware-prefetch candidates; the SW-PF walk
+#: adds the software-prefetch fills.
+FUSED_WALK_OPCODES_PER_LOAD = {"baseline": 454.0, "sw_pf": 326.0}
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="opcode counts are pinned for 3.11"
+)
+@pytest.mark.parametrize("walk", sorted(FUSED_WALK_OPCODES_PER_LOAD))
+def test_fused_walk_opcodes_per_load(walk):
+    """One 1-core fused walk on the fast engine over ``emb_lowhot``'s
+    smoke inputs (``rm2_1``, Low-hot, scale 0.01, batch 4, one batch,
+    seed 1), the bytecodes it executes in frames of ``repro`` counted with
+    ``sys.settrace`` and divided by its demand loads."""
+    from repro.config import SimConfig
+    from repro.core.swpf import PAPER_SWPF
+    from repro.cpu.platform import get_platform
+    from repro.engine.embedding_exec import run_embedding_trace
+    from repro.experiments.workloads import build_workload
+    from repro.mem.hierarchy import build_hierarchy
+
+    wl = build_workload(
+        "rm2_1", "low", scale=0.01, batch_size=4, num_batches=1,
+        config=SimConfig(seed=1),
+    )
+    spec = get_platform("csl")
+    plan = PAPER_SWPF.plan() if walk == "sw_pf" else None
+    hierarchy = build_hierarchy(spec.hierarchy, engine="fast")
+    result, executed = _count_opcodes(
+        lambda: run_embedding_trace(
+            wl.trace, wl.amap, spec.core, hierarchy, plan=plan
+        )
+    )
+    per_load = executed / result.loads
+    assert result.loads == 2_216
+    assert per_load <= FUSED_WALK_OPCODES_PER_LOAD[walk], per_load

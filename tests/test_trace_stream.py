@@ -94,3 +94,6 @@ def test_validation():
         AddressMap([10], 0)
     with pytest.raises(ConfigError):
         AddressMap([0], 128)
+    # Line numbers are non-negative; the embedding kernel relies on it.
+    with pytest.raises(ConfigError):
+        AddressMap([10], 128, base_address=-4096)

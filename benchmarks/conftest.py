@@ -5,12 +5,20 @@ registry, measures it with pytest-benchmark (single round — these are
 simulations, not microbenchmarks), prints the regenerated rows, and asserts
 the *shape* properties the paper reports (who wins, roughly by how much,
 where crossovers fall).
+
+The ablations of what the package does not model (non-LRU replacement,
+the TLB, output stores) import the oracle in ``tests/embedding_oracle.py``.
 """
+
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.config import SimConfig
 from repro.experiments.base import ExperimentReport, format_report
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,8 @@
 """Ablation: opt-in fidelity features (TLB translation, output stores).
 
+Both live in the per-event loop of ``tests/embedding_oracle.py``; the
+package's walks model neither.
+
 Quantifies what the default calibration excludes: with multi-GB tables the
 STLB cannot map the working set, so irregular rows pay page walks; and the
 output-vector stores of Algorithm 1 add streaming write traffic.  Both
@@ -8,13 +11,16 @@ effects must slow the embedding stage without changing who wins.
 
 import pytest
 
+from embedding_oracle import (
+    TLBConfig,
+    TLBModel,
+    build_hierarchy,
+    run_embedding_trace,
+)
 from repro.config import SimConfig
 from repro.core.swpf import PAPER_SWPF
 from repro.cpu.platform import get_platform
-from repro.engine.embedding_exec import run_embedding_trace
 from repro.experiments.workloads import build_workload
-from repro.mem.hierarchy import build_hierarchy
-from repro.mem.tlb import TLBConfig, TLBModel
 
 
 @pytest.fixture(scope="module")

@@ -3,17 +3,16 @@
 The paper's reuse-distance model assumes LRU "or its variants".  This
 ablation quantifies how much the variant matters for the irregular
 embedding stream: true LRU vs tree-PLRU (what real L1/L2s build) vs FIFO.
+The package models LRU only; the other policies live in the reference
+caches of ``tests/embedding_oracle.py``, and so does this sweep.
 """
-
-import dataclasses
 
 import pytest
 
+from embedding_oracle import build_hierarchy, run_embedding_trace
 from repro.config import SimConfig
 from repro.cpu.platform import get_platform
-from repro.engine.embedding_exec import run_embedding_trace
 from repro.experiments.workloads import build_workload
-from repro.mem.hierarchy import build_hierarchy
 
 
 @pytest.fixture(scope="module")
@@ -32,10 +31,9 @@ def test_replacement_policy_ablation(benchmark, workload):
         for policy in ("lru", "plru", "fifo"):
             # PLRU needs power-of-two ways; the 11-way LLC keeps LRU, as
             # real parts do.
-            config = dataclasses.replace(
+            hierarchy = build_hierarchy(
                 spec.hierarchy, policy=policy, l3_policy="lru"
             )
-            hierarchy = build_hierarchy(config)
             results[policy] = run_embedding_trace(
                 workload.trace, workload.amap, spec.core, hierarchy
             )

@@ -22,8 +22,8 @@ from ..config import SimConfig
 from ..cpu.platform import CPUSpec
 from ..engine.embedding_exec import EmbeddingRunResult, run_embedding_trace
 from ..errors import ConfigError
-from ..mem.cache import Cache
 from ..mem.dram import DRAMModel
+from ..mem.fastcache import FastCache
 from ..mem.hierarchy import build_hierarchy
 from ..trace.dataset import EmbeddingTrace
 from ..trace.stream import AddressMap
@@ -62,14 +62,14 @@ def _two_core_run(
     trace: EmbeddingTrace,
     amaps: "tuple[AddressMap, AddressMap]",
     platform: CPUSpec,
-) -> "tuple[EmbeddingRunResult, Cache]":
+) -> "tuple[EmbeddingRunResult, FastCache]":
     """Run two cores batch-interleaved on a shared L3; return core 0's view."""
     config = platform.hierarchy
-    shared_l3 = Cache("l3", config.l3_size, config.l3_ways, policy=config.policy)
+    shared_l3 = FastCache("l3", config.l3_size, config.l3_ways)
     shared_dram = DRAMModel(config.dram)
     cores = [
-        build_hierarchy(config, shared_l3=shared_l3, shared_dram=shared_dram, seed=c)
-        for c in range(2)
+        build_hierarchy(config, shared_l3=shared_l3, shared_dram=shared_dram)
+        for _ in range(2)
     ]
     results: "list[list[EmbeddingRunResult]]" = [[], []]
     for b in range(trace.num_batches):

@@ -10,6 +10,7 @@ next to that subsystem (``repro.cpu.platform`` for CPU specs,
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,12 +41,6 @@ class SimConfig:
         the default ``0.05`` keeps trace-driven experiments in the seconds
         range.  Analytic paths (reuse-distance model, breakdown) always run
         at paper scale regardless.
-    engine:
-        Memory-hierarchy and embedding implementation: ``"fast"``
-        (array-backed caches + vectorized hierarchy walk, the default) or
-        ``"reference"`` (per-set Python objects, the correctness oracle).
-        Both produce identical results; see ``docs/modeling.md``.  The
-        serving loops do not depend on it.
     mode:
         Hit-rate modeling mode for the analytic paths: ``"sim"`` (default)
         replays a synthesized index stream through the exact stack-distance
@@ -53,16 +48,17 @@ class SimConfig:
         closed form from the calibrated Zipf law (Che's approximation, see
         ``repro.analysis.analytic``) without synthesizing a trace.  The two
         agree within the noise-floored bounds pinned by
-        ``tests/test_analysis_analytic.py`` but are *not* bit-identical —
-        hence a separate knob from ``engine``.
+        ``tests/test_analysis_analytic.py`` but are *not* bit-identical.
     """
 
     seed: int = 0xD1_12_31
     batch_size: int = PAPER_BATCH_SIZE
     num_batches: int = 8
     scale: float = 0.05
-    engine: str = "fast"
     mode: str = "sim"
+    #: The one memory engine, named for callers written when there were two
+    #: (see :func:`repro.mem.hierarchy.set_default_engine`); not a field.
+    engine: ClassVar[str] = "fast"
 
     def __post_init__(self) -> None:
         if self.batch_size <= 0:
@@ -71,10 +67,6 @@ class SimConfig:
             raise ConfigError(f"num_batches must be positive, got {self.num_batches}")
         if not 0.0 < self.scale <= 1.0:
             raise ConfigError(f"scale must be in (0, 1], got {self.scale}")
-        if self.engine not in ("fast", "reference"):
-            raise ConfigError(
-                f"engine must be 'fast' or 'reference', got {self.engine!r}"
-            )
         if self.mode not in ("sim", "analytic"):
             raise ConfigError(
                 f"mode must be 'sim' or 'analytic', got {self.mode!r}"

@@ -26,8 +26,8 @@ import numpy as np
 from ..cpu.core import CoreModel, CoreSpec
 from ..errors import ConfigError
 from ..mem.dram import ROW_BUFFER_BYTES
+from ..mem.fastcache import FastCache
 from ..mem.hierarchy import MemoryHierarchy
-from ..mem.tlb import TLBModel
 from ..obs import hooks as obs_hooks
 from ..obs.cpi import embedding_cpi_stack, publish_cpi_stack
 from ..trace.dataset import EmbeddingTrace
@@ -126,71 +126,43 @@ class EmbeddingRunResult:
 
 
 def _build_lookup_stream(
-    trace: EmbeddingTrace,
-    amap: AddressMap,
-    batch: int,
-    loop_order: str,
-    output_base_line: int,
-    model_stores: bool,
-):
+    trace: EmbeddingTrace, amap: AddressMap, batch: int, loop_order: str
+) -> "tuple[np.ndarray, np.ndarray]":
     """Flatten one batch's lookups into execution order.
 
-    Returns ``(first_lines, sample_flags, out_bases)``: the row first-line
-    per lookup, whether a (table, sample) segment starts at that position
-    (per-sample kernel overhead is charged there), and — when stores are
-    modeled — the output row's first line for that segment (-1 elsewhere).
+    Returns ``(first_lines, sample_flags)``: the row first-line per lookup,
+    and whether a (table, sample) segment starts at that position
+    (per-sample kernel overhead is charged there).
     """
-    import numpy as np
-
-    row_lines = amap.row_lines
-    num_tables = trace.num_tables
     line_parts = []
     flag_parts = []
-    out_parts = []
 
-    def segment(t: int, tb, k_first: int, k_last: int):
+    def segment(t: int, tb, k_first: int, k_last: int) -> None:
         """Lines + flags for samples [k_first, k_last) of table t."""
         offsets = tb.offsets
         lines = amap.batch_first_lines(t, tb)[offsets[k_first] : offsets[k_last]]
         flags = np.zeros(lines.size, dtype=bool)
-        outs = np.full(lines.size, -1, dtype=np.int64)
         base0 = int(offsets[k_first])
-        region = output_base_line + (
-            (batch * num_tables + t) * tb.batch_size * row_lines
-        )
         for k in range(k_first, k_last):
             start = int(offsets[k]) - base0
             if start < lines.size and int(offsets[k + 1]) > int(offsets[k]):
                 flags[start] = True
-                if model_stores and outs[start] < 0:
-                    outs[start] = region + k * row_lines
-        return lines, flags, outs
+        line_parts.append(lines)
+        flag_parts.append(flags)
 
     if loop_order == "table_major":
-        for t in range(num_tables):
+        for t in range(trace.num_tables):
             tb = trace.table_batch(batch, t)
-            lines, flags, outs = segment(t, tb, 0, tb.batch_size)
-            line_parts.append(lines)
-            flag_parts.append(flags)
-            out_parts.append(outs)
+            segment(t, tb, 0, tb.batch_size)
     else:  # sample_major
         batch_size = trace.table_batch(batch, 0).batch_size
         for k in range(batch_size):
-            for t in range(num_tables):
-                tb = trace.table_batch(batch, t)
-                lines, flags, outs = segment(t, tb, k, k + 1)
-                line_parts.append(lines)
-                flag_parts.append(flags)
-                out_parts.append(outs)
+            for t in range(trace.num_tables):
+                segment(t, trace.table_batch(batch, t), k, k + 1)
 
     if not line_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, np.empty(0, dtype=bool), empty
-    return (
-        np.concatenate(line_parts),
-        np.concatenate(flag_parts),
-        np.concatenate(out_parts),
-    )
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+    return np.concatenate(line_parts), np.concatenate(flag_parts)
 
 
 def run_embedding_trace(
@@ -201,8 +173,6 @@ def run_embedding_trace(
     plan: Optional[PrefetchPlan] = None,
     cost: KernelCostModel = KernelCostModel(),
     batch_indices: Optional[Sequence[int]] = None,
-    tlb: Optional[TLBModel] = None,
-    model_stores: bool = False,
     loop_order: str = "table_major",
 ) -> EmbeddingRunResult:
     """Execute the embedding stage of ``trace`` and measure it.
@@ -212,20 +182,14 @@ def run_embedding_trace(
     trace, amap:
         The lookups and the physical table layout.
     core_spec, hierarchy:
-        The core resources and the (possibly shared) memory system.
+        The core resources and the (possibly shared) memory system, whose
+        levels must all be :class:`~repro.mem.fastcache.FastCache` (what
+        :func:`~repro.mem.hierarchy.build_hierarchy` builds).
     plan:
         Optional software-prefetch plan (None = baseline demand loads).
     batch_indices:
         Subset of batches to execute (multi-core strides the trace across
         cores); default is every batch in order.
-    tlb:
-        Optional address-translation model; a row's translation cost is
-        added to its first line's load latency.  Off by default (the
-        paper's characterization does not isolate translation).
-    model_stores:
-        Also execute the output-vector stores of Algorithm 1
-        (``vec.st accm``): one write-allocated output row per (sample,
-        table) in a region past the tables.  Off by default.
     loop_order:
         ``"table_major"`` (the paper's Algorithm 1 and PyTorch's
         per-table ``embedding_bag`` calls: all of table t's lookups, then
@@ -233,241 +197,115 @@ def run_embedding_trace(
         sample k+1) — the ordering that trades intra-table reuse for
         per-sample output locality.  Section 3.1's inter-table thrash
         discussion is about exactly this choice.
+
+    Two paths, bit for bit the same as the per-event loop of
+    ``tests/embedding_oracle.py`` (which also keeps the TLB and
+    output-store fidelity options the ablations use): with no prefetching
+    of any kind, the hierarchy's state depends only on the access *order*
+    and the core's only on the latency *sequence*, so each batch runs as
+    one vectorized hierarchy walk plus one bulk core replay; every other
+    run takes the fused per-line kernel :func:`_fused_walk`.
     """
     if loop_order not in ("table_major", "sample_major"):
         raise ConfigError(f"unknown loop order {loop_order!r}")
     if amap.num_tables != trace.num_tables:
         raise ConfigError("address map and trace disagree on table count")
+    if not all(
+        isinstance(level, FastCache)
+        for level in (hierarchy.l1, hierarchy.l2, hierarchy.l3)
+    ):
+        raise ConfigError(
+            "run_embedding_trace needs FastCache levels (build_hierarchy builds them)"
+        )
     core = CoreModel(core_spec)
     row_lines = amap.row_lines
     if plan and plan.amount_lines > row_lines:
         plan = PrefetchPlan(plan.distance, row_lines, plan.target_level)
-    # Output buffers live past the last table, 1 GiB away — far enough
-    # that they never alias table lines in any cache.
-    output_base_line = (
-        amap.table_bases[-1]
-        + amap.rows_per_table[-1] * amap.row_bytes
-        + (1 << 30)
-    ) // 64
-
     batch_cycles: List[float] = []
-    effective_latency_sum = 0.0
-    demand_loads = 0
-    hit_threshold = CoreModel.HIT_PIPELINE_THRESHOLD
-    # line -> completion time of an in-flight prefetch of that line.
-    pf_completion: Dict[int, float] = {}
-
-    # Observability: all hooks sit at batch granularity (one branch per
-    # batch / per load in the scalar loop), never inside the vectorized
-    # walk, so an active observation cannot perturb results or fast-path
-    # throughput.  Hierarchy stats are published as end-minus-start deltas
-    # because multicore runs reuse hierarchies across many calls.
-    obs = obs_hooks.active()
-    obs_tid = obs_hist = None
-    if obs is not None:
-        obs_tid = obs.tracer.new_sim_track("embedding")
-        obs_hist = obs.metrics.histogram("mem.load_latency_cycles")
-        hstats0 = hierarchy.stats
-        obs_start_hits = dict(hstats0.level_hits)
-        obs_start_latency = hstats0.total_latency_cycles
-        obs_start_accesses = hstats0.demand_accesses
-        obs_start_prefetches = hstats0.prefetch_requests
-        obs_start_dram_bytes = hstats0.dram_bytes
-
-    # The bulk path exploits a decoupling: with no prefetching (software or
-    # hardware), no TLB and no stores, the hierarchy's state depends only
-    # on the access *order* (not on core time) and the core's state depends
-    # only on the latency *sequence* — so each batch can run as one
-    # vectorized hierarchy walk followed by one bulk core replay, with
-    # results identical to the interleaved scalar loop.  The power-of-two
-    # issue-width condition keeps the replay's fused cycle arithmetic
-    # bit-exact (see CoreModel.issue_demand_chunk).
-    use_bulk = (
-        plan is None
-        and tlb is None
-        and not model_stores
-        and not hierarchy.hw_prefetch_enabled
-        and hierarchy.batch_capable
-        and core_spec.issue_width & (core_spec.issue_width - 1) == 0
-    )
-    # Every other run on an all-FastCache hierarchy without TLB or stores
-    # (hardware and/or software prefetching on) replays the scalar loop
-    # below through the fused kernel, bit for bit.  The scalar loop itself
-    # serves the reference engine, non-LRU policies, TLB and stores, and is
-    # the kernel's oracle.
-    use_fused = (
-        not use_bulk and tlb is None and not model_stores and hierarchy.batch_capable
-    )
-
-    # Local bindings for the scalar loop: these calls run once per cache
-    # line (millions per figure), where attribute-lookup overhead is real.
-    load_timing = hierarchy.load_timing
-    prefetch_timing = hierarchy.prefetch_timing
-    hw_candidates = hierarchy.hw_prefetch_candidates
-    issue_compute = core.issue_compute
-    issue_load = core.issue_load
-    issue_prefetch = core.issue_prefetch
-    issue_merged_load = core.issue_merged_load
-    pf_get = pf_completion.get
-    pf_pop = pf_completion.pop
-    uops_per_line = cost.uops_per_line
-    uops_per_lookup = cost.uops_per_lookup_base
-    uops_per_sample = cost.uops_per_sample_base
-
+    obs, obs_tid, obs_hist, obs_start = _observe(hierarchy)
     which_batches = batch_indices if batch_indices is not None else range(trace.num_batches)
-    if use_fused:
-        streams = (
-            (b, *_build_lookup_stream(
-                trace, amap, b, loop_order, output_base_line, False
-            )[:2])
-            for b in which_batches
-        )
-        effective_latency_sum, demand_loads = _fused_walk(
-            streams, row_lines, core, hierarchy, plan, cost, batch_cycles,
-            obs, obs_tid, obs_hist,
-        )
+    streams = (
+        (b, *_build_lookup_stream(trace, amap, b, loop_order)) for b in which_batches
+    )
+    # The power-of-two issue-width condition keeps the bulk replay's fused
+    # cycle arithmetic bit-exact (see CoreModel.issue_demand_chunk).
+    if (
+        plan is None
+        and not hierarchy.hw_prefetch_enabled
+        and core_spec.issue_width & (core_spec.issue_width - 1) == 0
+    ):
+        walk = _bulk_walk
     else:
-        for b in which_batches:
-            batch_start = core.now
-            stream_lines, sample_flags, out_bases = _build_lookup_stream(
-                trace, amap, b, loop_order, output_base_line, model_stores
-            )
-            n_lookups = stream_lines.size
-            if use_bulk:
-                if n_lookups:
-                    lines_all = (
-                        stream_lines[:, None] + np.arange(row_lines, dtype=np.int64)
-                    ).ravel()
-                    pre_uops = np.full(
-                        lines_all.size, cost.uops_per_line, dtype=np.int64
-                    )
-                    pre_uops[::row_lines] += cost.uops_per_lookup_base
-                    flag_idx = np.nonzero(sample_flags)[0]
-                    pre_uops[flag_idx * row_lines] += cost.uops_per_sample_base
-                    latencies = hierarchy.access_lines(lines_all)
-                    core.issue_demand_chunk(latencies, pre_uops)
-                    demand_loads += lines_all.size
-                    if obs is not None:
-                        obs_hist.observe_many(latencies)
-                    # Left-to-right accumulation matches the scalar loop's
-                    # float rounding exactly (np.sum's pairwise order would
-                    # not).
-                    acc = effective_latency_sum
-                    for latency in latencies.tolist():
-                        acc += latency
-                    effective_latency_sum = acc
-                core.drain()
-                batch_cycles.append(core.now - batch_start)
-                if obs is not None:
-                    obs.tracer.add_sim_span(
-                        f"batch[{b}]", "sim.embedding", batch_start,
-                        core.now - batch_start, tid=obs_tid,
-                        args={"loads": int(n_lookups) * row_lines},
-                    )
-                continue
-            stream_list = stream_lines.tolist()
-            flags_list = sample_flags.tolist()
-            for pos in range(n_lookups):
-                if flags_list[pos]:
-                    issue_compute(uops_per_sample)
-                    if model_stores and out_bases[pos] >= 0:
-                        # Write-allocate the sample's output row (zeroing
-                        # kernel + final vec.st of the accumulators).
-                        out_first = int(out_bases[pos])
-                        for cb in range(row_lines):
-                            store_latency = load_timing(out_first + cb)[0]
-                            issue_compute(1)
-                            issue_load(
-                                store_latency,
-                                is_miss=store_latency > hit_threshold,
-                            )
-                issue_compute(uops_per_lookup)
-                if tlb is not None:
-                    tlb_penalty = tlb.translate_line(stream_list[pos])
-                else:
-                    tlb_penalty = 0.0
-                if plan is not None:
-                    j = pos + plan.distance
-                    if j < n_lookups:
-                        pf_first = stream_list[j]
-                        for cb in range(plan.amount_lines):
-                            line = pf_first + cb
-                            pending = pf_get(line, 0.0)
-                            if pending > core.now:
-                                # Already in flight; the intrinsic is a no-op
-                                # but still occupies an issue slot.
-                                issue_compute(1)
-                                continue
-                            pf_latency = prefetch_timing(line, plan.target_level)[0]
-                            issue_prefetch(pf_latency)
-                            if pf_latency > hit_threshold:
-                                pf_completion[line] = core.now + pf_latency
-                base_line = stream_list[pos]
-                for cb in range(row_lines):
-                    line = base_line + cb
-                    issue_compute(uops_per_line)
-                    latency, level = load_timing(line)
-                    if cb == 0 and tlb_penalty > 0.0:
-                        # Translation delays the row's first access.
-                        latency = latency + tlb_penalty
-                    pending = pf_pop(line, None)
-                    if pending is not None and pending > core.now:
-                        # The prefetch of this line is still in flight: the
-                        # demand load merges into its MSHR entry and waits
-                        # only for the residual (late prefetch), consuming
-                        # no extra fill buffer.
-                        effective_latency_sum += pending - core.now
-                        demand_loads += 1
-                        if obs is not None:
-                            obs_hist.observe(pending - core.now)
-                        issue_merged_load(pending)
-                    else:
-                        effective_latency_sum += latency
-                        demand_loads += 1
-                        if obs is not None:
-                            obs_hist.observe(latency)
-                        issue_load(latency, is_miss=latency > hit_threshold)
-                    # Hardware prefetches ride the L2-side superqueue, not
-                    # the core's L1 fill buffers, so they never throttle
-                    # demand concurrency — but their *arrival time* still
-                    # gates later demand loads (merged waits), which is why
-                    # they cannot rescue the irregular row accesses.
-                    for cand, target in hw_candidates(line, level == "l1"):
-                        if pf_get(cand, 0.0) > core.now:
-                            continue
-                        pf_latency = prefetch_timing(cand, target)[0]
-                        if pf_latency > hit_threshold:
-                            pf_completion[cand] = core.now + pf_latency
-            core.drain()
-            batch_cycles.append(core.now - batch_start)
-            pf_completion.clear()
-            if obs is not None:
-                obs.tracer.add_sim_span(
-                    f"batch[{b}]", "sim.embedding", batch_start,
-                    core.now - batch_start, tid=obs_tid,
-                )
+        walk = _fused_walk
+    effective_latency_sum, demand_loads = walk(
+        streams, row_lines, core, hierarchy, plan, cost, batch_cycles,
+        obs, obs_tid, obs_hist,
+    )
+    return _finish(
+        hierarchy, core, core_spec, batch_cycles, effective_latency_sum,
+        demand_loads, obs, obs_start,
+    )
 
+
+def _observe(hierarchy: MemoryHierarchy):
+    """Start observing one run: ``(obs, track id, latency histogram,
+    hierarchy counters at the start)``, all None when no observation is
+    active.
+
+    Every hook sits at batch granularity (or one branch per load), never
+    inside the vectorized walk, so an active observation cannot perturb
+    results.  Hierarchy stats are published as end-minus-start deltas
+    because multicore runs reuse hierarchies across many calls.
+    """
+    obs = obs_hooks.active()
+    if obs is None:
+        return None, None, None, None
+    hstats = hierarchy.stats
+    start = (
+        dict(hstats.level_hits), hstats.total_latency_cycles,
+        hstats.demand_accesses, hstats.prefetch_requests, hstats.dram_bytes,
+    )
+    return (
+        obs, obs.tracer.new_sim_track("embedding"),
+        obs.metrics.histogram("mem.load_latency_cycles"), start,
+    )
+
+
+def _finish(
+    hierarchy: MemoryHierarchy,
+    core: CoreModel,
+    core_spec: CoreSpec,
+    batch_cycles: List[float],
+    effective_latency_sum: float,
+    demand_loads: int,
+    obs,
+    obs_start,
+) -> EmbeddingRunResult:
+    """Publish an observed run's counters; assemble the run's result."""
     total = core.now
     hstats = hierarchy.stats
     if obs is not None:
+        start_hits, start_latency, start_accesses, start_prefetches, start_bytes = (
+            obs_start
+        )
         registry = obs.metrics
         delta_hits = {
-            level: hstats.level_hits.get(level, 0) - obs_start_hits.get(level, 0)
+            level: hstats.level_hits.get(level, 0) - start_hits.get(level, 0)
             for level in hstats.level_hits
         }
         for level, count in delta_hits.items():
             if count:
                 registry.counter("mem.level_hits", level=level).inc(count)
         registry.counter("mem.demand_accesses").inc(
-            hstats.demand_accesses - obs_start_accesses
+            hstats.demand_accesses - start_accesses
         )
         registry.counter("mem.latency_cycles_total").inc(
-            hstats.total_latency_cycles - obs_start_latency
+            hstats.total_latency_cycles - start_latency
         )
         registry.counter("mem.prefetch_requests").inc(
-            hstats.prefetch_requests - obs_start_prefetches
+            hstats.prefetch_requests - start_prefetches
         )
-        registry.counter("mem.dram_bytes").inc(hstats.dram_bytes - obs_start_dram_bytes)
+        registry.counter("mem.dram_bytes").inc(hstats.dram_bytes - start_bytes)
         core.publish_metrics(registry, stage="embedding")
         cfg = hierarchy.config
         publish_cpi_stack(
@@ -504,6 +342,56 @@ def run_embedding_trace(
     )
 
 
+def _bulk_walk(
+    batches,
+    row_lines: int,
+    core: CoreModel,
+    hierarchy: MemoryHierarchy,
+    plan: Optional[PrefetchPlan],
+    cost: KernelCostModel,
+    batch_cycles: List[float],
+    obs,
+    obs_tid: Optional[int],
+    obs_hist,
+) -> "tuple[float, int]":
+    """Each batch as one vectorized hierarchy walk plus one bulk core
+    replay (no prefetching of any kind; ``plan`` is None).  Same arguments
+    and return value as :func:`_fused_walk`."""
+    effective_latency_sum = 0.0
+    demand_loads = 0
+    for b, stream_lines, sample_flags in batches:
+        batch_start = core.now
+        n_lookups = stream_lines.size
+        if n_lookups:
+            lines_all = (
+                stream_lines[:, None] + np.arange(row_lines, dtype=np.int64)
+            ).ravel()
+            pre_uops = np.full(lines_all.size, cost.uops_per_line, dtype=np.int64)
+            pre_uops[::row_lines] += cost.uops_per_lookup_base
+            flag_idx = np.nonzero(sample_flags)[0]
+            pre_uops[flag_idx * row_lines] += cost.uops_per_sample_base
+            latencies = hierarchy.access_lines(lines_all)
+            core.issue_demand_chunk(latencies, pre_uops)
+            demand_loads += lines_all.size
+            if obs is not None:
+                obs_hist.observe_many(latencies)
+            # Left-to-right accumulation matches the per-event loop's
+            # float rounding exactly (np.sum's pairwise order would not).
+            acc = effective_latency_sum
+            for latency in latencies.tolist():
+                acc += latency
+            effective_latency_sum = acc
+        core.drain()
+        batch_cycles.append(core.now - batch_start)
+        if obs is not None:
+            obs.tracer.add_sim_span(
+                f"batch[{b}]", "sim.embedding", batch_start,
+                core.now - batch_start, tid=obs_tid,
+                args={"loads": int(n_lookups) * row_lines},
+            )
+    return effective_latency_sum, demand_loads
+
+
 def _fused_walk(
     batches,
     row_lines: int,
@@ -516,16 +404,16 @@ def _fused_walk(
     obs_tid: Optional[int],
     obs_hist,
 ) -> "tuple[float, int]":
-    """The generic per-line loop, fused for an all-``FastCache`` hierarchy.
+    """The per-line embedding loop, fused.
 
     ``batches`` yields ``(b, stream_lines, sample_flags)``.  Replays exactly
-    the events of :func:`run_embedding_trace`'s generic loop without TLB
-    or stores — the same cache, prefetcher and DRAM transitions in the
-    same order, and the same core stalls from the same float operations —
-    but with the bodies of ``MemoryHierarchy.load_timing`` /
+    the events of the per-event loop in ``tests/embedding_oracle.py``
+    without TLB or stores — the same cache, prefetcher and DRAM
+    transitions in the same order, and the same core stalls from the same
+    float operations — but with the bodies of ``MemoryHierarchy.load_timing`` /
     ``prefetch_timing`` / ``hw_prefetch_candidates``, the ``FastCache``
     scalar ``access`` / ``fill``, the prefetchers' ``observe``,
-    ``DRAMModel.access`` and the ``CoreModel`` issue and stall methods
+    ``DRAMModel.access`` and the per-event core's issue and stall methods
     inlined, so no call is made per line.  The core state is retired
     lazily (see the comment on it below).
 
@@ -628,8 +516,8 @@ def _fused_walk(
     # a slot.  A limiter that drops an entry leaves ``now >= comp``, so a
     # demand miss's copy in the other structure is popped later at zero
     # cost.  docs/modeling.md §8 argues that every stall matches the eager
-    # ``CoreModel`` bit for bit, and gives the one rounding case where the
-    # window must free the copy itself.
+    # per-event core (the oracle's) bit for bit, and gives the one rounding
+    # case where the window must free the copy itself.
     now = core.now
     icount = core.instr_count
     lq_idx: List[int] = []

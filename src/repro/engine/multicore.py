@@ -27,12 +27,8 @@ from typing import List, Optional
 from ..cpu.platform import CPUSpec
 from ..errors import ConfigError
 from ..mem.dram import DRAMConfig, DRAMModel
-from ..mem.hierarchy import (
-    HierarchyConfig,
-    MemoryHierarchy,
-    build_hierarchy,
-    make_cache,
-)
+from ..mem.fastcache import FastCache
+from ..mem.hierarchy import HierarchyConfig, MemoryHierarchy, build_hierarchy
 from ..trace.dataset import EmbeddingTrace
 from ..trace.stream import AddressMap
 from ..units import CACHE_LINE_BYTES
@@ -177,9 +173,7 @@ def run_embedding_multicore(
     final_cores: List[EmbeddingRunResult] = []
     achieved_bw = 0.0
     for iteration in range(bandwidth_iterations):
-        shared_l3 = make_cache(
-            "l3", hier_config.l3_size, hier_config.l3_ways, policy=hier_config.policy
-        )
+        shared_l3 = FastCache("l3", hier_config.l3_size, hier_config.l3_ways)
         shared_dram = DRAMModel(hier_config.dram)
         shared_dram.set_utilization(utilization)
         hierarchies: List[MemoryHierarchy] = [
@@ -188,9 +182,8 @@ def run_embedding_multicore(
                 shared_l3=shared_l3,
                 shared_dram=shared_dram,
                 hw_prefetch=hw_prefetch,
-                seed=c,
             )
-            for c in range(detailed)
+            for _ in range(detailed)
         ]
         per_core: List[List[EmbeddingRunResult]] = [[] for _ in range(detailed)]
         # Round-robin batch interleaving so detailed cores contend in the

@@ -6,7 +6,6 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ..config import SimConfig
 from ..errors import ConfigError
-from ..mem.hierarchy import get_default_engine, set_default_engine
 from ..obs import hooks as obs_hooks
 from . import (
     cluster_resilience,
@@ -89,27 +88,11 @@ def list_experiments() -> Dict[str, str]:
 def run_experiment(
     experiment_id: str, config: Optional[SimConfig] = None, **overrides: object
 ) -> ExperimentReport:
-    """Run one experiment by id.
-
-    ``config.engine`` selects the simulation engine for the duration of the
-    run: every cache built while it executes (including shared L3s deep in
-    the multicore engine) uses the chosen implementation.  The previous
-    process default is restored afterwards, so nesting and library callers
-    that manage the engine themselves are unaffected.
-    """
+    """Run one experiment by id."""
     runner = get_experiment(experiment_id)
     cfg = config if config is not None else SimConfig()
-    previous = get_default_engine()
-    set_default_engine(cfg.engine)
-    try:
-        obs = obs_hooks.active()
-        if obs is not None:
-            with obs.tracer.span(
-                f"experiment:{experiment_id.lower()}",
-                "experiment",
-                engine=cfg.engine,
-            ):
-                return runner(config=cfg, **overrides)
-        return runner(config=cfg, **overrides)
-    finally:
-        set_default_engine(previous)
+    obs = obs_hooks.active()
+    if obs is not None:
+        with obs.tracer.span(f"experiment:{experiment_id.lower()}", "experiment"):
+            return runner(config=cfg, **overrides)
+    return runner(config=cfg, **overrides)

@@ -4,7 +4,7 @@ Examples::
 
     repro-experiment table2
     repro-experiment fig12 --scale 0.03
-    repro-experiment fig4,fig5 --engine reference
+    repro-experiment fig4,fig5 --mode analytic
     repro-experiment all --out results/ --jobs 4
 
 Multi-target runs (``all`` or a comma-separated id list) keep going past
@@ -91,11 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--replication", type=int, default=None,
         help="shard replication factor for fleet-level experiments",
-    )
-    parser.add_argument(
-        "--engine", choices=("fast", "reference"), default=None,
-        help="memory-hierarchy and embedding implementation (default: "
-        "SimConfig default, 'fast'); serving always runs its one loop",
     )
     parser.add_argument(
         "--mode", dest="model_mode", choices=("sim", "analytic"), default=None,
@@ -318,8 +313,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     cfg_kwargs: Dict[str, object] = {}
     if args.seed is not None:
         cfg_kwargs["seed"] = args.seed
-    if args.engine is not None:
-        cfg_kwargs["engine"] = args.engine
     if args.model_mode is not None:
         cfg_kwargs["mode"] = args.model_mode
     config = SimConfig(**cfg_kwargs)  # type: ignore[arg-type]

@@ -1,18 +1,17 @@
-"""Array-backed set-associative cache — the "fast" simulation engine.
+"""Array-backed set-associative LRU cache — the package's one cache level.
 
-:class:`FastCache` is a drop-in replacement for :class:`repro.mem.cache.Cache`
-with true-LRU replacement, designed so the trace-driven hot path (the
-embedding hierarchy walk) can be vectorized.  State lives in flat numpy
-planes instead of one Python :class:`~repro.mem.policies.SetPolicy` object
-per set:
+:class:`FastCache` is designed so the trace-driven hot path (the embedding
+hierarchy walk) can be vectorized.  State lives in flat numpy planes
+instead of one Python replacement-policy object per set (the reference
+``Cache`` that ``tests/embedding_oracle.py`` keeps as its oracle):
 
 ``_tags``
     ``num_sets × ways`` int64 matrix of resident tags (-1 = empty way).
 ``_stamp``
     ``num_sets × ways`` int64 matrix of last-touch ticks from a global
     monotone counter; the LRU victim of a set is the way with the smallest
-    stamp.  This reproduces :class:`~repro.mem.policies.LRUPolicy` exactly:
-    both order a set's ways by last touch (lookup hit or insert).
+    stamp.  This reproduces the reference per-set LRU list exactly: both
+    order a set's ways by last touch (lookup hit or insert).
 ``_pending``
     ``num_sets × ways`` boolean plane marking lines filled by prefetch and
     not yet demanded (the reference keeps a ``line -> True`` dict; a
@@ -24,15 +23,11 @@ per set:
     values are reassigned when the scalar row table is written back).
 
 Scalar calls are stat-for-stat and eviction-for-eviction equivalent to
-``Cache(policy="lru")`` (enforced by the differential tests in
+the oracle's ``Cache(policy="lru")`` (enforced by the differential tests in
 ``tests/test_mem_fastcache.py``).  The batch calls (`lookup_batch`,
 `fill_batch`) require the caller to guarantee that no two lines of a batch
 map to the same set — :meth:`repro.mem.hierarchy.MemoryHierarchy.access_lines`
 splits streams into conflict-free runs before calling them.
-
-Only ``policy="lru"`` is supported; construction with any other policy
-raises, and :func:`repro.mem.hierarchy.make_cache` falls back to the
-reference implementation for those.
 
 Scalar calls work on a second, list-based form of the same state instead
 of the planes: ``_rows``, a per-set table of LRU-first lists of resident
@@ -44,7 +39,8 @@ dict.  Lines convert to tags and ways only at the array boundary
 The fused embedding kernel (:func:`repro.engine.embedding_exec._fused_walk`)
 inlines the scalar ``access``/``fill`` and works on ``_where``, the row
 table and ``_pend_lines`` directly; a change to the scalar path must be
-made there too (``tests/test_engine_fastpath.py`` diffs the two).
+made there too (``tests/test_engine_fastpath.py`` diffs the kernel
+against the oracle).
 """
 
 from __future__ import annotations
@@ -62,28 +58,11 @@ __all__ = ["FastCache"]
 
 
 class FastCache:
-    """Array-backed set-associative LRU cache level.
+    """Array-backed set-associative LRU cache level."""
 
-    Constructor signature matches :class:`~repro.mem.cache.Cache`; ``seed``
-    is accepted (and ignored — LRU is deterministic) so the two classes are
-    interchangeable at every call site.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        size_bytes: int,
-        ways: int,
-        policy: str = "lru",
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, name: str, size_bytes: int, ways: int) -> None:
         if size_bytes <= 0:
             raise ConfigError(f"cache size must be positive, got {size_bytes}")
-        if policy.lower() != "lru":
-            raise ConfigError(
-                f"FastCache supports only the 'lru' policy, got {policy!r}; "
-                "use the reference Cache for other policies"
-            )
         lines = size_bytes // CACHE_LINE_BYTES
         if lines % ways:
             raise ConfigError(
@@ -93,7 +72,6 @@ class FastCache:
         self.size_bytes = size_bytes
         self.ways = ways
         self.num_sets = lines // ways
-        self.policy_name = "lru"
         self.stats = CacheStats()
         self._tags = np.full((self.num_sets, ways), -1, dtype=np.int64)
         self._stamp = np.zeros((self.num_sets, ways), dtype=np.int64)
@@ -139,7 +117,7 @@ class FastCache:
         """Tag of line ``line`` within its set."""
         return line // self.num_sets
 
-    # -- scalar accesses (reference-equivalent) ---------------------------
+    # -- scalar accesses ---------------------------------------------------
 
     def _row_table(self) -> List[Sequence[int]]:
         """The scalar row table, built from the planes on first use.
@@ -205,7 +183,11 @@ class FastCache:
         self._pend_lines.clear()
 
     def access(self, line: int, is_prefetch: bool = False) -> bool:
-        """Look up ``line``; return True on hit.  Mirrors ``Cache.access``."""
+        """Look up ``line``; return True on hit.
+
+        A hit updates recency; a miss does **not** fill — the hierarchy
+        fills explicitly once the data has come from below.
+        """
         stats = self.stats
         if line not in self._where:
             if not is_prefetch:

@@ -7,27 +7,29 @@ the way back (mostly-inclusive, like the modeled Xeons).  Hardware
 prefetchers observe the demand stream at L1 and L2 and their candidate lines
 are fetched off the critical path.
 
-The L3 :class:`~repro.mem.cache.Cache` and :class:`~repro.mem.dram.DRAMModel`
+Every level is a :class:`~repro.mem.fastcache.FastCache`, the package's
+one cache implementation.  The L3 and :class:`~repro.mem.dram.DRAMModel`
 instances may be shared between per-core hierarchies, which is how the
 multi-core engine models constructive/destructive LLC sharing (Section 3.1
 inter-core reuse class) and bandwidth contention.
 
 The fused embedding kernel (:func:`repro.engine.embedding_exec._fused_walk`)
-inlines ``load_timing``, ``prefetch_timing`` and ``hw_prefetch_candidates``
-for all-``FastCache`` hierarchies; a change to them must be made there too
-(``tests/test_engine_fastpath.py`` diffs the two).
+inlines ``load_timing``, ``prefetch_timing`` and ``hw_prefetch_candidates``;
+a change to them must be made there too.  The per-line embedding loop of
+``tests/embedding_oracle.py`` drives these three methods over the oracle's
+reference caches, and ``tests/test_engine_fastpath.py`` diffs it against
+the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ConfigError
 from ..units import kib, mib
-from .cache import Cache
 from .dram import DRAMConfig, DRAMModel
 from .fastcache import FastCache
 from .prefetcher import (
@@ -39,76 +41,17 @@ from .prefetcher import (
 )
 from .stats import HierarchyStats
 
-__all__ = [
-    "AccessResult",
-    "ENGINE_NAMES",
-    "HierarchyConfig",
-    "MemoryHierarchy",
-    "build_hierarchy",
-    "get_default_engine",
-    "make_cache",
-    "set_default_engine",
-]
-
-#: Recognized simulation engines: the per-set-object reference
-#: implementation (the correctness oracle) and the array-backed fast path.
-ENGINE_NAMES = ("reference", "fast")
-
-#: Process-wide engine used when callers do not pass one explicitly.
-#: Experiment entry points (:func:`repro.experiments.registry.run_experiment`)
-#: set this from ``SimConfig.engine``; direct library users keep the
-#: reference engine unless they opt in.
-_DEFAULT_ENGINE = "reference"
+__all__ = ["HierarchyConfig", "MemoryHierarchy", "build_hierarchy", "set_default_engine"]
 
 
 def set_default_engine(engine: str) -> None:
-    """Set the process-wide default simulation engine."""
-    if engine not in ENGINE_NAMES:
-        raise ConfigError(f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}")
-    global _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = engine
+    """Accept the one memory engine there is; reject any other name.
 
-
-def get_default_engine() -> str:
-    """Current process-wide default simulation engine."""
-    return _DEFAULT_ENGINE
-
-
-def make_cache(
-    name: str,
-    size_bytes: int,
-    ways: int,
-    policy: str = "lru",
-    seed: int = 0,
-    engine: Optional[str] = None,
-):
-    """Construct one cache level under the selected engine.
-
-    The fast engine only implements true LRU; non-LRU policies silently get
-    the reference implementation (they are ablation-only paths), so both
-    engines accept every policy name.
+    Kept for callers written when the package had a second engine: the
+    per-line reference walk now lives in ``tests/embedding_oracle.py``.
     """
-    engine = engine or _DEFAULT_ENGINE
-    if engine not in ENGINE_NAMES:
-        raise ConfigError(f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}")
-    if engine == "fast" and policy.lower() == "lru":
-        return FastCache(name, size_bytes, ways, policy=policy, seed=seed)
-    return Cache(name, size_bytes, ways, policy=policy, seed=seed)
-
-
-@dataclass(frozen=True)
-class AccessResult:
-    """Outcome of one load walking the hierarchy."""
-
-    level: str
-    latency: float
-    line: int
-    prefetch: bool = False
-
-    @property
-    def was_off_chip(self) -> bool:
-        """True when the access had to go to DRAM."""
-        return self.level == "dram"
+    if engine != "fast":
+        raise ConfigError(f"engine must be 'fast', got {engine!r}")
 
 
 @dataclass(frozen=True)
@@ -128,11 +71,6 @@ class HierarchyConfig:
     l3_size: int = int(mib(35.75))
     l3_ways: int = 11
     l3_latency: float = 50.0
-    policy: str = "lru"
-    #: Override for the L3 (e.g. keep LRU there when the private levels run
-    #: PLRU — real LLCs use different policies than L1/L2, and PLRU needs
-    #: power-of-two associativity which 11-way LLCs don't have).
-    l3_policy: Optional[str] = None
     #: CAT-style LLC way allocation: when set, this core's workload may
     #: only fill this many of the L3's ways — the remaining ways belong to
     #: co-located tenants (Intel RDT/CAT semantics: same sets, a subset of
@@ -185,9 +123,9 @@ class MemoryHierarchy:
 
     def __init__(
         self,
-        l1: Cache,
-        l2: Cache,
-        l3: Cache,
+        l1: FastCache,
+        l2: FastCache,
+        l3: FastCache,
         dram: DRAMModel,
         config: HierarchyConfig,
         hw_prefetch: bool = True,
@@ -207,36 +145,17 @@ class MemoryHierarchy:
         if not hw_prefetch:
             self.l1_prefetcher = NullPrefetcher()
             self.l2_prefetcher = NullPrefetcher()
-        # Batched walks need every level to expose the vectorized cache API;
-        # each level partitions its own stream into conflict-free waves by
-        # its own set count, so no cross-level geometry condition is needed.
-        # True exactly when every level is a FastCache, which is also what
-        # the embedding engine's fused scalar kernel requires.
-        self.batch_capable = all(
-            hasattr(c, "demand_wave") for c in (l1, l2, l3)
-        )
 
     # -- the walk ----------------------------------------------------------
 
-    def load(self, line: int) -> AccessResult:
-        """Demand-load one cache line; returns serving level and latency.
+    def load_timing(self, line: int) -> Tuple[float, str]:
+        """Demand-load one cache line; return ``(latency, level)``.
 
+        The line fills every level it missed on the way back.
         Hardware-prefetch *candidates* triggered by this access are not
-        fetched here — the execution engine asks for them via
-        :meth:`hw_prefetch_candidates` and issues the ones that win a fill
-        buffer, so their timeliness and MSHR occupancy are modeled like any
-        other fetch.
-        """
-        latency, level = self.load_timing(line)
-        return AccessResult(level, latency, line)
-
-    def load_timing(self, line: int) -> "tuple[float, str]":
-        """:meth:`load` without the :class:`AccessResult` allocation.
-
-        Same walk, same stats, same fills — returns ``(latency, level)``
-        as a plain tuple.  The execution engines call this once per cache
-        line, where the frozen-dataclass construction cost of :meth:`load`
-        is measurable; external callers should prefer :meth:`load`.
+        fetched here: an embedding walk asks for them via
+        :meth:`hw_prefetch_candidates` and fetches them itself, so their
+        timeliness is modeled like any other fetch.
         """
         cfg = self.config
         if self.l1.access(line):
@@ -278,7 +197,7 @@ class MemoryHierarchy:
         Exactly equivalent — same per-level stats, same fill ordering, same
         eviction decisions, same DRAM access order — to::
 
-            np.array([self.load(int(l)).latency for l in lines])
+            np.array([self.load_timing(int(l))[0] for l in lines])
 
         but the walk is vectorized: each level partitions its slice of the
         stream into *occurrence-rank waves* (wave k holds the lines whose
@@ -287,21 +206,16 @@ class MemoryHierarchy:
         array ops, while per-set event order — the only thing replacement
         state depends on — stays sequential.  DRAM accesses are issued in
         original stream order, so the open-row state also matches the
-        scalar walk bit for bit.  Falls back to the scalar walk when a
-        level lacks the batch API (reference engine).
+        scalar walk bit for bit.
 
         Hardware-prefetcher observation is *not* performed here, matching
-        :meth:`load` — callers that model HW prefetching must use the
+        :meth:`load_timing` — callers that model HW prefetching must use the
         scalar walk, since candidates depend on each line's serving level.
         """
         lines = np.ascontiguousarray(lines, dtype=np.int64)
         n = lines.size
         if n == 0:
             return np.empty(0, dtype=np.float64)
-        if not self.batch_capable:
-            return np.fromiter(
-                (self.load_timing(l)[0] for l in lines.tolist()), np.float64, n
-            )
         out = np.empty(n, dtype=np.float64)
         pos = 0
         while pos < n:
@@ -356,22 +270,14 @@ class MemoryHierarchy:
         stats.demand_accesses += n
         return lat
 
-    def prefetch(self, line: int, target_level: str = "l1") -> AccessResult:
+    def prefetch_timing(self, line: int, target_level: str = "l1") -> Tuple[float, str]:
         """Fetch ``line`` off the critical path into ``target_level``.
 
         This is the mechanism behind both hardware prefetch candidates and
-        the paper's ``_mm_prefetch``-based software prefetching.  The
-        returned latency is the fetch's *completion* latency — the software
-        prefetch timeliness model compares it to the prefetch distance.
-        """
-        latency, level = self.prefetch_timing(line, target_level)
-        return AccessResult(level, latency, line, prefetch=True)
-
-    def prefetch_timing(self, line: int, target_level: str = "l1") -> "tuple[float, str]":
-        """:meth:`prefetch` without the :class:`AccessResult` allocation.
-
-        Same fetch, fills, and stats — returns ``(latency, level)``; the
-        engines' prefetch loops only consume the completion latency.
+        the paper's ``_mm_prefetch``-based software prefetching.  Returns
+        ``(latency, level)``: the fetch's *completion* latency, which the
+        software prefetch timeliness model compares to the prefetch
+        distance, and the level that served it.
         """
         if target_level not in ("l1", "l2", "l3"):
             raise ConfigError(f"unknown prefetch target level {target_level!r}")
@@ -418,29 +324,6 @@ class MemoryHierarchy:
         return candidates
 
     # -- probes and maintenance ---------------------------------------------
-
-    def resident_level(self, line: int) -> Optional[str]:
-        """Closest level currently holding ``line``; None if only in DRAM."""
-        if self.l1.contains(line):
-            return "l1"
-        if self.l2.contains(line):
-            return "l2"
-        if self.l3.contains(line):
-            return "l3"
-        return None
-
-    def latency_of_level(self, level: str) -> float:
-        """Nominal load latency for a hit at ``level``."""
-        cfg = self.config
-        if level == "l1":
-            return cfg.l1_latency
-        if level == "l2":
-            return cfg.l2_latency
-        if level == "l3":
-            return cfg.l3_latency
-        if level == "dram":
-            return cfg.l3_latency + cfg.dram.base_latency_cycles
-        raise ConfigError(f"unknown level {level!r}")
 
     def flush(self) -> None:
         """Empty every private level (the shared L3 is flushed by its owner)."""
@@ -529,34 +412,19 @@ def _demand_walk(cache, lines: np.ndarray) -> np.ndarray:
 
 def build_hierarchy(
     config: HierarchyConfig = HierarchyConfig(),
-    shared_l3: Optional[Cache] = None,
+    shared_l3: Optional[FastCache] = None,
     shared_dram: Optional[DRAMModel] = None,
     hw_prefetch: bool = True,
-    seed: int = 0,
-    engine: Optional[str] = None,
 ) -> MemoryHierarchy:
     """Construct one core's hierarchy.
 
     Pass the same ``shared_l3`` / ``shared_dram`` objects to several calls to
     model cores of one socket sharing their LLC and memory channels.
-    ``engine`` selects the cache implementation (``"reference"`` or
-    ``"fast"``); None uses the process default (:func:`get_default_engine`).
     """
-    l1 = make_cache(
-        "l1", config.l1_size, config.l1_ways, policy=config.policy, seed=seed,
-        engine=engine,
-    )
-    l2 = make_cache(
-        "l2", config.l2_size, config.l2_ways, policy=config.policy, seed=seed + 1,
-        engine=engine,
-    )
-    l3 = shared_l3 or make_cache(
-        "l3",
-        config.effective_l3_size,
-        config.effective_l3_ways,
-        policy=config.l3_policy or config.policy,
-        seed=seed + 2,
-        engine=engine,
+    l1 = FastCache("l1", config.l1_size, config.l1_ways)
+    l2 = FastCache("l2", config.l2_size, config.l2_ways)
+    l3 = shared_l3 or FastCache(
+        "l3", config.effective_l3_size, config.effective_l3_ways
     )
     dram = shared_dram or DRAMModel(config.dram)
     return MemoryHierarchy(l1, l2, l3, dram, config, hw_prefetch=hw_prefetch)

@@ -61,7 +61,11 @@ def test_experiment_scale_applies_overrides():
 
 
 def test_engine_validation_message():
-    with pytest.raises(
-        ConfigError, match=r"engine must be 'fast' or 'reference', got 'turbo'"
-    ):
-        SimConfig(engine="turbo")
+    # One memory engine: the name is a class constant, not a field, and
+    # the compatibility check accepts only it.
+    from repro.mem.hierarchy import set_default_engine
+
+    assert SimConfig().engine == "fast"
+    set_default_engine(SimConfig.engine)
+    with pytest.raises(ConfigError, match=r"engine must be 'fast', got 'turbo'"):
+        set_default_engine("turbo")

@@ -1,7 +1,12 @@
-"""Out-of-order core model tests."""
+"""Out-of-order core model tests.
+
+The per-event issue methods are the oracle's (``OracleCore``); the
+package drives the same model in bulk.
+"""
 
 import pytest
 
+from embedding_oracle import OracleCore
 from repro.cpu.core import CoreModel, CoreSpec
 from repro.errors import ConfigError
 
@@ -31,14 +36,14 @@ def test_window_mlp_formula():
 
 
 def test_compute_only_time_is_issue_bound(spec):
-    core = CoreModel(spec)
+    core = OracleCore(spec)
     core.issue_compute(400)
     assert core.drain() == pytest.approx(100.0)
     assert core.utilization == pytest.approx(1.0)
 
 
 def test_hits_are_pipelined(spec):
-    core = CoreModel(spec)
+    core = OracleCore(spec)
     for _ in range(100):
         core.issue_load(5.0, is_miss=False)
     assert core.drain() == pytest.approx(25.0)  # pure issue cost
@@ -46,13 +51,13 @@ def test_hits_are_pipelined(spec):
 
 
 def test_single_miss_exposed_at_drain(spec):
-    core = CoreModel(spec)
+    core = OracleCore(spec)
     core.issue_load(200.0, is_miss=True)
     assert core.drain() == pytest.approx(200.25)
 
 
 def test_independent_misses_overlap_up_to_concurrency(spec):
-    core = CoreModel(spec)
+    core = OracleCore(spec)
     for _ in range(4):
         core.issue_load(200.0)
     # 4 misses fit in the demand queue: all overlap.
@@ -60,7 +65,7 @@ def test_independent_misses_overlap_up_to_concurrency(spec):
 
 
 def test_demand_concurrency_throttles_misses(spec):
-    core = CoreModel(spec)
+    core = OracleCore(spec)
     n = 100
     for _ in range(n):
         core.issue_load(200.0)
@@ -74,7 +79,7 @@ def test_window_stall_on_sparse_giant_latency():
     # One miss plus a long tail of compute exceeding the ROB forces a
     # full-window stall.
     spec = CoreSpec(rob_entries=32, issue_width=4, l1_mshrs=8, demand_concurrency=8)
-    core = CoreModel(spec)
+    core = OracleCore(spec)
     core.issue_load(1000.0)
     core.issue_compute(16)
     core.issue_load(1000.0)  # instr distance 17 < 32: no stall yet
@@ -84,7 +89,7 @@ def test_window_stall_on_sparse_giant_latency():
 
 
 def test_prefetches_do_not_trigger_window_stalls(spec):
-    core = CoreModel(spec)
+    core = OracleCore(spec)
     for _ in range(50):
         core.issue_prefetch(200.0)
     assert core.window_stall_cycles == 0.0
@@ -92,7 +97,7 @@ def test_prefetches_do_not_trigger_window_stalls(spec):
 
 
 def test_prefetches_bounded_by_mshrs(spec):
-    core = CoreModel(spec)
+    core = OracleCore(spec)
     for _ in range(100):
         core.issue_prefetch(200.0)
     total = core.now
@@ -101,11 +106,11 @@ def test_prefetches_bounded_by_mshrs(spec):
 
 
 def test_prefetch_stream_faster_than_demand_stream(spec):
-    demand = CoreModel(spec)
+    demand = OracleCore(spec)
     for _ in range(100):
         demand.issue_load(200.0)
     demand_time = demand.drain()
-    prefetch = CoreModel(spec)
+    prefetch = OracleCore(spec)
     for _ in range(100):
         prefetch.issue_prefetch(200.0)
     # The asymmetry that makes SW-PF win: 8 MSHRs beat 4 demand slots.
@@ -113,7 +118,7 @@ def test_prefetch_stream_faster_than_demand_stream(spec):
 
 
 def test_merged_load_waits_for_residual(spec):
-    core = CoreModel(spec)
+    core = OracleCore(spec)
     core.issue_compute(4)
     stall_free = core.issue_merged_load(core.now)  # already complete
     assert stall_free == 0.0
@@ -122,7 +127,7 @@ def test_merged_load_waits_for_residual(spec):
 
 
 def test_merged_loads_occupy_load_queue(spec):
-    core = CoreModel(spec)
+    core = OracleCore(spec)
     completion = 1000.0
     for _ in range(spec.demand_concurrency + 1):
         core.issue_merged_load(completion)
@@ -131,7 +136,7 @@ def test_merged_loads_occupy_load_queue(spec):
 
 
 def test_merged_loads_do_not_hold_mshrs(spec):
-    core = CoreModel(spec)
+    core = OracleCore(spec)
     for _ in range(spec.demand_concurrency - 1):
         core.issue_merged_load(5000.0)
     # MSHRs are free: a prefetch allocates without stall.
@@ -140,7 +145,7 @@ def test_merged_loads_do_not_hold_mshrs(spec):
 
 
 def test_stall_fraction_and_ipc(spec):
-    core = CoreModel(spec)
+    core = OracleCore(spec)
     for _ in range(50):
         core.issue_compute(5)
         core.issue_load(300.0)
@@ -150,7 +155,7 @@ def test_stall_fraction_and_ipc(spec):
 
 
 def test_reset_restores_initial_state(spec):
-    core = CoreModel(spec)
+    core = OracleCore(spec)
     core.issue_compute(10)
     core.issue_load(100.0)
     core.reset()
@@ -172,7 +177,7 @@ def test_demand_chunks_match_scalar_issue(seed):
         rob_entries=int(rng.choice([4, 8, 16])), issue_width=4,
         l1_mshrs=6, demand_concurrency=int(rng.integers(1, 7)),
     )
-    bulk, scalar = CoreModel(spec), CoreModel(spec)
+    bulk, scalar = CoreModel(spec), OracleCore(spec)
     for _ in range(4):
         latencies = np.where(
             rng.random(200) < 0.4, 5.0, 200.0 + 300.0 * rng.random(200)

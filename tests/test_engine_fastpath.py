@@ -1,12 +1,14 @@
-"""Cross-engine equivalence: the fast engine must be bit-exact.
+"""The package's memory engine against the oracle: bit-exact.
 
 Four levels of checking, from unit to end-to-end:
 
 1. wave partitioning invariants (the algorithm the vectorized walk rests on),
-2. ``MemoryHierarchy.access_lines`` vs a sequential ``load()`` loop,
-3. ``run_embedding_trace`` under both engines, which diffs the fast
-   engine's bulk walk and fused scalar kernel against the generic loop,
-4. full experiment reports under ``engine="fast"`` vs ``engine="reference"``.
+2. ``MemoryHierarchy.access_lines`` vs a sequential ``load_timing`` loop,
+   and vs the oracle's reference caches,
+3. ``run_embedding_trace`` of the package (``"fast"``) and of
+   ``tests/embedding_oracle.py`` (``"reference"``), which diffs the bulk
+   walk and the fused kernel against the per-event loop,
+4. full experiment reports, plain and inside ``oracle_engine()``.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ import json
 import numpy as np
 import pytest
 
+import embedding_oracle as oracle
 from repro.config import SimConfig
 from repro.cpu.core import CoreSpec
+from repro.core import schemes
 from repro.cpu.platform import get_platform
 from repro.engine.embedding_exec import PrefetchPlan, run_embedding_trace
 from repro.engine.multicore import run_embedding_multicore
@@ -27,13 +31,7 @@ from repro.errors import ConfigError
 from repro.experiments.base import report_to_dict
 from repro.experiments.registry import run_experiment
 from repro.experiments.workloads import build_workload
-from repro.mem.hierarchy import (
-    HierarchyConfig,
-    _wave_partition,
-    build_hierarchy,
-    get_default_engine,
-    set_default_engine,
-)
+from repro.mem.hierarchy import HierarchyConfig, _wave_partition, build_hierarchy
 from repro.obs.hooks import session
 from repro.trace.dataset import EmbeddingTrace, TableBatch
 from repro.trace.stream import AddressMap
@@ -79,10 +77,10 @@ def test_wave_partition_invariants(seed):
 def test_access_lines_matches_sequential_loads(name):
     lines = _streams()[name]
     spec = get_platform("csl")
-    batched = build_hierarchy(spec.hierarchy, hw_prefetch=False, engine="fast")
-    serial = build_hierarchy(spec.hierarchy, hw_prefetch=False, engine="fast")
+    batched = build_hierarchy(spec.hierarchy, hw_prefetch=False)
+    serial = build_hierarchy(spec.hierarchy, hw_prefetch=False)
     got = batched.access_lines(lines)
-    want = np.array([serial.load(int(l)).latency for l in lines])
+    want = np.array([serial.load_timing(int(l))[0] for l in lines])
     assert np.array_equal(got, want)
     for fast_level, ref_level in (
         (batched.l1, serial.l1), (batched.l2, serial.l2), (batched.l3, serial.l3)
@@ -99,22 +97,21 @@ def test_access_lines_matches_sequential_loads(name):
 def test_fast_engine_matches_reference_walk(name):
     lines = _streams()[name]
     spec = get_platform("csl")
-    fast = build_hierarchy(spec.hierarchy, hw_prefetch=False, engine="fast")
-    ref = build_hierarchy(spec.hierarchy, hw_prefetch=False, engine="reference")
+    fast = build_hierarchy(spec.hierarchy, hw_prefetch=False)
+    ref = oracle.build_hierarchy(spec.hierarchy, hw_prefetch=False)
     got = fast.access_lines(lines)
-    want = np.array([ref.load(int(l)).latency for l in lines])
+    want = np.array([oracle.load(ref, int(l)).latency for l in lines])
     assert np.array_equal(got, want)
     assert fast.stats.level_hits == ref.stats.level_hits
 
 
 # -- 3. embedding engine ---------------------------------------------------
 #
-# ``run_embedding_trace`` has three paths.  Runs with no prefetching of any
-# kind take the vectorized bulk walk; every other run on an all-``FastCache``
-# hierarchy without TLB or stores takes the fused scalar kernel; everything
-# else, including every reference-engine run, takes the generic loop.  So
-# running the same inputs under both engines diffs the kernel against its
-# oracle.  Each comparison covers every ``EmbeddingRunResult`` field, every
+# ``run_embedding_trace`` has two paths.  Runs with no prefetching of any
+# kind take the vectorized bulk walk; every other run takes the fused
+# kernel.  The oracle's ``run_embedding_trace`` runs the per-event loop
+# over its reference caches and eager core, so running the same inputs
+# through both diffs each path against the oracle.  Each comparison covers every ``EmbeddingRunResult`` field, every
 # per-level ``CacheStats``, ``HierarchyStats`` (including the insertion
 # order of ``level_hits``), the DRAM counters and open rows, the hardware
 # prefetchers' issue counts and stream state, and which level holds every
@@ -122,6 +119,8 @@ def test_fast_engine_matches_reference_walk(name):
 
 
 ENGINES = ("fast", "reference")
+BUILD = {"fast": build_hierarchy, "reference": oracle.build_hierarchy}
+RUN = {"fast": run_embedding_trace, "reference": oracle.run_embedding_trace}
 
 PLANS = {
     "none": None,
@@ -144,14 +143,6 @@ SMALL_HIERARCHIES = (
         l3_size=196608, l3_ways=12,
     ),
 )
-
-
-@pytest.fixture
-def default_engine():
-    """Set the process default engine; restore it afterwards."""
-    saved = get_default_engine()
-    yield set_default_engine
-    set_default_engine(saved)
 
 
 @functools.lru_cache(maxsize=None)
@@ -183,7 +174,7 @@ def _state(hierarchy, lines, result):
             h.dram.accesses, h.dram.row_hits, h.dram.bytes_transferred,
             list(h.dram._open_rows),
         ),
-        "resident": [h.resident_level(line) for line in lines],
+        "resident": [oracle.resident_level(h, line) for line in lines],
         "occupancy": [c.occupancy() for c in (h.l1, h.l2, h.l3)],
     }
     for cache in (h.l1, h.l2, h.l3):
@@ -216,8 +207,8 @@ def test_embedding_trace_identical_across_engines(dataset, hw, plan, loop_order)
     lines = _touched_lines(wl.trace, wl.amap)
     states = {}
     for engine in ENGINES:
-        hierarchy = build_hierarchy(spec.hierarchy, hw_prefetch=hw, engine=engine)
-        result = run_embedding_trace(
+        hierarchy = BUILD[engine](spec.hierarchy, hw_prefetch=hw)
+        result = RUN[engine](
             wl.trace, wl.amap, spec.core, hierarchy, plan=PLANS[plan],
             loop_order=loop_order,
         )
@@ -233,20 +224,23 @@ def test_embedding_trace_identical_across_engines(dataset, hw, plan, loop_order)
 @pytest.mark.parametrize("plan", ["none", "l1"])
 @pytest.mark.parametrize("hw", [True, False], ids=["hw", "nohw"])
 @pytest.mark.parametrize("cores", [1, 24])
-def test_multicore_identical_across_engines(default_engine, cores, hw, plan):
+def test_multicore_identical_across_engines(cores, hw, plan):
     """Shared L3 and DRAM across detailed cores, bandwidth fixed point."""
     wl = _workload("low", num_batches=4)
     platform = get_platform("csl")
-    results = {}
-    for engine in ENGINES:
-        default_engine(engine)
-        results[engine] = dataclasses.asdict(
+
+    def run():
+        return dataclasses.asdict(
             run_embedding_multicore(
                 wl.trace, wl.amap, platform, cores, plan=PLANS[plan],
                 hw_prefetch=hw,
             )
         )
-    assert results["fast"] == results["reference"]
+
+    fast = run()
+    with oracle.oracle_engine():
+        reference = run()
+    assert fast == reference
 
 
 @pytest.mark.parametrize("plan", ["none", "l2"])
@@ -257,18 +251,18 @@ def test_hooks_on_exports_identical(plan):
     spec = get_platform("csl")
     exports = {}
     for engine in ENGINES:
-        hierarchy = build_hierarchy(spec.hierarchy, engine=engine)
+        hierarchy = BUILD[engine](spec.hierarchy)
         with session() as obs:
-            observed = run_embedding_trace(
+            observed = RUN[engine](
                 wl.trace, wl.amap, spec.core, hierarchy, plan=PLANS[plan]
             )
         exports[engine] = (
             json.dumps(obs.tracer.chrome_dict(), sort_keys=True),
             json.dumps(obs.metrics.snapshot(), sort_keys=True),
         )
-        quiet = run_embedding_trace(
-            wl.trace, wl.amap, spec.core,
-            build_hierarchy(spec.hierarchy, engine=engine), plan=PLANS[plan],
+        quiet = RUN[engine](
+            wl.trace, wl.amap, spec.core, BUILD[engine](spec.hierarchy),
+            plan=PLANS[plan],
         )
         assert dataclasses.asdict(observed) == dataclasses.asdict(quiet)
     assert exports["fast"] == exports["reference"]
@@ -289,8 +283,8 @@ def test_streamer_table_reset_identical():
     lines = _touched_lines(trace, amap)
     states = {}
     for engine in ENGINES:
-        hierarchy = build_hierarchy(spec.hierarchy, engine=engine)
-        result = run_embedding_trace(trace, amap, spec.core, hierarchy)
+        hierarchy = BUILD[engine](spec.hierarchy)
+        result = RUN[engine](trace, amap, spec.core, hierarchy)
         states[engine] = _state(hierarchy, lines, result)
         streamer = hierarchy.l2_prefetcher.prefetchers[0]
         pages = {line // streamer.LINES_PER_PAGE for line in lines}
@@ -337,12 +331,12 @@ def test_stride_repeating_streamer_identical():
     states = {}
     repeats = {}
     for engine in ENGINES:
-        hierarchy = build_hierarchy(spec.hierarchy, engine=engine)
+        hierarchy = BUILD[engine](spec.hierarchy)
         for warm_lines in (warm, flush_l1, l1_only):
             hierarchy.access_lines(warm_lines)
         if engine == "reference":
             repeats = _record_repeats(hierarchy)
-        result = run_embedding_trace(trace, amap, spec.core, hierarchy)
+        result = RUN[engine](trace, amap, spec.core, hierarchy)
         states[engine] = _state(hierarchy, lines, result)
     assert repeats["in_l2"] and repeats["l1_only"] and repeats["absent"]
     _assert_same(states["fast"], states["reference"])
@@ -422,7 +416,7 @@ def _fuzz_case(
     """One random case: a small trace, core resources drawn from ``robs``,
     ``widths`` and ``max_mshrs``, one of ``geometries``, a DRAM utilization
     drawn uniformly from the ``utilizations`` interval, and two consecutive
-    calls per hierarchy under each engine."""
+    calls per hierarchy through the package and through the oracle."""
     trace, amap = _random_trace(rng)
     mshrs = int(rng.integers(1, max_mshrs + 1))
     core = CoreSpec(
@@ -448,13 +442,13 @@ def _fuzz_case(
     ]
     states = {}
     for engine in ENGINES:
-        hierarchy = build_hierarchy(config, hw_prefetch=hw, engine=engine)
+        hierarchy = BUILD[engine](config, hw_prefetch=hw)
         hierarchy.dram.set_utilization(utilization)
         states[engine] = []
         for k, (plan, loop_order, batches) in enumerate(calls):
             if k:
                 hierarchy.access_lines(walk)
-            result = run_embedding_trace(
+            result = RUN[engine](
                 trace, amap, core, hierarchy, plan=plan,
                 batch_indices=batches, loop_order=loop_order,
             )
@@ -511,6 +505,48 @@ def test_fused_kernel_fuzz_rounding(seed):
     )
 
 
+# -- library callers --------------------------------------------------------
+
+
+def test_library_callers_get_the_package_engine(monkeypatch):
+    """Plain library code, with no experiment runner around it, builds
+    ``FastCache`` levels and runs the bulk and fused walks: there is no
+    process default to forget to set."""
+    from repro.core.schemes import evaluate_scheme
+    from repro.engine import embedding_exec
+    from repro.mem.fastcache import FastCache
+
+    hierarchy = build_hierarchy(HierarchyConfig())
+    assert all(
+        type(level) is FastCache for level in (hierarchy.l1, hierarchy.l2, hierarchy.l3)
+    )
+    walks = []
+    for name in ("_bulk_walk", "_fused_walk"):
+        walk = getattr(embedding_exec, name)
+        monkeypatch.setattr(
+            embedding_exec, name,
+            lambda *args, _walk=walk, _name=name: walks.append(_name) or _walk(*args),
+        )
+    wl = _workload("low")
+    platform = get_platform("csl")
+    evaluate_scheme("baseline", wl.model, wl.trace, wl.amap, platform)
+    evaluate_scheme("sw_pf", wl.model, wl.trace, wl.amap, platform)
+    run_embedding_trace(
+        wl.trace, wl.amap, platform.core,
+        build_hierarchy(platform.hierarchy, hw_prefetch=False),
+    )
+    assert walks == ["_fused_walk", "_fused_walk", "_bulk_walk"]
+
+
+def test_package_walk_rejects_oracle_caches():
+    wl = _workload("low")
+    spec = get_platform("csl")
+    with pytest.raises(ConfigError, match="FastCache"):
+        run_embedding_trace(
+            wl.trace, wl.amap, spec.core, oracle.build_hierarchy(spec.hierarchy)
+        )
+
+
 # -- 4. experiment reports -------------------------------------------------
 
 
@@ -526,11 +562,8 @@ def test_fused_kernel_fuzz_rounding(seed):
     ],
 )
 def test_reports_identical_across_engines(exp_id, overrides):
-    fast = run_experiment(exp_id, config=SimConfig(engine="fast"), **overrides)
-    ref = run_experiment(exp_id, config=SimConfig(engine="reference"), **overrides)
+    fast = run_experiment(exp_id, config=SimConfig(), **overrides)
+    with oracle.oracle_engine():
+        assert schemes.run_embedding_trace is oracle.run_embedding_trace
+        ref = run_experiment(exp_id, config=SimConfig(), **overrides)
     assert report_to_dict(fast) == report_to_dict(ref)
-
-
-def test_simconfig_rejects_unknown_engine():
-    with pytest.raises(ConfigError):
-        SimConfig(engine="warp")

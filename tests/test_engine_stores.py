@@ -1,9 +1,9 @@
-"""Output-store modeling tests (the vec.st side of Algorithm 1)."""
+"""Output-store modeling tests (the vec.st side of Algorithm 1), an
+opt-in fidelity option of the oracle's per-event loop."""
 
 import numpy as np
 
-from repro.engine.embedding_exec import run_embedding_trace
-from repro.mem.hierarchy import build_hierarchy
+from embedding_oracle import build_hierarchy, resident_level, run_embedding_trace
 from repro.trace.dataset import EmbeddingTrace, TableBatch
 from repro.trace.stream import AddressMap
 
@@ -46,7 +46,7 @@ def test_output_region_does_not_alias_tables(csl):
     hierarchy = build_hierarchy(csl.hierarchy)
     run_embedding_trace(trace, amap, csl.core, hierarchy, model_stores=True)
     # Row 5 must still be resident: the output writes went elsewhere.
-    assert hierarchy.resident_level(amap.row_first_line(0, 5)) == "l1"
+    assert resident_level(hierarchy, amap.row_first_line(0, 5)) == "l1"
 
 
 def test_output_buffers_reused_across_batches(csl):

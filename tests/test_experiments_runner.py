@@ -78,10 +78,7 @@ def test_new_parser_flags():
 
 
 def test_engine_and_mode_flags():
-    args = build_parser().parse_args(
-        ["fig12", "--engine", "reference", "--mode", "analytic"]
-    )
-    assert args.engine == "reference"
+    args = build_parser().parse_args(["fig12", "--mode", "analytic"])
     assert args.model_mode == "analytic"
 
 
@@ -130,18 +127,16 @@ class TestResultCache:
         assert isinstance(json.loads(rebuilt[0].read_text())["report"], dict)
 
     def test_key_distinguishes_engine_and_mode(self):
-        # Engine/mode switches must never serve each other's memos: the
-        # key hashes every SimConfig field, so each combination is its
-        # own cache slot.
+        # Mode switches must never serve each other's memos: the key
+        # hashes every SimConfig field, so each mode is its own cache slot.
         from repro.config import SimConfig
         from repro.experiments.runner import _cache_key
 
         keys = {
-            _cache_key("fig12", SimConfig(engine=eng, mode=mode), {})
-            for eng in ("fast", "reference")
+            _cache_key("fig12", SimConfig(mode=mode), {})
             for mode in ("sim", "analytic")
         }
-        assert len(keys) == 4
+        assert len(keys) == 2
         # Overrides (the forwarded batching knobs) are part of the key too.
         base = _cache_key("fig12", SimConfig(), {})
         assert _cache_key("fig12", SimConfig(), {"batch_size": 8}) != base

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.mem.cache import Cache
+from embedding_oracle import Cache
 
 
 @pytest.fixture

@@ -4,9 +4,10 @@ import dataclasses
 
 import pytest
 
+from embedding_oracle import latency_of_level, load, prefetch, resident_level
 from repro.errors import ConfigError
-from repro.mem.cache import Cache
 from repro.mem.dram import DRAMModel
+from repro.mem.fastcache import FastCache
 from repro.mem.hierarchy import HierarchyConfig, build_hierarchy
 
 
@@ -24,79 +25,79 @@ def test_config_requires_increasing_sizes():
 
 
 def test_first_load_goes_to_dram(small_hierarchy):
-    result = small_hierarchy.load(123)
+    result = load(small_hierarchy, 123)
     assert result.level == "dram"
     assert result.was_off_chip
     assert result.latency > small_hierarchy.config.l3_latency
 
 
 def test_second_load_hits_l1(small_hierarchy):
-    small_hierarchy.load(123)
-    result = small_hierarchy.load(123)
+    load(small_hierarchy, 123)
+    result = load(small_hierarchy, 123)
     assert result.level == "l1"
     assert result.latency == small_hierarchy.config.l1_latency
 
 
 def test_l2_hit_after_l1_eviction(small_hierarchy):
     h = small_hierarchy
-    h.load(0)
+    load(h, 0)
     # Thrash L1 (16 lines) without exceeding L2 (128 lines).
     sets = h.l1.num_sets
     for k in range(1, h.l1.ways + 2):
-        h.load(0 + k * sets)
-    result = h.load(0)
+        load(h, 0 + k * sets)
+    result = load(h, 0)
     assert result.level == "l2"
     h_stats = h.stats
     assert h_stats.level_hits["l2"] >= 1
 
 
 def test_fills_propagate_to_all_levels(small_hierarchy):
-    small_hierarchy.load(77)
+    load(small_hierarchy, 77)
     assert small_hierarchy.l1.contains(77)
     assert small_hierarchy.l2.contains(77)
     assert small_hierarchy.l3.contains(77)
-    assert small_hierarchy.resident_level(77) == "l1"
+    assert resident_level(small_hierarchy, 77) == "l1"
 
 
 def test_prefetch_to_l1_makes_demand_hit(small_hierarchy):
-    result = small_hierarchy.prefetch(55, target_level="l1")
+    result = prefetch(small_hierarchy, 55, target_level="l1")
     assert result.prefetch
-    assert small_hierarchy.load(55).level == "l1"
+    assert load(small_hierarchy, 55).level == "l1"
 
 
 def test_prefetch_to_l2_does_not_fill_l1(small_hierarchy):
-    small_hierarchy.prefetch(55, target_level="l2")
+    prefetch(small_hierarchy, 55, target_level="l2")
     assert not small_hierarchy.l1.contains(55)
     assert small_hierarchy.l2.contains(55)
 
 
 def test_prefetch_to_l3_only(small_hierarchy):
-    small_hierarchy.prefetch(55, target_level="l3")
-    assert small_hierarchy.resident_level(55) == "l3"
+    prefetch(small_hierarchy, 55, target_level="l3")
+    assert resident_level(small_hierarchy, 55) == "l3"
 
 
 def test_prefetch_rejects_bad_level(small_hierarchy):
     h = small_hierarchy
-    h.load(1)
+    load(h, 1)
 
     def stats():
         return [dataclasses.asdict(x.stats) for x in (h, h.l1, h.l2, h.l3)]
 
     before = stats()
     with pytest.raises(ConfigError):
-        h.prefetch(1, target_level="dram")
+        prefetch(h, 1, target_level="dram")
     assert stats() == before  # a rejected call changes no statistics
 
 
 def test_stats_track_dram_bytes(small_hierarchy):
-    small_hierarchy.load(1)
-    small_hierarchy.load(2)
+    load(small_hierarchy, 1)
+    load(small_hierarchy, 2)
     assert small_hierarchy.stats.dram_bytes == 128
 
 
 def test_avg_load_latency(small_hierarchy):
-    small_hierarchy.load(9)   # dram
-    small_hierarchy.load(9)   # l1
+    load(small_hierarchy, 9)   # dram
+    load(small_hierarchy, 9)   # l1
     avg = small_hierarchy.stats.avg_load_latency
     assert small_hierarchy.config.l1_latency < avg
 
@@ -106,12 +107,12 @@ def test_hw_prefetch_candidates_empty_when_disabled():
         l1_size=1024, l1_ways=2, l2_size=8192, l2_ways=4, l3_size=65536, l3_ways=4
     )
     h = build_hierarchy(config, hw_prefetch=False)
-    h.load(10)
+    load(h, 10)
     assert h.hw_prefetch_candidates(10, l1_hit=False) == []
 
 
 def test_hw_prefetch_candidates_on_miss(small_hierarchy):
-    small_hierarchy.load(10)
+    load(small_hierarchy, 10)
     candidates = small_hierarchy.hw_prefetch_candidates(10, l1_hit=False)
     lines = [line for line, _ in candidates]
     assert 11 in lines  # next-line candidate
@@ -120,8 +121,8 @@ def test_hw_prefetch_candidates_on_miss(small_hierarchy):
 
 
 def test_hw_candidates_filter_resident_lines(small_hierarchy):
-    small_hierarchy.load(11)  # 11 now in L1
-    small_hierarchy.load(10)
+    load(small_hierarchy, 11)  # 11 now in L1
+    load(small_hierarchy, 10)
     candidates = small_hierarchy.hw_prefetch_candidates(10, l1_hit=False)
     assert all(line != 11 or target != "l1" for line, target in candidates)
 
@@ -130,28 +131,28 @@ def test_shared_l3_between_two_hierarchies():
     config = HierarchyConfig(
         l1_size=1024, l1_ways=2, l2_size=8192, l2_ways=4, l3_size=65536, l3_ways=4
     )
-    l3 = Cache("l3", config.l3_size, config.l3_ways)
+    l3 = FastCache("l3", config.l3_size, config.l3_ways)
     dram = DRAMModel(config.dram)
     core_a = build_hierarchy(config, shared_l3=l3, shared_dram=dram)
     core_b = build_hierarchy(config, shared_l3=l3, shared_dram=dram)
-    core_a.load(500)
+    load(core_a, 500)
     # Constructive sharing: B misses its private levels but hits shared L3.
-    result = core_b.load(500)
+    result = load(core_b, 500)
     assert result.level == "l3"
 
 
 def test_latency_of_level(small_hierarchy):
     config = small_hierarchy.config
-    assert small_hierarchy.latency_of_level("l1") == config.l1_latency
-    assert small_hierarchy.latency_of_level("dram") > config.l3_latency
+    assert latency_of_level(small_hierarchy, "l1") == config.l1_latency
+    assert latency_of_level(small_hierarchy, "dram") > config.l3_latency
     with pytest.raises(ConfigError):
-        small_hierarchy.latency_of_level("l9")
+        latency_of_level(small_hierarchy, "l9")
 
 
 def test_flush_keeps_shared_l3(small_hierarchy):
-    small_hierarchy.load(123)
+    load(small_hierarchy, 123)
     small_hierarchy.flush()
-    assert small_hierarchy.resident_level(123) == "l3"
+    assert resident_level(small_hierarchy, 123) == "l3"
 
 
 def test_hierarchy_stats_merge_commutative():

@@ -1,8 +1,7 @@
-"""MSHR file, stats containers, and address-math tests."""
+"""Stats containers and address-math tests."""
 
 import pytest
 
-from repro.errors import ConfigError
 from repro.mem.cacheline import (
     PAGE_BYTES,
     iter_lines,
@@ -11,7 +10,6 @@ from repro.mem.cacheline import (
     lines_of_range,
     page_of_line,
 )
-from repro.mem.mshr import MSHRFile
 from repro.mem.stats import CacheStats, HierarchyStats
 
 
@@ -47,53 +45,6 @@ class TestCacheline:
         assert page_of_line(0) == 0
         assert page_of_line(lines_per_page - 1) == 0
         assert page_of_line(lines_per_page) == 1
-
-
-class TestMSHR:
-    def test_allocate_without_contention(self):
-        mshr = MSHRFile(4)
-        stall = mshr.allocate(line=1, now=0.0, completion=100.0)
-        assert stall == 0.0
-        assert mshr.outstanding(now=0.0) == 1
-
-    def test_full_file_stalls_until_earliest(self):
-        mshr = MSHRFile(2)
-        mshr.allocate(1, 0.0, 100.0)
-        mshr.allocate(2, 0.0, 150.0)
-        stall = mshr.allocate(3, 10.0, 300.0)
-        assert stall == pytest.approx(90.0)
-        assert mshr.full_stalls == 1
-
-    def test_secondary_miss_merges(self):
-        mshr = MSHRFile(2)
-        mshr.allocate(1, 0.0, 100.0)
-        stall = mshr.allocate(1, 5.0, 130.0)
-        assert stall == 0.0
-        assert mshr.merges == 1
-
-    def test_retirement_frees_capacity(self):
-        mshr = MSHRFile(1)
-        mshr.allocate(1, 0.0, 10.0)
-        stall = mshr.allocate(2, 20.0, 50.0)
-        assert stall == 0.0
-
-    def test_in_flight_probe(self):
-        mshr = MSHRFile(2)
-        mshr.allocate(5, 0.0, 40.0)
-        assert mshr.in_flight(5, now=10.0)
-        assert not mshr.in_flight(5, now=50.0)
-        assert mshr.completion_of(5) == 40.0
-
-    def test_reset(self):
-        mshr = MSHRFile(2)
-        mshr.allocate(1, 0.0, 10.0)
-        mshr.reset()
-        assert mshr.allocations == 0
-        assert mshr.outstanding(0.0) == 0
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ConfigError):
-            MSHRFile(0)
 
 
 class TestStats:

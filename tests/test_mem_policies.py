@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigError
-from repro.mem.policies import (
+from embedding_oracle import (
     FIFOPolicy,
     LRUPolicy,
     PLRUTreePolicy,
@@ -11,6 +10,7 @@ from repro.mem.policies import (
     RandomPolicy,
     make_policy,
 )
+from repro.errors import ConfigError
 
 
 class TestLRU:

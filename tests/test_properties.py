@@ -4,10 +4,11 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.reuse import reuse_distances
-from repro.cpu.core import CoreModel, CoreSpec
-from repro.mem.cache import Cache
-from repro.mem.policies import LRUPolicy
+from repro.analysis.reuse import ReuseDistanceCounter, reuse_distances
+from embedding_oracle import Cache, LRUPolicy, OracleCore
+from repro.cpu.core import CoreSpec
+from repro.mem.fastcache import FastCache
+from repro.mem.hierarchy import HierarchyConfig, _demand_walk, build_hierarchy
 from repro.model.embedding import EmbeddingTable, embedding_bag
 from repro.trace.dataset import TableBatch
 from repro.units import lines_for_bytes
@@ -73,6 +74,102 @@ def test_fully_associative_lru_cache_agrees_with_stack_distance(stream):
     assert simulated_hits == predicted
 
 
+# -- Mattson's inclusion property ---------------------------------------------
+#
+# A demand access to a set-associative LRU level hits iff its stack
+# distance within its set, over the level's own access stream, is below
+# the level's ways.  The distances come from the exact Olken counter of
+# ``analysis/reuse.py``, which shares no code with the caches.
+
+line_streams = st.lists(st.integers(min_value=0, max_value=160), min_size=1, max_size=300)
+
+
+def mattson_hits(lines, num_sets, ways):
+    """Predicted hit of each access of ``lines`` to one LRU level."""
+    counters = {}
+    hits = []
+    for line in lines:
+        s = line % num_sets
+        if s not in counters:
+            counters[s] = ReuseDistanceCounter(max(len(lines), 1))
+        distance = counters[s].access(line)
+        hits.append(0 <= distance < ways)
+    return hits
+
+
+@SETTINGS
+@given(line_streams, st.integers(1, 8), st.integers(1, 6))
+def test_lru_level_hits_follow_stack_distance(lines, num_sets, ways):
+    """One ``FastCache`` level, through its scalar calls and through the
+    batched demand walk."""
+    expected = mattson_hits(lines, num_sets, ways)
+    scalar = FastCache("l1", 64 * num_sets * ways, ways)
+    got = []
+    for line in lines:
+        hit = scalar.access(line)
+        if not hit:
+            scalar.fill(line)
+        got.append(hit)
+    assert got == expected
+    batched = FastCache("l1", 64 * num_sets * ways, ways)
+    walked = _demand_walk(batched, np.array(lines, dtype=np.int64))
+    assert walked.tolist() == expected
+
+
+@st.composite
+def chains(draw):
+    """L1 -> L2 -> L3 geometries with strictly growing capacities."""
+    levels = [(draw(st.integers(1, 6)), draw(st.integers(1, 4)))]
+    for _ in range(2):
+        sets, ways = levels[-1]
+        more_sets, more_ways = draw(st.integers(0, 6)), draw(st.integers(0, 4))
+        if more_sets + more_ways == 0:
+            more_ways = 1
+        levels.append((sets + more_sets, ways + more_ways))
+    return levels
+
+
+@SETTINGS
+@given(line_streams, chains())
+def test_hierarchy_chain_hits_follow_stack_distance(lines, levels):
+    """The L1 -> L2 -> L3 chain without prefetch: each level's stream is
+    the previous level's misses, and each level's hits are Mattson's.
+    Without prefetch every fill is the fill-on-miss of a demand access
+    to that level, so the inclusion rule holds at every level."""
+    (s1, w1), (s2, w2), (s3, w3) = levels
+    config = HierarchyConfig(
+        l1_size=64 * s1 * w1, l1_ways=w1, l2_size=64 * s2 * w2, l2_ways=w2,
+        l3_size=64 * s3 * w3, l3_ways=w3,
+    )
+    expected = []
+    stream = list(lines)
+    for sets, ways in levels:
+        hits = mattson_hits(stream, sets, ways)
+        expected.append(hits)
+        stream = [line for line, hit in zip(stream, hits) if not hit]
+    served = {
+        config.l1_latency: "l1", config.l2_latency: "l2", config.l3_latency: "l3"
+    }
+    scalar = build_hierarchy(config, hw_prefetch=False)
+    scalar_levels = [scalar.load_timing(line)[1] for line in lines]
+    batched = build_hierarchy(config, hw_prefetch=False)
+    batched.MIN_WAVE = 0  # always the wave walk, however small the waves
+    batch_levels = [
+        served.get(latency, "dram")
+        for latency in batched.access_lines(np.array(lines, dtype=np.int64)).tolist()
+    ]
+    predicted = []
+    for _ in lines:
+        level = "dram"
+        for name, hits in zip(("l1", "l2", "l3"), expected):
+            if hits.pop(0):
+                level = name
+                break
+        predicted.append(level)
+    assert scalar_levels == predicted
+    assert batch_levels == predicted
+
+
 @SETTINGS
 @given(st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=300))
 def test_cache_occupancy_invariant(lines):
@@ -107,7 +204,7 @@ def test_cache_second_access_is_always_hit_within_capacity(lines):
 def test_core_time_is_monotone_and_bounded(events):
     """Core time only advances; total >= issue-bound and >= any single miss."""
     spec = CoreSpec(rob_entries=64, issue_width=4, l1_mshrs=8, demand_concurrency=4)
-    core = CoreModel(spec)
+    core = OracleCore(spec)
     previous = 0.0
     for latency, is_miss in events:
         core.issue_compute(3)
@@ -128,11 +225,11 @@ def test_core_time_is_monotone_and_bounded(events):
 )
 def test_prefetch_stream_never_slower_than_demand_stream(latencies):
     spec = CoreSpec(rob_entries=64, issue_width=4, l1_mshrs=8, demand_concurrency=4)
-    demand = CoreModel(spec)
+    demand = OracleCore(spec)
     for latency in latencies:
         demand.issue_load(latency)
     demand_total = demand.drain()
-    prefetch = CoreModel(spec)
+    prefetch = OracleCore(spec)
     for latency in latencies:
         prefetch.issue_prefetch(latency)
     # Prefetches never retire later than equivalent demand loads would.

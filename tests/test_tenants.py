@@ -9,7 +9,8 @@ from repro.cpu.platform import get_platform
 from repro.errors import ConfigError
 from repro.experiments.workloads import build_workload
 from repro.mem.dram import MAX_UTILIZATION, DRAMModel
-from repro.mem.hierarchy import HierarchyConfig, build_hierarchy, make_cache
+from embedding_oracle import Cache
+from repro.mem.hierarchy import HierarchyConfig, build_hierarchy
 from repro.tenants import (
     DEFAULT_DEFENSE_LADDER,
     ContentionModel,
@@ -150,8 +151,8 @@ class TestHierarchyCAT:
         rng = np.random.default_rng(0)
         lines = rng.integers(0, 100_000, size=5000)
         h_base, h_full = build_hierarchy(base), build_hierarchy(full)
-        lat_a = np.array([h_base.load(int(x)).latency for x in lines])
-        lat_b = np.array([h_full.load(int(x)).latency for x in lines])
+        lat_a = np.array([h_base.load_timing(int(x))[0] for x in lines])
+        lat_b = np.array([h_full.load_timing(int(x))[0] for x in lines])
         assert np.array_equal(lat_a, lat_b)
 
 
@@ -165,13 +166,13 @@ class TestPartitioningLRUStackProperty:
         our_lines = rng.integers(0, 1200, size=4000)  # reusable working set
         sweep = iter(np.tile(np.arange(10_000, 14_000), 2))
 
-        shared = make_cache("l3", size, ways, engine="reference")
+        shared = Cache("l3", size, ways)
         hits_shared = 0
         for line in our_lines:
             hits_shared += bool(shared.access(int(line)))
             shared.access(int(next(sweep)))  # tenant interleaves a sweep
 
-        part = make_cache("l3", way_bytes * ours, ours, engine="reference")
+        part = Cache("l3", way_bytes * ours, ours)
         hits_part = sum(bool(part.access(int(line))) for line in our_lines)
         assert hits_part >= hits_shared
 
@@ -184,7 +185,7 @@ class TestPartitioningLRUStackProperty:
         lines = rng.integers(0, 2000, size=4000)
         rates = []
         for w in (2, 4, 8):
-            cache = make_cache("l3", way_bytes * w, w, engine="reference")
+            cache = Cache("l3", way_bytes * w, w)
             rates.append(sum(bool(cache.access(int(x))) for x in lines))
         assert rates == sorted(rates)
 

@@ -10,12 +10,14 @@ depends on and appends one schema-versioned record per invocation to
 The suite:
 
 * **engine wall clocks** (kind ``wall``) — demand-walk, embedding
-  hot-path (hardware prefetch off: the bulk walk; on: the fused scalar
-  kernel; on with the paper's software-prefetch plan: the Integrated
-  walk) under the fast and reference engines, and the throughput of the
-  one serving loop (``engine.serving.fast.requests_per_min``), median of
-  ``--repeats`` trials; host-dependent, so the gate skips them unless
-  ``bench_gate.py --include-wall``.
+  hot-path (hardware prefetch off: the bulk walk; on: the fused kernel;
+  on with the paper's software-prefetch plan: the Integrated walk), and
+  the throughput of the serving loop, median of ``--repeats`` trials;
+  host-dependent, so the gate skips them unless
+  ``bench_gate.py --include-wall``.  The rows keep the ``.fast`` in their
+  names (``engine.hierarchy.fast.lines_per_sec``, ...) from when a second,
+  reference engine had rows beside them, so their history stays one
+  series.
 * **scheme sim outputs** (kind ``sim``) — MP-HT / DP-HT / Integrated
   end-to-end speedups over baseline from :func:`evaluate_all_schemes`;
   exact simulator outputs, identical on every host, gated strictly.
@@ -128,78 +130,73 @@ def _wall_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
     num_lines = 100_000 if mode == "smoke" else 800_000
     emb_args = (0.01, 8, 1) if mode == "smoke" else (0.05, 16, 4)
     serving_requests = 100_000 if mode == "smoke" else 2_000_000
+    cases = [
+        (
+            "hierarchy",
+            lambda: bench_sim.bench_hierarchy(num_lines, repeats=1),
+            "lines_per_sec",
+            "lines/s",
+        ),
+        (
+            "embedding",
+            lambda: bench_sim.bench_embedding(*emb_args, repeats=1),
+            "lines_per_sec",
+            "lines/s",
+        ),
+        (
+            "embedding_hwpf",
+            lambda: bench_sim.bench_embedding(*emb_args, repeats=1, hw_prefetch=True),
+            "lines_per_sec",
+            "lines/s",
+        ),
+        (
+            "embedding_swpf",
+            lambda: bench_embedding_swpf(*emb_args),
+            "lines_per_sec",
+            "lines/s",
+        ),
+        (
+            "serving",
+            lambda: bench_sim.bench_serving(serving_requests),
+            "requests_per_min",
+            "req/min",
+        ),
+    ]
     out: List[Benchmark] = []
-    for engine in ("fast", "reference"):
-        cases = [
-            (
-                "hierarchy",
-                lambda: bench_sim.bench_hierarchy(engine, num_lines, repeats=1),
-                "lines_per_sec",
-                "lines/s",
-            ),
-            (
-                "embedding",
-                lambda: bench_sim.bench_embedding(engine, *emb_args, repeats=1),
-                "lines_per_sec",
-                "lines/s",
-            ),
-            (
-                "embedding_hwpf",
-                lambda: bench_sim.bench_embedding(
-                    engine, *emb_args, repeats=1, hw_prefetch=True
-                ),
-                "lines_per_sec",
-                "lines/s",
-            ),
-            (
-                "embedding_swpf",
-                lambda: bench_embedding_swpf(engine, *emb_args),
-                "lines_per_sec",
-                "lines/s",
-            ),
-        ]
-        if engine == "fast":
-            # One serving loop whatever the engine: timed once, under the
-            # row name it had when there were two.
-            cases.append(
-                (
-                    "serving",
-                    lambda: bench_sim.bench_serving(serving_requests),
-                    "requests_per_min",
-                    "req/min",
-                )
+    for bench, runner, rate_key, unit in cases:
+        value = median([runner()[rate_key] for _ in range(repeats)])
+        out.append(
+            Benchmark(
+                name=f"engine.{bench}.fast.{rate_key}",
+                value=value,
+                unit=unit,
+                direction="higher",
+                noise_floor=WALL_NOISE_FRAC * value,
+                kind="wall",
             )
-        for bench, runner, rate_key, unit in cases:
-            value = median([runner()[rate_key] for _ in range(repeats)])
-            out.append(
-                Benchmark(
-                    name=f"engine.{bench}.{engine}.{rate_key}",
-                    value=value,
-                    unit=unit,
-                    direction="higher",
-                    noise_floor=WALL_NOISE_FRAC * value,
-                    kind="wall",
-                )
-            )
+        )
     return out
 
 
 def bench_embedding_swpf(
-    engine: str, scale: float, batch_size: int, num_batches: int
+    scale: float,
+    batch_size: int,
+    num_batches: int,
+    build: Callable = build_hierarchy,
+    run: Callable = run_embedding_trace,
 ) -> Dict[str, float]:
-    """One engine's embedding walk with the paper's software-prefetch plan
-    and hardware prefetching on (the Integrated design point's walk), on a
-    fresh hierarchy and a Low-hot ``rm2_1`` trace."""
+    """The embedding walk with the paper's software-prefetch plan and
+    hardware prefetching on (the Integrated design point's walk), on a
+    fresh hierarchy and a Low-hot ``rm2_1`` trace.  ``build`` and ``run``
+    are called like :func:`build_hierarchy` and :func:`run_embedding_trace`."""
     wl = build_workload(
         "rm2_1", "low", scale=scale, batch_size=batch_size,
         num_batches=num_batches, config=SimConfig(seed=1234),
     )
     spec = get_platform("csl")
-    hierarchy = build_hierarchy(spec.hierarchy, engine=engine)
+    hierarchy = build(spec.hierarchy)
     start = time.perf_counter()
-    result = run_embedding_trace(
-        wl.trace, wl.amap, spec.core, hierarchy, plan=PAPER_SWPF.plan()
-    )
+    result = run(wl.trace, wl.amap, spec.core, hierarchy, plan=PAPER_SWPF.plan())
     seconds = time.perf_counter() - start
     return {"lines": float(result.loads), "seconds": seconds,
             "lines_per_sec": result.loads / seconds}

@@ -1,6 +1,6 @@
-"""Micro-benchmark harness: reference vs fast simulation engines.
+"""Micro-benchmark harness for the simulator's hot paths.
 
-Measures four levels of the stack (all but serving under both engines):
+Measures four levels of the stack:
 
 1. **hierarchy** — raw demand-walk throughput (simulated lines/sec) of
    :meth:`MemoryHierarchy.access_lines` on a Zipf-distributed row stream.
@@ -8,13 +8,12 @@ Measures four levels of the stack (all but serving under both engines):
    (:func:`run_embedding_trace`, hardware prefetch off) that every figure
    funnels through.
 3. **serving** — simulated-requests-per-minute throughput of the M/G/c
-   serving loop (:func:`simulate_server`) under heavy load; there is one
-   serving loop, so this row has no engine split.
-4. **fig12** — wall time of the end-to-end fig12 pipeline under each
-   engine, with a per-stage breakdown: ``embedding`` (the trace-driven
-   fig12 experiment), ``dense`` (MLP/interaction rooflines), ``dram``
-   (raw demand-walk), and ``event_loop`` (an at-scale serving replay of
-   the optimized schemes — the paper's end-to-end deployment context).
+   serving loop (:func:`simulate_server`) under heavy load.
+4. **fig12** — wall time of the end-to-end fig12 pipeline, with a
+   per-stage breakdown: ``embedding`` (the trace-driven fig12
+   experiment), ``dense`` (MLP/interaction rooflines), ``dram`` (raw
+   demand-walk), and ``event_loop`` (an at-scale serving replay of the
+   optimized schemes — the paper's end-to-end deployment context).
 
 Each run appends a record to ``BENCH_sim.json`` so future changes have a
 perf trajectory to regress against::
@@ -22,10 +21,12 @@ perf trajectory to regress against::
     PYTHONPATH=src python tools/bench_sim.py            # full numbers
     PYTHONPATH=src python tools/bench_sim.py --quick    # CI-sized
 
-The fast and reference engines produce bit-identical simulation results
-(enforced by tests/test_engine_fastpath.py), and the serving loop matches
-the heap-loop oracle of tests/serving_oracle.py bit for bit
-(tests/test_serving_engine.py); this harness only measures speed.
+The memory walks match the per-event oracle of tests/embedding_oracle.py
+bit for bit (tests/test_engine_fastpath.py), and the serving loop the
+heap-loop oracle of tests/serving_oracle.py (tests/test_serving_engine.py);
+this harness only measures speed.  The hierarchy, embedding and serving
+benchmarks take the function they time as an argument, so the perf tests
+time the oracles with the same code.
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ from repro.serving.server import simulate_server  # noqa: E402
 
 __all__ = ["main", "run_benchmarks"]
 
-ENGINES = ("reference", "fast")
-
 
 def _zipf_stream(num_lines: int, seed: int = 7) -> np.ndarray:
     """Row-expanded Zipf line stream (8-line rows, skewed row popularity)."""
@@ -62,14 +61,17 @@ def _zipf_stream(num_lines: int, seed: int = 7) -> np.ndarray:
     return (rows[:, None] * 8 + np.arange(8)).ravel().astype(np.int64)
 
 
-def bench_hierarchy(engine: str, num_lines: int, repeats: int = 3) -> Dict[str, float]:
-    """Demand-walk throughput of one engine on a Zipf stream (best of N)."""
+def bench_hierarchy(
+    num_lines: int, repeats: int = 3, build: Callable = build_hierarchy
+) -> Dict[str, float]:
+    """Demand-walk throughput on a Zipf stream (best of N) of the
+    hierarchies ``build`` makes (called like :func:`build_hierarchy`)."""
     lines = _zipf_stream(num_lines)
     spec = get_platform("csl")
     best = float("inf")
     for _ in range(repeats):
         # Fresh hierarchy per trial so every run starts cold.
-        hierarchy = build_hierarchy(spec.hierarchy, hw_prefetch=False, engine=engine)
+        hierarchy = build(spec.hierarchy, hw_prefetch=False)
         start = time.perf_counter()
         hierarchy.access_lines(lines)
         best = min(best, time.perf_counter() - start)
@@ -78,22 +80,24 @@ def bench_hierarchy(engine: str, num_lines: int, repeats: int = 3) -> Dict[str, 
 
 
 def bench_embedding(
-    engine: str,
     scale: float,
     batch_size: int,
     num_batches: int,
     repeats: int = 3,
     hw_prefetch: bool = False,
+    build: Callable = build_hierarchy,
+    run: Callable = run_embedding_trace,
 ) -> Dict[str, float]:
     """End-to-end embedding hot path (the paper's Algorithm 1 loop).
 
-    ``hw_prefetch=False`` measures the fast engine's vectorized bulk walk;
-    ``True`` (every Fig 12/13 design point but "w/o HW-PF") its fused
-    scalar kernel.
+    ``hw_prefetch=False`` measures the vectorized bulk walk; ``True``
+    (every Fig 12/13 design point but "w/o HW-PF") the fused kernel.
+    ``build`` and ``run`` are called like :func:`build_hierarchy` and
+    :func:`run_embedding_trace`.
     """
     from repro.experiments.workloads import build_workload
 
-    config = SimConfig(seed=1234, engine=engine)
+    config = SimConfig(seed=1234)
     wl = build_workload(
         "rm2_1", "low", scale=scale, batch_size=batch_size,
         num_batches=num_batches, config=config,
@@ -102,11 +106,9 @@ def bench_embedding(
     best = float("inf")
     loads = 0
     for _ in range(repeats):
-        hierarchy = build_hierarchy(
-            spec.hierarchy, hw_prefetch=hw_prefetch, engine=engine
-        )
+        hierarchy = build(spec.hierarchy, hw_prefetch=hw_prefetch)
         start = time.perf_counter()
-        result = run_embedding_trace(wl.trace, wl.amap, spec.core, hierarchy)
+        result = run(wl.trace, wl.amap, spec.core, hierarchy)
         best = min(best, time.perf_counter() - start)
         loads = result.loads
     return {"lines": float(loads), "seconds": best,
@@ -145,12 +147,11 @@ def bench_serving(
 
 
 def bench_dense(batch_size: int = 16, repeats: int = 3) -> Dict[str, float]:
-    """Dense-stage rooflines of the fig12 models (engine-independent).
+    """Dense-stage rooflines of the fig12 models.
 
     The dense stages are closed-form in this codebase (the paper's own
     observation: they are compute-bound and tiny next to embedding), so
-    this stage exists to make the fig12 pipeline breakdown complete, not
-    to discriminate engines.
+    this stage exists to make the fig12 pipeline breakdown complete.
     """
     from repro.engine.mlp_exec import time_interaction, time_mlp, time_top_mlp
     from repro.model.configs import get_model
@@ -173,8 +174,10 @@ def bench_dense(batch_size: int = 16, repeats: int = 3) -> Dict[str, float]:
     return {"seconds": best}
 
 
-def bench_fig12(engine: str, quick: bool, repeats: int = 1) -> Dict[str, object]:
-    """End-to-end fig12 pipeline under one engine, per-stage breakdown.
+def bench_fig12(
+    quick: bool, repeats: int = 1, build: Callable = build_hierarchy
+) -> Dict[str, object]:
+    """End-to-end fig12 pipeline, per-stage breakdown.
 
     Stages (each best-of-``repeats``):
 
@@ -186,15 +189,14 @@ def bench_fig12(engine: str, quick: bool, repeats: int = 1) -> Dict[str, object]
     * ``dram_s`` — raw demand-walk on a Zipf line stream,
     * ``event_loop_s`` — at-scale serving replay, the paper's end-to-end
       deployment context: tens of millions of requests (~35 simulated
-      minutes of a 64-core box near saturation) through the M/G/c loop,
-      the same loop under either engine.
+      minutes of a 64-core box near saturation) through the M/G/c loop.
 
-    ``seconds`` is the stage sum, so every stage's contribution to the
-    headline fast-over-reference speedup is visible in the record.
+    ``seconds`` is the stage sum, so every stage's contribution is visible
+    in the record.  ``build`` makes the ``dram`` stage's hierarchies.
     """
     from repro.experiments.registry import run_experiment
 
-    config = SimConfig(engine=engine)
+    config = SimConfig()
     if quick:
         overrides: Dict[str, object] = {
             "models": ("rm2_1",), "datasets": ("low",),
@@ -210,7 +212,7 @@ def bench_fig12(engine: str, quick: bool, repeats: int = 1) -> Dict[str, object]
         run_experiment("fig12", config=config, **overrides)
         embedding_s = min(embedding_s, time.perf_counter() - start)
     dense_s = bench_dense(repeats=repeats)["seconds"]
-    dram_s = bench_hierarchy(engine, dram_lines, repeats=repeats)["seconds"]
+    dram_s = bench_hierarchy(dram_lines, repeats=repeats, build=build)["seconds"]
     serving = bench_serving(serving_requests, repeats=repeats)
     stages = {
         "embedding_s": embedding_s,
@@ -226,8 +228,7 @@ def bench_fig12(engine: str, quick: bool, repeats: int = 1) -> Dict[str, object]
 
 
 def run_benchmarks(quick: bool, skip_fig12: bool = False) -> Dict[str, object]:
-    """Run every benchmark (under both engines where they differ); return
-    the record."""
+    """Run every benchmark; return the record."""
     num_lines = 200_000 if quick else 800_000
     emb_args = (0.01, 8, 1) if quick else (0.05, 16, 4)
     serving_requests = 100_000 if quick else 2_000_000
@@ -242,49 +243,22 @@ def run_benchmarks(quick: bool, skip_fig12: bool = False) -> Dict[str, object]:
         "numpy": np.__version__,
         "benchmarks": {},
     }
-    benches: Dict[str, Dict[str, object]] = {}
-    for name, fn, rate_key, rate_unit in (
-        ("hierarchy",
-         lambda eng: bench_hierarchy(eng, num_lines, repeats),
-         "lines_per_sec", "l/s"),
-        ("embedding",
-         lambda eng: bench_embedding(eng, *emb_args, repeats),
-         "lines_per_sec", "l/s"),
-    ):
-        benches[name] = {eng: fn(eng) for eng in ENGINES}
-        ref, fast = benches[name]["reference"], benches[name]["fast"]
-        benches[name]["speedup"] = {
-            "fast_over_reference": ref["seconds"] / fast["seconds"]
-        }
-        print(
-            f"{name:10s} reference {ref[rate_key]:>14,.0f} {rate_unit:<8s} "
-            f"fast {fast[rate_key]:>14,.0f} {rate_unit:<8s} "
-            f"speedup {ref['seconds'] / fast['seconds']:.2f}x"
-        )
-    benches["serving"] = bench_serving(serving_requests, repeats=repeats)
+    benches: Dict[str, Dict[str, object]] = {
+        "hierarchy": bench_hierarchy(num_lines, repeats),
+        "embedding": bench_embedding(*emb_args, repeats),
+        "serving": bench_serving(serving_requests, repeats=repeats),
+    }
+    for name in ("hierarchy", "embedding"):
+        print(f"{name:10s} {benches[name]['lines_per_sec']:>24,.0f} l/s")
     print(
         f"{'serving':10s} {benches['serving']['requests_per_min']:>24,.0f} "
         "req/min"
     )
     if not skip_fig12:
-        fig12_reps = 1 if quick else 2
-        benches["fig12"] = {
-            eng: bench_fig12(eng, quick, fig12_reps) for eng in ENGINES
-        }
-        ref, fast = benches["fig12"]["reference"], benches["fig12"]["fast"]
-        benches["fig12"]["speedup"] = {
-            "fast_over_reference": ref["seconds"] / fast["seconds"]
-        }
-        print(
-            f"{'fig12':10s} reference {ref['seconds']:>10.2f}s"
-            f"{'':9s}fast {fast['seconds']:>10.2f}s"
-            f"{'':9s}speedup {ref['seconds'] / fast['seconds']:.2f}x"
-        )
+        fig12 = benches["fig12"] = bench_fig12(quick, 1 if quick else 2)
+        print(f"{'fig12':10s} {fig12['seconds']:>23.2f}s")
         for stage in ("embedding_s", "dense_s", "dram_s", "event_loop_s"):
-            print(
-                f"  {stage[:-2]:16s} reference {ref['stages'][stage]:>8.2f}s   "
-                f"fast {fast['stages'][stage]:>8.2f}s"
-            )
+            print(f"  {stage[:-2]:16s} {fig12['stages'][stage]:>8.2f}s")
     record["benchmarks"] = benches
     return record
 

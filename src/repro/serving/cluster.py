@@ -45,7 +45,9 @@ import heapq
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from itertools import chain, count
+from functools import reduce
+from itertools import chain, count, repeat
+from operator import add
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, TYPE_CHECKING
 
 import numpy as np
@@ -96,6 +98,8 @@ CL_DEGRADED = 1
 CL_SHED = 2
 CL_FAILED = 3
 CLUSTER_OUTCOME_NAMES = ("completed", "degraded", "shed", "failed")
+#: The request-log event that closes a request, by outcome code.
+_LOG_KIND = ("complete", "degraded", "shed", "failed")
 
 #: Sub-stream tags (disjoint from the FaultPlan streams).
 _STREAM_GATHER = 101
@@ -114,7 +118,15 @@ _EV_TIMEOUT = 4
 _EV_PROBE = 5
 
 #: Ranks after every event: the arrival pointer once arrivals run out.
-_NO_ARRIVAL = (float("inf"), _EV_PROBE + 1)
+_NO_ARRIVAL = (float("inf"), _EV_PROBE + 1, -1)
+
+#: The event heap's floor, never popped: it ranks after every event and
+#: after ``_NO_ARRIVAL``, so the loop ends once it is all that is left.
+_END = (float("inf"), _EV_PROBE + 2, -1, None)
+
+#: A shard call as its events carry it: (aid, slot, node, submit time,
+#: is hedge), ``aid`` being the sequence number of its first event.
+_Call = Tuple[int, int, int, float, bool]
 
 #: The replicas a slot's first attempt has tried: none.
 _NONE_TRIED: Tuple[int, ...] = ()
@@ -234,6 +246,15 @@ class ClusterConfig:
                 raise ConfigError("need one cache score per node")
             if any(not 0.0 <= s <= 1.0 for s in self.cache_scores):
                 raise ConfigError("cache scores must be in [0, 1]")
+        if self.faults is not None:
+            # A window on a node the cluster does not have would never fire.
+            plan = self.faults
+            for fault in chain(plan.crashes, plan.partitions, plan.slowdowns):
+                if fault.node >= self.num_nodes:
+                    raise ConfigError(
+                        f"{type(fault).__name__} on node {fault.node}, but "
+                        f"the cluster has {self.num_nodes} nodes"
+                    )
 
     @property
     def is_single_box(self) -> bool:
@@ -609,14 +630,19 @@ class ClusterSim:
     def _run_cluster(self, arrivals_ms: np.ndarray) -> ClusterResult:
         """The multi-node event loop, on flat state.
 
-        Slot ``i * gather_width + k`` is request *i*'s *k*-th shard lookup
-        and attempt *a* is the *a*-th shard call submitted; their state
-        lives in parallel lists indexed by those ids, and node core heaps,
-        service streams and controllers are stepped inline.  Arrivals
-        merge with the event heap through a pointer, ranked as if they
-        had been pushed: crashes hold sequence numbers ``0..C-1``,
+        Slot ``i * gather_width + k`` is request *i*'s *k*-th shard lookup;
+        slot and request state lives in parallel lists indexed by those
+        ids, and each shard call travels in its events as one tuple.  Node
+        core heaps, service streams and controllers are stepped inline.
+        Arrivals merge with the event heap through a pointer, ranked as if
+        they had been pushed: crashes hold sequence numbers ``0..C-1``,
         arrivals ``C..C+n-1``, and events pushed while running count on
         from ``C+n``, so every tie breaks the same way.
+
+        The common case costs least: a primary call routed with nothing
+        tried or ejected to a plain node (no fault window, no controller)
+        that delivers within ``quiet_ms`` pushes one event and arms no
+        timer, and its delivery touches no fault state.
         """
         cfg = self.config
         plan = cfg.faults if cfg.faults is not None else ClusterFaultPlan()
@@ -635,10 +661,8 @@ class ClusterSim:
         multipliers = self.shard_map.call_multipliers
 
         # -- nodes ----------------------------------------------------------
-        cores = [
-            [(0.0, c) for c in range(cfg.cores_per_node)]
-            for _ in range(num_nodes)
-        ]
+        # Per node, a heap of its cores' free-at times.
+        cores = [[0.0] * cfg.cores_per_node for _ in range(num_nodes)]
         draws = [_service_draws(cfg, node) for node in range(num_nodes)]
         factory = cfg.controller_factory
         controllers = [
@@ -649,23 +673,34 @@ class ClusterSim:
         # not seen yet: drained up to each new call's start, so control
         # decisions only ever see the past.
         pending: List[List[Tuple[float, float]]] = [[] for _ in range(num_nodes)]
-        node_calls = [0] * num_nodes
         lost_calls = [0] * num_nodes
-        busy_ms = [0.0] * num_nodes
+        # Per node, the service time of each call it ran, in order.
+        served: List[List[float]] = [[] for _ in range(num_nodes)]
         # Fault flags: the plan is asked about a node only for the kinds of
         # fault window that node has.
         crash_windows = [plan.crashes_for(node) for node in range(num_nodes)]
         may_crash = [bool(windows) for windows in crash_windows]
+        crash_starts = [
+            [start for start, _ in windows] for windows in crash_windows
+        ]
         partitioned_nodes = {part.node for part in plan.partitions}
         may_partition = [node in partitioned_nodes for node in range(num_nodes)]
         slowed_nodes = {slow.node for slow in plan.slowdowns}
         may_slow = [node in slowed_nodes for node in range(num_nodes)]
+        # A node with none of these is plain: its calls skip every check.
+        quirky = [
+            may_crash[node] or may_partition[node] or may_slow[node]
+            or factory is not None
+            for node in range(num_nodes)
+        ]
         node_down = plan.node_down
         partitioned = plan.partitioned
         slow_factor = plan.slow_factor
-        # Per crashable node, attempt id -> completion of the calls in
-        # flight on it, in submission order: what a crash kills.
-        on_node: List[Dict[int, float]] = [{} for _ in range(num_nodes)]
+        # Per crashable node, aid -> (completion, call) of the calls in
+        # flight on it that a crash may kill, in submission order.
+        on_node: List[Dict[int, Tuple[float, _Call]]] = [
+            {} for _ in range(num_nodes)
+        ]
 
         health = HealthTracker(num_nodes, cfg.health)
         # Least-loaded routing sees only what a real front end sees: the
@@ -681,8 +716,16 @@ class ClusterSim:
         # The window's ring and sorted copy, updated inline on delivery; the
         # hedge delay max(min_ms, quantile) is computed only where it is
         # read, and there is nothing to hedge against while ``xs`` is empty.
+        # The ring is bounded at ``window_size``: once ``window_full``, an
+        # append drops ``ring[0]``.
         ring = window._ring if window is not None else None
         xs: List[float] = window.sorted if window is not None else []
+        window_full = False
+        # A call on a plain node that delivers within this long of its
+        # submission neither times out nor arms a hedge timer.
+        quiet_ms = (
+            min(call_timeout, hedge_min) if hedge is not None else call_timeout
+        )
 
         obs = obs_hooks.active()
         log = obs.requests if obs is not None else None
@@ -718,9 +761,11 @@ class ClusterSim:
         choose = router.choose
 
         # -- requests -------------------------------------------------------
-        outcomes = [-1] * n
+        # A request's outcome follows from its missing shards once it is
+        # closed (every admitted request is); only shedding is recorded.
+        shed: List[int] = []
         end_ms = [0.0] * n
-        req_remaining = [0] * n
+        req_remaining = [width] * n
         req_missing = [0] * n
         req_failovers = [0] * n
         req_hedges = [0] * n
@@ -731,11 +776,17 @@ class ClusterSim:
             [set() for _ in range(n)] if run is not None else []
         )
         outstanding_requests = 0
+        # A request's outcome code, by its number of missing shards.
+        outcome_of = [CL_COMPLETED] + [
+            CL_DEGRADED if missing < width and cfg.partial_results else CL_FAILED
+            for missing in range(1, width + 1)
+        ]
 
         # -- slots: slot i * width + k is request i's k-th shard lookup -----
         num_slots = n * width
-        slot_settled = [False] * num_slots
-        # Replicas tried so far; dropped once the slot is settled.
+        # Replicas tried so far: None until the first call, and None again
+        # once the slot is settled (a slot is settled exactly when it has
+        # had a call and its list is gone).
         slot_tried: List[Optional[List[int]]] = [None] * num_slots
         # Written only on the rare paths: hedges issued, and failed
         # attempts of an unsettled slot.
@@ -745,13 +796,13 @@ class ClusterSim:
             [None] * num_slots if trace is not None else []
         )
 
-        # -- attempts: attempt a is the a-th shard call submitted -----------
-        # (slot, node, submit time, is hedge) per attempt, and its state:
-        # None while live, the failure it is doomed to (known at
-        # submission) while live but doomed, False once dead.
-        att: List[Tuple[int, int, float, bool]] = []
-        att_state: List[object] = []
-        att_span: List[str] = []
+        # -- attempts: one _Call per shard call submitted --------------------
+        # The calls something other than their delivery may end: None while
+        # live on a node that may crash, the failure a call is doomed to
+        # (known at submission), False once dead.  A call not in here is
+        # live, and its delivery is the only event that names it.
+        att_fate: Dict[int, object] = {}
+        att_span: Dict[int, str] = {}
         # (start, completion, slowdown) of the calls that reached a node,
         # kept for the request log and the fleet trace only.
         att_timing: Dict[int, Tuple[float, float, float]] = {}
@@ -763,25 +814,27 @@ class ClusterSim:
         for node in range(num_nodes):
             for start, end in crash_windows[node]:
                 events.append((start, _EV_CRASH, len(events), (node, end)))
-        heapq.heapify(events)
         seq = count(len(events) + n)
+        events.append(_END)
+        heapq.heapify(events)
         heappush = heapq.heappush
         heappop = heapq.heappop
         heapreplace = heapq.heapreplace
 
         def submit(sid: int, shard: int, node: int, now: float, is_hedge: bool) -> None:
-            """Send slot ``sid``'s call for ``shard`` to ``node`` at ``now``."""
-            aid = len(att)
-            att.append((sid, node, now, is_hedge))
-            tried = slot_tried[sid]
-            if tried is None:
-                slot_tried[sid] = [node]
-            else:
-                tried.append(node)
+            """Send slot ``sid``'s call for ``shard`` to ``node`` at ``now``.
+
+            The caller has already listed ``node`` in the slot's tried
+            replicas.  A plain node's call runs straight through here; a
+            node with fault windows or a controller takes
+            :func:`submit_quirky`.
+            """
+            aid = next(seq)
+            call = (aid, sid, node, now, is_hedge)
             inflight[node] += 1
             if trace is not None:
-                att_span.append(
-                    trace.begin_attempt(slot_span[sid], node, now, is_hedge)
+                att_span[aid] = trace.begin_attempt(
+                    slot_span[sid], node, now, is_hedge
                 )
                 if run is not None:
                     req = sid // width
@@ -790,19 +843,40 @@ class ClusterSim:
                         node=node, shard=shard, hedge=is_hedge,
                     )
                     req_nodes[req].add(node)
+            if quirky[node]:
+                submit_quirky(call, shard)
+                return
+            # On the node: FIFO onto the earliest-free core.
+            t_work = now + hop
+            node_cores = cores[node]
+            free_at = node_cores[0]
+            start = free_at if free_at > t_work else t_work
+            service = next(draws[node]) * multipliers[shard][node]
+            completion = start + service
+            heapreplace(node_cores, completion)
+            served[node].append(service)
+            if trace is not None:
+                att_timing[aid] = (start, completion, 1.0)
+            deliver = completion + hop
+            heappush(events, (deliver, _EV_DELIVER, aid, call))
+            if deliver > now + quiet_ms:
+                arm(call, deliver, False)
+
+        def submit_quirky(call: _Call, shard: int) -> None:
+            """:func:`submit` on a node that may crash, be partitioned or
+            slowed, or has a controller: each factor it cannot have is
+            skipped."""
+            aid, _, node, now, _ = call
             if may_crash[node] and node_down(node, now):
                 # Connection refused: the router learns at one hop.
-                att_state.append("node_fault")
-                heappush(events, (now + hop, _EV_DELIVER, next(seq), aid))
+                att_fate[aid] = "node_fault"
+                heappush(events, (now + hop, _EV_DELIVER, aid, call))
                 return
             if may_partition[node] and partitioned(node, now):
                 # Swallowed by the partition: only the timeout resolves it.
-                att_state.append("partition")
-                heappush(
-                    events, (now + call_timeout, _EV_TIMEOUT, next(seq), aid)
-                )
+                att_fate[aid] = "partition"
+                heappush(events, (now + call_timeout, _EV_TIMEOUT, aid, call))
                 return
-            # On the node: FIFO onto the earliest-free core.
             t_work = now + hop
             ctl = controllers[node]
             if ctl is not None:
@@ -812,10 +886,9 @@ class ClusterSim:
                     ctl.observe(done, latency)
                 scale = ctl.scale()
             node_cores = cores[node]
-            free_at, core = node_cores[0]
+            free_at = node_cores[0]
             start = free_at if free_at > t_work else t_work
-            # draw * multiplier * slowdown * scale, left to right; a factor
-            # this node cannot have is exactly 1.0 and is skipped.
+            # draw * multiplier * slowdown * scale, left to right.
             service = next(draws[node]) * multipliers[shard][node]
             slow = 1.0
             if may_slow[node]:
@@ -824,46 +897,60 @@ class ClusterSim:
             if ctl is not None:
                 service *= scale
             completion = start + service
-            heapreplace(node_cores, (completion, core))
-            node_calls[node] += 1
-            busy_ms[node] += service
+            heapreplace(node_cores, completion)
+            served[node].append(service)
             if ctl is not None:
                 heappush(done_heap, (completion, completion - t_work))
+            may_die = False
             if may_crash[node]:
-                on_node[node][aid] = completion
+                # Only a crash starting before the call completes kills it.
+                starts = crash_starts[node]
+                k = bisect_left(starts, now)
+                may_die = k < len(starts) and starts[k] < completion
+                if may_die:
+                    on_node[node][aid] = (completion, call)
+                    att_fate[aid] = None  # live, but a crash may end it
             if trace is not None:
                 att_timing[aid] = (start, completion, slow)
             deliver = completion + hop
             if may_partition[node] and partitioned(node, deliver):
                 # The response would land inside a partition window: lost.
-                att_state.append("partition")
-                heappush(
-                    events, (now + call_timeout, _EV_TIMEOUT, next(seq), aid)
-                )
+                att_fate[aid] = "partition"
+                heappush(events, (now + call_timeout, _EV_TIMEOUT, aid, call))
                 return
-            heappush(events, (deliver, _EV_DELIVER, next(seq), aid))
+            heappush(events, (deliver, _EV_DELIVER, aid, call))
+            arm(call, deliver, may_die)
+
+        def arm(call: _Call, deliver: float, may_die: bool) -> None:
+            """The timers of a call due at ``deliver``: its timeout if it is
+            late, and its slot's hedge.
+
+            A hedge timer due at or after a delivery nothing can fail would
+            find its slot settled, so it is never pushed; the delay is at
+            least min_ms, so now + min_ms >= deliver rules it out unread.
+            :func:`submit` skips this for a plain node's call due within
+            ``quiet_ms``, which can arm neither.
+            """
+            aid, sid, _, now, is_hedge = call
             late = deliver > now + call_timeout
-            att_state.append("timeout" if late else None)
             if late:
+                att_fate[aid] = "timeout"
                 heappush(
-                    events, (now + call_timeout, _EV_TIMEOUT, next(seq), aid)
+                    events, (now + call_timeout, _EV_TIMEOUT, next(seq), call)
                 )
-            # A timer due at or after a delivery nothing can fail would find
-            # its slot settled, so it is never pushed; the delay is at least
-            # min_ms, so now + min_ms >= deliver rules it out unread.
             if xs and not is_hedge and (
-                late or may_crash[node] or now + hedge_min < deliver
+                late or may_die or now + hedge_min < deliver
             ):
                 q = window.quantile(hedge.quantile)
                 fire = now + (q if q > hedge_min else hedge_min)
-                if late or may_crash[node] or fire < deliver:
+                if late or may_die or fire < deliver:
                     heappush(events, (fire, _EV_HEDGE, next(seq), sid))
 
-        def fail(aid: int, now: float, cause: str) -> None:
-            """Live attempt ``aid`` is dead: fail over, or lose its shard."""
+        def fail(call: _Call, now: float, cause: str) -> None:
+            """Live ``call`` is dead: fail over, or lose its shard."""
             nonlocal calls_failed, partition_failures, hedges_failed, failovers
-            att_state[aid] = False
-            sid, node, _, is_hedge = att[aid]
+            aid, sid, node, _, is_hedge = call
+            att_fate[aid] = False
             if may_crash[node]:
                 on_node[node].pop(aid, None)
             inflight[node] -= 1
@@ -888,15 +975,16 @@ class ClusterSim:
                 )
             if is_hedge:
                 hedges_failed += 1  # however its slot ends up
-            if slot_settled[sid]:
+            tried = slot_tried[sid]
+            if tried is None:  # settled
                 return
             # An unsettled slot's attempts went to distinct nodes in ``tried``
             # and none has delivered, so those not dead still race.
             dead = slot_dead[sid] = slot_dead.get(sid, 0) + 1
-            if len(slot_tried[sid]) > dead:
+            if len(tried) > dead:
                 return
             target = choose(
-                shard, replicas[shard], slot_tried[sid], now,
+                shard, replicas[shard], tried, now,
                 (slot_span[sid], "failover") if trace is not None else None,
             )
             if target is not None:
@@ -904,10 +992,10 @@ class ClusterSim:
                 req_failovers[req] += 1
                 if run is not None:
                     run.event(req, "failover", now, node=target, shard=shard)
+                tried.append(target)
                 submit(sid, shard, target, now, False)
                 return
             # No replica left: the shard is unreachable for this request.
-            slot_settled[sid] = True
             slot_tried[sid] = None
             if trace is not None:
                 trace.end_slot(slot_span[sid], now, "missing")
@@ -919,38 +1007,31 @@ class ClusterSim:
         def close_request(req: int, now: float) -> None:
             """Every slot of ``req`` is settled: record its outcome."""
             nonlocal outstanding_requests
-            missing = req_missing[req]
-            if missing == 0:
-                code, kind = CL_COMPLETED, "complete"
-            elif missing < width and cfg.partial_results:
-                code, kind = CL_DEGRADED, "degraded"
-            else:
-                code, kind = CL_FAILED, "failed"
-            outcomes[req] = code
             end_ms[req] = now
             outstanding_requests -= 1
             if trace is not None:
+                missing = req_missing[req]
+                code = outcome_of[missing]
                 trace.end_request(
                     req, now, CLUSTER_OUTCOME_NAMES[code],
                     missing_shards=missing,
                 )
                 if run is not None:
-                    run.event(req, kind, now, missing_shards=missing)
+                    run.event(req, _LOG_KIND[code], now, missing_shards=missing)
 
         # -- main loop -----------------------------------------------------
-        next_req = 0
-        next_arrival = (arrivals[0], _EV_ARRIVE)
+        # The arrival pointer: (time, _EV_ARRIVE, request) per request, then
+        # _NO_ARRIVAL.  It never ties an event: no event has _EV_ARRIVE.
+        arrival_keys = chain(
+            zip(arrivals, repeat(_EV_ARRIVE), range(n)), (_NO_ARRIVAL,)
+        )
+        next_arrival = next(arrival_keys)
         while True:
-            if events and events[0] < next_arrival:
+            if events[0] < next_arrival:
                 now, kind, _, payload = heappop(events)
-            elif next_req < n:
-                i = next_req
-                now = arrivals[i]
-                next_req += 1
-                next_arrival = (
-                    (arrivals[next_req], _EV_ARRIVE)
-                    if next_req < n else _NO_ARRIVAL
-                )
+            elif next_arrival is not _NO_ARRIVAL:
+                now, _, i = next_arrival
+                next_arrival = next(arrival_keys)
                 if trace is not None:
                     trace.begin_request(i, now)
                     if run is not None:
@@ -959,7 +1040,7 @@ class ClusterSim:
                     max_outstanding is not None
                     and outstanding_requests >= max_outstanding
                 ):
-                    outcomes[i] = CL_SHED
+                    shed.append(i)
                     end_ms[i] = now
                     if trace is not None:
                         trace.end_request(i, now, "shed")
@@ -969,11 +1050,10 @@ class ClusterSim:
                             )
                     continue
                 outstanding_requests += 1
-                req_remaining[i] = width
                 first = i * width
+                ctx = None
                 for sid in range(first, first + width):
                     shard = slot_shard[sid]
-                    ctx = None
                     if trace is not None:
                         slot_span[sid] = trace.begin_slot(
                             i, sid - first, shard, now
@@ -981,9 +1061,9 @@ class ClusterSim:
                         ctx = (slot_span[sid], "primary")
                     target = choose(shard, replicas[shard], _NONE_TRIED, now, ctx)
                     if target is not None:
+                        slot_tried[sid] = [target]
                         submit(sid, shard, target, now, False)
                         continue
-                    slot_settled[sid] = True
                     if trace is not None:
                         trace.end_slot(slot_span[sid], now, "missing")
                     req_node_fault[i] = True
@@ -996,29 +1076,29 @@ class ClusterSim:
                 break
 
             if kind == _EV_DELIVER:
-                aid = payload
-                state = att_state[aid]
-                if state is not None:
-                    # Dead, or "node_fault": a late call times out first.
-                    if state:
-                        fail(aid, now, state)
-                    continue
-                att_state[aid] = False
-                sid, node, submitted, is_hedge = att[aid]
-                if may_crash[node]:
+                aid, sid, node, submitted, is_hedge = payload
+                if aid in att_fate:
+                    state = att_fate[aid]
+                    if state is not None:
+                        # Dead, or "node_fault": a late call times out first.
+                        if state:
+                            fail(payload, now, state)
+                        continue
                     on_node[node].pop(aid, None)
                 inflight[node] -= 1
                 if fails[node]:  # else healthy: nothing to reset
                     health.record_success(node)
                 latency = now - submitted
                 if ring is not None:
-                    if len(ring) == window_size:
-                        del xs[bisect_left(xs, ring.popleft())]
+                    if window_full:
+                        del xs[bisect_left(xs, ring[0])]
+                    else:
+                        window_full = len(ring) == window_size - 1
                     ring.append(latency)
                     insort(xs, latency)
                 req = sid // width
-                settled = slot_settled[sid]
                 if trace is not None:
+                    settled = slot_tried[sid] is None
                     # The attempt's internal decomposition: on-node queue
                     # wait, service time, and the fault-plan slowdown in
                     # effect — the critical-path extractor's raw material.
@@ -1038,12 +1118,11 @@ class ClusterSim:
                         queue_ms=queue_ms, service_ms=completion - start,
                         slow=slow,
                     )
-                if settled:
+                if slot_tried[sid] is None:  # settled
                     if is_hedge:
                         hedges_wasted += 1
                         req_hedges_wasted[req] += 1
                     continue
-                slot_settled[sid] = True
                 slot_tried[sid] = None
                 if is_hedge:
                     hedges_won += 1
@@ -1055,11 +1134,12 @@ class ClusterSim:
             elif kind == _EV_HEDGE:
                 sid = payload
                 hedges = slot_hedges.get(sid, 0) + 1
-                if slot_settled[sid] or hedges > max_hedges:
+                tried = slot_tried[sid]
+                if tried is None or hedges > max_hedges:
                     continue
                 shard = slot_shard[sid]
                 target = choose(
-                    shard, replicas[shard], slot_tried[sid], now,
+                    shard, replicas[shard], tried, now,
                     (slot_span[sid], "hedge") if trace is not None else None,
                 )
                 if target is None:
@@ -1077,24 +1157,27 @@ class ClusterSim:
                         req, "hedge", now, node=target, shard=shard,
                         q_ms=window.quantile(hedge.quantile),
                     )
+                tried.append(target)
                 submit(sid, shard, target, now, True)
                 if hedges < max_hedges:
                     q = window.quantile(hedge.quantile)
                     fire = now + (q if q > hedge_min else hedge_min)
                     heappush(events, (fire, _EV_HEDGE, next(seq), sid))
             elif kind == _EV_TIMEOUT:
-                state = att_state[payload]  # only doomed calls time out
+                state = att_fate[payload[0]]  # only doomed calls time out
                 if state is not False:
                     fail(payload, now, state)
             elif kind == _EV_CRASH:
                 node, until = payload
                 killed = list(on_node[node].items())
                 on_node[node].clear()
-                lost_calls[node] += sum(1 for _, done in killed if done > now)
-                for aid, done in killed:
+                lost_calls[node] += sum(
+                    1 for _, (done, _) in killed if done > now
+                )
+                for _, (done, call) in killed:
                     if done > now:  # else the response already left the node
-                        fail(aid, now, "node_fault")
-                cores[node] = [(until, c) for c in range(cfg.cores_per_node)]
+                        fail(call, now, "node_fault")
+                cores[node] = [until] * cfg.cores_per_node
                 pending[node] = []
                 if factory is not None:
                     # The restarted process starts at the base level; the
@@ -1111,7 +1194,10 @@ class ClusterSim:
                     )
 
         # -- aggregate ------------------------------------------------------
-        outcome_codes = np.array(outcomes, dtype=np.int64)
+        outcome_codes = np.array(outcome_of, dtype=np.int64)[
+            np.array(req_missing, dtype=np.int64)
+        ]
+        outcome_codes[shed] = CL_SHED
         ends = np.array(end_ms)
         completed = outcome_codes == CL_COMPLETED
         degraded = outcome_codes == CL_DEGRADED
@@ -1121,14 +1207,16 @@ class ClusterSim:
         request_latency[completed] = latencies
         request_latency[degraded] = degraded_lat
         duration = float(max(ends.max(), arrivals_ms[-1]) - arrivals_ms[0])
+        # A running total in call order (``sum`` may compensate rounding).
+        busy = [reduce(add, services, 0.0) for services in served]
         node_stats = [
             NodeStats(
                 node=node,
-                calls=node_calls[node],
+                calls=len(served[node]),
                 lost_calls=lost_calls[node],
-                busy_ms=busy_ms[node],
+                busy_ms=busy[node],
                 utilization=safe_ratio(
-                    busy_ms[node], cfg.cores_per_node * duration
+                    busy[node], cfg.cores_per_node * duration
                 ),
                 final_degradation_level=(
                     controllers[node].level
@@ -1163,7 +1251,7 @@ class ClusterSim:
         if run is not None:
             fault_windows = plan.windows()
             for i in range(n):
-                name = CLUSTER_OUTCOME_NAMES[outcomes[i]]
+                name = CLUSTER_OUTCOME_NAMES[outcome_codes[i]]
                 cause = None
                 if name in ("degraded", "failed"):
                     cause = "partition" if req_partition[i] else "node_fault"

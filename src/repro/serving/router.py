@@ -27,7 +27,7 @@ windows evolve purely from the (deterministic) event stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Container, Dict, Optional, Sequence, Set
+from typing import Callable, Container, Dict, List, Optional, Sequence, Set
 
 from ..errors import ConfigError
 from .stats import SortedWindow
@@ -200,6 +200,9 @@ class Router:
         self._loads = loads
         self.on_decision = on_decision
         self._rr: Dict[int, int] = {}
+        # The tracker's live ejected set: updated in place, never rebound.
+        self._ejected = health._ejected
+        self._round_robin = policy == "round_robin"
 
     def choose(
         self,
@@ -217,11 +220,9 @@ class Router:
         routable replica remains.  ``ctx`` is passed through verbatim to
         ``on_decision`` so callers can attribute the decision to a span.
         """
-        ejected = self.health._ejected
         chosen: Optional[int] = None
-        if self.policy == "round_robin":
-            eligible = [n for n in replicas if n not in tried and n not in ejected]
-            num_eligible = len(eligible)
+        if self._round_robin:
+            eligible = self._eligible(replicas, tried)
             if eligible:
                 start = self._rr.get(shard, 0) % len(replicas)
                 for k in range(len(replicas)):
@@ -232,21 +233,33 @@ class Router:
                         break
         else:
             # least_loaded: smallest load, the lower node id breaks ties.
+            # With nothing tried and nothing ejected (every primary call
+            # while all nodes are routable) no replica needs a membership
+            # test.
             loads = self._loads
-            num_eligible = 0
+            ejected = self._ejected
             best = 0.0
+            skip = tried or ejected
             for node in replicas:
-                if node in tried or node in ejected:
+                if skip and (node in tried or node in ejected):
                     continue
-                num_eligible += 1
                 load = loads[node]
                 if chosen is None or load < best or (load == best and node < chosen):
-                    chosen, best = node, load
+                    chosen = node
+                    best = load
         if self.on_decision is not None:
             load_ms = (
                 float(self._loads[chosen])
                 if chosen is not None and self._loads is not None
                 else None
             )
-            self.on_decision(ctx, shard, chosen, num_eligible, now_ms, load_ms)
+            self.on_decision(
+                ctx, shard, chosen, len(self._eligible(replicas, tried)),
+                now_ms, load_ms,
+            )
         return chosen
+
+    def _eligible(self, replicas: Sequence[int], tried: Container[int]) -> List[int]:
+        """The replicas neither tried nor ejected, in listed order."""
+        ejected = self._ejected
+        return [n for n in replicas if n not in tried and n not in ejected]

@@ -68,7 +68,9 @@ def check_service(mean_ms: float, cv: float) -> None:
 class SortedWindow:
     """The last ``size`` values in arrival order, plus the same values sorted.
 
-    ``append`` evicts the oldest value once the window is full (a ring).
+    ``append`` evicts the oldest value once the window is full (a ring:
+    a ``deque`` bounded at ``size``, so an append to it when full drops
+    ``ring[0]``, which callers that update it inline rely on).
     :attr:`sorted` is kept up to date with ``bisect`` and always equals
     ``sorted(window)`` element for element, so a rolling percentile reads
     it instead of sorting on every query.  Values must be comparable
@@ -82,7 +84,7 @@ class SortedWindow:
             raise ConfigError("window size must be positive")
         self.size = size
         self.sorted: List[float] = []
-        self._ring: Deque[float] = deque()
+        self._ring: Deque[float] = deque(maxlen=size)
 
     def append(self, value: float) -> None:
         """Add one value, evicting the oldest when the window is full."""

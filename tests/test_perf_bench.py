@@ -276,6 +276,53 @@ def test_resilient_loop_opcodes_per_request():
     assert per_request <= RESILIENT_OPCODES_PER_REQUEST, per_request
 
 
+#: Bytecodes executed in the package's own code per request of the cluster
+#: episode below, on Python 3.11, with about 1% of headroom over the count
+#: at the time of writing (786.7; the flat loop it replaced ran 1,057.7).
+CLUSTER_OPCODES_PER_REQUEST = 795.0
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="opcode counts are pinned for 3.11"
+)
+def test_cluster_loop_opcodes_per_request():
+    """One episode built like ``cluster16_nodekill``'s smoke episode 0
+    (16 nodes x 4 cores, 32 shards, replication 2, gather width 2,
+    hedging, hotness placement, least-loaded routing, node 1 down for
+    25-60% of the horizon, 750 requests, seed-1 inputs, hooks off), the
+    bytecodes it executes in frames of ``repro`` counted with
+    ``sys.settrace``."""
+    from repro.config import SimConfig
+    from repro.serving.cluster import ClusterConfig, ClusterSim
+    from repro.serving.faults import ClusterFaultPlan, NodeCrash
+    from repro.serving.router import HedgePolicy
+
+    nodes, cores, call_ms, gather, n = 16, 4, 2.0, 2, 750
+    interarrival = gather * call_ms / (nodes * cores * 0.35)
+    horizon = n * interarrival
+    config = SimConfig(seed=1)
+    seed = int(config.rng("bench:episode:0").integers(2**31))
+    sim = ClusterSim(
+        ClusterConfig(
+            num_nodes=nodes, cores_per_node=cores, mean_service_ms=call_ms,
+            num_shards=32, replication=2, gather_width=gather, hop_ms=0.1,
+            call_timeout_ms=25.0, deadline_ms=100.0, placement="hotness",
+            routing="least_loaded",
+            hedge=HedgePolicy(quantile=95.0, min_ms=6.0, window=128),
+            faults=ClusterFaultPlan(
+                [NodeCrash(1, 0.25 * horizon, 0.6 * horizon)], seed=seed
+            ),
+            seed=seed,
+        )
+    )
+    arrivals = poisson_arrivals(interarrival, n, config.rng("bench:arrivals:0"))
+    result, executed = _count_opcodes(lambda: sim.run(arrivals))
+    per_request = executed / result.offered_requests
+    assert result.offered_requests == n
+    assert result.failovers > 0 and result.hedges_issued > 0
+    assert per_request <= CLUSTER_OPCODES_PER_REQUEST, per_request
+
+
 #: Bytecodes executed in the package's own code per demand load of the
 #: two 1-core walks below on the smoke-size Low-hot workload, on Python
 #: 3.11, with about 1% of headroom over the counts at the time of writing.

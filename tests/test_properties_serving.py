@@ -13,6 +13,7 @@ from repro.serving.cluster import (
     CLUSTER_OUTCOME_NAMES,
     ClusterConfig,
     ClusterSim,
+    ShardMap,
 )
 from repro.serving.degradation import DegradationController, scheme_ladder
 from repro.serving.faults import (
@@ -208,6 +209,74 @@ def test_cluster_outcomes_are_conserved(
     assert result.outcome_count("degraded") == result.degraded_latencies_ms.size
     served = (result.outcomes == CL_COMPLETED) | (result.outcomes == CL_DEGRADED)
     assert np.array_equal(np.isfinite(result.request_latency_ms), served)
+
+
+# -- least-loaded routing, recounted from the request log --------------------
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    num_nodes=st.integers(2, 8),
+    replication=st.integers(1, 4),
+    num_shards=st.integers(2, 12),
+    gather_width=st.integers(1, 3),
+    cores=st.integers(1, 3),
+    utilization=st.floats(0.3, 1.2),
+    hotness=st.booleans(),
+    hedged=st.booleans(),
+)
+def test_least_loaded_picks_the_fewest_in_flight_the_log_shows(
+    seed, num_nodes, replication, num_shards, gather_width, cores,
+    utilization, hotness, hedged,
+):
+    """Without faults or timeouts no call fails, so every non-hedge
+    ``shard_call`` is a primary call with every replica eligible.  Its node
+    must hold the fewest calls in flight, the lower id on ties, where a
+    node's count is rebuilt from the log alone: +1 per ``shard_call`` to
+    it, -1 per ``call_ok`` or ``call_failed`` from it.  Times are
+    continuous, so an arrival or a hedge never shares an instant with a
+    delivery; the loop delivers before it routes within one instant."""
+    config = ClusterConfig(
+        num_nodes=num_nodes, cores_per_node=cores, mean_service_ms=1.0,
+        num_shards=num_shards, replication=min(replication, num_nodes),
+        gather_width=min(gather_width, num_shards), hop_ms=0.05,
+        call_timeout_ms=1e9,
+        placement="hotness" if hotness else "striped",
+        routing="least_loaded",
+        hedge=HedgePolicy(quantile=90.0, min_ms=0.5) if hedged else None,
+        seed=seed,
+    )
+    rate = num_nodes * cores * utilization / config.gather_width
+    arrivals = poisson_arrivals(1.0 / rate, 300, np.random.default_rng(seed))
+    log = RequestLog()
+    with session(Observation(requests=log)):
+        result = ClusterSim(config).run(arrivals)
+    assert result.calls_failed == 0
+    replicas = ShardMap(config).replicas
+    events = [
+        event
+        for record in log.runs[-1].records
+        for event in record["events"]
+        if event["kind"] in ("shard_call", "call_ok", "call_failed")
+    ]
+    # Stable: one request's calls at one instant keep their log order.
+    events.sort(key=lambda e: (e["t_ms"], e["kind"] == "shard_call"))
+    in_flight = [0] * num_nodes
+    routed = 0
+    for event in events:
+        node = event["node"]
+        if event["kind"] != "shard_call":
+            in_flight[node] -= 1
+            assert in_flight[node] >= 0
+            continue
+        if not event["hedge"]:
+            fewest = min(replicas[event["shard"]], key=lambda n: (in_flight[n], n))
+            assert node == fewest, (event, in_flight)
+            routed += 1
+        in_flight[node] += 1
+    assert routed == result.offered_requests * config.gather_width
+    assert in_flight == [0] * num_nodes
 
 
 # -- queue depth, recounted from the request log -----------------------------

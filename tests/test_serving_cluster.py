@@ -22,6 +22,7 @@ from repro.serving.faults import (
     NodeCrash,
     NodePartition,
     NodeSlow,
+    NodeTenant,
 )
 from repro.serving.router import HedgePolicy
 from repro.serving.server import ServingPolicy
@@ -315,6 +316,16 @@ class TestClusterConfigValidation:
             ClusterConfig(num_nodes=3, cache_scores=(1.0, 0.5))
         with pytest.raises(ConfigError):
             ClusterConfig(call_timeout_ms=0.0)
+        # Every kind of node fault window must name a node the cluster has.
+        for fault in (
+            NodeCrash(9, 0.0, 1e9),
+            NodePartition(4, 0.0, 1e9),
+            NodeSlow(7, 0.0, 1e9, factor=4.0),
+            NodeTenant(4, 0.0, 1e9, factor=2.0, tenant="t"),
+        ):
+            with pytest.raises(ConfigError, match="node"):
+                ClusterConfig(num_nodes=4, faults=ClusterFaultPlan([fault]))
+        ClusterConfig(num_nodes=4, faults=ClusterFaultPlan([NodeCrash(3, 0.0, 1.0)]))
 
     def test_bad_arrivals_rejected(self):
         sim = ClusterSim(ClusterConfig())

@@ -13,9 +13,9 @@ registry — and publishes into it only when one is installed::
 When nothing is observing, ``active()`` returns ``None`` and the
 instrumented code takes a single cheap branch.  Crucially, every hook
 sits at *batch/run granularity*, never inside the per-line hot loops, so
-the fast engine's bit-exact results and its BENCH_sim throughput are
-unchanged whether or not an observation is active (enforced by
-``tests/test_obs_integration.py``).
+the engine's bit-exact results and its throughput (the ``engine.*`` rows
+of ``BENCH_history.jsonl``) are unchanged whether or not an observation
+is active (enforced by ``tests/test_obs_integration.py``).
 
 The active observation is process-global and not reference counted:
 :func:`session` is a plain save/restore context manager, so nested

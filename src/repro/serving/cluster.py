@@ -352,10 +352,12 @@ class ShardMap:
         rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, _STREAM_GATHER])
         )
-        keys = np.log(self.hotness)[None, :] + rng.gumbel(
-            size=(num_requests, cfg.num_shards)
-        )
-        top = np.argpartition(-keys, cfg.gather_width - 1, axis=1)
+        # In place: the top-k of -(log h + g) without two full-size
+        # temporaries (float addition commutes, so the bits are the same).
+        keys = rng.gumbel(size=(num_requests, cfg.num_shards))
+        keys += np.log(self.hotness)
+        np.negative(keys, out=keys)
+        top = np.argpartition(keys, cfg.gather_width - 1, axis=1)
         return np.ascontiguousarray(top[:, : cfg.gather_width])
 
 

@@ -1,12 +1,13 @@
 """Opt-in performance benchmark (``REPRO_BENCH=1 pytest -m perf``).
 
-Runs the quick mode of ``tools/bench_sim.py`` and asserts the package's
-memory walks beat the per-event oracle of ``tests/embedding_oracle.py``
-on the hot paths, the shipped serving loops beat the heap-loop oracle of
-``tests/serving_oracle.py`` they replaced, and the fast-path
-critical-path closed form beats the event walk it skips.  Skipped by default: wall time depends on the machine and CI
-boxes are noisy, so this only runs when explicitly requested via
-``REPRO_BENCH=1``.
+Times the kernels of ``tools/bench_all.py`` on the package and on the
+oracles, and asserts the package's memory walks beat the per-event
+oracle of ``tests/embedding_oracle.py`` on the hot paths, the shipped
+serving loops beat the heap-loop oracle of ``tests/serving_oracle.py``
+they replaced, and the fast-path critical-path closed form beats the
+event walk it skips.  Skipped by default: wall time depends on the
+machine and CI boxes are noisy, so this only runs when explicitly
+requested via ``REPRO_BENCH=1``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import pytest
 
 import embedding_oracle
 import serving_oracle
+from repro.core.swpf import PAPER_SWPF
 from repro.obs.critpath import (
     LIFECYCLE_CODES,
     Lifecycles,
@@ -40,110 +42,87 @@ if os.environ.get("REPRO_BENCH") != "1":
     pytest.skip("set REPRO_BENCH=1 to run perf benchmarks", allow_module_level=True)
 
 
-def _load_bench_module():
+@pytest.fixture(scope="module")
+def bench_all():
     spec = importlib.util.spec_from_file_location(
-        "bench_sim", REPO_ROOT / "tools" / "bench_sim.py"
+        "bench_all", REPO_ROOT / "tools" / "bench_all.py"
     )
     module = importlib.util.module_from_spec(spec)
-    sys.modules["bench_sim"] = module
+    sys.modules["bench_all"] = module
     spec.loader.exec_module(module)
     return module
 
 
-def test_quick_bench_fast_engine_wins(tmp_path):
-    bench = _load_bench_module()
-    out = tmp_path / "BENCH_sim.json"
-    assert bench.main(["--quick", "--skip-fig12", "--out", str(out)]) == 0
-    assert out.exists()
-    import json
-
-    records = json.loads(out.read_text())
-    assert len(records) == 1
-    benches = records[0]["benchmarks"]
-    oracle_walk = bench.bench_hierarchy(
-        int(benches["hierarchy"]["lines"]), repeats=1,
-        build=embedding_oracle.build_hierarchy,
+def test_hierarchy_walk_beats_oracle(bench_all):
+    fast = bench_all.bench_hierarchy(200_000)
+    ref = bench_all.bench_hierarchy(
+        200_000, build=embedding_oracle.build_hierarchy
     )
-    assert oracle_walk["seconds"] / benches["hierarchy"]["seconds"] > 1.0
-    oracle_embedding = bench.bench_embedding(
-        0.01, 8, 1, repeats=1, build=embedding_oracle.build_hierarchy,
-        run=embedding_oracle.run_embedding_trace,
-    )
-    assert oracle_embedding["lines"] == benches["embedding"]["lines"]
-    assert oracle_embedding["seconds"] / benches["embedding"]["seconds"] > 1.0
-    serving = benches["serving"]
-    oracle = bench.bench_serving(
-        int(serving["requests"]), simulate=serving_oracle.simulate
-    )
-    assert oracle["seconds"] / serving["seconds"] > 1.0
-    # Acceptance floor: the serving loop must sustain at least 10M
-    # simulated requests per minute of wall time.
-    assert serving["requests_per_min"] >= 10_000_000
+    assert ref["seconds"] / fast["seconds"] > 1.0
 
 
-def test_embedding_hwpf_fast_engine_wins():
-    """Hardware prefetch on: the fused kernel vs the oracle's loop."""
-    bench = _load_bench_module()
-    fast = bench.bench_embedding(0.01, 8, 1, repeats=1, hw_prefetch=True)
-    ref = bench.bench_embedding(
-        0.01, 8, 1, repeats=1, hw_prefetch=True,
-        build=embedding_oracle.build_hierarchy,
-        run=embedding_oracle.run_embedding_trace,
+#: The three embedding walks of the ledger: the bulk walk (hardware
+#: prefetch off), the fused kernel, and the fused kernel with the paper's
+#: software-prefetch plan (the Integrated design point's walk).
+EMBEDDING_WALKS = {
+    "bulk": {},
+    "hwpf": {"hw_prefetch": True},
+    "swpf": {"hw_prefetch": True, "plan": PAPER_SWPF.plan()},
+}
+
+
+@pytest.mark.parametrize("walk", sorted(EMBEDDING_WALKS))
+def test_embedding_walk_beats_oracle(bench_all, walk):
+    """The ledger's smoke inputs through the package and the oracle."""
+    kwargs = EMBEDDING_WALKS[walk]
+    fast = bench_all.bench_embedding(0.01, 8, 1, **kwargs)
+    ref = bench_all.bench_embedding(
+        0.01, 8, 1, build=embedding_oracle.build_hierarchy,
+        run=embedding_oracle.run_embedding_trace, **kwargs,
     )
     assert fast["lines"] == ref["lines"]
     assert fast["lines_per_sec"] > ref["lines_per_sec"]
 
 
-def test_quick_fig12_pipeline_fast_wins():
-    bench = _load_bench_module()
-    fast = bench.bench_fig12(quick=True)
+def test_serving_loop_beats_oracle(bench_all):
+    fast = bench_all.bench_serving(100_000)
+    ref = bench_all.bench_serving(100_000, simulate=serving_oracle.simulate)
+    assert ref["seconds"] / fast["seconds"] > 1.0
+    # Acceptance floor: the serving loop must sustain at least 10M
+    # simulated requests per minute of wall time.
+    assert fast["requests_per_min"] >= 10_000_000
+
+
+def test_quick_fig12_beats_oracle_engine():
+    """The fig12 experiment on a one-model, one-dataset, 1-core slice,
+    run in the package and under the oracle engine."""
+    from repro.config import SimConfig
+    from repro.experiments.registry import run_experiment
+
+    overrides = {
+        "models": ("rm2_1",), "datasets": ("low",), "core_counts": (1,),
+        "scale": 0.01, "num_batches": 1,
+    }
+
+    def fig12_seconds() -> float:
+        start = time.perf_counter()
+        run_experiment("fig12", config=SimConfig(), **overrides)
+        return time.perf_counter() - start
+
+    fast = fig12_seconds()
     with embedding_oracle.oracle_engine():
-        ref = bench.bench_fig12(
-            quick=True, build=embedding_oracle.build_hierarchy
-        )
-    for result in (fast, ref):
-        assert set(result["stages"]) == {
-            "embedding_s", "dense_s", "dram_s", "event_loop_s"
-        }
-        assert result["seconds"] == pytest.approx(
-            sum(result["stages"].values())
-        )
-    assert ref["seconds"] > fast["seconds"]
-    assert fast["serving_requests_per_min"] >= 10_000_000
+        ref = fig12_seconds()
+    assert ref > fast
 
 
-def _load_bench_all():
-    spec = importlib.util.spec_from_file_location(
-        "bench_all", REPO_ROOT / "tools" / "bench_all.py"
-    )
-    bench_all = importlib.util.module_from_spec(spec)
-    sys.modules["bench_all"] = bench_all
-    spec.loader.exec_module(bench_all)
-    return bench_all
-
-
-def test_resilient_loop_fast_engine_wins():
+def test_resilient_loop_fast_engine_wins(bench_all):
     """Faults, retries, shedding and a degradation controller: the
     resilient loop vs the oracle's on the pinned ledger scenario."""
-    bench_all = _load_bench_all()
     fast = bench_all.resilient_loop_rate(20_000, repeats=3)
     ref = bench_all.resilient_loop_rate(
         20_000, repeats=3, simulate=serving_oracle.simulate
     )
     assert fast > ref
-
-
-def test_embedding_swpf_fast_engine_wins():
-    """The paper's software-prefetch plan with hardware prefetching on:
-    the fused kernel vs the oracle's loop on the ledger's smoke inputs."""
-    bench_all = _load_bench_all()
-    fast = bench_all.bench_embedding_swpf(0.01, 8, 1)
-    ref = bench_all.bench_embedding_swpf(
-        0.01, 8, 1, build=embedding_oracle.build_hierarchy,
-        run=embedding_oracle.run_embedding_trace,
-    )
-    assert fast["lines"] == ref["lines"]
-    assert fast["lines_per_sec"] > ref["lines_per_sec"]
 
 
 def _best_of(fn, repeats=7) -> float:

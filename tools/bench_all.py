@@ -9,15 +9,18 @@ depends on and appends one schema-versioned record per invocation to
 
 The suite:
 
-* **engine wall clocks** (kind ``wall``) — demand-walk, embedding
-  hot-path (hardware prefetch off: the bulk walk; on: the fused kernel;
-  on with the paper's software-prefetch plan: the Integrated walk), and
-  the throughput of the serving loop, median of ``--repeats`` trials;
-  host-dependent, so the gate skips them unless
+* **engine wall clocks** (kind ``wall``) — demand-walk throughput of
+  the hierarchy on a Zipf line stream, the embedding hot path (hardware
+  prefetch off: the bulk walk; on: the fused kernel; on with the paper's
+  software-prefetch plan: the Integrated walk), and the throughput of
+  the M/G/c serving loop near saturation, median of ``--repeats``
+  trials; host-dependent, so the gate skips them unless
   ``bench_gate.py --include-wall``.  The rows keep the ``.fast`` in their
   names (``engine.hierarchy.fast.lines_per_sec``, ...) from when a second,
   reference engine had rows beside them, so their history stays one
-  series.
+  series.  :func:`bench_hierarchy`, :func:`bench_embedding` and
+  :func:`bench_serving` take the function they time as an argument, so
+  ``tests/test_perf_bench.py`` times the oracles with the same code.
 * **scheme sim outputs** (kind ``sim``) — MP-HT / DP-HT / Integrated
   end-to-end speedups over baseline from :func:`evaluate_all_schemes`;
   exact simulator outputs, identical on every host, gated strictly.
@@ -67,15 +70,15 @@ import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
-sys.path.insert(0, str(REPO_ROOT / "tools"))
-
-import bench_sim  # noqa: E402
 
 from repro.config import SimConfig  # noqa: E402
 from repro.core.schemes import evaluate_all_schemes  # noqa: E402
 from repro.core.swpf import PAPER_SWPF  # noqa: E402
 from repro.cpu.platform import get_platform  # noqa: E402
-from repro.engine.embedding_exec import run_embedding_trace  # noqa: E402
+from repro.engine.embedding_exec import (  # noqa: E402
+    PrefetchPlan,
+    run_embedding_trace,
+)
 from repro.experiments.noisy_neighbor import run as noisy_run  # noqa: E402
 from repro.experiments.workloads import build_workload  # noqa: E402
 from repro.mem.hierarchy import build_hierarchy  # noqa: E402
@@ -113,7 +116,14 @@ from repro.serving.router import HedgePolicy  # noqa: E402
 from repro.serving.server import ServingPolicy, simulate_server  # noqa: E402
 from repro.serving.workload import poisson_arrivals  # noqa: E402
 
-__all__ = ["bench_embedding_swpf", "main", "resilient_loop_rate", "run_suite"]
+__all__ = [
+    "bench_embedding",
+    "bench_hierarchy",
+    "bench_serving",
+    "main",
+    "resilient_loop_rate",
+    "run_suite",
+]
 
 SCHEMA_PATH = REPO_ROOT / "tools" / "trace_schema.json"
 DEFAULT_HISTORY = REPO_ROOT / "BENCH_history.jsonl"
@@ -125,81 +135,127 @@ WALL_NOISE_FRAC = 0.15
 MODES = ("smoke", "full")
 
 
+def _wall(
+    name: str, value: float, unit: str, direction: str = "higher"
+) -> Benchmark:
+    """A ``wall`` row whose noise floor is :data:`WALL_NOISE_FRAC` of it."""
+    return Benchmark(
+        name=name,
+        value=value,
+        unit=unit,
+        direction=direction,
+        noise_floor=WALL_NOISE_FRAC * value,
+        kind="wall",
+    )
+
+
+def _zipf_stream(num_lines: int) -> np.ndarray:
+    """Row-expanded Zipf line stream (8-line rows, skewed row popularity)."""
+    rng = np.random.default_rng(7)
+    rows = rng.zipf(1.2, num_lines // 8) % 200_000
+    return (rows[:, None] * 8 + np.arange(8)).ravel().astype(np.int64)
+
+
+def bench_hierarchy(
+    num_lines: int, build: Callable = build_hierarchy
+) -> Dict[str, float]:
+    """Demand-walk throughput on a Zipf stream through a cold hierarchy
+    that ``build`` makes (called like :func:`build_hierarchy`)."""
+    lines = _zipf_stream(num_lines)
+    hierarchy = build(get_platform("csl").hierarchy, hw_prefetch=False)
+    start = time.perf_counter()
+    hierarchy.access_lines(lines)
+    seconds = time.perf_counter() - start
+    return {"lines": float(lines.size), "seconds": seconds,
+            "lines_per_sec": lines.size / seconds}
+
+
+def bench_embedding(
+    scale: float,
+    batch_size: int,
+    num_batches: int,
+    hw_prefetch: bool = False,
+    plan: Optional[PrefetchPlan] = None,
+    build: Callable = build_hierarchy,
+    run: Callable = run_embedding_trace,
+) -> Dict[str, float]:
+    """The embedding hot path (the paper's Algorithm 1 loop) on a Low-hot
+    ``rm2_1`` trace through a fresh hierarchy.
+
+    ``hw_prefetch=False`` measures the vectorized bulk walk; ``True``
+    (every Fig 12/13 design point but "w/o HW-PF") the fused kernel, and
+    with the paper's software-prefetch ``plan`` the Integrated design
+    point's walk.  ``build`` and ``run`` are called like
+    :func:`build_hierarchy` and :func:`run_embedding_trace`.
+    """
+    wl = build_workload(
+        "rm2_1", "low", scale=scale, batch_size=batch_size,
+        num_batches=num_batches, config=SimConfig(seed=1234),
+    )
+    spec = get_platform("csl")
+    hierarchy = build(spec.hierarchy, hw_prefetch=hw_prefetch)
+    start = time.perf_counter()
+    result = run(wl.trace, wl.amap, spec.core, hierarchy, plan=plan)
+    seconds = time.perf_counter() - start
+    return {"lines": float(result.loads), "seconds": seconds,
+            "lines_per_sec": result.loads / seconds}
+
+
+def bench_serving(
+    num_requests: int,
+    num_cores: int = 64,
+    utilization: float = 0.9,
+    simulate: Callable = simulate_server,
+) -> Dict[str, float]:
+    """Serving-loop throughput (simulated requests/min of wall time).
+
+    Heavy load near saturation on a many-core box — the regime where the
+    event loop, not the arrival process, is the bottleneck.  ``simulate``
+    is the simulator timed, called like :func:`simulate_server`.
+    """
+    config = SimConfig(seed=7)
+    mean_service_ms = 5.0
+    interarrival_ms = mean_service_ms / (num_cores * utilization)
+    arrivals = poisson_arrivals(
+        interarrival_ms, num_requests, config.rng("bench:serving")
+    )
+    service_rng = config.rng("bench:service")
+    start = time.perf_counter()
+    simulate(arrivals, mean_service_ms, num_cores, service_rng)
+    seconds = time.perf_counter() - start
+    return {"requests": float(num_requests), "seconds": seconds,
+            "requests_per_min": num_requests / seconds * 60.0}
+
+
 def _wall_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
     """Engine throughput wall clocks, median of ``repeats`` trials each."""
     num_lines = 100_000 if mode == "smoke" else 800_000
     emb_args = (0.01, 8, 1) if mode == "smoke" else (0.05, 16, 4)
     serving_requests = 100_000 if mode == "smoke" else 2_000_000
     cases = [
-        (
-            "hierarchy",
-            lambda: bench_sim.bench_hierarchy(num_lines, repeats=1),
-            "lines_per_sec",
-            "lines/s",
-        ),
-        (
-            "embedding",
-            lambda: bench_sim.bench_embedding(*emb_args, repeats=1),
-            "lines_per_sec",
-            "lines/s",
-        ),
-        (
-            "embedding_hwpf",
-            lambda: bench_sim.bench_embedding(*emb_args, repeats=1, hw_prefetch=True),
-            "lines_per_sec",
-            "lines/s",
-        ),
-        (
-            "embedding_swpf",
-            lambda: bench_embedding_swpf(*emb_args),
-            "lines_per_sec",
-            "lines/s",
-        ),
-        (
-            "serving",
-            lambda: bench_sim.bench_serving(serving_requests),
-            "requests_per_min",
-            "req/min",
-        ),
+        ("hierarchy", lambda: bench_hierarchy(num_lines), "lines_per_sec",
+         "lines/s"),
+        ("embedding", lambda: bench_embedding(*emb_args), "lines_per_sec",
+         "lines/s"),
+        ("embedding_hwpf",
+         lambda: bench_embedding(*emb_args, hw_prefetch=True),
+         "lines_per_sec", "lines/s"),
+        ("embedding_swpf",
+         lambda: bench_embedding(
+             *emb_args, hw_prefetch=True, plan=PAPER_SWPF.plan()
+         ),
+         "lines_per_sec", "lines/s"),
+        ("serving", lambda: bench_serving(serving_requests),
+         "requests_per_min", "req/min"),
     ]
-    out: List[Benchmark] = []
-    for bench, runner, rate_key, unit in cases:
-        value = median([runner()[rate_key] for _ in range(repeats)])
-        out.append(
-            Benchmark(
-                name=f"engine.{bench}.fast.{rate_key}",
-                value=value,
-                unit=unit,
-                direction="higher",
-                noise_floor=WALL_NOISE_FRAC * value,
-                kind="wall",
-            )
+    return [
+        _wall(
+            f"engine.{bench}.fast.{rate_key}",
+            median([runner()[rate_key] for _ in range(repeats)]),
+            unit,
         )
-    return out
-
-
-def bench_embedding_swpf(
-    scale: float,
-    batch_size: int,
-    num_batches: int,
-    build: Callable = build_hierarchy,
-    run: Callable = run_embedding_trace,
-) -> Dict[str, float]:
-    """The embedding walk with the paper's software-prefetch plan and
-    hardware prefetching on (the Integrated design point's walk), on a
-    fresh hierarchy and a Low-hot ``rm2_1`` trace.  ``build`` and ``run``
-    are called like :func:`build_hierarchy` and :func:`run_embedding_trace`."""
-    wl = build_workload(
-        "rm2_1", "low", scale=scale, batch_size=batch_size,
-        num_batches=num_batches, config=SimConfig(seed=1234),
-    )
-    spec = get_platform("csl")
-    hierarchy = build(spec.hierarchy)
-    start = time.perf_counter()
-    result = run(wl.trace, wl.amap, spec.core, hierarchy, plan=PAPER_SWPF.plan())
-    seconds = time.perf_counter() - start
-    return {"lines": float(result.loads), "seconds": seconds,
-            "lines_per_sec": result.loads / seconds}
+        for bench, runner, rate_key, unit in cases
+    ]
 
 
 def _scheme_benchmarks(mode: str) -> List[Benchmark]:
@@ -340,32 +396,21 @@ def resilient_loop_rate(
 def _resilient_loop_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
     """Resilient-loop throughput (kind ``wall``)."""
     value = resilient_loop_rate(20_000 if mode == "smoke" else 200_000, repeats)
-    return [
-        Benchmark(
-            name="serving.resilient.requests_per_min",
-            value=value,
-            unit="req/min",
-            direction="higher",
-            noise_floor=WALL_NOISE_FRAC * value,
-            kind="wall",
-        )
-    ]
+    return [_wall("serving.resilient.requests_per_min", value, "req/min")]
 
 
-def _cluster_benchmarks(mode: str) -> List[Benchmark]:
-    """Fleet goodput/tail of one pinned node-kill scenario (exact).
+def _node_kill_cluster(num_requests: int, label: str):
+    """The pinned node-kill scenario: a replicated, hedged 4-node cluster
+    (seed 77) whose node 1 crashes over 25-60% of the horizon.
 
-    A replicated, hedged 4-node cluster rides out a mid-run node crash;
-    the gate watches that its goodput and quality tail stay put — the
-    headline property of the ``cluster_resilience`` experiment, pinned.
+    Returns ``(cluster, arrivals, horizon_ms)``; the fault plan is
+    ``cluster.config.faults``.
     """
-    num_requests = 400 if mode == "smoke" else 2000
     call_ms = 2.0
     num_nodes, cores = 4, 4
     interarrival_ms = 2.0 * call_ms / (num_nodes * cores * 0.55)
-    config = SimConfig(seed=77)
     arrivals = poisson_arrivals(
-        interarrival_ms, num_requests, config.rng("bench:cluster")
+        interarrival_ms, num_requests, SimConfig(seed=77).rng("bench:cluster")
     )
     horizon_ms = num_requests * interarrival_ms
     cluster = ClusterSim(
@@ -386,8 +431,21 @@ def _cluster_benchmarks(mode: str) -> List[Benchmark]:
                 [NodeCrash(1, 0.25 * horizon_ms, 0.6 * horizon_ms)], seed=77
             ),
             seed=77,
-            label="bench:cluster",
+            label=label,
         )
+    )
+    return cluster, arrivals, horizon_ms
+
+
+def _cluster_benchmarks(mode: str) -> List[Benchmark]:
+    """Fleet goodput/tail of the pinned node-kill scenario (exact).
+
+    The gate watches that the cluster's goodput and quality tail stay put
+    while it rides out the crash — the headline property of the
+    ``cluster_resilience`` experiment, pinned.
+    """
+    cluster, arrivals, _ = _node_kill_cluster(
+        400 if mode == "smoke" else 2000, "bench:cluster"
     )
     result = cluster.run(arrivals)
     return [
@@ -447,16 +505,8 @@ def _cluster16_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
         start = time.perf_counter()
         cluster.run(arrivals)
         rates.append(num_requests * 60.0 / (time.perf_counter() - start))
-    value = median(rates)
     return [
-        Benchmark(
-            name="serving.cluster16.requests_per_min",
-            value=value,
-            unit="req/min",
-            direction="higher",
-            noise_floor=WALL_NOISE_FRAC * value,
-            kind="wall",
-        )
+        _wall("serving.cluster16.requests_per_min", median(rates), "req/min")
     ]
 
 
@@ -499,16 +549,8 @@ def _fleet_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
         trace.finalize()
         elapsed = time.perf_counter() - start
         rates.append(num_spans / elapsed)
-    value = median(rates)
     out.append(
-        Benchmark(
-            name="obs.fleet.trace_merge.spans_per_sec",
-            value=value,
-            unit="spans/s",
-            direction="higher",
-            noise_floor=WALL_NOISE_FRAC * value,
-            kind="wall",
-        )
+        _wall("obs.fleet.trace_merge.spans_per_sec", median(rates), "spans/s")
     )
 
     updates = 50_000 if mode == "smoke" else 200_000
@@ -523,61 +565,27 @@ def _fleet_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
             detector.update(float(j), float(samples[j]))
         elapsed = time.perf_counter() - start
         rates.append(updates / elapsed)
-    value = median(rates)
     out.append(
-        Benchmark(
-            name="obs.fleet.detector.updates_per_sec",
-            value=value,
-            unit="updates/s",
-            direction="higher",
-            noise_floor=WALL_NOISE_FRAC * value,
-            kind="wall",
-        )
+        _wall("obs.fleet.detector.updates_per_sec", median(rates), "updates/s")
     )
 
     # Detection quality, exact: the _cluster_benchmarks node-kill run,
     # replayed observed, scored against the fault plan's ground truth.
-    num_requests = 2000 if mode == "smoke" else 10000
-    call_ms = 2.0
-    num_nodes, cores = 4, 4
-    interarrival_ms = 2.0 * call_ms / (num_nodes * cores * 0.55)
-    config = SimConfig(seed=77)
-    arrivals = poisson_arrivals(
-        interarrival_ms, num_requests, config.rng("bench:cluster")
-    )
-    horizon_ms = num_requests * interarrival_ms
-    plan = ClusterFaultPlan(
-        [NodeCrash(1, 0.25 * horizon_ms, 0.6 * horizon_ms)], seed=77
-    )
-    cluster = ClusterSim(
-        ClusterConfig(
-            num_nodes=num_nodes,
-            cores_per_node=cores,
-            mean_service_ms=call_ms,
-            num_shards=8,
-            replication=2,
-            gather_width=2,
-            hop_ms=0.1,
-            call_timeout_ms=25.0,
-            deadline_ms=100.0,
-            placement="hotness",
-            routing="least_loaded",
-            hedge=HedgePolicy(quantile=95.0, min_ms=6.0, window=128),
-            faults=plan,
-            seed=77,
-            label="bench:fleet",
-        )
+    cluster, arrivals, horizon_ms = _node_kill_cluster(
+        2000 if mode == "smoke" else 10000, "bench:fleet"
     )
     log = RequestLog()
     with session(Observation(requests=log)):
         cluster.run(arrivals)
     records = log.runs[-1].records
     window_ms = horizon_ms / 60
-    monitor = FleetMonitor(num_nodes)
+    monitor = FleetMonitor(cluster.config.num_nodes)
     events = monitor.run(
         node_window_stats(records, window_ms, horizon_ms), window_ms
     )
-    score = score_detections(events, plan.windows(), 2 * window_ms)
+    score = score_detections(
+        events, cluster.config.faults.windows(), 2 * window_ms
+    )
     mttd = score["mttd_ms"]
     out.append(
         Benchmark(
@@ -657,15 +665,10 @@ def _critpath_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
         extract_paths(records)
         elapsed = time.perf_counter() - start
         rates.append(len(records) / elapsed)
-    value = median(rates)
     out.append(
-        Benchmark(
-            name="obs.critpath.extract_cluster.requests_per_sec",
-            value=value,
-            unit="req/s",
-            direction="higher",
-            noise_floor=WALL_NOISE_FRAC * value,
-            kind="wall",
+        _wall(
+            "obs.critpath.extract_cluster.requests_per_sec", median(rates),
+            "req/s",
         )
     )
     return out
@@ -715,15 +718,10 @@ def _request_log_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
                 walls[logged], kept = timed(case, logged)
                 records = kept if kept is not None else records
             ratios.append(walls[True] / walls[False])
-        value = median(ratios)
         out.append(
-            Benchmark(
-                name=f"obs.requests.overhead_x.{case}",
-                value=value,
-                unit="x",
+            _wall(
+                f"obs.requests.overhead_x.{case}", median(ratios), "x",
                 direction="lower",
-                noise_floor=WALL_NOISE_FRAC * value,
-                kind="wall",
             )
         )
     rates = []  # over the last logged run: the resilient one
@@ -731,16 +729,8 @@ def _request_log_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
         start = time.perf_counter()
         extract_paths(records)
         rates.append(len(records) / (time.perf_counter() - start))
-    value = median(rates)
     out.append(
-        Benchmark(
-            name="obs.critpath.extract.requests_per_sec",
-            value=value,
-            unit="req/s",
-            direction="higher",
-            noise_floor=WALL_NOISE_FRAC * value,
-            kind="wall",
-        )
+        _wall("obs.critpath.extract.requests_per_sec", median(rates), "req/s")
     )
     return out
 

@@ -135,6 +135,22 @@ def _median(values: List[float]) -> Optional[float]:
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
+def _median_by_key(groups: Dict[int, List[float]]):
+    """``key -> _median(groups.get(key, []))``, each key sorted once.
+
+    Sound because ``_attempt_durations``' lists are not mutated after it
+    returns.
+    """
+    medians: Dict[int, Optional[float]] = {}
+
+    def median(key: int) -> Optional[float]:
+        if key not in medians:
+            medians[key] = _median(groups.get(key, []))
+        return medians[key]
+
+    return median
+
+
 class _Retimer:
     """Folds per-slot counterfactual resolves into per-request latencies.
 
@@ -190,6 +206,7 @@ def _hedge_adjuster(
     """Re-time each slot's delivery race under a different hedge floor."""
     old_min = config.hedge.min_ms if config.hedge is not None else None
     max_hedges = config.hedge.max_hedges if config.hedge is not None else 0
+    shard_median = _median_by_key(dur_by_shard)
 
     def adjust(rec, slot):
         arrival = float(rec["arrival_ms"])
@@ -229,7 +246,7 @@ def _hedge_adjuster(
             # No hedge fired here, but a lower floor may have armed one
             # that beats the logged resolve: estimate its finish from the
             # per-shard median attempt duration.
-            est_dur = _median(dur_by_shard.get(slot.shard, []))
+            est_dur = shard_median(slot.shard)
             if est_dur is not None:
                 first = slot.calls[0][0]
                 fire = first + max(new_min_ms, q_estimate or 0.0)
@@ -250,7 +267,8 @@ def _replication_adjuster(
     old_map = ShardMap(config).replicas
     new_map = ShardMap(replace(config, replication=config.replication + delta)).replicas
     plan = config.faults
-    global_durs = [d for durs in dur_by_node.values() for d in durs]
+    node_median = _median_by_key(dur_by_node)
+    global_median = _median([d for durs in dur_by_node.values() for d in durs])
 
     def adjust(rec, slot):
         arrival = float(rec["arrival_ms"])
@@ -265,7 +283,7 @@ def _replication_adjuster(
                 plan.node_down(node, fail_t) or plan.partitioned(node, fail_t)
             ):
                 continue
-            est = _median(dur_by_node.get(node, [])) or _median(global_durs)
+            est = node_median(node) or global_median
             if est is None:
                 est = 2.0 * config.hop_ms + config.mean_service_ms
             return fail_t + est, False, True
@@ -285,7 +303,8 @@ def _gather_adjuster(
 
     n = max((int(rec["req"]) for rec in records), default=-1) + 1
     new_rows = ShardMap(replace(config, gather_width=new_width)).gather_shards(n)
-    global_durs = [d for durs in dur_by_shard.values() for d in durs]
+    shard_median = _median_by_key(dur_by_shard)
+    global_median = _median([d for durs in dur_by_shard.values() for d in durs])
     # First-order load feedback: the per-node backlog is proportional to
     # the fleet-wide call volume, which scales with the gather width.
     queue_factor = new_width / float(config.gather_width)
@@ -316,7 +335,7 @@ def _gather_adjuster(
         for shard in new_rows[int(rec["req"])]:
             if int(shard) in logged:
                 continue
-            est = _median(dur_by_shard.get(int(shard), [])) or _median(global_durs)
+            est = shard_median(int(shard)) or global_median
             if est is None:
                 est = 2.0 * config.hop_ms + config.mean_service_ms
             out.append((arrival + est, True))

@@ -55,31 +55,49 @@ HOTNESS_PROFILES: Dict[str, HotnessProfile] = {
 }
 
 
+@lru_cache(maxsize=4)
+def _ranks(rows: int) -> np.ndarray:
+    """Read-only ``1..rows`` as float64, shared by every fit at ``rows``."""
+    ranks = np.arange(1, rows + 1, dtype=np.float64)
+    ranks.setflags(write=False)
+    return ranks
+
+
 def zipf_probabilities(rows: int, alpha: float) -> np.ndarray:
     """Normalized finite-Zipf probabilities over ``rows`` ranks.
 
-    ``alpha = 0`` is uniform.  Rank 0 is the hottest row.
+    ``alpha = 0`` is uniform.  Rank 0 is the hottest row.  The result is a
+    fresh array the caller may overwrite.
     """
     if rows <= 0:
         raise ConfigError(f"rows must be positive, got {rows}")
     if alpha < 0:
         raise ConfigError(f"alpha must be non-negative, got {alpha}")
-    ranks = np.arange(1, rows + 1, dtype=np.float64)
-    weights = ranks**-alpha
-    return weights / weights.sum()
+    # ``**`` (not ``np.power``) keeps numpy's scalar-exponent fast paths,
+    # so the weights stay bit-identical at alpha = 0, 0.5, 1 and 2.
+    weights = _ranks(rows) ** -alpha
+    weights /= weights.sum()
+    return weights
 
 
 def expected_unique_fraction(rows: int, samples: int, alpha: float) -> float:
     """Expected fraction of distinct rows after ``samples`` Zipf draws.
 
     ``E[unique] = Σ_r (1 - (1 - p_r)^N`` evaluated in log space for
-    numerical stability with tiny tail probabilities.
+    numerical stability with tiny tail probabilities.  Every pass runs in
+    the one probability buffer, with the ufuncs of
+    ``sum(1 - exp(samples * log1p(-minimum(p, 1 - 1e-15))))`` in that order.
     """
     if samples <= 0:
         raise ConfigError(f"samples must be positive, got {samples}")
-    p = zipf_probabilities(rows, alpha)
-    log_miss = samples * np.log1p(-np.minimum(p, 1.0 - 1e-15))
-    expected_unique = float(np.sum(1.0 - np.exp(log_miss)))
+    buf = zipf_probabilities(rows, alpha)
+    np.minimum(buf, 1.0 - 1e-15, out=buf)
+    np.negative(buf, out=buf)
+    np.log1p(buf, out=buf)
+    np.multiply(samples, buf, out=buf)
+    np.exp(buf, out=buf)
+    np.subtract(1.0, buf, out=buf)
+    expected_unique = float(np.sum(buf))
     # The paper's metric: distinct ids over total lookups.  Always bounded
     # by min(rows, samples) / samples <= 1.
     return expected_unique / samples

@@ -15,7 +15,8 @@ Per-table realism knobs mirror what the released ``dlrm_datasets`` show:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from collections import OrderedDict
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -29,6 +30,15 @@ __all__ = ["DATASET_NAMES", "make_trace", "make_production_trace", "make_zipf_tr
 
 #: Valid dataset names, in the Fig 4 presentation order.
 DATASET_NAMES = ("one-item", "high", "medium", "low", "random")
+
+#: Bytes of offset and index arrays :func:`make_trace`'s in-process memo
+#: holds; the least recently used traces are dropped past it, and a trace
+#: larger than it is never kept.
+TRACE_MEMO_BYTES = 64 << 20
+
+_Batches = Tuple[Tuple[TableBatch, ...], ...]
+_memo: "OrderedDict[tuple, Tuple[_Batches, int]]" = OrderedDict()
+_memo_bytes = 0
 
 
 def _offsets_for(
@@ -45,6 +55,36 @@ def _offsets_for(
     offsets = np.zeros(batch_size + 1, dtype=np.int64)
     np.cumsum(pooling, out=offsets[1:])
     return offsets
+
+
+def _zipf_cdf(rows: int, alpha: float) -> np.ndarray:
+    """The CDF ``Generator.choice(rows, p=zipf)`` builds on every call.
+
+    Built once per table; :func:`_draw_ranks` then makes the same draws
+    and leaves the generator in the same state as ``choice`` would.
+    """
+    cdf = zipf_probabilities(rows, alpha)
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw_ranks(cdf: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Zipf ranks: ``choice``'s own inverse-CDF step."""
+    return cdf.searchsorted(rng.random(count), side="right")
+
+
+def _memo_store(key: tuple, batches: _Batches) -> None:
+    """Keep ``batches`` under ``key``, dropping the oldest past the bound."""
+    global _memo_bytes
+    size = sum(tb.offsets.nbytes + tb.indices.nbytes for batch in batches for tb in batch)
+    if size > TRACE_MEMO_BYTES:
+        return
+    _memo[key] = (batches, size)
+    _memo_bytes += size
+    while _memo_bytes > TRACE_MEMO_BYTES:
+        _, (_, dropped) = _memo.popitem(last=False)
+        _memo_bytes -= dropped
 
 
 def make_trace(
@@ -71,6 +111,12 @@ def make_trace(
     *paper-scale* access count even when the generated trace is smaller —
     the skew is a property of the dataset, not of how much of it we
     sample.
+
+    The trace is a pure function of the arguments and ``config.seed``, so
+    it is memoized in the process (see :data:`TRACE_MEMO_BYTES`).  Each
+    call returns a fresh :class:`EmbeddingTrace` (its own ``batches``
+    lists and ``name``), but the :class:`TableBatch` arrays are shared
+    between calls and read-only.
     """
     dataset = dataset.lower()
     if dataset not in DATASET_NAMES:
@@ -80,13 +126,47 @@ def make_trace(
     if batch_size <= 0 or num_batches <= 0 or lookups_per_sample <= 0:
         raise ConfigError("workload shape must be positive")
     config = config or SimConfig()
-    rng = config.rng(f"trace:{dataset}:{num_tables}x{rows_per_table}")
 
     if calibration_samples is None:
         calibration_samples = PAPER_BATCH_SIZE * PAPER_NUM_BATCHES * lookups_per_sample
     if calibration_samples <= 0:
         raise ConfigError("calibration_samples must be positive")
 
+    name = name or f"{dataset}-{num_tables}x{rows_per_table}"
+    key = (
+        dataset, num_tables, rows_per_table, batch_size, num_batches,
+        lookups_per_sample, bool(variable_pooling), calibration_samples,
+        config.seed,
+    )
+    hit = _memo.get(key)
+    if hit is None:
+        trace = _synthesize(
+            dataset, num_tables, rows_per_table, batch_size, num_batches,
+            lookups_per_sample, variable_pooling, calibration_samples,
+            config.rng(f"trace:{dataset}:{num_tables}x{rows_per_table}"), name,
+        )
+        _memo_store(key, tuple(tuple(batch) for batch in trace.batches))
+        return trace
+    _memo.move_to_end(key)
+    trace = EmbeddingTrace(rows_per_table=[rows_per_table] * num_tables, name=name)
+    # The memoized batches were validated when they were first built.
+    trace.batches.extend(list(batch) for batch in hit[0])
+    return trace
+
+
+def _synthesize(
+    dataset: str,
+    num_tables: int,
+    rows_per_table: int,
+    batch_size: int,
+    num_batches: int,
+    lookups_per_sample: int,
+    variable_pooling: bool,
+    calibration_samples: int,
+    rng: np.random.Generator,
+    name: str,
+) -> EmbeddingTrace:
+    """The body of :func:`make_trace`: a trace with read-only arrays."""
     base_alpha = 0.0
     if dataset in HOTNESS_PROFILES:
         profile = HOTNESS_PROFILES[dataset]
@@ -97,22 +177,19 @@ def make_trace(
     # Per-table popularity distributions and rank scatter, fixed for the
     # whole trace (a table's hot set does not change between batches —
     # that stability is what creates the inter-batch reuse of Fig 7).
-    table_probs: List[Optional[np.ndarray]] = []
+    table_cdfs: List[Optional[np.ndarray]] = []
     table_perms: List[Optional[np.ndarray]] = []
     for t in range(num_tables):
         if dataset in HOTNESS_PROFILES:
             jitter = HOTNESS_PROFILES[dataset].table_jitter
             alpha_t = max(0.0, base_alpha * (1.0 + rng.uniform(-jitter, jitter)))
-            table_probs.append(zipf_probabilities(rows_per_table, alpha_t))
+            table_cdfs.append(_zipf_cdf(rows_per_table, alpha_t))
             table_perms.append(rng.permutation(rows_per_table))
         else:
-            table_probs.append(None)
+            table_cdfs.append(None)
             table_perms.append(None)
 
-    trace = EmbeddingTrace(
-        rows_per_table=[rows_per_table] * num_tables,
-        name=name or f"{dataset}-{num_tables}x{rows_per_table}",
-    )
+    trace = EmbeddingTrace(rows_per_table=[rows_per_table] * num_tables, name=name)
     for _ in range(num_batches):
         batch: List[TableBatch] = []
         for t in range(num_tables):
@@ -123,11 +200,13 @@ def make_trace(
             elif dataset == "random":
                 indices = uniform_indices(rows_per_table, count, rng)
             else:
-                probs = table_probs[t]
+                cdf = table_cdfs[t]
                 perm = table_perms[t]
-                assert probs is not None and perm is not None
-                ranks = rng.choice(rows_per_table, size=count, p=probs)
-                indices = perm[ranks].astype(np.int64)
+                assert cdf is not None and perm is not None
+                ranks = _draw_ranks(cdf, count, rng)
+                indices = perm[ranks].astype(np.int64, copy=False)
+            offsets.setflags(write=False)
+            indices.setflags(write=False)
             batch.append(TableBatch(offsets=offsets, indices=indices))
         trace.append_batch(batch)
     return trace
@@ -165,14 +244,14 @@ def make_zipf_trace(
         rows_per_table=[rows_per_table] * num_tables,
         name=name or f"zipf-u{target_unique_fraction:g}",
     )
-    probs = zipf_probabilities(rows_per_table, alpha)
+    cdf = _zipf_cdf(rows_per_table, alpha)
     perms = [rng.permutation(rows_per_table) for _ in range(num_tables)]
     for _ in range(num_batches):
         batch: List[TableBatch] = []
         for t in range(num_tables):
             offsets = _offsets_for(batch_size, lookups_per_sample, rng, True)
-            ranks = rng.choice(rows_per_table, size=int(offsets[-1]), p=probs)
-            indices = perms[t][ranks].astype(np.int64)
+            ranks = _draw_ranks(cdf, int(offsets[-1]), rng)
+            indices = perms[t][ranks].astype(np.int64, copy=False)
             batch.append(TableBatch(offsets=offsets, indices=indices))
         trace.append_batch(batch)
     return trace

@@ -16,7 +16,8 @@ Per-table realism knobs mirror what the released ``dlrm_datasets`` show:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from functools import partial
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -60,8 +61,9 @@ def _offsets_for(
 def _zipf_cdf(rows: int, alpha: float) -> np.ndarray:
     """The CDF ``Generator.choice(rows, p=zipf)`` builds on every call.
 
-    Built once per table; :func:`_draw_ranks` then makes the same draws
-    and leaves the generator in the same state as ``choice`` would.
+    Built once per table; :func:`_draw_ranks` (or drawing the uniforms
+    first and mapping them in :func:`_scatter_table`) then makes the same
+    draws and leaves the generator in the same state as ``choice`` would.
     """
     cdf = zipf_probabilities(rows, alpha)
     np.cumsum(cdf, out=cdf)
@@ -70,8 +72,80 @@ def _zipf_cdf(rows: int, alpha: float) -> np.ndarray:
 
 
 def _draw_ranks(cdf: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` Zipf ranks: ``choice``'s own inverse-CDF step."""
+    """``count`` Zipf ranks: ``choice``'s own inverse-CDF step.
+
+    Synthesis splits this in two: :func:`_draw_batches` draws the
+    uniforms and :func:`_scatter_table` maps them through the CDF later.
+    """
     return cdf.searchsorted(rng.random(count), side="right")
+
+
+def _permutation(rows: int, rng: np.random.Generator) -> np.ndarray:
+    """``rng.permutation(rows)``, narrowed to int32 where every row fits."""
+    perm = rng.permutation(rows)
+    return perm.astype(np.int32) if rows <= np.iinfo(np.int32).max else perm
+
+
+def _check_shape(
+    num_tables: int, rows_per_table: int, batch_size: int, num_batches: int,
+    lookups_per_sample: int,
+) -> None:
+    if num_tables <= 0 or rows_per_table <= 0:
+        raise ConfigError("table shape must be positive")
+    if batch_size <= 0 or num_batches <= 0 or lookups_per_sample <= 0:
+        raise ConfigError("workload shape must be positive")
+
+
+def _calibration_samples(lookups_per_sample: int, calibration_samples: Optional[int]) -> int:
+    """``calibration_samples``, defaulting to the paper-scale access count."""
+    if calibration_samples is None:
+        calibration_samples = PAPER_BATCH_SIZE * PAPER_NUM_BATCHES * lookups_per_sample
+    if calibration_samples <= 0:
+        raise ConfigError("calibration_samples must be positive")
+    return calibration_samples
+
+
+#: Per batch, per table: ``[offsets, indices]``, where a Zipf table's
+#: indices are its uniforms until :func:`_scatter_table` maps them.
+_Drawn = List[List[List[np.ndarray]]]
+
+
+def _draw_batches(
+    num_tables: int,
+    batch_size: int,
+    num_batches: int,
+    lookups_per_sample: int,
+    variable_pooling: bool,
+    rng: np.random.Generator,
+    draw: Callable[[int], np.ndarray],
+) -> _Drawn:
+    """Every (batch, table)'s offsets and then ``draw(count)``, in order."""
+    drawn: _Drawn = []
+    for _ in range(num_batches):
+        batch = []
+        for _ in range(num_tables):
+            offsets = _offsets_for(batch_size, lookups_per_sample, rng, variable_pooling)
+            batch.append([offsets, draw(int(offsets[-1]))])
+        drawn.append(batch)
+    return drawn
+
+
+def _scatter_table(drawn: _Drawn, table: int, cdf: np.ndarray, perm: np.ndarray) -> None:
+    """Map ``table``'s uniforms to rows: inverse CDF, then the rank scatter."""
+    for batch in drawn:
+        pair = batch[table]
+        pair[1] = perm[cdf.searchsorted(pair[1], side="right")].astype(np.int64)
+
+
+def _to_trace(drawn: _Drawn, num_tables: int, rows_per_table: int, name: str) -> EmbeddingTrace:
+    """A trace over ``drawn``'s arrays, which are set read-only."""
+    trace = EmbeddingTrace(rows_per_table=[rows_per_table] * num_tables, name=name)
+    for batch in drawn:
+        for offsets, indices in batch:
+            offsets.setflags(write=False)
+            indices.setflags(write=False)
+        trace.append_batch([TableBatch(offsets=o, indices=i) for o, i in batch])
+    return trace
 
 
 def _memo_store(key: tuple, batches: _Batches) -> None:
@@ -121,16 +195,9 @@ def make_trace(
     dataset = dataset.lower()
     if dataset not in DATASET_NAMES:
         raise ConfigError(f"unknown dataset {dataset!r}; expected one of {DATASET_NAMES}")
-    if num_tables <= 0 or rows_per_table <= 0:
-        raise ConfigError("table shape must be positive")
-    if batch_size <= 0 or num_batches <= 0 or lookups_per_sample <= 0:
-        raise ConfigError("workload shape must be positive")
+    _check_shape(num_tables, rows_per_table, batch_size, num_batches, lookups_per_sample)
     config = config or SimConfig()
-
-    if calibration_samples is None:
-        calibration_samples = PAPER_BATCH_SIZE * PAPER_NUM_BATCHES * lookups_per_sample
-    if calibration_samples <= 0:
-        raise ConfigError("calibration_samples must be positive")
+    calibration_samples = _calibration_samples(lookups_per_sample, calibration_samples)
 
     name = name or f"{dataset}-{num_tables}x{rows_per_table}"
     key = (
@@ -166,50 +233,41 @@ def _synthesize(
     rng: np.random.Generator,
     name: str,
 ) -> EmbeddingTrace:
-    """The body of :func:`make_trace`: a trace with read-only arrays."""
-    base_alpha = 0.0
+    """The body of :func:`make_trace`: a trace with read-only arrays.
+
+    Draws everything first, calling the generator exactly as drawing each
+    (batch, table)'s ranks straight from its table's CDF would, then maps
+    the uniforms one table at a time.  A CDF consumes no randomness, so
+    only one is alive at a time, next to the int32 permutations: ~4 B per
+    row per table, not 16.
+    """
+    # Per-table popularity distributions and rank scatter, fixed for the
+    # whole trace (a table's hot set does not change between batches —
+    # that stability is what creates the inter-batch reuse of Fig 7).
+    alphas: List[float] = []
+    perms: List[Optional[np.ndarray]] = []
+    draw = rng.random
     if dataset in HOTNESS_PROFILES:
         profile = HOTNESS_PROFILES[dataset]
         base_alpha = fit_zipf_alpha(
             rows_per_table, calibration_samples, profile.unique_fraction
         )
+        jitter = profile.table_jitter
+        for _ in range(num_tables):
+            alphas.append(max(0.0, base_alpha * (1.0 + rng.uniform(-jitter, jitter))))
+            perms.append(_permutation(rows_per_table, rng))
+    elif dataset == "one-item":
+        draw = partial(one_item_indices, rows_per_table)
+    else:
+        draw = partial(uniform_indices, rows_per_table, rng=rng)
 
-    # Per-table popularity distributions and rank scatter, fixed for the
-    # whole trace (a table's hot set does not change between batches —
-    # that stability is what creates the inter-batch reuse of Fig 7).
-    table_cdfs: List[Optional[np.ndarray]] = []
-    table_perms: List[Optional[np.ndarray]] = []
-    for t in range(num_tables):
-        if dataset in HOTNESS_PROFILES:
-            jitter = HOTNESS_PROFILES[dataset].table_jitter
-            alpha_t = max(0.0, base_alpha * (1.0 + rng.uniform(-jitter, jitter)))
-            table_cdfs.append(_zipf_cdf(rows_per_table, alpha_t))
-            table_perms.append(rng.permutation(rows_per_table))
-        else:
-            table_cdfs.append(None)
-            table_perms.append(None)
-
-    trace = EmbeddingTrace(rows_per_table=[rows_per_table] * num_tables, name=name)
-    for _ in range(num_batches):
-        batch: List[TableBatch] = []
-        for t in range(num_tables):
-            offsets = _offsets_for(batch_size, lookups_per_sample, rng, variable_pooling)
-            count = int(offsets[-1])
-            if dataset == "one-item":
-                indices = one_item_indices(rows_per_table, count)
-            elif dataset == "random":
-                indices = uniform_indices(rows_per_table, count, rng)
-            else:
-                cdf = table_cdfs[t]
-                perm = table_perms[t]
-                assert cdf is not None and perm is not None
-                ranks = _draw_ranks(cdf, count, rng)
-                indices = perm[ranks].astype(np.int64, copy=False)
-            offsets.setflags(write=False)
-            indices.setflags(write=False)
-            batch.append(TableBatch(offsets=offsets, indices=indices))
-        trace.append_batch(batch)
-    return trace
+    drawn = _draw_batches(
+        num_tables, batch_size, num_batches, lookups_per_sample, variable_pooling, rng, draw
+    )
+    for t, alpha in enumerate(alphas):
+        _scatter_table(drawn, t, _zipf_cdf(rows_per_table, alpha), perms[t])
+        perms[t] = None
+    return _to_trace(drawn, num_tables, rows_per_table, name)
 
 
 def make_zipf_trace(
@@ -229,32 +287,26 @@ def make_zipf_trace(
     ``calibration_samples`` (paper-scale by default) equals
     ``target_unique_fraction`` — the continuous axis between the paper's
     High (0.03) and Low (0.60) points.  Used by the hotness-sweep
-    experiment.
+    experiment.  Every table shares one CDF; built as :func:`make_trace`
+    builds its traces, with read-only arrays.
     """
     if not 0.0 < target_unique_fraction <= 1.0:
         raise ConfigError("target unique fraction must be in (0, 1]")
+    _check_shape(num_tables, rows_per_table, batch_size, num_batches, lookups_per_sample)
     config = config or SimConfig()
     rng = config.rng(
         f"zipf:{target_unique_fraction}:{num_tables}x{rows_per_table}"
     )
-    if calibration_samples is None:
-        calibration_samples = PAPER_BATCH_SIZE * PAPER_NUM_BATCHES * lookups_per_sample
+    calibration_samples = _calibration_samples(lookups_per_sample, calibration_samples)
     alpha = fit_zipf_alpha(rows_per_table, calibration_samples, target_unique_fraction)
-    trace = EmbeddingTrace(
-        rows_per_table=[rows_per_table] * num_tables,
-        name=name or f"zipf-u{target_unique_fraction:g}",
+    perms = [_permutation(rows_per_table, rng) for _ in range(num_tables)]
+    drawn = _draw_batches(
+        num_tables, batch_size, num_batches, lookups_per_sample, True, rng, rng.random
     )
     cdf = _zipf_cdf(rows_per_table, alpha)
-    perms = [rng.permutation(rows_per_table) for _ in range(num_tables)]
-    for _ in range(num_batches):
-        batch: List[TableBatch] = []
-        for t in range(num_tables):
-            offsets = _offsets_for(batch_size, lookups_per_sample, rng, True)
-            ranks = _draw_ranks(cdf, int(offsets[-1]), rng)
-            indices = perms[t][ranks].astype(np.int64, copy=False)
-            batch.append(TableBatch(offsets=offsets, indices=indices))
-        trace.append_batch(batch)
-    return trace
+    for t, perm in enumerate(perms):
+        _scatter_table(drawn, t, cdf, perm)
+    return _to_trace(drawn, num_tables, rows_per_table, name or f"zipf-u{target_unique_fraction:g}")
 
 
 def make_production_trace(

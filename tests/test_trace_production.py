@@ -1,6 +1,7 @@
 """Production trace synthesis tests."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,33 @@ def test_invalid_shapes_rejected():
         small_trace("low", calibration_samples=0)
 
 
+_ZIPF_SHAPE = dict(num_tables=2, rows_per_table=100, batch_size=4, num_batches=3,
+                   lookups_per_sample=5)
+
+
+@pytest.mark.parametrize("change,message", [
+    (dict(num_tables=0), "table shape must be positive"),
+    (dict(rows_per_table=0), "table shape must be positive"),
+    (dict(batch_size=0), "workload shape must be positive"),
+    (dict(num_batches=0), "workload shape must be positive"),
+    (dict(lookups_per_sample=0), "workload shape must be positive"),
+    (dict(calibration_samples=0), "calibration_samples must be positive"),
+])
+def test_make_zipf_trace_rejects_a_bad_shape_as_make_trace_does(change, message):
+    args = dict(_ZIPF_SHAPE, **change)
+    with pytest.raises(ConfigError, match=message):
+        make_trace("low", **args)
+    with pytest.raises(ConfigError, match=message):
+        make_zipf_trace(0.3, **args)
+
+
+def test_make_zipf_trace_arrays_are_read_only_int64():
+    trace = make_zipf_trace(0.3, config=SimConfig(seed=3), **_ZIPF_SHAPE)
+    for _, _, tb in trace.iter_table_batches():
+        assert tb.indices.dtype == np.int64 and tb.offsets.dtype == np.int64
+        assert not tb.indices.flags.writeable and not tb.offsets.flags.writeable
+
+
 # -- golden traces ------------------------------------------------------------
 
 
@@ -144,6 +172,9 @@ _GOLDEN_SHAPES = {
                   lookups_per_sample=10),
     "1m": dict(num_tables=2, rows_per_table=1_000_000, batch_size=4, num_batches=2,
                lookups_per_sample=20),
+    # The benchmark's emb_* input: rm2_1 at scale 0.02, batch 16, one batch.
+    "bench": dict(num_tables=8, rows_per_table=1_000_000, batch_size=16, num_batches=1,
+                  lookups_per_sample=17),
 }
 
 #: Digests of the traces as first synthesized with ``rng.choice(p=...)`` per
@@ -170,6 +201,8 @@ _GOLDEN_TRACES = {
     ("1m", "low", 11): "0f25ce25fc0aca2ebc8a0cddda4a3fb10872778743a475e87f7f84b3e11f740c",
     ("1m", "random", 5): "b09d45fdf27ca54c55aa32584c3f50b7ca42ddd353370544893bf3803f4fe44b",
     ("1m", "random", 11): "4659833c705bab507d1f067d3264159704e63c4ce74a64a7f0cde9b8e295bf39",
+    ("bench", "low", 1): "a2a485977405cd7da2761c392514128275434f4dbd99cbc0f614a9597455f992",
+    ("bench", "high", 1): "506a8c35b57be74f29b8a3af4c859ed2378e93a173cb93892f26833667660906",
 }
 
 _GOLDEN_ZIPF = {
@@ -190,6 +223,31 @@ def test_make_trace_matches_golden_digest(shape, dataset, seed):
 def test_make_zipf_trace_matches_golden_digest(target, seed):
     trace = make_zipf_trace(target, 3, 5000, 8, 2, 10, config=SimConfig(seed=seed))
     assert _digest(trace) == _GOLDEN_ZIPF[(target, seed)]
+
+
+# -- synthesis memory -----------------------------------------------------------
+
+
+def _traced_peak(build):
+    """Peak bytes traced while ``build()`` runs (numpy reports its buffers)."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_trace("low", 8, 1_000_000, 16, 1, 17),
+    lambda: make_zipf_trace(0.6, 8, 1_000_000, 16, 1, 17),
+], ids=["make_trace", "make_zipf_trace"])
+def test_synthesis_memory_is_bounded(empty_memo, build):
+    # int32 permutations for every table plus a few per-row float64
+    # arrays (the fit's buffers, one CDF); holding every table's CDF and
+    # int64 permutation at once read ~130 MB here.
+    tables, rows = 8, 1_000_000
+    assert _traced_peak(build) <= tables * rows * 4 + 3 * rows * 8 + (4 << 20)
 
 
 # -- sampler and fit equivalence ----------------------------------------------

@@ -42,7 +42,7 @@ from .detect import (
     DetectionEvent,
     MeanShiftDetector,
 )
-from .fleet import FleetSpan, FleetTrace, check_span_tree, merge_spans
+from .fleet import FleetSpan, check_span_tree, emit_spans, merge_spans
 from .ids import (
     attempt_id,
     parse_request_id,
@@ -108,7 +108,6 @@ __all__ = [
     "DetectionEvent",
     "FleetMonitor",
     "FleetSpan",
-    "FleetTrace",
     "Gauge",
     "Histogram",
     "KNOBS",
@@ -138,6 +137,7 @@ __all__ = [
     "compare",
     "dense_cpi_stack",
     "embedding_cpi_stack",
+    "emit_spans",
     "enabled",
     "evaluate_slo",
     "extract_critical_path",

@@ -3,8 +3,8 @@
 The single-box request log answers "what happened to request 17"; at
 fleet scale the interesting question is *where* — which replica the
 router picked, which node the failover landed on, whether the hedge or
-the primary won the race.  :class:`FleetTrace` captures that as a span
-tree per request, mirroring what a real distributed tracer (Dapper,
+the primary won the race.  An observed cluster run answers it with a
+span tree per request, mirroring what a real distributed tracer (Dapper,
 OpenTelemetry) would collect from propagated trace context:
 
 * **root** — the request, spanning arrival to final outcome.  Its span
@@ -20,31 +20,36 @@ OpenTelemetry) would collect from propagated trace context:
   to the node that served it, ending when the response delivered or the
   attempt died (crash, partition, timeout).
 
-Attempt spans are accumulated **per node** — each node's own run log, as
-it were — and :meth:`FleetTrace.finalize` merges them deterministically
-(sorted by start time, span id as the tiebreak) while widening every
-parent to envelope its children, so a wasted hedge that delivers after
-the request finished still sits inside its parent's interval.  The
-invariant — every child inside its parent, no orphan parents — is what
+The cluster loop records plain rows while it runs and builds the
+:class:`FleetSpan` lists only after it drains
+(:func:`repro.serving.cluster`'s ``_export_rows``): router-side spans
+in one list, attempt spans per node — each node's own run log, as it
+were.  :func:`merge_spans` merges them deterministically (sorted by
+start time, span id as the tiebreak) while widening every parent to
+envelope its children, so a wasted hedge that delivers after the
+request finished still sits inside its parent's interval, and
+:func:`emit_spans` publishes the forest onto the tracer.  The invariant
+— every child inside its parent, no orphan parents — is what
 :func:`check_span_tree` verifies and the tests lock.
 
-Everything is simulated-time only and allocation-free when observation
-is off (the cluster loop holds a ``None`` instead of a trace), keeping
-the zero-cost contract: hooks-off cluster results are byte-identical.
+Everything is simulated-time only.  With observation off the cluster
+loop records nothing, keeping the zero-cost contract: hooks-off cluster
+results are byte-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from operator import attrgetter
+from typing import Dict, List, Optional, Tuple
 
-from . import ids
+import numpy as np
 
 __all__ = [
     "FLEET_SPAN_KINDS",
     "FleetSpan",
-    "FleetTrace",
     "check_span_tree",
+    "emit_spans",
     "merge_spans",
 ]
 
@@ -70,221 +75,6 @@ class FleetSpan:
         return self.end_ms - self.start_ms
 
 
-class FleetTrace:
-    """Collects the span trees of one cluster run.
-
-    The cluster loop drives it through ``begin_*`` / ``end_*`` calls; ids
-    are derived from the request-log run index so the root span id equals
-    the exemplar id on the JSONL line.  Call :meth:`finalize` once after
-    the event loop drains, then :meth:`emit` to publish onto the tracer.
-    """
-
-    def __init__(self, label: str, run_index: int = 0) -> None:
-        self.label = label
-        self.run_index = run_index
-        #: Router-side spans (roots, gathers, routes), insertion-ordered.
-        self.router_spans: List[FleetSpan] = []
-        #: Attempt spans per serving node — the per-node run logs.
-        self.node_spans: Dict[int, List[FleetSpan]] = {}
-        self._by_id: Dict[str, FleetSpan] = {}
-        self._route_seq: Dict[str, int] = {}
-        self._attempt_seq: Dict[str, int] = {}
-        self._finalized: Optional[List[FleetSpan]] = None
-
-    # -- id scheme -----------------------------------------------------------
-
-    def root_id(self, req: int) -> str:
-        return ids.request_id(self.run_index, req)
-
-    def slot_id(self, req: int, k: int) -> str:
-        return ids.slot_id(self.root_id(req), k)
-
-    # -- recording -----------------------------------------------------------
-
-    def _add(
-        self,
-        span_id: str,
-        parent_id: Optional[str],
-        name: str,
-        kind: str,
-        node: Optional[int],
-        start_ms: float,
-        end_ms: float,
-        **attrs: object,
-    ) -> FleetSpan:
-        span = FleetSpan(
-            span_id=span_id,
-            parent_id=parent_id,
-            name=name,
-            kind=kind,
-            node=node,
-            start_ms=float(start_ms),
-            end_ms=float(end_ms),
-            attrs=dict(attrs),
-        )
-        self._by_id[span_id] = span
-        if kind == "attempt" and node is not None:
-            self.node_spans.setdefault(node, []).append(span)
-        else:
-            self.router_spans.append(span)
-        return span
-
-    def begin_request(self, req: int, t_ms: float) -> str:
-        rid = self.root_id(req)
-        self._add(rid, None, f"req[{req}]", "request", None, t_ms, t_ms)
-        return rid
-
-    def end_request(self, req: int, t_ms: float, outcome: str, **attrs) -> None:
-        span = self._by_id.get(self.root_id(req))
-        if span is None:
-            return
-        span.end_ms = max(span.end_ms, float(t_ms))
-        span.attrs["outcome"] = outcome
-        # The SLO-visible finish; the envelope may stretch later to cover
-        # a hedge that was still in flight.
-        span.attrs["outcome_ms"] = float(t_ms)
-        span.attrs.update(attrs)
-
-    def begin_slot(self, req: int, k: int, shard: int, t_ms: float) -> str:
-        sid = self.slot_id(req, k)
-        self._add(
-            sid,
-            self.root_id(req),
-            f"gather[{shard}]",
-            "gather",
-            None,
-            t_ms,
-            t_ms,
-            shard=shard,
-        )
-        return sid
-
-    def end_slot(self, slot_id: str, t_ms: float, outcome: str) -> None:
-        span = self._by_id.get(slot_id)
-        if span is None:
-            return
-        span.end_ms = max(span.end_ms, float(t_ms))
-        span.attrs["outcome"] = outcome
-
-    def route(
-        self,
-        slot_id: str,
-        t_ms: float,
-        chosen: Optional[int],
-        policy: str,
-        eligible: int,
-        reason: str,
-        load_ms: Optional[float] = None,
-    ) -> None:
-        """Record one router decision under a gather span.
-
-        ``reason`` says why the router was consulted (``primary``,
-        ``failover``, ``hedge``); ``chosen`` is None when no routable
-        replica remained; ``load_ms`` is the chosen node's backlog
-        estimate at decision time (least_loaded only).
-        """
-        seq = self._route_seq.get(slot_id, 0)
-        self._route_seq[slot_id] = seq + 1
-        self._add(
-            ids.route_id(slot_id, seq),
-            slot_id,
-            f"route:{reason}",
-            "route",
-            chosen,
-            t_ms,
-            t_ms,
-            policy=policy,
-            eligible=eligible,
-            reason=reason,
-            chosen=chosen,
-            load_ms=load_ms,
-        )
-
-    def begin_attempt(
-        self, slot_id: str, node: int, t_ms: float, hedge: bool
-    ) -> str:
-        seq = self._attempt_seq.get(slot_id, 0)
-        self._attempt_seq[slot_id] = seq + 1
-        aid = ids.attempt_id(slot_id, seq)
-        self._add(
-            aid,
-            slot_id,
-            f"attempt@n{node}",
-            "attempt",
-            node,
-            t_ms,
-            t_ms,
-            hedge=hedge,
-        )
-        return aid
-
-    def end_attempt(
-        self, attempt_id: str, t_ms: float, outcome: str, **attrs: object
-    ) -> None:
-        span = self._by_id.get(attempt_id)
-        if span is None:
-            return
-        span.end_ms = max(span.end_ms, float(t_ms))
-        span.attrs["outcome"] = outcome
-        span.attrs.update(attrs)
-
-    # -- merge + export ------------------------------------------------------
-
-    def finalize(self) -> List[FleetSpan]:
-        """Merge the per-node span logs with the router spans.
-
-        Parents are widened to envelope their children (deepest first,
-        so a late attempt stretches its gather which stretches its
-        request), then everything merges into one deterministic order.
-        The merged list is cached; recording after finalize is a bug.
-        """
-        if self._finalized is None:
-            spans = merge_spans(self.router_spans, self.node_spans)
-            self._finalized = spans
-        return self._finalized
-
-    def spans(self) -> List[FleetSpan]:
-        return self.finalize()
-
-    def emit(self, tracer) -> None:
-        """Publish the merged tree onto the tracer's simulated tracks.
-
-        Router-side spans (request/gather/route) go on one ``fleet:...
-        router`` track; each node's attempts go on its own ``fleet:...
-        node{n}`` track — the Chrome-trace rendering of "per-node run
-        logs merged with node attribution".
-        """
-        spans = self.finalize()
-        if not spans:
-            return
-        router_tid = tracer.new_sim_track(f"fleet:{self.label} router (ms)")
-        node_tids: Dict[int, int] = {}
-        for node in sorted(self.node_spans):
-            node_tids[node] = tracer.new_sim_track(
-                f"fleet:{self.label} node{node} (ms)"
-            )
-        for span in spans:
-            if span.kind == "attempt" and span.node is not None:
-                tid = node_tids[span.node]
-            else:
-                tid = router_tid
-            args: Dict[str, object] = {
-                "span_id": span.span_id,
-                "parent_id": span.parent_id,
-                "kind": span.kind,
-                "node": span.node,
-            }
-            args.update(span.attrs)
-            tracer.add_sim_span(
-                span.name,
-                f"fleet.{span.kind}",
-                span.start_ms,
-                span.duration_ms,
-                tid=tid,
-                args=args,
-            )
-
-
 def merge_spans(
     router_spans: List[FleetSpan],
     node_spans: Dict[int, List[FleetSpan]],
@@ -296,29 +86,73 @@ def merge_spans(
     across hosts and ``--jobs`` regardless of how many per-node logs fed
     it.
     """
-    by_id: Dict[str, FleetSpan] = {}
-    all_spans: List[FleetSpan] = []
-    for span in router_spans:
-        by_id[span.span_id] = span
-        all_spans.append(span)
+    all_spans = list(router_spans)
     for node in sorted(node_spans):
-        for span in node_spans[node]:
-            by_id[span.span_id] = span
-            all_spans.append(span)
+        all_spans.extend(node_spans[node])
+    by_id = {span.span_id: span for span in all_spans}
     # Children are created after their parents and ids nest by "/", so
-    # sorting by id depth (deepest first) widens bottom-up in one pass.
-    for span in sorted(
-        all_spans, key=lambda s: -s.span_id.count("/")
-    ):
-        if span.parent_id is None:
-            continue
-        parent = by_id.get(span.parent_id)
+    # widening deepest first carries a late child up to its root in one
+    # pass.
+    for span in sorted(all_spans, key=_depth, reverse=True):
+        parent = by_id.get(span.parent_id)  # None for a root or an orphan
         if parent is None:
             continue
-        parent.start_ms = min(parent.start_ms, span.start_ms)
-        parent.end_ms = max(parent.end_ms, span.end_ms)
-    all_spans.sort(key=lambda s: (s.start_ms, s.span_id))
+        if span.start_ms < parent.start_ms:
+            parent.start_ms = span.start_ms
+        if span.end_ms > parent.end_ms:
+            parent.end_ms = span.end_ms
+    # By (start_ms, span_id): two stable sorts, cheaper than tuple keys.
+    all_spans.sort(key=attrgetter("span_id"))
+    all_spans.sort(key=attrgetter("start_ms"))
     return all_spans
+
+
+def _depth(span: FleetSpan) -> int:
+    return span.span_id.count("/")
+
+
+def emit_spans(tracer, label: str, spans: List[FleetSpan]) -> None:
+    """Publish a merged span forest onto the tracer's simulated tracks.
+
+    Router-side spans (request/gather/route) go on one ``fleet:...
+    router`` track; each node's attempts go on its own ``fleet:...
+    node{n}`` track — the Chrome-trace rendering of "per-node run logs
+    merged with node attribution".  The spans go over as one columnar
+    batch, in merged order: each span's event is built only when the
+    trace is read.
+    """
+    if not spans:
+        return
+    router_tid = tracer.new_sim_track(f"fleet:{label} router (ms)")
+    node_tids: Dict[int, int] = {}
+    for node in sorted(
+        {span.node for span in spans if span.kind == "attempt"} - {None}
+    ):
+        node_tids[node] = tracer.new_sim_track(f"fleet:{label} node{node} (ms)")
+    tids = [
+        node_tids[span.node]
+        if span.kind == "attempt" and span.node is not None
+        else router_tid
+        for span in spans
+    ]
+    starts = np.array([span.start_ms for span in spans], dtype=np.float64)
+    ends = np.array([span.end_ms for span in spans], dtype=np.float64)
+
+    def describe(i: int) -> Tuple[str, Dict[str, object]]:
+        span = spans[i]
+        args: Dict[str, object] = {
+            "span_id": span.span_id,
+            "parent_id": span.parent_id,
+            "kind": span.kind,
+            "node": span.node,
+        }
+        args.update(span.attrs)
+        return span.name, args
+
+    tracer.add_sim_batch(
+        [f"fleet.{span.kind}" for span in spans], starts, ends - starts,
+        describe, tid=tids,
+    )
 
 
 def check_span_tree(spans: List[FleetSpan]) -> List[str]:

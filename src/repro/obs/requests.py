@@ -14,8 +14,10 @@ A single-box run is stored as columns: the loop's per-request arrays, a
 flat event table and a dispatch table (:class:`RunLog`).  Its
 :attr:`RunLog.records` build each record dict only when read, and the
 critical-path extractor reads the columns directly, so a log nobody
-exports costs little beyond the arrays.  Cluster runs add finished record
-dicts one by one (:meth:`RunLog.add_record`).
+exports costs little beyond the arrays.  A cluster run's loop records
+plain rows instead, one per router decision and per call; after the loop
+its events go in as columns (:meth:`RunLog.extend_events`) and its
+finished record dicts one by one (:meth:`RunLog.add_record`).
 
 Everything recorded is **simulated time only** — no wall clocks — so the
 export is byte-identical for a given seed and fault plan regardless of
@@ -563,7 +565,7 @@ class RunLog:
     ) -> Dict[str, object]:
         """Append one request record built by an external simulator.
 
-        The cluster loop (:mod:`repro.serving.cluster`) uses this instead
+        A cluster run (:mod:`repro.serving.cluster`) uses this instead
         of :meth:`finish`/:meth:`finish_fast` because its per-request
         shape (shard calls, failovers, hedges) does not map onto the
         single-box arrays.  ``extra`` keys are merged into the record

@@ -31,7 +31,8 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from itertools import repeat
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -72,23 +73,30 @@ class SpanEvent:
 
 @dataclass
 class SimSpanBatch:
-    """Sim spans of one track held as columns: span ``i`` starts at
-    ``starts[i]``, lasts ``durs[i]``, and ``describe(i)`` gives its
-    ``(name, args)``."""
+    """Sim spans held as columns: span ``i`` starts at ``starts[i]``,
+    lasts ``durs[i]``, and ``describe(i)`` gives its ``(name, args)``.
+    ``category`` and ``tid`` are one value for every span, or a sequence
+    with one per span."""
 
-    category: str
-    tid: int
+    category: Union[str, Sequence[str]]
+    tid: Union[int, Sequence[int]]
     starts: np.ndarray
     durs: np.ndarray
     describe: Callable[[int], Tuple[str, Dict[str, object]]]
 
     def expand(self) -> List[SpanEvent]:
         """The spans as :class:`SpanEvent` objects, in column order."""
+        categories = (
+            repeat(self.category) if isinstance(self.category, str) else self.category
+        )
+        tids = repeat(self.tid) if isinstance(self.tid, int) else self.tid
         out = []
-        for i, (ts, dur) in enumerate(zip(self.starts.tolist(), self.durs.tolist())):
+        for i, (ts, dur, category, tid) in enumerate(
+            zip(self.starts.tolist(), self.durs.tolist(), categories, tids)
+        ):
             name, args = self.describe(i)
             out.append(
-                SpanEvent(name, self.category, ts, dur, SIM_PID, self.tid,
+                SpanEvent(name, category, ts, dur, SIM_PID, tid,
                           dict(args) if args else {})
             )
         return out
@@ -203,18 +211,19 @@ class Tracer:
 
     def add_sim_batch(
         self,
-        category: str,
+        category: Union[str, Sequence[str]],
         starts: np.ndarray,
         durs: np.ndarray,
         describe: Callable[[int], Tuple[str, Dict[str, object]]],
-        tid: int = 0,
+        tid: Union[int, Sequence[int]] = 0,
     ) -> None:
         """Record ``len(starts)`` sim spans as one columnar batch.
 
         Equivalent to ``add_sim_span(*describe(i), ...)`` for every span
         in order — the same spans are stored and the same number dropped
         at ``max_events`` — but nothing per span is built until the spans
-        are read.
+        are read.  ``category`` and ``tid`` may give one value per span,
+        so one batch can interleave several tracks.
         """
         n = int(starts.size)
         kept = max(0, min(n, self.max_events - self._count))

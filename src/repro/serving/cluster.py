@@ -54,7 +54,8 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..obs import hooks as obs_hooks
-from ..obs.fleet import FleetTrace
+from ..obs import ids
+from ..obs.fleet import FleetSpan, emit_spans, merge_spans
 from ..obs.metrics import Histogram
 from .faults import ClusterFaultPlan, FaultPlan
 from .router import HealthPolicy, HealthTracker, HedgePolicy, LatencyWindow, Router
@@ -130,6 +131,16 @@ _Call = Tuple[int, int, int, float, bool]
 
 #: The replicas a slot's first attempt has tried: none.
 _NONE_TRIED: Tuple[int, ...] = ()
+
+#: Row tags of an observed run's recording (see ``ClusterSim._export``):
+#: ``(_ROW_ROUTE, slot, reason, t, chosen, eligible, load, q_ms)`` per
+#: router decision, ``(_ROW_CALL, call)`` per call sent,
+#: ``(_ROW_OK, call, t)`` per delivery, ``(_ROW_FAIL, call, t, cause)``
+#: per call lost.
+_ROW_ROUTE = 0
+_ROW_CALL = 1
+_ROW_OK = 2
+_ROW_FAIL = 3
 
 #: Node service draws are replenished in chunks (vectorized, still
 #: consumed strictly in submission order so the stream is stable).
@@ -710,6 +721,7 @@ class ClusterSim:
         # about (least-outstanding-requests), never node internals.
         inflight = [0] * num_nodes
         router = Router(cfg.routing, health, loads=inflight)
+        choose = router.choose
         fails = health.fails
         window = LatencyWindow(hedge.window) if hedge is not None else None
         max_hedges = hedge.max_hedges if hedge is not None else 0
@@ -729,38 +741,28 @@ class ClusterSim:
             min(call_timeout, hedge_min) if hedge is not None else call_timeout
         )
 
+        # Observed runs append one row per router decision and per call
+        # sent, delivered or lost, in loop order; the request log and the
+        # fleet span tree are built from them after the loop
+        # (:meth:`_export`).  None with hooks off: one is-None branch per
+        # recording site.
         obs = obs_hooks.active()
-        log = obs.requests if obs is not None else None
-        run = (
-            log.start_run(
-                label=cfg.label if cfg.label else "cluster",
-                num_cores=cfg.num_nodes * cfg.cores_per_node,
-                num_requests=n,
-                deadline_ms=cfg.deadline_ms,
-            )
-            if log is not None
-            else None
-        )
-        # Distributed tracing: one span tree per request, root id equal
-        # to the request-log exemplar id.  Held as None with hooks off so
-        # the loop's only overhead is is-None branches (a run log implies
-        # a trace, so the log's branches nest inside the trace's).
-        trace = (
-            FleetTrace(
-                cfg.label if cfg.label else "cluster",
-                run_index=run.index if run is not None else 0,
-            )
-            if obs is not None
-            else None
-        )
-        if trace is not None:
-            router.on_decision = (
-                lambda ctx, shard, chosen, eligible, t, load: trace.route(
-                    ctx[0], t, chosen, cfg.routing, eligible, ctx[1],
-                    load_ms=load,
-                )
-            )
-        choose = router.choose
+        rows: Optional[List[tuple]] = [] if obs is not None else None
+        eligible = router.eligible
+        # (start, completion, slowdown) of the calls that reached a node.
+        att_timing: Dict[int, Tuple[float, float, float]] = {}
+
+        def route_row(
+            sid: int, reason: str, now: float, target: Optional[int],
+            tried, q_ms: Optional[float] = None,
+        ) -> None:
+            """Record one router decision with what it saw: how many
+            replicas were eligible and the chosen node's load."""
+            rows.append((
+                _ROW_ROUTE, sid, reason, now, target,
+                len(eligible(replicas[slot_shard[sid]], tried)),
+                inflight[target] if target is not None else None, q_ms,
+            ))
 
         # -- requests -------------------------------------------------------
         # A request's outcome follows from its missing shards once it is
@@ -769,14 +771,6 @@ class ClusterSim:
         end_ms = [0.0] * n
         req_remaining = [width] * n
         req_missing = [0] * n
-        req_failovers = [0] * n
-        req_hedges = [0] * n
-        req_hedges_wasted = [0] * n
-        req_partition = [False] * n
-        req_node_fault = [False] * n
-        req_nodes: List[Set[int]] = (
-            [set() for _ in range(n)] if run is not None else []
-        )
         outstanding_requests = 0
         # A request's outcome code, by its number of missing shards.
         outcome_of = [CL_COMPLETED] + [
@@ -794,9 +788,6 @@ class ClusterSim:
         # attempts of an unsettled slot.
         slot_hedges: Dict[int, int] = {}
         slot_dead: Dict[int, int] = {}
-        slot_span: List[Optional[str]] = (
-            [None] * num_slots if trace is not None else []
-        )
 
         # -- attempts: one _Call per shard call submitted --------------------
         # The calls something other than their delivery may end: None while
@@ -804,10 +795,6 @@ class ClusterSim:
         # (known at submission), False once dead.  A call not in here is
         # live, and its delivery is the only event that names it.
         att_fate: Dict[int, object] = {}
-        att_span: Dict[int, str] = {}
-        # (start, completion, slowdown) of the calls that reached a node,
-        # kept for the request log and the fleet trace only.
-        att_timing: Dict[int, Tuple[float, float, float]] = {}
 
         failovers = hedges_issued = hedges_won = hedges_wasted = 0
         hedges_failed = calls_failed = partition_failures = 0
@@ -834,17 +821,8 @@ class ClusterSim:
             aid = next(seq)
             call = (aid, sid, node, now, is_hedge)
             inflight[node] += 1
-            if trace is not None:
-                att_span[aid] = trace.begin_attempt(
-                    slot_span[sid], node, now, is_hedge
-                )
-                if run is not None:
-                    req = sid // width
-                    run.event(
-                        req, "shard_call", now,
-                        node=node, shard=shard, hedge=is_hedge,
-                    )
-                    req_nodes[req].add(node)
+            if rows is not None:
+                rows.append((_ROW_CALL, call))
             if quirky[node]:
                 submit_quirky(call, shard)
                 return
@@ -857,7 +835,7 @@ class ClusterSim:
             completion = start + service
             heapreplace(node_cores, completion)
             served[node].append(service)
-            if trace is not None:
+            if rows is not None:
                 att_timing[aid] = (start, completion, 1.0)
             deliver = completion + hop
             heappush(events, (deliver, _EV_DELIVER, aid, call))
@@ -912,7 +890,7 @@ class ClusterSim:
                 if may_die:
                     on_node[node][aid] = (completion, call)
                     att_fate[aid] = None  # live, but a crash may end it
-            if trace is not None:
+            if rows is not None:
                 att_timing[aid] = (start, completion, slow)
             deliver = completion + hop
             if may_partition[node] and partitioned(node, deliver):
@@ -957,20 +935,10 @@ class ClusterSim:
                 on_node[node].pop(aid, None)
             inflight[node] -= 1
             calls_failed += 1
-            req = sid // width
-            shard = slot_shard[sid]
-            if trace is not None:
-                trace.end_attempt(att_span[aid], now, "failed", cause=cause)
-                if run is not None:
-                    run.event(
-                        req, "call_failed", now,
-                        node=node, shard=shard, cause=cause, hedge=is_hedge,
-                    )
+            if rows is not None:
+                rows.append((_ROW_FAIL, call, now, cause))
             if cause == "partition":
                 partition_failures += 1
-                req_partition[req] = True
-            elif cause == "node_fault":
-                req_node_fault[req] = True
             if health.record_failure(node):
                 heappush(
                     events, (now + probe_every, _EV_PROBE, next(seq), node)
@@ -985,22 +953,18 @@ class ClusterSim:
             dead = slot_dead[sid] = slot_dead.get(sid, 0) + 1
             if len(tried) > dead:
                 return
-            target = choose(
-                shard, replicas[shard], tried, now,
-                (slot_span[sid], "failover") if trace is not None else None,
-            )
+            shard = slot_shard[sid]
+            target = choose(shard, replicas[shard], tried)
+            if rows is not None:
+                route_row(sid, "failover", now, target, tried)
             if target is not None:
                 failovers += 1
-                req_failovers[req] += 1
-                if run is not None:
-                    run.event(req, "failover", now, node=target, shard=shard)
                 tried.append(target)
                 submit(sid, shard, target, now, False)
                 return
             # No replica left: the shard is unreachable for this request.
             slot_tried[sid] = None
-            if trace is not None:
-                trace.end_slot(slot_span[sid], now, "missing")
+            req = sid // width
             req_missing[req] += 1
             req_remaining[req] -= 1
             if not req_remaining[req]:
@@ -1011,15 +975,6 @@ class ClusterSim:
             nonlocal outstanding_requests
             end_ms[req] = now
             outstanding_requests -= 1
-            if trace is not None:
-                missing = req_missing[req]
-                code = outcome_of[missing]
-                trace.end_request(
-                    req, now, CLUSTER_OUTCOME_NAMES[code],
-                    missing_shards=missing,
-                )
-                if run is not None:
-                    run.event(req, _LOG_KIND[code], now, missing_shards=missing)
 
         # -- main loop -----------------------------------------------------
         # The arrival pointer: (time, _EV_ARRIVE, request) per request, then
@@ -1034,41 +989,24 @@ class ClusterSim:
             elif next_arrival is not _NO_ARRIVAL:
                 now, _, i = next_arrival
                 next_arrival = next(arrival_keys)
-                if trace is not None:
-                    trace.begin_request(i, now)
-                    if run is not None:
-                        run.event(i, "arrive", now)
                 if (
                     max_outstanding is not None
                     and outstanding_requests >= max_outstanding
                 ):
                     shed.append(i)
                     end_ms[i] = now
-                    if trace is not None:
-                        trace.end_request(i, now, "shed")
-                        if run is not None:
-                            run.event(
-                                i, "shed", now, depth=outstanding_requests
-                            )
                     continue
                 outstanding_requests += 1
                 first = i * width
-                ctx = None
                 for sid in range(first, first + width):
                     shard = slot_shard[sid]
-                    if trace is not None:
-                        slot_span[sid] = trace.begin_slot(
-                            i, sid - first, shard, now
-                        )
-                        ctx = (slot_span[sid], "primary")
-                    target = choose(shard, replicas[shard], _NONE_TRIED, now, ctx)
+                    target = choose(shard, replicas[shard], _NONE_TRIED)
+                    if rows is not None:
+                        route_row(sid, "primary", now, target, _NONE_TRIED)
                     if target is not None:
                         slot_tried[sid] = [target]
                         submit(sid, shard, target, now, False)
                         continue
-                    if trace is not None:
-                        trace.end_slot(slot_span[sid], now, "missing")
-                    req_node_fault[i] = True
                     req_missing[i] += 1
                     req_remaining[i] -= 1
                     if not req_remaining[i]:
@@ -1098,38 +1036,16 @@ class ClusterSim:
                         window_full = len(ring) == window_size - 1
                     ring.append(latency)
                     insort(xs, latency)
-                req = sid // width
-                if trace is not None:
-                    settled = slot_tried[sid] is None
-                    # The attempt's internal decomposition: on-node queue
-                    # wait, service time, and the fault-plan slowdown in
-                    # effect — the critical-path extractor's raw material.
-                    start, completion, slow = att_timing[aid]
-                    queue_ms = start - (submitted + hop)
-                    if run is not None:
-                        run.event(
-                            req, "call_ok", now,
-                            node=node, shard=slot_shard[sid],
-                            latency_ms=latency, hedge=is_hedge,
-                            queue_ms=queue_ms, service_ms=completion - start,
-                            slow=slow,
-                        )
-                    trace.end_attempt(
-                        att_span[aid], now, "ok",
-                        latency_ms=latency, winner=not settled,
-                        queue_ms=queue_ms, service_ms=completion - start,
-                        slow=slow,
-                    )
+                if rows is not None:
+                    rows.append((_ROW_OK, payload, now))
                 if slot_tried[sid] is None:  # settled
                     if is_hedge:
                         hedges_wasted += 1
-                        req_hedges_wasted[req] += 1
                     continue
                 slot_tried[sid] = None
                 if is_hedge:
                     hedges_won += 1
-                if trace is not None:
-                    trace.end_slot(slot_span[sid], now, "ok")
+                req = sid // width
                 req_remaining[req] -= 1
                 if not req_remaining[req]:
                     close_request(req, now)
@@ -1140,25 +1056,20 @@ class ClusterSim:
                 if tried is None or hedges > max_hedges:
                     continue
                 shard = slot_shard[sid]
-                target = choose(
-                    shard, replicas[shard], tried, now,
-                    (slot_span[sid], "hedge") if trace is not None else None,
-                )
-                if target is None:
-                    continue
-                slot_hedges[sid] = hedges
-                hedges_issued += 1
-                req = sid // width
-                req_hedges[req] += 1
-                if run is not None:
+                target = choose(shard, replicas[shard], tried)
+                if rows is not None:
                     # q_ms: the latency-window quantile the hedge delay was
                     # racing (the fire-time estimate of the arming-time
                     # value) — lets the what-if engine re-time hedges under
                     # a different floor.
-                    run.event(
-                        req, "hedge", now, node=target, shard=shard,
-                        q_ms=window.quantile(hedge.quantile),
+                    route_row(
+                        sid, "hedge", now, target, tried,
+                        window.quantile(hedge.quantile),
                     )
+                if target is None:
+                    continue
+                slot_hedges[sid] = hedges
+                hedges_issued += 1
                 tried.append(target)
                 submit(sid, shard, target, now, True)
                 if hedges < max_hedges:
@@ -1250,23 +1161,240 @@ class ClusterSim:
         hist = Histogram()
         hist.observe_many(latencies)
         result.latency_hist = hist
-        if run is not None:
+        run = None
+        if rows is not None:
+            run = self._export(
+                rows, att_timing, obs, plan, arrivals, end_ms, shed,
+                outcome_codes.tolist(), req_missing, slot_shard,
+            )
+        self._publish(result, plan, obs, run)
+        return result
+
+    def _export(
+        self,
+        rows: List[tuple],
+        att_timing: Dict[int, Tuple[float, float, float]],
+        obs,
+        plan: ClusterFaultPlan,
+        arrivals: List[float],
+        end_ms: List[float],
+        shed: List[int],
+        outcomes: List[int],
+        req_missing: List[int],
+        slot_shard: List[int],
+    ):
+        """Build an observed run's request log and fleet span tree.
+
+        One pass over the loop's rows (see ``_ROW_ROUTE``) replays each
+        request in loop order: a span per request, gather slot, router
+        decision and call, and, with a request log, the request's
+        events.  A slot settles on its first delivery (the winner) or on
+        a primary or failover decision that found no replica; a request
+        closes when its last slot settles.  Returns the run's
+        :class:`RunLog`, or None when the observation holds no request
+        log.
+        """
+        cfg = self.config
+        n = len(arrivals)
+        width = cfg.gather_width
+        hop = cfg.hop_ms
+        policy = cfg.routing
+        label = cfg.label if cfg.label else "cluster"
+        run = (
+            obs.requests.start_run(
+                label=label,
+                num_cores=cfg.num_nodes * cfg.cores_per_node,
+                num_requests=n,
+                deadline_ms=cfg.deadline_ms,
+            )
+            if obs.requests is not None
+            else None
+        )
+        logged = run is not None
+
+        # The span tree: router-side spans in one list, attempts per node.
+        run_index = run.index if logged else 0
+        roots = [
+            FleetSpan(ids.request_id(run_index, i), None, f"req[{i}]",
+                      "request", None, t, t)
+            for i, t in enumerate(arrivals)
+        ]
+        router_spans: List[FleetSpan] = list(roots)
+        node_spans: Dict[int, List[FleetSpan]] = {}
+        gathers: List[Optional[FleetSpan]] = [None] * (n * width)
+        routes_of = [0] * (n * width)
+        attempts_of = [0] * (n * width)
+        attempts: Dict[int, FleetSpan] = {}
+        remaining = [width] * n
+
+        # The request log: its events (arrivals and sheds first; only each
+        # request's own order matters) and per-request tallies.
+        ev_req: List[int] = list(range(n))
+        ev_kind: List[str] = ["arrive"] * n
+        ev_t: List[float] = list(arrivals)
+        ev_attrs: List[Dict[str, object]] = [{}] * n  # shared, read-only
+        for i in shed:
+            roots[i].attrs = {"outcome": "shed", "outcome_ms": float(arrivals[i])}
+            ev_req.append(i)
+            ev_kind.append("shed")
+            ev_t.append(arrivals[i])
+            # Admission sheds only at the bound, so the depth is the bound.
+            ev_attrs.append({"depth": cfg.max_outstanding})
+        failovers = [0] * n
+        hedges = [0] * n
+        hedges_wasted = [0] * n
+        partition = [False] * n
+        node_fault = [False] * n
+        touched: List[Set[int]] = [set() for _ in range(n)] if logged else []
+
+        def event(req: int, kind: str, t: float, attrs: Dict[str, object]) -> None:
+            ev_req.append(req)
+            ev_kind.append(kind)
+            ev_t.append(t)
+            ev_attrs.append(attrs)
+
+        def settle(sid: int, t: float, outcome: str) -> None:
+            gather = gathers[sid]
+            gather.end_ms = t
+            gather.attrs["outcome"] = outcome
+            req = sid // width
+            remaining[req] -= 1
+            if remaining[req]:
+                return
+            missing = req_missing[req]
+            code = outcomes[req]
+            root = roots[req]
+            root.end_ms = t
+            # outcome_ms is the SLO-visible finish; merging may stretch the
+            # span later to cover a hedge still in flight.
+            root.attrs = {
+                "outcome": CLUSTER_OUTCOME_NAMES[code],
+                "outcome_ms": float(t),
+                "missing_shards": missing,
+            }
+            if logged:
+                event(req, _LOG_KIND[code], t, {"missing_shards": missing})
+
+        for row in rows:
+            tag = row[0]
+            if tag == _ROW_ROUTE:
+                _, sid, reason, t, chosen, eligible, load, q_ms = row
+                req, k = divmod(sid, width)
+                if reason == "primary":  # a slot's first row, at arrival
+                    rid = roots[req].span_id
+                    shard = slot_shard[sid]
+                    gathers[sid] = gather = FleetSpan(
+                        ids.slot_id(rid, k), rid, f"gather[{shard}]",
+                        "gather", None, t, t, {"shard": shard},
+                    )
+                    router_spans.append(gather)
+                gid = gathers[sid].span_id
+                seq = routes_of[sid]
+                routes_of[sid] = seq + 1
+                router_spans.append(FleetSpan(
+                    ids.route_id(gid, seq), gid, f"route:{reason}", "route",
+                    chosen, t, t,
+                    {
+                        "policy": policy, "eligible": eligible,
+                        "reason": reason, "chosen": chosen,
+                        "load_ms": float(load) if load is not None else None,
+                    },
+                ))
+                if chosen is None:
+                    if reason == "primary":
+                        node_fault[req] = True
+                    if reason != "hedge":  # the shard is unreachable
+                        settle(sid, t, "missing")
+                elif reason == "failover":
+                    failovers[req] += 1
+                    if logged:
+                        event(req, "failover", t,
+                              {"node": chosen, "shard": slot_shard[sid]})
+                elif reason == "hedge":
+                    hedges[req] += 1
+                    if logged:
+                        event(req, "hedge", t, {
+                            "node": chosen, "shard": slot_shard[sid],
+                            "q_ms": q_ms,
+                        })
+            elif tag == _ROW_CALL:
+                aid, sid, node, t, is_hedge = row[1]
+                gid = gathers[sid].span_id
+                seq = attempts_of[sid]
+                attempts_of[sid] = seq + 1
+                attempts[aid] = span = FleetSpan(
+                    ids.attempt_id(gid, seq), gid, f"attempt@n{node}",
+                    "attempt", node, t, t, {"hedge": is_hedge},
+                )
+                node_spans.setdefault(node, []).append(span)
+                if logged:
+                    req = sid // width
+                    event(req, "shard_call", t, {
+                        "node": node, "shard": slot_shard[sid],
+                        "hedge": is_hedge,
+                    })
+                    touched[req].add(node)
+            elif tag == _ROW_OK:
+                (aid, sid, node, submitted, is_hedge), t = row[1], row[2]
+                # The attempt's internal decomposition: on-node queue
+                # wait, service time, and the fault-plan slowdown in
+                # effect — the critical-path extractor's raw material.
+                start, completion, slow = att_timing[aid]
+                latency = t - submitted
+                queue_ms = start - (submitted + hop)
+                service_ms = completion - start
+                if logged:
+                    event(sid // width, "call_ok", t, {
+                        "node": node, "shard": slot_shard[sid],
+                        "latency_ms": latency, "hedge": is_hedge,
+                        "queue_ms": queue_ms, "service_ms": service_ms,
+                        "slow": slow,
+                    })
+                winner = "outcome" not in gathers[sid].attrs
+                span = attempts[aid]
+                span.end_ms = t
+                span.attrs.update(
+                    outcome="ok", latency_ms=latency, winner=winner,
+                    queue_ms=queue_ms, service_ms=service_ms, slow=slow,
+                )
+                if winner:
+                    settle(sid, t, "ok")
+                elif is_hedge:
+                    hedges_wasted[sid // width] += 1
+            else:  # _ROW_FAIL
+                (aid, sid, node, _, is_hedge), t, cause = row[1], row[2], row[3]
+                req = sid // width
+                if logged:
+                    event(req, "call_failed", t, {
+                        "node": node, "shard": slot_shard[sid],
+                        "cause": cause, "hedge": is_hedge,
+                    })
+                span = attempts[aid]
+                span.end_ms = t
+                span.attrs.update(outcome="failed", cause=cause)
+                if cause == "partition":
+                    partition[req] = True
+                elif cause == "node_fault":
+                    node_fault[req] = True
+
+        if logged:
+            run.extend_events(ev_req, ev_kind, ev_t, ev_attrs)
             fault_windows = plan.windows()
             for i in range(n):
-                name = CLUSTER_OUTCOME_NAMES[outcome_codes[i]]
+                name = CLUSTER_OUTCOME_NAMES[outcomes[i]]
                 cause = None
                 if name in ("degraded", "failed"):
-                    cause = "partition" if req_partition[i] else "node_fault"
+                    cause = "partition" if partition[i] else "node_fault"
                 elif name == "completed":
-                    if req_partition[i]:
+                    if partition[i]:
                         cause = "partition"
-                    elif req_node_fault[i]:
+                    elif node_fault[i]:
                         cause = "node_fault"
-                touched = req_nodes[i]
+                nodes = touched[i]
                 overlapping = [
                     wname
                     for wname, w_start, w_end, attrs in fault_windows
-                    if attrs.get("node") in touched
+                    if attrs.get("node") in nodes
                     and w_start <= end_ms[i]
                     and arrivals[i] <= w_end
                 ]
@@ -1278,17 +1406,14 @@ class ClusterSim:
                     cause=cause,
                     fault_windows=overlapping,
                     shards=slot_shard[i * width:(i + 1) * width],
-                    nodes=sorted(touched),
-                    failovers=req_failovers[i],
-                    hedges=req_hedges[i],
-                    hedges_wasted=req_hedges_wasted[i],
+                    nodes=sorted(nodes),
+                    failovers=failovers[i],
+                    hedges=hedges[i],
+                    hedges_wasted=hedges_wasted[i],
                 )
             run.finish_custom(tracer=obs.tracer)
-        if trace is not None:
-            trace.finalize()
-            trace.emit(obs.tracer)
-        self._publish(result, plan, obs, run)
-        return result
+        emit_spans(obs.tracer, label, merge_spans(router_spans, node_spans))
+        return run
 
     def _publish(self, result: ClusterResult, plan, obs, run=None) -> None:
         """Cluster metrics + fault-window trace track (observed runs)."""

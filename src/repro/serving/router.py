@@ -27,7 +27,7 @@ windows evolve purely from the (deterministic) event stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Container, Dict, List, Optional, Sequence, Set
+from typing import Container, Dict, List, Optional, Sequence, Set
 
 from ..errors import ConfigError
 from .stats import SortedWindow
@@ -168,18 +168,11 @@ class Router:
 
     ``loads[node]`` is a node's load estimate, read at every decision: the
     cluster passes its list of router-visible in-flight call counts and
-    updates it in place.  ``least_loaded`` needs it; ``round_robin`` only
-    reports it.
+    updates it in place.  ``least_loaded`` needs it; ``round_robin``
+    ignores it.
 
-    ``on_decision`` is the tracing seam: when set (the cluster wires it
-    up for observed runs), every :meth:`choose` reports its verdict as
-    ``on_decision(ctx, shard, chosen, eligible_count, now_ms, load_ms)``,
-    where ``ctx`` is whatever trace context the caller threaded through —
-    the router is the only place that knows how many replicas were
-    actually eligible after health filtering — and ``load_ms`` is the
-    chosen node's load at decision time (None when no loads were given
-    or nothing was chosen).  Unset, the cost is one ``is None`` branch
-    per decision.
+    :meth:`eligible` lists the replicas a decision could have picked; an
+    observed cluster run records its length next to each decision.
     """
 
     def __init__(
@@ -187,7 +180,6 @@ class Router:
         policy: str,
         health: HealthTracker,
         loads: Optional[Sequence[float]] = None,
-        on_decision: Optional[Callable] = None,
     ) -> None:
         if policy not in ROUTING_POLICIES:
             raise ConfigError(
@@ -198,7 +190,6 @@ class Router:
         self.policy = policy
         self.health = health
         self._loads = loads
-        self.on_decision = on_decision
         self._rr: Dict[int, int] = {}
         # The tracker's live ejected set: updated in place, never rebound.
         self._ejected = health._ejected
@@ -209,20 +200,17 @@ class Router:
         shard: int,
         replicas: Sequence[int],
         tried: Container[int],
-        now_ms: float,
-        ctx: Optional[object] = None,
     ) -> Optional[int]:
         """Pick the replica for one shard-call attempt, or None.
 
         Never returns a node in ``tried`` (each attempt of one shard call
         goes to a distinct replica — this is what deduplicates hedges and
         bounds failover) nor an ejected node.  Returns None when no
-        routable replica remains.  ``ctx`` is passed through verbatim to
-        ``on_decision`` so callers can attribute the decision to a span.
+        routable replica remains.
         """
         chosen: Optional[int] = None
         if self._round_robin:
-            eligible = self._eligible(replicas, tried)
+            eligible = self.eligible(replicas, tried)
             if eligible:
                 start = self._rr.get(shard, 0) % len(replicas)
                 for k in range(len(replicas)):
@@ -247,19 +235,9 @@ class Router:
                 if chosen is None or load < best or (load == best and node < chosen):
                     chosen = node
                     best = load
-        if self.on_decision is not None:
-            load_ms = (
-                float(self._loads[chosen])
-                if chosen is not None and self._loads is not None
-                else None
-            )
-            self.on_decision(
-                ctx, shard, chosen, len(self._eligible(replicas, tried)),
-                now_ms, load_ms,
-            )
         return chosen
 
-    def _eligible(self, replicas: Sequence[int], tried: Container[int]) -> List[int]:
+    def eligible(self, replicas: Sequence[int], tried: Container[int]) -> List[int]:
         """The replicas neither tried nor ejected, in listed order."""
         ejected = self._ejected
         return [n for n in replicas if n not in tried and n not in ejected]

@@ -55,12 +55,22 @@ HOTNESS_PROFILES: Dict[str, HotnessProfile] = {
 }
 
 
-@lru_cache(maxsize=4)
 def _ranks(rows: int) -> np.ndarray:
-    """Read-only ``1..rows`` as float64, shared by every fit at ``rows``."""
-    ranks = np.arange(1, rows + 1, dtype=np.float64)
-    ranks.setflags(write=False)
-    return ranks
+    """``1..rows`` as float64."""
+    if rows <= 0:
+        raise ConfigError(f"rows must be positive, got {rows}")
+    return np.arange(1, rows + 1, dtype=np.float64)
+
+
+def _zipf_weights(ranks: np.ndarray, alpha: float) -> np.ndarray:
+    """:func:`zipf_probabilities` over the given ``1..rows`` ranks."""
+    if alpha < 0:
+        raise ConfigError(f"alpha must be non-negative, got {alpha}")
+    # ``**`` (not ``np.power``) keeps numpy's scalar-exponent fast paths,
+    # so the weights stay bit-identical at alpha = 0, 0.5, 1 and 2.
+    weights = ranks ** -alpha
+    weights /= weights.sum()
+    return weights
 
 
 def zipf_probabilities(rows: int, alpha: float) -> np.ndarray:
@@ -69,28 +79,27 @@ def zipf_probabilities(rows: int, alpha: float) -> np.ndarray:
     ``alpha = 0`` is uniform.  Rank 0 is the hottest row.  The result is a
     fresh array the caller may overwrite.
     """
-    if rows <= 0:
-        raise ConfigError(f"rows must be positive, got {rows}")
-    if alpha < 0:
-        raise ConfigError(f"alpha must be non-negative, got {alpha}")
-    # ``**`` (not ``np.power``) keeps numpy's scalar-exponent fast paths,
-    # so the weights stay bit-identical at alpha = 0, 0.5, 1 and 2.
-    weights = _ranks(rows) ** -alpha
-    weights /= weights.sum()
-    return weights
+    return _zipf_weights(_ranks(rows), alpha)
 
 
 def expected_unique_fraction(rows: int, samples: int, alpha: float) -> float:
     """Expected fraction of distinct rows after ``samples`` Zipf draws.
 
     ``E[unique] = Σ_r (1 - (1 - p_r)^N`` evaluated in log space for
-    numerical stability with tiny tail probabilities.  Every pass runs in
-    the one probability buffer, with the ufuncs of
-    ``sum(1 - exp(samples * log1p(-minimum(p, 1 - 1e-15))))`` in that order.
+    numerical stability with tiny tail probabilities.
     """
     if samples <= 0:
         raise ConfigError(f"samples must be positive, got {samples}")
-    buf = zipf_probabilities(rows, alpha)
+    return _expected_unique(_ranks(rows), samples, alpha)
+
+
+def _expected_unique(ranks: np.ndarray, samples: int, alpha: float) -> float:
+    """:func:`expected_unique_fraction` over the given ranks.
+
+    Every pass runs in the one probability buffer, with the ufuncs of
+    ``sum(1 - exp(samples * log1p(-minimum(p, 1 - 1e-15))))`` in that order.
+    """
+    buf = _zipf_weights(ranks, alpha)
     np.minimum(buf, 1.0 - 1e-15, out=buf)
     np.negative(buf, out=buf)
     np.log1p(buf, out=buf)
@@ -120,19 +129,23 @@ def fit_zipf_alpha(
 
     Deterministic in its arguments (a pure 60-step bisection over closed
     forms), so results are memoized — every workload build re-fits the
-    same handful of (rows, samples, target) triples.
+    same handful of (rows, samples, target) triples.  The ranks are built
+    once per fit and freed with it.
     """
     if not 0.0 < target_unique_fraction <= 1.0:
         raise ConfigError("target unique fraction must be in (0, 1]")
-    base = expected_unique_fraction(rows, samples, 0.0)
+    if samples <= 0:
+        raise ConfigError(f"samples must be positive, got {samples}")
+    ranks = _ranks(rows)
+    base = _expected_unique(ranks, samples, 0.0)
     if base <= target_unique_fraction:
         return 0.0
     lo, hi = 0.0, max_alpha
-    if expected_unique_fraction(rows, samples, hi) > target_unique_fraction:
+    if _expected_unique(ranks, samples, hi) > target_unique_fraction:
         return hi
     for _ in range(60):
         mid = (lo + hi) / 2
-        got = expected_unique_fraction(rows, samples, mid)
+        got = _expected_unique(ranks, samples, mid)
         if abs(got - target_unique_fraction) < tolerance:
             return mid
         if got > target_unique_fraction:

@@ -5,10 +5,14 @@ A frozen copy of the object-per-call cluster event loop that
 object per shard call, node worlds driven through ``_NodeWorld.submit``,
 every arrival pushed onto the event heap, the call multiplier recomputed
 per call, a latency window that sorts on every quantile, and a router
-that scores each candidate through a ``load_of`` callback.  It shares no
-loop code with the package, so byte equality between the two (outcomes,
-latencies, counters, node stats, request log and fleet trace) is a real
-check.  Only ``tests/`` imports it.
+that scores each candidate through a ``load_of`` callback.  Observed,
+it records as the package once did: every call both as request-log
+events (``run.event``) and through the incremental span recorder
+:class:`FleetTrace` (``begin_*``/``end_*``/``route``), fed router
+decisions by an ``on_decision`` callback.  It shares no loop or
+recorder code with the package, so byte equality between the two
+(outcomes, latencies, counters, node stats, request log and fleet
+trace) is a real check.  Only ``tests/`` imports it.
 
 ``run_cluster(sim, arrivals_ms)`` takes a :class:`ClusterSim` for its
 configuration, shard placement and metric publishing, and returns the
@@ -23,7 +27,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.obs import hooks as obs_hooks
-from repro.obs.fleet import FleetTrace
+from repro.obs import ids
+from repro.obs.fleet import FleetSpan, merge_spans
 from repro.obs.metrics import Histogram
 from repro.serving.cluster import (
     CL_COMPLETED,
@@ -42,7 +47,7 @@ from repro.serving.router import HealthTracker
 from repro.serving.server import lognormal_services
 from repro.serving.stats import safe_ratio
 
-__all__ = ["LatencyWindow", "run_cluster"]
+__all__ = ["FleetTrace", "LatencyWindow", "run_cluster"]
 
 _STREAM_NODE_SERVICE = 102
 
@@ -87,6 +92,221 @@ class LatencyWindow:
         hi = min(lo + 1, len(data) - 1)
         frac = rank - lo
         return data[lo] + (data[hi] - data[lo]) * frac
+
+
+class FleetTrace:
+    """Collects the span trees of one cluster run.
+
+    The cluster loop drives it through ``begin_*`` / ``end_*`` calls; ids
+    are derived from the request-log run index so the root span id equals
+    the exemplar id on the JSONL line.  Call :meth:`finalize` once after
+    the event loop drains, then :meth:`emit` to publish onto the tracer.
+    """
+
+    def __init__(self, label: str, run_index: int = 0) -> None:
+        self.label = label
+        self.run_index = run_index
+        #: Router-side spans (roots, gathers, routes), insertion-ordered.
+        self.router_spans: List[FleetSpan] = []
+        #: Attempt spans per serving node — the per-node run logs.
+        self.node_spans: Dict[int, List[FleetSpan]] = {}
+        self._by_id: Dict[str, FleetSpan] = {}
+        self._route_seq: Dict[str, int] = {}
+        self._attempt_seq: Dict[str, int] = {}
+        self._finalized: Optional[List[FleetSpan]] = None
+
+    # -- id scheme -----------------------------------------------------------
+
+    def root_id(self, req: int) -> str:
+        return ids.request_id(self.run_index, req)
+
+    def slot_id(self, req: int, k: int) -> str:
+        return ids.slot_id(self.root_id(req), k)
+
+    # -- recording -----------------------------------------------------------
+
+    def _add(
+        self,
+        span_id: str,
+        parent_id: Optional[str],
+        name: str,
+        kind: str,
+        node: Optional[int],
+        start_ms: float,
+        end_ms: float,
+        **attrs: object,
+    ) -> FleetSpan:
+        span = FleetSpan(
+            span_id=span_id,
+            parent_id=parent_id,
+            name=name,
+            kind=kind,
+            node=node,
+            start_ms=float(start_ms),
+            end_ms=float(end_ms),
+            attrs=dict(attrs),
+        )
+        self._by_id[span_id] = span
+        if kind == "attempt" and node is not None:
+            self.node_spans.setdefault(node, []).append(span)
+        else:
+            self.router_spans.append(span)
+        return span
+
+    def begin_request(self, req: int, t_ms: float) -> str:
+        rid = self.root_id(req)
+        self._add(rid, None, f"req[{req}]", "request", None, t_ms, t_ms)
+        return rid
+
+    def end_request(self, req: int, t_ms: float, outcome: str, **attrs) -> None:
+        span = self._by_id.get(self.root_id(req))
+        if span is None:
+            return
+        span.end_ms = max(span.end_ms, float(t_ms))
+        span.attrs["outcome"] = outcome
+        # The SLO-visible finish; the envelope may stretch later to cover
+        # a hedge that was still in flight.
+        span.attrs["outcome_ms"] = float(t_ms)
+        span.attrs.update(attrs)
+
+    def begin_slot(self, req: int, k: int, shard: int, t_ms: float) -> str:
+        sid = self.slot_id(req, k)
+        self._add(
+            sid,
+            self.root_id(req),
+            f"gather[{shard}]",
+            "gather",
+            None,
+            t_ms,
+            t_ms,
+            shard=shard,
+        )
+        return sid
+
+    def end_slot(self, slot_id: str, t_ms: float, outcome: str) -> None:
+        span = self._by_id.get(slot_id)
+        if span is None:
+            return
+        span.end_ms = max(span.end_ms, float(t_ms))
+        span.attrs["outcome"] = outcome
+
+    def route(
+        self,
+        slot_id: str,
+        t_ms: float,
+        chosen: Optional[int],
+        policy: str,
+        eligible: int,
+        reason: str,
+        load_ms: Optional[float] = None,
+    ) -> None:
+        """Record one router decision under a gather span.
+
+        ``reason`` says why the router was consulted (``primary``,
+        ``failover``, ``hedge``); ``chosen`` is None when no routable
+        replica remained; ``load_ms`` is the chosen node's backlog
+        estimate at decision time (least_loaded only).
+        """
+        seq = self._route_seq.get(slot_id, 0)
+        self._route_seq[slot_id] = seq + 1
+        self._add(
+            ids.route_id(slot_id, seq),
+            slot_id,
+            f"route:{reason}",
+            "route",
+            chosen,
+            t_ms,
+            t_ms,
+            policy=policy,
+            eligible=eligible,
+            reason=reason,
+            chosen=chosen,
+            load_ms=load_ms,
+        )
+
+    def begin_attempt(
+        self, slot_id: str, node: int, t_ms: float, hedge: bool
+    ) -> str:
+        seq = self._attempt_seq.get(slot_id, 0)
+        self._attempt_seq[slot_id] = seq + 1
+        aid = ids.attempt_id(slot_id, seq)
+        self._add(
+            aid,
+            slot_id,
+            f"attempt@n{node}",
+            "attempt",
+            node,
+            t_ms,
+            t_ms,
+            hedge=hedge,
+        )
+        return aid
+
+    def end_attempt(
+        self, attempt_id: str, t_ms: float, outcome: str, **attrs: object
+    ) -> None:
+        span = self._by_id.get(attempt_id)
+        if span is None:
+            return
+        span.end_ms = max(span.end_ms, float(t_ms))
+        span.attrs["outcome"] = outcome
+        span.attrs.update(attrs)
+
+    # -- merge + export ------------------------------------------------------
+
+    def finalize(self) -> List[FleetSpan]:
+        """Merge the per-node span logs with the router spans.
+
+        Parents are widened to envelope their children (deepest first,
+        so a late attempt stretches its gather which stretches its
+        request), then everything merges into one deterministic order.
+        The merged list is cached; recording after finalize is a bug.
+        """
+        if self._finalized is None:
+            spans = merge_spans(self.router_spans, self.node_spans)
+            self._finalized = spans
+        return self._finalized
+
+    def spans(self) -> List[FleetSpan]:
+        return self.finalize()
+
+    def emit(self, tracer) -> None:
+        """Publish the merged tree onto the tracer's simulated tracks.
+
+        Router-side spans (request/gather/route) go on one ``fleet:...
+        router`` track; each node's attempts go on its own ``fleet:...
+        node{n}`` track — the Chrome-trace rendering of "per-node run
+        logs merged with node attribution".
+        """
+        spans = self.finalize()
+        if not spans:
+            return
+        router_tid = tracer.new_sim_track(f"fleet:{self.label} router (ms)")
+        node_tids: Dict[int, int] = {}
+        for node in sorted(self.node_spans):
+            node_tids[node] = tracer.new_sim_track(
+                f"fleet:{self.label} node{node} (ms)"
+            )
+        for span in spans:
+            if span.kind == "attempt" and span.node is not None:
+                tid = node_tids[span.node]
+            else:
+                tid = router_tid
+            args: Dict[str, object] = {
+                "span_id": span.span_id,
+                "parent_id": span.parent_id,
+                "kind": span.kind,
+                "node": span.node,
+            }
+            args.update(span.attrs)
+            tracer.add_sim_span(
+                span.name,
+                f"fleet.{span.kind}",
+                span.start_ms,
+                span.duration_ms,
+                tid=tid,
+                args=args,
+            )
 
 
 class _Router:

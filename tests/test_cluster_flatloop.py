@@ -5,7 +5,10 @@
 must agree bit for bit: every ``ClusterResult`` field (arrays by their
 bytes, the latency histogram by buckets and moments) with hooks off, and
 also the sha256 of the request-log JSONL, the Chrome trace and the
-metrics export with hooks on.
+metrics export with hooks on.  Observed, the oracle records through the
+incremental span recorder the package replaced, so the hooks-on
+comparison holds the package's row recorder to the old one: with a
+request log, with a trace only, and with a bounded log or tracer.
 """
 
 import dataclasses
@@ -19,6 +22,7 @@ from repro.config import SimConfig
 from repro.obs.hooks import Observation, session
 from repro.obs.metrics import Histogram
 from repro.obs.requests import RequestLog
+from repro.obs.tracer import Tracer
 from repro.serving.cluster import (
     PLACEMENTS,
     ClusterConfig,
@@ -167,39 +171,60 @@ def _flat(sim, arrivals):
     return sim.run(arrivals)
 
 
-def _observed(run, config, arrivals, tmp_path, tag):
-    """Run with hooks on; return the result and the sha256 of each export."""
-    obs = Observation(requests=RequestLog())
+#: name -> the observation a hooks-on case runs under.
+OBSERVATIONS = {
+    "log": lambda: Observation(requests=RequestLog()),
+    # No request log: the fleet trace alone, its ids under run index 0.
+    "trace_only": lambda: Observation(),
+    # The records are truncated; the span tree still covers every request.
+    "bounded_log": lambda: Observation(requests=RequestLog(max_requests=N // 3)),
+    # The tracer fills part-way through the fleet spans.
+    "bounded_tracer": lambda: Observation(
+        tracer=Tracer(max_events=2_000), requests=RequestLog()
+    ),
+}
+
+
+def _observed(run, config, arrivals, tmp_path, tag, observation="log"):
+    """Run with hooks on; return the result, the observation and the
+    sha256 of each export."""
+    obs = OBSERVATIONS[observation]()
     with session(obs):
         result = run(ClusterSim(config), arrivals)
-    paths = {
-        "requests": tmp_path / f"{tag}.req.jsonl",
-        "trace": tmp_path / f"{tag}.trace.json",
-        "metrics": tmp_path / f"{tag}.metrics.jsonl",
+    exports = {
+        "trace": (obs.tracer.to_chrome, tmp_path / f"{tag}.trace.json"),
+        "metrics": (obs.metrics.to_jsonl, tmp_path / f"{tag}.metrics.jsonl"),
     }
-    obs.requests.to_jsonl(paths["requests"])
-    obs.tracer.to_chrome(paths["trace"])
-    obs.metrics.to_jsonl(paths["metrics"])
-    return result, {
+    if obs.requests is not None:
+        exports["requests"] = (
+            obs.requests.to_jsonl, tmp_path / f"{tag}.req.jsonl"
+        )
+    for write, path in exports.values():
+        write(path)
+    return result, obs, {
         key: hashlib.sha256(path.read_bytes()).hexdigest()
-        for key, path in paths.items()
+        for key, (_, path) in exports.items()
     }
 
 
-def _check(config, arrivals, tmp_path=None):
-    """Both loops agree; with ``tmp_path``, hooks on and exports too."""
+def _check(config, arrivals, tmp_path=None, observation="log"):
+    """Both loops agree; with ``tmp_path``, hooks on and exports too.
+    Returns the package's result (and, hooks on, its observation)."""
     if tmp_path is None:
         got = _flat(ClusterSim(config), arrivals)
         want = cluster_oracle.run_cluster(ClusterSim(config), arrivals)
         _assert_identical(got, want)
         return got
-    got, got_hashes = _observed(_flat, config, arrivals, tmp_path, "flat")
-    want, want_hashes = _observed(
-        cluster_oracle.run_cluster, config, arrivals, tmp_path, "oracle"
+    got, obs, got_hashes = _observed(
+        _flat, config, arrivals, tmp_path, "flat", observation
+    )
+    want, _, want_hashes = _observed(
+        cluster_oracle.run_cluster, config, arrivals, tmp_path, "oracle",
+        observation,
     )
     _assert_identical(got, want)
     assert got_hashes == want_hashes
-    return got
+    return got, obs
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -209,10 +234,28 @@ def test_matches_oracle_hooks_off(name):
     assert exercised(result)
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_matches_oracle_hooks_on(name, tmp_path):
+#: (scenario, observation) per hooks-on case; a request log unless named.
+HOOKS_ON_CASES = [pytest.param(name, "log", id=name) for name in sorted(SCENARIOS)] + [
+    pytest.param(name, observation, id=f"{name}-{observation}")
+    for observation in ("trace_only", "bounded_log", "bounded_tracer")
+    for name in ("partition", "shedding")
+]
+
+
+@pytest.mark.parametrize("name, observation", HOOKS_ON_CASES)
+def test_matches_oracle_hooks_on(name, observation, tmp_path):
     overrides, _ = SCENARIOS[name]
-    _check(_config(**overrides), _arrivals(), tmp_path)
+    _, obs = _check(_config(**overrides), _arrivals(), tmp_path, observation)
+    roots = [e for e in obs.tracer.events if e.category == "fleet.request"]
+    if observation == "trace_only":
+        assert roots and all(e.args["span_id"].startswith("0:") for e in roots)
+    elif observation == "bounded_log":
+        assert obs.requests.num_requests == N // 3
+        assert obs.requests.dropped == N - N // 3
+        assert len(roots) == N
+    elif observation == "bounded_tracer":
+        assert obs.tracer.dropped > 0
+        assert len(obs.tracer.events) == obs.tracer.max_events
 
 
 def _fuzz_case(seed):

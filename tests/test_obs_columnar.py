@@ -482,6 +482,28 @@ def test_span_batch_straddling_max_events_matches_single_adds(before, tmp_path):
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("before", [0, 7, 12])
+def test_span_batch_with_a_track_per_span_matches_single_adds(before):
+    # One batch interleaving tracks and categories, as a cluster run's
+    # fleet spans go over.
+    batched, single = Tracer(max_events=10), Tracer(max_events=10)
+    for tracer in (batched, single):
+        for k in range(before):
+            tracer.add_sim_span(f"pre{k}", "c", float(k), 1.0)
+    starts, durs, describe = _spans(6)
+    categories = ["a", "b", "a", "c", "b", "a"]
+    tids = [1, 2, 1, 3, 2, 1]
+    batched.add_sim_batch(categories, starts, durs, describe, tid=tids)
+    for i in range(6):
+        name, args = describe(i)
+        single.add_sim_span(
+            name, categories[i], starts[i], durs[i], tid=tids[i], args=args
+        )
+    assert batched.dropped == single.dropped
+    assert batched.events == single.events
+    assert batched.chrome_dict() == single.chrome_dict()
+
+
 # -- histogram exemplars ---------------------------------------------------------------
 
 

@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
+from cluster_oracle import FleetTrace
 from repro.config import SimConfig
 from repro.obs import hooks as obs_hooks
-from repro.obs.fleet import (
-    FleetSpan,
-    FleetTrace,
-    check_span_tree,
-    merge_spans,
-)
+from repro.obs.fleet import FleetSpan, check_span_tree, merge_spans
 from repro.obs.hooks import Observation
 from repro.obs.requests import RequestLog
 from repro.serving.cluster import ClusterConfig, ClusterSim
@@ -236,7 +232,8 @@ class TestMalformedTrees:
         # A request whose gather never closed (the recorder "crashed"
         # after the attempt failed): end_slot/end_request were never
         # called, so the raw parents are zero-width — finalize's
-        # envelope widening must still yield a verifiable forest.
+        # envelope widening must still yield a verifiable forest.  Run
+        # on the incremental recorder the cluster oracle keeps.
         trace = FleetTrace("t", run_index=0)
         trace.begin_request(0, 0.0)
         sid = trace.begin_slot(0, 0, 4, 0.0)
@@ -252,6 +249,9 @@ class TestMalformedTrees:
 
 
 class TestFleetTraceApi:
+    """The oracle's incremental recorder (``cluster_oracle.FleetTrace``),
+    which the hooks-on oracle comparison holds the package's recorder to."""
+
     def test_emit_requires_finalize_only_once(self):
         trace = FleetTrace("t", run_index=0)
         trace.begin_request(0, 0.0)

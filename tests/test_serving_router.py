@@ -111,25 +111,25 @@ class TestRouter:
     def test_round_robin_rotates(self):
         health = HealthTracker(3, HealthPolicy())
         router = Router("round_robin", health)
-        picks = [router.choose(0, [0, 1, 2], set(), 0.0) for _ in range(4)]
+        picks = [router.choose(0, [0, 1, 2], set()) for _ in range(4)]
         assert picks == [0, 1, 2, 0]
 
     def test_never_returns_tried_or_ejected(self):
         health = HealthTracker(3, HealthPolicy(eject_after=1))
         health.record_failure(2)
         router = Router("round_robin", health)
-        assert router.choose(0, [0, 1, 2], {0}, 0.0) == 1
-        assert router.choose(0, [1, 2], {1}, 0.0) is None  # 2 is ejected
-        assert router.choose(0, [2], set(), 0.0) is None
+        assert router.choose(0, [0, 1, 2], {0}) == 1
+        assert router.choose(0, [1, 2], {1}) is None  # 2 is ejected
+        assert router.choose(0, [2], set()) is None
 
     def test_least_loaded_picks_minimum_with_id_tiebreak(self):
         health = HealthTracker(3, HealthPolicy())
         loads = [5.0, 2.0, 2.0]
         router = Router("least_loaded", health, loads=loads)
-        assert router.choose(0, [0, 1, 2], set(), 0.0) == 1  # tie -> lower id
-        assert router.choose(0, [0, 1, 2], {1}, 0.0) == 2
+        assert router.choose(0, [0, 1, 2], set()) == 1  # tie -> lower id
+        assert router.choose(0, [0, 1, 2], {1}) == 2
         loads[1] = 9.0  # read live at every decision
-        assert router.choose(0, [0, 1, 2], set(), 0.0) == 2
+        assert router.choose(0, [0, 1, 2], set()) == 2
 
     def test_validation(self):
         health = HealthTracker(2, HealthPolicy())

@@ -64,7 +64,7 @@ import platform as platform_mod
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -90,7 +90,7 @@ from repro.obs.regress import (  # noqa: E402
     median,
 )
 from repro.obs.detect import MeanShiftDetector  # noqa: E402
-from repro.obs.fleet import FleetTrace  # noqa: E402
+from repro.obs.fleet import FleetSpan, merge_spans  # noqa: E402
 from repro.obs.hooks import Observation, session  # noqa: E402
 from repro.obs.requests import RequestLog  # noqa: E402
 from repro.obs.schema import validate_def  # noqa: E402
@@ -524,29 +524,29 @@ def _fleet_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
 
     merge_requests = 2_000 if mode == "smoke" else 10_000
 
-    def build_forest() -> FleetTrace:
-        trace = FleetTrace("bench", run_index=0)
-        t = 0.0
+    def build_forest() -> Tuple[List[FleetSpan], Dict[int, List[FleetSpan]]]:
+        """Router-side spans and per-node attempts, as a cluster run hands
+        them to ``merge_spans``."""
+        router: List[FleetSpan] = []
+        nodes: Dict[int, List[FleetSpan]] = {}
         for req in range(merge_requests):
-            trace.begin_request(req, t)
+            t, rid = 0.5 * req, f"0:{req}"
+            router.append(FleetSpan(rid, None, "req", "request", None, t, t + 2.1))
             for k in range(2):
-                sid = trace.begin_slot(req, k, k, t)
-                trace.route(sid, t, (req + k) % 4, "least_loaded", 2, "primary")
-                aid = trace.begin_attempt(sid, (req + k) % 4, t, False)
-                trace.end_attempt(aid, t + 2.0, "ok", winner=True)
-                trace.end_slot(sid, t + 2.0, "ok")
-            trace.end_request(req, t + 2.1, "completed")
-            t += 0.5
-        return trace
+                sid, node = f"{rid}/g{k}", (req + k) % 4
+                router.append(FleetSpan(sid, rid, "gather", "gather", None, t, t + 2.0))
+                router.append(FleetSpan(f"{sid}/r0", sid, "route", "route", node, t, t))
+                nodes.setdefault(node, []).append(
+                    FleetSpan(f"{sid}/a0", sid, "attempt", "attempt", node, t, t + 2.0)
+                )
+        return router, nodes
 
     rates = []
     for _ in range(repeats):
-        trace = build_forest()
-        num_spans = len(trace.router_spans) + sum(
-            len(spans) for spans in trace.node_spans.values()
-        )
+        router, nodes = build_forest()
+        num_spans = len(router) + sum(len(spans) for spans in nodes.values())
         start = time.perf_counter()
-        trace.finalize()
+        merge_spans(router, nodes)
         elapsed = time.perf_counter() - start
         rates.append(num_spans / elapsed)
     out.append(

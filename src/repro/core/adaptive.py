@@ -76,12 +76,6 @@ class AdaptiveRunResult:
     final_distance: int
     per_batch_cycles: List[float]
 
-    @property
-    def converged(self) -> bool:
-        """Whether the last two decisions agree."""
-        tail = self.distance_trajectory[-2:]
-        return len(tail) == 2 and tail[0] == tail[1]
-
 
 def run_adaptive_prefetch(
     trace: EmbeddingTrace,

@@ -173,12 +173,13 @@ def run(
     horizon_ms = num_requests * mean_interarrival_ms
 
     def simulate(cluster_cfg: ClusterConfig):
-        """One logged cluster run (private log if the session has none)."""
+        """One logged cluster run (private log if the session has none)
+        and its records, each built once: every reader below walks them."""
         cluster = ClusterSim(cluster_cfg)
         outer = obs_hooks.active()
         if outer is not None and outer.requests is not None:
             result = cluster.run(arrivals)
-            return result, outer.requests.runs[-1].records
+            return result, list(outer.requests.runs[-1].records)
         inner = Observation(
             tracer=outer.tracer if outer is not None else None,
             metrics=outer.metrics if outer is not None else None,
@@ -186,7 +187,7 @@ def run(
         )
         with obs_hooks.session(inner):
             result = cluster.run(arrivals)
-        return result, inner.requests.runs[-1].records
+        return result, list(inner.requests.runs[-1].records)
 
     log_lines: List[Dict[str, object]] = []
     conserved_ok = True

@@ -132,7 +132,8 @@ def run(
     repl = max(1, min(replication, num_nodes))
 
     def simulate(scenario: str, plan):
-        """One cluster run, request-logged whatever the outer session is."""
+        """One cluster run, request-logged whatever the outer session is,
+        and its records, each built once: every reader below walks them."""
         cluster = ClusterSim(
             ClusterConfig(
                 num_nodes=num_nodes,
@@ -156,8 +157,7 @@ def run(
         outer = obs_hooks.active()
         if outer is not None and outer.requests is not None:
             result = cluster.run(arrivals)
-            records = outer.requests.runs[-1].records
-            return result, records
+            return result, list(outer.requests.runs[-1].records)
         # No request log attached (or no observation at all): capture one
         # privately, keeping any outer tracer/metrics so spans and
         # histograms still land in the session's artifacts.
@@ -168,7 +168,7 @@ def run(
         )
         with obs_hooks.session(inner):
             result = cluster.run(arrivals)
-        return result, inner.requests.runs[-1].records
+        return result, list(inner.requests.runs[-1].records)
 
     # Baseline pass pins the tail SLO threshold at 2x the no-fault p99:
     # tight enough that fault-window queueing burns budget, loose enough

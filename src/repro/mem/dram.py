@@ -223,11 +223,6 @@ class DRAMModel:
 
     # -- reporting ---------------------------------------------------------
 
-    @property
-    def row_hit_rate(self) -> float:
-        """Fraction of accesses that hit an open row buffer."""
-        return self.row_hits / self.accesses if self.accesses else 0.0
-
     def bandwidth_gb_s(self, elapsed_cycles: float, frequency_hz: float) -> float:
         """Achieved bandwidth in GB/s over ``elapsed_cycles`` of execution."""
         if elapsed_cycles <= 0:

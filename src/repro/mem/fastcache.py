@@ -434,10 +434,6 @@ class FastCache:
         """Number of currently resident lines."""
         return len(self._where)
 
-    def resident_lines(self) -> List[int]:
-        """Sorted snapshot of resident line numbers (test/debug aid)."""
-        return sorted(self._where)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FastCache({self.name}, {self.size_bytes}B, {self.ways}-way, "

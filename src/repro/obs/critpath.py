@@ -805,7 +805,8 @@ def extract_paths(records: Sequence[Dict[str, object]]) -> Sequence[CriticalPath
     Single-box record dicts are parsed into one :class:`Lifecycles` table
     first.  Either way the result is a :class:`PathTable`.  Cluster
     records go through the cluster extractor one by one, and a list that
-    holds any returns a plain list of paths.
+    holds any returns a plain list of paths.  ``records`` is read once,
+    so a lazy cluster run builds each record dict once.
     """
     lifecycles = getattr(records, "lifecycles", None)
     columns = lifecycles() if lifecycles is not None else None
@@ -813,16 +814,19 @@ def extract_paths(records: Sequence[Dict[str, object]]) -> Sequence[CriticalPath
         return extract_fast(columns)
     if columns is not None:
         return extract_lifecycles(columns)
-    cluster = [rec.get("shards") is not None for rec in records]
-    single = [rec for rec, is_cluster in zip(records, cluster) if not is_cluster]
+    single: List[Dict[str, object]] = []
+    out: List[Optional[CriticalPath]] = []  # None: a single-box record
+    for rec in records:
+        if rec.get("shards") is not None:
+            out.append(_extract_cluster(rec))
+        else:
+            single.append(rec)
+            out.append(None)
     table = extract_lifecycles(Lifecycles.from_records(single))
-    if len(single) == len(cluster):
+    if len(single) == len(out):
         return table
     paths = iter(table)
-    return [
-        _extract_cluster(rec) if is_cluster else next(paths)
-        for rec, is_cluster in zip(records, cluster)
-    ]
+    return [path if path is not None else next(paths) for path in out]
 
 
 # -- aggregation --------------------------------------------------------------

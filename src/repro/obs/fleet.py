@@ -22,7 +22,7 @@ OpenTelemetry) would collect from propagated trace context:
 
 The cluster loop records plain rows while it runs and builds the
 :class:`FleetSpan` lists only after it drains
-(:func:`repro.serving.cluster`'s ``_export_rows``): router-side spans
+(``repro.serving.cluster.ClusterSim._export``): router-side spans
 in one list, attempt spans per node — each node's own run log, as it
 were.  :func:`merge_spans` merges them deterministically (sorted by
 start time, span id as the tiebreak) while widening every parent to

@@ -44,9 +44,8 @@ class Observation:
     the session records per-request lifecycles (the runner's
     ``--request-log`` flag does this).  It defaults to ``None`` — request
     logging is a further opt-in on top of tracing/metrics because it
-    records data per request rather than per run (a single box keeps
-    columns and builds record dicts only on export; a cluster keeps one
-    dict per request).
+    records data per request rather than per run (a run's log keeps
+    columns and builds record dicts only on export).
     """
 
     def __init__(

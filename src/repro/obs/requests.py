@@ -14,10 +14,11 @@ A single-box run is stored as columns: the loop's per-request arrays, a
 flat event table and a dispatch table (:class:`RunLog`).  Its
 :attr:`RunLog.records` build each record dict only when read, and the
 critical-path extractor reads the columns directly, so a log nobody
-exports costs little beyond the arrays.  A cluster run's loop records
-plain rows instead, one per router decision and per call; after the loop
-its events go in as columns (:meth:`RunLog.extend_events`) and its
-finished record dicts one by one (:meth:`RunLog.add_record`).
+exports costs little beyond the arrays.  A cluster run is stored the
+same way: after its loop its events go in as columns
+(:meth:`RunLog.extend_events`) and its per-request values as one call
+(:meth:`RunLog.finish_cluster`), and its record dicts are built on read
+too.
 
 Everything recorded is **simulated time only** — no wall clocks — so the
 export is byte-identical for a given seed and fault plan regardless of
@@ -37,7 +38,9 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Collection, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -108,6 +111,24 @@ class _Columns:
     )
 
 
+@dataclass
+class _ClusterColumns:
+    """The per-request values of one cluster run (see
+    :meth:`RunLog.finish_cluster`)."""
+
+    arrival: np.ndarray
+    end: np.ndarray
+    outcome: np.ndarray
+    outcome_names: Tuple[str, ...]
+    cause: Sequence[Optional[str]]
+    fault_windows: Sequence[Sequence[str]]
+    shards: np.ndarray
+    nodes: Sequence[Collection[int]]
+    failovers: Sequence[int]
+    hedges: Sequence[int]
+    hedges_wasted: Sequence[int]
+
+
 class RunRecords(Sequence[Dict[str, object]]):
     """The read-only, lazy record sequence of one run (:attr:`RunLog.records`).
 
@@ -124,7 +145,7 @@ class RunRecords(Sequence[Dict[str, object]]):
         self._run = run
 
     def __len__(self) -> int:
-        return self._run._num_records()
+        return self._run._kept
 
     def __getitem__(self, index):  # type: ignore[override]
         if isinstance(index, slice):
@@ -143,7 +164,7 @@ class RunRecords(Sequence[Dict[str, object]]):
     def lifecycles(self) -> Union[Lifecycles, FastLifecycles, None]:
         """The run's lifecycle columns: a :class:`FastLifecycles` for a
         fast-path run, a :class:`Lifecycles` for a resilient one, None
-        when its records were added one by one (:meth:`RunLog.add_record`)."""
+        for a cluster run (its critical paths are walked per record)."""
         return self._run._lifecycles()
 
 
@@ -153,9 +174,9 @@ class RunLog:
     Created by :meth:`RequestLog.start_run`.  The serving loop feeds it
     incremental :meth:`event` calls (or whole columns through
     :meth:`extend_events`), appended to one flat ``(req, kind, t_ms,
-    attrs)`` event table, and one :meth:`finish` /
-    :meth:`finish_fast` call that keeps the loop's per-request arrays as
-    columns.  :attr:`records` builds a request's record dict from those
+    attrs)`` event table, and one :meth:`finish` / :meth:`finish_fast` /
+    :meth:`finish_cluster` call that keeps the loop's per-request values
+    as columns.  :attr:`records` builds a request's record dict from those
     columns only when it is read.  All timestamps are simulated
     milliseconds.
     """
@@ -183,12 +204,10 @@ class RunLog:
         self._ev_t: List[float] = []
         self._ev_attrs: List[Dict[str, object]] = []
         self._kept = 0
-        self._cols: Optional[_Columns] = None
+        self._cols: Union[_Columns, _ClusterColumns, None] = None
         self._grouping: Optional[Tuple[np.ndarray, ...]] = None
         self._dispatches: Tuple[List[object], ...] = ([], [], [], [], [], [])
         self._dispatch_row: Optional[np.ndarray] = None
-        self._added: Optional[List[Dict[str, object]]] = None
-        self._event_lists: Dict[int, List[Dict[str, object]]] = {}
 
     def exemplar_id(self, req: int) -> str:
         """The stable id linking request ``req`` across log, spans, and
@@ -280,6 +299,41 @@ class RunLog:
         )
         self._seal(int(arrivals.size), tracer)
 
+    def finish_cluster(
+        self,
+        *,
+        arrivals,
+        ends,
+        outcomes,
+        outcome_names: Tuple[str, ...],
+        causes: Sequence[Optional[str]],
+        fault_windows: Sequence[Sequence[str]],
+        shards,
+        nodes: Sequence[Collection[int]],
+        failovers: Sequence[int],
+        hedges: Sequence[int],
+        hedges_wasted: Sequence[int],
+        tracer=None,
+    ) -> None:
+        """Keep the columns of a cluster run (:mod:`repro.serving.cluster`).
+
+        One value per request: its arrival and end, its outcome code into
+        ``outcome_names`` (code 0 is ``"completed"``, as on the single
+        box), its cause, the names of the fault windows it overlapped,
+        its row of the ``(requests, gather width)`` array ``shards``, the
+        nodes its calls went to, and its failover, hedge and wasted-hedge
+        counts.  Call it once, after the run's last event.
+        """
+        self._cols = _ClusterColumns(
+            arrival=np.asarray(arrivals, dtype=np.float64),
+            end=np.asarray(ends, dtype=np.float64),
+            outcome=np.asarray(outcomes, dtype=np.int64),
+            outcome_names=outcome_names, cause=causes,
+            fault_windows=fault_windows, shards=np.asarray(shards), nodes=nodes,
+            failovers=failovers, hedges=hedges, hedges_wasted=hedges_wasted,
+        )
+        self._seal(len(self._cols.arrival), tracer)
+
     def _grouped(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The event-table rows of kept requests grouped by request, in
         recording order within each: ``(rows, ptr, kind codes, times)``;
@@ -325,7 +379,7 @@ class RunLog:
 
     def _lifecycles(self) -> Union[Lifecycles, FastLifecycles, None]:
         cols = self._cols
-        if cols is None:
+        if not isinstance(cols, _Columns):
             return None
         k = self._kept
         if cols.outcome is None:
@@ -379,13 +433,10 @@ class RunLog:
 
     # -- records ---------------------------------------------------------------
 
-    def _num_records(self) -> int:
-        return len(self._added) if self._added is not None else self._kept
-
     def _record_at(self, i: int) -> Dict[str, object]:
         """Build request ``i``'s record dict from the columns."""
-        if self._added is not None:
-            return self._added[i]
+        if isinstance(self._cols, _ClusterColumns):
+            return self._cluster_record(i)
         cols = self._cols
         arrival = float(cols.arrival[i])
         if cols.outcome is None:
@@ -413,12 +464,7 @@ class RunLog:
                     {"kind": "complete", "t_ms": start + service},
                 ],
             )
-        rows, ptr, _, _ = self._grouped()
-        events = []
-        for row in rows[ptr[i] : ptr[i + 1]].tolist():
-            events.append(
-                _event_entry(self._ev_kind[row], self._ev_t[row], self._ev_attrs[row])
-            )
+        events = self._events_of(i)
         outcome = OUTCOME_NAMES[int(cols.outcome[i])]
         backoff = sum(
             float(e.get("backoff_ms", 0.0))
@@ -471,6 +517,48 @@ class RunLog:
             fault_windows=self._overlapping(cols.windows, arrival, end, core),
             events=events,
         )
+
+    def _events_of(self, i: int) -> List[Dict[str, object]]:
+        """Request ``i``'s rows of the event table, as ``events`` entries."""
+        rows, ptr, _, _ = self._grouped()
+        kinds, times, attrs = self._ev_kind, self._ev_t, self._ev_attrs
+        return [
+            {"kind": kinds[row], "t_ms": float(times[row]), **attrs[row]}
+            for row in rows[ptr[i] : ptr[i + 1]].tolist()
+        ]
+
+    def _cluster_record(self, i: int) -> Dict[str, object]:
+        """Build cluster request ``i``'s record dict from the columns."""
+        cols = self._cols
+        arrival = float(cols.arrival[i])
+        end = float(cols.end[i])
+        outcome = cols.outcome_names[int(cols.outcome[i])]
+        record = self._record(
+            req=i,
+            injected=False,
+            arrival_ms=arrival,
+            outcome=outcome,
+            cause=cols.cause[i],
+            retries=0,
+            backoff_ms=0.0,
+            wait_ms=None,
+            service_ms=None,
+            end_ms=end,
+            core=None,
+            level=None,
+            scheme=None,
+            fault_windows=list(cols.fault_windows[i]),
+            events=self._events_of(i),
+        )
+        if outcome == "degraded":
+            # A partial result still has an end-to-end latency.
+            record["latency_ms"] = end - arrival
+        record["shards"] = cols.shards[i].tolist()
+        record["nodes"] = sorted(cols.nodes[i])
+        record["failovers"] = int(cols.failovers[i])
+        record["hedges"] = int(cols.hedges[i])
+        record["hedges_wasted"] = int(cols.hedges_wasted[i])
+        return record
 
     @staticmethod
     def _overlapping(
@@ -544,82 +632,9 @@ class RunLog:
             "events": events,
         }
 
-    def add_record(
-        self,
-        *,
-        req: int,
-        arrival_ms: float,
-        outcome: str,
-        end_ms: float,
-        cause: Optional[str] = None,
-        retries: int = 0,
-        backoff_ms: float = 0.0,
-        wait_ms: Optional[float] = None,
-        service_ms: Optional[float] = None,
-        core: Optional[int] = None,
-        level: Optional[int] = None,
-        scheme: Optional[str] = None,
-        fault_windows: Optional[List[str]] = None,
-        injected: bool = False,
-        **extra: object,
-    ) -> Dict[str, object]:
-        """Append one request record built by an external simulator.
-
-        A cluster run (:mod:`repro.serving.cluster`) uses this instead
-        of :meth:`finish`/:meth:`finish_fast` because its per-request
-        shape (shard calls, failovers, hedges) does not map onto the
-        single-box arrays.  ``extra`` keys are merged into the record
-        verbatim (e.g. ``node``, ``shards``, ``failovers``, ``hedges``,
-        ``hedges_wasted``); the schema allows additional fields.  Records
-        must be added in request order, after the run's last
-        :meth:`event`; call :meth:`finish_custom` once at the end.
-        """
-        if self._added is None:
-            self._added = []
-            for req_, kind, t_ms, attrs in zip(
-                self._ev_req, self._ev_kind, self._ev_t, self._ev_attrs
-            ):
-                self._event_lists.setdefault(req_, []).append(
-                    _event_entry(kind, t_ms, attrs)
-                )
-        record = self._record(
-            req=req,
-            injected=injected,
-            arrival_ms=arrival_ms,
-            outcome=outcome,
-            cause=cause,
-            retries=retries,
-            backoff_ms=backoff_ms,
-            wait_ms=wait_ms,
-            service_ms=service_ms,
-            end_ms=end_ms,
-            core=core,
-            level=level,
-            scheme=scheme,
-            fault_windows=list(fault_windows) if fault_windows else [],
-            events=self._event_lists.get(req, []),
-        )
-        if outcome == "degraded":
-            # A partial result still has an end-to-end latency.
-            record["latency_ms"] = end_ms - arrival_ms
-        record.update(extra)
-        self._added.append(record)
-        return record
-
-    def finish_custom(self, tracer=None) -> None:
-        """Seal a run whose records came through :meth:`add_record`."""
-        if self._added is None:
-            self._added = []
-        self._seal(len(self._added), tracer)
-
     def completed_reqs(self) -> np.ndarray:
         """Request indices of the kept completed requests, in arrival
-        order (aligned with ``ServerResult.latencies_ms``)."""
-        if self._added is not None:
-            return np.array(
-                [r["req"] for r in self._added if r["outcome"] == "completed"],
-                dtype=np.int64,
-            )
+        order (aligned with the result's ``latencies_ms``)."""
         if self._cols is None:
             return np.empty(0, dtype=np.int64)
         if self._cols.outcome is None:
@@ -631,22 +646,25 @@ class RunLog:
         as one columnar batch."""
         kept = self.log._admit(count)
         self._kept = kept
-        if self._added is not None:
-            del self._added[kept:]
         if tracer is None or kept == 0:
             return
         tid = tracer.new_sim_track(f"serving.requests:{self.label} (ms)")
-        if self._cols is not None:
-            arrival, end = self._cols.arrival[:kept], self._end()
-        else:
-            arrival = np.array([float(r["arrival_ms"]) for r in self._added])
-            end = np.array([float(r["end_ms"]) for r in self._added])
+        arrival, end = self._cols.arrival[:kept], self._end()
         tracer.add_sim_batch(
             "serving.request", arrival, end - arrival, self._span, tid=tid
         )
 
     def _span(self, i: int) -> Tuple[str, Dict[str, object]]:
         """Name and args of request ``i``'s trace span."""
+        cols = self._cols
+        if isinstance(cols, _ClusterColumns):
+            return f"req[{i}]", {
+                "id": self.exemplar_id(i),
+                "outcome": cols.outcome_names[int(cols.outcome[i])],
+                "cause": cols.cause[i],
+                "core": None,
+                "retries": 0,
+            }
         record = self.records[i]
         return f"req[{record['req']}]", {
             "id": record["id"],
@@ -655,14 +673,6 @@ class RunLog:
             "core": record["core"],
             "retries": record["retries"],
         }
-
-
-def _event_entry(kind: str, t_ms: float, attrs: Dict[str, object]) -> Dict[str, object]:
-    """One event of a record's ``events`` list."""
-    entry: Dict[str, object] = {"kind": kind, "t_ms": float(t_ms)}
-    if attrs:
-        entry.update(attrs)
-    return entry
 
 
 class RequestLog:

@@ -105,16 +105,24 @@ def percentile(values: Sequence[float], q: float) -> float:
 # -- shared machinery ---------------------------------------------------------
 
 
-def _attempt_durations(
+def _slot_stats(
     records: Sequence[Dict[str, object]],
-) -> Tuple[Dict[int, List[float]], Dict[int, List[float]]]:
-    """Logged ok-attempt durations, keyed by shard and by node."""
+) -> Tuple[Dict[int, List[float]], Dict[int, List[float]], List[float]]:
+    """Logged ok-attempt durations, keyed by shard and by node, and the
+    window quantile of every fired hedge that logged one.
+
+    Each record's slot index lives only while its record is read:
+    holding every index until the fold would make the collector scan
+    them all, which costs more than indexing a record again.
+    """
     by_shard: Dict[int, List[float]] = {}
     by_node: Dict[int, List[float]] = {}
+    qs: List[float] = []
     for rec in records:
         if rec.get("shards") is None:
             continue
         for slot in _index_slots(rec).values():
+            qs.extend(h[2] for h in slot.hedges if h[2] is not None)
             for t_ok, node, _ in slot.oks:
                 submit = slot.submit_of(node)
                 if submit is None:
@@ -122,7 +130,7 @@ def _attempt_durations(
                 dur = t_ok - submit
                 by_shard.setdefault(slot.shard, []).append(dur)
                 by_node.setdefault(node, []).append(dur)
-    return by_shard, by_node
+    return by_shard, by_node, qs
 
 
 def _median(values: List[float]) -> Optional[float]:
@@ -138,7 +146,7 @@ def _median(values: List[float]) -> Optional[float]:
 def _median_by_key(groups: Dict[int, List[float]]):
     """``key -> _median(groups.get(key, []))``, each key sorted once.
 
-    Sound because ``_attempt_durations``' lists are not mutated after it
+    Sound because ``_slot_stats``' lists are not mutated after it
     returns.
     """
     medians: Dict[int, Optional[float]] = {}
@@ -155,9 +163,13 @@ class _Retimer:
     """Folds per-slot counterfactual resolves into per-request latencies.
 
     A slot adjuster maps ``(record, slot)`` to ``(resolve_ms, missing,
-    estimated)``; the retimer recomputes each request's end (the max slot
-    resolve — the gather fan-in), its counterfactual outcome from the
-    missing count, and the finite-latency set the p99 is scored on.
+    estimated)``, a resolve of None with ``missing`` False dropping the
+    slot from the gather; ``extra_slots`` maps a record to the
+    ``(resolve_ms, estimated)`` of slots the log does not hold, which
+    join after the logged ones.  The retimer recomputes each request's
+    end (the max slot resolve — the gather fan-in), its counterfactual
+    outcome from the missing count, and the finite-latency set the p99 is
+    scored on.
     """
 
     def __init__(self, config) -> None:
@@ -165,7 +177,7 @@ class _Retimer:
         self.estimated = False
 
     def run(
-        self, records: Sequence[Dict[str, object]], adjust
+        self, records: Sequence[Dict[str, object]], adjust, extra_slots=None
     ) -> List[float]:
         latencies: List[float] = []
         for rec in records:
@@ -173,19 +185,28 @@ class _Retimer:
                 continue
             arrival = float(rec["arrival_ms"])
             slots = _index_slots(rec)
-            if not slots:
-                continue
             resolves: List[float] = []
             missing = 0
+            width = 0
             for shard in sorted(slots):
                 resolve, is_missing, estimated = adjust(rec, slots[shard])
+                if resolve is None and not is_missing:
+                    continue  # dropped: not part of the gather
+                width += 1
                 if estimated:
                     self.estimated = True
                 if is_missing:
                     missing += 1
                 if resolve is not None:
                     resolves.append(resolve)
-            width = len(slots)
+            if extra_slots is not None:
+                for resolve, estimated in extra_slots(rec):
+                    width += 1
+                    resolves.append(resolve)
+                    if estimated:
+                        self.estimated = True
+            if width == 0:
+                continue
             if missing >= width or (
                 missing > 0 and not self.config.partial_results
             ):
@@ -417,59 +438,24 @@ def predict(
             )
             latencies.append(float(rec["latency_ms"]) - queued * shrink)
         retimer.estimated = True
-    elif knob == "gather_width":
-        dur_by_shard, _ = _attempt_durations(records)
-        adjust, extra_slots = _gather_adjuster(
-            config, int(value), records, dur_by_shard
-        )
-        latencies = []
-        for rec in records:
-            if rec.get("outcome") == "shed" or rec.get("shards") is None:
-                continue
-            arrival = float(rec["arrival_ms"])
-            slots = _index_slots(rec)
-            resolves, missing, width = [], 0, 0
-            for shard in sorted(slots):
-                resolve, is_missing, _ = adjust(rec, slots[shard])
-                if resolve is None and not is_missing:
-                    continue  # dropped slot: not part of the new gather
-                width += 1
-                if is_missing:
-                    missing += 1
-                if resolve is not None:
-                    resolves.append(resolve)
-            for resolve, estimated in extra_slots(rec):
-                width += 1
-                resolves.append(resolve)
-                if estimated:
-                    retimer.estimated = True
-            if width == 0:
-                continue
-            if missing >= width or (
-                missing > 0 and not config.partial_results
-            ):
-                continue
-            latencies.append(max(resolves) - arrival if resolves else 0.0)
     else:
-        if knob == "hedge_min_ms":
-            dur_by_shard, _ = _attempt_durations(records)
-            qs = [
-                h[2]
-                for rec in records
-                if rec.get("shards") is not None
-                for slot in _index_slots(rec).values()
-                for h in slot.hedges
-                if h[2] is not None
-            ]
+        extra_slots = None
+        if knob == "gather_width":
+            dur_by_shard, _, _ = _slot_stats(records)
+            adjust, extra_slots = _gather_adjuster(
+                config, int(value), records, dur_by_shard
+            )
+        elif knob == "hedge_min_ms":
+            dur_by_shard, _, qs = _slot_stats(records)
             adjust = _hedge_adjuster(
                 config, float(value), dur_by_shard, _median(qs)
             )
         elif knob == "replication_delta":
-            _, dur_by_node = _attempt_durations(records)
+            _, dur_by_node, _ = _slot_stats(records)
             adjust = _replication_adjuster(config, int(value), dur_by_node)
         else:  # cat_partition
             adjust = _cat_adjuster(config)
-        latencies = retimer.run(records, adjust)
+        latencies = retimer.run(records, adjust, extra_slots)
     return WhatIfPrediction(
         knob=knob,
         value=float(value),

@@ -57,7 +57,7 @@ from ..obs import hooks as obs_hooks
 from ..obs import ids
 from ..obs.fleet import FleetSpan, emit_spans, merge_spans
 from ..obs.metrics import Histogram
-from .faults import ClusterFaultPlan, FaultPlan
+from .faults import ClusterFaultPlan
 from .router import HealthPolicy, HealthTracker, HedgePolicy, LatencyWindow, Router
 from .router import ROUTING_POLICIES
 from .server import (
@@ -66,7 +66,6 @@ from .server import (
     OUTCOME_SHED,
     ServerResult,
     ServerSim,
-    ServingPolicy,
     lognormal_services,
 )
 from .stats import (
@@ -176,10 +175,9 @@ class ClusterConfig:
     cache_score)`` (hot shard on a cache-poor node pays the most, which
     is what makes hotness-aware placement win).
 
-    ``local_fault_plan`` / ``local_policy`` / ``controller_factory``
-    configure the per-node resilient loop; core-level fault plans are
-    only accepted on the 1-node delegation path (a multi-node cluster's
-    failure domain is the node).
+    ``controller_factory`` gives each node its degradation controller
+    (a multi-node cluster's failure domain is the node: its faults are a
+    :class:`ClusterFaultPlan`).
     """
 
     num_nodes: int = 4
@@ -204,8 +202,6 @@ class ClusterConfig:
     partial_results: bool = True
     seed: int = 0
     label: Optional[str] = None
-    local_fault_plan: Optional[FaultPlan] = None
-    local_policy: Optional[ServingPolicy] = None
     controller_factory: Optional[Callable[[int], "DegradationController"]] = None
 
     def __post_init__(self) -> None:
@@ -458,12 +454,6 @@ class ClusterResult:
     def offered_requests(self) -> int:
         return int(self.outcomes.size)
 
-    @property
-    def served_fraction(self) -> float:
-        """Fraction of offered requests served (full or partial)."""
-        served = self.outcome_count("completed") + self.outcome_count("degraded")
-        return safe_ratio(served, self.offered_requests)
-
     # -- latency -------------------------------------------------------------
 
     def percentile(self, q: float) -> float:
@@ -538,17 +528,6 @@ class ClusterSim:
 
     def __init__(self, config: ClusterConfig) -> None:
         self.config = config
-        if not config.is_single_box:
-            if config.local_fault_plan is not None and not config.local_fault_plan.is_empty:
-                raise ConfigError(
-                    "core-level fault plans only apply to a 1-node cluster; "
-                    "use ClusterFaultPlan for node-scoped faults"
-                )
-            if config.local_policy is not None and not config.local_policy.is_null:
-                raise ConfigError(
-                    "per-box serving policies only apply to a 1-node "
-                    "cluster; the router owns cluster admission control"
-                )
         self.shard_map = ShardMap(config)
 
     # -- single-box delegation ----------------------------------------------
@@ -561,8 +540,6 @@ class ClusterSim:
             mean_service_ms=cfg.mean_service_ms,
             num_cores=cfg.cores_per_node,
             service_cv=cfg.service_cv,
-            fault_plan=cfg.local_fault_plan,
-            policy=cfg.local_policy,
             controller=(
                 cfg.controller_factory(0)
                 if cfg.controller_factory is not None
@@ -1188,9 +1165,10 @@ class ClusterSim:
         One pass over the loop's rows (see ``_ROW_ROUTE``) replays each
         request in loop order: a span per request, gather slot, router
         decision and call, and, with a request log, the request's
-        events.  A slot settles on its first delivery (the winner) or on
-        a primary or failover decision that found no replica; a request
-        closes when its last slot settles.  Returns the run's
+        events and tallies, handed to the log as columns.  A slot
+        settles on its first delivery (the winner) or on a primary or
+        failover decision that found no replica; a request closes when
+        its last slot settles.  Returns the run's
         :class:`RunLog`, or None when the observation holds no request
         log.
         """
@@ -1379,39 +1357,40 @@ class ClusterSim:
 
         if logged:
             run.extend_events(ev_req, ev_kind, ev_t, ev_attrs)
-            fault_windows = plan.windows()
-            for i in range(n):
-                name = CLUSTER_OUTCOME_NAMES[outcomes[i]]
-                cause = None
-                if name in ("degraded", "failed"):
-                    cause = "partition" if partition[i] else "node_fault"
-                elif name == "completed":
-                    if partition[i]:
-                        cause = "partition"
-                    elif node_fault[i]:
-                        cause = "node_fault"
-                nodes = touched[i]
-                overlapping = [
-                    wname
-                    for wname, w_start, w_end, attrs in fault_windows
-                    if attrs.get("node") in nodes
-                    and w_start <= end_ms[i]
-                    and arrivals[i] <= w_end
-                ]
-                run.add_record(
-                    req=i,
-                    arrival_ms=arrivals[i],
-                    outcome=name,
-                    end_ms=end_ms[i],
-                    cause=cause,
-                    fault_windows=overlapping,
-                    shards=slot_shard[i * width:(i + 1) * width],
-                    nodes=sorted(nodes),
-                    failovers=failovers[i],
-                    hedges=hedges[i],
-                    hedges_wasted=hedges_wasted[i],
-                )
-            run.finish_custom(tracer=obs.tracer)
+            windows = plan.windows()
+            run.finish_cluster(
+                arrivals=arrivals,
+                ends=end_ms,
+                outcomes=outcomes,
+                outcome_names=CLUSTER_OUTCOME_NAMES,
+                # What lost a degraded or failed request its shards, or
+                # what a completed one rode out; a shed one has none.
+                causes=[
+                    None if code == CL_SHED
+                    else "partition" if partition[i]
+                    else "node_fault" if node_fault[i] or code != CL_COMPLETED
+                    else None
+                    for i, code in enumerate(outcomes)
+                ],
+                # Tuples, kept as long as the log: most are the one
+                # shared empty tuple, not a list per request.
+                fault_windows=[
+                    tuple([
+                        name
+                        for name, w_start, w_end, attrs in windows
+                        if attrs.get("node") in touched[i]
+                        and w_start <= end_ms[i]
+                        and arrivals[i] <= w_end
+                    ])
+                    for i in range(n)
+                ],
+                shards=np.reshape(slot_shard, (n, width)),
+                nodes=touched,
+                failovers=failovers,
+                hedges=hedges,
+                hedges_wasted=hedges_wasted,
+                tracer=obs.tracer,
+            )
         emit_spans(obs.tracer, label, merge_spans(router_spans, node_spans))
         return run
 

@@ -527,14 +527,6 @@ class ClusterFaultPlan:
                 return True
         return False
 
-    def next_up(self, node: int, t_ms: float) -> float:
-        """Earliest time ``>= t_ms`` at which ``node`` is up again."""
-        t = t_ms
-        for start, end in self._crash_windows.get(node, ()):
-            if start <= t < end:
-                t = end
-        return t
-
     def partitioned(self, node: int, t_ms: float) -> bool:
         """Whether ``node`` is unreachable (partitioned) at ``t_ms``."""
         for start, end in self._partition_windows.get(node, ()):
@@ -557,14 +549,6 @@ class ClusterFaultPlan:
     def crashes_for(self, node: int) -> List[Tuple[float, float]]:
         """Sorted crash windows of ``node`` (for scheduling crash events)."""
         return list(self._crash_windows.get(node, ()))
-
-    def fault_windows_for(self, node: int) -> List[Tuple[float, float]]:
-        """Sorted union of crash + partition windows touching ``node``."""
-        wins = list(self._crash_windows.get(node, ())) + list(
-            self._partition_windows.get(node, ())
-        )
-        wins.sort()
-        return wins
 
     # -- reporting -----------------------------------------------------------
 

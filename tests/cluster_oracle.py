@@ -963,6 +963,8 @@ def run_cluster(sim: ClusterSim, arrivals_ms: np.ndarray) -> ClusterResult:
     result.latency_hist = hist
     if run is not None:
         fault_windows = plan.windows()
+        causes: List[Optional[str]] = []
+        windows: List[List[str]] = []
         for i in range(n):
             name = CLUSTER_OUTCOME_NAMES[int(outcomes[i])]
             cause = None
@@ -981,21 +983,21 @@ def run_cluster(sim: ClusterSim, arrivals_ms: np.ndarray) -> ClusterResult:
                 and w_start <= end_ms[i]
                 and arrivals_ms[i] <= w_end
             ]
-            run.add_record(
-                req=i,
-                arrival_ms=float(arrivals_ms[i]),
-                outcome=name,
-                end_ms=float(end_ms[i]),
-                cause=cause,
-                fault_windows=overlapping,
-                shards=[int(s) for s in shards_of[i]],
-                nodes=sorted(touched),
-                failovers=int(req_failovers[i]),
-                hedges=int(req_hedges[i]),
-                hedges_wasted=int(req_hedges_wasted[i]),
-            )
-        run.finish_custom(
-            tracer=obs.tracer if obs is not None else None
+            causes.append(cause)
+            windows.append(overlapping)
+        run.finish_cluster(
+            arrivals=arrivals_ms,
+            ends=end_ms,
+            outcomes=outcomes,
+            outcome_names=CLUSTER_OUTCOME_NAMES,
+            causes=causes,
+            fault_windows=windows,
+            shards=shards_of,
+            nodes=req_nodes,
+            failovers=req_failovers,
+            hedges=req_hedges,
+            hedges_wasted=req_hedges_wasted,
+            tracer=obs.tracer if obs is not None else None,
         )
     if trace is not None:
         trace.finalize()

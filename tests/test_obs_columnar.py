@@ -15,6 +15,7 @@ from typing import Dict, List, Optional
 import numpy as np
 import pytest
 
+import cluster_oracle
 import serving_oracle
 from repro.obs.critpath import (
     LIFECYCLE_CODES,
@@ -33,15 +34,19 @@ from repro.obs.critpath import (
 )
 from repro.obs.hooks import Observation, session
 from repro.obs.metrics import Histogram
-from repro.obs.requests import RequestLog, load_request_log
+from repro.obs.requests import RequestLog, RunLog, load_request_log
 from repro.obs.tracer import Tracer
+from repro.serving.cluster import ClusterConfig, ClusterSim
 from repro.serving.degradation import DegradationController, scheme_ladder
 from repro.serving.faults import (
     ArrivalBurst,
     BandwidthDegradation,
+    ClusterFaultPlan,
     FaultPlan,
+    NodeCrash,
     Stragglers,
 )
+from repro.serving.router import HedgePolicy
 from repro.serving.server import OUTCOME_NAMES, ServingPolicy
 from repro.serving.workload import poisson_arrivals
 
@@ -197,18 +202,55 @@ def _resilient_runs(engine: str) -> None:
 
 RUNS = {"plain": _plain_runs, "resilient": _resilient_runs}
 
+#: Requests per run of the cluster session.
+CLUSTER_N = 400
+
+
+def _cluster_runs(engine: str) -> None:
+    """Two 4-node clusters riding out a node kill: one replicated, hedged
+    and shedding at an outstanding bound, one unreplicated (degraded
+    partial results).  ``"fast"`` is the package loop, ``"reference"``
+    its object-per-call oracle."""
+    arrivals = _arrivals(n=CLUSTER_N, interarrival=0.3, seed=11)
+    horizon = float(arrivals[-1])
+    base = dict(
+        num_nodes=4, cores_per_node=2, mean_service_ms=1.0, num_shards=8,
+        gather_width=2, hop_ms=0.05, call_timeout_ms=12.0, deadline_ms=4.0,
+        faults=ClusterFaultPlan(
+            [NodeCrash(1, 0.25 * horizon, 0.6 * horizon)], seed=11
+        ),
+        seed=11,
+    )
+    configs = [
+        ClusterConfig(
+            replication=2, max_outstanding=6, label="kill_hedged",
+            hedge=HedgePolicy(quantile=90.0, min_ms=1.5, window=64), **base,
+        ),
+        ClusterConfig(replication=1, label="kill_bare", **base),
+    ]
+    for config in configs:
+        if engine == "reference":
+            cluster_oracle.run_cluster(ClusterSim(config), arrivals)
+        else:
+            ClusterSim(config).run(arrivals)
+
+
+SESSIONS = {**RUNS, "cluster": _cluster_runs}
+
 
 def _logged(name: str, engine: str, log: Optional[RequestLog] = None) -> Observation:
     obs = Observation(requests=log if log is not None else RequestLog())
     with session(obs):
-        RUNS[name](engine)
+        SESSIONS[name](engine)
     return obs
 
 
-def _export_hashes(name: str, engine: str, prefix) -> Dict[str, str]:
+def _export_hashes(
+    name: str, engine: str, prefix, log: Optional[RequestLog] = None
+) -> Dict[str, str]:
     """sha256 of the request log, Chrome trace, metrics and critical-path
     profiles of one pinned observed session."""
-    obs = _logged(name, engine)
+    obs = _logged(name, engine, log)
     paths = {
         "requests": f"{prefix}_{name}_req.jsonl",
         "trace": f"{prefix}_{name}_trace.json",
@@ -242,6 +284,18 @@ PINNED_HASHES = {
         "trace": "dcb47478029ab3d5d70820790f0b11af09bf190ab12da736e65e04d6d0f2d82c",
         "metrics": "ff07587ab4faca155f6ab477732fdeb7df55b97a74090c3200d0797ee82b1e3e",
         "profiles": "ad012b6d9038d842a47fe6d070ae8daf049eaf139bc8debbd4aee48d5191eb25",
+    },
+    "cluster": {
+        "requests": "b4368603f0124cee2d8105171760ed03f9d661803a5832ac1ae0b7f90c29a60e",
+        "trace": "97b74882c4e57f481db38f0ba659ae1becb350662185adb372fabad60a32d4bd",
+        "metrics": "9a738618ff098990f65b474db9fdccaac9b6f4c8d01bc27f9bd5f5a75721e6dc",
+        "profiles": "07317acc4be0f36c8c74c26fc2712a1f489a50ec7f27184f1792fe3b42ec73f3",
+    },
+    "cluster_bounded": {
+        "requests": "7e2240684b1c151641cbd3abc9ca8e3ced5f9295f5ebc4c90fea8f866600d0c1",
+        "trace": "9fb69d175e54fe3f9946f14727e58bf622ea6f0cbfce1aabdb1e2bfb21939ea4",
+        "metrics": "9a738618ff098990f65b474db9fdccaac9b6f4c8d01bc27f9bd5f5a75721e6dc",
+        "profiles": "3b4fc147450a36ffd00e8eea63c1b8a68fca81a968cae516f2694648ea503145",
     },
 }
 
@@ -434,6 +488,24 @@ def test_records_are_a_read_only_lazy_sequence():
     assert not hasattr(records, "append")
 
 
+def test_cluster_run_builds_no_record_until_read(monkeypatch, tmp_path):
+    built = []
+    build = RunLog._record
+
+    def counting(self, **fields):
+        built.append(fields["req"])
+        return build(self, **fields)
+
+    monkeypatch.setattr(RunLog, "_record", counting)
+    obs = _logged("cluster", "fast")
+    obs.tracer.to_chrome(tmp_path / "trace.json")
+    obs.metrics.to_jsonl(tmp_path / "metrics.jsonl")
+    assert built == []  # the run, its request spans and its exemplars
+    records = obs.requests.runs[0].records
+    assert len(records) == CLUSTER_N and records.lifecycles() is None
+    assert records[5]["shards"] and built == [5]
+
+
 def test_outcome_names_mirror_the_server():
     from repro.obs import requests
 
@@ -447,6 +519,19 @@ def test_outcome_names_mirror_the_server():
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_exports_byte_identical_to_pinned(name, engine, tmp_path):
     assert _export_hashes(name, engine, tmp_path / "x") == PINNED_HASHES[name]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_cluster_exports_byte_identical_to_pinned(engine, tmp_path):
+    """Whole, and with a log bound that cuts the second run: the oracle
+    writes through the same log, so only these digests pin how it
+    stores and exports a cluster run."""
+    hashes = _export_hashes("cluster", engine, tmp_path / "x")
+    assert hashes == PINNED_HASHES["cluster"]
+    log = RequestLog(max_requests=CLUSTER_N + 150)
+    hashes = _export_hashes("cluster", engine, tmp_path / "b", log)
+    assert [len(run.records) for run in log.runs] == [CLUSTER_N, 150]
+    assert hashes == PINNED_HASHES["cluster_bounded"]
 
 
 # -- tracer batches -----------------------------------------------------------------

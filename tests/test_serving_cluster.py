@@ -17,15 +17,12 @@ from repro.serving.cluster import (
 from repro.serving.degradation import DegradationController, scheme_ladder
 from repro.serving.faults import (
     ClusterFaultPlan,
-    CoreSlowdown,
-    FaultPlan,
     NodeCrash,
     NodePartition,
     NodeSlow,
     NodeTenant,
 )
 from repro.serving.router import HedgePolicy
-from repro.serving.server import ServingPolicy
 from repro.serving.workload import poisson_arrivals
 
 
@@ -70,13 +67,8 @@ class TestSingleBoxDelegation:
         assert np.all(res.outcomes == CL_COMPLETED)
 
     @pytest.mark.parametrize("engine", sorted(SIMULATORS))
-    def test_fault_path_byte_identical(self, engine):
+    def test_controller_path_byte_identical(self, engine):
         arrivals = _arrivals(400)
-        plan = FaultPlan([CoreSlowdown(0, 20.0, 120.0, 3.0)], seed=5)
-        policy = ServingPolicy(
-            deadline_ms=25.0, timeout_ms=25.0, max_retries=1,
-            retry_backoff_ms=2.0, max_queue_depth=40,
-        )
         ladder = scheme_ladder(
             {"baseline": 1.0, "sw_pf": 0.8, "integrated": 0.65},
             batch_scale=0.6,
@@ -90,13 +82,12 @@ class TestSingleBoxDelegation:
 
         direct = SIMULATORS[engine](
             arrivals, 2.0, 3, SimConfig(seed=5).rng("t:svc"),
-            fault_plan=plan, policy=policy, controller=controller(),
+            controller=controller(),
         )
         res = ClusterSim(
             ClusterConfig(
                 num_nodes=1, cores_per_node=3, mean_service_ms=2.0,
                 replication=1, gather_width=1, num_shards=1,
-                local_fault_plan=plan, local_policy=policy,
                 controller_factory=lambda node: controller(),
             )
         ).run(arrivals, SimConfig(seed=5).rng("t:svc"))
@@ -104,18 +95,6 @@ class TestSingleBoxDelegation:
         assert np.array_equal(res.local.latencies_ms, direct.latencies_ms)
         assert np.array_equal(res.local.outcomes, direct.outcomes)
         assert res.local.outcome_counts == direct.outcome_counts
-
-    def test_multi_node_rejects_core_level_config(self):
-        plan = FaultPlan([CoreSlowdown(0, 0.0, 10.0, 2.0)], seed=1)
-        with pytest.raises(ConfigError):
-            ClusterSim(ClusterConfig(num_nodes=2, local_fault_plan=plan))
-        with pytest.raises(ConfigError):
-            ClusterSim(
-                ClusterConfig(
-                    num_nodes=2,
-                    local_policy=ServingPolicy(deadline_ms=5.0),
-                )
-            )
 
 
 class TestShardMap:

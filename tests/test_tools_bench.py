@@ -410,20 +410,23 @@ def test_trace_report_json_format(tmp_path, capsys):
 
 def test_miss_attribution_sorted_by_count_then_cause(tmp_path, capsys):
     """Satellite fix: attribution rows render most-frequent first."""
-    from repro.obs import RequestLog
-
     trace_report = _load_tool("trace_report")
-    log = RequestLog()
-    run = log.start_run(label="sorted", num_requests=6, deadline_ms=1.0)
+    log = [{"kind": "request_log_meta", "schema_version": 1, "runs": 1,
+            "requests": 6, "dropped": 0}]
     for i in range(6):
-        run.add_record(
-            req=i, arrival_ms=float(i), outcome="failed" if i < 4 else "shed",
-            end_ms=float(i) + 5.0,
-            cause=None if i < 4 else "queue_full",
-        )
-    run.finish_custom()
+        log.append({
+            "kind": "request", "schema_version": 1, "run": 0,
+            "label": "sorted", "req": i, "id": f"0:{i}", "injected": False,
+            "arrival_ms": float(i), "deadline_ms": 1.0,
+            "outcome": "failed" if i < 4 else "shed",
+            "cause": None if i < 4 else "queue_full", "retries": 0,
+            "backoff_ms": 0.0, "wait_ms": None, "service_ms": None,
+            "latency_ms": None, "end_ms": float(i) + 5.0, "core": None,
+            "degradation_level": None, "scheme": None, "fault_windows": [],
+            "deadline_met": False, "events": [],
+        })
     path = tmp_path / "req.jsonl"
-    log.to_jsonl(path)
+    path.write_text("".join(json.dumps(line) + "\n" for line in log))
     assert trace_report.main(["--requests", str(path), "--top", "1"]) == 0
     out = capsys.readouterr().out
     lines = [l for l in out.splitlines() if l and l.split()[0] in

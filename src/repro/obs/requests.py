@@ -67,6 +67,13 @@ SCHEMA_VERSION = 1
 OUTCOME_NAMES = ("completed", "shed", "timed_out")
 OUTCOME_COMPLETED = 0
 
+#: The cause a request's terminal event names, by lifecycle code.
+_CAUSE_OF_CODE = {
+    LIFECYCLE_CODES["shed"]: "queue_full",
+    LIFECYCLE_CODES["expired"]: "deadline_expired",
+    LIFECYCLE_CODES["timeout"]: "queue_timeout",
+}
+
 #: Attribution buckets for requests that missed their SLA, most specific
 #: first (see :func:`attribute_miss`).  The cluster layer adds four
 #: fleet-level causes: ``partition``/``node_fault`` cover requests that
@@ -215,7 +222,12 @@ class RunLog:
         return request_id(self.index, req)
 
     def event(self, req: int, kind: str, t_ms: float, **attrs: object) -> None:
-        """Record one lifecycle event of request ``req``."""
+        """Record one lifecycle event of request ``req``.
+
+        A request's first ``arrive`` is not recorded: every request's
+        events open with one at its arrival, which the arrival column
+        holds.  Retries record ``retry_arrive``.
+        """
         self._ev_req.append(req)
         self._ev_kind.append(kind)
         self._ev_t.append(t_ms)
@@ -230,9 +242,9 @@ class RunLog:
     ) -> None:
         """Record many lifecycle events at once, as parallel columns: row
         ``j`` is one :meth:`event` call (the ``attrs`` dicts are kept, not
-        copied).  The table is read grouped by request, so only the order
-        of each request's own events matters; rows of different requests
-        may interleave in any order."""
+        copied; first arrivals are implicit there too).  The table is read
+        grouped by request, so only the order of each request's own events
+        matters; rows of different requests may interleave in any order."""
         self._ev_req.extend(reqs)
         self._ev_kind.extend(kinds)
         self._ev_t.extend(times)
@@ -337,7 +349,8 @@ class RunLog:
     def _grouped(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The event-table rows of kept requests grouped by request, in
         recording order within each: ``(rows, ptr, kind codes, times)``;
-        request ``i`` owns ``rows[ptr[i]:ptr[i + 1]]``."""
+        request ``i`` owns ``rows[ptr[i]:ptr[i + 1]]``.  These are the
+        events after each request's implicit first ``arrive``."""
         if self._grouping is None:
             req = np.array(self._ev_req, dtype=np.int64)
             rows = np.argsort(req, kind="stable")
@@ -405,17 +418,19 @@ class RunLog:
                 * np.array(straggler, dtype=np.float64)[row[ran]]
                 * np.array(scale, dtype=np.float64)[row[ran]]
             )
-        # Every completed request ends with dispatch, complete after its
-        # table events.
+        # Every request opens with its arrive before its table events, and
+        # every completed one ends with dispatch, complete after them.
         done = np.flatnonzero(outcome == OUTCOME_COMPLETED)
         t_counts = np.diff(t_ptr)
-        counts = t_counts.copy()
+        counts = t_counts + 1
         counts[done] += 2
         ptr = np.concatenate(([0], np.cumsum(counts)))
         kind = np.empty(ptr[-1], dtype=np.int64)
         t = np.empty(ptr[-1], dtype=np.float64)
         ev_mult = np.ones(ptr[-1])
-        table = np.repeat(ptr[:-1] - t_ptr[:-1], t_counts) + np.arange(t_ptr[-1])
+        kind[ptr[:-1]] = code_of["arrive"]
+        t[ptr[:-1]] = cols.arrival[:k]
+        table = np.repeat(ptr[:-1] + 1 - t_ptr[:-1], t_counts) + np.arange(t_ptr[-1])
         kind[table] = t_code
         t[table] = t_time
         at = ptr[done + 1] - 2
@@ -472,13 +487,6 @@ class RunLog:
             if e["kind"] == "timeout_retry"
         )
         cause = None
-        for e in events:
-            if e["kind"] == "shed":
-                cause = "queue_full"
-            elif e["kind"] == "expired":
-                cause = "deadline_expired"
-            elif e["kind"] == "timeout":
-                cause = "queue_timeout"
         level = scheme = None
         if outcome == "completed":
             start = float(cols.start[i])
@@ -486,7 +494,6 @@ class RunLog:
             wait: Optional[float] = start - arrival
             end = start + service
             core: Optional[int] = int(cols.core[i])
-            cause = None
             row = int(self._dispatch_rows()[i])
             _, level, scheme, fault, straggler, scale = (
                 column[row] for column in self._dispatches
@@ -499,7 +506,8 @@ class RunLog:
             events.append({"kind": "complete", "t_ms": end, "core": core})
         else:
             wait, service, core = None, None, None
-            end = float(events[-1]["t_ms"]) if events else arrival
+            end = float(events[-1]["t_ms"])
+            cause = self._cause(i)
         return self._record(
             req=i,
             injected=bool(cols.injected[i]) if cols.injected is not None else False,
@@ -519,13 +527,27 @@ class RunLog:
         )
 
     def _events_of(self, i: int) -> List[Dict[str, object]]:
-        """Request ``i``'s rows of the event table, as ``events`` entries."""
+        """Request ``i``'s ``events`` entries: its arrive, then its rows of
+        the event table."""
         rows, ptr, _, _ = self._grouped()
         kinds, times, attrs = self._ev_kind, self._ev_t, self._ev_attrs
-        return [
+        events: List[Dict[str, object]] = [
+            {"kind": "arrive", "t_ms": float(self._cols.arrival[i])}
+        ]
+        events.extend(
             {"kind": kinds[row], "t_ms": float(times[row]), **attrs[row]}
             for row in rows[ptr[i] : ptr[i + 1]].tolist()
-        ]
+        )
+        return events
+
+    def _cause(self, i: int) -> Optional[str]:
+        """The cause single-box request ``i``'s last terminal event names
+        (None without one), read from the grouped kind codes."""
+        _, ptr, code, _ = self._grouped()
+        cause = None
+        for c in code[ptr[i] : ptr[i + 1]].tolist():
+            cause = _CAUSE_OF_CODE.get(c, cause)
+        return cause
 
     def _cluster_record(self, i: int) -> Dict[str, object]:
         """Build cluster request ``i``'s record dict from the columns."""
@@ -665,13 +687,14 @@ class RunLog:
                 "core": None,
                 "retries": 0,
             }
-        record = self.records[i]
-        return f"req[{record['req']}]", {
-            "id": record["id"],
-            "outcome": record["outcome"],
-            "cause": record["cause"],
-            "core": record["core"],
-            "retries": record["retries"],
+        code = OUTCOME_COMPLETED if cols.outcome is None else int(cols.outcome[i])
+        done = code == OUTCOME_COMPLETED
+        return f"req[{i}]", {
+            "id": self.exemplar_id(i),
+            "outcome": OUTCOME_NAMES[code],
+            "cause": None if done else self._cause(i),
+            "core": int(cols.core[i]) if done else None,
+            "retries": int(cols.retries[i]) if cols.retries is not None else 0,
         }
 
 

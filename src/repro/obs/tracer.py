@@ -288,11 +288,14 @@ class Tracer:
         }
 
     def to_chrome(self, path) -> int:
-        """Write the Chrome trace JSON; returns the event count written."""
-        payload = self.chrome_dict()
+        """Write the Chrome trace JSON; returns the event count written.
+
+        The document is encoded in one ``json.dumps`` call, which takes
+        the C encoder (``json.dump`` streams through the pure-Python one).
+        """
+        payload = json.dumps(self.chrome_dict())
         with open(path, "w") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
+            fh.write(payload + "\n")
         return len(self.events)
 
     def to_jsonl(self, path) -> int:

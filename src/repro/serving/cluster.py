@@ -1205,12 +1205,13 @@ class ClusterSim:
         attempts: Dict[int, FleetSpan] = {}
         remaining = [width] * n
 
-        # The request log: its events (arrivals and sheds first; only each
-        # request's own order matters) and per-request tallies.
-        ev_req: List[int] = list(range(n))
-        ev_kind: List[str] = ["arrive"] * n
-        ev_t: List[float] = list(arrivals)
-        ev_attrs: List[Dict[str, object]] = [{}] * n  # shared, read-only
+        # The request log: its events (sheds first; only each request's
+        # own order matters, and first arrivals are implicit) and
+        # per-request tallies.
+        ev_req: List[int] = []
+        ev_kind: List[str] = []
+        ev_t: List[float] = []
+        ev_attrs: List[Dict[str, object]] = []
         for i in shed:
             roots[i].attrs = {"outcome": "shed", "outcome_ms": float(arrivals[i])}
             ev_req.append(i)

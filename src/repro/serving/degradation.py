@@ -26,12 +26,11 @@ no randomness — so identical latency streams produce identical ladders.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Deque, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
-from .stats import SortedWindow
 
 __all__ = [
     "DegradationController",
@@ -187,20 +186,25 @@ class DegradationController:
         self.cooldown = int(cooldown)
         self.level = 0
         self.events: List[LevelChange] = []
-        self._latencies = SortedWindow(self.window)
+        # The window is a ring of the last ``window`` latencies plus two
+        # counts over it: how many lie above the escalation threshold
+        # and how many below the recovery threshold.  observe() decides
+        # from the counts and sorts the ring only when they cannot.
+        self._latencies: Deque[float] = deque(maxlen=self.window)
+        self._above = 0
+        self._below = 0
         self._since_change = 0
-        # What observe() reads on every call: the window's ring and sorted
-        # copy (cleared in place, so these stay the window's), the p95
-        # terms per window length (None below min_samples), the two
-        # thresholds and the top rung.
-        self._ring = self._latencies._ring
-        self._sorted = self._latencies.sorted
-        self._p95_at = [
-            _p95_terms(n) if n >= self.min_samples else None
-            for n in range(self.window + 1)
-        ]
         self._escalate_above = self.sla_ms * self.escalate_margin
         self._recover_below = self.sla_ms * self.recover_margin
+        # Per window length n, the p95's ranks as count bounds (see
+        # observe()): ``(n - hi, lo)``, or bounds no count reaches below
+        # min_samples.
+        self._ranks_at: List[Tuple[int, int]] = [
+            (self.window + 1, self.window)
+        ] * self.min_samples
+        for n in range(self.min_samples, self.window + 1):
+            lo, hi, _, _ = _p95_terms(n)
+            self._ranks_at.append((n - hi, lo))
         self._top = len(self.ladder) - 1
 
     @property
@@ -215,12 +219,12 @@ class DegradationController:
     def window_p95(self) -> float:
         """p95 of the sliding latency window (0.0 while empty).
 
-        Computed in pure python, bit-equal to numpy's default linear
-        percentile (same virtual index, same two-branch lerp), from the
-        window's bisect-maintained sorted copy; :meth:`observe` inlines
-        the same arithmetic.
+        Computed in pure python from a sorted copy of the ring, bit-equal
+        to numpy's default linear percentile (same virtual index, same
+        two-branch lerp).  The lerp never leaves ``[xs[lo], xs[hi]]``,
+        which is what lets :meth:`observe` decide from counts.
         """
-        xs = self._latencies.sorted
+        xs = sorted(self._latencies)
         if not xs:
             return 0.0
         lo, hi, weight, from_hi = _p95_terms(len(xs))
@@ -235,40 +239,50 @@ class DegradationController:
 
         Returns the :class:`LevelChange` made, or None when the level
         stayed: a serving loop re-reads :attr:`level` and :meth:`scale`
-        only after a change.  The window update
-        (:meth:`SortedWindow.append`) and :meth:`window_p95` are inlined
-        here, bit-equal: this runs once per completed request.
+        only after a change.  This runs once per completed request, in
+        O(1) unless the counts leave the decision open.
+
+        The lerp keeps the p95 within ``[xs[lo], xs[hi]]`` of the sorted
+        window.  With ``A`` values in the window above the escalation
+        threshold, those are its top ``A`` entries, so ``xs[hi]`` is above
+        the threshold only when ``A >= n - hi``; below that the p95
+        cannot be, and the window is not sorted.  Recovery reads the
+        ``B`` values below the recovery threshold the same way from the
+        bottom: ``xs[lo]`` is below it only when ``B > lo``.  Otherwise
+        the window is sorted for the exact p95, which decides and which
+        a change records.
         """
         value = float(latency_ms)
-        ring = self._ring
-        xs = self._sorted
+        ring = self._latencies
+        above = self._above
+        below = self._below
         n = len(ring)
         if n == self.window:
-            del xs[bisect_left(xs, ring.popleft())]
+            old = ring[0]  # the append below evicts it
+            if old > self._escalate_above:
+                above -= 1
+            elif old < self._recover_below:
+                below -= 1
         else:
             n += 1
         ring.append(value)
-        insort(xs, value)
+        if value > self._escalate_above:
+            above += 1
+        elif value < self._recover_below:
+            below += 1
+        self._above = above
+        self._below = below
         self._since_change += 1
-        terms = self._p95_at[n]
-        if terms is None:
-            return None
-        lo, hi, weight, from_hi = terms
-        a = xs[lo]
-        b = xs[hi]
-        if from_hi:
-            p95 = b - (b - a) * weight
-        else:
-            p95 = a + (b - a) * weight
+        escalate_from, recover_from = self._ranks_at[n]
         level = self.level
-        if p95 > self._escalate_above and level < self._top:
-            return self._change(now_ms, level + 1, p95)
-        if (
-            p95 < self._recover_below
-            and level > 0
-            and self._since_change >= self.cooldown
-        ):
-            return self._change(now_ms, level - 1, p95)
+        if above >= escalate_from and level < self._top:
+            p95 = self.window_p95()
+            if p95 > self._escalate_above:
+                return self._change(now_ms, level + 1, p95)
+        if below > recover_from and level > 0 and self._since_change >= self.cooldown:
+            p95 = self.window_p95()
+            if p95 < self._recover_below:
+                return self._change(now_ms, level - 1, p95)
         return None
 
     def _change(self, now_ms: float, to_level: int, p95: float) -> LevelChange:
@@ -282,5 +296,7 @@ class DegradationController:
         self.level = to_level
         # Judge the new level on its own measurements.
         self._latencies.clear()
+        self._above = 0
+        self._below = 0
         self._since_change = 0
         return event

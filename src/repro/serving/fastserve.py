@@ -283,8 +283,8 @@ def resilient_events(
     )
 
     logging = run is not None
-    # Request-log columns.  First arrivals are not logged here: each is
-    # its request's first event, so they are handed over at the end.
+    # Request-log columns.  First arrivals are not logged: the log's
+    # arrival column holds them.
     ev_req: List[int] = []
     ev_kind: List[str] = []
     ev_t: List[float] = []
@@ -540,7 +540,6 @@ def resilient_events(
             req = -1
 
     if logging:
-        run.extend_events(range(n), ["arrive"] * n, arr_l[:n], [_NO_ATTRS] * n)
         run.extend_events(ev_req, ev_kind, ev_t, ev_attrs)
         strag_l = strag.tolist()
         levels, schemes, scales = zip(*d_ctls) if d_ctls else ((), (), ())

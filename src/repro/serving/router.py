@@ -95,9 +95,15 @@ class LatencyWindow(SortedWindow):
 
     Pure python and order-deterministic: the threshold depends only on
     the sequence of observed latencies, which the deterministic event
-    loop fixes.  Uses the same linear-interpolation percentile definition
-    as numpy's default so thresholds match offline analysis.  The window
-    keeps itself sorted as it changes, so a quantile costs no sort.
+    loop fixes.  :meth:`quantile` takes numpy's default (linear) virtual
+    index but interpolates with one formula,
+    ``xs[lo] + (xs[hi] - xs[lo]) * frac``, where numpy switches to
+    ``xs[hi] - (xs[hi] - xs[lo]) * (1 - frac)`` once ``frac >= 0.5``.  So
+    it equals ``np.percentile`` to within an ulp or two, not bit for bit:
+    over windows of 2-128 exponential values and 80 quantiles each, about
+    1.5% of the results differ in the last bits.  Hedge fire times, and
+    the reports that include them, depend on this exact formula.  The
+    window keeps itself sorted as it changes, so a quantile costs no sort.
     """
 
     __slots__ = ()

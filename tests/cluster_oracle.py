@@ -835,8 +835,7 @@ def run_cluster(sim: ClusterSim, arrivals_ms: np.ndarray) -> ClusterResult:
             finish_slot(slot.request, now)
         elif kind == _EV_ARRIVE:
             i = payload
-            if run is not None:
-                run.event(i, "arrive", now)
+            # A first arrival is implicit in the log's arrival column.
             if trace is not None:
                 trace.begin_request(i, now)
             if (

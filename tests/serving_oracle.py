@@ -16,17 +16,24 @@ arguments.  It reuses the package's configuration checks
 :class:`ServerResult` and telemetry publishing (``_finalize``).
 :data:`SIMULATORS` maps the differential tests' parameter ids to the
 two: ``"fast"`` is the package, ``"reference"`` this oracle.
+
+:class:`SortedWindowController` is the degradation controller's frozen
+sorted-window form, the oracle of the package's count-based one.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+from bisect import bisect_left, insort
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.obs import hooks as obs_hooks
+from repro.serving.degradation import DegradationLevel, LevelChange
 from repro.serving.faults import FaultPlan
 from repro.serving.server import (
     DEFAULT_SERVICE_CV,
@@ -40,9 +47,9 @@ from repro.serving.server import (
     lognormal_services,
     simulate_server,
 )
-from repro.serving.stats import check_arrivals
+from repro.serving.stats import SortedWindow, check_arrivals
 
-__all__ = ["SIMULATORS", "simulate"]
+__all__ = ["SIMULATORS", "SortedWindowController", "simulate"]
 
 #: Event kinds, ordered so that at equal timestamps core releases precede
 #: arrivals and timeouts fire last.
@@ -235,11 +242,9 @@ def _resilient(
                 dispatch(now)
         elif kind == _EV_ARRIVE:
             i = payload
-            if run is not None:
-                if retry_count[i] > 0:
-                    run.event(i, "retry_arrive", now, attempt=int(retry_count[i]))
-                else:
-                    run.event(i, "arrive", now)
+            # A first arrival is implicit in the log's arrival column.
+            if run is not None and retry_count[i] > 0:
+                run.event(i, "retry_arrive", now, attempt=int(retry_count[i]))
             if policy.shed_expired and deadline is not None and now >= deadline[i]:
                 outcome[i] = OUTCOME_TIMED_OUT
                 if run is not None:
@@ -304,3 +309,190 @@ def _resilient(
         )
     _finalize(result, plan=plan, controller=controller, run=run)
     return result
+
+
+def _p95_terms(n: int) -> Tuple[int, int, float, bool]:
+    """numpy's default linear 95th percentile of ``n`` sorted values, as
+    ``(lo, hi, weight, from_hi)``: the result is
+    ``xs[hi] - (xs[hi] - xs[lo]) * weight`` when ``from_hi``, else
+    ``xs[lo] + (xs[hi] - xs[lo]) * weight`` — numpy's virtual index and its
+    two-branch lerp (it switches formula at ``t >= 0.5`` to stay
+    monotone), so the result is bit-equal to ``np.percentile``."""
+    virtual = 0.95 * (n - 1)
+    lo = int(virtual)
+    gamma = virtual - lo
+    hi = lo + 1 if lo + 1 < n else lo
+    if gamma >= 0.5:
+        return lo, hi, 1.0 - gamma, True
+    return lo, hi, gamma, False
+
+
+class SortedWindowController:
+    """Hysteretic p95-vs-SLA feedback controller over a degradation ladder.
+
+    A frozen copy of :class:`repro.serving.degradation.DegradationController`
+    as it was before its window became a ring plus two threshold counts:
+    every call keeps a bisect-sorted copy of the window and computes the
+    p95.  ``tests/test_serving_degradation.py`` holds the package's
+    controller to it call by call.
+
+    Parameters
+    ----------
+    ladder:
+        Levels ordered from normal (index 0) to most degraded; each rung's
+        ``service_scale`` must not exceed the previous rung's (degrading
+        must never slow the server down).
+    sla_ms:
+        The Table 1 target the windowed p95 is compared against.
+    window:
+        Number of most recent completed-request latencies considered.
+    min_samples:
+        Observations required (since the last level change) before any
+        decision; the window is cleared on a change so each level is
+        judged on its own measurements.
+    escalate_margin / recover_margin:
+        Hysteresis band: escalate when ``p95 > escalate_margin * sla``,
+        recover only when ``p95 < recover_margin * sla``.
+    cooldown:
+        Extra observations required after a change before stepping back
+        toward normal (recovery is deliberately slower than escalation).
+
+    The protocol a serving loop relies on (``docs/serving.md``, "The
+    serving loop"): :attr:`level` (and with it
+    :meth:`scale`) changes only inside :meth:`observe`, which returns the
+    :class:`LevelChange` it made or None.
+    :class:`repro.tenants.qos.QoSController` implements the same protocol.
+    """
+
+    def __init__(
+        self,
+        ladder: Sequence[DegradationLevel],
+        sla_ms: float,
+        window: int = 64,
+        min_samples: int = 16,
+        escalate_margin: float = 1.0,
+        recover_margin: float = 0.6,
+        cooldown: int = 64,
+    ) -> None:
+        if not ladder:
+            raise ConfigError("degradation ladder must have at least one level")
+        for prev, cur in zip(ladder, ladder[1:]):
+            if cur.service_scale > prev.service_scale + 1e-12:
+                raise ConfigError(
+                    f"ladder level {cur.name!r} is slower than {prev.name!r}; "
+                    "degradation must not increase service time"
+                )
+        if not math.isfinite(sla_ms) or sla_ms <= 0:
+            raise ConfigError("SLA must be finite and positive")
+        if window <= 0 or min_samples <= 0 or min_samples > window:
+            raise ConfigError("need 0 < min_samples <= window")
+        if not 0.0 < recover_margin <= escalate_margin:
+            raise ConfigError("need 0 < recover_margin <= escalate_margin")
+        if cooldown < 0:
+            raise ConfigError("cooldown must be non-negative")
+        self.ladder: Tuple[DegradationLevel, ...] = tuple(ladder)
+        self.sla_ms = float(sla_ms)
+        self.window = int(window)
+        self.min_samples = int(min_samples)
+        self.escalate_margin = float(escalate_margin)
+        self.recover_margin = float(recover_margin)
+        self.cooldown = int(cooldown)
+        self.level = 0
+        self.events: List[LevelChange] = []
+        self._latencies = SortedWindow(self.window)
+        self._since_change = 0
+        # What observe() reads on every call: the window's ring and sorted
+        # copy (cleared in place, so these stay the window's), the p95
+        # terms per window length (None below min_samples), the two
+        # thresholds and the top rung.
+        self._ring = self._latencies._ring
+        self._sorted = self._latencies.sorted
+        self._p95_at = [
+            _p95_terms(n) if n >= self.min_samples else None
+            for n in range(self.window + 1)
+        ]
+        self._escalate_above = self.sla_ms * self.escalate_margin
+        self._recover_below = self.sla_ms * self.recover_margin
+        self._top = len(self.ladder) - 1
+
+    @property
+    def level_name(self) -> str:
+        """Name of the current rung."""
+        return self.ladder[self.level].name
+
+    def scale(self) -> float:
+        """Service-time multiplier of the current rung."""
+        return self.ladder[self.level].service_scale
+
+    def window_p95(self) -> float:
+        """p95 of the sliding latency window (0.0 while empty).
+
+        Computed in pure python, bit-equal to numpy's default linear
+        percentile (same virtual index, same two-branch lerp), from the
+        window's bisect-maintained sorted copy; :meth:`observe` inlines
+        the same arithmetic.
+        """
+        xs = self._latencies.sorted
+        if not xs:
+            return 0.0
+        lo, hi, weight, from_hi = _p95_terms(len(xs))
+        a = xs[lo]
+        b = xs[hi]
+        if from_hi:
+            return b - (b - a) * weight
+        return a + (b - a) * weight
+
+    def observe(self, now_ms: float, latency_ms: float) -> Optional[LevelChange]:
+        """Feed one completed-request latency; maybe change level.
+
+        Returns the :class:`LevelChange` made, or None when the level
+        stayed: a serving loop re-reads :attr:`level` and :meth:`scale`
+        only after a change.  The window update
+        (:meth:`SortedWindow.append`) and :meth:`window_p95` are inlined
+        here, bit-equal: this runs once per completed request.
+        """
+        value = float(latency_ms)
+        ring = self._ring
+        xs = self._sorted
+        n = len(ring)
+        if n == self.window:
+            del xs[bisect_left(xs, ring.popleft())]
+        else:
+            n += 1
+        ring.append(value)
+        insort(xs, value)
+        self._since_change += 1
+        terms = self._p95_at[n]
+        if terms is None:
+            return None
+        lo, hi, weight, from_hi = terms
+        a = xs[lo]
+        b = xs[hi]
+        if from_hi:
+            p95 = b - (b - a) * weight
+        else:
+            p95 = a + (b - a) * weight
+        level = self.level
+        if p95 > self._escalate_above and level < self._top:
+            return self._change(now_ms, level + 1, p95)
+        if (
+            p95 < self._recover_below
+            and level > 0
+            and self._since_change >= self.cooldown
+        ):
+            return self._change(now_ms, level - 1, p95)
+        return None
+
+    def _change(self, now_ms: float, to_level: int, p95: float) -> LevelChange:
+        event = LevelChange(
+            time_ms=float(now_ms),
+            from_level=self.level,
+            to_level=to_level,
+            window_p95_ms=p95,
+        )
+        self.events.append(event)
+        self.level = to_level
+        # Judge the new level on its own measurements.
+        self._latencies.clear()
+        self._since_change = 0
+        return event

@@ -1,5 +1,6 @@
 """Unit tests for the repro.obs telemetry layer."""
 
+import io
 import json
 import math
 
@@ -90,6 +91,27 @@ def test_chrome_export_shape(tmp_path):
     assert meta["recorded_events"] == len(tracer.events)
     assert meta["dropped_events"] == 0
     assert {rec["track"] for rec in lines} == {"wall", "sim"}
+
+
+def test_chrome_export_is_one_dumps_call(tmp_path):
+    """The file holds ``json.dumps(chrome_dict())`` and a newline, the same
+    bytes ``json.dump``'s streaming encoder writes."""
+    tracer = Tracer()
+    with tracer.span("run", "test", n=3):
+        pass
+    tid = tracer.new_sim_track("requests")
+    tracer.add_sim_batch(
+        "sim.test", np.array([0.0, 2.5]), np.array([1.0, 0.125]),
+        lambda i: (f"req[{i}]", {"id": f"r{i}", "cause": None, "x": i / 3}),
+        tid=tid,
+    )
+    path = tmp_path / "t.json"
+    tracer.to_chrome(path)
+    written = path.read_bytes()
+    assert written == (json.dumps(tracer.chrome_dict()) + "\n").encode()
+    streamed = io.StringIO()
+    json.dump(tracer.chrome_dict(), streamed)
+    assert written == (streamed.getvalue() + "\n").encode()
 
 
 # -- histogram ---------------------------------------------------------------

@@ -506,6 +506,35 @@ def test_cluster_run_builds_no_record_until_read(monkeypatch, tmp_path):
     assert records[5]["shards"] and built == [5]
 
 
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_single_box_run_builds_no_record_until_read(name, monkeypatch, tmp_path):
+    """A single-box run's request spans are described from its columns:
+    a trace export builds no record dict."""
+    built = []
+    build = RunLog._record
+
+    def counting(self, **fields):
+        built.append(fields["req"])
+        return build(self, **fields)
+
+    monkeypatch.setattr(RunLog, "_record", counting)
+    obs = _logged(name, "fast")
+    obs.tracer.to_chrome(tmp_path / "trace.json")
+    obs.metrics.to_jsonl(tmp_path / "metrics.jsonl")
+    assert built == []
+    spans = [e for e in obs.tracer.events if e.category == "serving.request"]
+    assert len(spans) == obs.requests.num_requests
+    for run in obs.requests.runs:
+        for record in run.records:
+            span = spans.pop(0)
+            assert span.name == f"req[{record['req']}]"
+            assert span.args == {
+                key: record[key]
+                for key in ("id", "outcome", "cause", "core", "retries")
+            }
+    assert built and not spans
+
+
 def test_outcome_names_mirror_the_server():
     from repro.obs import requests
 

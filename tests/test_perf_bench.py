@@ -190,12 +190,13 @@ def _count_opcodes(run):
 
 
 #: Bytecodes executed in the package's own code per request of the logged
-#: resilient episode below, on Python 3.11 (the perf-smoke job's): 439.9 at
-#: the time of writing.  Library frames (numpy's Python wrappers, heapq's
+#: resilient episode below, on Python 3.11 (the perf-smoke job's): 426.7 at
+#: the time of writing (439.9 when the degradation controller kept a
+#: sorted window).  Library frames (numpy's Python wrappers, heapq's
 #: fallbacks) are not counted, so a dependency release cannot trip it.
 #: About 1% of headroom: one more Python call per quiet request trips it
 #: on any host, where a wall-clock bound could not.
-RESILIENT_OPCODES_PER_REQUEST = 444.0
+RESILIENT_OPCODES_PER_REQUEST = 431.0
 
 
 @pytest.mark.skipif(

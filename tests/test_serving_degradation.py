@@ -1,7 +1,10 @@
-"""Degradation controller tests: ladder, hysteresis, recovery."""
+"""Degradation controller tests: ladder, hysteresis, recovery, and the
+count-based controller against its sorted-window oracle."""
 
+import numpy as np
 import pytest
 
+from serving_oracle import SortedWindowController
 from repro.errors import ConfigError
 from repro.serving.degradation import (
     DegradationController,
@@ -161,3 +164,96 @@ class TestController:
         ctl = self.make()
         feed(ctl, 10.0, ctl.window)
         assert ctl.window_p95() == pytest.approx(10.0)
+
+
+# -- differential: threshold counts vs the sorted window ------------------------
+
+LADDERS = {
+    1: (DegradationLevel("baseline", 1.0),),
+    2: LADDER[:2],
+    3: LADDER,
+    4: scheme_ladder({"baseline": 1.0, "sw_pf": 0.8, "integrated": 0.65}),
+}
+
+
+def _stream(rng, sla_ms, escalate, recover, count):
+    """Latencies in phases of calm and overload, a quarter of them exactly
+    on a threshold or one ulp to either side of it."""
+    out = []
+    while len(out) < count:
+        centre = sla_ms * rng.choice([0.1, 0.3, 0.6, 0.9, 1.1, 1.6])
+        for _ in range(int(rng.integers(5, 120))):
+            if rng.random() < 0.25:
+                edge = float(rng.choice([escalate, recover]))
+                value = float(rng.choice(
+                    [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]
+                ))
+            else:
+                value = float(rng.exponential(centre))
+            out.append(value)
+    return out[:count]
+
+
+def _same_after_every_call(config, latencies):
+    new = DegradationController(**config)
+    old = SortedWindowController(**config)
+    for i, value in enumerate(latencies):
+        got, want = new.observe(float(i), value), old.observe(float(i), value)
+        assert got == want, (i, got, want)
+        if got is not None:
+            assert got.window_p95_ms.hex() == want.window_p95_ms.hex()
+        assert new.events == old.events
+        assert new.level == old.level
+        assert new.window_p95().hex() == old.window_p95().hex(), i
+
+
+@pytest.mark.parametrize("levels", sorted(LADDERS))
+@pytest.mark.parametrize(
+    "window,min_samples,cooldown",
+    [
+        (21, 21, 0),    # p95 index integral, min_samples == window
+        (41, 41, 5),
+        (48, 12, 0),
+        (48, 12, 256),
+        (64, 16, 64),
+        (1, 1, 0),
+        (2, 1, 3),
+        (20, 20, 1),
+    ],
+)
+@pytest.mark.parametrize("margins", [(1.0, 0.6), (0.75, 0.4), (0.8, 0.8)])
+def test_counts_match_sorted_window(levels, window, min_samples, cooldown, margins):
+    escalate_margin, recover_margin = margins
+    sla_ms = 25.0
+    config = dict(
+        ladder=LADDERS[levels], sla_ms=sla_ms, window=window,
+        min_samples=min_samples, escalate_margin=escalate_margin,
+        recover_margin=recover_margin, cooldown=cooldown,
+    )
+    rng = np.random.default_rng([levels, window, min_samples, cooldown])
+    latencies = _stream(
+        rng, sla_ms, sla_ms * escalate_margin, sla_ms * recover_margin, 1500
+    )
+    _same_after_every_call(config, latencies)
+
+
+def test_counts_match_sorted_window_on_random_configs():
+    rng = np.random.default_rng(30)
+    for _ in range(150):
+        window = int(rng.choice([1, 2, 3, 5, 20, 21, 40, 41, 48, 64, 97]))
+        escalate_margin = float(rng.uniform(0.3, 1.5))
+        recover_margin = (
+            escalate_margin if rng.random() < 0.2
+            else float(rng.uniform(0.05, 1.0)) * escalate_margin
+        )
+        sla_ms = float(rng.uniform(1.0, 50.0))
+        config = dict(
+            ladder=LADDERS[int(rng.integers(1, 5))], sla_ms=sla_ms,
+            window=window, min_samples=int(rng.integers(1, window + 1)),
+            escalate_margin=escalate_margin, recover_margin=recover_margin,
+            cooldown=int(rng.choice([0, 1, 7, 64, 300])),
+        )
+        latencies = _stream(
+            rng, sla_ms, sla_ms * escalate_margin, sla_ms * recover_margin, 600
+        )
+        _same_after_every_call(config, latencies)

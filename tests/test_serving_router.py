@@ -34,6 +34,28 @@ class TestLatencyWindow:
                 float(np.percentile(values, q))
             )
 
+    def test_quantile_formula_is_pinned(self):
+        """The one-branch lerp, bit for bit: hedge fire times depend on it.
+        It is not numpy's two-branch lerp, which differs in the last bits
+        on some windows."""
+        rng = np.random.default_rng(7)
+        differs = 0
+        for n in range(2, 129):
+            window = LatencyWindow(n)
+            for value in rng.exponential(5.0, size=2 * n):
+                window.observe(float(value))
+            xs = sorted(window)
+            for k in range(1, 81):
+                q = 1.25 * k
+                rank = (n - 1) * (q / 100.0)
+                lo = int(rank)
+                hi = min(lo + 1, n - 1)
+                want = xs[lo] + (xs[hi] - xs[lo]) * (rank - lo)
+                got = window.quantile(q)
+                assert got.hex() == want.hex(), (n, q)
+                differs += got != float(np.percentile(xs, q))
+        assert differs > 0
+
     def test_empty_window_returns_none(self):
         assert LatencyWindow(8).quantile(95.0) is None
 

@@ -1,4 +1,4 @@
-"""Shared experiment-report structure and text formatting.
+"""Shared experiment-report structure, text formatting, and run helpers.
 
 A report is deliberately plain — a list of row dicts plus notes — so tests
 can assert on values and the CLI can render a table without any plotting
@@ -13,11 +13,14 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from ..errors import ConfigError
+from ..obs import hooks as obs_hooks
+from ..obs.requests import RequestLog
 
 __all__ = [
     "ExperimentReport",
     "format_report",
     "format_table",
+    "logged_cluster_run",
     "report_from_dict",
     "report_to_dict",
 ]
@@ -130,3 +133,24 @@ def format_report(report: ExperimentReport) -> str:
     for note in report.notes:
         parts.append(f"note: {note}")
     return "\n".join(parts)
+
+
+def logged_cluster_run(cluster, arrivals: np.ndarray):
+    """Run ``cluster`` over ``arrivals`` with a request log, whatever
+    session is active; returns its result and records, each built once.
+
+    The active session's request log is used when it has one; otherwise
+    the run logs privately, keeping the session's tracer and metrics so
+    its spans and histograms still land in the session's artifacts.
+    """
+    outer = obs_hooks.active()
+    obs = outer
+    if outer is None or outer.requests is None:
+        obs = obs_hooks.Observation(
+            tracer=outer.tracer if outer is not None else None,
+            metrics=outer.metrics if outer is not None else None,
+            requests=RequestLog(),
+        )
+    with obs_hooks.session(obs):
+        result = cluster.run(arrivals)
+    return result, list(obs.requests.runs[-1].records)

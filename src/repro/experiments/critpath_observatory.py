@@ -40,19 +40,17 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from ..config import SimConfig
-from ..obs import hooks as obs_hooks
 from ..obs.critpath import (
-    check_conservation,
-    extract_paths,
+    CallTable,
     aggregate_profiles,
+    check_conservation,
+    extract_calls,
 )
-from ..obs.hooks import Observation
-from ..obs.requests import RequestLog
 from ..obs.whatif import percentile, predict, whatif_record, within_bounds
 from ..serving.cluster import ClusterConfig, ClusterSim
 from ..serving.faults import ClusterFaultPlan, NodeCrash, NodeSlow
 from ..serving.router import HedgePolicy
-from .base import ExperimentReport
+from .base import ExperimentReport, logged_cluster_run
 
 EXPERIMENT_ID = "critpath_observatory"
 TITLE = "Critical-path attribution and counterfactual what-if prediction"
@@ -172,23 +170,6 @@ def run(
     ).cumsum()
     horizon_ms = num_requests * mean_interarrival_ms
 
-    def simulate(cluster_cfg: ClusterConfig):
-        """One logged cluster run (private log if the session has none)
-        and its records, each built once: every reader below walks them."""
-        cluster = ClusterSim(cluster_cfg)
-        outer = obs_hooks.active()
-        if outer is not None and outer.requests is not None:
-            result = cluster.run(arrivals)
-            return result, list(outer.requests.runs[-1].records)
-        inner = Observation(
-            tracer=outer.tracer if outer is not None else None,
-            metrics=outer.metrics if outer is not None else None,
-            requests=RequestLog(),
-        )
-        with obs_hooks.session(inner):
-            result = cluster.run(arrivals)
-        return result, list(inner.requests.runs[-1].records)
-
     log_lines: List[Dict[str, object]] = []
     conserved_ok = True
     gates_ok = True
@@ -196,8 +177,9 @@ def run(
         horizon_ms, mean_service_ms, num_nodes, cores_per_node, num_shards
     )
     for scenario, cluster_cfg, knobs in scenarios:
-        _result, records = simulate(cluster_cfg)
-        paths = extract_paths(records)
+        _result, records = logged_cluster_run(ClusterSim(cluster_cfg), arrivals)
+        calls = CallTable.from_records(records)
+        paths = extract_calls(calls)
 
         violations = sum(1 for p in paths if check_conservation(p) != 0.0)
         other_ms = sum(
@@ -245,11 +227,13 @@ def run(
             )
 
         for knob, value, actual_cfg in knobs:
-            prediction = predict(records, cluster_cfg, knob, value, q=tail_quantile)
+            prediction = predict(calls, cluster_cfg, knob, value, q=tail_quantile)
             actual: Optional[float] = None
             in_bounds: Optional[bool] = None
             if actual_cfg is not None:
-                actual_result, actual_records = simulate(actual_cfg)
+                _, actual_records = logged_cluster_run(
+                    ClusterSim(actual_cfg), arrivals
+                )
                 actual = percentile(
                     [
                         float(r["latency_ms"])

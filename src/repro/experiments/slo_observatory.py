@@ -40,9 +40,6 @@ from typing import Dict, List, Optional
 from ..config import SimConfig
 from ..core.schemes import evaluate_scheme
 from ..cpu.platform import get_platform
-from ..obs import hooks as obs_hooks
-from ..obs.hooks import Observation
-from ..obs.requests import RequestLog
 from ..obs.slo import (
     FleetMonitor,
     SLOSpec,
@@ -58,7 +55,7 @@ from ..serving.cluster import ClusterConfig, ClusterSim
 from ..serving.router import HedgePolicy
 from ..serving.sla import sla_for_model
 from ..serving.workload import poisson_arrivals
-from .base import ExperimentReport
+from .base import ExperimentReport, logged_cluster_run
 from .cluster_resilience import _scenarios
 from .workloads import build_workload
 
@@ -132,8 +129,7 @@ def run(
     repl = max(1, min(replication, num_nodes))
 
     def simulate(scenario: str, plan):
-        """One cluster run, request-logged whatever the outer session is,
-        and its records, each built once: every reader below walks them."""
+        """One request-logged cluster run and its records."""
         cluster = ClusterSim(
             ClusterConfig(
                 num_nodes=num_nodes,
@@ -154,21 +150,7 @@ def run(
                 label=f"slo:{scenario}",
             )
         )
-        outer = obs_hooks.active()
-        if outer is not None and outer.requests is not None:
-            result = cluster.run(arrivals)
-            return result, list(outer.requests.runs[-1].records)
-        # No request log attached (or no observation at all): capture one
-        # privately, keeping any outer tracer/metrics so spans and
-        # histograms still land in the session's artifacts.
-        inner = Observation(
-            tracer=outer.tracer if outer is not None else None,
-            metrics=outer.metrics if outer is not None else None,
-            requests=RequestLog(),
-        )
-        with obs_hooks.session(inner):
-            result = cluster.run(arrivals)
-        return result, list(inner.requests.runs[-1].records)
+        return logged_cluster_run(cluster, arrivals)
 
     # Baseline pass pins the tail SLO threshold at 2x the no-fault p99:
     # tight enough that fault-window queueing burns budget, loose enough

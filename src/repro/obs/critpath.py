@@ -9,7 +9,9 @@ the attribution the paper's Table 1 / fig17 argument needs at request
 granularity, and the bottleneck signal the autoscaling and autotuning
 layers consume.
 
-Two extractors share one segment taxonomy (:data:`SEGMENT_KINDS`):
+Every extractor writes the same columnar :class:`PathTable`, in one
+segment taxonomy (:data:`SEGMENT_KINDS`), and builds a
+:class:`CriticalPath` only when one is read:
 
 * **single box** (:func:`extract_lifecycles`) — walks the lifecycle event
   streams of :mod:`repro.serving.server` / ``fastserve`` chronologically,
@@ -19,20 +21,17 @@ Two extractors share one segment taxonomy (:data:`SEGMENT_KINDS`):
   multiplier carved out as ``penalty``, ``timeout_retry→retry_arrive`` is
   backoff.  A :class:`~repro.obs.requests.RunLog` hands over its columns
   directly; record dicts (e.g. reloaded JSONL) are parsed into the same
-  table first.  A fast-path run skips the walk: every request there
-  arrives, dispatches once unscaled and completes, so
-  :func:`extract_fast` writes its queue and service segments in closed
-  form from the arrival, start and end columns, bit-identical to the
-  walk.  The result is a :class:`PathTable`, which builds a
-  :class:`CriticalPath` only when one is read.
-* **cluster** (:func:`_extract_cluster`) — reconstructs the blocking
-  chain backward from the slowest gather slot: the winning attempt's
-  interval decomposes into ``network`` (two hops), on-node ``queue``,
-  base ``service`` and slowdown ``penalty`` (from the ``call_ok``
-  attrs the cluster records); a winner submitted by a failover charges
-  the failed attempt's interval to ``recovery``; a winner submitted by
-  a hedge charges the armed delay to ``hedge_wait``; the walk repeats
-  until it reaches the request's arrival.
+  table first.  A fast-path run skips the walk: :func:`extract_fast`
+  writes its queue and service segments in closed form, bit-identical
+  to the walk.
+* **cluster** (:func:`extract_calls`) — walks each request backward from
+  its slowest gather slot over a :class:`CallTable`, the one parse of
+  cluster records' events (a row per shard call: slot, node, times,
+  outcome, and why it was sent).  The winning attempt splits into
+  ``network``, ``queue``, ``service`` and ``penalty``; a failover charges
+  the attempt it replaced to ``recovery``, a hedge its armed delay to
+  ``hedge_wait``.  The what-if engine and the fleet monitor read the
+  same table.
 
 **Conservation invariant**: for every request the chronological segment
 durations sum *exactly* (in float sim-ms) to ``end_ms - arrival_ms``.
@@ -56,14 +55,20 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import count
+from math import isnan
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
 __all__ = [
+    "CALL_REASONS",
     "CRITPATH_SCHEMA_VERSION",
     "LIFECYCLE_KINDS",
     "SEGMENT_KINDS",
+    "CallTable",
     "CriticalPath",
     "FastLifecycles",
     "Lifecycles",
@@ -72,6 +77,7 @@ __all__ = [
     "aggregate_profiles",
     "bottleneck",
     "check_conservation",
+    "extract_calls",
     "extract_critical_path",
     "extract_fast",
     "extract_lifecycles",
@@ -135,32 +141,12 @@ def check_conservation(path: CriticalPath) -> float:
     This is the invariant the pinned suites lock: subtracting each
     segment duration from the total in order must land on exact float
     zero, because the last segment's duration is defined as that prefix
-    remainder by :func:`_seal`.
+    remainder by :func:`_seal_columns`.
     """
     residual = path.total_ms
     for seg in path.segments:
         residual -= seg.dur_ms
     return residual
-
-
-def _seal(path: CriticalPath) -> CriticalPath:
-    """Enforce exact conservation by folding float dust into the tail.
-
-    The final chronological segment's duration is *defined* as
-    ``total - sum(previous)`` evaluated by the same left-to-right
-    subtraction :func:`check_conservation` performs, which makes the
-    invariant exact by construction rather than approximately true.
-    """
-    if not path.segments:
-        if path.total_ms != 0.0:
-            path.segments.append(Segment("other", 0.0))
-        else:
-            return path
-    remainder = path.total_ms
-    for seg in path.segments[:-1]:
-        remainder -= seg.dur_ms
-    path.segments[-1].dur_ms = remainder
-    return path
 
 
 # -- single box ---------------------------------------------------------------
@@ -181,10 +167,9 @@ LIFECYCLE_CODES = {kind: code for code, kind in enumerate(LIFECYCLE_KINDS)}
 #: Causes a single-box segment can carry, by code (-1: none).
 _SINGLE_CAUSES = ("slowdown", "shed", "expired", "timeout")
 
-_KIND_CODES = {kind: code for code, kind in enumerate(SEGMENT_KINDS)}
-_QUEUE, _SERVICE, _PENALTY, _BACKOFF, _OTHER = (
-    _KIND_CODES[k] for k in ("queue", "service", "penalty", "backoff", "other")
-)
+(
+    _QUEUE, _SERVICE, _PENALTY, _NETWORK, _HEDGE_WAIT, _RECOVERY, _BACKOFF, _OTHER,
+) = range(len(SEGMENT_KINDS))
 
 #: The segment an event closes, and its cause, indexed by lifecycle code
 #: + 1 (other kinds, then :data:`LIFECYCLE_KINDS` in order); -1: none.
@@ -283,7 +268,7 @@ def extract_lifecycles(lc: Lifecycles) -> "PathTable":
     as its cause); before a ``complete``, ``service`` = span / the
     multiplier of the latest dispatch, and ``penalty`` = span - service
     (cause ``slowdown``).  Empty intervals make no segment.  Time after
-    the last event is ``other``, and :func:`_seal`'s remainder rule sets
+    the last event is ``other``, and :func:`_seal_columns` sets
     each path's last segment.  Every float operation is the scalar
     walk's, in the same order, so durations are bit-identical to it.
     """
@@ -415,7 +400,7 @@ def extract_fast(fl: FastLifecycles) -> "PathTable":
     walk: a ``queue`` segment when ``start > arrival``, then a ``service``
     segment when ``end - start > 0``, both on the request's core; a bare
     ``other`` (no node) when neither is on and the total is not zero.
-    :func:`_seal`'s remainder rule sets each path's last segment, which
+    :func:`_seal_columns` sets each path's last segment, which
     is the service whenever it is on, so only a queue ahead of a service
     keeps its own duration.
     """
@@ -452,8 +437,9 @@ def extract_fast(fl: FastLifecycles) -> "PathTable":
 
 
 def _seal_columns(seg_ptr: np.ndarray, seg_dur: np.ndarray, total: np.ndarray) -> None:
-    """:func:`_seal` over columns: each non-empty path's last segment
-    becomes its total minus the segments before it, left to right."""
+    """Fold float dust into the tail: each non-empty path's last segment
+    becomes its total minus the segments before it, subtracted left to
+    right as :func:`check_conservation` does."""
     counts = np.diff(seg_ptr)
     remainder = total.copy()
     live = np.flatnonzero(counts > 1)
@@ -466,6 +452,7 @@ def _seal_columns(seg_ptr: np.ndarray, seg_dur: np.ndarray, total: np.ndarray) -
     seg_dur[seg_ptr[1:][filled] - 1] = remainder[filled]
 
 
+@dataclass(eq=False)
 class PathTable(Sequence[CriticalPath]):
     """Critical paths held as columns; ``table[i]`` builds one
     :class:`CriticalPath`.
@@ -478,73 +465,19 @@ class PathTable(Sequence[CriticalPath]):
     reads the columns without building paths.
     """
 
-    def __init__(
-        self,
-        *,
-        req: np.ndarray,
-        ids: Callable[[int], str],
-        outcome: np.ndarray,
-        outcome_names: Sequence[str],
-        arrival: np.ndarray,
-        end: np.ndarray,
-        seg_ptr: np.ndarray,
-        seg_kind: np.ndarray,
-        seg_dur: np.ndarray,
-        seg_node: np.ndarray,
-        seg_shard: np.ndarray,
-        seg_cause: np.ndarray,
-        cause_names: Sequence[str],
-    ) -> None:
-        self.req = req
-        self.ids = ids
-        self.outcome = outcome
-        self.outcome_names = outcome_names
-        self.arrival = arrival
-        self.end = end
-        self.seg_ptr = seg_ptr
-        self.seg_kind = seg_kind
-        self.seg_dur = seg_dur
-        self.seg_node = seg_node
-        self.seg_shard = seg_shard
-        self.seg_cause = seg_cause
-        self.cause_names = cause_names
-
-    @classmethod
-    def from_paths(cls, paths: Sequence[CriticalPath]) -> "PathTable":
-        """The columns of already-built paths."""
-        outcomes: Dict[str, int] = {}
-        causes: Dict[str, int] = {}
-        counts, kinds, durs, nodes, shards, cause_codes = [], [], [], [], [], []
-        for path in paths:
-            counts.append(len(path.segments))
-            for seg in path.segments:
-                kinds.append(_KIND_CODES[seg.kind])
-                durs.append(seg.dur_ms)
-                nodes.append(-1 if seg.node is None else seg.node)
-                shards.append(-1 if seg.shard is None else seg.shard)
-                cause_codes.append(
-                    -1 if seg.cause is None
-                    else causes.setdefault(seg.cause, len(causes))
-                )
-        ids = [path.id for path in paths]
-        return cls(
-            req=np.array([path.req for path in paths], dtype=np.int64),
-            ids=ids.__getitem__,
-            outcome=np.array(
-                [outcomes.setdefault(path.outcome, len(outcomes)) for path in paths],
-                dtype=np.int64,
-            ),
-            outcome_names=list(outcomes),
-            arrival=np.array([path.arrival_ms for path in paths], dtype=np.float64),
-            end=np.array([path.end_ms for path in paths], dtype=np.float64),
-            seg_ptr=np.concatenate(([0], np.cumsum(counts, dtype=np.int64))),
-            seg_kind=np.array(kinds, dtype=np.int8),
-            seg_dur=np.array(durs, dtype=np.float64),
-            seg_node=np.array(nodes, dtype=np.int64),
-            seg_shard=np.array(shards, dtype=np.int64),
-            seg_cause=np.array(cause_codes, dtype=np.int64),
-            cause_names=list(causes),
-        )
+    req: np.ndarray
+    ids: Callable[[int], str]
+    outcome: np.ndarray
+    outcome_names: Sequence[str]
+    arrival: np.ndarray
+    end: np.ndarray
+    seg_ptr: np.ndarray
+    seg_kind: np.ndarray
+    seg_dur: np.ndarray
+    seg_node: np.ndarray
+    seg_shard: np.ndarray
+    seg_cause: np.ndarray
+    cause_names: Sequence[str]
 
     @property
     def total_ms(self) -> np.ndarray:
@@ -598,215 +531,387 @@ class PathTable(Sequence[CriticalPath]):
 
 # -- cluster ------------------------------------------------------------------
 
-
-class _SlotLog:
-    """Per-gather-slot event index of one cluster request (keyed by shard;
-    the gather samples shards without replacement, so the shard IS the
-    slot identity)."""
-
-    __slots__ = ("shard", "calls", "oks", "fails", "hedges", "failovers")
-
-    def __init__(self, shard: int) -> None:
-        self.shard = shard
-        self.calls: List[Tuple[float, int, bool]] = []  # (t, node, hedge)
-        self.oks: List[Tuple[float, int, Dict[str, object]]] = []
-        self.fails: List[Tuple[float, int, Optional[str]]] = []
-        self.hedges: List[Tuple[float, int, Optional[float]]] = []  # (t, node, q_ms)
-        self.failovers: List[float] = []
-
-    def resolve(self, arrival: float) -> float:
-        """When this slot stopped blocking the gather: first delivery
-        (later deliveries are wasted hedges), else the final failure that
-        exhausted the replicas, else the arrival (no routable replica)."""
-        if self.oks:
-            return self.oks[0][0]
-        if self.fails:
-            return self.fails[-1][0]
-        return arrival
-
-    def submit_of(self, node: int) -> Optional[float]:
-        """Submit time of this slot's attempt on ``node`` (the router
-        never reuses a tried node within a slot, so it is unique)."""
-        for t, n, _ in self.calls:
-            if n == node:
-                return t
-        return None
+#: Why a shard call was sent, by code (:attr:`CallTable.call_via`).
+CALL_REASONS = ("primary", "failover", "hedge")
+_PRIMARY, _FAILOVER, _HEDGE = range(len(CALL_REASONS))
+#: The event kinds :meth:`CallTable.from_records` reads.
+_CALL_LINES = ("shard_call", "call_ok", "call_failed", "hedge", "failover")
 
 
-def _index_slots(record: Dict[str, object]) -> Dict[int, _SlotLog]:
-    slots: Dict[int, _SlotLog] = {}
-    for shard in record.get("shards", []):
-        slots.setdefault(int(shard), _SlotLog(int(shard)))
-    for event in record.get("events", []):
-        shard = event.get("shard")
-        if shard is None:
-            continue
-        slot = slots.setdefault(int(shard), _SlotLog(int(shard)))
-        kind = event.get("kind")
-        t = float(event.get("t_ms", 0.0))
-        if kind == "shard_call":
-            slot.calls.append((t, int(event["node"]), bool(event.get("hedge"))))
-        elif kind == "call_ok":
-            slot.oks.append((t, int(event["node"]), event))
-        elif kind == "call_failed":
-            cause = event.get("cause")
-            slot.fails.append(
-                (t, int(event["node"]), str(cause) if cause else None)
-            )
-        elif kind == "hedge":
-            q = event.get("q_ms")
-            slot.hedges.append(
-                (t, int(event["node"]), float(q) if q is not None else None)
-            )
-        elif kind == "failover":
-            slot.failovers.append(t)
-    return slots
+@dataclass
+class CallTable:
+    """Cluster request-log records as columns: one row per shard call.
 
+    Request ``i`` (index ``req[i]``, id ``ids(i)``, outcome
+    ``outcome_names[outcome[i]]``) arrived at ``arrival[i]``, ended at
+    ``end[i]`` and logged ``latency[i]`` (NaN: none).  Its gather slots
+    are rows ``slot_ptr[i]:slot_ptr[i + 1]``, by ascending shard:
+    ``slot_listed`` marks the shards its record lists, ``slot_call`` is
+    the call that resolved the slot (its first delivery, else its last
+    failure; -1: neither) and ``slot_hedges`` counts its ``hedge`` lines,
+    whose window quantiles ``hedge_q`` holds in log order.
 
-def _attempt_segments(
-    slot: _SlotLog,
-    node: int,
-    submit: float,
-    resolve: float,
-    attrs: Optional[Dict[str, object]],
-    cause: Optional[str],
-) -> List[Segment]:
-    """Decompose one attempt interval ``[submit, resolve]``.
-
-    With the recorded ``call_ok`` decomposition the interval splits into
-    network + queue + base service + slowdown penalty (emitted in that
-    canonical order; the two network hops actually bracket the on-node
-    time).  A failed attempt, or an ok without attrs (older logs), is one
-    opaque segment.
+    Call ``c`` of slot ``call_slot[c]`` went to ``call_node[c]`` at
+    ``call_submit[c]`` (NaN: an outcome with no ``shard_call`` line) and
+    resolved at ``call_end[c]`` as the ``call_order[c]``-th outcome in
+    log order (NaN / -1: never).  A delivery logs ``call_latency``,
+    ``call_queue``, ``call_service`` and ``call_slow``; a failure its
+    cause, ``cause_names[call_cause[c]]`` (code 0 is the slowdown cause
+    ``node_slow``).  It was sent as ``CALL_REASONS[call_via[c]]``: a
+    failover of the failed call ``call_prev[c]``, or a hedge armed when
+    ``call_prev[c]`` went out that fired against window quantile
+    ``call_q[c]``.  Missing values are NaN (a latency 0.0), missing rows -1.
     """
-    span = resolve - submit
-    if attrs is not None and attrs.get("queue_ms") is not None:
-        queue = float(attrs["queue_ms"])
-        service = float(attrs.get("service_ms", 0.0))
-        slow = float(attrs.get("slow") or 1.0)
-        network = span - queue - service
-        base = service / slow if slow > 0 else service
-        out: List[Segment] = []
-        if network != 0.0:
-            out.append(Segment("network", network, node=node, shard=slot.shard))
-        if queue != 0.0:
-            out.append(Segment("queue", queue, node=node, shard=slot.shard))
-        if base != 0.0:
-            out.append(Segment("service", base, node=node, shard=slot.shard))
-        if service - base != 0.0:
-            out.append(
-                Segment(
-                    "penalty", service - base, node=node, shard=slot.shard,
-                    cause="node_slow",
-                )
-            )
+
+    req: np.ndarray
+    ids: Callable[[int], str]
+    outcome: np.ndarray
+    outcome_names: Sequence[str]
+    arrival: np.ndarray
+    end: np.ndarray
+    latency: np.ndarray
+    slot_ptr: np.ndarray
+    slot_shard: np.ndarray
+    slot_listed: np.ndarray
+    slot_call: np.ndarray
+    slot_hedges: np.ndarray
+    hedge_q: np.ndarray
+    call_slot: np.ndarray
+    call_node: np.ndarray
+    call_submit: np.ndarray
+    call_end: np.ndarray
+    call_order: np.ndarray
+    call_ok: np.ndarray
+    call_latency: np.ndarray
+    call_queue: np.ndarray
+    call_service: np.ndarray
+    call_slow: np.ndarray
+    call_cause: np.ndarray
+    cause_names: Sequence[str]
+    call_via: np.ndarray
+    call_prev: np.ndarray
+    call_q: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: Iterable[Dict[str, object]]) -> "CallTable":
+        """Parse the records with ``shards`` among ``records`` (live or
+        reloaded), in order: the one reader of a cluster record's events.
+
+        A request's slots are its listed shards and any shard its lines
+        name.  An outcome belongs to its slot's unresolved call to the
+        same node (the router never sends a slot to a node twice), else
+        to a row of its own.  A call is a failover or a hedge when such a
+        line of its slot names its node and submit time.  A failover
+        replaced the slot's first call to fail at that instant, if sent
+        earlier (else the hedge rule decides); a hedge was armed by the
+        slot's latest call sent before it.
+        """
+        nan = float("nan")
+        outcomes: Dict[str, int] = {}
+        causes: Dict[str, int] = {"node_slow": 0}
+        heads: List[Tuple[int, str, int, float, float, float]] = []
+        s_count, s_shard, s_listed, s_call, s_hedges = [], [], [], [], []
+        hedge_q: List[float] = []
+        # Per call: slot, node, submit time, outcome line, its log position
+        # and time, cause code, and how it was sent (via, prev, q).
+        columns: Tuple[list, ...] = tuple([] for _ in range(10))
+        (
+            c_slot, c_node, c_submit, c_line, c_order, c_end, c_cause,
+            c_via, c_prev, c_q,
+        ) = columns
+
+        def call(node: int, t: float) -> int:
+            values = (-1, node, t, None, -1, nan, -1, _PRIMARY, -1, nan)
+            for column, value in zip(columns, values):
+                column.append(value)
+            return len(c_node) - 1
+
+        def sent_as(shard: int, rows: List[int], marks: Dict[Tuple, float]) -> None:
+            """Mark the failovers and hedges among one slot's calls."""
+            for r in rows:
+                t, node = c_submit[r], c_node[r]
+                if ("failover", shard, t, node) in marks:
+                    fails = [
+                        (c_order[f], f) for f in rows
+                        if c_end[f] == t and c_line[f]["kind"] == "call_failed"
+                    ]
+                    if fails and c_submit[min(fails)[1]] < t:
+                        c_via[r], c_prev[r] = _FAILOVER, min(fails)[1]
+                        continue
+                if ("hedge", shard, t, node) in marks:
+                    armed = (a for a in rows if c_submit[a] < t)
+                    c_via[r] = _HEDGE
+                    c_prev[r] = max(armed, key=c_submit.__getitem__, default=-1)
+                    c_q[r] = marks[("hedge", shard, t, node)]
+
+        position = count()  # of outcome lines in the log
+        for rec in records:
+            if rec.get("shards") is None:
+                continue
+            lat = rec.get("latency_ms")
+            heads.append((
+                int(rec["req"]), str(rec["id"]),
+                outcomes.setdefault(str(rec["outcome"]), len(outcomes)),
+                float(rec["arrival_ms"]), float(rec["end_ms"]),
+                nan if lat is None else float(lat),
+            ))
+            slots: Dict[int, List[int]] = {int(s): [] for s in rec["shards"]}
+            listed = set(slots)
+            marks: Dict[Tuple, float] = {}
+            hedges: Dict[int, int] = {}
+            won: Dict[int, int] = {}  # shard -> its first delivery
+            lost: Dict[int, int] = {}  # shard -> its last failure
+            for event in rec.get("events", ()):
+                shard = event.get("shard")
+                if shard is None:
+                    continue
+                shard = int(shard)
+                rows = slots.setdefault(shard, [])
+                kind = event.get("kind")
+                if kind not in _CALL_LINES:
+                    continue
+                t = float(event.get("t_ms", 0.0))
+                node = int(event["node"])
+                if kind == "shard_call":
+                    rows.append(call(node, t))
+                elif kind == "call_ok" or kind == "call_failed":
+                    for row in rows:
+                        if c_node[row] == node and c_line[row] is None:
+                            break
+                    else:
+                        row = call(node, nan)
+                        rows.append(row)
+                    c_line[row], c_order[row], c_end[row] = event, next(position), t
+                    if kind == "call_ok":
+                        won.setdefault(shard, row)
+                    else:
+                        lost[shard] = row
+                        if event.get("cause"):
+                            cause = str(event["cause"])
+                            c_cause[row] = causes.setdefault(cause, len(causes))
+                else:  # a hedge or a failover
+                    q = event.get("q_ms")
+                    marks[(kind, shard, t, node)] = nan if q is None else float(q)
+                    if kind == "hedge":
+                        hedges[shard] = hedges.get(shard, 0) + 1
+                        hedge_q.append(marks[(kind, shard, t, node)])
+            for shard in sorted(slots):
+                for r in slots[shard]:
+                    c_slot[r] = len(s_shard)
+                s_shard.append(shard)
+                s_listed.append(shard in listed)
+                s_call.append(won.get(shard, lost.get(shard, -1)))
+                s_hedges.append(hedges.get(shard, 0))
+                if marks:
+                    sent_as(shard, slots[shard], marks)
+            s_count.append(len(slots))
+
+        reqs, ids, outcome, arrival, end, latency = zip(*heads) if heads else [()] * 6
+        ok = np.array(
+            [line is not None and line["kind"] == "call_ok" for line in c_line], bool
+        )
+        # What each delivery logged (None and absent read as NaN, an
+        # absent latency as 0.0).
+        logged = np.full((ok.size, 4), nan)
+        logged[:, 0] = 0.0
+        logged[ok] = np.array([
+            (line.get("latency_ms", 0.0), line.get("queue_ms"),
+             line.get("service_ms"), line.get("slow"))
+            for line, good in zip(c_line, ok.tolist()) if good
+        ], dtype=np.float64).reshape(-1, 4)
+
+        def ints(values, dtype=np.int64) -> np.ndarray:
+            return np.array(values, dtype=dtype)
+
+        def floats(values) -> np.ndarray:
+            return np.array(values, dtype=np.float64)
+
+        return cls(
+            req=ints(reqs), ids=list(ids).__getitem__, outcome=ints(outcome),
+            outcome_names=list(outcomes), arrival=floats(arrival), end=floats(end),
+            latency=floats(latency),
+            slot_ptr=np.concatenate(([0], np.cumsum(s_count, dtype=np.int64))),
+            slot_shard=ints(s_shard), slot_listed=np.array(s_listed, dtype=bool),
+            slot_call=ints(s_call), slot_hedges=ints(s_hedges),
+            hedge_q=floats(hedge_q), call_slot=ints(c_slot), call_node=ints(c_node),
+            call_submit=floats(c_submit), call_end=floats(c_end),
+            call_order=ints(c_order), call_ok=ok,
+            call_latency=logged[:, 0].copy(), call_queue=logged[:, 1].copy(),
+            call_service=logged[:, 2].copy(), call_slow=logged[:, 3].copy(),
+            call_cause=ints(c_cause), cause_names=list(causes),
+            call_via=ints(c_via, np.int8), call_prev=ints(c_prev), call_q=floats(c_q),
+        )
+
+    def __len__(self) -> int:
+        return int(self.arrival.size)
+
+    @property
+    def shed(self) -> np.ndarray:
+        """Requests dropped at arrival."""
+        names = list(self.outcome_names)
+        return self.outcome == (names.index("shed") if "shed" in names else -1)
+
+    @property
+    def slot_owner(self) -> np.ndarray:
+        """The request of every slot."""
+        return np.repeat(np.arange(len(self)), np.diff(self.slot_ptr))
+
+    @property
+    def slot_resolve(self) -> np.ndarray:
+        """When each slot stopped blocking its gather: the end of its
+        resolving call, else (no routable replica) its request's arrival."""
+        call = self.slot_call
+        out = self.arrival[self.slot_owner]
+        has = call >= 0
+        out[has] = self.call_end[call[has]]
         return out
-    if attrs is not None:
-        return [Segment("service", span, node=node, shard=slot.shard)]
-    return [
-        Segment("recovery", span, node=node, shard=slot.shard, cause=cause)
-    ]
+
+    @property
+    def slot_won(self) -> np.ndarray:
+        """Slots resolved by a delivery."""
+        call = self.slot_call
+        return (call >= 0) & self.call_ok[np.maximum(call, 0)]
 
 
-def _explain_submission(
-    slot: _SlotLog, t_submit: float, arrival: float
-) -> List[Segment]:
-    """Why was an attempt submitted at ``t_submit``?  Chronological
-    segments covering ``[arrival, t_submit]``."""
-    if t_submit <= arrival:
-        return []
-    if t_submit in slot.failovers:
-        # The failover fired the instant its predecessor died; charge the
-        # dead attempt's whole lifetime to recovery and keep walking.
-        for t_fail, node_f, cause in slot.fails:
-            if t_fail == t_submit:
-                sub = slot.submit_of(node_f)
-                if sub is None:
+def extract_calls(calls: CallTable) -> PathTable:
+    """The blocking chain of every request in ``calls``.
+
+    The winning attempt resolved the critical slot, the one that resolved
+    last (smallest shard on ties).  Its interval splits into ``network``
+    (two hops), on-node ``queue``, base ``service`` and slowdown
+    ``penalty`` (cause ``node_slow``) when its delivery logged them, else
+    into one ``service``, or one ``recovery`` for a failure.  The walk
+    then goes back through why each attempt was sent: a failover charges
+    the attempt it replaced to ``recovery`` and continues from it, a
+    hedge its delay since the arming call to ``hedge_wait``; anything
+    else sent after the arrival is ``other``.  A shed request, or one
+    without a resolved critical slot, has no segments; a winner with no
+    ``shard_call`` line is one ``other`` from the arrival.
+    :func:`_seal_columns` sets each path's last segment.
+    """
+    total = calls.end - calls.arrival
+    (
+        arrival, totals, shed, ptr, shard_of, slot_call, resolve, node, submit,
+        end, ok, cause, queue, service, slow, via, prev,
+    ) = (column.tolist() for column in (
+        calls.arrival, total, calls.shed, calls.slot_ptr, calls.slot_shard,
+        calls.slot_call, calls.slot_resolve, calls.call_node, calls.call_submit,
+        calls.call_end, calls.call_ok, calls.call_cause, calls.call_queue,
+        calls.call_service, calls.call_slow, calls.call_via, calls.call_prev,
+    ))
+    # (kind, duration, node, shard, cause) of every segment, path by path.
+    rows: List[Tuple[int, float, int, int, int]] = []
+    counts: List[int] = []
+    for i, start in enumerate(arrival):
+        segs: List[Tuple[int, float, int, int, int]] = []
+        slots = range(ptr[i], ptr[i + 1])
+        critical = max(slots, key=resolve.__getitem__) if slots else -1
+        c = slot_call[critical] if slots and not shed[i] else -1
+        if c >= 0:
+            shard, n = shard_of[critical], node[c]
+            t = submit[c]
+            span = end[c] - t
+            if isnan(t):  # a delivery with no shard_call line
+                segs.append((_OTHER, end[c] - start, -1, shard, -1))
+            elif not ok[c]:
+                segs.append((_RECOVERY, span, n, shard, cause[c]))
+            elif isnan(queue[c]):
+                segs.append((_SERVICE, span, n, shard, -1))
+            else:
+                q = queue[c]
+                s = 0.0 if isnan(service[c]) else service[c]
+                x = 1.0 if isnan(slow[c]) or slow[c] == 0 else slow[c]
+                base = s / x if x > 0 else s
+                for kind, dur, why in (
+                    (_NETWORK, span - q - s, -1), (_QUEUE, q, -1),
+                    (_SERVICE, base, -1), (_PENALTY, s - base, 0),
+                ):
+                    if dur != 0.0:
+                        segs.append((kind, dur, n, shard, why))
+            chain: List[Tuple[int, float, int, int, int]] = []
+            while t > start:
+                p = prev[c]
+                if via[c] == _FAILOVER:
+                    chain.append((_RECOVERY, t - submit[p], node[p], shard, cause[p]))
+                elif via[c] == _HEDGE and p >= 0:
+                    chain.append((_HEDGE_WAIT, t - submit[p], -1, shard, -1))
+                else:
+                    chain.append((_OTHER, t - start, -1, shard, -1))
                     break
-                return _explain_submission(slot, sub, arrival) + [
-                    Segment(
-                        "recovery", t_submit - sub, node=node_f,
-                        shard=slot.shard, cause=cause,
-                    )
-                ]
-    if any(t == t_submit for t, _, _ in slot.hedges):
-        # The hedge timer armed when the previous attempt went out; the
-        # wait between arming and firing is the hedge delay sat out.
-        arming = max(
-            (t for t, _, _ in slot.calls if t < t_submit), default=None
-        )
-        if arming is not None:
-            return _explain_submission(slot, arming, arrival) + [
-                Segment("hedge_wait", t_submit - arming, shard=slot.shard)
-            ]
-    return [Segment("other", t_submit - arrival, shard=slot.shard)]
+                c, t = p, submit[p]
+            segs[:0] = chain[::-1]
+        if not segs and totals[i] != 0.0:
+            segs.append((_OTHER, 0.0, -1, -1, -1))
+        counts.append(len(segs))
+        rows.extend(segs)
+    kind, dur, node, shard, cause = zip(*rows) if rows else [()] * 5
+    seg_ptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    durations = np.array(dur, dtype=np.float64)
+    _seal_columns(seg_ptr, durations, total)
+    return PathTable(
+        req=calls.req, ids=calls.ids, outcome=calls.outcome,
+        outcome_names=calls.outcome_names, arrival=calls.arrival, end=calls.end,
+        seg_ptr=seg_ptr, seg_kind=np.array(kind, dtype=np.int8),
+        seg_dur=durations, seg_node=np.array(node, dtype=np.int64),
+        seg_shard=np.array(shard, dtype=np.int64),
+        seg_cause=np.array(cause, dtype=np.int64), cause_names=calls.cause_names,
+    )
 
 
-def _extract_cluster(record: Dict[str, object]) -> CriticalPath:
-    """Backward blocking-chain walk from the slowest gather slot."""
-    arrival = float(record["arrival_ms"])
-    path = CriticalPath(
-        req=int(record["req"]),
-        id=str(record["id"]),
-        outcome=str(record["outcome"]),
-        arrival_ms=arrival,
-        end_ms=float(record["end_ms"]),
+def _interleave(tables: Sequence[PathTable], which: np.ndarray) -> PathTable:
+    """One table of several: path ``i`` is the next unread path of
+    ``tables[which[i]]``."""
+    # Stack the tables; path i is stacked path source[i].
+    source = np.empty(which.size, dtype=np.int64)
+    source[np.argsort(which, kind="stable")] = np.arange(which.size)
+    stacked = np.concatenate([np.diff(t.seg_ptr) for t in tables])
+    counts = stacked[source]
+    seg_ptr = np.concatenate(([0], np.cumsum(counts)))
+    starts = (np.cumsum(stacked) - stacked)[source]
+    rows = np.repeat(starts - seg_ptr[:-1], counts) + np.arange(seg_ptr[-1])
+    names: Dict[str, List[str]] = {"outcome": [], "seg_cause": []}
+
+    def stack(column: str, names_of: str = "") -> np.ndarray:
+        parts = [getattr(t, column) for t in tables]
+        if column in names:  # recode into the union of the tables' names
+            merged = names[column]
+            for i, t in enumerate(tables):
+                theirs = getattr(t, names_of)
+                merged.extend(n for n in theirs if n not in merged)
+                # Code -1 (no cause) stays -1: the recoding ends in -1.
+                parts[i] = np.array([merged.index(n) for n in theirs] + [-1])[parts[i]]
+        return np.concatenate(parts)
+
+    ids = [t.ids(i) for t in tables for i in range(len(t))]
+    order = source.tolist()
+    return PathTable(
+        req=stack("req")[source], ids=lambda i: ids[order[i]],
+        outcome=stack("outcome", "outcome_names")[source],
+        outcome_names=names["outcome"], arrival=stack("arrival")[source],
+        end=stack("end")[source], seg_ptr=seg_ptr, seg_kind=stack("seg_kind")[rows],
+        seg_dur=stack("seg_dur")[rows], seg_node=stack("seg_node")[rows],
+        seg_shard=stack("seg_shard")[rows],
+        seg_cause=stack("seg_cause", "cause_names")[rows],
+        cause_names=names["seg_cause"],
     )
-    if record["outcome"] == "shed":
-        return _seal(path)  # dropped at arrival: zero-length path
-    slots = _index_slots(record)
-    if not slots:
-        return _seal(path)
-    # The request finished when its last slot resolved: the critical slot
-    # is the max resolver (smallest shard breaks exact-float ties).
-    critical = min(
-        slots.values(), key=lambda s: (-s.resolve(arrival), s.shard)
-    )
-    resolve = critical.resolve(arrival)
-    if critical.oks:
-        t_ok, node, attrs = critical.oks[0]
-        cause: Optional[str] = None
-    elif critical.fails:
-        t_ok, node, cause = critical.fails[-1]
-        attrs = None
-    else:  # no routable replica existed at arrival
-        return _seal(path)
-    submit = critical.submit_of(node)
-    if submit is None:  # defensive: a log missing its shard_call line
-        path.segments.append(
-            Segment("other", resolve - arrival, shard=critical.shard)
-        )
-        return _seal(path)
-    path.segments.extend(_explain_submission(critical, submit, arrival))
-    path.segments.extend(
-        _attempt_segments(critical, node, submit, resolve, attrs, cause)
-    )
-    return _seal(path)
 
 
 def extract_critical_path(record: Dict[str, object]) -> CriticalPath:
-    """The blocking chain of one request-log record (either layer).
-
-    Cluster records are recognized by their ``shards`` field; everything
-    else walks the single-box lifecycle.  The returned path satisfies the
-    conservation invariant exactly (see :func:`check_conservation`).
-    """
-    if record.get("shards") is not None:
-        return _extract_cluster(record)
-    return extract_lifecycles(Lifecycles.from_records([record]))[0]
+    """The blocking chain of one request-log record (either layer), as
+    :func:`extract_paths` extracts it."""
+    return extract_paths([record])[0]
 
 
-def extract_paths(records: Sequence[Dict[str, object]]) -> Sequence[CriticalPath]:
+def extract_paths(records: Sequence[Dict[str, object]]) -> PathTable:
     """Extract every record's critical path, in record order.
 
     A run's lazy records (:attr:`repro.obs.requests.RunLog.records`) hand
     over their columns: a fast-path run's go to the closed form
     :func:`extract_fast`, a resilient run's to :func:`extract_lifecycles`.
-    Single-box record dicts are parsed into one :class:`Lifecycles` table
-    first.  Either way the result is a :class:`PathTable`.  Cluster
-    records go through the cluster extractor one by one, and a list that
-    holds any returns a plain list of paths.  ``records`` is read once,
-    so a lazy cluster run builds each record dict once.
+    Otherwise cluster records (with ``shards``) go through a
+    :class:`CallTable`, single-box ones through a :class:`Lifecycles`
+    table, and a mix is merged back into record order.  A lazy cluster
+    run is read once, so it builds each record dict once.
     """
     lifecycles = getattr(records, "lifecycles", None)
     columns = lifecycles() if lifecycles is not None else None
@@ -814,19 +919,16 @@ def extract_paths(records: Sequence[Dict[str, object]]) -> Sequence[CriticalPath
         return extract_fast(columns)
     if columns is not None:
         return extract_lifecycles(columns)
-    single: List[Dict[str, object]] = []
-    out: List[Optional[CriticalPath]] = []  # None: a single-box record
-    for rec in records:
-        if rec.get("shards") is not None:
-            out.append(_extract_cluster(rec))
-        else:
-            single.append(rec)
-            out.append(None)
-    table = extract_lifecycles(Lifecycles.from_records(single))
-    if len(single) == len(out):
-        return table
-    paths = iter(table)
-    return [path if path is not None else next(paths) for path in out]
+    cluster = extract_calls(CallTable.from_records(records))
+    if len(cluster) == len(records):
+        return cluster
+    single = extract_lifecycles(
+        Lifecycles.from_records([rec for rec in records if rec.get("shards") is None])
+    )
+    if not len(cluster):
+        return single
+    which = np.array([rec.get("shards") is None for rec in records], dtype=np.int64)
+    return _interleave((cluster, single), which)
 
 
 # -- aggregation --------------------------------------------------------------
@@ -881,7 +983,7 @@ def bottleneck(segments: Dict[str, float]) -> Optional[str]:
 
 
 def aggregate_profiles(
-    paths: Sequence[CriticalPath],
+    table: PathTable,
     scenario: str = "",
     tail_quantile: float = 99.0,
 ) -> List[Dict[str, object]]:
@@ -892,10 +994,9 @@ def aggregate_profiles(
     above that percentile of end-to-end time), and one per node and per
     shard that appears on any critical path.  Each record carries the
     summed per-kind segment milliseconds and the resulting bottleneck.
-    A :class:`PathTable` is read column-wise; other paths are tabulated
-    first.  Every sum adds in path and segment order.
+    The table is read column-wise; every sum adds in path and segment
+    order.
     """
-    table = paths if isinstance(paths, PathTable) else PathTable.from_paths(paths)
     totals = table.total_ms
     owner = np.repeat(np.arange(len(table)), np.diff(table.seg_ptr))
     profiles: List[Dict[str, object]] = []

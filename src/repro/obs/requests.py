@@ -171,7 +171,8 @@ class RunRecords(Sequence[Dict[str, object]]):
     def lifecycles(self) -> Union[Lifecycles, FastLifecycles, None]:
         """The run's lifecycle columns: a :class:`FastLifecycles` for a
         fast-path run, a :class:`Lifecycles` for a resilient one, None
-        for a cluster run (its critical paths are walked per record)."""
+        for a cluster run (its records are parsed into a
+        :class:`~repro.obs.critpath.CallTable`)."""
         return self._run._lifecycles()
 
 
@@ -193,15 +194,11 @@ class RunLog:
         log: "RequestLog",
         index: int,
         label: str,
-        num_cores: int,
-        num_requests: int,
         deadline_ms: Optional[float],
     ) -> None:
         self.log = log
         self.index = index
         self.label = label
-        self.num_cores = num_cores
-        self.num_requests = num_requests
         self.deadline_ms = deadline_ms
         self.records = RunRecords(self)
         # The event table and the dispatch table, as parallel columns
@@ -717,8 +714,6 @@ class RequestLog:
     def start_run(
         self,
         label: Optional[str] = None,
-        num_cores: int = 0,
-        num_requests: int = 0,
         deadline_ms: Optional[float] = None,
     ) -> RunLog:
         """Open the log of one serving simulation."""
@@ -726,8 +721,6 @@ class RequestLog:
             log=self,
             index=len(self.runs),
             label=label if label else f"run{len(self.runs)}",
-            num_cores=num_cores,
-            num_requests=num_requests,
             deadline_ms=deadline_ms,
         )
         self.runs.append(run)

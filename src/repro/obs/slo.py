@@ -19,8 +19,9 @@ SLA latency", "99.9% availability", "95% full-quality results" — and
   be real) and resolves when the short window recovers.
 
 The fleet half (:func:`node_window_stats`, :class:`FleetMonitor`) slices
-the same log per node: every ``shard_call`` / ``call_ok`` /
-``call_failed`` event is bucketed into (window, node) cells, and a pair
+the same log per node: every shard call of its
+:class:`~repro.obs.critpath.CallTable` is bucketed into (window, node)
+cells where it was sent and where it resolved, and a pair
 of :class:`~repro.obs.detect.MeanShiftDetector` instances per node watch
 the error rate and mean call latency.  :func:`score_detections` then
 grades the fired alerts against the :class:`repro.serving.faults.
@@ -35,9 +36,12 @@ the record list, so a given log grades identically on every host.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..errors import ConfigError
+from .critpath import CallTable
 from .detect import DetectionEvent, MeanShiftDetector
 
 __all__ = [
@@ -351,48 +355,48 @@ def burn_summary(
 
 
 def node_window_stats(
-    records: Sequence[Dict[str, object]],
+    records: Union[Sequence[Dict[str, object]], CallTable],
     window_ms: float,
     horizon_ms: Optional[float] = None,
 ) -> List[Dict[int, Dict[str, float]]]:
-    """Bucket per-request shard-call events into (window, node) cells.
+    """Bucket the shard calls of a request log (or its
+    :class:`~repro.obs.critpath.CallTable`) into (window, node) cells.
 
     Returns one dict per window mapping node id to ``{"calls", "ok",
     "failed", "lat_sum"}`` — the raw material for per-node error-rate and
-    latency series.  Events outside the horizon land in the last window.
+    latency series.  A call counts where it was sent, and where it was
+    delivered or failed; ``lat_sum`` adds latencies in log order.  Times
+    outside the horizon land in the last window.
     """
     if window_ms <= 0:
         raise ConfigError("window must be positive")
-    stamps: List[Tuple[float, int, str, float]] = []
-    last_t = 0.0
-    for record in records:
-        for event in record.get("events", ()):  # type: ignore[union-attr]
-            kind = event.get("kind")
-            if kind not in ("shard_call", "call_ok", "call_failed"):
-                continue
-            node = event.get("node")
-            if node is None:
-                continue
-            t = float(event.get("t_ms", 0.0))
-            last_t = max(last_t, t)
-            lat = float(event.get("latency_ms", 0.0)) if kind == "call_ok" else 0.0
-            stamps.append((t, int(node), str(kind), lat))
+    calls = records
+    if not isinstance(calls, CallTable):
+        calls = CallTable.from_records(records)
+    sent = np.flatnonzero(~np.isnan(calls.call_submit))
+    done = np.flatnonzero(calls.call_order >= 0)
+    done = done[np.argsort(calls.call_order[done])]  # outcomes in log order
+    t = np.concatenate((calls.call_submit[sent], calls.call_end[done]))
     if horizon_ms is None:
+        last_t = float(t.max(initial=0.0))
         horizon_ms = last_t if last_t > 0 else window_ms
     count = _window_count(horizon_ms, window_ms)
+    window = np.clip((t / window_ms).astype(np.int64), 0, count - 1)
+    rows = np.concatenate((sent, done))
+    # What each stamp counts: 0 a call sent, 1 a delivery, 2 a failure.
+    tally = np.where(calls.call_ok[rows], 1, 2)
+    tally[: sent.size] = 0
     out: List[Dict[int, Dict[str, float]]] = [{} for _ in range(count)]
-    for t, node, kind, lat in stamps:
-        j = min(count - 1, max(0, int(t / window_ms)))
+    for j, node, k, lat in zip(
+        window.tolist(), calls.call_node[rows].tolist(), tally.tolist(),
+        calls.call_latency[rows].tolist(),
+    ):
         cell = out[j].setdefault(
             node, {"calls": 0.0, "ok": 0.0, "failed": 0.0, "lat_sum": 0.0}
         )
-        if kind == "shard_call":
-            cell["calls"] += 1
-        elif kind == "call_ok":
-            cell["ok"] += 1
+        cell[("calls", "ok", "failed")[k]] += 1
+        if k == 1:
             cell["lat_sum"] += lat
-        else:
-            cell["failed"] += 1
     return out
 
 

@@ -4,11 +4,16 @@ Given one observed cluster run (its request-log records and the
 :class:`~repro.serving.cluster.ClusterConfig` that produced it), predict
 what the latency distribution *would have been* under a modified knob —
 without running the event loop again.  This is the cheap objective
-estimator the autotuner needs (ROADMAP item 5): one simulated run costs
-seconds, a re-timing pass costs milliseconds, and the predictions are
-validated against actual re-runs inside the noise-floored bounds of
-:mod:`repro.obs.regress` on the pinned ``critpath_observatory``
+estimator an autotuner needs: one simulated run costs seconds, a
+re-timing pass costs milliseconds, and the predictions are validated
+against actual re-runs inside noise-floored bounds
+(:func:`within_bounds`) on the pinned ``critpath_observatory``
 scenarios.
+
+The engine reads the run's :class:`~repro.obs.critpath.CallTable`, as
+the critical path does: each knob's re-timer gives every gather slot a
+counterfactual resolve time in column operations, and one fold
+(:func:`_retime`) turns slots into per-request latencies.
 
 Supported knobs (:data:`KNOBS`):
 
@@ -44,10 +49,12 @@ matching how the acceptance suites score actual re-runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .critpath import _SlotLog, _index_slots, extract_critical_path
-from .regress import Benchmark, compare, make_record
+import numpy as np
+
+from ..errors import ConfigError
+from .critpath import CALL_REASONS, SEGMENT_KINDS, CallTable, extract_calls
 
 __all__ = [
     "KNOBS",
@@ -71,6 +78,8 @@ KNOBS = (
     "cat_partition",
 )
 
+_HEDGE = CALL_REASONS.index("hedge")
+
 
 @dataclass
 class WhatIfPrediction:
@@ -89,7 +98,9 @@ class WhatIfPrediction:
 
 
 def percentile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolation percentile (matches ``np.percentile``)."""
+    """Linear-interpolation percentile: ``xs[lo] * (1 - frac) + xs[hi] *
+    frac`` over the sorted values.  ``np.percentile`` interpolates with a
+    different formula, so the two can differ in the last bits."""
     if not values:
         return 0.0
     ordered = sorted(float(v) for v in values)
@@ -105,34 +116,6 @@ def percentile(values: Sequence[float], q: float) -> float:
 # -- shared machinery ---------------------------------------------------------
 
 
-def _slot_stats(
-    records: Sequence[Dict[str, object]],
-) -> Tuple[Dict[int, List[float]], Dict[int, List[float]], List[float]]:
-    """Logged ok-attempt durations, keyed by shard and by node, and the
-    window quantile of every fired hedge that logged one.
-
-    Each record's slot index lives only while its record is read:
-    holding every index until the fold would make the collector scan
-    them all, which costs more than indexing a record again.
-    """
-    by_shard: Dict[int, List[float]] = {}
-    by_node: Dict[int, List[float]] = {}
-    qs: List[float] = []
-    for rec in records:
-        if rec.get("shards") is None:
-            continue
-        for slot in _index_slots(rec).values():
-            qs.extend(h[2] for h in slot.hedges if h[2] is not None)
-            for t_ok, node, _ in slot.oks:
-                submit = slot.submit_of(node)
-                if submit is None:
-                    continue
-                dur = t_ok - submit
-                by_shard.setdefault(slot.shard, []).append(dur)
-                by_node.setdefault(node, []).append(dur)
-    return by_shard, by_node, qs
-
-
 def _median(values: List[float]) -> Optional[float]:
     if not values:
         return None
@@ -143,229 +126,181 @@ def _median(values: List[float]) -> Optional[float]:
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-def _median_by_key(groups: Dict[int, List[float]]):
-    """``key -> _median(groups.get(key, []))``, each key sorted once.
+def _attempts(calls: CallTable, config, by: str):
+    """Median logged duration of the delivered calls per shard
+    (``by="shard"``) or node, and a guess for any key: its median, else
+    (falsy) the median over all, else two hops plus a mean service."""
+    sent = calls.call_ok & ~np.isnan(calls.call_submit)
+    durs = calls.call_end[sent] - calls.call_submit[sent]
+    keys = calls.call_node[sent]
+    if by == "shard":
+        keys = calls.slot_shard[calls.call_slot[sent]]
+    medians = {
+        key: _median(durs[keys == key].tolist()) for key in np.unique(keys).tolist()
+    }
+    overall = _median(durs.tolist())
 
-    Sound because ``_slot_stats``' lists are not mutated after it
-    returns.
+    def guess(key: int) -> float:
+        est = medians.get(key) or overall
+        return est if est is not None else 2.0 * config.hop_ms + config.mean_service_ms
+
+    return medians, guess
+
+
+def _earliest(calls: CallTable, times: np.ndarray) -> np.ndarray:
+    """Per slot, the earliest of ``times`` over its delivered calls."""
+    out = np.full(calls.slot_shard.size, np.inf)
+    ok = calls.call_ok
+    np.minimum.at(out, calls.call_slot[ok], times[ok])
+    return out
+
+
+def _retime(
+    calls: CallTable, config, resolve, missing, kept=None, estimated=None, extra=None
+) -> Tuple[List[float], bool]:
+    """Per-request latencies from per-slot resolves, in request order,
+    and whether any kept slot of an unshed request was ``estimated``.
+
+    Slot ``s`` resolves at ``resolve[s]`` (``missing[s]``: without its
+    shard); slots not ``kept`` leave the gather; ``extra`` holds the
+    ``(request, resolve)`` columns of estimated slots the log lacks.  A
+    request ends at its latest slot (the gather fan-in) and fails when
+    every slot, or without ``partial_results`` any, is missing; shed
+    requests are skipped.
     """
-    medians: Dict[int, Optional[float]] = {}
-
-    def median(key: int) -> Optional[float]:
-        if key not in medians:
-            medians[key] = _median(groups.get(key, []))
-        return medians[key]
-
-    return median
-
-
-class _Retimer:
-    """Folds per-slot counterfactual resolves into per-request latencies.
-
-    A slot adjuster maps ``(record, slot)`` to ``(resolve_ms, missing,
-    estimated)``, a resolve of None with ``missing`` False dropping the
-    slot from the gather; ``extra_slots`` maps a record to the
-    ``(resolve_ms, estimated)`` of slots the log does not hold, which
-    join after the logged ones.  The retimer recomputes each request's
-    end (the max slot resolve — the gather fan-in), its counterfactual
-    outcome from the missing count, and the finite-latency set the p99 is
-    scored on.
-    """
-
-    def __init__(self, config) -> None:
-        self.config = config
-        self.estimated = False
-
-    def run(
-        self, records: Sequence[Dict[str, object]], adjust, extra_slots=None
-    ) -> List[float]:
-        latencies: List[float] = []
-        for rec in records:
-            if rec.get("outcome") == "shed" or rec.get("shards") is None:
-                continue
-            arrival = float(rec["arrival_ms"])
-            slots = _index_slots(rec)
-            resolves: List[float] = []
-            missing = 0
-            width = 0
-            for shard in sorted(slots):
-                resolve, is_missing, estimated = adjust(rec, slots[shard])
-                if resolve is None and not is_missing:
-                    continue  # dropped: not part of the gather
-                width += 1
-                if estimated:
-                    self.estimated = True
-                if is_missing:
-                    missing += 1
-                if resolve is not None:
-                    resolves.append(resolve)
-            if extra_slots is not None:
-                for resolve, estimated in extra_slots(rec):
-                    width += 1
-                    resolves.append(resolve)
-                    if estimated:
-                        self.estimated = True
-            if width == 0:
-                continue
-            if missing >= width or (
-                missing > 0 and not self.config.partial_results
-            ):
-                continue  # failed: no finite latency
-            latencies.append(max(resolves) - arrival if resolves else 0.0)
-        return latencies
+    n = len(calls)
+    live = ~calls.shed
+    owner = calls.slot_owner
+    on = live[owner] if kept is None else live[owner] & kept
+    width = np.bincount(owner[on], minlength=n)
+    lost = np.bincount(owner[on & missing], minlength=n)
+    latest = np.full(n, -np.inf)
+    np.maximum.at(latest, owner[on], resolve[on])
+    guessed = estimated is not None and bool(estimated[on].any())
+    if extra is not None:
+        req, extra_resolve = extra
+        width += np.bincount(req[live[req]], minlength=n)
+        np.maximum.at(latest, req, extra_resolve)
+        guessed = guessed or bool(live[req].any())
+    done = live & (width > 0) & (lost < width)
+    if not config.partial_results:
+        done &= lost == 0
+    return (latest - calls.arrival)[done].tolist(), guessed
 
 
-# -- knob adjusters -----------------------------------------------------------
+# -- knob re-timers ------------------------------------------------------------
 
 
-def _hedge_adjuster(
-    config,
-    new_min_ms: float,
-    dur_by_shard: Dict[int, List[float]],
-    q_estimate: Optional[float],
-):
-    """Re-time each slot's delivery race under a different hedge floor."""
-    old_min = config.hedge.min_ms if config.hedge is not None else None
-    max_hedges = config.hedge.max_hedges if config.hedge is not None else 0
-    shard_median = _median_by_key(dur_by_shard)
-
-    def adjust(rec, slot):
-        arrival = float(rec["arrival_ms"])
-        if not slot.oks:
-            return slot.resolve(arrival), True, False
-        estimated = False
-        candidates: List[float] = []
-        for t_ok, node, attrs in slot.oks:
-            submit = slot.submit_of(node)
-            if submit is None:
-                candidates.append(t_ok)
-                continue
-            fired = next(
-                (h for h in slot.hedges if h[0] == submit and h[1] == node),
-                None,
-            )
-            if fired is None:
-                candidates.append(t_ok)  # not a hedge: unchanged
-                continue
-            # Exact shift: the hedge armed when the previous attempt went
-            # out; under the new floor it fires at arming + max(floor, q)
-            # and its measured duration rides along unchanged.
-            arming = max(
-                (t for t, _, _ in slot.calls if t < submit), default=None
-            )
-            if arming is None:
-                candidates.append(t_ok)
-                continue
-            q = fired[2] if fired[2] is not None else 0.0
-            candidates.append(arming + max(new_min_ms, q) + (t_ok - submit))
-        if (
-            old_min is not None
-            and new_min_ms < old_min
-            and len(slot.hedges) < max_hedges
-            and slot.calls
-        ):
-            # No hedge fired here, but a lower floor may have armed one
-            # that beats the logged resolve: estimate its finish from the
-            # per-shard median attempt duration.
-            est_dur = shard_median(slot.shard)
-            if est_dur is not None:
-                first = slot.calls[0][0]
-                fire = first + max(new_min_ms, q_estimate or 0.0)
-                if fire < slot.resolve(arrival):
-                    candidates.append(fire + est_dur)
-                    estimated = True
-        return min(candidates), False, estimated
-
-    return adjust
+def _hedge_floor(calls: CallTable, config, value: float):
+    """Re-time each slot's delivery race under a different hedge floor:
+    a fired hedge now fires at its arming + max(floor, q), its measured
+    duration riding along, and the slot resolves at its earliest finish.
+    A hedge a lower floor may have added is estimated from the per-shard
+    median attempt duration."""
+    new_min_ms = float(value)
+    resolve, won = calls.slot_resolve, calls.slot_won
+    submit, prev = calls.call_submit, calls.call_prev
+    hedged = (calls.call_via == _HEDGE) & (prev >= 0)
+    shifted = (
+        submit[np.maximum(prev, 0)]
+        + np.maximum(new_min_ms, np.nan_to_num(calls.call_q))
+        + (calls.call_end - submit)
+    )
+    best = _earliest(calls, np.where(hedged, shifted, calls.call_end))
+    estimated = np.zeros(best.size, dtype=bool)
+    old = config.hedge
+    if old is not None and new_min_ms < old.min_ms:
+        medians, _ = _attempts(calls, config, "shard")
+        q = _median(calls.hedge_q[~np.isnan(calls.hedge_q)].tolist())
+        sent = np.flatnonzero(~np.isnan(submit))
+        slots, first = np.unique(calls.call_slot[sent], return_index=True)
+        fire = submit[sent[first]] + max(new_min_ms, q or 0.0)
+        dur = np.array(
+            [medians.get(s, np.nan) for s in calls.slot_shard[slots].tolist()]
+        )
+        est = won[slots] & (calls.slot_hedges[slots] < old.max_hedges)
+        est &= ~np.isnan(dur)
+        est &= fire < resolve[slots]
+        slots = slots[est]
+        best[slots] = np.minimum(best[slots], (fire + dur)[est])
+        estimated[slots] = True
+    resolve = np.where(won, best, resolve)
+    return _retime(calls, config, resolve, ~won, estimated=estimated)
 
 
-def _replication_adjuster(
-    config, delta: int, dur_by_node: Dict[int, List[float]]
-):
-    """Rescue missing slots with the extra replicas of ``replication+k``."""
+def _replication(calls: CallTable, config, value: float):
+    """Rescue missing slots with the extra replicas of ``replication+k``:
+    the first extra replica alive at the failure time, estimated to take
+    its node's median logged attempt duration."""
     from ..serving.cluster import ShardMap  # lazy: obs must not import serving eagerly
 
     old_map = ShardMap(config).replicas
-    new_map = ShardMap(replace(config, replication=config.replication + delta)).replicas
+    new_map = ShardMap(
+        replace(config, replication=config.replication + int(value))
+    ).replicas
     plan = config.faults
-    node_median = _median_by_key(dur_by_node)
-    global_median = _median([d for durs in dur_by_node.values() for d in durs])
-
-    def adjust(rec, slot):
-        arrival = float(rec["arrival_ms"])
-        if slot.oks:
-            return slot.resolve(arrival), False, False
-        fail_t = slot.resolve(arrival)
-        extras = [
-            n for n in new_map[slot.shard] if n not in old_map[slot.shard]
-        ]
-        for node in extras:
-            if plan is not None and (
+    _, guess = _attempts(calls, config, "node")
+    resolve, missing = calls.slot_resolve, ~calls.slot_won
+    estimated = np.zeros(resolve.size, dtype=bool)
+    for s in np.flatnonzero(missing).tolist():
+        fail_t = resolve[s]
+        shard = int(calls.slot_shard[s])
+        for node in new_map[shard]:
+            if node in old_map[shard] or plan is not None and (
                 plan.node_down(node, fail_t) or plan.partitioned(node, fail_t)
             ):
                 continue
-            est = node_median(node) or global_median
-            if est is None:
-                est = 2.0 * config.hop_ms + config.mean_service_ms
-            return fail_t + est, False, True
-        return fail_t, True, False  # extras were down too: still missing
-
-    return adjust
+            resolve[s] = fail_t + guess(node)
+            missing[s] = False
+            estimated[s] = True
+            break
+    return _retime(calls, config, resolve, missing, estimated=estimated)
 
 
-def _gather_adjuster(
-    config,
-    new_width: int,
-    records: Sequence[Dict[str, object]],
-    dur_by_shard: Dict[int, List[float]],
-):
-    """Exact narrower gather (Gumbel top-k subset), estimated wider one."""
+def _gather(calls: CallTable, config, value: float):
+    """Exact narrower gather (Gumbel top-k subset), estimated wider one.
+
+    Kept deliveries shift by the first-order load feedback: the per-node
+    backlog scales with the fleet-wide call volume, so with the width.
+    A shard the log lacks takes its median attempt duration from arrival.
+    """
     from ..serving.cluster import ShardMap  # lazy import, as above
 
-    n = max((int(rec["req"]) for rec in records), default=-1) + 1
-    new_rows = ShardMap(replace(config, gather_width=new_width)).gather_shards(n)
-    shard_median = _median_by_key(dur_by_shard)
-    global_median = _median([d for durs in dur_by_shard.values() for d in durs])
-    # First-order load feedback: the per-node backlog is proportional to
-    # the fleet-wide call volume, which scales with the gather width.
-    queue_factor = new_width / float(config.gather_width)
+    new_width = int(value)
+    n = int(calls.req.max()) + 1 if len(calls) else 0
+    rows = ShardMap(replace(config, gather_width=new_width)).gather_shards(n)[calls.req]
+    owner = calls.slot_owner
+    kept = (rows[owner] == calls.slot_shard[:, None]).any(axis=1)
+    factor = new_width / float(config.gather_width)
+    queue = calls.call_queue
+    shifted = calls.call_end + np.where(np.isnan(queue), 0.0, queue * (factor - 1.0))
+    won = calls.slot_won
+    resolve = np.where(won, _earliest(calls, shifted), calls.slot_resolve)
 
-    def adjust(rec, slot):
-        arrival = float(rec["arrival_ms"])
-        kept = new_rows[int(rec["req"])]
-        if slot.shard not in kept:
-            return None, False, False  # dropped from the gather entirely
-        if not slot.oks:
-            return slot.resolve(arrival), True, False
-        candidates = []
-        for t_ok, _node, attrs in slot.oks:
-            queue = attrs.get("queue_ms")
-            shift = (
-                float(queue) * (queue_factor - 1.0)
-                if queue is not None
-                else 0.0
-            )
-            candidates.append(t_ok + shift)
-        return min(candidates), False, False
-
-    def extra_slots(rec) -> List[Tuple[float, bool]]:
-        """(resolve, estimated) of counterfactual slots absent from the log."""
-        arrival = float(rec["arrival_ms"])
-        logged = set(rec.get("shards", []))
-        out = []
-        for shard in new_rows[int(rec["req"])]:
-            if int(shard) in logged:
-                continue
-            est = shard_median(int(shard)) or global_median
-            if est is None:
-                est = 2.0 * config.hop_ms + config.mean_service_ms
-            out.append((arrival + est, True))
-        return out
-
-    return adjust, extra_slots
+    span = int(rows.max(initial=calls.slot_shard.max(initial=0))) + 1
+    logged = owner[calls.slot_listed] * span + calls.slot_shard[calls.slot_listed]
+    req = np.repeat(np.arange(len(calls)), rows.shape[1])
+    absent = ~np.isin(req * span + rows.ravel(), logged)
+    _, guess = _attempts(calls, config, "shard")
+    est = [guess(shard) for shard in rows.ravel()[absent].tolist()]
+    extra = (req[absent], calls.arrival[req[absent]] + est)
+    return _retime(calls, config, resolve, ~won, kept, extra=extra)
 
 
-def _cat_adjuster(config):
+def _extra_cores(calls: CallTable, config, value: float):
+    """Scale the critical paths' queue segments by ``cores / (cores + k)``
+    — the one knob re-timed from segments rather than slot resolves."""
+    paths = extract_calls(calls)
+    owner = np.repeat(np.arange(len(paths)), np.diff(paths.seg_ptr))
+    queue = paths.seg_kind == SEGMENT_KINDS.index("queue")
+    queued = np.bincount(
+        owner[queue], weights=paths.seg_dur[queue], minlength=len(paths)
+    )
+    shrink = 1.0 - config.cores_per_node / (config.cores_per_node + value)
+    return (calls.latency - queued * shrink)[~np.isnan(calls.latency)].tolist(), True
+
+
+def _cat_partition(calls: CallTable, config, value: float):
     """Remove every attempt's slowdown penalty (CAT partition on).
 
     Two first-order effects per attempt: its own service deflates from
@@ -374,32 +309,22 @@ def _cat_adjuster(config):
     deflates by ``1 - 1/slow`` too.  The earliest adjusted finish wins
     the slot back (a formerly-slow primary can beat its hedge again).
     """
-
-    def adjust(rec, slot):
-        arrival = float(rec["arrival_ms"])
-        if not slot.oks:
-            return slot.resolve(arrival), True, False
-        candidates = []
-        for t_ok, node, attrs in slot.oks:
-            service = attrs.get("service_ms")
-            slow = attrs.get("slow")
-            queue = attrs.get("queue_ms")
-            penalty = 0.0
-            if service is not None and slow:
-                penalty += float(service) - float(service) / float(slow)
-                if queue is not None and float(slow) > 1.0:
-                    penalty += float(queue) * (1.0 - 1.0 / float(slow))
-            candidates.append(t_ok - penalty)
-        return min(candidates), False, False
-
-    return adjust
+    service, queue, slow = calls.call_service, calls.call_queue, calls.call_slow
+    slowed = ~np.isnan(service) & ~np.isnan(slow) & (slow != 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        penalty = np.where(slowed, service - service / slow, 0.0)
+        queued = slowed & ~np.isnan(queue) & (slow > 1.0)
+        penalty = np.where(queued, penalty + queue * (1.0 - 1.0 / slow), penalty)
+    won = calls.slot_won
+    best = _earliest(calls, calls.call_end - penalty)
+    return _retime(calls, config, np.where(won, best, calls.slot_resolve), ~won)
 
 
 # -- the engine ---------------------------------------------------------------
 
 
 def predict(
-    records: Sequence[Dict[str, object]],
+    records: Union[Sequence[Dict[str, object]], CallTable],
     config,
     knob: str,
     value: float,
@@ -407,7 +332,9 @@ def predict(
 ) -> WhatIfPrediction:
     """Predict the latency percentile under one knob change.
 
-    ``records`` is one observed cluster run's request log; ``config`` the
+    ``records`` is one observed cluster run's request log, or its
+    :class:`~repro.obs.critpath.CallTable` (records without ``shards``
+    are not read); ``config`` the
     :class:`~repro.serving.cluster.ClusterConfig` that produced it (never
     mutated).  ``value`` is knob-specific: the new floor for
     ``hedge_min_ms``, the replica delta for ``replication_delta``, the
@@ -418,52 +345,23 @@ def predict(
     """
     if knob not in KNOBS:
         raise ValueError(f"unknown what-if knob {knob!r}; known: {KNOBS}")
-    baseline = [
-        float(rec["latency_ms"])
-        for rec in records
-        if rec.get("latency_ms") is not None
-    ]
-    retimer = _Retimer(config)
-    if knob == "extra_cores":
-        # Queue scaling over the extracted critical path — the one knob
-        # re-timed from segments rather than slot resolves.
-        shrink = 1.0 - config.cores_per_node / (config.cores_per_node + value)
-        latencies = []
-        for rec in records:
-            if rec.get("latency_ms") is None:
-                continue
-            path = extract_critical_path(rec)
-            queued = sum(
-                s.dur_ms for s in path.segments if s.kind == "queue"
-            )
-            latencies.append(float(rec["latency_ms"]) - queued * shrink)
-        retimer.estimated = True
-    else:
-        extra_slots = None
-        if knob == "gather_width":
-            dur_by_shard, _, _ = _slot_stats(records)
-            adjust, extra_slots = _gather_adjuster(
-                config, int(value), records, dur_by_shard
-            )
-        elif knob == "hedge_min_ms":
-            dur_by_shard, _, qs = _slot_stats(records)
-            adjust = _hedge_adjuster(
-                config, float(value), dur_by_shard, _median(qs)
-            )
-        elif knob == "replication_delta":
-            _, dur_by_node, _ = _slot_stats(records)
-            adjust = _replication_adjuster(config, int(value), dur_by_node)
-        else:  # cat_partition
-            adjust = _cat_adjuster(config)
-        latencies = retimer.run(records, adjust, extra_slots)
+    calls = records
+    if not isinstance(calls, CallTable):
+        calls = CallTable.from_records(records)
+    retime = {
+        "hedge_min_ms": _hedge_floor, "replication_delta": _replication,
+        "gather_width": _gather, "extra_cores": _extra_cores,
+        "cat_partition": _cat_partition,
+    }[knob]
+    latencies, estimated = retime(calls, config, value)
     return WhatIfPrediction(
         knob=knob,
         value=float(value),
         metric=f"p{q:g}_ms",
-        baseline=percentile(baseline, q),
+        baseline=percentile(calls.latency[~np.isnan(calls.latency)].tolist(), q),
         predicted=percentile(latencies, q),
         requests=len(latencies),
-        estimated=retimer.estimated,
+        estimated=estimated,
         latencies_ms=latencies,
     )
 
@@ -480,29 +378,27 @@ def within_bounds(
 ) -> bool:
     """Two-sided noise-floored check that a prediction matches reality.
 
-    Builds single-benchmark records and runs :func:`repro.obs.regress.
-    compare` in both directions: the prediction is in bounds iff neither
-    direction flags a regression — i.e. |predicted - actual| is within
-    ``rel_threshold`` of the actual *or* under the absolute noise floor.
+    The prediction is in bounds iff it misses ``actual`` in neither
+    direction by more than ``rel_threshold`` of the value it is compared
+    with *and* more than the absolute ``noise_floor`` — the verdict of
+    :func:`repro.obs.regress.compare` run both ways on a lower-is-better
+    benchmark ``name``.
     """
+    if noise_floor < 0:
+        raise ConfigError("noise floor must be non-negative")
+    if not 0.0 < rel_threshold:
+        raise ConfigError("relative threshold must be positive")
 
-    def record(value: float) -> Dict[str, object]:
-        return make_record(
-            mode="whatif",
-            repeats=1,
-            benchmarks=[
-                Benchmark(
-                    name, value, "ms", direction="lower",
-                    noise_floor=noise_floor, kind="sim",
-                )
-            ],
-            timestamp="-",  # deterministic: no wall clock in validation
-        )
+    def worse(base: float, cand: float) -> bool:
+        worse_by = cand - base
+        if worse_by <= 0:
+            return False
+        scale = abs(base)
+        delta_frac = worse_by / scale if scale > 0 else float("inf")
+        return delta_frac > rel_threshold and worse_by > noise_floor
 
-    base, cand = record(actual), record(predicted)
-    return not compare(base, cand, rel_threshold) and not compare(
-        cand, base, rel_threshold
-    )
+    actual, predicted = float(actual), float(predicted)
+    return not worse(actual, predicted) and not worse(predicted, actual)
 
 
 def whatif_record(

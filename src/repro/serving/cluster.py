@@ -1179,12 +1179,7 @@ class ClusterSim:
         policy = cfg.routing
         label = cfg.label if cfg.label else "cluster"
         run = (
-            obs.requests.start_run(
-                label=label,
-                num_cores=cfg.num_nodes * cfg.cores_per_node,
-                num_requests=n,
-                deadline_ms=cfg.deadline_ms,
-            )
+            obs.requests.start_run(label=label, deadline_ms=cfg.deadline_ms)
             if obs.requests is not None
             else None
         )

@@ -410,7 +410,7 @@ def _simulate_plain(
     log = _active_request_log()
     run = None
     if log is not None:
-        run = log.start_run(label=label, num_cores=num_cores, num_requests=n)
+        run = log.start_run(label=label)
         obs = obs_hooks.active()
         run.finish_fast(
             arrivals_ms, starts, services, core_ids,
@@ -441,12 +441,7 @@ def _simulate_resilient(
 
     log = _active_request_log()
     run = (
-        log.start_run(
-            label=label,
-            num_cores=num_cores,
-            num_requests=n,
-            deadline_ms=policy.deadline_ms,
-        )
+        log.start_run(label=label, deadline_ms=policy.deadline_ms)
         if log is not None
         else None
     )

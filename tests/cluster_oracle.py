@@ -524,8 +524,6 @@ def run_cluster(sim: ClusterSim, arrivals_ms: np.ndarray) -> ClusterResult:
     run = (
         log.start_run(
             label=cfg.label if cfg.label else "cluster",
-            num_cores=cfg.num_nodes * cfg.cores_per_node,
-            num_requests=n,
             deadline_ms=cfg.deadline_ms,
         )
         if log is not None

@@ -92,14 +92,11 @@ def _offered_interarrival(arrivals: np.ndarray) -> float:
     return float(np.mean(np.diff(arrivals))) if arrivals.size > 1 else 0.0
 
 
-def _start_run(sim: ServerSim, n: int, deadline_ms: Optional[float] = None):
+def _start_run(sim: ServerSim, deadline_ms: Optional[float] = None):
     obs = obs_hooks.active()
     if obs is None or obs.requests is None:
         return None
-    return obs.requests.start_run(
-        label=sim.label, num_cores=sim.num_cores, num_requests=n,
-        deadline_ms=deadline_ms,
-    )
+    return obs.requests.start_run(label=sim.label, deadline_ms=deadline_ms)
 
 
 def _tracer():
@@ -131,7 +128,7 @@ def _plain(arrivals: np.ndarray, sim: ServerSim, rng) -> ServerResult:
         offered_interarrival_ms=_offered_interarrival(arrivals),
         core_ids=core_ids,
     )
-    run = _start_run(sim, n)
+    run = _start_run(sim)
     if run is not None:
         run.finish_fast(arrivals, starts, services, core_ids, tracer=_tracer())
     _finalize(result, run=run)
@@ -155,7 +152,7 @@ def _resilient(
     strag = plan.straggler_multipliers(n)
     base_services = base_services * strag
     jitter_rng = plan.retry_jitter_stream()
-    run = _start_run(sim, n, policy.deadline_ms)
+    run = _start_run(sim, policy.deadline_ms)
 
     deadline = (
         arrivals + policy.deadline_ms if policy.deadline_ms is not None else None

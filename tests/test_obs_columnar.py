@@ -1,10 +1,11 @@
-"""Columnar request log: vectorized extraction vs a scalar oracle, and
+"""Columnar request log: columnar extraction vs scalar oracles, and
 byte-identical exports.
 
-The oracle below walks one single-box request at a time, one event at a
-time, over its record dict.  It shares no code with
-``repro.obs.critpath``'s vectorized extractor, which must match it bit
-for bit: segment kinds, durations, nodes and causes.
+The oracles below walk one request at a time over its record dict: a
+single-box lifecycle event by event, a cluster request backward from its
+slowest gather slot.  They share no code with ``repro.obs.critpath``'s
+columnar extractors, which must match them bit for bit: segment kinds,
+durations, nodes, shards and causes.
 """
 
 import hashlib
@@ -19,12 +20,12 @@ import cluster_oracle
 import serving_oracle
 from repro.obs.critpath import (
     LIFECYCLE_CODES,
+    CallTable,
     CriticalPath,
     FastLifecycles,
     Lifecycles,
     PathTable,
     Segment,
-    aggregate_profiles,
     check_conservation,
     extract_critical_path,
     extract_fast,
@@ -35,7 +36,9 @@ from repro.obs.critpath import (
 from repro.obs.hooks import Observation, session
 from repro.obs.metrics import Histogram
 from repro.obs.requests import RequestLog, RunLog, load_request_log
+from repro.obs.slo import node_window_stats
 from repro.obs.tracer import Tracer
+from repro.obs.whatif import KNOBS, predict
 from repro.serving.cluster import ClusterConfig, ClusterSim
 from repro.serving.degradation import DegradationController, scheme_ladder
 from repro.serving.faults import (
@@ -44,6 +47,7 @@ from repro.serving.faults import (
     ClusterFaultPlan,
     FaultPlan,
     NodeCrash,
+    NodeSlow,
     Stragglers,
 )
 from repro.serving.router import HedgePolicy
@@ -129,6 +133,98 @@ def oracle_extract_single(record: Dict[str, object]) -> CriticalPath:
     return _oracle_seal(path)
 
 
+def oracle_extract_cluster(record: Dict[str, object]) -> CriticalPath:
+    """Backward blocking-chain walk of one cluster request over its event
+    dicts, from its slowest gather slot.  Hedge and failover lines are
+    matched to calls by time alone."""
+    arrival = float(record["arrival_ms"])
+    path = CriticalPath(
+        req=int(record["req"]),
+        id=str(record["id"]),
+        outcome=str(record["outcome"]),
+        arrival_ms=arrival,
+        end_ms=float(record["end_ms"]),
+    )
+    slots: Dict[int, List[Dict[str, object]]] = {int(s): [] for s in record["shards"]}
+    for event in record["events"]:
+        if event.get("shard") is not None:
+            slots.setdefault(int(event["shard"]), []).append(event)
+
+    def of(events, kind: str) -> List[Dict[str, object]]:
+        return [e for e in events if e["kind"] == kind]
+
+    def resolve(events) -> float:
+        oks, fails = of(events, "call_ok"), of(events, "call_failed")
+        return oks[0]["t_ms"] if oks else fails[-1]["t_ms"] if fails else arrival
+
+    if record["outcome"] == "shed" or not slots:
+        return _oracle_seal(path)
+    shard = min(slots, key=lambda k: (-resolve(slots[k]), k))
+    events = slots[shard]
+    oks, fails, calls = (of(events, k) for k in ("call_ok", "call_failed", "shard_call"))
+    if not oks and not fails:
+        return _oracle_seal(path)
+    winner = oks[0] if oks else fails[-1]
+
+    def submit_of(node) -> Optional[float]:
+        return next((c["t_ms"] for c in calls if c["node"] == node), None)
+
+    def cause_of(event) -> Optional[str]:
+        return str(event["cause"]) if event.get("cause") else None
+
+    def explain(t: float) -> List[Segment]:
+        if t <= arrival:
+            return []
+        if any(e["t_ms"] == t for e in of(events, "failover")):
+            lost = next((e for e in fails if e["t_ms"] == t), None)
+            sub = submit_of(lost["node"]) if lost is not None else None
+            if sub is not None:
+                return explain(sub) + [Segment(
+                    "recovery", t - sub, node=lost["node"], shard=shard,
+                    cause=cause_of(lost),
+                )]
+        if any(e["t_ms"] == t for e in of(events, "hedge")):
+            arming = max((c["t_ms"] for c in calls if c["t_ms"] < t), default=None)
+            if arming is not None:
+                return explain(arming) + [Segment("hedge_wait", t - arming, shard=shard)]
+        return [Segment("other", t - arrival, shard=shard)]
+
+    node, end = winner["node"], winner["t_ms"]
+    submit = submit_of(node)
+    if submit is None:
+        path.segments.append(Segment("other", end - arrival, shard=shard))
+        return _oracle_seal(path)
+    path.segments.extend(explain(submit))
+    span = end - submit
+    if winner["kind"] == "call_failed":
+        path.segments.append(
+            Segment("recovery", span, node=node, shard=shard, cause=cause_of(winner))
+        )
+    elif winner.get("queue_ms") is None:
+        path.segments.append(Segment("service", span, node=node, shard=shard))
+    else:
+        queue = float(winner["queue_ms"])
+        service = float(winner.get("service_ms", 0.0))
+        slow = float(winner.get("slow") or 1.0)
+        base = service / slow if slow > 0 else service
+        for kind, dur in (
+            ("network", span - queue - service), ("queue", queue),
+            ("service", base), ("penalty", service - base),
+        ):
+            if dur != 0.0:
+                path.segments.append(Segment(
+                    kind, dur, node=node, shard=shard,
+                    cause="node_slow" if kind == "penalty" else None,
+                ))
+    return _oracle_seal(path)
+
+
+def oracle_extract(record: Dict[str, object]) -> CriticalPath:
+    if record.get("shards") is None:
+        return oracle_extract_single(record)
+    return oracle_extract_cluster(record)
+
+
 def _fingerprint(path: CriticalPath):
     return (
         path.req, path.id, path.outcome, path.arrival_ms, path.end_ms,
@@ -139,7 +235,7 @@ def _fingerprint(path: CriticalPath):
 def _assert_matches_oracle(records, paths) -> None:
     assert len(paths) == len(records)
     for record, path in zip(records, paths):
-        assert _fingerprint(path) == _fingerprint(oracle_extract_single(record))
+        assert _fingerprint(path) == _fingerprint(oracle_extract(record))
 
 
 # -- pinned runs ----------------------------------------------------------------
@@ -206,13 +302,10 @@ RUNS = {"plain": _plain_runs, "resilient": _resilient_runs}
 CLUSTER_N = 400
 
 
-def _cluster_runs(engine: str) -> None:
+def _cluster_configs(horizon: float):
     """Two 4-node clusters riding out a node kill: one replicated, hedged
     and shedding at an outstanding bound, one unreplicated (degraded
-    partial results).  ``"fast"`` is the package loop, ``"reference"``
-    its object-per-call oracle."""
-    arrivals = _arrivals(n=CLUSTER_N, interarrival=0.3, seed=11)
-    horizon = float(arrivals[-1])
+    partial results)."""
     base = dict(
         num_nodes=4, cores_per_node=2, mean_service_ms=1.0, num_shards=8,
         gather_width=2, hop_ms=0.05, call_timeout_ms=12.0, deadline_ms=4.0,
@@ -221,14 +314,24 @@ def _cluster_runs(engine: str) -> None:
         ),
         seed=11,
     )
-    configs = [
+    return [
         ClusterConfig(
             replication=2, max_outstanding=6, label="kill_hedged",
             hedge=HedgePolicy(quantile=90.0, min_ms=1.5, window=64), **base,
         ),
         ClusterConfig(replication=1, label="kill_bare", **base),
     ]
-    for config in configs:
+
+
+def _cluster_arrivals():
+    return _arrivals(n=CLUSTER_N, interarrival=0.3, seed=11)
+
+
+def _cluster_runs(engine: str) -> None:
+    """The :func:`_cluster_configs` runs.  ``"fast"`` is the package loop,
+    ``"reference"`` its object-per-call oracle."""
+    arrivals = _cluster_arrivals()
+    for config in _cluster_configs(float(arrivals[-1])):
         if engine == "reference":
             cluster_oracle.run_cluster(ClusterSim(config), arrivals)
         else:
@@ -365,12 +468,115 @@ def test_reloaded_records_match_oracle(name, tmp_path):
     assert [_fingerprint(p) for p in paths] == live
 
 
-def test_profiles_same_from_table_and_from_paths():
-    obs = _logged("resilient", "fast")
-    table = extract_paths(obs.requests.runs[0].records)
-    assert aggregate_profiles(table, scenario="s") == aggregate_profiles(
-        list(table), scenario="s"
+@pytest.mark.parametrize("engine", ENGINES)
+def test_cluster_extraction_matches_oracle(engine, tmp_path):
+    """Live and reloaded: the call table's paths are the scalar walk's."""
+    obs = _logged("cluster", engine)
+    path = tmp_path / "req.jsonl"
+    obs.requests.to_jsonl(path)
+    _, reloaded = load_request_log(path)
+    for run in obs.requests.runs:
+        paths = extract_paths(run.records)
+        assert isinstance(paths, PathTable)
+        _assert_matches_oracle(list(run.records), paths)
+    _assert_matches_oracle(reloaded, extract_paths(reloaded))
+    kinds = {s.kind for p in extract_paths(reloaded) for s in p.segments}
+    assert {"network", "queue", "service", "recovery"} <= kinds
+
+
+def test_hedged_slow_node_extraction_matches_oracle():
+    """Hedges that win against a slowed node sit out their delay."""
+    arrivals = _arrivals(n=600, interarrival=0.4, seed=7)
+    horizon = float(arrivals[-1])
+    config = ClusterConfig(
+        num_nodes=4, cores_per_node=2, mean_service_ms=1.0, num_shards=8,
+        replication=2, gather_width=2, hop_ms=0.05, call_timeout_ms=12.0,
+        hedge=HedgePolicy(quantile=95.0, min_ms=2.0, window=64),
+        faults=ClusterFaultPlan([
+            NodeCrash(1, 0.25 * horizon, 0.6 * horizon),
+            NodeSlow(0, 0.5 * horizon, 0.8 * horizon, factor=4.0),
+        ], seed=11),
+        seed=11,
     )
+    log = RequestLog()
+    with session(Observation(requests=log)):
+        ClusterSim(config).run(arrivals)
+    records = list(log.runs[0].records)
+    paths = extract_paths(records)
+    _assert_matches_oracle(records, paths)
+    kinds = {s.kind for p in paths for s in p.segments}
+    assert {"penalty", "recovery", "hedge_wait"} <= kinds
+
+
+def test_mixed_records_extract_in_record_order():
+    single = _logged("resilient", "fast").requests.records()
+    cluster = list(_logged("cluster", "fast").requests.runs[0].records)
+    mixed = single[:40] + cluster[:60] + single[40:90] + cluster[60:]
+    paths = extract_paths(mixed)
+    assert isinstance(paths, PathTable)
+    _assert_matches_oracle(mixed, paths)
+    assert {paths[i].outcome for i in range(len(paths))} >= {"shed", "timed_out"}
+
+
+def oracle_node_window_stats(records, window_ms: float):
+    """Per-(window, node) call counts and delivered-latency sums, walking
+    every record's events in log order."""
+    stamps = [
+        (float(e["t_ms"]), int(e["node"]), e["kind"], float(e.get("latency_ms", 0.0)))
+        for rec in records for e in rec["events"]
+        if e["kind"] in ("shard_call", "call_ok", "call_failed")
+    ]
+    horizon = max((t for t, _, _, _ in stamps), default=0.0) or window_ms
+    count = max(1, int(np.ceil(horizon / window_ms)))
+    out = [{} for _ in range(count)]
+    for t, node, kind, lat in stamps:
+        cell = out[min(count - 1, max(0, int(t / window_ms)))].setdefault(
+            node, {"calls": 0.0, "ok": 0.0, "failed": 0.0, "lat_sum": 0.0}
+        )
+        key = {"shard_call": "calls", "call_ok": "ok", "call_failed": "failed"}[kind]
+        cell[key] += 1
+        if kind == "call_ok":
+            cell["lat_sum"] += lat
+    return out
+
+
+@pytest.mark.parametrize("window_ms", [0.7, 5.0])
+def test_node_window_stats_matches_oracle(window_ms):
+    """Counts and latency sums bit for bit: sums add in log order."""
+    for run in _logged("cluster", "fast").requests.runs:
+        records = list(run.records)
+        assert node_window_stats(records, window_ms) == oracle_node_window_stats(
+            records, window_ms
+        )
+
+
+def test_cluster_readers_same_from_live_and_reloaded_records(tmp_path):
+    """Critical paths, fleet windows and every what-if knob read the same
+    values from a run's lazy records as from its exported JSONL."""
+    obs = _logged("cluster", "fast")
+    path = tmp_path / "req.jsonl"
+    obs.requests.to_jsonl(path)
+    _, reloaded = load_request_log(path)
+    arrivals = _cluster_arrivals()
+    values = {
+        "hedge_min_ms": 0.5, "replication_delta": 1, "gather_width": 1,
+        "extra_cores": 2, "cat_partition": 0,
+    }
+    assert set(values) == set(KNOBS)
+    for run, config in zip(obs.requests.runs, _cluster_configs(float(arrivals[-1]))):
+        live = run.records
+        loaded = [rec for rec in reloaded if rec["run"] == run.index]
+        assert [_fingerprint(p) for p in extract_paths(live)] == [
+            _fingerprint(p) for p in extract_paths(loaded)
+        ]
+        assert node_window_stats(live, 5.0) == node_window_stats(loaded, 5.0)
+        for knob, value in values.items():
+            assert predict(live, config, knob, value) == predict(
+                loaded, config, knob, value
+            )
+        assert predict(live, config, "gather_width", 3) == predict(
+            CallTable.from_records(loaded), config, "gather_width", 3
+        )
 
 
 # -- fast path: closed form vs the event walk -----------------------------------

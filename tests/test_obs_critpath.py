@@ -180,7 +180,7 @@ class TestProfiles:
         assert bottleneck({"queue": 0.0}) is None
 
     def test_aggregate_profiles_empty_input(self):
-        profiles = aggregate_profiles([], scenario="empty")
+        profiles = aggregate_profiles(extract_paths([]), scenario="empty")
         overall = [p for p in profiles if p["scope"] == "overall"][0]
         assert overall["requests"] == 0
         assert overall["bottleneck"] is None

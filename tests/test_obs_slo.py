@@ -146,12 +146,17 @@ def _call_events(t, node, ok=True, latency=2.0):
     return events
 
 
+def _cluster_rec(req, end_ms, events):
+    """A cluster record: shard calls are read from records with shards."""
+    return {**_rec(end_ms, events=events), "req": req, "id": f"0:{req}", "shards": [0]}
+
+
 class TestNodeWindowStats:
     def test_aggregates_per_node_per_window(self):
         records = [
-            _rec(3.0, events=_call_events(1.0, 0)),
-            _rec(3.5, events=_call_events(1.5, 0)),
-            _rec(14.0, events=_call_events(12.0, 1, ok=False)),
+            _cluster_rec(0, 3.0, _call_events(1.0, 0)),
+            _cluster_rec(1, 3.5, _call_events(1.5, 0)),
+            _cluster_rec(2, 14.0, _call_events(12.0, 1, ok=False)),
         ]
         windows = node_window_stats(records, window_ms=10.0, horizon_ms=20.0)
         assert len(windows) == 2

@@ -6,9 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import whatif_oracle
+
 from repro.config import SimConfig
+from repro.errors import ConfigError
 from repro.obs import hooks as obs_hooks
 from repro.obs.hooks import Observation
+from repro.obs.regress import Benchmark, compare, make_record
 from repro.obs.requests import RequestLog
 from repro.obs.schema import validate_def
 from repro.obs.whatif import (
@@ -89,6 +93,28 @@ class TestPercentile:
         assert percentile([], 99.0) == 0.0
         assert percentile([4.2], 99.0) == 4.2
 
+    def test_formula_is_pinned(self):
+        """``xs[lo] * (1 - frac) + xs[hi] * frac``, bit for bit: the pinned
+        critical-path observatory reports depend on it.  numpy's lerp is
+        a different formula, which differs in the last bits on some
+        inputs."""
+        rng = np.random.default_rng(11)
+        differs = 0
+        for n in range(2, 97):
+            values = rng.exponential(5.0, size=n).tolist()
+            xs = sorted(values)
+            for k in range(1, 81):
+                q = 1.25 * k
+                pos = (q / 100.0) * (n - 1)
+                lo = int(pos)
+                hi = min(lo + 1, n - 1)
+                frac = pos - lo
+                want = xs[lo] * (1.0 - frac) + xs[hi] * frac
+                got = percentile(values, q)
+                assert got.hex() == want.hex(), (n, q)
+                differs += got != float(np.percentile(values, q))
+        assert differs > 0
+
 
 class TestBounds:
     def test_exact_match_is_in_bounds(self):
@@ -103,6 +129,69 @@ class TestBounds:
         assert within_bounds(
             "t", 1.0, 1.5, rel_threshold=0.25, noise_floor=0.6
         )
+
+    @pytest.mark.parametrize(
+        "actual, predicted, rel, floor",
+        [
+            (0.0, 0.0, 0.25, 0.0),
+            (0.0, 1.0, 0.25, 0.0),
+            (1.0, 0.0, 0.25, 0.0),
+            (0.0, 1.0, 0.25, 1.0),  # a miss exactly at the noise floor
+            (1.0, 0.0, 0.25, 1.0),
+            (10.0, 12.5, 0.25, 0.0),  # a miss exactly at rel_threshold
+            (12.5, 10.0, 0.2, 0.0),
+            (10.0, 12.5, 0.25, 2.5),
+            (10.0, 12.5000001, 0.25, 2.5),
+            (10.0, 12.5000001, 0.25, 2.4999999),
+            (-2.0, -1.0, 0.25, 0.0),
+            (-1.0, -2.0, 0.25, 0.0),
+            (3.0, 3.0, 1e-9, 0.0),
+            (float("nan"), 1.0, 0.25, 0.0),
+            (1.0, float("inf"), 0.25, 0.0),
+        ],
+    )
+    def test_matches_regress_compare_both_ways(self, actual, predicted, rel, floor):
+        def record(value):
+            return make_record(
+                mode="whatif", repeats=1, timestamp="-",
+                benchmarks=[Benchmark(
+                    "t", value, "ms", direction="lower", noise_floor=floor
+                )],
+            )
+
+        base, cand = record(actual), record(predicted)
+        want = not compare(base, cand, rel) and not compare(cand, base, rel)
+        assert within_bounds("t", actual, predicted, rel, floor) is want
+
+    def test_rejects_what_regress_rejects(self):
+        with pytest.raises(ConfigError):
+            within_bounds("t", 1.0, 1.0, rel_threshold=0.0)
+        with pytest.raises(ConfigError):
+            within_bounds("t", 1.0, 1.0, noise_floor=-1.0)
+
+
+#: Knob values around each scenario's logged setting (hedge floor 12 ms,
+#: replication 1 or 2, gather width 2, 4 cores per node).
+ORACLE_VALUES = {
+    "hedge_min_ms": (2.0, 6.0, 20.0),
+    "replication_delta": (1, 2),
+    "gather_width": (1, 3),
+    "extra_cores": (2,),
+    "cat_partition": (0,),
+}
+
+
+@pytest.mark.parametrize("scenario", [_noisy_config, _kill_config])
+def test_predict_matches_record_walking_oracle(scenario):
+    """Every knob re-timed from the call table's columns matches the
+    per-record slot walk bit for bit, re-timed latencies included."""
+    config = scenario()
+    records = list(_observed_records(config))
+    for knob, values in ORACLE_VALUES.items():
+        for value in values:
+            assert predict(records, config, knob, value) == whatif_oracle.predict(
+                records, config, knob, value
+            ), (knob, value)
 
 
 class TestPredict:

@@ -470,9 +470,10 @@ def test_dashboard_zero_completed_requests_blank_not_nan(
     meta = {"kind": "request_log_meta", "schema_version": 1, "runs": 1,
             "requests": 2, "dropped": 0}
     shed = {
-        "kind": "request", "outcome": "shed", "cause": "queue_full",
-        "latency_ms": None, "deadline_met": None, "fault_windows": [],
-        "retries": 0, "end_ms": 1.0,
+        "kind": "request", "req": 0, "id": "0:0", "outcome": "shed",
+        "cause": "queue_full", "latency_ms": None, "deadline_met": None,
+        "fault_windows": [], "retries": 0, "arrival_ms": 0.0, "end_ms": 1.0,
+        "shards": [0],
         "events": [{"kind": "shard_call", "t_ms": 0.5, "node": 0, "shard": 0},
                    {"kind": "call_failed", "t_ms": 1.0, "node": 0,
                     "shard": 0, "cause": "crash"}],

@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import html
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -44,8 +45,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
+import numpy as np  # noqa: E402
 import trace_report  # noqa: E402
 from repro.obs.cpi import CPI_BUCKETS  # noqa: E402
+from repro.obs.critpath import CallTable  # noqa: E402
 from repro.obs.regress import load_history  # noqa: E402
 from repro.obs.requests import load_request_log  # noqa: E402
 from repro.obs.slo import FleetMonitor, node_window_stats  # noqa: E402
@@ -217,20 +220,13 @@ def _percentile(sorted_values: List[float], q: float) -> float:
 def _fleet_section(records: List[Dict[str, object]]) -> str:
     """Per-node health timelines + shard heat map for a cluster log.
 
-    Only renders for logs whose records carry per-node shard-call events
-    (single-box logs have no node identity).  A run where *no* request
+    Only renders for logs whose cluster records made shard calls (the
+    single-box layer has no node identity).  A run where *no* request
     completed renders blank percentile cells, never NaN — shed/failed
     records still feed the health timelines.
     """
-    nodes = sorted(
-        {
-            int(ev["node"])
-            for rec in records
-            for ev in rec.get("events", [])  # type: ignore[union-attr]
-            if ev.get("node") is not None
-            and ev.get("kind") in ("shard_call", "call_ok", "call_failed")
-        }
-    )
+    calls = CallTable.from_records(records)
+    nodes = sorted(set(calls.call_node.tolist()))
     if not nodes:
         return ""
     num_nodes = max(nodes) + 1
@@ -242,7 +238,7 @@ def _fleet_section(records: List[Dict[str, object]]) -> str:
     if horizon > 0:
         window_ms = horizon / _FLEET_WINDOWS
         monitor = FleetMonitor(num_nodes)
-        monitor.run(node_window_stats(records, window_ms, horizon), window_ms)
+        monitor.run(node_window_stats(calls, window_ms, horizon), window_ms)
         rows = []
         for n in range(num_nodes):
             cells = "".join(
@@ -263,24 +259,20 @@ def _fleet_section(records: List[Dict[str, object]]) -> str:
             "<table>" + "".join(rows) + "</table>"
         )
 
-    calls: Dict[tuple, int] = {}
-    shards = set()
-    for rec in records:
-        for ev in rec.get("events", []):  # type: ignore[union-attr]
-            if ev.get("kind") != "shard_call" or ev.get("node") is None:
-                continue
-            key = (int(ev["node"]), int(ev.get("shard", -1)))
-            shards.add(key[1])
-            calls[key] = calls.get(key, 0) + 1
-    if calls:
-        shard_cols = sorted(shards)
-        peak = max(calls.values())
+    sent = ~np.isnan(calls.call_submit)  # NaN: no shard_call line
+    counts = Counter(zip(
+        calls.call_node[sent].tolist(),
+        calls.slot_shard[calls.call_slot[sent]].tolist(),
+    ))
+    if counts:
+        shard_cols = sorted({shard for _, shard in counts})
+        peak = max(counts.values())
         header = "".join(f"<th>s{s}</th>" for s in shard_cols)
         rows = []
         for n in nodes:
             cells = []
             for s in shard_cols:
-                count = calls.get((n, s), 0)
+                count = counts.get((n, s), 0)
                 alpha = count / peak if peak else 0.0
                 cells.append(
                     f"<td style='background:rgba(31,111,235,{alpha:.2f})'>"

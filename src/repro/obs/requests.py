@@ -10,15 +10,15 @@ its lifetime, and its terminal outcome with a cause — and links each
 request to a Chrome-trace span through a stable *exemplar id* so a
 histogram bucket can be traced back to the concrete offending requests.
 
-A single-box run is stored as columns: the loop's per-request arrays, a
-flat event table and a dispatch table (:class:`RunLog`).  Its
-:attr:`RunLog.records` build each record dict only when read, and the
-critical-path extractor reads the columns directly, so a log nobody
-exports costs little beyond the arrays.  A cluster run is stored the
-same way: after its loop its events go in as columns
-(:meth:`RunLog.extend_events`) and its per-request values as one call
-(:meth:`RunLog.finish_cluster`), and its record dicts are built on read
-too.
+A single-box run is stored as columns: the loop's per-request arrays,
+each request's dispatch conditions and a flat event table
+(:class:`RunLog`).  Its :attr:`RunLog.records` build each record dict
+only when read, and the critical-path extractor reads the columns
+directly, so a log nobody exports costs little beyond the arrays.  A
+cluster run is stored the same way: after its loop its events go in as
+columns (:meth:`RunLog.extend_events`) and its per-request values as
+one call (:meth:`RunLog.finish_cluster`), and its record dicts are
+built on read too.
 
 Everything recorded is **simulated time only** — no wall clocks — so the
 export is byte-identical for a given seed and fault plan regardless of
@@ -184,9 +184,10 @@ class RunLog:
     :meth:`extend_events`), appended to one flat ``(req, kind, t_ms,
     attrs)`` event table, and one :meth:`finish` / :meth:`finish_fast` /
     :meth:`finish_cluster` call that keeps the loop's per-request values
-    as columns.  :attr:`records` builds a request's record dict from those
-    columns only when it is read.  All timestamps are simulated
-    milliseconds.
+    as columns.  The resilient loop also hands over what each request
+    was dispatched under (:meth:`dispatch_conditions`).  :attr:`records`
+    builds a request's record dict from those columns only when it is
+    read.  All timestamps are simulated milliseconds.
     """
 
     def __init__(
@@ -201,8 +202,8 @@ class RunLog:
         self.label = label
         self.deadline_ms = deadline_ms
         self.records = RunRecords(self)
-        # The event table and the dispatch table, as parallel columns
-        # (no per-row tuple: the garbage collector never scans rows).
+        # The event table, as parallel columns (no per-row tuple: the
+        # garbage collector never scans rows).
         self._ev_req: List[int] = []
         self._ev_kind: List[str] = []
         self._ev_t: List[float] = []
@@ -210,8 +211,7 @@ class RunLog:
         self._kept = 0
         self._cols: Union[_Columns, _ClusterColumns, None] = None
         self._grouping: Optional[Tuple[np.ndarray, ...]] = None
-        self._dispatches: Tuple[List[object], ...] = ([], [], [], [], [], [])
-        self._dispatch_row: Optional[np.ndarray] = None
+        self._dispatch: Optional[tuple] = None  # see dispatch_conditions()
 
     def exemplar_id(self, req: int) -> str:
         """The stable id linking request ``req`` across log, spans, and
@@ -247,29 +247,25 @@ class RunLog:
         self._ev_t.extend(times)
         self._ev_attrs.extend(attrs)
 
-    def extend_dispatches(
+    def dispatch_conditions(
         self,
-        reqs: Sequence[int],
-        levels: Sequence[Optional[int]],
-        schemes: Sequence[Optional[str]],
         fault_mults: Sequence[float],
-        straggler_mults: Sequence[float],
-        scales: Sequence[float],
+        straggler_mults: np.ndarray,
+        ctl_of: Sequence[int],
+        ctl_states: Sequence[Tuple[Optional[int], Optional[str], float]],
     ) -> None:
-        """Record what each request in ``reqs`` was dispatched under, as
-        parallel columns: the degradation level and scheme in force (None
-        without a controller) and its fault, straggler and degradation
-        service multipliers.
+        """Record what each request was dispatched under, as per-request
+        columns (a request is dispatched at most once; the values of one
+        never dispatched are not read): its fault and straggler service
+        multipliers, and ``ctl_states[ctl_of[i]]``, the degradation
+        ``(level, scheme, scale)`` in force (level and scheme None
+        without a controller).
 
         The resilient loop records this instead of ``dispatch`` and
         ``complete`` events: their times and core are ``starts``,
         ``starts + services`` and ``core_of`` in :meth:`finish`.
         """
-        for column, values in zip(
-            self._dispatches,
-            (reqs, levels, schemes, fault_mults, straggler_mults, scales),
-        ):
-            column.extend(values)
+        self._dispatch = (fault_mults, straggler_mults, ctl_of, ctl_states)
 
     # -- finalization --------------------------------------------------------
 
@@ -299,7 +295,7 @@ class RunLog:
         ``outcomes`` uses the codes of :mod:`repro.serving.server`
         (0 completed / 1 shed / 2 timed out); causes and retry timelines
         come from the :meth:`event` table, dispatch conditions from
-        :meth:`extend_dispatches`.
+        :meth:`dispatch_conditions`.
         """
         self._cols = _Columns(
             arrival=arrivals, start=starts, service=services, core=core_of,
@@ -362,17 +358,6 @@ class RunLog:
             self._grouping = (rows, ptr, code, t)
         return self._grouping
 
-    def _dispatch_rows(self) -> np.ndarray:
-        """Per kept request, its row in the dispatch table
-        (-1: never dispatched)."""
-        if self._dispatch_row is None:
-            reqs = np.array(self._dispatches[0], dtype=np.int64)
-            row = np.full(self._kept, -1, dtype=np.int64)
-            kept = reqs < self._kept
-            row[reqs[kept]] = np.flatnonzero(kept)
-            self._dispatch_row = row
-        return self._dispatch_row
-
     def _end(self) -> np.ndarray:
         """End time per kept request: completion, else its last event."""
         cols = self._cols
@@ -403,21 +388,17 @@ class RunLog:
         outcome = cols.outcome[:k]
         node = np.where(outcome == OUTCOME_COMPLETED, cols.core[:k], -1)
         _, t_ptr, t_code, t_time = self._grouped()
-        mult = np.ones(k)
-        row = self._dispatch_rows()
-        ran = np.flatnonzero(row >= 0)
-        if ran.size:
-            _, _, _, fault, straggler, scale = self._dispatches
-            # fault x straggler x scale, the order a parsed dispatch
-            # event multiplies them in.
-            mult[ran] = (
-                np.array(fault, dtype=np.float64)[row[ran]]
-                * np.array(straggler, dtype=np.float64)[row[ran]]
-                * np.array(scale, dtype=np.float64)[row[ran]]
-            )
         # Every request opens with its arrive before its table events, and
         # every completed one ends with dispatch, complete after them.
         done = np.flatnonzero(outcome == OUTCOME_COMPLETED)
+        fault, straggler, ctl_of, states = self._dispatch
+        scales = np.array([state[2] for state in states], dtype=np.float64)
+        # fault x straggler x scale, the order a parsed dispatch event
+        # multiplies them in.
+        mult = (
+            np.array(fault, dtype=np.float64)[done] * straggler[done]
+            * scales[np.array(ctl_of, dtype=np.int64)[done]]
+        )
         t_counts = np.diff(t_ptr)
         counts = t_counts + 1
         counts[done] += 2
@@ -433,7 +414,7 @@ class RunLog:
         at = ptr[done + 1] - 2
         kind[at] = code_of["dispatch"]
         t[at] = cols.start[done]
-        ev_mult[at] = mult[done]
+        ev_mult[at] = mult
         kind[at + 1] = code_of["complete"]
         t[at + 1] = cols.start[done] + cols.service[done]
         return Lifecycles(
@@ -491,14 +472,12 @@ class RunLog:
             wait: Optional[float] = start - arrival
             end = start + service
             core: Optional[int] = int(cols.core[i])
-            row = int(self._dispatch_rows()[i])
-            _, level, scheme, fault, straggler, scale = (
-                column[row] for column in self._dispatches
-            )
+            fault, straggler, ctl_of, states = self._dispatch
+            level, scheme, scale = states[ctl_of[i]]
             events.append({
                 "kind": "dispatch", "t_ms": start, "core": core,
-                "level": level, "scheme": scheme, "fault_mult": float(fault),
-                "straggler_mult": float(straggler), "scale": float(scale),
+                "level": level, "scheme": scheme, "fault_mult": float(fault[i]),
+                "straggler_mult": float(straggler[i]), "scale": float(scale),
             })
             events.append({"kind": "complete", "t_ms": end, "core": core})
         else:

@@ -149,6 +149,9 @@ class DegradationController:
     :meth:`scale`) changes only inside :meth:`observe`, which returns the
     :class:`LevelChange` it made or None.
     :class:`repro.tenants.qos.QoSController` implements the same protocol.
+    :meth:`observe` relies on it too: it keeps each threshold count only
+    while a decision can read it, which holds only if every level change
+    clears the window, as its own changes do.
     """
 
     def __init__(
@@ -194,6 +197,8 @@ class DegradationController:
         self._above = 0
         self._below = 0
         self._since_change = 0
+        # The first observation after a change that recovery may read.
+        self._recover_after = max(self.cooldown, 1)
         self._escalate_above = self.sla_ms * self.escalate_margin
         self._recover_below = self.sla_ms * self.recover_margin
         # Per window length n, the p95's ranks as count bounds (see
@@ -251,38 +256,51 @@ class DegradationController:
         bottom: ``xs[lo]`` is below it only when ``B > lo``.  Otherwise
         the window is sorted for the exact p95, which decides and which
         a change records.
+
+        A count is kept only while a decision can read it.  ``A`` is
+        kept below the top rung.  ``B`` is read only above level 0 once
+        the cooldown has passed, so it is counted from the ring at the
+        first such observation and kept from then on.  A change clears
+        the ring, so both start again from zero.
         """
         value = float(latency_ms)
         ring = self._latencies
-        above = self._above
-        below = self._below
         n = len(ring)
-        if n == self.window:
+        full = n == self.window
+        if full:
             old = ring[0]  # the append below evicts it
-            if old > self._escalate_above:
-                above -= 1
-            elif old < self._recover_below:
-                below -= 1
         else:
             n += 1
         ring.append(value)
-        if value > self._escalate_above:
-            above += 1
-        elif value < self._recover_below:
-            below += 1
-        self._above = above
-        self._below = below
-        self._since_change += 1
-        escalate_from, recover_from = self._ranks_at[n]
+        since = self._since_change + 1
+        self._since_change = since
         level = self.level
-        if above >= escalate_from and level < self._top:
-            p95 = self.window_p95()
-            if p95 > self._escalate_above:
-                return self._change(now_ms, level + 1, p95)
-        if below > recover_from and level > 0 and self._since_change >= self.cooldown:
-            p95 = self.window_p95()
-            if p95 < self._recover_below:
-                return self._change(now_ms, level - 1, p95)
+        if level < self._top:
+            above = self._above
+            if full and old > self._escalate_above:
+                above -= 1
+            if value > self._escalate_above:
+                above += 1
+            self._above = above
+            if above >= self._ranks_at[n][0]:
+                p95 = self.window_p95()
+                if p95 > self._escalate_above:
+                    return self._change(now_ms, level + 1, p95)
+        if level and since >= self._recover_after:
+            recover_below = self._recover_below
+            if since == self._recover_after:
+                below = sum(1 for x in ring if x < recover_below)
+            else:
+                below = self._below
+                if full and old < recover_below:
+                    below -= 1
+                if value < recover_below:
+                    below += 1
+            self._below = below
+            if below > self._ranks_at[n][1]:
+                p95 = self.window_p95()
+                if p95 < recover_below:
+                    return self._change(now_ms, level - 1, p95)
         return None
 
     def _change(self, now_ms: float, to_level: int, p95: float) -> LevelChange:

@@ -202,9 +202,9 @@ def resilient_events(
     dispatch.  The degradation controller follows its protocol:
     ``observe`` returns the :class:`~repro.serving.degradation.LevelChange`
     it made or None, and the loop re-reads the level, scale and scheme
-    only on a change.  Request-log events and dispatches go to local
-    columns handed to the :class:`~repro.obs.requests.RunLog` in one call
-    each at the end.
+    only on a change.  Request-log events go to local columns, and each
+    request's dispatch conditions to per-request lists; both are handed to
+    the :class:`~repro.obs.requests.RunLog` in one call each at the end.
     """
     n = arrivals.size
     arr_l = arrivals.tolist()
@@ -266,14 +266,17 @@ def resilient_events(
     hand = -1  # a freed core handed the queue head directly
     req = -1  # an arrival served without queueing when a core idles
 
+    # The controller's (level, scheme, scale), one entry per level; a
+    # request's dispatch conditions index it (ctl_k: the current entry).
     ctrl = controller
     if ctrl is not None:
         observe = ctrl.observe
         scale = ctrl.scale()
-        level = ctrl.level
-        scheme = ctrl.ladder[level].name
+        ctl_states = [(ctrl.level, ctrl.ladder[ctrl.level].name, scale)]
     else:
-        scale, level, scheme = 1.0, None, None
+        scale = 1.0
+        ctl_states = [(None, None, scale)]
+    ctl_k = 0
 
     # A static arrival that would expire on arrival (a deadline lost to
     # rounding) keeps the whole run on the general path, and so do cores
@@ -291,11 +294,10 @@ def resilient_events(
     ev_attrs: List[dict] = []
     ev_req_add, ev_kind_add = ev_req.append, ev_kind.append
     ev_t_add, ev_attrs_add = ev_t.append, ev_attrs.append
-    d_reqs: List[int] = []
-    d_faults: List[float] = []
-    d_ctls: List[tuple] = []  # (level, scheme, scale) of each dispatch
-    d_req, d_fault, d_ctl = d_reqs.append, d_faults.append, d_ctls.append
-    ctl_state = (level, scheme, scale)
+    # Dispatch conditions, per request (each is dispatched at most once):
+    # its fault multiplier and its controller state.
+    fault_of = [1.0] * n if logging else None
+    ctl_of = [0] * n if logging else None
 
     while True:
         if quiet_path:
@@ -334,8 +336,8 @@ def resilient_events(
                     ):
                         scale = ctrl.scale()
                         level = ctrl.level
-                        scheme = ctrl.ladder[level].name
-                        ctl_state = (level, scheme, scale)
+                        ctl_states.append((level, ctrl.ladder[level].name, scale))
+                        ctl_k += 1
                 if idle or qhead == qlen:
                     heap_push(idle, (now, core))
                     continue
@@ -380,8 +382,8 @@ def resilient_events(
                     ):
                         scale = ctrl.scale()
                         level = ctrl.level
-                        scheme = ctrl.ladder[level].name
-                        ctl_state = (level, scheme, scale)
+                        ctl_states.append((level, ctrl.ladder[level].name, scale))
+                        ctl_k += 1
                 if can_fail and core_down(core, now):
                     heap_push(
                         events, (next_available(core, now), _EV_FREE, seq, core)
@@ -510,9 +512,8 @@ def resilient_events(
             core_of[i] = icore
             running[icore] = i
             if logging:
-                d_req(i)
-                d_fault(fault_mult)
-                d_ctl(ctl_state)
+                fault_of[i] = fault_mult
+                ctl_of[i] = ctl_k
             heap_push(events, (now + svc, _EV_FREE, seq, icore))
             seq += 1
         if hand >= 0:  # no live request was queued
@@ -541,12 +542,7 @@ def resilient_events(
 
     if logging:
         run.extend_events(ev_req, ev_kind, ev_t, ev_attrs)
-        strag_l = strag.tolist()
-        levels, schemes, scales = zip(*d_ctls) if d_ctls else ((), (), ())
-        run.extend_dispatches(
-            d_reqs, levels, schemes, d_faults, [strag_l[i] for i in d_reqs],
-            scales,
-        )
+        run.dispatch_conditions(fault_of, strag, ctl_of, ctl_states)
     outcome = np.array(outcome, dtype=np.int64)
     core_of = np.array(core_of, dtype=np.int64)
     # Every dispatched request completes: the loop drains every release.

@@ -164,7 +164,11 @@ def _resilient(
     starts = np.zeros(n)
     services = np.zeros(n)
     core_of = np.full(n, -1, dtype=np.int64)
-    dispatches: List[tuple] = []  # (req, level, scheme, fault, straggler, scale)
+    # Per request, the fault multiplier it was dispatched under and its
+    # index into the (level, scheme, scale) of each dispatch.
+    fault_of = [1.0] * n
+    ctl_of = [0] * n
+    ctl_states: List[tuple] = []
 
     events: List[tuple] = []  # (time, kind, seq, payload)
     seq = 0
@@ -209,16 +213,15 @@ def _resilient(
             services[i] = svc
             core_of[i] = core
             running[core] = i
-            dispatches.append((
-                i,
+            fault_of[i] = fault_mult
+            ctl_of[i] = len(ctl_states)
+            ctl_states.append((
                 controller.level if controller is not None else None,
                 (
                     controller.ladder[controller.level].name
                     if controller is not None
                     else None
                 ),
-                fault_mult,
-                strag[i],
                 scale,
             ))
             push(now + svc, _EV_FREE, core)
@@ -298,7 +301,7 @@ def _resilient(
         final_degradation_level=controller.level if controller is not None else 0,
     )
     if run is not None:
-        run.extend_dispatches(*(zip(*dispatches) if dispatches else ([],) * 6))
+        run.dispatch_conditions(fault_of, strag, ctl_of, ctl_states)
         run.finish(
             arrivals=arrivals, injected=injected, outcomes=outcome,
             retry_counts=retry_count, starts=starts, services=services,

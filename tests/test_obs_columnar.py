@@ -388,6 +388,12 @@ PINNED_HASHES = {
         "metrics": "ff07587ab4faca155f6ab477732fdeb7df55b97a74090c3200d0797ee82b1e3e",
         "profiles": "ad012b6d9038d842a47fe6d070ae8daf049eaf139bc8debbd4aee48d5191eb25",
     },
+    "resilient_bounded": {
+        "requests": "69f7a13af698f255b0dda890a48113d1242d7cd3235bc1de028ad5466c6448e1",
+        "trace": "75afa818c464a88119ae1fff3b64a8e7caa1e949d9b7bd4473e833fb1da9b60e",
+        "metrics": "554dca912346c4dde592fcb3d31b1aa387227160d73fe01359a291ba810b7489",
+        "profiles": "f827dc492d561b47fd955d08e40ea1b82c6bd0efcbfbc4b6d7efa77cf1e24e49",
+    },
     "cluster": {
         "requests": "b4368603f0124cee2d8105171760ed03f9d661803a5832ac1ae0b7f90c29a60e",
         "trace": "97b74882c4e57f481db38f0ba659ae1becb350662185adb372fabad60a32d4bd",
@@ -754,6 +760,17 @@ def test_outcome_names_mirror_the_server():
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_exports_byte_identical_to_pinned(name, engine, tmp_path):
     assert _export_hashes(name, engine, tmp_path / "x") == PINNED_HASHES[name]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_bounded_resilient_exports_byte_identical_to_pinned(engine, tmp_path):
+    """A log bound that cuts the faulted, controlled run partway: only
+    these digests pin how its per-request dispatch conditions are read
+    for the kept requests alone."""
+    log = RequestLog(max_requests=137)
+    hashes = _export_hashes("resilient", engine, tmp_path / "b", log)
+    assert [len(run.records) for run in log.runs] == [137, 0, 0]
+    assert hashes == PINNED_HASHES["resilient_bounded"]
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -205,6 +205,7 @@ def _same_after_every_call(config, latencies):
         assert new.events == old.events
         assert new.level == old.level
         assert new.window_p95().hex() == old.window_p95().hex(), i
+    return new
 
 
 @pytest.mark.parametrize("levels", sorted(LADDERS))
@@ -257,3 +258,80 @@ def test_counts_match_sorted_window_on_random_configs():
             rng, sla_ms, sla_ms * escalate_margin, sla_ms * recover_margin, 600
         )
         _same_after_every_call(config, latencies)
+
+
+# -- differential: where the counts start again ----------------------------------
+#
+# The escalation count is kept only below the top rung, and the recovery
+# count is taken from the ring at the first observation after a change
+# that recovery may read (the cooldown's end), then kept.  These cases sit
+# on those boundaries.
+
+SLA = 10.0
+HIGH, MID, LOW = 30.0, 7.0, 1.0  # above 1.0 x SLA, inside the band, below 0.5 x SLA
+RECOVER = SLA * 0.5
+
+
+def _boundary_config(levels, window, min_samples, cooldown):
+    return dict(
+        ladder=LADDERS[levels], sla_ms=SLA, window=window,
+        min_samples=min_samples, escalate_margin=1.0, recover_margin=0.5,
+        cooldown=cooldown,
+    )
+
+
+def _with_noise(phases, seed, count=400):
+    rng = np.random.default_rng(seed)
+    return phases + _stream(rng, SLA, SLA, RECOVER, count)
+
+
+def test_boundary_cooldown_equals_window():
+    config = _boundary_config(3, window=16, min_samples=4, cooldown=16)
+    latencies = _with_noise(
+        [HIGH] * 8 + [LOW] * 40 + [HIGH] * 20 + [MID] * 16 + [LOW] * 40, seed=1
+    )
+    ctl = _same_after_every_call(config, latencies)
+    assert any(not e.escalation for e in ctl.events)
+
+
+def test_boundary_cooldown_two_reads_before_the_window_fills():
+    config = _boundary_config(3, window=32, min_samples=1, cooldown=2)
+    latencies = _with_noise([HIGH, LOW, LOW, LOW, HIGH, LOW, LOW] * 6, seed=2)
+    ctl = _same_after_every_call(config, latencies)
+    # A recovery decided on fewer latencies than the window holds.
+    first_up = next(k for k, e in enumerate(ctl.events) if not e.escalation)
+    assert ctl.events[first_up].time_ms - ctl.events[first_up - 1].time_ms < 32
+
+
+def test_boundary_top_rung_held_longer_than_the_window():
+    config = _boundary_config(3, window=8, min_samples=4, cooldown=4)
+    latencies = _with_noise(
+        [HIGH] * 100 + [LOW] * 30 + [HIGH] * 40 + [MID] * 20 + [LOW] * 30, seed=3
+    )
+    ctl = _same_after_every_call(config, latencies[:100])
+    assert ctl.level == len(LADDERS[3]) - 1
+    assert ctl.events[-1].time_ms < 100 - 8
+    _same_after_every_call(config, latencies)
+
+
+def test_boundary_one_rung_ladder():
+    # Level 0 is the top: neither count is ever read.
+    config = _boundary_config(1, window=8, min_samples=2, cooldown=0)
+    ctl = _same_after_every_call(
+        config, _with_noise([HIGH] * 30 + [LOW] * 30, seed=4)
+    )
+    assert not ctl.events
+
+
+@pytest.mark.parametrize("cooldown", [19, 20, 21])
+def test_boundary_p95_on_the_recovery_threshold_when_cooldown_ends(cooldown):
+    # Every latency exactly on the threshold: the p95 equals it when the
+    # cooldown ends, and recovery needs it strictly below.
+    config = _boundary_config(2, window=20, min_samples=20, cooldown=cooldown)
+    below = float(np.nextafter(RECOVER, 0.0))
+    latencies = [HIGH] * 20 + [RECOVER] * 40 + [below] * 40
+    ctl = _same_after_every_call(config, latencies)
+    assert [e.escalation for e in ctl.events] == [True, False]
+    assert ctl.events[1].window_p95_ms < RECOVER
+    assert ctl.events[1].time_ms >= 60
+

@@ -397,36 +397,34 @@ def extract_fast(fl: FastLifecycles) -> "PathTable":
 
     For finite times this is :func:`extract_lifecycles` over the
     equivalent dispatch/complete table, bit for bit, without the event
-    walk: a ``queue`` segment when ``start > arrival``, then a ``service``
-    segment when ``end - start > 0``, both on the request's core; a bare
-    ``other`` (no node) when neither is on and the total is not zero.
-    :func:`_seal_columns` sets each path's last segment, which
-    is the service whenever it is on, so only a queue ahead of a service
-    keeps its own duration.
+    walk.  A path holds a ``queue`` when ``start > arrival``, then a
+    ``service`` when ``end - start > 0``, both on the request's core; a
+    path with neither is a bare ``other`` (no node) unless its total is
+    zero.  :func:`_seal_columns` makes each path's last segment its total
+    minus the segments before it, so every segment starts as that
+    remainder and only a queue ahead of a service gets its own duration.
     """
     arrival, start, end = fl.arrival, fl.start, fl.end
-    total = end - arrival
+    last_dur = end - arrival
     queue_on = start > arrival
     service_on = end - start > 0.0
-    bare = ~(queue_on | service_on) & (total != 0.0)
-    seg_counts = queue_on.astype(np.int64) + service_on + bare
-    seg_ptr = np.concatenate(([0], np.cumsum(seg_counts)))
-    n_seg = int(seg_ptr[-1])
+    bare = ~(queue_on | service_on) & (last_dur != 0.0)
+    counts = queue_on.view(np.int8) + service_on.view(np.int8) + bare.view(np.int8)
+    seg_ptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=seg_ptr[1:])
     first = seg_ptr[:-1]
-    seg_kind = np.empty(n_seg, dtype=np.int8)
-    seg_kind[first[queue_on]] = _QUEUE
-    seg_kind[(first + queue_on)[service_on]] = _SERVICE
-    seg_kind[first[bare]] = _OTHER
-    seg_node = np.repeat(fl.node, seg_counts)
-    seg_node[first[bare]] = -1
-    seg_dur = np.empty(n_seg, dtype=np.float64)
     both = queue_on & service_on
-    lead = first[both]
-    seg_dur[lead] = start[both] - arrival[both]
-    remainder = total.copy()
-    remainder[both] -= seg_dur[lead]
-    filled = seg_counts > 0
-    seg_dur[seg_ptr[1:][filled] - 1] = remainder[filled]
+    wait = start - arrival
+    np.subtract(last_dur, wait, out=last_dur, where=both)
+    seg_dur = np.repeat(last_dur, counts)
+    seg_dur[first[both]] = wait[both]
+    seg_node = np.repeat(fl.node, counts)
+    n_seg = seg_dur.size
+    seg_kind = np.full(n_seg, _SERVICE, dtype=np.int8)
+    seg_kind[first[queue_on]] = _QUEUE
+    bare_at = first[bare]  # empty unless some path is bare
+    seg_kind[bare_at] = _OTHER
+    seg_node[bare_at] = -1
     return PathTable(
         req=fl.req, ids=fl.ids, outcome=fl.outcome,
         outcome_names=fl.outcome_names, arrival=arrival, end=end,

@@ -152,27 +152,16 @@ class Histogram:
             self.max = value
 
     @staticmethod
-    def _bucket_indices(values: np.ndarray) -> np.ndarray:
-        """:meth:`bucket_index` of every value, vectorized."""
-        clipped = np.clip(values, 2.0**LOG2_MIN, None)
-        _, exp = np.frexp(clipped)
-        idx = np.minimum(exp, LOG2_MAX) - LOG2_MIN
-        idx[values < 2.0**LOG2_MIN] = 0
-        return idx
+    def _bucket_codes(values: np.ndarray) -> np.ndarray:
+        """:meth:`bucket_index` of every value, as ``uint8`` codes: below
+        ``2**(LOG2_MIN - 1)`` the exponent would pick a bucket under 0."""
+        _, exp = np.frexp(np.maximum(values, 2.0 ** (LOG2_MIN - 1)))
+        return (np.minimum(exp, LOG2_MAX) - LOG2_MIN).astype(np.uint8)
 
     def observe_many(self, values: np.ndarray) -> None:
         """Record a batch of observations (vectorized bucket assignment)."""
         values = np.asarray(values, dtype=np.float64).ravel()
-        if values.size == 0:
-            return
-        idx = self._bucket_indices(values)
-        # bincount, not np.add.at: identical counts, but add.at's buffered
-        # fancy indexing is ~25x slower on multi-million-element batches.
-        self.buckets += np.bincount(idx, minlength=self.NUM_BUCKETS)
-        self.count += values.size
-        self.sum += float(values.sum())
-        self.min = min(self.min, float(values.min()))
-        self.max = max(self.max, float(values.max()))
+        self._observe_coded(values, self._bucket_codes(values))
 
     def observe_exemplar(self, value: float, exemplar_id: str) -> None:
         """Record one observation with an exemplar id for its bucket.
@@ -204,23 +193,34 @@ class Histogram:
         values kept as a bucket's first exemplars.
         """
         values = np.asarray(values, dtype=np.float64).ravel()
+        self._observe_coded(values, self._bucket_codes(values), exemplar_of, count)
+
+    def _observe_coded(self, values, codes, exemplar_of=None, count=0) -> None:
+        """:meth:`observe_many`, or with ``exemplar_of`` :meth:`observe_exemplars`,
+        of a float64 batch and its codes: one bucket pass feeds many."""
         if values.size == 0:
             return
-        idx = self._bucket_indices(values)
-        self.buckets += np.bincount(idx, minlength=self.NUM_BUCKETS)
+        # bincount, not np.add.at: identical counts, but add.at's buffered
+        # fancy indexing is ~25x slower on multi-million-element batches.
+        self.buckets += np.bincount(codes, minlength=self.NUM_BUCKETS)
         self.count += values.size
-        self.sum = float(np.cumsum(np.concatenate(([self.sum], values)))[-1])
         self.min = min(self.min, float(values.min()))
         self.max = max(self.max, float(values.max()))
-        tagged = idx[:count]
-        order = np.argsort(tagged, kind="stable")
-        ranked = tagged[order]
-        starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-        sizes = np.diff(np.append(starts, ranked.size))
-        rank = np.arange(ranked.size) - np.repeat(starts, sizes)
+        if exemplar_of is None:
+            self.sum += float(values.sum())
+            return
+        self.sum = float(np.cumsum(np.concatenate(([self.sum], values)))[-1])
+        # A stable sort of the uint8 codes (a radix sort) groups each
+        # bucket's values in observation order; its first ids head the run.
+        tagged = codes[:count]
+        order = tagged.argsort(kind="stable")
+        bounds = tagged[order].searchsorted(
+            np.arange(self.NUM_BUCKETS + 1, dtype=np.uint8)
+        )
+        heads = bounds[:-1, None] + np.arange(self.MAX_EXEMPLARS_PER_BUCKET)
         # Walk the candidates in observation order, so buckets fill (and
         # are created) exactly as the one-by-one loop would.
-        for k in np.sort(order[rank < self.MAX_EXEMPLARS_PER_BUCKET]).tolist():
+        for k in np.sort(order[heads[heads < bounds[1:, None]]]).tolist():
             ids = self.exemplars.setdefault(int(tagged[k]), [])
             if len(ids) < self.MAX_EXEMPLARS_PER_BUCKET:
                 ids.append(str(exemplar_of(k)))

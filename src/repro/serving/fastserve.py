@@ -85,35 +85,39 @@ def dispatch_plain(
         return starts, core_ids
 
     free_t = np.zeros(num_cores)
-    i = 0
+    maximum, running_min = np.maximum, np.minimum.accumulate
+    i = 0  # requests committed
     waves = 0
-    committed = 0
     while i < n and num_cores >= _WAVE_MIN_CORES:
         # Heap pop order over c cores == ascending (free time, core id):
         # a stable sort breaks free-time ties by index, the core id.
         order = free_t.argsort(kind="stable")
-        m = min(num_cores, n - i)
-        ft = free_t[order[:m]]
-        st = np.maximum(arrivals_ms[i : i + m], ft)
-        comp = st + services[i : i + m]
-        if m > 1:
+        j = i + num_cores
+        if j > n:  # the last wave is short
+            j = n
+            order = order[: n - i]
+        ft = free_t[order]
+        # Write the whole wave; later waves overwrite what it did not commit.
+        st = maximum(arrivals_ms[i:j], ft, out=starts[i:j])
+        core_ids[i:j] = order
+        comp = st + services[i:j]
+        k = j - i
+        if k > 1:
             # Dispatch k is speculative: the real heap would hand it the
             # k-th earliest core only if no completion pushed by
             # dispatches 0..k-1 beats that core's free time (strictly —
             # an equal time would tie-break on core id, so it commits
             # only the unambiguous prefix).
-            ok = np.minimum.accumulate(comp[: m - 1]) > ft[1:]
-            k = m if ok.all() else int(ok.argmin()) + 1
-        else:
-            k = 1
-        sel = order[:k]
-        starts[i : i + k] = st[:k]
-        core_ids[i : i + k] = sel
-        free_t[sel] = comp[:k]
+            ok = running_min(comp[:-1]) > ft[1:]
+            first = ok.argmin()
+            if not ok[first]:
+                k = int(first) + 1
+                order = order[:k]
+                comp = comp[:k]
+        free_t[order] = comp
         i += k
         waves += 1
-        committed += k
-        if waves >= _WAVE_PROBATION and committed < _WAVE_MIN_PAYOFF * waves:
+        if waves >= _WAVE_PROBATION and i < _WAVE_MIN_PAYOFF * waves:
             break
     if i < n:
         # Speculation is not paying (light/bursty load): finish with a

@@ -411,10 +411,8 @@ def _simulate_plain(
     run = None
     if log is not None:
         run = log.start_run(label=label)
-        obs = obs_hooks.active()
         run.finish_fast(
-            arrivals_ms, starts, services, core_ids,
-            tracer=obs.tracer if obs is not None else None,
+            arrivals_ms, starts, services, core_ids, tracer=obs_hooks.active().tracer
         )
     _finalize(result, run=run)
     return result
@@ -467,7 +465,6 @@ def _simulate_resilient(
         final_degradation_level=controller.level if controller is not None else 0,
     )
     if run is not None:
-        obs = obs_hooks.active()
         run.finish(
             arrivals=arrivals,
             injected=injected,
@@ -477,7 +474,7 @@ def _simulate_resilient(
             services=services,
             core_of=core_of,
             plan=plan,
-            tracer=obs.tracer if obs is not None else None,
+            tracer=obs_hooks.active().tracer,
         )
     _finalize(result, plan=plan, controller=controller, run=run)
     return result
@@ -497,9 +494,10 @@ def _finalize(
     run=None,
 ) -> None:
     """Attach the latency histogram and publish telemetry."""
-    hist = Histogram()
-    hist.observe_many(result.latencies_ms)
-    result.latency_hist = hist
+    latencies = result.latencies_ms
+    codes = Histogram._bucket_codes(latencies)  # both latency histograms' buckets
+    result.latency_hist = Histogram()
+    result.latency_hist._observe_coded(latencies, codes)
     obs = obs_hooks.active()
     if obs is None:
         return
@@ -510,11 +508,11 @@ def _finalize(
         # id as the request-log line and the per-request trace span.  A
         # log truncated by its bound tags only the requests it kept.
         reqs = run.completed_reqs()
-        lat_hist.observe_exemplars(
-            result.latencies_ms, lambda k: run.exemplar_id(int(reqs[k])), reqs.size
+        lat_hist._observe_coded(
+            latencies, codes, lambda k: run.exemplar_id(int(reqs[k])), reqs.size
         )
     else:
-        lat_hist.observe_many(result.latencies_ms)
+        lat_hist._observe_coded(latencies, codes)
     obs.metrics.histogram("serving.wait_ms").observe_many(result.waits_ms)
     obs.metrics.gauge("serving.cores").set(result.num_cores)
     if result.outcomes is not None:

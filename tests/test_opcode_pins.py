@@ -9,9 +9,9 @@ fallbacks) are not counted, so a dependency release cannot trip them.
 The counts are pinned for Python 3.11 and the tests skip on any other
 version.
 
-The resilient and cluster episodes are the benchmark's own
-(``bench/workloads.py``): smoke episode 0 of ``serve_resilient_logged``
-and of ``cluster16_nodekill`` on seed 1.
+The serving episodes are the benchmark's own (``bench/workloads.py``):
+smoke episode 0 of ``serve_plain_logged``, ``serve_resilient_logged`` and
+``cluster16_nodekill`` on seed 1.
 """
 
 from __future__ import annotations
@@ -26,7 +26,11 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
-from bench.workloads import _cluster_setup, _resilient_episode  # noqa: E402
+from bench.workloads import (  # noqa: E402
+    _cluster_setup,
+    _plain_setup,
+    _resilient_episode,
+)
 from repro.config import SimConfig  # noqa: E402
 from repro.obs.critpath import extract_paths  # noqa: E402
 from repro.obs.hooks import Observation, session  # noqa: E402
@@ -62,12 +66,10 @@ def _count_opcodes(run):
     return result, executed
 
 
-def _resilient_run(logged: bool):
-    """``serve_resilient_logged``'s smoke episode 0 (1,000 Poisson arrivals
-    plus a 50-request burst, a bandwidth window, stragglers, retries,
-    shedding and a degradation controller), run with or without a request
-    log: ``(result, log or None, opcodes)``."""
-    make_sim, arrivals, config, k = _resilient_episode(SimConfig(seed=1), 0, True)
+def _episode_run(episode, logged: bool):
+    """One benchmark episode, run with or without a request log:
+    ``(result, log or None, opcodes)``."""
+    make_sim, arrivals, config, k = episode
     sim = make_sim()
     rng = config.rng(f"bench:service:{k}")
     if not logged:
@@ -77,6 +79,56 @@ def _resilient_run(logged: bool):
     with session(Observation(requests=log)):
         result, executed = _count_opcodes(lambda: sim.run(arrivals, rng))
     return result, log, executed
+
+
+def _log_overhead(episode, offered: int) -> float:
+    """The logged run and its critical paths against the unlogged run,
+    both on the same episode, in package bytecodes."""
+    result, log, run_ops = _episode_run(episode, logged=True)
+    paths, extract_ops = _count_opcodes(lambda: extract_paths(log.runs[0].records))
+    assert len(paths) == result.offered_requests == offered
+    bare, _, bare_ops = _episode_run(episode, logged=False)
+    assert bare.latencies_ms.tobytes() == result.latencies_ms.tobytes()
+    return (run_ops + extract_ops) / bare_ops
+
+
+def _plain_episode():
+    """``serve_plain_logged``'s smoke episode 0: 64 cores at rho 0.9,
+    1,250 Poisson arrivals, 5 ms lognormal services."""
+    return _plain_setup(1, True)[0]
+
+
+#: Bytecodes per request of the plain episode, logged, plus
+#: ``extract_paths`` over its log: 3.968 at the time of writing (4.352
+#: with the previous wave loop, histogram feed and extractor), plus
+#: about 1%.
+PLAIN_OPCODES_PER_REQUEST = 4.01
+
+#: The plain request log's exact overhead, as for the resilient one
+#: below: 1.599 at the time of writing, plus about 1%.  It was 1.557
+#: before: the wave loop those changes trimmed runs logged and unlogged,
+#: so the ratio's denominator fell further than its numerator.
+PLAIN_LOG_OVERHEAD_X = 1.615
+
+
+def test_plain_logged_opcodes_per_request():
+    result, log, run_ops = _episode_run(_plain_episode(), logged=True)
+    paths, extract_ops = _count_opcodes(lambda: extract_paths(log.runs[0].records))
+    assert result.offered_requests == len(paths) == 1_250
+    per_request = (run_ops + extract_ops) / result.offered_requests
+    assert per_request <= PLAIN_OPCODES_PER_REQUEST, per_request
+
+
+def test_plain_log_overhead_exact():
+    overhead = _log_overhead(_plain_episode(), 1_250)
+    assert overhead <= PLAIN_LOG_OVERHEAD_X, overhead
+
+
+def _resilient_episode_0():
+    """``serve_resilient_logged``'s smoke episode 0: 1,000 Poisson arrivals
+    plus a 50-request burst, a bandwidth window, stragglers, retries,
+    shedding and a degradation controller."""
+    return _resilient_episode(SimConfig(seed=1), 0, True)
 
 
 #: Bytecodes per request of the logged resilient episode: 388.2 at the
@@ -90,21 +142,14 @@ RESILIENT_LOG_OVERHEAD_X = 1.07
 
 
 def test_resilient_loop_opcodes_per_request():
-    result, _, executed = _resilient_run(logged=True)
+    result, _, executed = _episode_run(_resilient_episode_0(), logged=True)
     assert result.offered_requests == 1_050
     per_request = executed / result.offered_requests
     assert per_request <= RESILIENT_OPCODES_PER_REQUEST, per_request
 
 
 def test_resilient_log_overhead_exact():
-    """The logged run and its critical paths against the unlogged run,
-    both on the same episode, in package bytecodes."""
-    result, log, run_ops = _resilient_run(logged=True)
-    paths, extract_ops = _count_opcodes(lambda: extract_paths(log.runs[0].records))
-    assert len(paths) == result.offered_requests == 1_050
-    bare, _, bare_ops = _resilient_run(logged=False)
-    assert bare.latencies_ms.tobytes() == result.latencies_ms.tobytes()
-    overhead = (run_ops + extract_ops) / bare_ops
+    overhead = _log_overhead(_resilient_episode_0(), 1_050)
     assert overhead <= RESILIENT_LOG_OVERHEAD_X, overhead
 
 

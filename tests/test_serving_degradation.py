@@ -335,3 +335,33 @@ def test_boundary_p95_on_the_recovery_threshold_when_cooldown_ends(cooldown):
     assert ctl.events[1].window_p95_ms < RECOVER
     assert ctl.events[1].time_ms >= 60
 
+
+
+# -- the threshold counts themselves ----------------------------------------------
+
+
+def test_live_counts_equal_a_recount_of_the_ring():
+    """After every observe, each count a decision can read equals a
+    recount of the ring: the escalation count below the top rung, the
+    recovery count above level 0 once the cooldown has passed.  A count
+    that drifts high only makes the controller sort more often, so the
+    sorted-window differential above cannot see it; this recount can."""
+    config = _boundary_config(3, window=16, min_samples=4, cooldown=8)
+    ctl = DegradationController(**config)
+    rng = np.random.default_rng(31)
+    read = {"above": 0, "below": 0}
+    for i, value in enumerate(_stream(rng, SLA, SLA, RECOVER, 3000)):
+        ctl.observe(float(i), value)
+        ring = list(ctl._latencies)
+        full = len(ring) == ctl.window
+        if ctl.level < len(ctl.ladder) - 1:
+            assert ctl._above == sum(x > ctl._escalate_above for x in ring), i
+            read["above"] += full
+        if ctl.level and ctl._since_change >= ctl._recover_after:
+            assert ctl._below == sum(x < ctl._recover_below for x in ring), i
+            read["below"] += full
+    # Both thresholds are crossed, each way, and both counts are read on
+    # a full ring, where every observe evicts a latency.
+    assert {e.escalation for e in ctl.events} == {True, False}
+    assert max(e.to_level for e in ctl.events) == 2
+    assert read["above"] > 100 and read["below"] > 1000, read

@@ -16,6 +16,10 @@ import pytest
 
 import serving_oracle
 from repro.config import SimConfig
+from repro.obs.hooks import Observation, session
+from repro.obs.metrics import Histogram
+from repro.obs.requests import RequestLog
+from repro.serving import server
 from repro.serving.degradation import DegradationController, scheme_ladder
 from repro.serving.faults import (
     ArrivalBurst,
@@ -122,6 +126,59 @@ class TestPlainPath:
         fast = _run("fast", arrivals, num_cores, config, service_cv=2.0)
         ref = _run("reference", arrivals, num_cores, config, service_cv=2.0)
         assert_identical(fast, ref)
+
+
+def _dyadic_services(mean_ms, count, rng, cv=0.0):
+    """Multiples of 0.25 ms with mean 5 ms: sums of grid times stay exact."""
+    return 0.25 * rng.integers(4, 37, size=count)
+
+
+class TestPlainTieGrid:
+    """The wave dispatcher where core free times tie exactly.
+
+    Arrivals snap to a 0.25 ms grid and every service is a constant or a
+    multiple of 0.25 ms, so free times collide and the ``(free time, core
+    id)`` order, not the times alone, picks each core.  The request counts
+    leave a short last wave, or are fewer than the cores.
+    """
+
+    @pytest.mark.parametrize("services", ["constant", "dyadic"])
+    @pytest.mark.parametrize("utilization", [0.5, 0.9, 1.3])
+    @pytest.mark.parametrize("num_cores", [16, 17, 64])
+    @pytest.mark.parametrize("waves", [0, 40])
+    def test_tied_free_times_byte_identical(
+        self, num_cores, utilization, services, waves, monkeypatch
+    ):
+        config = SimConfig(seed=14)
+        num_requests = waves * num_cores + num_cores // 2 + 1
+        arrivals = _arrivals(config, num_requests, num_cores, utilization)
+        arrivals = np.floor(arrivals * 4.0) / 4.0
+        if services == "dyadic":
+            monkeypatch.setattr(server, "lognormal_services", _dyadic_services)
+            monkeypatch.setattr(
+                serving_oracle, "lognormal_services", _dyadic_services
+            )
+        runs = {}
+        for engine in ("fast", "reference"):
+            log = RequestLog()
+            with session(Observation(requests=log)) as obs:
+                result = _run(engine, arrivals, num_cores, config, service_cv=0.0)
+            runs[engine] = (result, log.runs[0].records.lifecycles(), obs)
+        (fast, fast_cols, obs), (ref, ref_cols, _) = runs["fast"], runs["reference"]
+        assert_identical(fast, ref)
+        assert fast_cols.start.tobytes() == ref_cols.start.tobytes()
+        assert fast_cols.node.tobytes() == ref_cols.node.tobytes()
+        # Both latency histograms count from one bucket pass; each must
+        # equal a histogram fed the latencies on its own.
+        fresh = Histogram()
+        fresh.observe_many(fast.latencies_ms)
+        logged = obs.metrics.histogram("serving.latency_ms")
+        for hist in (fast.latency_hist, logged):
+            assert hist.buckets.tobytes() == fresh.buckets.tobytes()
+            assert (hist.count, hist.min, hist.max) == (
+                fresh.count, fresh.min, fresh.max,
+            )
+        assert fast.latency_hist.sum == fresh.sum
 
 
 class TestResilientPath:

@@ -4,7 +4,7 @@ The observatory's alerting has two kinds of signal: SLO burn rates
 (:mod:`repro.obs.slo`), which say *the service is out of budget*, and the
 drift detectors here, which say *something changed* — a node's error rate
 jumped, its call latency shifted, the CPI-stack composition tilted from
-retire-bound to DRAM-bound, the SLA-miss mix moved from queueing to
+retire-bound to DRAM-bound, the SLA-miss mix moved from queue to
 partitions.  Both feed the same alert stream.
 
 Two detector shapes cover the telemetry the simulator emits:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -178,26 +178,16 @@ class Histogram:
         if len(ids) < self.MAX_EXEMPLARS_PER_BUCKET:
             ids.append(str(exemplar_id))
 
-    def observe_exemplars(
-        self,
-        values: np.ndarray,
-        exemplar_of: Callable[[int], str],
-        count: int,
-    ) -> None:
-        """Record a batch whose first ``count`` values carry exemplar ids.
-
-        The same state as :meth:`observe_exemplar` ``(values[k],
-        exemplar_of(k))`` for ``k < count`` and :meth:`observe` for the
-        rest, in order: ``sum`` adds left to right (a cumulative sum, not
-        numpy's pairwise one), and ``exemplar_of`` is called only for the
-        values kept as a bucket's first exemplars.
-        """
-        values = np.asarray(values, dtype=np.float64).ravel()
-        self._observe_coded(values, self._bucket_codes(values), exemplar_of, count)
-
     def _observe_coded(self, values, codes, exemplar_of=None, count=0) -> None:
-        """:meth:`observe_many`, or with ``exemplar_of`` :meth:`observe_exemplars`,
-        of a float64 batch and its codes: one bucket pass feeds many."""
+        """:meth:`observe_many` of a float64 batch and its codes: one bucket
+        pass feeds many.
+
+        With ``exemplar_of``, the same state as :meth:`observe_exemplar`
+        ``(values[k], exemplar_of(k))`` for ``k < count`` and
+        :meth:`observe` for the rest, in order: ``sum`` adds left to right
+        (a cumulative sum, not numpy's pairwise one), and ``exemplar_of``
+        is called only for the values kept as a bucket's first exemplars.
+        """
         if values.size == 0:
             return
         # bincount, not np.add.at: identical counts, but add.at's buffered

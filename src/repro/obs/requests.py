@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import (
     Collection, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
@@ -44,7 +45,10 @@ from typing import (
 
 import numpy as np
 
-from .critpath import LIFECYCLE_CODES, FastLifecycles, Lifecycles
+from .critpath import (
+    LIFECYCLE_CODES, SEGMENT_KINDS, FastLifecycles, Lifecycles, bottleneck,
+    extract_critical_path, extract_paths,
+)
 from .ids import request_id
 
 __all__ = [
@@ -74,27 +78,18 @@ _CAUSE_OF_CODE = {
     LIFECYCLE_CODES["timeout"]: "queue_timeout",
 }
 
-#: Attribution buckets for requests that missed their SLA, most specific
-#: first (see :func:`attribute_miss`).  The cluster layer adds four
-#: fleet-level causes: ``partition``/``node_fault`` cover requests that
-#: failed or went late because a node was unreachable or crashed, and
-#: ``failover``/``hedge_wasted`` cover requests whose lateness traces to
-#: the recovery machinery itself (a failed-over shard call, a hedge that
-#: lost the race).
-MISS_CAUSES = (
-    "shed_queue_full",     # admission control dropped it at arrival
-    "expired_on_arrival",  # deadline already passed when it (re-)arrived
-    "queue_timeout",       # waited out its queue timeout budget
-    "partition",           # a shard call sat out a network partition
-    "node_fault",          # a node crash/kill hit one of its shard calls
-    "failover",            # completed late after failing over replicas
-    "hedge_wasted",        # completed late; a hedge raced and lost
-    "contention",          # completed late inside a co-tenant window
-    "fault",               # completed late with a fault window overlapping
-    "retry_backoff",       # completed late after queue-timeout retries
-    "queueing",            # completed late, wait dominated service
-    "slow_service",        # completed late, service dominated wait
+#: Causes of the misses that never completed, named by how they ended:
+#: admission control (shed, expired, queue timeout) on a single box, and
+#: for a failed or degraded cluster request the fault that took out its
+#: shard calls (a network partition, else a node crash).
+TERMINAL_CAUSES = (
+    "shed_queue_full", "expired_on_arrival", "queue_timeout",
+    "partition", "node_fault",
 )
+
+#: Every SLA-miss cause (see :func:`attribute_miss`): the terminal ones,
+#: then a late completion's dominant critical-path segment kind.
+MISS_CAUSES = TERMINAL_CAUSES + SEGMENT_KINDS
 
 
 @dataclass
@@ -763,18 +758,9 @@ def load_request_log(path) -> Tuple[Dict[str, object], List[Dict[str, object]]]:
     return meta, records
 
 
-def attribute_miss(record: Dict[str, object]) -> Optional[str]:
-    """Primary cause of one request's SLA miss, or None if it didn't miss.
-
-    A request "missed" when it did not complete (cluster runs count
-    ``degraded`` partial results and ``failed`` requests here), or
-    completed past its deadline.  Causes are checked most-specific first
-    (see :data:`MISS_CAUSES`): terminal causes from the admission
-    machinery win outright; fleet-level causes (partition, node fault,
-    failover, wasted hedge) explain a late completion before the
-    single-box ones; an overlapping fault window explains the miss before
-    retries, and queueing before slow service.
-    """
+def _terminal_cause(record: Dict[str, object]) -> Optional[str]:
+    """The :data:`TERMINAL_CAUSES` entry of a request that did not
+    complete, else None."""
     outcome = record.get("outcome")
     if outcome == "shed":
         return "shed_queue_full"
@@ -783,47 +769,45 @@ def attribute_miss(record: Dict[str, object]) -> Optional[str]:
             return "expired_on_arrival"
         return "queue_timeout"
     if outcome in ("failed", "degraded"):
-        # Cluster outcomes: the request lost shard calls it never
-        # recovered.  The recorded cause says what took them out.
-        if record.get("cause") == "partition":
-            return "partition"
-        return "node_fault"
-    if record.get("deadline_met") is False:
-        if record.get("cause") == "partition":
-            return "partition"
-        if record.get("cause") == "node_fault":
-            return "node_fault"
-        if record.get("failovers"):
-            return "failover"
-        if record.get("hedges_wasted"):
-            return "hedge_wasted"
-        windows = record.get("fault_windows") or []
-        # Tenant windows (named ``tenant_<kind>:<name>`` by the tenancy
-        # layer) are contention, not faults: nothing broke, a neighbor
-        # squeezed the shared LLC/DRAM.  More specific than plain "fault".
-        if any(str(w).startswith("tenant") for w in windows):
-            return "contention"
-        if windows:
-            return "fault"
-        if record.get("retries"):
-            return "retry_backoff"
-        wait = record.get("wait_ms") or 0.0
-        service = record.get("service_ms") or 0.0
-        return "queueing" if wait > service else "slow_service"
+        return "partition" if record.get("cause") == "partition" else "node_fault"
     return None
 
 
+def attribute_miss(record: Dict[str, object]) -> Optional[str]:
+    """Cause of one request's SLA miss, or None if it didn't miss.
+
+    A request "missed" when it did not complete (cluster runs count
+    ``degraded`` partial results and ``failed`` requests here), or
+    completed past its deadline.  The first kind takes its terminal cause;
+    a late completion takes the :func:`~repro.obs.critpath.bottleneck` of
+    its own critical path, so its cause is the segment kind that held it
+    up longest.  Fault and tenant windows stay in the record's
+    ``fault_windows``.
+    """
+    cause = _terminal_cause(record)
+    if cause is None and record.get("deadline_met") is False:
+        return bottleneck(extract_critical_path(record).by_kind())
+    return cause
+
+
 def miss_attribution(
-    records: List[Dict[str, object]],
+    records: Sequence[Dict[str, object]],
 ) -> Dict[str, int]:
-    """SLA-miss cause -> request count over a record list.
+    """SLA-miss cause -> request count over a record list, in
+    :data:`MISS_CAUSES` order; each late completion's path is extracted
+    in one :func:`~repro.obs.critpath.extract_paths` call over the late
+    ones only.
 
     Only causes that occurred appear; an empty dict means every request
     met its deadline (or no deadline was configured).
     """
-    out: Dict[str, int] = {}
+    counts: Counter = Counter()
+    late: List[Dict[str, object]] = []
     for record in records:
-        cause = attribute_miss(record)
+        cause = _terminal_cause(record)
         if cause is not None:
-            out[cause] = out.get(cause, 0) + 1
-    return {cause: out[cause] for cause in MISS_CAUSES if cause in out}
+            counts[cause] += 1
+        elif record.get("deadline_met") is False:
+            late.append(record)
+    counts.update(bottleneck(path.by_kind()) for path in extract_paths(late))
+    return {cause: counts[cause] for cause in MISS_CAUSES if cause in counts}

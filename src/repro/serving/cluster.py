@@ -1135,9 +1135,6 @@ class ClusterSim:
             calls_failed=calls_failed,
             partition_failures=partition_failures,
         )
-        hist = Histogram()
-        hist.observe_many(latencies)
-        result.latency_hist = hist
         run = None
         if rows is not None:
             run = self._export(
@@ -1391,7 +1388,12 @@ class ClusterSim:
         return run
 
     def _publish(self, result: ClusterResult, plan, obs, run=None) -> None:
-        """Cluster metrics + fault-window trace track (observed runs)."""
+        """Attach the latency histogram; observed runs also publish cluster
+        metrics and a fault-window trace track."""
+        latencies = result.latencies_ms
+        codes = Histogram._bucket_codes(latencies)  # both latency histograms' buckets
+        result.latency_hist = Histogram()
+        result.latency_hist._observe_coded(latencies, codes)
         if obs is None:
             return
         obs.metrics.counter("cluster.requests").inc(result.offered_requests)
@@ -1408,12 +1410,11 @@ class ClusterSim:
             # Same three-way join as the single box: histogram bucket ->
             # exemplar id -> request-log line and trace span.
             reqs = run.completed_reqs()
-            lat_hist.observe_exemplars(
-                result.latencies_ms, lambda k: run.exemplar_id(int(reqs[k])),
-                reqs.size,
+            lat_hist._observe_coded(
+                latencies, codes, lambda k: run.exemplar_id(int(reqs[k])), reqs.size
             )
         else:
-            lat_hist.observe_many(result.latencies_ms)
+            lat_hist._observe_coded(latencies, codes)
         for stats in result.node_stats:
             obs.metrics.gauge(f"cluster.node{stats.node}.utilization").set(
                 stats.utilization

@@ -450,8 +450,8 @@ class NodeTenant:
     inflated by ``factor`` — the aggregate slowdown the tenant's LLC and
     DRAM pressure imposes, as computed by the contention model.  Unlike
     :class:`NodeSlow` (an anonymous bad host) the window is named after
-    the tenant, so request logs attribute the lateness to ``contention``
-    rather than ``fault``.
+    the tenant, so a late request's ``fault_windows`` name the tenant;
+    its miss cause is its critical path's dominant segment.
     """
 
     node: int

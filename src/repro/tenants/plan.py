@@ -134,9 +134,9 @@ class TenantWorld:
     def tenant_windows(self) -> List[Tuple[str, float, float, Dict[str, object]]]:
         """Activity windows in the fault-window reporting shape.
 
-        Names are ``tenant_<kind>:<name>`` so request-log miss attribution
-        classifies overlapping SLA misses as ``contention``; the attrs
-        carry no ``core`` key, making the windows fleet-wide.
+        Names are ``tenant_<kind>:<name>``, so an overlapped request's
+        ``fault_windows`` name the tenant; the attrs carry no ``core``
+        key, making the windows fleet-wide.
         """
         out: List[Tuple[str, float, float, Dict[str, object]]] = []
         for idx, start, end in self._windows:

@@ -29,7 +29,6 @@ import numpy as np
 from repro.obs import hooks as obs_hooks
 from repro.obs import ids
 from repro.obs.fleet import FleetSpan, merge_spans
-from repro.obs.metrics import Histogram
 from repro.serving.cluster import (
     CL_COMPLETED,
     CL_DEGRADED,
@@ -955,9 +954,6 @@ def run_cluster(sim: ClusterSim, arrivals_ms: np.ndarray) -> ClusterResult:
         calls_failed=counters["calls_failed"],
         partition_failures=counters["partition_failures"],
     )
-    hist = Histogram()
-    hist.observe_many(latencies)
-    result.latency_hist = hist
     if run is not None:
         fault_windows = plan.windows()
         causes: List[Optional[str]] = []

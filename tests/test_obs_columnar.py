@@ -851,7 +851,8 @@ def test_observe_exemplars_matches_per_value_loop():
         values = rng.lognormal(1.0, 2.0, size=500)
         count = 400 if batch != 1 else 500
         ids: List[str] = [f"{batch}:{k}" for k in range(count)]
-        batched.observe_exemplars(values, ids.__getitem__, count)
+        codes = Histogram._bucket_codes(values)
+        batched._observe_coded(values, codes, ids.__getitem__, count)
         for k, value in enumerate(values):
             if k < count:
                 looped.observe_exemplar(float(value), ids[k])

@@ -157,6 +157,15 @@ class TestProfiles:
         for rec in profile_records(_cluster_records(), scenario="t"):
             assert validate_def(rec, SCHEMA, "critpath_record") == []
 
+    def test_schema_bottleneck_is_a_segment_kind(self):
+        """The schema's one cause taxonomy is SEGMENT_KINDS (null: an
+        empty profile)."""
+        bottleneck = SCHEMA["$defs"]["critpath_record"]["properties"]["bottleneck"]
+        assert bottleneck["enum"] == [*SEGMENT_KINDS, None]
+        rec = profile_records(_cluster_records(), scenario="t")[0]
+        assert validate_def({**rec, "bottleneck": "queueing"}, SCHEMA,
+                            "critpath_record") != []
+
     def test_tail_profile_is_subset_of_overall(self):
         profiles = {
             p["scope"]: p

@@ -1,22 +1,41 @@
 """Request-scoped tracing: lifecycle records, causes, links, determinism."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.obs import RequestLog, attribute_miss, miss_attribution
+from repro.obs import (
+    RequestLog,
+    attribute_miss,
+    load_request_log,
+    miss_attribution,
+)
 from repro.obs.hooks import Observation, session
-from repro.obs.requests import MISS_CAUSES
+from repro.obs.critpath import (
+    SEGMENT_KINDS,
+    bottleneck,
+    check_conservation,
+    extract_critical_path,
+    extract_paths,
+)
+from repro.obs.requests import MISS_CAUSES, TERMINAL_CAUSES
 from repro.obs.schema import validate_def
 from repro.serving.degradation import DegradationController, scheme_ladder
+from repro.serving.cluster import ClusterConfig, ClusterSim
 from repro.serving.faults import (
     ArrivalBurst,
     BandwidthDegradation,
+    ClusterFaultPlan,
     FaultPlan,
+    NodeCrash,
+    NodePartition,
+    NodeSlow,
     Stragglers,
 )
+from repro.serving.router import HedgePolicy
 from repro.serving.server import ServingPolicy, simulate_server
 from repro.serving.workload import poisson_arrivals
 
@@ -197,16 +216,58 @@ def test_request_log_bound_counts_drops():
 
 def _rec(**kwargs):
     base = {
+        "req": 0,
+        "id": "0:0",
         "outcome": "completed",
         "cause": None,
+        "arrival_ms": 0.0,
+        "end_ms": 3.0,
         "deadline_met": True,
         "fault_windows": [],
         "retries": 0,
         "wait_ms": 1.0,
         "service_ms": 2.0,
+        "core": 0,
+        "events": [],
     }
     base.update(kwargs)
     return base
+
+
+def _late(*events, **kwargs):
+    """A single-box request that completed past its deadline: ``events``
+    (``(kind, t_ms, attrs)``) follow its arrival at 0 ms."""
+    lines = [{"kind": "arrive", "t_ms": 0.0}]
+    lines += [{"kind": kind, "t_ms": t, **attrs} for kind, t, attrs in events]
+    return _rec(deadline_met=False, end_ms=lines[-1]["t_ms"], events=lines, **kwargs)
+
+
+def _call(kind, t, node, **attrs):
+    return (kind, t, {"node": node, "shard": 0, **attrs})
+
+
+def _ok(t, node, latency, queue, service, slow=1.0):
+    return _call(
+        "call_ok", t, node, latency_ms=latency, queue_ms=queue,
+        service_ms=service, slow=slow,
+    )
+
+
+def _cluster_late(*events, **kwargs):
+    """A one-shard cluster request that completed past its deadline."""
+    record = _late(*events, ("complete", events[-1][1], {}), **kwargs)
+    record.update(core=None, shards=[0], wait_ms=None, service_ms=None)
+    return record
+
+
+#: A slot's first call fails at ``t`` and fails over to node 2.
+def _failover(t, cause="node_fault"):
+    return (
+        _call("shard_call", 0.0, 1),
+        _call("call_failed", t, 1, cause=cause),
+        _call("failover", t, 2),
+        _call("shard_call", t, 2),
+    )
 
 
 @pytest.mark.parametrize(
@@ -219,55 +280,160 @@ def _rec(**kwargs):
             "expired_on_arrival",
         ),
         (_rec(outcome="timed_out", cause="queue_timeout"), "queue_timeout"),
-        (_rec(deadline_met=False, fault_windows=["bw_degradation"]), "fault"),
-        (_rec(deadline_met=False, retries=2), "retry_backoff"),
-        (_rec(deadline_met=False, wait_ms=5.0, service_ms=2.0), "queueing"),
-        (_rec(deadline_met=False, wait_ms=1.0, service_ms=9.0), "slow_service"),
+        # Late completions take their critical path's dominant segment:
+        # a fault window's inflation is penalty, not the window's name...
+        (
+            _late(("dispatch", 1.0, {"fault_mult": 3.0}), ("complete", 13.0, {}),
+                  fault_windows=["bw_degradation"]),
+            "penalty",
+        ),
+        # ...a retry's wait between timeout and retry is backoff...
+        (
+            _late(("timeout_retry", 6.0, {}), ("retry_arrive", 16.0, {}),
+                  ("dispatch", 16.0, {}), ("complete", 18.0, {}), retries=1),
+            "backoff",
+        ),
+        # ...and wait versus service is queue versus service.
+        (_late(("dispatch", 5.0, {}), ("complete", 7.0, {})), "queue"),
+        (_late(("dispatch", 1.0, {}), ("complete", 10.0, {})), "service"),
         (_rec(deadline_met=None), None),  # no deadline configured
-        # Fleet-level causes (cluster runs), most specific first:
+        # Failed and degraded cluster requests keep their terminal causes.
         (_rec(outcome="degraded", cause="node_fault"), "node_fault"),
         (_rec(outcome="degraded", cause="partition"), "partition"),
         (_rec(outcome="failed", cause="node_fault"), "node_fault"),
         (_rec(outcome="failed", cause="partition"), "partition"),
-        (_rec(deadline_met=False, cause="partition"), "partition"),
-        (_rec(deadline_met=False, cause="node_fault"), "node_fault"),
-        (_rec(deadline_met=False, failovers=1), "failover"),
-        (_rec(deadline_met=False, hedges_wasted=2), "hedge_wasted"),
-        # A late completion with both: the failover outranks the hedge.
+        # A late cluster completion is its path too, whatever the record's
+        # cause or failover and hedge counts: a slow failed attempt is
+        # recovery...
         (
-            _rec(deadline_met=False, failovers=1, hedges_wasted=1),
-            "failover",
+            _cluster_late(*_failover(20.0, "partition"), _ok(23.0, 2, 3.0, 0.0, 2.8),
+                          cause="partition", failovers=1),
+            "recovery",
         ),
-        # ...and a node-fault cause outranks the recovery machinery.
         (
-            _rec(deadline_met=False, cause="node_fault", failovers=1),
-            "node_fault",
+            _cluster_late(*_failover(20.0), _ok(23.0, 2, 3.0, 0.0, 2.8),
+                          cause="node_fault", failovers=1),
+            "recovery",
+        ),
+        # ...a quick failover whose replacement queued is queue...
+        (
+            _cluster_late(*_failover(1.0), _ok(18.0, 2, 17.0, 15.0, 1.8),
+                          failovers=1),
+            "queue",
+        ),
+        # ...a hedge that lost to a slow primary is the primary's service...
+        (
+            _cluster_late(
+                _call("shard_call", 0.0, 1), _call("hedge", 6.0, 2, q_ms=6.0),
+                _call("shard_call", 6.0, 2, hedge=True), _ok(20.0, 1, 20.0, 0.0, 19.8),
+                hedges=1, hedges_wasted=1,
+            ),
+            "service",
+        ),
+        # ...a hedge that won after a long arm delay is hedge_wait...
+        (
+            _cluster_late(
+                _call("shard_call", 0.0, 1), _call("hedge", 15.0, 2, q_ms=15.0),
+                _call("shard_call", 15.0, 2, hedge=True), _ok(17.0, 2, 2.0, 0.0, 1.8),
+                hedges=1, failovers=1, hedges_wasted=1,
+            ),
+            "hedge_wait",
+        ),
+        # ...and a slowed node's inflation is penalty.
+        (
+            _cluster_late(*_failover(0.5), _ok(20.7, 2, 20.2, 0.0, 20.0, slow=4.0),
+                          cause="node_fault", failovers=1),
+            "penalty",
         ),
     ],
 )
 def test_attribute_miss_cases(record, expected):
     assert attribute_miss(record) == expected
+    if expected in SEGMENT_KINDS:
+        path = extract_critical_path(record)
+        assert check_conservation(path) == 0.0
+        assert bottleneck(path.by_kind()) == expected
 
 
 def test_cluster_causes_in_miss_causes_order():
-    """The four fleet causes sit between the terminal and single-box
-    buckets, keeping most-specific-first attribution."""
-    for cause in ("partition", "node_fault", "failover", "hedge_wasted"):
-        assert cause in MISS_CAUSES
+    """One taxonomy: the terminal causes, the cluster ones among them,
+    then the critical path's segment kinds."""
+    assert MISS_CAUSES == TERMINAL_CAUSES + SEGMENT_KINDS
+    for cause in ("partition", "node_fault"):
+        assert cause in TERMINAL_CAUSES
     assert MISS_CAUSES.index("queue_timeout") < MISS_CAUSES.index("partition")
-    assert MISS_CAUSES.index("hedge_wasted") < MISS_CAUSES.index("fault")
+    assert not set(TERMINAL_CAUSES) & set(SEGMENT_KINDS)
 
 
 def test_miss_attribution_orders_and_counts():
     records = [
         _rec(outcome="shed", cause="queue_full"),
-        _rec(deadline_met=False, wait_ms=5.0, service_ms=1.0),
+        _late(("dispatch", 5.0, {}), ("complete", 6.0, {})),
         _rec(outcome="shed", cause="queue_full"),
         _rec(),
+        _cluster_late(*_failover(20.0), _ok(23.0, 2, 3.0, 0.0, 2.8)),
+        _late(("dispatch", 1.0, {}), ("complete", 10.0, {})),
+        _late(("dispatch", 4.0, {}), ("complete", 5.0, {})),
     ]
     table = miss_attribution(records)
-    assert table == {"shed_queue_full": 2, "queueing": 1}
-    assert list(table) == ["shed_queue_full", "queueing"]  # MISS_CAUSES order
+    assert table == {"shed_queue_full": 2, "queue": 2, "service": 1, "recovery": 1}
+    assert list(table) == ["shed_queue_full", "queue", "service", "recovery"]
+    assert table == Counter(filter(None, map(attribute_miss, records)))
+
+
+def _assert_causes_are_bottlenecks(records):
+    """Every late completion's cause is the bottleneck of its path as the
+    whole run's extraction gives it, and the attribution table counts
+    every miss once.  Returns the table."""
+    missed = 0
+    for record, path in zip(records, extract_paths(records)):
+        if record["outcome"] != "completed":
+            missed += 1
+        elif record["deadline_met"] is False:
+            missed += 1
+            assert attribute_miss(record) == bottleneck(path.by_kind()), record["id"]
+    table = miss_attribution(records)
+    assert sum(table.values()) == missed
+    return table
+
+
+def test_resilient_run_misses_attributed_to_their_bottlenecks(tmp_path):
+    arrivals, plan, policy = _stressed_args()
+    log = RequestLog()
+    with session(Observation(requests=log)):
+        simulate_server(
+            arrivals, 4.0, 2, np.random.default_rng(2),
+            fault_plan=plan, policy=policy, label="stressed",
+        )
+    table = _assert_causes_are_bottlenecks(log.runs[0].records)
+    assert {"shed_queue_full", "queue", "penalty"} <= set(table)
+    log.to_jsonl(tmp_path / "req.jsonl")
+    assert miss_attribution(load_request_log(tmp_path / "req.jsonl")[1]) == table
+
+
+def test_cluster_run_misses_attributed_to_their_bottlenecks(tmp_path):
+    arrivals = poisson_arrivals(0.8, 400, np.random.default_rng(3))
+    faults = ClusterFaultPlan(
+        [NodeCrash(1, 50.0, 120.0), NodeSlow(2, 130.0, 170.0, 4.0),
+         NodePartition(0, 175.0, 185.0)],
+        seed=3,
+    )
+    log = RequestLog()
+    with session(Observation(requests=log)):
+        ClusterSim(
+            ClusterConfig(
+                num_nodes=3, cores_per_node=2, mean_service_ms=1.0,
+                num_shards=6, replication=2, gather_width=2, hop_ms=0.05,
+                call_timeout_ms=12.0, deadline_ms=4.0, routing="least_loaded",
+                hedge=HedgePolicy(quantile=95.0, min_ms=2.0, window=64),
+                faults=faults, seed=3, label="late",
+            )
+        ).run(arrivals)
+    table = _assert_causes_are_bottlenecks(log.runs[0].records)
+    assert {"partition", "node_fault", "queue", "penalty", "recovery",
+            "hedge_wait"} <= set(table)
+    log.to_jsonl(tmp_path / "req.jsonl")
+    assert miss_attribution(load_request_log(tmp_path / "req.jsonl")[1]) == table
 
 
 # -- export ------------------------------------------------------------------

@@ -15,13 +15,20 @@ from repro.tenants import (
     DEFAULT_DEFENSE_LADDER,
     ContentionModel,
     DefenseConfig,
+    TenantFaultPlan,
     TenantMix,
     TenantProfile,
+    TenantWorld,
     compute_tenant,
     contended_hierarchy,
     locker_tenant,
     streaming_tenant,
 )
+from repro.obs import RequestLog, attribute_miss
+from repro.obs.critpath import bottleneck, extract_paths
+from repro.obs.hooks import Observation, session
+from repro.serving.server import ServingPolicy, simulate_server
+from repro.serving.workload import poisson_arrivals
 from repro.units import kib, mib
 
 
@@ -287,3 +294,30 @@ class TestContentionModel:
         a = contention.design_point((locker_tenant(),), DEFAULT_DEFENSE_LADDER[0])
         b = contention.design_point((locker_tenant(),), DEFAULT_DEFENSE_LADDER[0])
         assert a is b
+
+
+class TestContendedMisses:
+    def test_late_request_takes_its_dominant_segment(self, contention):
+        """A request that went late inside a tenant window is attributed
+        to its critical path's dominant segment (the inflation a locker
+        causes is penalty), and the window stays in its record."""
+        arrivals = poisson_arrivals(5.0 / (4 * 0.7), 300, np.random.default_rng(4))
+        world = TenantWorld(
+            TenantMix((locker_tenant(),), seed=3), contention, float(arrivals[-1])
+        )
+        log = RequestLog()
+        with session(Observation(requests=log)):
+            simulate_server(
+                arrivals, 5.0, 4, np.random.default_rng(17),
+                fault_plan=TenantFaultPlan(world, seed=3),
+                policy=ServingPolicy(deadline_ms=15.0),
+            )
+        records = log.runs[0].records
+        contended = [
+            (attribute_miss(record), bottleneck(path.by_kind()))
+            for record, path in zip(records, extract_paths(records))
+            if record["deadline_met"] is False
+            and any(w.startswith("tenant_locker:") for w in record["fault_windows"])
+        ]
+        assert all(cause == dominant for cause, dominant in contended)
+        assert {cause for cause, _ in contended} == {"queue", "penalty"}

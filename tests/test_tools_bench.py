@@ -179,6 +179,48 @@ def test_bench_all_smoke_appends_schema_valid_record(tmp_path):
     assert set(record["benchmarks"]) == set(newest["benchmarks"])
 
 
+#: Every ``sim`` row of the ledger: the value each one has held in every
+#: record of ``BENCH_history.jsonl`` (smoke mode, Python 3.11).
+LEDGER_SIM_ROWS = {
+    "scheme.dp_ht.speedup": 0.7514519687574891,
+    "scheme.mp_ht.speedup": 1.0046927039843105,
+    "scheme.integrated.speedup": 1.715160663174602,
+    "serving.fast.p95_ms": 6.989337678264521,
+    "serving.resilient.p50_ms": 4.865455539346158,
+    "serving.resilient.p95_ms": 30.203219460063554,
+    "serving.resilient.p99_ms": 104.28724390684012,
+    "serving.resilient.goodput": 0.67,
+    "cluster.resilient.goodput": 1.0,
+    "cluster.resilient.quality_p95_ms": 4.340736233863873,
+    "cluster.resilient.p99_ms": 4.7837232868452375,
+    "obs.fleet.detection.recall": 1.0,
+    "obs.fleet.detection.mttd_ms": 15.151515151515156,
+    "obs.critpath.conserved_frac": 1.0,
+    "obs.critpath.whatif.max_err_frac": 0.15110660852050622,
+    "tenants.detection.recall": 1.0,
+    "tenants.detection.mttd_ms": 18.732415357254638,
+    "tenants.qos.goodput_recovery": 1.0,
+}
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="the ledger was recorded on 3.11"
+)
+def test_bench_all_sim_rows_equal_the_ledger():
+    """bench_all's smoke helpers reproduce every exact row bit for bit."""
+    bench_all = _load_tool("bench_all")
+    benchmarks = [
+        *bench_all._scheme_benchmarks("smoke"),
+        *bench_all._serving_benchmarks("smoke"),
+        *bench_all._cluster_benchmarks("smoke"),
+        *bench_all._fleet_benchmarks("smoke", 1),
+        *bench_all._critpath_benchmarks("smoke", 1),
+        *bench_all._tenant_benchmarks("smoke"),
+    ]
+    sim = {b.name: b.value for b in benchmarks if b.kind == "sim"}
+    assert sim == LEDGER_SIM_ROWS
+
+
 # -- trace_report --requests -------------------------------------------------
 
 
@@ -520,13 +562,13 @@ _ADDED_JSON_FIELDS = {
 
 #: sha256 prefixes of every report on the golden inputs.
 _GOLDEN = {
-    "box": "58e25c10bd922a90",
-    "box.json": "e82283e53165c4a7",
+    "box": "69938e33637e7f7f",
+    "box.json": "7051d7eec5d3b1f1",
     "cluster": "c34722c42d0b585e",
     "cluster.json": "f7903da84618b06e",
     "critpath_log": "9eb4d108c8525475",
     "critpath_log.json": "9de0668bea3b6198",
-    "dashboard_box": "7075346468374c69",
+    "dashboard_box": "8be1049bb506b0ef",
     "dashboard_fleet": "3a0f0496893267c5",
     "slo": "99361857e7008ae6",
     "slo.json": "627dc88da07391fa",

@@ -70,7 +70,9 @@ import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))
 
+from bench.workloads import DEFAULT_SEED, _cluster_setup  # noqa: E402
 from repro.config import SimConfig  # noqa: E402
 from repro.core.schemes import evaluate_all_schemes  # noqa: E402
 from repro.core.swpf import PAPER_SWPF  # noqa: E402
@@ -468,42 +470,19 @@ def _cluster16_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
 
     ``serving.cluster16.requests_per_min``: simulated requests per
     wall-clock minute through the multi-node loop, median of ``repeats``
-    runs, in the shape of the ``cluster16_nodekill`` benchmark workload
-    (16 nodes x 4 cores, 32 shards, replication 2, hotness placement,
-    least-loaded routing, hedging, node 1 down over 25-60% of the
-    horizon, 35% offered load) at fewer requests.
+    runs of the ``cluster16_nodekill`` benchmark workload's four episodes
+    on its default seed (``bench/workloads.py``: 16 nodes x 4 cores, 32
+    shards, replication 2, hotness placement, least-loaded routing,
+    hedging, node 1 down over 25-60% of the horizon, 35% offered load;
+    750 requests an episode in smoke mode, 7,500 in full).
     """
-    num_requests = 5_000 if mode == "smoke" else 30_000
-    nodes, cores, call_ms, gather = 16, 4, 2.0, 2
-    interarrival_ms = gather * call_ms / (nodes * cores * 0.35)
-    horizon_ms = num_requests * interarrival_ms
-    arrivals = poisson_arrivals(
-        interarrival_ms, num_requests, SimConfig(seed=16).rng("bench:cluster16")
-    )
-    cluster = ClusterSim(
-        ClusterConfig(
-            num_nodes=nodes,
-            cores_per_node=cores,
-            mean_service_ms=call_ms,
-            num_shards=32,
-            replication=2,
-            gather_width=gather,
-            hop_ms=0.1,
-            call_timeout_ms=25.0,
-            deadline_ms=100.0,
-            placement="hotness",
-            routing="least_loaded",
-            hedge=HedgePolicy(quantile=95.0, min_ms=6.0, window=128),
-            faults=ClusterFaultPlan(
-                [NodeCrash(1, 0.25 * horizon_ms, 0.6 * horizon_ms)], seed=16
-            ),
-            seed=16,
-        )
-    )
+    episodes = _cluster_setup(DEFAULT_SEED, mode == "smoke")
+    num_requests = sum(arrivals.size for _, arrivals in episodes)
     rates = []
     for _ in range(repeats):
         start = time.perf_counter()
-        cluster.run(arrivals)
+        for cluster, arrivals in episodes:
+            cluster.run(arrivals)
         rates.append(num_requests * 60.0 / (time.perf_counter() - start))
     return [
         _wall("serving.cluster16.requests_per_min", median(rates), "req/min")

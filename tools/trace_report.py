@@ -18,8 +18,11 @@ Views:
 * with ``--metrics``: the per-stage CPI stack table and every latency
   histogram's count/mean/p50/p95/p99;
 * with ``--requests``: the slowest-N request timelines (every lifecycle
-  event, simulated ms) and the SLA-miss attribution table — queueing vs
-  slow service vs faults vs retries vs admission control;
+  event, simulated ms, and the fault windows each overlapped) and the
+  SLA-miss attribution table — admission control, partitions and node
+  faults for the requests that did not complete, and each late
+  completion's dominant critical-path segment (queue, service, penalty,
+  network, hedge wait, recovery, backoff);
 * with ``--fleet`` (needs a trace): the fleet view of a cluster trace —
   request outcomes, per-node attempt/hedge accounting, router decision
   counts, and the slowest request span envelopes (from the ``fleet.*``

@@ -137,7 +137,8 @@ def format_report(report: ExperimentReport) -> str:
 
 def logged_cluster_run(cluster, arrivals: np.ndarray):
     """Run ``cluster`` over ``arrivals`` with a request log, whatever
-    session is active; returns its result and records, each built once.
+    session is active; returns its result and its
+    :class:`~repro.obs.requests.RunLog`.
 
     The active session's request log is used when it has one; otherwise
     the run logs privately, keeping the session's tracer and metrics so
@@ -153,4 +154,4 @@ def logged_cluster_run(cluster, arrivals: np.ndarray):
         )
     with obs_hooks.session(obs):
         result = cluster.run(arrivals)
-    return result, list(obs.requests.runs[-1].records)
+    return result, obs.requests.runs[-1]

@@ -39,13 +39,10 @@ import json
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..config import SimConfig
-from ..obs.critpath import (
-    CallTable,
-    aggregate_profiles,
-    check_conservation,
-    extract_calls,
-)
+from ..obs.critpath import aggregate_profiles, check_conservation, extract_calls
 from ..obs.whatif import percentile, predict, whatif_record, within_bounds
 from ..serving.cluster import ClusterConfig, ClusterSim
 from ..serving.faults import ClusterFaultPlan, NodeCrash, NodeSlow
@@ -177,8 +174,8 @@ def run(
         horizon_ms, mean_service_ms, num_nodes, cores_per_node, num_shards
     )
     for scenario, cluster_cfg, knobs in scenarios:
-        _result, records = logged_cluster_run(ClusterSim(cluster_cfg), arrivals)
-        calls = CallTable.from_records(records)
+        _result, run = logged_cluster_run(ClusterSim(cluster_cfg), arrivals)
+        calls = run.records.lifecycles()
         paths = extract_calls(calls)
 
         violations = sum(1 for p in paths if check_conservation(p) != 0.0)
@@ -231,16 +228,10 @@ def run(
             actual: Optional[float] = None
             in_bounds: Optional[bool] = None
             if actual_cfg is not None:
-                _, actual_records = logged_cluster_run(
-                    ClusterSim(actual_cfg), arrivals
-                )
+                _, actual_run = logged_cluster_run(ClusterSim(actual_cfg), arrivals)
+                latency = actual_run.records.lifecycles().latency
                 actual = percentile(
-                    [
-                        float(r["latency_ms"])
-                        for r in actual_records
-                        if r.get("latency_ms") is not None
-                    ],
-                    tail_quantile,
+                    latency[~np.isnan(latency)].tolist(), tail_quantile
                 )
                 in_bounds = within_bounds(
                     f"{scenario}.{knob}",

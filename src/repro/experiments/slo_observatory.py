@@ -168,7 +168,9 @@ def run(
     detect_ok = True
     burn_shown = False
     for scenario, plan in scenarios:
-        result, records = simulate(scenario, plan)
+        result, run = simulate(scenario, plan)
+        # Record dicts only for the SLO timelines; the windows read columns.
+        records = list(run.records)
         fault_windows = plan.windows() if plan is not None else []
 
         slo_alert_count = 0
@@ -201,7 +203,8 @@ def run(
 
         monitor = FleetMonitor(num_nodes, warmup=_WARMUP_WINDOWS)
         events = monitor.run(
-            node_window_stats(records, window_ms, horizon_ms), window_ms
+            node_window_stats(run.records.lifecycles(), window_ms, horizon_ms),
+            window_ms,
         )
         log_lines.extend(alert_record(e, scenario) for e in events)
         score = score_detections(events, fault_windows, grace_ms)

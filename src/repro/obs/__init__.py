@@ -35,20 +35,16 @@ from .critpath import (
     check_conservation,
     extract_critical_path,
     extract_paths,
-    profile_records,
 )
 from .detect import (
     CompositionDriftDetector,
     DetectionEvent,
     MeanShiftDetector,
 )
-from .fleet import FleetSpan, check_span_tree, emit_spans, merge_spans
+from .fleet import FleetSpan, check_span_tree, emit_spans
 from .ids import (
     attempt_id,
-    parse_request_id,
-    parse_span_id,
     request_id,
-    request_of_span,
     route_id,
     slot_id,
 )
@@ -146,15 +142,10 @@ __all__ = [
     "load_history",
     "load_request_log",
     "make_record",
-    "merge_spans",
     "miss_attribution",
-    "parse_request_id",
-    "parse_span_id",
     "predict",
-    "profile_records",
     "publish_cpi_stack",
     "request_id",
-    "request_of_span",
     "route_id",
     "score_detections",
     "session",

@@ -26,8 +26,10 @@ segment taxonomy (:data:`SEGMENT_KINDS`), and builds a
   to the walk.
 * **cluster** (:func:`extract_calls`) — walks each request backward from
   its slowest gather slot over a :class:`CallTable`, the one parse of
-  cluster records' events (a row per shard call: slot, node, times,
-  outcome, and why it was sent).  The winning attempt splits into
+  cluster requests' events (a row per shard call: slot, node, times,
+  outcome, and why it was sent).  A live run hands the parser its own
+  event columns; record dicts (e.g. reloaded JSONL) go through the same
+  parser.  The winning attempt splits into
   ``network``, ``queue``, ``service`` and ``penalty``; a failover charges
   the attempt it replaced to ``recovery``, a hedge its armed delay to
   ``hedge_wait``.  The what-if engine and the fleet monitor read the
@@ -82,7 +84,6 @@ __all__ = [
     "extract_fast",
     "extract_lifecycles",
     "extract_paths",
-    "profile_records",
 ]
 
 #: Version stamp of the exported ``critpath_profile`` record shape.
@@ -532,7 +533,7 @@ class PathTable(Sequence[CriticalPath]):
 #: Why a shard call was sent, by code (:attr:`CallTable.call_via`).
 CALL_REASONS = ("primary", "failover", "hedge")
 _PRIMARY, _FAILOVER, _HEDGE = range(len(CALL_REASONS))
-#: The event kinds :meth:`CallTable.from_records` reads.
+#: The event kinds :meth:`CallTable.parse` reads.
 _CALL_LINES = ("shard_call", "call_ok", "call_failed", "hedge", "failover")
 
 
@@ -592,17 +593,33 @@ class CallTable:
 
     @classmethod
     def from_records(cls, records: Iterable[Dict[str, object]]) -> "CallTable":
-        """Parse the records with ``shards`` among ``records`` (live or
-        reloaded), in order: the one reader of a cluster record's events.
+        """Parse the records with ``shards`` among ``records`` (e.g.
+        reloaded JSONL), in order, through :meth:`parse`."""
+        return cls.parse(
+            (
+                rec["req"], rec["id"], rec["outcome"], rec["arrival_ms"],
+                rec["end_ms"], rec.get("latency_ms"), rec["shards"],
+                [(e.get("kind"), e.get("t_ms", 0.0), e) for e in rec.get("events", ())],
+            )
+            for rec in records
+            if rec.get("shards") is not None
+        )
 
-        A request's slots are its listed shards and any shard its lines
-        name.  An outcome belongs to its slot's unresolved call to the
-        same node (the router never sends a slot to a node twice), else
-        to a row of its own.  A call is a failover or a hedge when such a
-        line of its slot names its node and submit time.  A failover
-        replaced the slot's first call to fail at that instant, if sent
-        earlier (else the hedge rule decides); a hedge was armed by the
-        slot's latest call sent before it.
+    @classmethod
+    def parse(cls, requests: Iterable[tuple]) -> "CallTable":
+        """The one reader of cluster requests' events, live or reloaded.
+
+        Each request is ``(req, id, outcome, arrival, end, latency,
+        shards, events)`` (latency None or NaN: none), and each event a
+        ``(kind, t_ms, attrs)`` row in log order.  A request's slots are
+        its listed shards and any shard its lines name.  An outcome belongs
+        to its slot's unresolved call to the same node (the router never
+        sends a slot to a node twice), else to a row of its own.  A call
+        is a failover or a hedge when such a line of its slot names its
+        node and submit time.  A failover replaced the slot's first call
+        to fail at that instant, if sent earlier (else the hedge rule
+        decides); a hedge was armed by the slot's latest call sent before
+        it.
         """
         nan = float("nan")
         outcomes: Dict[str, int] = {}
@@ -610,16 +627,17 @@ class CallTable:
         heads: List[Tuple[int, str, int, float, float, float]] = []
         s_count, s_shard, s_listed, s_call, s_hedges = [], [], [], [], []
         hedge_q: List[float] = []
-        # Per call: slot, node, submit time, outcome line, its log position
-        # and time, cause code, and how it was sent (via, prev, q).
-        columns: Tuple[list, ...] = tuple([] for _ in range(10))
+        # Per call: slot, node, submit time, outcome attrs, whether it
+        # delivered, its log position and time, cause code, and how it
+        # was sent (via, prev, q).
+        columns: Tuple[list, ...] = tuple([] for _ in range(11))
         (
-            c_slot, c_node, c_submit, c_line, c_order, c_end, c_cause,
+            c_slot, c_node, c_submit, c_line, c_ok, c_order, c_end, c_cause,
             c_via, c_prev, c_q,
         ) = columns
 
         def call(node: int, t: float) -> int:
-            values = (-1, node, t, None, -1, nan, -1, _PRIMARY, -1, nan)
+            values = (-1, node, t, None, False, -1, nan, -1, _PRIMARY, -1, nan)
             for column, value in zip(columns, values):
                 column.append(value)
             return len(c_node) - 1
@@ -631,7 +649,7 @@ class CallTable:
                 if ("failover", shard, t, node) in marks:
                     fails = [
                         (c_order[f], f) for f in rows
-                        if c_end[f] == t and c_line[f]["kind"] == "call_failed"
+                        if c_end[f] == t and not c_ok[f]
                     ]
                     if fails and c_submit[min(fails)[1]] < t:
                         c_via[r], c_prev[r] = _FAILOVER, min(fails)[1]
@@ -643,33 +661,27 @@ class CallTable:
                     c_q[r] = marks[("hedge", shard, t, node)]
 
         position = count()  # of outcome lines in the log
-        for rec in records:
-            if rec.get("shards") is None:
-                continue
-            lat = rec.get("latency_ms")
+        for req, rid, name, arrival, end, lat, shards, events in requests:
             heads.append((
-                int(rec["req"]), str(rec["id"]),
-                outcomes.setdefault(str(rec["outcome"]), len(outcomes)),
-                float(rec["arrival_ms"]), float(rec["end_ms"]),
-                nan if lat is None else float(lat),
+                int(req), str(rid), outcomes.setdefault(str(name), len(outcomes)),
+                float(arrival), float(end), nan if lat is None else float(lat),
             ))
-            slots: Dict[int, List[int]] = {int(s): [] for s in rec["shards"]}
+            slots: Dict[int, List[int]] = {int(s): [] for s in shards}
             listed = set(slots)
             marks: Dict[Tuple, float] = {}
             hedges: Dict[int, int] = {}
             won: Dict[int, int] = {}  # shard -> its first delivery
             lost: Dict[int, int] = {}  # shard -> its last failure
-            for event in rec.get("events", ()):
-                shard = event.get("shard")
+            for kind, t, attrs in events:
+                shard = attrs.get("shard")
                 if shard is None:
                     continue
                 shard = int(shard)
                 rows = slots.setdefault(shard, [])
-                kind = event.get("kind")
                 if kind not in _CALL_LINES:
                     continue
-                t = float(event.get("t_ms", 0.0))
-                node = int(event["node"])
+                t = float(t)
+                node = int(attrs["node"])
                 if kind == "shard_call":
                     rows.append(call(node, t))
                 elif kind == "call_ok" or kind == "call_failed":
@@ -679,16 +691,17 @@ class CallTable:
                     else:
                         row = call(node, nan)
                         rows.append(row)
-                    c_line[row], c_order[row], c_end[row] = event, next(position), t
+                    c_line[row], c_order[row], c_end[row] = attrs, next(position), t
                     if kind == "call_ok":
+                        c_ok[row] = True
                         won.setdefault(shard, row)
                     else:
                         lost[shard] = row
-                        if event.get("cause"):
-                            cause = str(event["cause"])
+                        if attrs.get("cause"):
+                            cause = str(attrs["cause"])
                             c_cause[row] = causes.setdefault(cause, len(causes))
                 else:  # a hedge or a failover
-                    q = event.get("q_ms")
+                    q = attrs.get("q_ms")
                     marks[(kind, shard, t, node)] = nan if q is None else float(q)
                     if kind == "hedge":
                         hedges[shard] = hedges.get(shard, 0) + 1
@@ -705,9 +718,7 @@ class CallTable:
             s_count.append(len(slots))
 
         reqs, ids, outcome, arrival, end, latency = zip(*heads) if heads else [()] * 6
-        ok = np.array(
-            [line is not None and line["kind"] == "call_ok" for line in c_line], bool
-        )
+        ok = np.array(c_ok, dtype=bool)
         # What each delivery logged (None and absent read as NaN, an
         # absent latency as 0.0).
         logged = np.full((ok.size, 4), nan)
@@ -715,7 +726,7 @@ class CallTable:
         logged[ok] = np.array([
             (line.get("latency_ms", 0.0), line.get("queue_ms"),
              line.get("service_ms"), line.get("slow"))
-            for line, good in zip(c_line, ok.tolist()) if good
+            for line, good in zip(c_line, c_ok) if good
         ], dtype=np.float64).reshape(-1, 4)
 
         def ints(values, dtype=np.int64) -> np.ndarray:
@@ -905,16 +916,18 @@ def extract_paths(records: Sequence[Dict[str, object]]) -> PathTable:
 
     A run's lazy records (:attr:`repro.obs.requests.RunLog.records`) hand
     over their columns: a fast-path run's go to the closed form
-    :func:`extract_fast`, a resilient run's to :func:`extract_lifecycles`.
-    Otherwise cluster records (with ``shards``) go through a
+    :func:`extract_fast`, a resilient run's to :func:`extract_lifecycles`,
+    a cluster run's call table to :func:`extract_calls`; no record dict
+    is built.  Otherwise cluster records (with ``shards``) go through a
     :class:`CallTable`, single-box ones through a :class:`Lifecycles`
-    table, and a mix is merged back into record order.  A lazy cluster
-    run is read once, so it builds each record dict once.
+    table, and a mix is merged back into record order.
     """
     lifecycles = getattr(records, "lifecycles", None)
     columns = lifecycles() if lifecycles is not None else None
     if isinstance(columns, FastLifecycles):
         return extract_fast(columns)
+    if isinstance(columns, CallTable):
+        return extract_calls(columns)
     if columns is not None:
         return extract_lifecycles(columns)
     cluster = extract_calls(CallTable.from_records(records))
@@ -1049,14 +1062,3 @@ def aggregate_profiles(
             segments = {kind: total for _, kind, total in sorted(by_key[key])}
             emit(f"{prefix}:{key}", count, sum(segments.values()), segments)
     return profiles
-
-
-def profile_records(
-    records: Sequence[Dict[str, object]],
-    scenario: str = "",
-    tail_quantile: float = 99.0,
-) -> List[Dict[str, object]]:
-    """Extract + aggregate in one call (the emitters' entry point)."""
-    return aggregate_profiles(
-        extract_paths(records), scenario=scenario, tail_quantile=tail_quantile
-    )

@@ -21,16 +21,17 @@ OpenTelemetry) would collect from propagated trace context:
   attempt died (crash, partition, timeout).
 
 The cluster loop records plain rows while it runs and builds the
-:class:`FleetSpan` lists only after it drains
-(``repro.serving.cluster.ClusterSim._export``): router-side spans
-in one list, attempt spans per node — each node's own run log, as it
-were.  :func:`merge_spans` merges them deterministically (sorted by
-start time, span id as the tiebreak) while widening every parent to
-envelope its children, so a wasted hedge that delivers after the
-request finished still sits inside its parent's interval, and
-:func:`emit_spans` publishes the forest onto the tracer.  The invariant
-— every child inside its parent, no orphan parents — is what
-:func:`check_span_tree` verifies and the tests lock.
+:class:`FleetSpan` forest only after it drains
+(``repro.serving.cluster.ClusterSim._export``), as one list in the
+order it makes the spans.  A child never starts before its parent, so
+only ends need widening: when a call ends, its gather's and its
+request's ends rise to that time, and a wasted hedge that delivers
+after the request finished still sits inside its parents' intervals.
+The list is sorted once by start time, span id as the tiebreak, and
+:func:`emit_spans` publishes it onto the tracer.  The invariant — every
+child inside its parent, no orphan parents — is what
+:func:`check_span_tree` verifies, in the tests and in
+``tools/trace_report.py --validate``.
 
 Everything is simulated-time only.  With observation off the cluster
 loop records nothing, keeping the zero-cost contract: hooks-off cluster
@@ -40,7 +41,6 @@ results are byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -50,7 +50,6 @@ __all__ = [
     "FleetSpan",
     "check_span_tree",
     "emit_spans",
-    "merge_spans",
 ]
 
 #: Span kinds a fleet trace contains (also the trace-category suffixes).
@@ -75,50 +74,14 @@ class FleetSpan:
         return self.end_ms - self.start_ms
 
 
-def merge_spans(
-    router_spans: List[FleetSpan],
-    node_spans: Dict[int, List[FleetSpan]],
-) -> List[FleetSpan]:
-    """Envelope-widen parents, then merge all logs into one stable order.
-
-    The order — ``(start_ms, span_id)`` — depends only on simulated time
-    and the deterministic id scheme, so the merged trace is byte-stable
-    across hosts and ``--jobs`` regardless of how many per-node logs fed
-    it.
-    """
-    all_spans = list(router_spans)
-    for node in sorted(node_spans):
-        all_spans.extend(node_spans[node])
-    by_id = {span.span_id: span for span in all_spans}
-    # Children are created after their parents and ids nest by "/", so
-    # widening deepest first carries a late child up to its root in one
-    # pass.
-    for span in sorted(all_spans, key=_depth, reverse=True):
-        parent = by_id.get(span.parent_id)  # None for a root or an orphan
-        if parent is None:
-            continue
-        if span.start_ms < parent.start_ms:
-            parent.start_ms = span.start_ms
-        if span.end_ms > parent.end_ms:
-            parent.end_ms = span.end_ms
-    # By (start_ms, span_id): two stable sorts, cheaper than tuple keys.
-    all_spans.sort(key=attrgetter("span_id"))
-    all_spans.sort(key=attrgetter("start_ms"))
-    return all_spans
-
-
-def _depth(span: FleetSpan) -> int:
-    return span.span_id.count("/")
-
-
 def emit_spans(tracer, label: str, spans: List[FleetSpan]) -> None:
-    """Publish a merged span forest onto the tracer's simulated tracks.
+    """Publish a sorted span forest onto the tracer's simulated tracks.
 
     Router-side spans (request/gather/route) go on one ``fleet:...
     router`` track; each node's attempts go on its own ``fleet:...
     node{n}`` track — the Chrome-trace rendering of "per-node run logs
     merged with node attribution".  The spans go over as one columnar
-    batch, in merged order: each span's event is built only when the
+    batch, in list order: each span's event is built only when the
     trace is read.
     """
     if not spans:
@@ -156,7 +119,7 @@ def emit_spans(tracer, label: str, spans: List[FleetSpan]) -> None:
 
 
 def check_span_tree(spans: List[FleetSpan]) -> List[str]:
-    """Structural violations of a merged span forest (empty = healthy).
+    """Structural violations of a span forest (empty = healthy).
 
     Checks the tracing invariants the tests lock: every ``parent_id``
     resolves, every child lies within its parent's interval, attempts

@@ -6,23 +6,18 @@ it: the request-log JSONL line (``id``), the fleet span tree (root
 ``"{run}:{req}"``.  Slot (gather) and attempt spans extend the root id
 with ``/g{k}`` and ``/a{seq}`` suffixes, route decisions with ``/r{seq}``.
 
-This module is the single owner of that scheme — construction *and*
-parsing — so the cluster loop, the request log, and the offline tools
-(``tools/trace_report.py``, the critical-path extractor) can never drift
-apart on the format.  Everything is pure string work: no simulation
-state, no randomness.
+This module is the single owner of that scheme, so the cluster loop and
+the request log can never drift apart on the format.  Readers never
+parse an id: a span's parent is named in its ``parent_id``, and a
+request's id is its JSONL line's ``id``.  Everything is pure string
+work: no simulation state, no randomness.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 __all__ = [
     "attempt_id",
-    "parse_request_id",
-    "parse_span_id",
     "request_id",
-    "request_of_span",
     "route_id",
     "slot_id",
 ]
@@ -31,14 +26,6 @@ __all__ = [
 def request_id(run: int, req: int) -> str:
     """The exemplar id of request ``req`` in run ``run``: ``"run:req"``."""
     return f"{run}:{req}"
-
-
-def parse_request_id(rid: str) -> Tuple[int, int]:
-    """Invert :func:`request_id`; raises ``ValueError`` on malformed ids."""
-    run_s, _, req_s = rid.partition(":")
-    if not req_s:
-        raise ValueError(f"malformed request id {rid!r}; expected 'run:req'")
-    return int(run_s), int(req_s)
 
 
 def slot_id(root: str, k: int) -> str:
@@ -54,38 +41,3 @@ def route_id(slot: str, seq: int) -> str:
 def attempt_id(slot: str, seq: int) -> str:
     """The span id of attempt ``seq`` under gather span ``slot``."""
     return f"{slot}/a{seq}"
-
-
-def request_of_span(span_id: str) -> str:
-    """The root (request) id a fleet span id belongs to.
-
-    Works for any depth: ``"0:17/g1/a0"`` -> ``"0:17"``; a root id maps
-    to itself.
-    """
-    return span_id.split("/", 1)[0]
-
-
-def parse_span_id(
-    span_id: str,
-) -> Tuple[int, int, Optional[int], Optional[str], Optional[int]]:
-    """Decompose a fleet span id into ``(run, req, slot, kind, seq)``.
-
-    ``slot`` is the gather index (None for a root id); ``kind`` is
-    ``"g"`` for the gather span itself, ``"r"`` for a route decision,
-    ``"a"`` for an attempt (None for a root); ``seq`` is the route or
-    attempt sequence number (None for roots and gathers).  Raises
-    ``ValueError`` on ids outside the scheme.
-    """
-    parts = span_id.split("/")
-    run, req = parse_request_id(parts[0])
-    if len(parts) == 1:
-        return run, req, None, None, None
-    if len(parts) > 3 or not parts[1].startswith("g"):
-        raise ValueError(f"malformed span id {span_id!r}")
-    slot = int(parts[1][1:])
-    if len(parts) == 2:
-        return run, req, slot, "g", None
-    tail = parts[2]
-    if not tail or tail[0] not in ("r", "a"):
-        raise ValueError(f"malformed span id {span_id!r}")
-    return run, req, slot, tail[0], int(tail[1:])

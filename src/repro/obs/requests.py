@@ -17,8 +17,8 @@ only when read, and the critical-path extractor reads the columns
 directly, so a log nobody exports costs little beyond the arrays.  A
 cluster run is stored the same way: after its loop its events go in as
 columns (:meth:`RunLog.extend_events`) and its per-request values as
-one call (:meth:`RunLog.finish_cluster`), and its record dicts are
-built on read too.
+one call (:meth:`RunLog.finish_cluster`); its record dicts are built on
+read too, and its call table is parsed from the columns, not from them.
 
 Everything recorded is **simulated time only** — no wall clocks — so the
 export is byte-identical for a given seed and fault plan regardless of
@@ -39,6 +39,7 @@ import json
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import (
     Collection, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
 )
@@ -46,8 +47,8 @@ from typing import (
 import numpy as np
 
 from .critpath import (
-    LIFECYCLE_CODES, SEGMENT_KINDS, FastLifecycles, Lifecycles, bottleneck,
-    extract_critical_path, extract_paths,
+    LIFECYCLE_CODES, SEGMENT_KINDS, CallTable, FastLifecycles, Lifecycles,
+    bottleneck, extract_critical_path, extract_paths,
 )
 from .ids import request_id
 
@@ -163,11 +164,12 @@ class RunRecords(Sequence[Dict[str, object]]):
         for i in range(len(self)):
             yield self._run._record_at(i)
 
-    def lifecycles(self) -> Union[Lifecycles, FastLifecycles, None]:
-        """The run's lifecycle columns: a :class:`FastLifecycles` for a
-        fast-path run, a :class:`Lifecycles` for a resilient one, None
-        for a cluster run (its records are parsed into a
-        :class:`~repro.obs.critpath.CallTable`)."""
+    def lifecycles(self) -> Union[Lifecycles, FastLifecycles, CallTable, None]:
+        """The run's columns as the critical path reads them: a
+        :class:`FastLifecycles` for a fast-path run, a :class:`Lifecycles`
+        for a resilient one, a :class:`~repro.obs.critpath.CallTable` for
+        a cluster one (None before the run finishes).  No record dict is
+        built."""
         return self._run._lifecycles()
 
 
@@ -346,7 +348,7 @@ class RunLog:
             ptr = np.concatenate(([0], np.cumsum(counts)))
             rows = rows[: ptr[-1]]
             code = np.array(
-                [LIFECYCLE_CODES.get(kind, -1) for kind in self._ev_kind],
+                list(map(LIFECYCLE_CODES.get, self._ev_kind, repeat(-1))),
                 dtype=np.int64,
             )[rows]
             t = np.array(self._ev_t, dtype=np.float64)[rows]
@@ -367,9 +369,11 @@ class RunLog:
             cols.end = end
         return cols.end[: self._kept]
 
-    def _lifecycles(self) -> Union[Lifecycles, FastLifecycles, None]:
+    def _lifecycles(self) -> Union[Lifecycles, FastLifecycles, CallTable, None]:
         cols = self._cols
-        if not isinstance(cols, _Columns):
+        if isinstance(cols, _ClusterColumns):
+            return CallTable.parse(self._cluster_requests())
+        if cols is None:
             return None
         k = self._kept
         if cols.outcome is None:
@@ -418,6 +422,30 @@ class RunLog:
             arrival=cols.arrival[:k], end=self._end(), node=node,
             ev_ptr=ptr, ev_kind=kind, ev_t=t, ev_mult=ev_mult,
         )
+
+    def _cluster_requests(self) -> Iterator[tuple]:
+        """The kept requests of a cluster run as :meth:`CallTable.parse`
+        reads them: the log's own columns and event rows, grouped."""
+        cols = self._cols
+        k = self._kept
+        rows, ptr, _, _ = self._grouped()
+        table = list(zip(self._ev_kind, self._ev_t, self._ev_attrs))
+        events = list(map(table.__getitem__, rows.tolist()))
+        bounds = ptr.tolist()
+        names = cols.outcome_names
+        outcome = cols.outcome[:k]
+        arrival, end = cols.arrival[:k], cols.end[:k]
+        # Completed and degraded requests log a latency (NaN: none).
+        has_latency = np.array([n in ("completed", "degraded") for n in names])
+        latency = np.where(has_latency[outcome], end - arrival, np.nan)
+        for i, (code, a, e, lat, shards) in enumerate(zip(
+            outcome.tolist(), arrival.tolist(), end.tolist(), latency.tolist(),
+            cols.shards[:k].tolist(),
+        )):
+            yield (
+                i, self.exemplar_id(i), names[code], a, e, lat, shards,
+                events[bounds[i] : bounds[i + 1]],
+            )
 
     # -- records ---------------------------------------------------------------
 

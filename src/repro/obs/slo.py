@@ -36,7 +36,7 @@ the record list, so a given log grades identically on every host.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -355,12 +355,12 @@ def burn_summary(
 
 
 def node_window_stats(
-    records: Union[Sequence[Dict[str, object]], CallTable],
+    calls: CallTable,
     window_ms: float,
     horizon_ms: Optional[float] = None,
 ) -> List[Dict[int, Dict[str, float]]]:
-    """Bucket the shard calls of a request log (or its
-    :class:`~repro.obs.critpath.CallTable`) into (window, node) cells.
+    """Bucket the shard calls of a run's
+    :class:`~repro.obs.critpath.CallTable` into (window, node) cells.
 
     Returns one dict per window mapping node id to ``{"calls", "ok",
     "failed", "lat_sum"}`` — the raw material for per-node error-rate and
@@ -370,9 +370,6 @@ def node_window_stats(
     """
     if window_ms <= 0:
         raise ConfigError("window must be positive")
-    calls = records
-    if not isinstance(calls, CallTable):
-        calls = CallTable.from_records(records)
     sent = np.flatnonzero(~np.isnan(calls.call_submit))
     done = np.flatnonzero(calls.call_order >= 0)
     done = done[np.argsort(calls.call_order[done])]  # outcomes in log order

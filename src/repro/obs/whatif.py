@@ -1,6 +1,6 @@
 """Counterfactual what-if engine: re-time logged requests, no re-simulation.
 
-Given one observed cluster run (its request-log records and the
+Given one observed cluster run (its call table and the
 :class:`~repro.serving.cluster.ClusterConfig` that produced it), predict
 what the latency distribution *would have been* under a modified knob —
 without running the event loop again.  This is the cheap objective
@@ -49,7 +49,7 @@ matching how the acceptance suites score actual re-runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -324,7 +324,7 @@ def _cat_partition(calls: CallTable, config, value: float):
 
 
 def predict(
-    records: Union[Sequence[Dict[str, object]], CallTable],
+    calls: CallTable,
     config,
     knob: str,
     value: float,
@@ -332,9 +332,10 @@ def predict(
 ) -> WhatIfPrediction:
     """Predict the latency percentile under one knob change.
 
-    ``records`` is one observed cluster run's request log, or its
-    :class:`~repro.obs.critpath.CallTable` (records without ``shards``
-    are not read); ``config`` the
+    ``calls`` is one observed cluster run's
+    :class:`~repro.obs.critpath.CallTable` (a live run's
+    ``records.lifecycles()``, or ``CallTable.from_records`` of a reloaded
+    log); ``config`` the
     :class:`~repro.serving.cluster.ClusterConfig` that produced it (never
     mutated).  ``value`` is knob-specific: the new floor for
     ``hedge_min_ms``, the replica delta for ``replication_delta``, the
@@ -345,9 +346,6 @@ def predict(
     """
     if knob not in KNOBS:
         raise ValueError(f"unknown what-if knob {knob!r}; known: {KNOBS}")
-    calls = records
-    if not isinstance(calls, CallTable):
-        calls = CallTable.from_records(records)
     retime = {
         "hedge_min_ms": _hedge_floor, "replication_delta": _replication,
         "gather_width": _gather, "extra_cores": _extra_cores,

@@ -47,7 +47,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, count, repeat
-from operator import add
+from operator import add, attrgetter
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, TYPE_CHECKING
 
 import numpy as np
@@ -55,7 +55,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..obs import hooks as obs_hooks
 from ..obs import ids
-from ..obs.fleet import FleetSpan, emit_spans, merge_spans
+from ..obs.fleet import FleetSpan, emit_spans
 from ..obs.metrics import Histogram
 from .faults import ClusterFaultPlan
 from .router import HealthPolicy, HealthTracker, HedgePolicy, LatencyWindow, Router
@@ -1165,7 +1165,10 @@ class ClusterSim:
         events and tallies, handed to the log as columns.  A slot
         settles on its first delivery (the winner) or on a primary or
         failover decision that found no replica; a request closes when
-        its last slot settles.  Returns the run's
+        its last slot settles.  The rows run in time order and no span
+        starts before its parent, so the forest is one list: a call's
+        end raises its gather's and its request's, and the list is
+        sorted once by ``(start_ms, span_id)``.  Returns the run's
         :class:`RunLog`, or None when the observation holds no request
         log.
         """
@@ -1182,15 +1185,14 @@ class ClusterSim:
         )
         logged = run is not None
 
-        # The span tree: router-side spans in one list, attempts per node.
+        # The span forest, in the order its spans are made.
         run_index = run.index if logged else 0
         roots = [
             FleetSpan(ids.request_id(run_index, i), None, f"req[{i}]",
                       "request", None, t, t)
             for i, t in enumerate(arrivals)
         ]
-        router_spans: List[FleetSpan] = list(roots)
-        node_spans: Dict[int, List[FleetSpan]] = {}
+        spans: List[FleetSpan] = list(roots)
         gathers: List[Optional[FleetSpan]] = [None] * (n * width)
         routes_of = [0] * (n * width)
         attempts_of = [0] * (n * width)
@@ -1236,8 +1238,8 @@ class ClusterSim:
             code = outcomes[req]
             root = roots[req]
             root.end_ms = t
-            # outcome_ms is the SLO-visible finish; merging may stretch the
-            # span later to cover a hedge still in flight.
+            # outcome_ms is the SLO-visible finish; a hedge still in flight
+            # may stretch the span later.
             root.attrs = {
                 "outcome": CLUSTER_OUTCOME_NAMES[code],
                 "outcome_ms": float(t),
@@ -1258,11 +1260,11 @@ class ClusterSim:
                         ids.slot_id(rid, k), rid, f"gather[{shard}]",
                         "gather", None, t, t, {"shard": shard},
                     )
-                    router_spans.append(gather)
+                    spans.append(gather)
                 gid = gathers[sid].span_id
                 seq = routes_of[sid]
                 routes_of[sid] = seq + 1
-                router_spans.append(FleetSpan(
+                spans.append(FleetSpan(
                     ids.route_id(gid, seq), gid, f"route:{reason}", "route",
                     chosen, t, t,
                     {
@@ -1297,7 +1299,7 @@ class ClusterSim:
                     ids.attempt_id(gid, seq), gid, f"attempt@n{node}",
                     "attempt", node, t, t, {"hedge": is_hedge},
                 )
-                node_spans.setdefault(node, []).append(span)
+                spans.append(span)
                 if logged:
                     req = sid // width
                     event(req, "shard_call", t, {
@@ -1323,7 +1325,7 @@ class ClusterSim:
                     })
                 winner = "outcome" not in gathers[sid].attrs
                 span = attempts[aid]
-                span.end_ms = t
+                span.end_ms = gathers[sid].end_ms = roots[sid // width].end_ms = t
                 span.attrs.update(
                     outcome="ok", latency_ms=latency, winner=winner,
                     queue_ms=queue_ms, service_ms=service_ms, slow=slow,
@@ -1341,7 +1343,7 @@ class ClusterSim:
                         "cause": cause, "hedge": is_hedge,
                     })
                 span = attempts[aid]
-                span.end_ms = t
+                span.end_ms = gathers[sid].end_ms = roots[req].end_ms = t
                 span.attrs.update(outcome="failed", cause=cause)
                 if cause == "partition":
                     partition[req] = True
@@ -1384,7 +1386,8 @@ class ClusterSim:
                 hedges_wasted=hedges_wasted,
                 tracer=obs.tracer,
             )
-        emit_spans(obs.tracer, label, merge_spans(router_spans, node_spans))
+        spans.sort(key=attrgetter("start_ms", "span_id"))
+        emit_spans(obs.tracer, label, spans)
         return run
 
     def _publish(self, result: ClusterResult, plan, obs, run=None) -> None:

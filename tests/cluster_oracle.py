@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.obs import hooks as obs_hooks
 from repro.obs import ids
-from repro.obs.fleet import FleetSpan, merge_spans
+from repro.obs.fleet import FleetSpan
 from repro.serving.cluster import (
     CL_COMPLETED,
     CL_DEGRADED,
@@ -91,6 +91,33 @@ class LatencyWindow:
         hi = min(lo + 1, len(data) - 1)
         frac = rank - lo
         return data[lo] + (data[hi] - data[lo]) * frac
+
+
+def merge_spans(
+    router_spans: List[FleetSpan],
+    node_spans: Dict[int, List[FleetSpan]],
+) -> List[FleetSpan]:
+    """Envelope-widen parents, then merge all logs into one stable order.
+
+    A frozen copy of the merge the package once ran: every parent widened
+    to its children's interval, deepest first, then everything sorted by
+    ``(start_ms, span_id)``.
+    """
+    all_spans = list(router_spans)
+    for node in sorted(node_spans):
+        all_spans.extend(node_spans[node])
+    by_id = {span.span_id: span for span in all_spans}
+    for span in sorted(all_spans, key=lambda s: s.span_id.count("/"), reverse=True):
+        parent = by_id.get(span.parent_id)  # None for a root or an orphan
+        if parent is None:
+            continue
+        if span.start_ms < parent.start_ms:
+            parent.start_ms = span.start_ms
+        if span.end_ms > parent.end_ms:
+            parent.end_ms = span.end_ms
+    all_spans.sort(key=lambda s: s.span_id)
+    all_spans.sort(key=lambda s: s.start_ms)
+    return all_spans
 
 
 class FleetTrace:

@@ -8,6 +8,7 @@ columnar extractors, which must match them bit for bit: segment kinds,
 durations, nodes, shards and causes.
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -18,6 +19,7 @@ import pytest
 
 import cluster_oracle
 import serving_oracle
+import test_cluster_flatloop
 from repro.obs.critpath import (
     LIFECYCLE_CODES,
     CallTable,
@@ -26,12 +28,12 @@ from repro.obs.critpath import (
     Lifecycles,
     PathTable,
     Segment,
+    aggregate_profiles,
     check_conservation,
     extract_critical_path,
     extract_fast,
     extract_lifecycles,
     extract_paths,
-    profile_records,
 )
 from repro.obs.hooks import Observation, session
 from repro.obs.metrics import Histogram
@@ -367,7 +369,8 @@ def _export_hashes(
         for key, path in paths.items()
     }
     profiles = [
-        profile_records(run.records, scenario=run.label) for run in obs.requests.runs
+        aggregate_profiles(extract_paths(run.records), scenario=run.label)
+        for run in obs.requests.runs
     ]
     out["profiles"] = hashlib.sha256(json.dumps(profiles).encode()).hexdigest()
     return out
@@ -550,9 +553,9 @@ def oracle_node_window_stats(records, window_ms: float):
 def test_node_window_stats_matches_oracle(window_ms):
     """Counts and latency sums bit for bit: sums add in log order."""
     for run in _logged("cluster", "fast").requests.runs:
-        records = list(run.records)
-        assert node_window_stats(records, window_ms) == oracle_node_window_stats(
-            records, window_ms
+        calls = run.records.lifecycles()
+        assert node_window_stats(calls, window_ms) == oracle_node_window_stats(
+            list(run.records), window_ms
         )
 
 
@@ -570,18 +573,59 @@ def test_cluster_readers_same_from_live_and_reloaded_records(tmp_path):
     }
     assert set(values) == set(KNOBS)
     for run, config in zip(obs.requests.runs, _cluster_configs(float(arrivals[-1]))):
-        live = run.records
         loaded = [rec for rec in reloaded if rec["run"] == run.index]
-        assert [_fingerprint(p) for p in extract_paths(live)] == [
+        assert [_fingerprint(p) for p in extract_paths(run.records)] == [
             _fingerprint(p) for p in extract_paths(loaded)
         ]
-        assert node_window_stats(live, 5.0) == node_window_stats(loaded, 5.0)
-        for knob, value in values.items():
+        live, parsed = run.records.lifecycles(), CallTable.from_records(loaded)
+        assert node_window_stats(live, 5.0) == node_window_stats(parsed, 5.0)
+        for knob, value in {**values, "gather_width": 3}.items():
             assert predict(live, config, knob, value) == predict(
-                loaded, config, knob, value
+                parsed, config, knob, value
             )
-        assert predict(live, config, "gather_width", 3) == predict(
-            CallTable.from_records(loaded), config, "gather_width", 3
+
+
+def _assert_same_calls(got: CallTable, want: CallTable) -> None:
+    """Column for column: arrays by dtype and bytes (so NaN positions
+    too), ids and name lists by value."""
+    for f in dataclasses.fields(CallTable):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+        elif f.name == "ids":
+            assert [a(i) for i in range(len(got))] == [b(i) for i in range(len(want))]
+        else:
+            assert list(a) == list(b), f.name
+
+
+def _one_parser_session(case):
+    """An observed cluster session: the pinned ``cluster`` session, whole
+    or cut by a log bound, or one flat-loop fuzz case."""
+    if case == "cluster":
+        return _logged("cluster", "fast")
+    if case == "cluster_bounded":
+        return _logged("cluster", "fast", RequestLog(max_requests=CLUSTER_N + 150))
+    config, arrivals = test_cluster_flatloop._fuzz_case(case)
+    obs = Observation(requests=RequestLog())
+    with session(obs):
+        ClusterSim(config).run(arrivals)
+    return obs
+
+
+@pytest.mark.parametrize("case", ["cluster", "cluster_bounded", *range(30)])
+def test_live_call_table_is_the_parse_of_its_records(case, tmp_path):
+    """One parser: a live run hands its own columns to ``CallTable.parse``
+    and gets the table its record dicts and its reloaded JSONL parse to."""
+    obs = _one_parser_session(case)
+    path = tmp_path / "req.jsonl"
+    obs.requests.to_jsonl(path)
+    _, reloaded = load_request_log(path)
+    for run in obs.requests.runs:
+        live = run.records.lifecycles()
+        assert isinstance(live, CallTable) and len(live) == len(run.records)
+        _assert_same_calls(live, CallTable.from_records(list(run.records)))
+        _assert_same_calls(
+            live, CallTable.from_records(r for r in reloaded if r["run"] == run.index)
         )
 
 
@@ -714,7 +758,14 @@ def test_cluster_run_builds_no_record_until_read(monkeypatch, tmp_path):
     obs.metrics.to_jsonl(tmp_path / "metrics.jsonl")
     assert built == []  # the run, its request spans and its exemplars
     records = obs.requests.runs[0].records
-    assert len(records) == CLUSTER_N and records.lifecycles() is None
+    calls = records.lifecycles()
+    assert len(records) == len(calls) == CLUSTER_N
+    # The readers take the run's columns: critical paths, what-if, windows.
+    config = _cluster_configs(float(_cluster_arrivals()[-1]))[0]
+    assert len(extract_paths(records)) == CLUSTER_N
+    assert predict(calls, config, "hedge_min_ms", 0.5).requests
+    assert node_window_stats(calls, 5.0)
+    assert built == []
     assert records[5]["shards"] and built == [5]
 
 

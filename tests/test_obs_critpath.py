@@ -16,7 +16,6 @@ from repro.obs.critpath import (
     check_conservation,
     extract_critical_path,
     extract_paths,
-    profile_records,
 )
 from repro.obs.hooks import Observation
 from repro.obs.requests import RequestLog
@@ -146,7 +145,9 @@ class TestConservation:
 
 class TestProfiles:
     def test_profiles_cover_overall_tail_nodes_shards(self):
-        profiles = profile_records(_cluster_records(), scenario="t")
+        profiles = aggregate_profiles(
+            extract_paths(_cluster_records()), scenario="t"
+        )
         scopes = {p["scope"] for p in profiles}
         assert "overall" in scopes
         assert any(s.startswith("tail_p") for s in scopes)
@@ -154,7 +155,8 @@ class TestProfiles:
         assert any(s.startswith("shard:") for s in scopes)
 
     def test_profiles_are_schema_valid(self):
-        for rec in profile_records(_cluster_records(), scenario="t"):
+        paths = extract_paths(_cluster_records())
+        for rec in aggregate_profiles(paths, scenario="t"):
             assert validate_def(rec, SCHEMA, "critpath_record") == []
 
     def test_schema_bottleneck_is_a_segment_kind(self):
@@ -162,14 +164,17 @@ class TestProfiles:
         empty profile)."""
         bottleneck = SCHEMA["$defs"]["critpath_record"]["properties"]["bottleneck"]
         assert bottleneck["enum"] == [*SEGMENT_KINDS, None]
-        rec = profile_records(_cluster_records(), scenario="t")[0]
+        paths = extract_paths(_cluster_records())
+        rec = aggregate_profiles(paths, scenario="t")[0]
         assert validate_def({**rec, "bottleneck": "queueing"}, SCHEMA,
                             "critpath_record") != []
 
     def test_tail_profile_is_subset_of_overall(self):
         profiles = {
             p["scope"]: p
-            for p in profile_records(_cluster_records(), tail_quantile=99.0)
+            for p in aggregate_profiles(
+                extract_paths(_cluster_records()), tail_quantile=99.0
+            )
         }
         tail = profiles["tail_p99"]
         overall = profiles["overall"]
@@ -177,7 +182,7 @@ class TestProfiles:
         assert tail["total_ms"] <= overall["total_ms"]
 
     def test_segment_sums_reconcile_per_profile(self):
-        for rec in profile_records(_cluster_records()):
+        for rec in aggregate_profiles(extract_paths(_cluster_records())):
             assert sum(rec["segments"].values()) == pytest.approx(
                 rec["total_ms"]
             )

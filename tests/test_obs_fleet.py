@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from cluster_oracle import FleetTrace
+from cluster_oracle import FleetTrace, merge_spans
 from repro.config import SimConfig
 from repro.obs import hooks as obs_hooks
-from repro.obs.fleet import FleetSpan, check_span_tree, merge_spans
+from repro.obs.fleet import FleetSpan, check_span_tree
 from repro.obs.hooks import Observation
 from repro.obs.requests import RequestLog
 from repro.serving.cluster import ClusterConfig, ClusterSim
@@ -114,6 +114,42 @@ class TestSpanTree:
         assert exemplar_ids <= {rec["id"] for rec in run.records}
         assert len(exemplar_ids) > 0
 
+    def test_late_wasted_hedge_nests_in_widened_parents(self):
+        """A hedge that delivers after its request closed still sits
+        inside its gather and its root; the forest is in (start, span id)
+        order, with one root per request, one gather per admitted slot and
+        one attempt per call."""
+        result, obs = _observed_run()
+        records = list(obs.requests.runs[-1].records)
+        forest = [e for e in obs.tracer.events if e.category.startswith("fleet.")]
+        order = [(e.ts, e.args["span_id"]) for e in forest]
+        assert order == sorted(order)
+        spans = {e.args["span_id"]: e for e in forest}
+        kinds = [e.category for e in spans.values()]
+        admitted = sum(rec["outcome"] != "shed" for rec in records)
+        calls = sum(
+            e["kind"] == "shard_call" for rec in records for e in rec["events"]
+        )
+        assert kinds.count("fleet.request") == len(records)
+        assert len(records) == result.offered_requests
+        assert kinds.count("fleet.gather") == admitted * _config().gather_width
+        assert kinds.count("fleet.attempt") == calls
+        late = []
+        for e in spans.values():
+            if e.category != "fleet.attempt" or not e.args["hedge"]:
+                continue
+            gather = spans[e.args["parent_id"]]
+            root = spans[gather.args["parent_id"]]
+            wasted = e.args.get("winner") is False
+            if wasted and e.ts + e.dur > root.args["outcome_ms"]:
+                late.append((e, gather, root))
+        assert late, "no wasted hedge delivered after its request closed"
+        for attempt, gather, root in late:
+            for child, parent in ((attempt, gather), (gather, root)):
+                assert parent.ts <= child.ts
+                assert child.ts + child.dur <= parent.ts + parent.dur
+            assert root.ts + root.dur > root.args["outcome_ms"]
+
 
 class TestZeroCost:
     def test_hooks_off_byte_identical_to_hooks_on(self):
@@ -144,6 +180,9 @@ class TestZeroCost:
 
 
 class TestMergeSpans:
+    """The oracle's frozen merge (``cluster_oracle.merge_spans``), the
+    reference the package's span forest is compared to byte for byte."""
+
     def _span(self, sid, parent, kind, node, start, end):
         return FleetSpan(sid, parent, sid, kind, node, start, end)
 
@@ -164,6 +203,13 @@ class TestMergeSpans:
         merged = merge_spans([a, b, c], {})
         assert [s.span_id for s in merged] == ["0:2", "0:0", "0:1"]
 
+
+class TestMalformedTrees:
+    """check_span_tree on the broken shapes a buggy recorder could emit."""
+
+    def _span(self, sid, parent, kind, node, start, end, **attrs):
+        return FleetSpan(sid, parent, sid, kind, node, start, end, dict(attrs))
+
     def test_check_span_tree_flags_violations(self):
         orphan = self._span("0:0/g9", "0:missing", "gather", None, 0.0, 1.0)
         negative = self._span("0:1", None, "request", None, 5.0, 4.0)
@@ -174,13 +220,6 @@ class TestMergeSpans:
         assert "orphan" in text
         assert "negative duration" in text
         assert "attempt without a node" in text
-
-
-class TestMalformedTrees:
-    """check_span_tree on the broken shapes a buggy recorder could emit."""
-
-    def _span(self, sid, parent, kind, node, start, end, **attrs):
-        return FleetSpan(sid, parent, sid, kind, node, start, end, dict(attrs))
 
     def test_orphaned_hedge_attempt_is_flagged(self):
         # A hedge attempt whose gather span was never recorded: the

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigError
+from repro.obs.critpath import CallTable
 from repro.obs.detect import DetectionEvent
 from repro.obs.schema import validate_def
 from repro.obs.slo import (
@@ -158,7 +159,9 @@ class TestNodeWindowStats:
             _cluster_rec(1, 3.5, _call_events(1.5, 0)),
             _cluster_rec(2, 14.0, _call_events(12.0, 1, ok=False)),
         ]
-        windows = node_window_stats(records, window_ms=10.0, horizon_ms=20.0)
+        windows = node_window_stats(
+            CallTable.from_records(records), window_ms=10.0, horizon_ms=20.0
+        )
         assert len(windows) == 2
         assert windows[0][0]["ok"] == 2
         assert windows[0][0]["failed"] == 0

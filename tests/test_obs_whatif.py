@@ -11,6 +11,7 @@ import whatif_oracle
 from repro.config import SimConfig
 from repro.errors import ConfigError
 from repro.obs import hooks as obs_hooks
+from repro.obs.critpath import CallTable
 from repro.obs.hooks import Observation
 from repro.obs.regress import Benchmark, compare, make_record
 from repro.obs.requests import RequestLog
@@ -72,6 +73,11 @@ def _observed_records(config):
     with obs_hooks.session(obs):
         ClusterSim(config).run(_arrivals())
     return obs.requests.runs[-1].records
+
+
+def _observed_calls(config):
+    """The logged run's call table, from its own columns."""
+    return _observed_records(config).lifecycles()
 
 
 def _rerun_p99(config):
@@ -186,10 +192,11 @@ def test_predict_matches_record_walking_oracle(scenario):
     """Every knob re-timed from the call table's columns matches the
     per-record slot walk bit for bit, re-timed latencies included."""
     config = scenario()
-    records = list(_observed_records(config))
+    live = _observed_records(config)
+    records, calls = list(live), live.lifecycles()
     for knob, values in ORACLE_VALUES.items():
         for value in values:
-            assert predict(records, config, knob, value) == whatif_oracle.predict(
+            assert predict(calls, config, knob, value) == whatif_oracle.predict(
                 records, config, knob, value
             ), (knob, value)
 
@@ -197,13 +204,13 @@ def test_predict_matches_record_walking_oracle(scenario):
 class TestPredict:
     def test_unknown_knob_raises(self):
         with pytest.raises(ValueError, match="unknown what-if knob"):
-            predict([], _noisy_config(), "magic", 1.0)
+            predict(CallTable.from_records([]), _noisy_config(), "magic", 1.0)
         assert "hedge_min_ms" in KNOBS
 
     def test_baseline_is_logged_p99(self):
         config = _noisy_config()
         records = _observed_records(config)
-        pred = predict(records, config, "hedge_min_ms", 6.0)
+        pred = predict(records.lifecycles(), config, "hedge_min_ms", 6.0)
         logged = [
             r["latency_ms"] for r in records if r["latency_ms"] is not None
         ]
@@ -216,7 +223,7 @@ class TestPredict:
     def test_hedge_floor_prediction_matches_rerun(self):
         config = _noisy_config()
         pred = predict(
-            _observed_records(config), config, "hedge_min_ms", 6.0
+            _observed_calls(config), config, "hedge_min_ms", 6.0
         )
         actual = _rerun_p99(
             replace(config, hedge=replace(config.hedge, min_ms=6.0))
@@ -229,7 +236,7 @@ class TestPredict:
     def test_replication_delta_prediction_matches_rerun(self):
         config = _kill_config()
         pred = predict(
-            _observed_records(config), config, "replication_delta", 1.0
+            _observed_calls(config), config, "replication_delta", 1.0
         )
         actual = _rerun_p99(replace(config, replication=2))
         assert within_bounds(
@@ -240,7 +247,7 @@ class TestPredict:
     def test_gather_width_prediction_matches_rerun(self):
         config = _kill_config()
         pred = predict(
-            _observed_records(config), config, "gather_width", 1.0
+            _observed_calls(config), config, "gather_width", 1.0
         )
         actual = _rerun_p99(replace(config, gather_width=1))
         assert within_bounds(
@@ -251,16 +258,16 @@ class TestPredict:
     def test_extra_cores_is_estimate_only_and_helps(self):
         config = _noisy_config()
         pred = predict(
-            _observed_records(config), config, "extra_cores", 4.0
+            _observed_calls(config), config, "extra_cores", 4.0
         )
         assert pred.estimated  # never gated: queue-scaling heuristic
         assert pred.predicted <= pred.baseline
 
     def test_prediction_is_deterministic(self):
         config = _noisy_config()
-        records = _observed_records(config)
-        a = predict(records, config, "hedge_min_ms", 6.0)
-        b = predict(records, config, "hedge_min_ms", 6.0)
+        calls = _observed_calls(config)
+        a = predict(calls, config, "hedge_min_ms", 6.0)
+        b = predict(calls, config, "hedge_min_ms", 6.0)
         assert a.predicted == b.predicted
         assert a.latencies_ms == b.latencies_ms
 
@@ -269,7 +276,7 @@ class TestRecords:
     def test_whatif_record_is_schema_valid(self):
         config = _noisy_config()
         pred = predict(
-            _observed_records(config), config, "hedge_min_ms", 6.0
+            _observed_calls(config), config, "hedge_min_ms", 6.0
         )
         rec = whatif_record(
             pred, scenario="noisy", actual=pred.predicted, in_bounds=True
@@ -279,7 +286,7 @@ class TestRecords:
     def test_record_allows_unvalidated_predictions(self):
         config = _noisy_config()
         pred = predict(
-            _observed_records(config), config, "extra_cores", 4.0
+            _observed_calls(config), config, "extra_cores", 4.0
         )
         rec = whatif_record(pred, scenario="noisy")
         assert rec["actual"] is None

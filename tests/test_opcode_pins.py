@@ -195,6 +195,28 @@ def test_cluster_loop_opcodes_per_request():
     assert per_request <= CLUSTER_OPCODES_PER_REQUEST, per_request
 
 
+#: The cluster request log's own cost, as for the plain one: bytecodes
+#: per request of the logged episode plus ``extract_paths``, minus those
+#: of the unlogged episode.  3,626.7 while a live run built every record
+#: dict for the call-table parser and merged per-node span lists; 2,900.4
+#: at the time of writing, plus about 1%.
+CLUSTER_LOG_OPCODES_PER_REQUEST = 2930.0
+
+
+def test_cluster_log_opcodes_per_request():
+    """The cluster episode above, logged and then unlogged."""
+    sim, arrivals = _cluster_setup(1, True)[0]
+    log = RequestLog()
+    with session(Observation(requests=log)):
+        result, run_ops = _count_opcodes(lambda: sim.run(arrivals))
+    paths, extract_ops = _count_opcodes(lambda: extract_paths(log.runs[0].records))
+    assert len(paths) == result.offered_requests == 750
+    bare, bare_ops = _count_opcodes(lambda: sim.run(arrivals))
+    assert bare.latencies_ms.tobytes() == result.latencies_ms.tobytes()
+    per_request = (run_ops + extract_ops - bare_ops) / 750
+    assert per_request <= CLUSTER_LOG_OPCODES_PER_REQUEST, per_request
+
+
 #: Bytecodes per demand load of the two 1-core walks below on the
 #: smoke-size Low-hot workload, with about 1% of headroom over the counts
 #: at the time of writing.  The baseline walk (hardware prefetching on)

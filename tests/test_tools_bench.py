@@ -375,6 +375,49 @@ def test_trace_report_fleet_view_and_node_column(tmp_path, capsys):
     assert "node=" in out
 
 
+def test_trace_report_validate_checks_the_span_tree(tmp_path, capsys):
+    """--validate runs check_span_tree over the fleet spans: a gather cut
+    short of its attempt fails it, naming the span on stderr."""
+    trace_report = _load_tool("trace_report")
+    trace_path, _ = _cluster_artifacts(tmp_path)
+    assert trace_report.main([str(trace_path), "--validate"]) == 0
+    assert "span-tree" not in capsys.readouterr().err
+    trace = json.loads(trace_path.read_text())
+    gather = next(e for e in trace["traceEvents"] if e.get("cat") == "fleet.gather")
+    gather["dur"] = 0.0
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(trace))
+    assert trace_report.main([str(broken), "--validate"]) == 1
+    err = capsys.readouterr().err
+    assert "span-tree violation" in err
+    assert f"{gather['args']['span_id']}/" in err and "outside parent interval" in err
+
+
+def test_trace_report_validate_splits_runs_sharing_ids(tmp_path, capsys):
+    """Cluster runs traced without a request log all number their
+    requests under run 0; each run's forest is checked on its own."""
+    import numpy as np
+
+    from repro.obs.hooks import Observation, session
+    from repro.serving.cluster import ClusterConfig, ClusterSim
+
+    trace_report = _load_tool("trace_report")
+    obs = Observation()
+    with session(obs):
+        for shift in (0.0, 1000.0):
+            ClusterSim(ClusterConfig(num_nodes=2, num_shards=2, seed=3)).run(
+                shift + 0.5 * np.arange(200.0)
+            )
+    roots = [e for e in obs.tracer.events if e.category == "fleet.request"]
+    assert len(roots) == 400 and {e.args["span_id"] for e in roots} == {
+        f"0:{i}" for i in range(200)
+    }
+    path = tmp_path / "two_runs.json"
+    obs.tracer.to_chrome(path)
+    assert trace_report.main([str(path), "--validate"]) == 0
+    assert "span-tree" not in capsys.readouterr().err
+
+
 def test_trace_report_slo_mode(tmp_path, capsys):
     trace_report = _load_tool("trace_report")
     path = _write_jsonl(tmp_path / "slo.jsonl", _SLO_LINES)

@@ -37,10 +37,10 @@ The suite:
 * **cluster loop** (``serving.cluster16.requests_per_min``, kind
   ``wall``) — simulated requests per minute through the 16-node,
   node-kill, hedged cluster loop.
-* **fleet observability** (``obs.fleet.*``) — span-forest merge and
-  drift-detector update throughputs (kind ``wall``) bounding what the
-  tracing layer may cost, plus detection recall/MTTD on the pinned
-  node-kill run (kind ``sim``, exact).
+* **fleet observability** (``obs.fleet.*``) — drift-detector update
+  throughput (kind ``wall``) bounding what the fleet monitor may cost,
+  plus detection recall/MTTD on the pinned node-kill run (kind ``sim``,
+  exact).
 * **critical path** (``obs.critpath.*``) — extraction throughput over a
   pinned cluster log and a single-box log (kind ``wall``), plus the
   conservation rate and the worst gated what-if prediction error of the
@@ -64,7 +64,7 @@ import platform as platform_mod
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -92,7 +92,6 @@ from repro.obs.regress import (  # noqa: E402
     median,
 )
 from repro.obs.detect import MeanShiftDetector  # noqa: E402
-from repro.obs.fleet import FleetSpan, merge_spans  # noqa: E402
 from repro.obs.hooks import Observation, session  # noqa: E402
 from repro.obs.requests import RequestLog  # noqa: E402
 from repro.obs.schema import validate_def  # noqa: E402
@@ -490,47 +489,14 @@ def _cluster16_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
 
 
 def _fleet_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
-    """Fleet-observability overheads and a pinned detection-quality run.
+    """Fleet-observability overhead and a pinned detection-quality run.
 
-    Two wall clocks bound what the tracing layer may cost — merging a
-    realistic span forest (request -> gather -> route/attempt, the shape
-    a hedged cluster run produces) and pushing windowed samples through
-    a drift detector — plus exact sim outputs pinning the observatory's
-    detection quality on the same node-kill scenario the cluster
-    benchmarks ride.
+    A wall clock bounds what the fleet monitor may cost — pushing
+    windowed samples through a drift detector — and exact sim outputs pin
+    the observatory's detection quality on the same node-kill scenario
+    the cluster benchmarks ride.
     """
     out: List[Benchmark] = []
-
-    merge_requests = 2_000 if mode == "smoke" else 10_000
-
-    def build_forest() -> Tuple[List[FleetSpan], Dict[int, List[FleetSpan]]]:
-        """Router-side spans and per-node attempts, as a cluster run hands
-        them to ``merge_spans``."""
-        router: List[FleetSpan] = []
-        nodes: Dict[int, List[FleetSpan]] = {}
-        for req in range(merge_requests):
-            t, rid = 0.5 * req, f"0:{req}"
-            router.append(FleetSpan(rid, None, "req", "request", None, t, t + 2.1))
-            for k in range(2):
-                sid, node = f"{rid}/g{k}", (req + k) % 4
-                router.append(FleetSpan(sid, rid, "gather", "gather", None, t, t + 2.0))
-                router.append(FleetSpan(f"{sid}/r0", sid, "route", "route", node, t, t))
-                nodes.setdefault(node, []).append(
-                    FleetSpan(f"{sid}/a0", sid, "attempt", "attempt", node, t, t + 2.0)
-                )
-        return router, nodes
-
-    rates = []
-    for _ in range(repeats):
-        router, nodes = build_forest()
-        num_spans = len(router) + sum(len(spans) for spans in nodes.values())
-        start = time.perf_counter()
-        merge_spans(router, nodes)
-        elapsed = time.perf_counter() - start
-        rates.append(num_spans / elapsed)
-    out.append(
-        _wall("obs.fleet.trace_merge.spans_per_sec", median(rates), "spans/s")
-    )
 
     updates = 50_000 if mode == "smoke" else 200_000
     samples = 1.0 + 0.1 * SimConfig(seed=7).rng(
@@ -556,12 +522,10 @@ def _fleet_benchmarks(mode: str, repeats: int) -> List[Benchmark]:
     log = RequestLog()
     with session(Observation(requests=log)):
         cluster.run(arrivals)
-    records = log.runs[-1].records
+    calls = log.runs[-1].records.lifecycles()
     window_ms = horizon_ms / 60
     monitor = FleetMonitor(cluster.config.num_nodes)
-    events = monitor.run(
-        node_window_stats(records, window_ms, horizon_ms), window_ms
-    )
+    events = monitor.run(node_window_stats(calls, window_ms, horizon_ms), window_ms)
     score = score_detections(
         events, cluster.config.faults.windows(), 2 * window_ms
     )

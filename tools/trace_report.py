@@ -36,9 +36,11 @@ Views:
   ``$defs.whatif_record`` under ``--validate``;
 * ``--format json`` emits every requested view as one machine-readable
   JSON document instead of text tables;
-* ``--validate`` checks the trace against ``tools/trace_schema.json``
-  and each request-log line against its ``$defs.request_event`` (exit 1
-  on violations) — CI runs this on fresh smoke artifacts.
+* ``--validate`` checks the trace against ``tools/trace_schema.json``,
+  its ``fleet.*`` span forests with ``check_span_tree`` (every child
+  inside its parent, no orphans), and each request-log line against its
+  ``$defs.request_event`` (exit 1 on violations) — CI runs this on fresh
+  smoke artifacts.
 
 Each view is computed once, by its ``*_data`` function, into a plain view
 document: every count, sort, filter and top-N cut happens there.
@@ -66,6 +68,7 @@ from repro.obs.critpath import (  # noqa: E402
     extract_paths,
     aggregate_profiles,
 )
+from repro.obs.fleet import FleetSpan, check_span_tree  # noqa: E402
 from repro.obs.requests import (  # noqa: E402
     attribute_miss,
     load_request_log,
@@ -755,6 +758,36 @@ def summarize_critpath(doc: dict) -> str:
 # -- CLI ----------------------------------------------------------------------
 
 
+def _span_tree_errors(trace: dict) -> List[str]:
+    """``check_span_tree`` violations of a trace's fleet span forests.
+
+    Each cluster run emits its forest as one run of spans.  Runs traced
+    without a request log all number their requests under run 0, so a
+    span id seen again starts the next run's forest.
+    """
+    spans = _complete_spans(
+        trace, lambda e: str(e.get("cat", "")).startswith("fleet.")
+    )
+    problems: List[str] = []
+    forest: List[FleetSpan] = []
+    seen = set()
+    for e in spans:
+        args = e.get("args", {})
+        span_id = str(args.get("span_id"))
+        if span_id in seen:
+            problems.extend(check_span_tree(forest))
+            forest, seen = [], set()
+        seen.add(span_id)
+        start = float(e.get("ts", 0.0))
+        forest.append(FleetSpan(
+            span_id, args.get("parent_id"), str(e.get("name")),
+            str(args.get("kind")), args.get("node"),
+            start, start + float(e.get("dur", 0.0)),
+        ))
+    problems.extend(check_span_tree(forest))
+    return problems
+
+
 def _line_errors(
     records: List[dict], schema: dict, defs: Dict[str, str], first_line: int = 1
 ) -> List[str]:
@@ -868,6 +901,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         if schema is not None and not _schema_verdict(
             args.trace, validate(trace, schema), as_json
         ):
+            return 1
+        problems = _span_tree_errors(trace) if schema is not None else []
+        if problems:
+            print(
+                f"{args.trace}: {len(problems)} span-tree violation(s):",
+                file=sys.stderr,
+            )
+            for problem in problems[:20]:
+                print(f"  {problem}", file=sys.stderr)
             return 1
         views.append(("trace", trace_data(trace, args.top), summarize))
         if args.fleet:
